@@ -48,14 +48,26 @@ def _add_common(p) -> None:
 
 
 def main(argv=None) -> int:
+    """Run the command line; domain and file errors exit 2 with one line."""
+    try:
+        return _run(argv)
+    except (ValueError, OSError) as exc:
+        print(f"confseed: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="confseed",
         description="build, glue, mutate, and verify cluster seeds "
                     "for configurations of decorated flags",
     )
+    try:
+        env_seed = int(os.environ.get("CONFSEED_RNG_SEED", "0"))
+    except ValueError:
+        raise ValueError("CONFSEED_RNG_SEED must be an integer") from None
     parser.add_argument(
-        "--rng-seed", type=int,
-        default=int(os.environ.get("CONFSEED_RNG_SEED", "0")),
+        "--rng-seed", type=int, default=env_seed,
         help="seed for randomized checks (env CONFSEED_RNG_SEED)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

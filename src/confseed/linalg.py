@@ -4,6 +4,12 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 
+def mat_mul(a, b) -> list[list]:
+    """The product a * b of two matrices given as row sequences."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def det(rows) -> Q:
     """Determinant by fraction-exact Gaussian elimination."""
     n = len(rows)

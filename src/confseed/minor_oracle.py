@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction as Q
 
 from . import root_data as rd
-from .linalg import det
+from .linalg import det, mat_mul
 from .seed_core import Exchange, Label, Minor, Seed, mutate, p_exponents
 
 Flag = tuple  # n x n matrix, rows first
@@ -36,14 +36,6 @@ def random_flags(rng, n: int, m: int) -> tuple[Flag, ...]:
 
 def scale_flag(diag, flag: Flag) -> Flag:
     return tuple(tuple(t * x for x in row) for t, row in zip(diag, flag))
-
-
-def left_multiply(mat, flag: Flag) -> Flag:
-    n = len(flag)
-    return tuple(
-        tuple(sum(mat[r][s] * flag[s][c] for s in range(n)) for c in range(n))
-        for r in range(n)
-    )
 
 
 def random_torus(rng, n: int):
@@ -221,44 +213,26 @@ def check_pentagon(seed: Seed, j: str, k: str, flags) -> bool:
 # == the longest-element lift and the twisted cyclic shift ==
 
 def lift_w0(n: int):
-    """Product of (I-E_i)(I+F_i)(I-E_i) along the standard longest word."""
+    """Product of (I-E_i)(I+F_i)(I-E_i) along the standard longest word.
+
+    Each factor is the identity with the block [[0,-1],[1,0]] on rows and
+    columns i-1, i.
+    """
     datum = rd.root_datum(f"a{n - 1}")
-
-    def refl(i: int):
-        # i is 1-based
-        mat = [[Q(1) if r == c else Q(0) for c in range(n)] for r in range(n)]
-        e = [[Q(0)] * n for _ in range(n)]
-        e[i - 1][i] = Q(1)
-        f = [[Q(0)] * n for _ in range(n)]
-        f[i][i - 1] = Q(1)
-
-        def mul(a, b):
-            return [
-                [sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
-                for r in range(n)
-            ]
-
-        ime = [[mat[r][c] - e[r][c] for c in range(n)] for r in range(n)]
-        ipf = [[mat[r][c] + f[r][c] for c in range(n)] for r in range(n)]
-        return mul(mul(ime, ipf), ime)
-
-    out = [[Q(1) if r == c else Q(0) for c in range(n)] for r in range(n)]
+    out = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     for node in rd.standard_longest_word(datum):
-        s = refl(int(node))
-        out = [
-            [sum(out[r][k] * s[k][c] for k in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
+        i = int(node)
+        s = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        s[i - 1][i - 1] = s[i][i] = 0
+        s[i - 1][i], s[i][i - 1] = -1, 1
+        out = mat_mul(out, s)
     return out
 
 
 def w0_square_sign(n: int) -> int:
     """The central element lift(w0)^2 as +1 or -1."""
     w = lift_w0(n)
-    sq = [
-        [sum(w[r][k] * w[k][c] for k in range(n)) for c in range(n)]
-        for r in range(n)
-    ]
+    sq = mat_mul(w, w)
     for s in (1, -1):
         if all(sq[r][c] == (s if r == c else 0) for r in range(n) for c in range(n)):
             return s
@@ -362,18 +336,12 @@ def shear_configuration(rng, n: int):
     def transpose(m):
         return tuple(tuple(row[i] for row in m) for i in range(len(m)))
 
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-            for r in range(n)
-        )
-
     w0 = tuple(tuple(Q(x) for x in row) for row in lift_w0(n))
     return (
         ident,
         transpose(unitriangular(True)),
         transpose(w0),
-        transpose(matmul(unitriangular(False), w0)),
+        transpose(mat_mul(unitriangular(False), w0)),
     )
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
+from .linalg import mat_mul
+
 Weight = tuple  # tuple of Fractions, fundamental-weight coordinates
 
 
@@ -136,14 +138,6 @@ def _reflection_on_roots(datum: RootDatum, j: int) -> list[list[int]]:
     return mat
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
-        for r in range(n)
-    ]
-
-
 def is_reduced(datum: RootDatum, word: tuple[str, ...]) -> bool:
     """True when no shorter word represents the same Weyl group element."""
     n = datum.rank
@@ -154,7 +148,7 @@ def is_reduced(datum: RootDatum, word: tuple[str, ...]) -> bool:
         col = [cur[r][j] for r in range(n)]
         if any(c < 0 for c in col):
             return False
-        cur = _mat_mul(cur, _reflection_on_roots(datum, j))
+        cur = mat_mul(cur, _reflection_on_roots(datum, j))
     return True
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 
 from . import root_data as rd
 from .linalg import solve_with_kernel
-from .seed_core import Minor, Seed, unit, weight_balance
+from .seed_core import Minor, Seed, unit, weight_balance, weight_sum
 
 
 def vertex_node_occ(datum: rd.RootDatum, name: str) -> tuple[str, int | None]:
@@ -221,27 +221,6 @@ def _boundary_pattern(datum, m_node, first_slot, second_slot):
     return tuple(S)
 
 
-def expected_patterns(datum: rd.RootDatum, seed: Seed) -> dict:
-    """Boundary pattern for every frozen vertex of the completed triangle.
-
-    Corners are cyclically ordered 1 -> 2 -> 3 -> 1.  Word rows start on the
-    (3,1) edge and end on the (2,3) edge; edge vertices sit on (1,2).
-    """
-    out = {}
-    for i, name in enumerate(seed.names):
-        if not seed.frozen[i]:
-            continue
-        node, occ = vertex_node_occ(datum, name)
-        dual = rd.w0_dual(datum, node)
-        if occ is None:
-            out[name] = _boundary_pattern(datum, dual, 0, 1)
-        elif occ == 0:
-            out[name] = _boundary_pattern(datum, node, 2, 0)
-        else:
-            out[name] = _boundary_pattern(datum, dual, 1, 2)
-    return out
-
-
 def _stack(ws):
     return [c for w in ws for c in w]
 
@@ -273,17 +252,6 @@ def complete_triangle_seed(
             (rd.fundamental_weight(datum, dual), rd.fundamental_weight(datum, node), zero)
         )
     r = len(edge_names)
-
-    # imbalance of the existing rows
-    def imbalance(i: int):
-        acc = [list(zero) for _ in range(3)]
-        for j in range(n):
-            c = Q(seed.b2[i][j], 2)
-            if c:
-                for t in range(3):
-                    for k in range(datum.rank):
-                        acc[t][k] += c * seed.weights[j][t][k]
-        return tuple(tuple(row) for row in acc)
 
     patterns = {}
     for name in seed.names:
@@ -322,11 +290,11 @@ def complete_triangle_seed(
         if seed.frozen[i]:
             target = tuple(
                 tuple(p - q for p, q in zip(pt, it))
-                for pt, it in zip(patterns[name], imbalance(i))
+                for pt, it in zip(patterns[name], weight_balance(seed, name))
             )
             sol = solve_row(target, slot3_must_vanish=name)
         else:
-            target = tuple(tuple(-c for c in t) for t in imbalance(i))
+            target = tuple(tuple(-c for c in t) for t in weight_balance(seed, name))
             sol = solve_row(target, slot3_must_vanish=None)
         for e, x in enumerate(sol):
             b2x = 2 * x
@@ -347,13 +315,9 @@ def complete_triangle_seed(
 
     edge_to_edge = [[Q(0)] * r for _ in range(r)]
     for e in range(r):
-        acc = [list(zero) for _ in range(3)]
-        for i in range(n):
-            c = edge_to_old[e][i]
-            if c:
-                for t in range(3):
-                    for k in range(datum.rank):
-                        acc[t][k] += c * seed.weights[i][t][k]
+        acc = weight_sum(
+            ((c, w) for c, w in zip(edge_to_old[e], seed.weights) if c), 3, datum.rank
+        )
         target = tuple(
             tuple(p - q for p, q in zip(pt, it))
             for pt, it in zip(patterns[edge_names[e]], acc)

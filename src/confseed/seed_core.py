@@ -154,19 +154,24 @@ def arrows(seed: Seed):
 # == weights: balance and homogeneity ==
 
 
+def weight_sum(terms, slots: int, rank: int) -> tuple[Weight, ...]:
+    """Per-slot sum of c * w over (c, w) pairs, w holding one weight per slot."""
+    acc = [[Q(0)] * rank for _ in range(slots)]
+    for c, ws in terms:
+        for row, w in zip(acc, ws):
+            for r, x in enumerate(w):
+                if x:
+                    row[r] += c * x
+    return tuple(map(tuple, acc))
+
+
 def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
     """Per-slot value of sum_j b[k][j] * w(j) for vertex k."""
-    k = seed.index(name)
-    slots = seed.slots
-    rank = len(seed.weights[0][0])
-    out = [[Q(0)] * rank for _ in range(slots)]
-    for j in range(seed.size):
-        c = Q(seed.b2[k][j], 2)
-        if c:
-            for t in range(slots):
-                for r in range(rank):
-                    out[t][r] += c * seed.weights[j][t][r]
-    return tuple(tuple(row) for row in out)
+    row = seed.b2[seed.index(name)]
+    return weight_sum(
+        ((Q(b, 2), w) for b, w in zip(row, seed.weights) if b),
+        seed.slots, len(seed.weights[0][0]),
+    )
 
 
 def is_balanced(seed: Seed, name: str) -> bool:
@@ -205,23 +210,21 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
 
     new_weights = seed.weights
     if seed.weights is not None:
-        if not is_balanced(seed, at):
+        slots, rank = seed.slots, len(seed.weights[0][0])
+        pos = weight_sum(
+            ((b // 2, w) for b, w in zip(old[k], seed.weights) if b > 0), slots, rank
+        )
+        neg = weight_sum(
+            ((-b // 2, w) for b, w in zip(old[k], seed.weights) if b < 0), slots, rank
+        )
+        if pos != neg:
             raise ValueError(
                 f"mutation at {at} is not weight-homogeneous: "
                 f"{weight_balance(seed, at)}"
             )
-        slots = seed.slots
-        rank = len(seed.weights[0][0])
-        acc = [[Q(0)] * rank for _ in range(slots)]
-        for j in range(n):
-            if old[k][j] > 0:
-                c = old[k][j] // 2
-                for t in range(slots):
-                    for r in range(rank):
-                        acc[t][r] += c * seed.weights[j][t][r]
         wk = tuple(
-            tuple(acc[t][r] - seed.weights[k][t][r] for r in range(rank))
-            for t in range(slots)
+            tuple(p - q for p, q in zip(ps, qs))
+            for ps, qs in zip(pos, seed.weights[k])
         )
         new_weights = seed.weights[:k] + (wk,) + seed.weights[k + 1:]
 

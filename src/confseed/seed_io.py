@@ -77,32 +77,36 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(data: dict) -> Seed:
-    vertices = sorted(data["vertices"], key=lambda v: v["id"])
-    names = tuple(v["tag"] for v in vertices)
-    frozen = tuple(bool(v["frozen"]) for v in vertices)
-    mult = tuple(int(v["d"]) for v in vertices)
-    b2 = tuple(tuple(int(x) for x in row) for row in data["b2"])
+    """Rebuild a seed from its JSON form; raises ValueError on malformed data."""
+    try:
+        vertices = sorted(data["vertices"], key=lambda v: v["id"])
+        names = tuple(v["tag"] for v in vertices)
+        frozen = tuple(bool(v["frozen"]) for v in vertices)
+        mult = tuple(int(v["d"]) for v in vertices)
+        b2 = tuple(tuple(int(x) for x in row) for row in data["b2"])
 
-    weights = None
-    if vertices and "weights" in vertices[0]:
-        weights = tuple(_weights_in(v["weights"]) for v in vertices)
+        weights = None
+        if vertices and "weights" in vertices[0]:
+            weights = tuple(_weights_in(v["weights"]) for v in vertices)
 
-    labels = None
-    if "labels" in data and vertices and "label" in vertices[0]:
-        built: list[Label] = []
-        for entry in data["labels"]:
-            if entry["kind"] == "minor":
-                built.append(Minor(_weights_in(entry["weights"])))
-            else:
-                built.append(
-                    Exchange(
-                        tuple((built[i], e) for i, e in entry["plus"]),
-                        tuple((built[i], e) for i, e in entry["minus"]),
-                        built[entry["over"]],
+        labels = None
+        if "labels" in data and vertices and "label" in vertices[0]:
+            built: list[Label] = []
+            for entry in data["labels"]:
+                if entry["kind"] == "minor":
+                    built.append(Minor(_weights_in(entry["weights"])))
+                else:
+                    built.append(
+                        Exchange(
+                            tuple((built[i], e) for i, e in entry["plus"]),
+                            tuple((built[i], e) for i, e in entry["minus"]),
+                            built[entry["over"]],
+                        )
                     )
-                )
-        labels = tuple(built[v["label"]] for v in vertices)
-    return Seed(names, frozen, mult, b2, weights, labels)
+            labels = tuple(built[v["label"]] for v in vertices)
+        return Seed(names, frozen, mult, b2, weights, labels)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
 
 
 def save_seed(seed: Seed, path) -> None:

@@ -1,7 +1,9 @@
 """Acceptance checks: every headline claim of the package, exact, in one run.
 
 One test per criterion; each prints a single PASS/FAIL line (visible under
-pytest -s or on failure) and asserts.  Everything compares rational numbers
+pytest -s or on failure) and asserts.  Criteria 1-8 run the same suite
+functions as ``confseed verify`` and assert on their reports by name, plus
+the counts the suites do not check.  Everything compares rational numbers
 for equality; there are no tolerances anywhere.
 
     1.  the built word quivers equal the frozen adjacency tables
@@ -18,39 +20,19 @@ for equality; there are no tolerances anywhere.
 from __future__ import annotations
 
 import random
-from fractions import Fraction as Q
+import re
 
 import confseed.minor_oracle as mo
-from confseed import golden
-from confseed.root_data import (
-    g2_weight_dual,
-    root_datum,
-    standard_longest_word,
-)
-from confseed.seed_builder import (
-    build_bruhat_seed,
-    build_triangle_seed,
-    complete_triangle_seed,
-    reverse_word_seed,
-)
-from confseed.seed_core import (
-    Seed,
-    arrows,
-    assert_face_equations,
-    check_seed,
-    langlands_dual,
-    matches_under,
-    mutate,
-    permute_slots,
-    quiver_isomorphic,
-    weight_balance,
-)
-from confseed.sequence_verifier import (
-    apply_sequence,
-    builtin_sequences,
-    verify_flip,
-    verify_langlands_pairing,
-    verify_s3,
+from confseed.root_data import root_datum
+from confseed.seed_builder import build_triangle_seed
+from confseed.seed_core import assert_face_equations, check_seed, mutate
+from confseed.sequence_verifier import apply_sequence, builtin_sequences
+from confseed.suites import (
+    suite_builders,
+    suite_g2_flip,
+    suite_g2_s3,
+    suite_langlands,
+    suite_oracle,
 )
 from confseed.surface_glue import build_conf_m_seed
 
@@ -59,182 +41,95 @@ A3 = root_datum("a3")
 G2_TRI = build_triangle_seed(G2)
 G2_QUAD = build_conf_m_seed(G2, 4)
 
-TRIANGLE_PAIRING = {
-    "x_a0": "x_b3", "x_a1": "x_b2", "x_a2": "x_b1", "x_a3": "x_b0",
-    "x_b0": "x_a3", "x_b1": "x_a2", "x_b2": "x_a1", "x_b3": "x_a0",
-    "x_a": "x_b", "x_b": "x_a",
-}
-
 
 def _declare(number: int, ok: bool, text: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: criterion {number} - {text}")
     assert ok, f"criterion {number}: {text}"
 
 
-def _arrowset(seed):
-    return {(a, b): m for a, b, m in arrows(seed)}
+def _by_name(reports) -> dict:
+    return {r.name: r for r in reports}
 
 
-def _goldenset(table):
-    return {(a, b): Q(m) for a, b, m in table}
+def _passed(reports, *names) -> bool:
+    """True when every named report is present and passed."""
+    by_name = _by_name(reports)
+    return all(nm in by_name and by_name[nm].passed for nm in names)
+
+
+def _mutations(name: str) -> int:
+    return sum(len(st) for st in builtin_sequences()[name].stages)
 
 
 def test_criterion_01_word_quivers():
-    ok = True
-    for kind, size, table in (
-        ("a3", 9, golden.ARROWS_A3_WORD),
-        ("g2", 8, golden.ARROWS_G2_WORD),
-        ("d4", 16, golden.ARROWS_D4_WORD),
-    ):
-        datum = root_datum(kind)
-        seed = build_bruhat_seed(datum, standard_longest_word(datum))
-        ok = ok and seed.size == size and _arrowset(seed) == _goldenset(table)
+    reports = suite_builders()
+    ok = _passed(reports, "a3 word quiver", "g2 word quiver", "d4 word quiver")
+    for kind, size in (("a3", 9), ("g2", 8), ("d4", 16)):
+        line = _by_name(reports)[f"{kind} word quiver"].lines[0]
+        ok = ok and line.startswith(f"{size} vertices,")
     _declare(1, ok, "word quivers match the frozen adjacency tables")
 
 
 def test_criterion_02_triangle_completion():
-    a3_seed, a3_rep = complete_triangle_seed(
-        A3, build_bruhat_seed(A3, standard_longest_word(A3))
-    )
-    g2_seed, g2_rep = complete_triangle_seed(
-        G2, build_bruhat_seed(G2, standard_longest_word(G2))
-    )
     ok = (
-        a3_seed.size == 12
-        and g2_seed.size == 10
-        and _arrowset(a3_seed) == _goldenset(golden.ARROWS_A3_TRIANGLE)
-        and _arrowset(g2_seed) == _goldenset(golden.ARROWS_G2_TRIANGLE)
-        and {n: g2_seed.weight(n) for n in g2_seed.names}
-        == dict(golden.G2_TRIANGLE_WEIGHTS)
-        and a3_rep.unique
-        and g2_rep.unique
+        _passed(suite_builders(), "a3 triangle completion",
+                "g2 triangle completion", "g2 triangle rows and weights")
+        and build_triangle_seed(A3).size == 12
+        and G2_TRI.size == 10
     )
     _declare(2, ok, "triangle completions match, with zero-kernel certificates")
 
 
 def test_criterion_03_start_edge_sums():
-    seed = build_triangle_seed(A3)
-    ok = True
-    for name, want in golden.SL4_START_SUMS.items():
-        norm = tuple(
-            tuple(Q(c) for c in w) if w != 0 else (Q(0),) * 3 for w in want
-        )
-        ok = ok and weight_balance(seed, name) == norm
+    ok = _passed(suite_builders(), "sl4 boundary sums")
     _declare(3, ok, "start-edge imbalances equal the three stated vectors")
 
 
 def test_criterion_04_transposition_sequences():
-    seqs = builtin_sequences()
-    start = {n: G2_TRI.weight(n) for n in G2_TRI.names}
-    ok = True
-    for name, perm in (("g2_swap13", (2, 1, 0)), ("g2_swap23", (0, 2, 1))):
-        res = apply_sequence(G2_TRI, seqs[name])
-        ok = ok and res.stage_weights == golden.stage_tables(name, start)
-        ok = ok and verify_s3(G2_TRI, seqs[name], perm,
-                              expect_reversed=True).passed
+    ok = _passed(
+        suite_g2_s3(),
+        "g2_swap13 stage tables", "g2_swap23 stage tables",
+        "s3:g2_swap13", "s3:g2_swap23",
+    )
     _declare(4, ok, "both transpositions reproduce every stage table")
 
 
 def test_criterion_05_flip_sequence():
-    seq = builtin_sequences()["g2_flip"]
-    res = apply_sequence(G2_QUAD, seq)
-    start = {n: G2_QUAD.weight(n) for n in G2_QUAD.names}
     ok = (
-        sum(len(st) for st in seq.stages) == 18
-        and len(seq.stages) == 6
-        and res.stage_weights == golden.stage_tables("g2_flip", start)
-        and verify_flip(G2, G2_QUAD, seq).passed
+        _passed(suite_g2_flip(), "g2_flip stage tables", "flip:g2_flip")
+        and _mutations("g2_flip") == 18
+        and len(builtin_sequences()["g2_flip"].stages) == 6
     )
     _declare(5, ok, "the flip reproduces all six stage tables and the target")
 
 
 def test_criterion_06_composite_reaches_reversed_word():
-    seq = builtin_sequences()["g2_swap12"]
-    final = apply_sequence(G2_TRI, seq).final
     ok = (
-        sum(len(st) for st in seq.stages) == 12
-        and quiver_isomorphic(final, reverse_word_seed(G2)) is not None
+        _passed(suite_g2_s3(), "s3:g2_swap12", "g2 swap12 vs reversed word")
+        and _mutations("g2_swap12") == 12
     )
     _declare(6, ok, "twelve mutations land on the reversed-word seed")
 
 
 def test_criterion_07_langlands():
-    seqs = builtin_sequences()
-    ok = matches_under(
-        G2_TRI,
-        permute_slots(langlands_dual(G2_TRI, weight_map=g2_weight_dual),
-                      (1, 0, 2)),
-        TRIANGLE_PAIRING,
+    ok = _passed(
+        suite_langlands(random.Random(2026)),
+        "duality involution", "g2 triangle self-duality",
+        "langlands:g2_swap13~g2_swap23", "langlands:g2_flip~g2_flip_dual_rev",
+        "duality commutes with mutation",
     )
-
-    rng = random.Random(2026)
-    for trial in range(100):
-        seed = G2_TRI if trial % 2 == 0 else G2_QUAD
-        for _ in range(rng.randint(1, 10)):
-            at = rng.choice(seed.unfrozen_names())
-            left = langlands_dual(mutate(seed, at), weight_map=g2_weight_dual)
-            right = mutate(langlands_dual(seed, weight_map=g2_weight_dual), at)
-            ok = ok and left == right
-            seed = mutate(seed, at)
-
-    ok = ok and verify_langlands_pairing(
-        G2_TRI, seqs["g2_swap13"], seqs["g2_swap23"], TRIANGLE_PAIRING,
-        weight_map=g2_weight_dual, relabel=TRIANGLE_PAIRING,
-        slot_perm=(1, 0, 2),
-    ).passed
-
-    quad_pairing = {
-        nm: (nm[:-1] + "b" if nm.endswith("a") else nm[:-1] + "a")
-        for nm in G2_QUAD.names
-    }
-    dual_flip = seqs["g2_flip"].conjugated(
-        quad_pairing, name="g2_flip_dual"
-    ).reversed()
-    ok = ok and verify_langlands_pairing(
-        G2_QUAD, seqs["g2_flip"], dual_flip, quad_pairing,
-        weight_map=g2_weight_dual, stage_reversal=True,
-    ).passed
     _declare(7, ok, "self-duality, 100 dual walks, and both sequence pairings")
 
 
 def test_criterion_08_oracle_identities():
-    rng = random.Random(8)
-    ok = True
-    tuples_checked = 0
-    for n, shape in ((3, 3), (4, 3), (3, 4)):
-        datum = root_datum(f"a{n - 1}")
-        seed = (build_triangle_seed(datum) if shape == 3
-                else build_conf_m_seed(datum, 4))
-        done = 0
-        while done < 34:
-            flags = mo.random_flags(rng, n, shape)
-            try:
-                for at in seed.unfrozen_names():
-                    ok = ok and mo.check_exchange(seed, at, flags) == 0
-            except ZeroDivisionError:
-                continue
-            done += 1
-            tuples_checked += 1
-    ok = ok and tuples_checked >= 100
-
-    for n, shape in ((3, 3), (4, 3), (3, 4)):
-        datum = root_datum(f"a{n - 1}")
-        seed = (build_triangle_seed(datum) if shape == 3
-                else build_conf_m_seed(datum, 4))
-        done = 0
-        while done < 5:
-            flags = mo.random_flags(rng, n, shape)
-            toruses = tuple(mo.random_torus(rng, n) for _ in range(shape))
-            try:
-                ok = ok and mo.torus_weight_check(seed, flags, toruses)
-            except ZeroDivisionError:
-                continue
-            done += 1
-
-    ok = ok and mo.w0_square_sign(4) == -1
-    tri4 = build_triangle_seed(A3)
-    for _ in range(5):
-        ok = ok and mo.check_cyclic_symmetry(tri4, mo.random_flags(rng, 4, 3))
+    reports = suite_oracle(random.Random(8))
+    ok = _passed(
+        reports, "exchange residuals", "torus weight characters",
+        "twisted cyclic shift",
+    )
+    line = _by_name(reports)["exchange residuals"].lines[0]
+    tuples = re.search(r"over (\d+) flag tuples", line)
+    ok = ok and tuples is not None and int(tuples.group(1)) >= 100
     _declare(8, ok, "exchange residuals, torus characters, twisted shift")
 
 

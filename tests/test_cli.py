@@ -7,6 +7,7 @@ Claims covered:
     - verify exits 0 on a passing suite and prints one line per check
     - export-dot renders a digraph; oracle runs the numeric checks
     - usage errors (unknown flags, suites, sequences) exit with status 2
+    - domain and file errors exit with status 2 and a one-line message
 """
 from __future__ import annotations
 
@@ -55,8 +56,7 @@ class TestBuild:
         assert seed.slots == 4
 
     def test_bad_word_raises(self, capsys):
-        with pytest.raises(ValueError):
-            main(["build", "--type", "g2", "--word", "ababa"])
+        assert main(["build", "--type", "g2", "--word", "ababa"]) == 2
 
 
 # == 2. mutating =============================================================
@@ -153,3 +153,22 @@ class TestExportAndErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["build", "--type", "x7"], "0"),
+        (["build", "--type", "g2", "--word", "ababa"], "0"),
+        (["verify", "--suite", "typea-flip"], "x"),
+        (["mutate", "--seed", "missing.json"], "0"),
+        (["mutate", "--seed", "empty.json"], "0"),
+    ], ids=["unknown-type", "non-reduced-word", "bad-rng-seed",
+            "missing-seed-file", "empty-seed-object"])
+    def test_domain_and_file_errors_exit_2(self, argv, env_seed, tmp_path,
+                                           capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CONFSEED_RNG_SEED", env_seed)
+        (tmp_path / "empty.json").write_text("{}")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("confseed: error: ")
+        assert captured.err.count("\n") == 1

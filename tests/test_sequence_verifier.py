@@ -2,8 +2,9 @@
 
 Claims covered:
     - the named sequences carry the right stage shapes and mutation counts
-    - apply_sequence replays each stage backwards and rejects order-dependent
-      stages and repeated vertices
+    - apply_sequence rejects stages whose vertices are joined by an arrow and
+      stages that repeat a vertex; every built-in stage gives the same seed,
+      labels and stage tables in reversed and shuffled order
     - the two-node transposition sequences reproduce the frozen stage tables
       and land on slot-permuted, arrow-reversed seeds
     - the three flip sequences land on the independently rebuilt
@@ -99,6 +100,27 @@ class TestApplySequence:
         seq = MutationSequence("bad", (("x_a2", "x_a2"),))
         with pytest.raises(ValueError):
             apply_sequence(G2_TRI, seq)
+
+    @pytest.mark.parametrize("name", sorted(builtin_sequences()))
+    def test_stage_order_does_not_matter(self, name):
+        seq = builtin_sequences()[name]
+        if name.startswith("g2_swap"):
+            start = G2_TRI
+        elif name == "g2_flip":
+            start = G2_QUAD
+        else:
+            start = build_conf_m_seed(root_datum(name[:2]), 4)
+        want = apply_sequence(start, seq)
+        rng = random.Random(0)
+        reordered = (
+            tuple(stage[::-1] for stage in seq.stages),
+            tuple(tuple(rng.sample(stage, len(stage))) for stage in seq.stages),
+        )
+        for stages in reordered:
+            got = apply_sequence(start, MutationSequence(name, stages))
+            assert got.final == want.final
+            assert got.final.labels == want.final.labels
+            assert got.stage_weights == want.stage_weights
 
 
 # == 3. transpositions and flips =============================================
