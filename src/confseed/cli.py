@@ -51,8 +51,10 @@ def main(argv=None) -> int:
     """Run the command line; domain and file errors exit 2 with one line."""
     try:
         return _run(argv)
-    except (ValueError, OSError) as exc:
-        print(f"confseed: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError) as exc:
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"confseed: error: {msg}", file=sys.stderr)
         return 2
 
 

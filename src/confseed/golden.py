@@ -12,14 +12,14 @@ from fractions import Fraction as Q
 
 def _g2w(sym: str):
     if sym == "0":
-        return (Q(0), Q(0))
+        return (0, 0)
     mult = 1
     if sym[0].isdigit():
         mult, sym = int(sym[0]), sym[1:]
     if sym == "a":
-        return (Q(mult), Q(0))
+        return (mult, 0)
     if sym == "b":
-        return (Q(0), Q(mult))
+        return (0, mult)
     raise ValueError(sym)
 
 

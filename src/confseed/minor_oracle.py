@@ -160,10 +160,9 @@ def torus_scale(weights, toruses) -> Q:
         lead = Q(1)
         for i, c in enumerate(w):
             lead *= h[i]
-            ci = Q(c)
-            if ci.denominator != 1:
+            if c != int(c):
                 raise ValueError("character needs integral weights")
-            out *= lead ** int(ci)
+            out *= lead ** int(c)
     return out
 
 
@@ -395,11 +394,11 @@ def search_flip_sequence(start: Seed, target: Seed, rng, *, max_depth: int = 6):
             continue
         if len(set(base.values())) == len(base):
             break
-    goal_key = frozenset(goal.values())
+    goal_key = tuple(sorted(goal.values()))
 
     bare = Seed(start.names, start.frozen, start.mult, start.b2, start.weights)
     queue = deque([(bare, tuple(base[nm] for nm in start.names), ())])
-    seen = {frozenset(base.values())}
+    seen = {tuple(sorted(base.values()))}
     while queue:
         seed, vals, path = queue.popleft()
         if len(path) >= max_depth:
@@ -421,7 +420,7 @@ def search_flip_sequence(start: Seed, target: Seed, rng, *, max_depth: int = 6):
             if new_val == 0:
                 continue
             new_vals = vals[:k] + (new_val,) + vals[k + 1:]
-            key = frozenset(new_vals)
+            key = tuple(sorted(new_vals))
             if key in seen:
                 continue
             seen.add(key)

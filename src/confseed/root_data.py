@@ -4,7 +4,7 @@ Conventions, fixed once and used everywhere:
 
 * nodes are short strings: "1".."n" for type A, "a","b" for G2 (a short,
   b long), "a1","a2","a3","b" for D4;
-* a weight is a tuple of Fractions in the fundamental-weight basis, ordered
+* a weight is a tuple of ints in the fundamental-weight basis, ordered
   like ``datum.nodes``;
 * the Cartan matrix has C[i][j] = <alpha_j, alpha_i^vee>, so the symmetrizers
   satisfy d[i]*C[i][j] == d[j]*C[j][i] and the j-th simple root expands as
@@ -14,11 +14,10 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .linalg import mat_mul
 
-Weight = tuple  # tuple of Fractions, fundamental-weight coordinates
+Weight = tuple  # tuple of ints, fundamental-weight coordinates
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,22 @@ def check_symmetrizable(datum: RootDatum) -> None:
 
 
 def zero_weight(datum: RootDatum) -> Weight:
-    return (Q(0),) * datum.rank
+    return (0,) * datum.rank
 
 
 def fundamental_weight(datum: RootDatum, node: str) -> Weight:
     i = datum.index(node)
-    return tuple(Q(1) if k == i else Q(0) for k in range(datum.rank))
+    return tuple(int(k == i) for k in range(datum.rank))
 
 
 def simple_root(datum: RootDatum, node: str) -> Weight:
-    """alpha_j in fundamental-weight coordinates (column j of the Cartan matrix)."""
+    """alpha_j in fundamental-weight coordinates (column j of the Cartan matrix).
+
+    >>> simple_root(root_datum("g2"), "a")
+    (2, -1)
+    """
     j = datum.index(node)
-    return tuple(Q(datum.cartan[i][j]) for i in range(datum.rank))
+    return tuple(datum.cartan[i][j] for i in range(datum.rank))
 
 
 def add_weights(u: Weight, v: Weight) -> Weight:
@@ -101,7 +104,7 @@ def sub_weights(u: Weight, v: Weight) -> Weight:
 
 
 def scale_weight(c, v: Weight) -> Weight:
-    return tuple(Q(c) * a for a in v)
+    return tuple(c * a for a in v)
 
 
 def reflect(datum: RootDatum, node: str, w: Weight) -> Weight:
@@ -202,7 +205,7 @@ def w0_dual(datum: RootDatum, node: str) -> str:
     """The node i* with w0(omega_i) = -omega_{i*}."""
     img = w0_on_weight(datum, fundamental_weight(datum, node))
     for j, nm in enumerate(datum.nodes):
-        if img == tuple(Q(-1) if k == j else Q(0) for k in range(datum.rank)):
+        if img == tuple(-int(k == j) for k in range(datum.rank)):
             return nm
     raise ValueError(f"w0(omega_{node}) is not minus a fundamental weight: {img}")
 
@@ -269,4 +272,4 @@ def fold_d4_word(word: tuple[str, ...]) -> tuple[str, ...]:
 def g2_weight_dual(w: Weight) -> Weight:
     """Langlands weight map for G2 in the (a,b) basis: omega_a -> omega_b, omega_b -> 3*omega_a."""
     ca, cb = w
-    return (Q(3) * cb, ca)
+    return (3 * cb, ca)

@@ -12,12 +12,12 @@ Completion adds one frozen vertex per node on the remaining side of the
 triangle and solves for the connecting arrows: every unfrozen row must pair
 to zero against the weights, and every frozen row must pair to its boundary
 pattern -- alpha_m/2 at the edge's cyclically first corner (the one carrying
-omega_m), w0(alpha_m)/2 at the second, zero at the opposite corner.
+omega_m), w0(alpha_m)/2 at the second, zero at the opposite corner.  Weights
+are int tuples and balances are doubled like b2, so solved rows hold b2 entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from . import root_data as rd
 from .linalg import solve_with_kernel
@@ -207,22 +207,34 @@ def build_bruhat_seed(
 @dataclass(frozen=True)
 class CompletionReport:
     edge_names: tuple[str, ...]
-    patterns: dict
+    patterns: dict  # doubled boundary pattern per frozen vertex
     unique: bool
 
 
 def _boundary_pattern(datum, m_node, first_slot, second_slot):
+    """Twice the boundary pattern: alpha_m and w0(alpha_m) at the two corners."""
     alpha = rd.simple_root(datum, m_node)
-    w0a = rd.w0_on_weight(datum, alpha)
     zero = rd.zero_weight(datum)
     S = [zero, zero, zero]
-    S[first_slot] = rd.scale_weight(Q(1, 2), alpha)
-    S[second_slot] = rd.scale_weight(Q(1, 2), w0a)
+    S[first_slot] = alpha
+    S[second_slot] = rd.w0_on_weight(datum, alpha)
     return tuple(S)
 
 
 def _stack(ws):
     return [c for w in ws for c in w]
+
+
+def _b2_row(sol, name, others, *, unfrozen: bool) -> list[int]:
+    """A solved row of b2 entries as ints; unfrozen rows must be even."""
+    row = []
+    for x, other in zip(sol, others):
+        if x.denominator != 1:
+            raise ValueError(f"entry ({name},{other}) is not half-integral: {x / 2}")
+        if unfrozen and x % 2:
+            raise ValueError(f"unfrozen entry ({name},{other}) is not integral: {x / 2}")
+        row.append(int(x))
+    return row
 
 
 def complete_triangle_seed(
@@ -231,9 +243,9 @@ def complete_triangle_seed(
     """Add the third-edge vertices and solve for their arrows.
 
     Every unfrozen row must pair to zero against the weights and every frozen
-    row to its boundary pattern; each row's system is solved exactly and must
-    have a unique solution.  Raises ValueError when any system is
-    inconsistent, non-integral, or underdetermined.
+    row to its boundary pattern; each row's doubled system is solved exactly
+    for b2 entries and must have a unique solution.  Raises ValueError when
+    any system is inconsistent, non-integral, or underdetermined.
     """
     if seed.weights is None:
         raise ValueError("completion needs vertex weights")
@@ -284,48 +296,39 @@ def complete_triangle_seed(
             unique = False
         return sol
 
+    def target(name, acc):
+        """The doubled pattern at name (zero when it has none) minus acc."""
+        want = patterns.get(name, (zero, zero, zero))
+        return weight_sum(((1, want), (-1, acc)), 3, datum.rank)
+
     # rows of existing vertices against the new edges
-    b_to_edges: list[list[Q]] = []
+    b_to_edges: list[list[int]] = []
     for i, name in enumerate(seed.names):
-        if seed.frozen[i]:
-            target = tuple(
-                tuple(p - q for p, q in zip(pt, it))
-                for pt, it in zip(patterns[name], weight_balance(seed, name))
-            )
-            sol = solve_row(target, slot3_must_vanish=name)
-        else:
-            target = tuple(tuple(-c for c in t) for t in weight_balance(seed, name))
-            sol = solve_row(target, slot3_must_vanish=None)
-        for e, x in enumerate(sol):
-            b2x = 2 * x
-            if b2x.denominator != 1:
-                raise ValueError(f"entry ({name},{edge_names[e]}) not half-integral: {x}")
-            if not seed.frozen[i] and x.denominator != 1:
-                raise ValueError(f"unfrozen entry ({name},{edge_names[e]}) not integral: {x}")
-        b_to_edges.append(sol)
+        sol = solve_row(target(name, weight_balance(seed, name)),
+                        slot3_must_vanish=name if seed.frozen[i] else None)
+        b_to_edges.append(_b2_row(sol, name, edge_names, unfrozen=not seed.frozen[i]))
 
     # edge rows: old entries by skew-symmetrizability, then edge-edge solves
     d_edge = [datum.d[datum.index(vertex_node_occ(datum, nm)[0])] for nm in edge_names]
-    edge_to_old: list[list[Q]] = []
+    edge_to_old: list[list[int]] = []
     for e in range(r):
         row = []
         for i in range(n):
-            row.append(-b_to_edges[i][e] * seed.mult[i] / d_edge[e])
+            num = -b_to_edges[i][e] * seed.mult[i]
+            if num % d_edge[e]:
+                raise ValueError(f"({edge_names[e]},{seed.names[i]}) is not half-integral")
+            row.append(num // d_edge[e])
         edge_to_old.append(row)
 
-    edge_to_edge = [[Q(0)] * r for _ in range(r)]
+    edge_to_edge: list[list[int]] = []
     for e in range(r):
         acc = weight_sum(
             ((c, w) for c, w in zip(edge_to_old[e], seed.weights) if c), 3, datum.rank
         )
-        target = tuple(
-            tuple(p - q for p, q in zip(pt, it))
-            for pt, it in zip(patterns[edge_names[e]], acc)
-        )
-        sol = solve_row(target, slot3_must_vanish=edge_names[e])
+        sol = solve_row(target(edge_names[e], acc), slot3_must_vanish=edge_names[e])
         if sol[e] != 0:
             raise ValueError(f"edge row {edge_names[e]} hits its own column")
-        edge_to_edge[e] = sol
+        edge_to_edge.append(_b2_row(sol, edge_names[e], edge_names, unfrozen=False))
 
     for e in range(r):
         for f in range(r):
@@ -334,44 +337,23 @@ def complete_triangle_seed(
                     f"edge rows disagree at ({edge_names[e]},{edge_names[f]})"
                 )
 
-    # assemble
-    def as_b2(x: Q, what: str) -> int:
-        v = 2 * x
-        if v.denominator != 1:
-            raise ValueError(f"{what} is not half-integral: {x}")
-        return int(v)
-
-    total = n + r
-    big = [[0] * total for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            big[i][j] = seed.b2[i][j]
-        for e in range(r):
-            big[i][n + e] = as_b2(b_to_edges[i][e], f"({seed.names[i]},{edge_names[e]})")
-            big[n + e][i] = as_b2(edge_to_old[e][i], f"({edge_names[e]},{seed.names[i]})")
-    for e in range(r):
-        for f in range(r):
-            if e != f:
-                big[n + e][n + f] = as_b2(
-                    edge_to_edge[e][f], f"({edge_names[e]},{edge_names[f]})"
-                )
-
+    b2 = tuple(row + tuple(ext) for row, ext in zip(seed.b2, b_to_edges)) + tuple(
+        tuple(old + new) for old, new in zip(edge_to_old, edge_to_edge)
+    )
     names = seed.names + tuple(edge_names)
     frozen = seed.frozen + (True,) * r
     mult = seed.mult + tuple(d_edge)
     weights = seed.weights + tuple(edge_weights)
-    if len(set(weights)) != total:
+    if len(set(weights)) != n + r:
         raise ValueError("vertex weight tuples must be distinct")
     labels = tuple(Minor(w) for w in weights)
-    out = Seed(names, frozen, mult, tuple(tuple(row) for row in big), weights, labels)
+    out = Seed(names, frozen, mult, b2, weights, labels)
 
     # final validation: faces and boundary patterns
-    for i, name in enumerate(out.names):
+    for name in out.names:
         bal = weight_balance(out, name)
-        want = patterns.get(name)
-        if want is None:
-            want = (zero, zero, zero)
-        if bal != tuple(want):
+        want = patterns.get(name, (zero, zero, zero))
+        if bal != want:
             raise ValueError(f"completed row {name} pairs to {bal}, wanted {want}")
     return out, CompletionReport(tuple(edge_names), patterns, unique)
 

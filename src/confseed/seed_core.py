@@ -15,7 +15,9 @@ a half unit ("dashed") can only join two frozen vertices.
 
 Each vertex optionally carries one weight per marked point ("slot") and a
 label recording which function on the configuration space it denotes: either
-an atomic wedge invariant (Minor) or an exchange tree (Exchange).
+an atomic wedge invariant (Minor) or an exchange tree (Exchange).  Weights are
+int tuples and weight balances are doubled like b2; only b = b2/2, arrow
+multiplicities and X-values are Fractions.
 """
 from __future__ import annotations
 
@@ -156,7 +158,7 @@ def arrows(seed: Seed):
 
 def weight_sum(terms, slots: int, rank: int) -> tuple[Weight, ...]:
     """Per-slot sum of c * w over (c, w) pairs, w holding one weight per slot."""
-    acc = [[Q(0)] * rank for _ in range(slots)]
+    acc = [[0] * rank for _ in range(slots)]
     for c, ws in terms:
         for row, w in zip(acc, ws):
             for r, x in enumerate(w):
@@ -166,10 +168,10 @@ def weight_sum(terms, slots: int, rank: int) -> tuple[Weight, ...]:
 
 
 def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
-    """Per-slot value of sum_j b[k][j] * w(j) for vertex k."""
+    """Per-slot value of sum_j b2[k][j] * w(j) for vertex k: twice the balance."""
     row = seed.b2[seed.index(name)]
     return weight_sum(
-        ((Q(b, 2), w) for b, w in zip(row, seed.weights) if b),
+        ((b, w) for b, w in zip(row, seed.weights) if b),
         seed.slots, len(seed.weights[0][0]),
     )
 
@@ -358,10 +360,9 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
                 ws = []
                 for w in seed.weights[v]:
                     img = weight_map(w)
-                    scaled = tuple(Q(c, d) for c in img)
-                    if any(c.denominator != 1 for c in scaled):
+                    if any(c % d for c in img):
                         raise ValueError(f"dual weight not integral at {seed.names[v]}")
-                    ws.append(scaled)
+                    ws.append(tuple(c // d for c in img))
                 rows.append(tuple(ws))
             new_weights = tuple(rows)
     return replace(

@@ -8,8 +8,9 @@ Seed files look like::
      "labels": [{"kind": "minor", "weights": [...]},
                 {"kind": "exchange", "plus": [[0,1]], "minus": [[2,1]], "over": 0}]}
 
-Weight coordinates in a seed are always integers.  The top-level "labels"
-table shares repeated subtrees; each vertex points into it by index.
+Weight coordinates are JSON integers; loading refuses floats, strings and
+booleans.  The top-level "labels" table shares repeated subtrees; each vertex
+points into it by index, and an exchange entry only into earlier entries.
 """
 from __future__ import annotations
 
@@ -20,20 +21,15 @@ from .seed_core import Exchange, Label, Minor, Seed, arrows
 
 
 def _weights_out(ws):
-    out = []
-    for w in ws:
-        row = []
-        for c in w:
-            c = Q(c)
-            if c.denominator != 1:
-                raise ValueError(f"non-integral weight coordinate {c}")
-            row.append(int(c))
-        out.append(row)
-    return out
+    return [list(w) for w in ws]
 
 
 def _weights_in(rows):
-    return tuple(tuple(Q(c) for c in row) for row in rows)
+    out = tuple(tuple(row) for row in rows)
+    bad = [c for row in out for c in row if type(c) is not int]
+    if bad:
+        raise ValueError(f"weight coordinate {bad[0]!r} is not an integer")
+    return out
 
 
 def seed_to_json(seed: Seed) -> dict:
@@ -76,6 +72,13 @@ def seed_to_json(seed: Seed) -> dict:
     return out
 
 
+def _entry(built: list, i, what: str):
+    """built[i] for a label index i that points at an entry already read."""
+    if type(i) is not int or not 0 <= i < len(built):
+        raise ValueError(f"{what} index {i!r} is outside the label table")
+    return built[i]
+
+
 def seed_from_json(data: dict) -> Seed:
     """Rebuild a seed from its JSON form; raises ValueError on malformed data."""
     try:
@@ -98,12 +101,12 @@ def seed_from_json(data: dict) -> Seed:
                 else:
                     built.append(
                         Exchange(
-                            tuple((built[i], e) for i, e in entry["plus"]),
-                            tuple((built[i], e) for i, e in entry["minus"]),
-                            built[entry["over"]],
+                            tuple((_entry(built, i, "plus"), e) for i, e in entry["plus"]),
+                            tuple((_entry(built, i, "minus"), e) for i, e in entry["minus"]),
+                            _entry(built, entry["over"], "over"),
                         )
                     )
-            labels = tuple(built[v["label"]] for v in vertices)
+            labels = tuple(_entry(built, v["label"], "label") for v in vertices)
         return Seed(names, frozen, mult, b2, weights, labels)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
@@ -127,7 +130,6 @@ def format_weight(w, symbols) -> str:
     """Render a weight against node symbols: (1,0) with ("a","b") -> "a"."""
     terms = []
     for c, s in zip(w, symbols):
-        c = Q(c)
         if c == 0:
             continue
         if c == 1:

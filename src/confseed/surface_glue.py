@@ -10,7 +10,6 @@ clockwise (odd) order reverses all arrows of that triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction as Q
 
 from . import root_data as rd
 from .seed_builder import build_triangle_seed, vertex_node_occ
@@ -89,8 +88,7 @@ def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str)
     """Spread a 3-slot seed over m slots through its corner order."""
     if seed.slots != 3:
         raise ValueError("triangle seeds have three slots")
-    rank = len(seed.weights[0][0])
-    zero = tuple(Q(0) for _ in range(rank))
+    zero = (0,) * len(seed.weights[0][0])
 
     def embed(ws):
         out = [zero] * m

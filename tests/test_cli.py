@@ -154,21 +154,56 @@ class TestExportAndErrors:
             main([])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv, env_seed", [
-        (["build", "--type", "x7"], "0"),
-        (["build", "--type", "g2", "--word", "ababa"], "0"),
-        (["verify", "--suite", "typea-flip"], "x"),
-        (["mutate", "--seed", "missing.json"], "0"),
-        (["mutate", "--seed", "empty.json"], "0"),
+    @pytest.mark.parametrize("argv, env_seed, message", [
+        (["build", "--type", "x7"], "0", "unsupported type"),
+        (["build", "--type", "g2", "--word", "ababa"], "0", "not a reduced word"),
+        (["verify", "--suite", "typea-flip"], "x", "CONFSEED_RNG_SEED"),
+        (["mutate", "--seed", "missing.json"], "0", "missing.json"),
+        (["mutate", "--seed", "empty.json"], "0", "malformed seed data"),
+        (["mutate", "--seed", "seed.json", "--at", "x_zz"], "0",
+         "no vertex named 'x_zz'\n"),
+        (["mutate", "--seed", "negative-label.json"], "0", "label index -1"),
+        (["mutate", "--seed", "negative-over.json"], "0", "over index -1"),
+        (["export-dot", "--seed", "float-weight.json"], "0", "0.5"),
+        (["export-dot", "--seed", "string-weight.json"], "0", "'1/2'"),
+        (["export-dot", "--seed", "bool-weight.json"], "0", "True"),
     ], ids=["unknown-type", "non-reduced-word", "bad-rng-seed",
-            "missing-seed-file", "empty-seed-object"])
-    def test_domain_and_file_errors_exit_2(self, argv, env_seed, tmp_path,
-                                           capsys, monkeypatch):
+            "missing-seed-file", "empty-seed-object", "unknown-vertex",
+            "negative-vertex-label", "negative-exchange-ref",
+            "float-weight", "string-weight", "bool-weight"])
+    def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
+                                           tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        _write_seed_files(tmp_path)
         monkeypatch.setenv("CONFSEED_RNG_SEED", env_seed)
-        (tmp_path / "empty.json").write_text("{}")
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("confseed: error: ")
         assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+
+def _write_seed_files(tmp_path):
+    """An a2 triangle mutated once at x_11, and copies broken in one place."""
+    (tmp_path / "empty.json").write_text("{}")
+    assert main(["triangle", "--type", "a2", "--out", "triangle.json"]) == 0
+    assert main(["mutate", "--seed", "triangle.json", "--at", "x_11",
+                 "--out", "seed.json"]) == 0
+    text = (tmp_path / "seed.json").read_text()
+    labels = json.loads(text)["labels"]
+    ex = next(k for k, e in enumerate(labels) if e["kind"] == "exchange")
+    weight = ("vertices", 0, "weights", 0, 0)
+    for name, path, value in (
+        ("negative-label", ("vertices", 0, "label"), -1),
+        ("negative-over", ("labels", ex, "over"), -1),
+        ("float-weight", weight, 0.5),
+        ("string-weight", weight, "1/2"),
+        ("bool-weight", weight, True),
+    ):
+        data = json.loads(text)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))

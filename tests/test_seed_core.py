@@ -8,6 +8,8 @@ Claims covered:
     - X-coordinates transport through mutation compatibly with the p-map
     - slot permutations compose; the Langlands dual squares to the identity
     - quiver_isomorphic finds real isomorphisms and rejects broken ones
+    - every weight coordinate is an int, through building, gluing,
+      mutation, duality and a save/load round trip
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from confseed.seed_core import (
     x_from_a,
 )
 from confseed.seed_builder import build_triangle_seed
+from confseed.seed_io import load_seed, save_seed
 from confseed.surface_glue import build_conf_m_seed
 
 
@@ -289,3 +292,38 @@ class TestIsomorphism:
             if m == Q(1, 2):
                 assert seed.frozen[seed.index(a)]
                 assert seed.frozen[seed.index(b)]
+
+
+# == 6. the weight number type ===============================================
+
+def _weight_coordinates(seed):
+    """Every weight coordinate of a seed: vertex weights and minor labels."""
+    tables = list(seed.weights)
+    stack = list(seed.labels or ())
+    while stack:
+        label = stack.pop()
+        if isinstance(label, Minor):
+            tables.append(label.weights)
+        else:
+            stack.extend(l for l, _ in label.plus + label.minus)
+            stack.append(label.over)
+    return [c for ws in tables for w in ws for c in w]
+
+
+class TestWeightType:
+    def test_weights_are_ints(self, tmp_path):
+        g2 = root_datum("g2")
+        seeds = [
+            build_triangle_seed(root_datum(kind))
+            for kind in ("a2", "a3", "a4", "a5", "g2", "d4")
+        ]
+        hexagon = build_conf_m_seed(g2, 6)
+        walked, _ = _random_walk(random.Random(5), hexagon, 5)
+        seeds += [hexagon, walked]
+        seeds.append(langlands_dual(build_triangle_seed(g2), weight_map=g2_weight_dual))
+        save_seed(walked, tmp_path / "walked.json")
+        seeds.append(load_seed(tmp_path / "walked.json"))
+        for seed in seeds:
+            coords = _weight_coordinates(seed)
+            assert coords
+            assert all(type(c) is int for c in coords), seed
