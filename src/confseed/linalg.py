@@ -1,7 +1,13 @@
-"""Exact linear algebra over the rationals, small dense systems only."""
+"""Exact linear algebra over the rationals, small dense systems only.
+
+Determinants are fraction-free: rows are scaled to integers by the lcm of
+their denominators and eliminated by Bareiss's integer-preserving method, so
+only the final quotient is a Fraction.  Linear solves stay in Fractions.
+"""
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 
 
 def mat_mul(a, b) -> list[list]:
@@ -11,28 +17,40 @@ def mat_mul(a, b) -> list[list]:
 
 
 def det(rows) -> Q:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant by fraction-free Bareiss elimination.
+
+    Each row is first scaled to integers by the lcm of its entries'
+    denominators; the integer matrix is then eliminated with exact division
+    by the previous pivot (Bareiss, Math. Comp. 22, 1968), and the result is
+    divided by the product of the row scales.  Entries are ints or
+    Fractions; det([]) == 1.
+    """
     n = len(rows)
-    a = [[Q(x) for x in row] for row in rows]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in rows):
         raise ValueError("det needs a square matrix")
+    a = []
+    scale = 1
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        a.append([x.numerator * (den // x.denominator) for x in row])
     sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return Q(0)
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    out = Q(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (p * row[c] - f * pivot_row[c]) // prev
+        prev = p
+    return Q(sign * a[-1][-1], scale) if n else Q(1)
 
 
 def solve_with_kernel(rows, rhs) -> tuple[list[Q], list[list[Q]]]:

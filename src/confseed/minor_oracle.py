@@ -18,16 +18,20 @@ from .seed_core import Exchange, Label, Minor, Seed, mutate, p_exponents
 
 Flag = tuple  # n x n matrix, rows first
 
+# draws each random-flag retry loop makes before it gives up
+MAX_FLAG_DRAWS = 1000
+
 
 # == flags ==
 
 def random_flag(rng, n: int) -> Flag:
-    while True:
+    for _ in range(MAX_FLAG_DRAWS):
         rows = [[Q(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
         d = det(rows)
         if d != 0:
             rows[-1] = [x / d for x in rows[-1]]
             return tuple(tuple(r) for r in rows)
+    raise ValueError(f"random_flag: no invertible matrix in {MAX_FLAG_DRAWS} draws")
 
 
 def random_flags(rng, n: int, m: int) -> tuple[Flag, ...]:
@@ -352,7 +356,7 @@ def check_shear_law(seed: Seed, rng, n: int) -> bool:
     (the frame at corner 3 is the w0-translate of the standard one), and X
     at every face vertex is unchanged.
     """
-    while True:
+    for _ in range(MAX_FLAG_DRAWS):
         flags = shear_configuration(rng, n)
         h = random_torus(rng, n)
         try:
@@ -360,6 +364,10 @@ def check_shear_law(seed: Seed, rng, n: int) -> bool:
         except ZeroDivisionError:
             continue
         break
+    else:
+        raise ValueError(
+            f"check_shear_law: a value vanished in each of {MAX_FLAG_DRAWS} draws"
+        )
     for nm, ratio in ratios.items():
         if nm.startswith("x_0"):
             k = int(nm[3:])
@@ -383,7 +391,7 @@ def search_flip_sequence(start: Seed, target: Seed, rng, *, max_depth: int = 6):
 
     n = len(start.weights[0][0]) + 1
     m = start.slots
-    while True:
+    for _ in range(MAX_FLAG_DRAWS):
         flags = random_flags(rng, n, m)
         try:
             base = seed_values(start, flags)
@@ -394,6 +402,10 @@ def search_flip_sequence(start: Seed, target: Seed, rng, *, max_depth: int = 6):
             continue
         if len(set(base.values())) == len(base):
             break
+    else:
+        raise ValueError(
+            f"search_flip_sequence: no generic flag tuple in {MAX_FLAG_DRAWS} draws"
+        )
     goal_key = tuple(sorted(goal.values()))
 
     bare = Seed(start.names, start.frozen, start.mult, start.b2, start.weights)

@@ -8,6 +8,12 @@ throughout:
 * any entry touching an unfrozen vertex is even (b itself is integral there);
 * the diagonal is zero.
 
+``b2`` is a dense tuple of int rows, but the kernels that scan it
+(``check_seed``, ``mutate``, ``arrows``, ``langlands_dual``) visit only its
+nonzero entries: by skew-symmetrizability b2[i][j] and b2[j][i] are zero
+together, so a mutation rewrites only the rows of the mutated vertex's
+neighbours.
+
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
 d_i // gcd(d_i, d_j) to b[i][j]; drawn multiplicity is b over that unit, and
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
+from itertools import compress
 from math import gcd
 
 from .root_data import Weight
@@ -116,15 +123,18 @@ def check_seed(seed: Seed) -> None:
         raise ValueError("field lengths disagree")
     if any(d < 1 for d in seed.mult):
         raise ValueError("multipliers must be positive")
-    for i in range(n):
-        if len(seed.b2[i]) != n:
-            raise ValueError("b2 must be square")
-        if seed.b2[i][i] != 0:
-            raise ValueError("b2 diagonal must be zero")
-        for j in range(n):
-            if seed.b2[i][j] * seed.mult[j] != -seed.b2[j][i] * seed.mult[i]:
+    b2, mult, frozen = seed.b2, seed.mult, seed.frozen
+    if any(len(row) != n for row in b2):
+        raise ValueError("b2 must be square")
+    if any(row[i] != 0 for i, row in enumerate(b2)):
+        raise ValueError("b2 diagonal must be zero")
+    # a zero facing a nonzero entry fails from the nonzero side, and zero is
+    # even, so the zero entries need no visit
+    for i, row in enumerate(b2):
+        for j in compress(range(n), row):
+            if row[j] * mult[j] != -b2[j][i] * mult[i]:
                 raise ValueError(f"not skew-symmetrizable at ({seed.names[i]},{seed.names[j]})")
-            if seed.b2[i][j] % 2 and not (seed.frozen[i] and seed.frozen[j]):
+            if row[j] % 2 and not (frozen[i] and frozen[j]):
                 raise ValueError(f"half-integral entry at unfrozen pair ({seed.names[i]},{seed.names[j]})")
     if seed.weights is not None:
         if len(seed.weights) != n:
@@ -146,11 +156,12 @@ def arrows(seed: Seed):
 
     Multiplicity 1/2 is a dashed (frozen-frozen) half arrow.
     """
-    for i in range(seed.size):
-        for j in range(seed.size):
-            if seed.b2[i][j] > 0:
+    n = seed.size
+    for i, row in enumerate(seed.b2):
+        for j in compress(range(n), row):
+            if row[j] > 0:
                 u = unit(seed.mult[i], seed.mult[j])
-                yield seed.names[j], seed.names[i], Q(seed.b2[i][j], 2 * u)
+                yield seed.names[j], seed.names[i], Q(row[j], 2 * u)
 
 
 # == weights: balance and homogeneity ==
@@ -195,29 +206,33 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     k = seed.index(at)
     if seed.frozen[k]:
         raise ValueError(f"cannot mutate frozen vertex {at!r}")
-    n = seed.size
     old = seed.b2
-    new_b2 = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            if p == k or q == k:
-                row.append(-old[p][q])
-            else:
-                num = abs(old[p][k]) * old[k][q] + old[p][k] * abs(old[k][q])
-                if num % 4:
-                    raise ValueError("mutation increment not integral")
-                row.append(old[p][q] + num // 4)
-        new_b2.append(tuple(row))
+    row_k = old[k]
+    # only rows and columns of neighbours change; the others get increment 0
+    nbrs = list(compress(range(seed.size), row_k))
+    new_b2 = list(old)
+    new_b2[k] = tuple(-x for x in row_k)
+    for p in nbrs:
+        b_pk = old[p][k]
+        row = list(old[p])
+        for q in nbrs:
+            num = abs(b_pk) * row_k[q] + b_pk * abs(row_k[q])
+            if num % 4:
+                raise ValueError("mutation increment not integral")
+            row[q] += num // 4
+        row[k] = -b_pk
+        new_b2[p] = tuple(row)
 
     new_weights = seed.weights
     if seed.weights is not None:
         slots, rank = seed.slots, len(seed.weights[0][0])
         pos = weight_sum(
-            ((b // 2, w) for b, w in zip(old[k], seed.weights) if b > 0), slots, rank
+            ((row_k[j] // 2, seed.weights[j]) for j in nbrs if row_k[j] > 0),
+            slots, rank,
         )
         neg = weight_sum(
-            ((-b // 2, w) for b, w in zip(old[k], seed.weights) if b < 0), slots, rank
+            ((-row_k[j] // 2, seed.weights[j]) for j in nbrs if row_k[j] < 0),
+            slots, rank,
         )
         if pos != neg:
             raise ValueError(
@@ -234,10 +249,10 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     if seed.labels is not None:
         if with_labels:
             plus = tuple(
-                (seed.labels[j], old[k][j] // 2) for j in range(n) if old[k][j] > 0
+                (seed.labels[j], row_k[j] // 2) for j in nbrs if row_k[j] > 0
             )
             minus = tuple(
-                (seed.labels[j], -old[k][j] // 2) for j in range(n) if old[k][j] < 0
+                (seed.labels[j], -row_k[j] // 2) for j in nbrs if row_k[j] < 0
             )
             over = seed.labels[k]
             if isinstance(over, Exchange) and over.minus == plus and over.plus == minus:
@@ -338,14 +353,16 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     if any(dmax % d for d in seed.mult):
         raise ValueError("multipliers must divide their maximum")
     new_mult = tuple(dmax // d for d in seed.mult)
+    n = seed.size
     new_b2 = []
-    for i in range(seed.size):
-        row = []
-        for j in range(seed.size):
-            num = -seed.b2[i][j] * seed.mult[j]
-            if num % seed.mult[i]:
+    for i, old in enumerate(seed.b2):
+        d_i = seed.mult[i]
+        row = [0] * n
+        for j in compress(range(n), old):
+            num = -old[j] * seed.mult[j]
+            if num % d_i:
                 raise ValueError(f"dual entry not integral at ({i},{j})")
-            row.append(num // seed.mult[i])
+            row[j] = num // d_i
         new_b2.append(tuple(row))
 
     new_weights = seed.weights

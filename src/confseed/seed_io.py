@@ -8,8 +8,10 @@ Seed files look like::
      "labels": [{"kind": "minor", "weights": [...]},
                 {"kind": "exchange", "plus": [[0,1]], "minus": [[2,1]], "over": 0}]}
 
-Weight coordinates are JSON integers; loading refuses floats, strings and
-booleans.  The top-level "labels" table shares repeated subtrees; each vertex
+Weight coordinates, ``b2`` entries and multipliers ``d`` are JSON integers
+(``d`` at least 1), ``frozen`` is a JSON boolean and label exponents are
+positive JSON integers; loading refuses anything else, floats, strings and
+booleans included.  The top-level "labels" table shares repeated subtrees; each vertex
 points into it by index, and an exchange entry only into earlier entries.
 """
 from __future__ import annotations
@@ -24,12 +26,29 @@ def _weights_out(ws):
     return [list(w) for w in ws]
 
 
-def _weights_in(rows):
-    out = tuple(tuple(row) for row in rows)
-    bad = [c for row in out for c in row if type(c) is not int]
-    if bad:
-        raise ValueError(f"weight coordinate {bad[0]!r} is not an integer")
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, refusing anything but JSON integers."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not an integer")
     return out
+
+
+def _positive(x, what: str) -> int:
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{what} {x!r} is not a positive integer")
+    return x
+
+
+def _frozen_in(x) -> bool:
+    if type(x) is not bool:
+        raise ValueError(f"frozen flag {x!r} is not a boolean")
+    return x
+
+
+def _weights_in(rows):
+    return tuple(_ints(row, "weight coordinate") for row in rows)
 
 
 def seed_to_json(seed: Seed) -> dict:
@@ -79,14 +98,21 @@ def _entry(built: list, i, what: str):
     return built[i]
 
 
+def _monomial_in(built: list, pairs, what: str):
+    """One side of an exchange entry: (label, positive exponent) pairs."""
+    return tuple(
+        (_entry(built, i, what), _positive(e, f"{what} exponent")) for i, e in pairs
+    )
+
+
 def seed_from_json(data: dict) -> Seed:
     """Rebuild a seed from its JSON form; raises ValueError on malformed data."""
     try:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
         names = tuple(v["tag"] for v in vertices)
-        frozen = tuple(bool(v["frozen"]) for v in vertices)
-        mult = tuple(int(v["d"]) for v in vertices)
-        b2 = tuple(tuple(int(x) for x in row) for row in data["b2"])
+        frozen = tuple(_frozen_in(v["frozen"]) for v in vertices)
+        mult = tuple(_positive(v["d"], "multiplier d") for v in vertices)
+        b2 = tuple(_ints(row, "b2 entry") for row in data["b2"])
 
         weights = None
         if vertices and "weights" in vertices[0]:
@@ -101,8 +127,8 @@ def seed_from_json(data: dict) -> Seed:
                 else:
                     built.append(
                         Exchange(
-                            tuple((_entry(built, i, "plus"), e) for i, e in entry["plus"]),
-                            tuple((_entry(built, i, "minus"), e) for i, e in entry["minus"]),
+                            _monomial_in(built, entry["plus"], "plus"),
+                            _monomial_in(built, entry["minus"], "minus"),
                             _entry(built, entry["over"], "over"),
                         )
                     )

@@ -167,10 +167,19 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "float-weight.json"], "0", "0.5"),
         (["export-dot", "--seed", "string-weight.json"], "0", "'1/2'"),
         (["export-dot", "--seed", "bool-weight.json"], "0", "True"),
+        (["export-dot", "--seed", "float-b2.json"], "0", "b2 entry -0.5"),
+        (["export-dot", "--seed", "string-b2.json"], "0", "b2 entry '3'"),
+        (["export-dot", "--seed", "string-frozen.json"], "0",
+         "frozen flag 'false'"),
+        (["export-dot", "--seed", "float-mult.json"], "0", "multiplier d 1.0"),
+        (["mutate", "--seed", "float-exponent.json"], "0",
+         "plus exponent 0.5"),
     ], ids=["unknown-type", "non-reduced-word", "bad-rng-seed",
             "missing-seed-file", "empty-seed-object", "unknown-vertex",
             "negative-vertex-label", "negative-exchange-ref",
-            "float-weight", "string-weight", "bool-weight"])
+            "float-weight", "string-weight", "bool-weight",
+            "float-b2", "string-b2", "string-frozen", "float-mult",
+            "float-exponent"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
                                            tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -200,6 +209,11 @@ def _write_seed_files(tmp_path):
         ("float-weight", weight, 0.5),
         ("string-weight", weight, "1/2"),
         ("bool-weight", weight, True),
+        ("float-b2", ("b2", 0, 1), -0.5),
+        ("string-b2", ("b2", 0, 1), "3"),
+        ("string-frozen", ("vertices", 0, "frozen"), "false"),
+        ("float-mult", ("vertices", 0, "d"), 1.0),
+        ("float-exponent", ("labels", ex, "plus", 0, 1), 0.5),
     ):
         data = json.loads(text)
         node = data

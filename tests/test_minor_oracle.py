@@ -2,6 +2,8 @@
 
 Claims covered:
     - random flags are unimodular; wedge invariants are exact rationals
+    - the random-flag retry loops give up with ValueError after a fixed
+      number of draws
     - minor labels evaluate through the wedge; exchange labels through the
       stored two-term relation
     - the glued four-point seeds are exactly the seeds with minor-valued
@@ -50,6 +52,16 @@ class TestWedges:
             for _ in range(20):
                 flag = mo.random_flag(rng, n)
                 assert mo.wedge_invariant((n,), (flag,)) == 1
+
+    def test_flag_retries_are_bounded(self):
+        class Zeros(random.Random):
+            def randint(self, a, b):
+                return 0
+
+        with pytest.raises(ValueError, match="random_flag"):
+            mo.random_flag(Zeros(0), 3)
+        with pytest.raises(ValueError, match="random_flag"):
+            mo.search_flip_sequence(QUAD3, QUAD3, Zeros(0))
 
     def test_degree_sum_must_be_n(self):
         rng = random.Random(1)

@@ -3,6 +3,8 @@
 Claims covered:
     - check_seed enforces skew-symmetrizability and frozen-row parity
     - mutation is an involution on the full seed, labels included
+    - the nonzero-only mutation and dual kernels agree with the dense
+      reference formulas along random walks
     - mutation preserves skew-symmetrizability and weight homogeneity
     - face equations hold at every unfrozen vertex along random walks
     - X-coordinates transport through mutation compatibly with the p-map
@@ -56,6 +58,36 @@ def _seed_zoo():
     return ZOO
 
 
+def _dense_mutate_b2(b2, k):
+    """Reference: the mutation rule applied to every entry of b2."""
+    n = len(b2)
+    out = []
+    for p in range(n):
+        row = []
+        for q in range(n):
+            if p == k or q == k:
+                row.append(-b2[p][q])
+            else:
+                num = abs(b2[p][k]) * b2[k][q] + b2[p][k] * abs(b2[k][q])
+                assert num % 4 == 0
+                row.append(b2[p][q] + num // 4)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_dual_b2(seed):
+    """Reference: b'[i][j] = -b[i][j] * d[j] / d[i] over every entry."""
+    out = []
+    for i in range(seed.size):
+        row = []
+        for j in range(seed.size):
+            num = -seed.b2[i][j] * seed.mult[j]
+            assert num % seed.mult[i] == 0
+            row.append(num // seed.mult[i])
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _random_walk(rng, seed, steps):
     names = []
     for _ in range(steps):
@@ -99,6 +131,30 @@ class TestCheckSeed:
         b2[i][j] += 1
         b2[j][i] -= 1
         with pytest.raises(ValueError):
+            Seed(base.names, base.frozen, base.mult,
+                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+
+    def test_entry_facing_a_zero_rejected(self):
+        base = build_triangle_seed(root_datum("a2"))
+        i, j = next(
+            (i, j) for i in range(base.size) for j in range(base.size)
+            if i != j and base.b2[i][j] == 0
+        )
+        b2 = [list(r) for r in base.b2]
+        b2[i][j] = 2
+        with pytest.raises(ValueError, match="not skew-symmetrizable"):
+            Seed(base.names, base.frozen, base.mult,
+                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+
+    def test_odd_entry_in_frozen_row_at_unfrozen_column_rejected(self):
+        base = build_triangle_seed(root_datum("a2"))
+        i = base.index("x_10")
+        j = base.index("x_11")
+        assert base.frozen[i] and not base.frozen[j]
+        b2 = [list(r) for r in base.b2]
+        b2[i][j] += 1
+        b2[j][i] -= 1
+        with pytest.raises(ValueError, match="half-integral"):
             Seed(base.names, base.frozen, base.mult,
                  tuple(tuple(r) for r in b2), base.weights, base.labels)
 
@@ -156,6 +212,16 @@ class TestMutation:
         k = seed.index("x_a2")
         assert isinstance(once.labels[k], Exchange)
         assert twice.labels[k] is seed.labels[k]
+
+    def test_matches_dense_rule_along_random_walks(self):
+        rng = random.Random(808)
+        for seed in _seed_zoo() + (build_conf_m_seed(root_datum("g2"), 16),):
+            cur = seed
+            for _ in range(25):
+                at = rng.choice(cur.unfrozen_names())
+                want = _dense_mutate_b2(cur.b2, cur.index(at))
+                cur = mutate(cur, at, with_labels=False)
+                assert cur.b2 == want
 
     def test_matrix_rule_on_a_known_pair(self):
         seed = build_triangle_seed(root_datum("a2"))
@@ -235,6 +301,14 @@ class TestSymmetries:
         for i in range(seed.size):
             for j in range(seed.size):
                 assert dual.b2[i][j] == -seed.b2[i][j]
+
+    def test_dual_matches_dense_rule(self):
+        rng = random.Random(12)
+        for seed in _seed_zoo():
+            wmap = g2_weight_dual if max(seed.mult) > 1 else None
+            for cur in (seed, _random_walk(rng, seed, 8)[0]):
+                dual = langlands_dual(cur, weight_map=wmap)
+                assert dual.b2 == _dense_dual_b2(cur)
 
     def test_dual_commutes_with_mutation(self):
         rng = random.Random(41)
