@@ -15,7 +15,7 @@ import sys
 from . import root_data as rd
 from .seed_builder import build_bruhat_seed, build_triangle_seed
 from .seed_core import mutate
-from .seed_io import format_weight, load_seed, save_seed, seed_to_json, to_dot
+from .seed_io import format_weight, load_seed, save_seed, to_dot, write_seed
 from .sequence_verifier import apply_sequence, builtin_sequences
 from .suites import run_suite
 from .surface_glue import Triangulation, build_conf_m_seed
@@ -25,8 +25,7 @@ def _emit_seed(seed, out: str | None) -> None:
     if out:
         save_seed(seed, out)
     else:
-        json.dump(seed_to_json(seed), sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        write_seed(seed, sys.stdout)
 
 
 def _parse_triangles(text: str, m: int) -> Triangulation:

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 
 from . import root_data as rd
 from .linalg import det, mat_mul
-from .seed_core import Exchange, Label, Minor, Seed, mutate, p_exponents
+from .seed_core import Exchange, Label, Minor, Seed, matches_under, mutate, x_from_a
 
 Flag = tuple  # n x n matrix, rows first
 
@@ -197,20 +197,10 @@ def check_pentagon(seed: Seed, j: str, k: str, flags) -> bool:
     for at in (j, k, j, k, j):
         walked = mutate(walked, at)
     swap = {j: k, k: j}
-    for nm in seed.names:
-        other = swap.get(nm, nm)
-        if walked.weight(nm) != seed.weight(other):
-            return False
+    if not matches_under(walked, seed, {nm: swap.get(nm, nm) for nm in seed.names}):
+        return False
     after = seed_values(walked, flags)
-    for nm in seed.names:
-        if after[nm] != base[swap.get(nm, nm)]:
-            return False
-    idx = {nm: seed.index(nm) for nm in seed.names}
-    for p in seed.names:
-        for q in seed.names:
-            if walked.b2[idx[p]][idx[q]] != seed.b2[idx[swap.get(p, p)]][idx[swap.get(q, q)]]:
-                return False
-    return True
+    return all(after[nm] == base[swap.get(nm, nm)] for nm in seed.names)
 
 
 # == the longest-element lift and the twisted cyclic shift ==
@@ -290,18 +280,6 @@ def group_scale_flag(flag: Flag, diag) -> Flag:
     return tuple(tuple(x * t for x, t in zip(row, diag)) for row in flag)
 
 
-def x_values(seed: Seed, names, flags, cache=None) -> dict[str, Q]:
-    """X-coordinates at the given vertices, via products of vertex values."""
-    base = seed_values(seed, flags, cache)
-    out = {}
-    for nm in names:
-        x = Q(1)
-        for other, e in p_exponents(seed, nm).items():
-            x *= base[other] ** e
-        out[nm] = x
-    return out
-
-
 def check_shear_action(seed: Seed, flags, h, cache=None) -> dict[str, Q]:
     """Ratios X_v(sheared flags) / X_v(flags) at the unfrozen vertices.
 
@@ -312,8 +290,8 @@ def check_shear_action(seed: Seed, flags, h, cache=None) -> dict[str, Q]:
     """
     sheared = flags[:-1] + (group_scale_flag(flags[-1], h),)
     names = seed.unfrozen_names()
-    base = x_values(seed, names, flags, cache)
-    moved = x_values(seed, names, sheared)
+    base = x_from_a(seed, seed_values(seed, flags, cache), names)
+    moved = x_from_a(seed, seed_values(seed, sheared), names)
     return {nm: moved[nm] / base[nm] for nm in names}
 
 

@@ -337,10 +337,6 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
     return replace(seed, weights=new_weights, labels=new_labels)
 
 
-def negate_b2(seed: Seed) -> Seed:
-    return replace(seed, b2=tuple(tuple(-x for x in row) for row in seed.b2))
-
-
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     """The dual seed: b'[i][j] = -b[i][j]*d[j]/d[i], d'_i = max(d)/d_i.
 

@@ -138,10 +138,15 @@ def seed_from_json(data: dict) -> Seed:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
 
 
+def write_seed(seed: Seed, fh) -> None:
+    """Write the seed-file text of a seed to an open text file."""
+    json.dump(seed_to_json(seed), fh, indent=1)
+    fh.write("\n")
+
+
 def save_seed(seed: Seed, path) -> None:
     with open(path, "w") as fh:
-        json.dump(seed_to_json(seed), fh, indent=1)
-        fh.write("\n")
+        write_seed(seed, fh)
 
 
 def load_seed(path) -> Seed:

@@ -333,6 +333,24 @@ def suite_reversal(rng=None) -> list[CheckReport]:
 
 # == 4. the numeric oracle ==
 
+def _until_defined(check: str, trial) -> None:
+    """Run trial() on fresh draws until no value on them vanishes.
+
+    A trial that raises ZeroDivisionError hit a vanishing value and is drawn
+    again; after minor_oracle.MAX_FLAG_DRAWS such draws the check gives up
+    with a ValueError naming it.
+    """
+    for _ in range(mo.MAX_FLAG_DRAWS):
+        try:
+            trial()
+        except ZeroDivisionError:
+            continue
+        return
+    raise ValueError(
+        f"{check}: a value vanished in each of {mo.MAX_FLAG_DRAWS} draws"
+    )
+
+
 def suite_oracle(rng=None) -> list[CheckReport]:
     rng = rng or random.Random(0)
     reports = []
@@ -345,16 +363,15 @@ def suite_oracle(rng=None) -> list[CheckReport]:
             build_triangle_seed(datum) if shape == 3
             else build_conf_m_seed(datum, 4)
         )
-        trials = 0
-        while trials < 34:
+
+        def exchange_trial():
             flags = mo.random_flags(rng, n, shape)
-            try:
-                for at in seed.unfrozen_names():
-                    if mo.check_exchange(seed, at, flags) != 0:
-                        problems.append(f"nonzero residual at {at} (n={n}, m={shape})")
-            except ZeroDivisionError:
-                continue
-            trials += 1
+            for at in seed.unfrozen_names():
+                if mo.check_exchange(seed, at, flags) != 0:
+                    problems.append(f"nonzero residual at {at} (n={n}, m={shape})")
+
+        for _ in range(34):
+            _until_defined("exchange residuals", exchange_trial)
             checked += 1
         if problems:
             break
@@ -372,16 +389,15 @@ def suite_oracle(rng=None) -> list[CheckReport]:
         )
         if shape == 4:
             seed = mutate(seed, "x_01")
-        done = 0
-        while done < 5:
+
+        def torus_trial():
             flags = mo.random_flags(rng, n, shape)
             toruses = tuple(mo.random_torus(rng, n) for _ in range(shape))
-            try:
-                if not mo.torus_weight_check(seed, flags, toruses):
-                    problems.append(f"weight character fails (n={n}, m={shape})")
-            except ZeroDivisionError:
-                continue
-            done += 1
+            if not mo.torus_weight_check(seed, flags, toruses):
+                problems.append(f"weight character fails (n={n}, m={shape})")
+
+        for _ in range(5):
+            _until_defined("torus weight characters", torus_trial)
     reports.append(_report(
         "torus weight characters", problems,
         "every vertex value scales by its stored weight character",
@@ -418,15 +434,13 @@ def suite_oracle(rng=None) -> list[CheckReport]:
 
     problems = []
     quad = build_conf_m_seed(rd.root_datum("a2"), 4)
-    done = 0
-    while done < 5:
-        flags = mo.random_flags(rng, 3, 4)
-        try:
-            if not mo.check_pentagon(quad, "x_01", "x_11", flags):
-                problems.append("pentagon walk does not swap the pair")
-        except ZeroDivisionError:
-            continue
-        done += 1
+
+    def pentagon_trial():
+        if not mo.check_pentagon(quad, "x_01", "x_11", mo.random_flags(rng, 3, 4)):
+            problems.append("pentagon walk does not swap the pair")
+
+    for _ in range(5):
+        _until_defined("pentagon periodicity", pentagon_trial)
     reports.append(_report(
         "pentagon periodicity", problems,
         "five alternating mutations swap the unit pair exactly",
@@ -441,16 +455,14 @@ def suite_oracle(rng=None) -> list[CheckReport]:
         tuple(tuple(row) for row in b2), quad.weights, quad.labels,
     )
     caught = 0
-    done = 0
-    while done < 10:
+    for _ in range(10):
         flags = mo.random_flags(rng, 3, 4)
         try:
             if mo.check_exchange(corrupt, "x_01", flags) != 0:
                 caught += 1
         except (ZeroDivisionError, ValueError):
             caught += 1
-        done += 1
-    if caught != done:
+    if caught != 10:
         problems.append("corrupted seed slipped through the exchange check")
     reports.append(_report(
         "negative control", problems,

@@ -1,19 +1,23 @@
 """Glue triangle seeds into polygon seeds.
 
-A triangulated m-gon has marked points 1..m; every triangle seed is embedded
-into the m weight slots through its corner order (slot t of the triangle maps
-to corner order[t]), then consecutive triangles are amalgamated along their
-shared diagonals: frozen vertices with equal weight tuples are merged and the
-merged vertex unfreezes.  Corner orders are taken counterclockwise; a
-clockwise (odd) order reverses all arrows of that triangle.
+A triangulated m-gon has marked points 1..m.  Every triangle carries the
+same seed, so one completed triangle seed is built per polygon and embedded
+once per corner order into the m weight slots (slot t of the triangle maps
+to corner order[t]).  Consecutive triangles are then amalgamated along their
+shared diagonals: frozen vertices with equal weight tuples are merged and
+the merged vertex unfreezes (Fock and Goncharov, "Cluster X-varieties,
+amalgamation, and Poisson-Lie groups", 2006).  Corner orders are taken
+counterclockwise; a clockwise (odd) order reverses all arrows of that
+triangle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress, count
 
 from . import root_data as rd
 from .seed_builder import build_triangle_seed, vertex_node_occ
-from .seed_core import Seed, map_label_weights, negate_b2, permute_slots
+from .seed_core import Seed, map_label_weights
 
 
 @dataclass(frozen=True)
@@ -112,31 +116,16 @@ def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str)
     )
 
 
-def dress_triangle(seed: Seed, perm: tuple[int, int, int]) -> Seed:
-    """Reattach a triangle seed to its corners in a new order.
-
-    ``perm`` permutes the three weight slots (new slot t carries old slot
-    perm[t]); an odd permutation reverses the orientation, so every arrow
-    flips.
-    """
-    if sorted(perm) != [0, 1, 2]:
-        raise ValueError("perm must rearrange (0,1,2)")
-    out = permute_slots(seed, perm)
-    if _parity(tuple(p + 1 for p in perm)):
-        out = negate_b2(out)
-    return out
-
-
 def amalgamate(a: Seed, b: Seed, pairs) -> Seed:
     """Merge seed b into seed a along pairs of frozen vertices.
 
     Each pair (name_in_a, name_in_b) must agree in multiplier and weight
-    tuple; merged rows add, and the merged vertex unfreezes.
+    tuple; merged rows add, and the merged vertex unfreezes.  The glued seed
+    lists a's vertices, then b's unmerged ones in their order.
     """
     if set(a.names) & set(b.names):
         raise ValueError("seeds to amalgamate must have disjoint names")
-    partner = {}
-    seen_a = set()
+    partner = {}  # index in b -> index in a
     for p, q in pairs:
         ia, ib = a.index(p), b.index(q)
         if not (a.frozen[ia] and b.frozen[ib]):
@@ -146,56 +135,36 @@ def amalgamate(a: Seed, b: Seed, pairs) -> Seed:
         if a.weights is not None and b.weights is not None:
             if a.weights[ia] != b.weights[ib]:
                 raise ValueError(f"pair ({p},{q}) has mismatched weights")
-        if q in partner or p in seen_a:
+        if ib in partner or ia in partner.values():
             raise ValueError("pairs must be disjoint")
-        partner[q] = p
-        seen_a.add(p)
+        partner[ib] = ia
 
-    names = list(a.names) + [nm for nm in b.names if nm not in partner]
-    pos = {nm: i for i, nm in enumerate(names)}
+    keep = [j for j in range(b.size) if j not in partner]
+    fresh = count(a.size)
+    spot = [partner[j] if j in partner else next(fresh) for j in range(b.size)]
 
-    def spot(seed, nm):
-        if seed is b and nm in partner:
-            nm = partner[nm]
-        return pos[nm]
+    def glue(xs, ys):
+        if xs is None or ys is None:
+            return None
+        return xs + tuple(ys[j] for j in keep)
 
-    total = len(names)
-    big = [[0] * total for _ in range(total)]
-    for seed in (a, b):
-        for i, ni in enumerate(seed.names):
-            for j, nj in enumerate(seed.names):
-                if seed.b2[i][j]:
-                    big[spot(seed, ni)][spot(seed, nj)] += seed.b2[i][j]
-
-    merged_names = set(partner.values())
-    frozen = []
-    mult = []
-    weights = [] if a.weights is not None and b.weights is not None else None
-    labels = [] if a.labels is not None and b.labels is not None else None
-    for nm in names:
-        if nm in a.names:
-            i = a.index(nm)
-            frozen.append(False if nm in merged_names else a.frozen[i])
-            mult.append(a.mult[i])
-            if weights is not None:
-                weights.append(a.weights[i])
-            if labels is not None:
-                labels.append(a.labels[i])
-        else:
-            i = b.index(nm)
-            frozen.append(b.frozen[i])
-            mult.append(b.mult[i])
-            if weights is not None:
-                weights.append(b.weights[i])
-            if labels is not None:
-                labels.append(b.labels[i])
+    frozen = list(a.frozen)
+    for i in partner.values():
+        frozen[i] = False
+    total = a.size + len(keep)
+    pad = (0,) * len(keep)
+    big = [list(row + pad) for row in a.b2] + [[0] * total for _ in keep]
+    for i, row in enumerate(b.b2):
+        out = big[spot[i]]
+        for j in compress(range(b.size), row):
+            out[spot[j]] += row[j]
     return Seed(
-        tuple(names),
-        tuple(frozen),
-        tuple(mult),
-        tuple(tuple(row) for row in big),
-        tuple(weights) if weights is not None else None,
-        tuple(labels) if labels is not None else None,
+        glue(a.names, b.names),
+        glue(tuple(frozen), b.frozen),
+        glue(a.mult, b.mult),
+        tuple(map(tuple, big)),
+        glue(a.weights, b.weights),
+        glue(a.labels, b.labels),
     )
 
 
@@ -243,9 +212,11 @@ def build_conf_m_seed(
     m: int,
     triangulation: Triangulation | None = None,
     corner_orders=None,
-    words=None,
 ) -> Seed:
-    """Glue completed triangle seeds over a triangulated m-gon.
+    """Glue copies of one completed triangle seed over a triangulated m-gon.
+
+    The triangle seed of ``datum`` is built and completed once, then embedded
+    once per corner order and amalgamated along the diagonals.
 
     The default four-point seed (fan triangulation, default orders) renames
     its vertices x_0a, x_1a, x_-1a, y_a, ... with positive occurrences in the
@@ -261,11 +232,10 @@ def build_conf_m_seed(
         if tuple(sorted(order)) != t:
             raise ValueError(f"corner order {order} does not match triangle {t}")
 
-    pieces = []
-    for k, order in enumerate(orders):
-        word = None if words is None else words[k]
-        base = build_triangle_seed(datum, word)
-        pieces.append(embed_triangle(base, order, m, f"t{k}."))
+    base = build_triangle_seed(datum)
+    pieces = [
+        embed_triangle(base, order, m, f"t{k}.") for k, order in enumerate(orders)
+    ]
 
     placed = pieces[0]
     placed_tris = [0]

@@ -2,8 +2,8 @@
 
 Claims covered:
     - random flags are unimodular; wedge invariants are exact rationals
-    - the random-flag retry loops give up with ValueError after a fixed
-      number of draws
+    - the random-flag retry loops, the oracle suite's included, give up
+      with ValueError after a fixed number of draws
     - minor labels evaluate through the wedge; exchange labels through the
       stored two-term relation
     - the glued four-point seeds are exactly the seeds with minor-valued
@@ -18,6 +18,7 @@ Claims covered:
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -28,6 +29,7 @@ from confseed.root_data import root_datum
 from confseed.seed_builder import build_triangle_seed
 from confseed.seed_core import Minor, mutate
 from confseed.sequence_verifier import builtin_sequences
+from confseed.suites import suite_oracle
 from confseed.surface_glue import build_conf_m_seed
 
 TRI3 = build_triangle_seed(root_datum("a2"))
@@ -62,6 +64,24 @@ class TestWedges:
             mo.random_flag(Zeros(0), 3)
         with pytest.raises(ValueError, match="random_flag"):
             mo.search_flip_sequence(QUAD3, QUAD3, Zeros(0))
+
+    def test_oracle_suite_retries_are_bounded(self):
+        # every 3x3 flag drawn is the identity, so some minor always vanishes
+        class IdentityCycle(random.Random):
+            def __init__(self):
+                super().__init__(0)
+                self.entries = itertools.cycle((1, 0, 0, 0, 1, 0, 0, 0, 1))
+                self.calls = 0
+
+            def randint(self, a, b):
+                self.calls += 1
+                return next(self.entries)
+
+        rng = IdentityCycle()
+        with pytest.raises(ValueError, match="exchange residuals"):
+            suite_oracle(rng)
+        # three flags of nine entries per draw
+        assert rng.calls == mo.MAX_FLAG_DRAWS * 3 * 9
 
     def test_degree_sum_must_be_n(self):
         rng = random.Random(1)

@@ -7,6 +7,8 @@ Claims covered:
     - amalgamation merges matching frozen vertices, adds their rows, and
       unfreezes them; mismatches are rejected
     - diagonal_pairs matches boundary vertices across a diagonal by weight
+    - amalgamate glues exactly as a name-by-name reference gluing does, on
+      the flip targets and on triangulations that are not fans
     - the glued g2 four-point seed equals the frozen tables
     - glued seeds of every shape stay well-formed and face-balanced
 """
@@ -16,20 +18,21 @@ from fractions import Fraction as Q
 
 import pytest
 
-from confseed import golden
+from confseed import golden, surface_glue
 from confseed.root_data import root_datum
 from confseed.seed_core import (
+    Seed,
     arrows,
     assert_face_equations,
     check_seed,
 )
 from confseed.seed_builder import build_triangle_seed
+from confseed.sequence_verifier import flip_target
 from confseed.surface_glue import (
     Triangulation,
     amalgamate,
     build_conf_m_seed,
     diagonal_pairs,
-    dress_triangle,
     embed_triangle,
     fan_triangulation,
     flip_diagonal,
@@ -66,7 +69,7 @@ class TestTriangulation:
             flip_diagonal(fan_triangulation(4), (1, 2))
 
 
-# == 2. embedding and dressing ===============================================
+# == 2. embedding ============================================================
 
 class TestEmbedding:
     def test_weights_land_on_corners(self):
@@ -86,17 +89,68 @@ class TestEmbedding:
         want = {("t." + a, "t." + b) for a, b, _ in arrows(seed)}
         assert {(b, a) for a, b, _ in arrows(placed)} == want
 
-    def test_dress_identity_and_swap(self):
-        seed = build_triangle_seed(root_datum("g2"))
-        assert dress_triangle(seed, (0, 1, 2)) == seed
-        swapped = dress_triangle(seed, (1, 0, 2))
-        assert swapped.weight("x_a0")[0] == seed.weight("x_a0")[1]
-        assert swapped.b2 == tuple(
-            tuple(-x for x in row) for row in seed.b2
-        )
-
 
 # == 3. amalgamation =========================================================
+
+def _reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
+    """Gluing vertex by vertex through name lookups, as a slow reference."""
+    partner = {q: p for p, q in pairs}
+    names = list(a.names) + [nm for nm in b.names if nm not in partner]
+    pos = {nm: i for i, nm in enumerate(names)}
+
+    def spot(seed, nm):
+        if seed is b and nm in partner:
+            nm = partner[nm]
+        return pos[nm]
+
+    total = len(names)
+    big = [[0] * total for _ in range(total)]
+    for seed in (a, b):
+        for i, ni in enumerate(seed.names):
+            for j, nj in enumerate(seed.names):
+                if seed.b2[i][j]:
+                    big[spot(seed, ni)][spot(seed, nj)] += seed.b2[i][j]
+
+    merged_names = set(partner.values())
+    frozen = []
+    mult = []
+    weights = [] if a.weights is not None and b.weights is not None else None
+    labels = [] if a.labels is not None and b.labels is not None else None
+    for nm in names:
+        if nm in a.names:
+            i = a.index(nm)
+            frozen.append(False if nm in merged_names else a.frozen[i])
+            mult.append(a.mult[i])
+            if weights is not None:
+                weights.append(a.weights[i])
+            if labels is not None:
+                labels.append(a.labels[i])
+        else:
+            i = b.index(nm)
+            frozen.append(b.frozen[i])
+            mult.append(b.mult[i])
+            if weights is not None:
+                weights.append(b.weights[i])
+            if labels is not None:
+                labels.append(b.labels[i])
+    return Seed(
+        tuple(names),
+        tuple(frozen),
+        tuple(mult),
+        tuple(tuple(row) for row in big),
+        tuple(weights) if weights is not None else None,
+        tuple(labels) if labels is not None else None,
+    )
+
+
+# (type, m, triangles) for triangulations that are not fans
+NON_FAN_SHAPES = (
+    ("a2", 5, ((1, 2, 3), (1, 3, 4), (1, 4, 5))),
+    ("g2", 6, ((1, 2, 3), (1, 3, 5), (3, 4, 5), (1, 5, 6))),
+    ("a3", 6, ((1, 2, 6), (2, 3, 6), (3, 5, 6), (3, 4, 5))),
+)
+
+
 
 class TestAmalgamate:
     def _two_triangles(self, kind="a2"):
@@ -157,6 +211,24 @@ class TestAmalgamate:
         ]
         for p, q in pairs:
             assert a.weights[a.index(p)] == b.weights[b.index(q)]
+
+    @pytest.mark.parametrize("kind", ["a2", "a3", "g2", "d4"])
+    def test_flip_targets_match_the_reference(self, kind, monkeypatch):
+        datum = root_datum(kind)
+        got = flip_target(datum)
+        monkeypatch.setattr(surface_glue, "amalgamate", _reference_amalgamate)
+        # seeds compare names, frozen, mult, b2, weights and labels
+        assert got == flip_target(datum)
+
+    @pytest.mark.parametrize(
+        "kind,m,triangles", NON_FAN_SHAPES, ids=[s[0] for s in NON_FAN_SHAPES]
+    )
+    def test_non_fan_shapes_match_the_reference(self, kind, m, triangles, monkeypatch):
+        datum = root_datum(kind)
+        tri = Triangulation(m, triangles)
+        got = build_conf_m_seed(datum, m, tri)
+        monkeypatch.setattr(surface_glue, "amalgamate", _reference_amalgamate)
+        assert got == build_conf_m_seed(datum, m, tri)
 
 
 # == 4. glued polygon seeds ==================================================
