@@ -15,7 +15,9 @@ import sys
 from . import root_data as rd
 from .seed_builder import build_bruhat_seed, build_triangle_seed
 from .seed_core import mutate
-from .seed_io import format_weight, load_seed, save_seed, to_dot, write_seed
+from .seed_io import (
+    format_weight, load_seed, save_seed, to_dot, weight_symbols, write_seed,
+)
 from .sequence_verifier import apply_sequence, builtin_sequences
 from .suites import run_suite
 from .surface_glue import Triangulation, build_conf_m_seed
@@ -151,7 +153,7 @@ def _run(argv) -> int:
                     print(f"stage {t}:")
                     for name in seed.names:
                         w = table[name]
-                        syms = tuple(f"w{k + 1}" for k in range(len(w[0])))
+                        syms = weight_symbols(w[0])
                         cells = ", ".join(format_weight(s, syms) for s in w)
                         print(f"  {name}: ({cells})")
             seed = result.final

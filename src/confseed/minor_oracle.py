@@ -9,7 +9,6 @@ check below is pass/fail with no tolerance.
 """
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction as Q
 
 from . import root_data as rd
@@ -116,17 +115,6 @@ def seed_values(seed: Seed, flags, cache=None) -> dict[str, Q]:
 
 
 # == identity checks ==
-
-def atomic_mutations(seed: Seed) -> tuple[str, ...]:
-    """Unfrozen vertices whose exchange partner is again a stacked minor."""
-    n = len(seed.weights[0][0]) + 1
-    out = []
-    for nm in seed.unfrozen_names():
-        w = mutate(seed, nm, with_labels=False).weight(nm)
-        if evaluatable(w, n):
-            out.append(nm)
-    return tuple(out)
-
 
 def check_exchange(seed: Seed, at: str, flags, cache=None) -> Q:
     """Residual of A_k * A'_k - (M+ + M-) under one mutation.
@@ -285,7 +273,7 @@ def check_shear_action(seed: Seed, flags, h, cache=None) -> dict[str, Q]:
 
     The shear moves the last flag by the diagonal group element h; the
     returned ratios should be simple-root characters of h at the glued
-    vertices x_0k and exactly 1 at the face vertices (callers compare
+    vertices and exactly 1 at the face vertices (callers compare
     against simple_root_character).
     """
     sheared = flags[:-1] + (group_scale_flag(flags[-1], h),)
@@ -329,10 +317,11 @@ def shear_configuration(rng, n: int):
 def check_shear_law(seed: Seed, rng, n: int) -> bool:
     """Edge X-coordinates move by simple-root characters, faces stay put.
 
-    Under a diagonal shear h of the corner-4 flag, X at the glued vertex
-    x_0k scales by the character of minus the simple root at the dual node
-    (the frame at corner 3 is the w0-translate of the standard one), and X
-    at every face vertex is unchanged.
+    Under a diagonal shear h of the corner-4 flag, X at a glued vertex (an
+    unfrozen vertex supported on corners 1 and 3) with omega_j at corner 1
+    scales by the character of minus alpha_j (the frame at corner 3 is the
+    w0-translate of the standard one), and X at every face vertex is
+    unchanged.
     """
     for _ in range(MAX_FLAG_DRAWS):
         flags = shear_configuration(rng, n)
@@ -347,76 +336,11 @@ def check_shear_law(seed: Seed, rng, n: int) -> bool:
             f"check_shear_law: a value vanished in each of {MAX_FLAG_DRAWS} draws"
         )
     for nm, ratio in ratios.items():
-        if nm.startswith("x_0"):
-            k = int(nm[3:])
-            if ratio * simple_root_character(n - k, h) != 1:
+        w = seed.weight(nm)
+        if any(w[0]) and any(w[2]) and not any(w[1]) and not any(w[3]):
+            (j,) = degrees_of(w[:1])
+            if ratio * simple_root_character(j, h) != 1:
                 return False
         elif ratio != 1:
             return False
     return True
-
-
-# == searching for flip sequences by exact values ==
-
-def search_flip_sequence(start: Seed, target: Seed, rng, *, max_depth: int = 6):
-    """Breadth-first search for a mutation path from start to target.
-
-    States are keyed by the exact multiset of vertex values on one random
-    flag tuple; a hit is confirmed against the full seed.  Returns the list
-    of mutated vertex names, or None within the depth bound.
-    """
-    from .seed_core import quiver_isomorphic
-
-    n = len(start.weights[0][0]) + 1
-    m = start.slots
-    for _ in range(MAX_FLAG_DRAWS):
-        flags = random_flags(rng, n, m)
-        try:
-            base = seed_values(start, flags)
-            goal = seed_values(target, flags)
-        except ZeroDivisionError:
-            continue
-        if 0 in base.values() or 0 in goal.values():
-            continue
-        if len(set(base.values())) == len(base):
-            break
-    else:
-        raise ValueError(
-            f"search_flip_sequence: no generic flag tuple in {MAX_FLAG_DRAWS} draws"
-        )
-    goal_key = tuple(sorted(goal.values()))
-
-    bare = Seed(start.names, start.frozen, start.mult, start.b2, start.weights)
-    queue = deque([(bare, tuple(base[nm] for nm in start.names), ())])
-    seen = {tuple(sorted(base.values()))}
-    while queue:
-        seed, vals, path = queue.popleft()
-        if len(path) >= max_depth:
-            continue
-        for k, nm in enumerate(seed.names):
-            if seed.frozen[k]:
-                continue
-            plus = Q(1)
-            minus = Q(1)
-            for j in range(seed.size):
-                e = seed.b2[k][j] // 2
-                if e > 0:
-                    plus *= vals[j] ** e
-                elif e < 0:
-                    minus *= vals[j] ** (-e)
-            if vals[k] == 0:
-                continue
-            new_val = (plus + minus) / vals[k]
-            if new_val == 0:
-                continue
-            new_vals = vals[:k] + (new_val,) + vals[k + 1:]
-            key = tuple(sorted(new_vals))
-            if key in seen:
-                continue
-            seen.add(key)
-            stepped = mutate(seed, nm)
-            new_path = path + (nm,)
-            if key == goal_key and quiver_isomorphic(stepped, target) is not None:
-                return list(new_path)
-            queue.append((stepped, new_vals, new_path))
-    return None

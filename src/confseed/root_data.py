@@ -66,16 +66,6 @@ def root_datum(kind: str) -> RootDatum:
     raise ValueError(f"unsupported type {kind!r}")
 
 
-def check_symmetrizable(datum: RootDatum) -> None:
-    n = datum.rank
-    for i in range(n):
-        if datum.cartan[i][i] != 2:
-            raise ValueError("Cartan diagonal must be 2")
-        for j in range(n):
-            if datum.d[i] * datum.cartan[i][j] != datum.d[j] * datum.cartan[j][i]:
-                raise ValueError(f"symmetrizer fails at ({i},{j})")
-
-
 def zero_weight(datum: RootDatum) -> Weight:
     return (0,) * datum.rank
 

@@ -14,6 +14,15 @@ to zero against the weights, and every frozen row must pair to its boundary
 pattern -- alpha_m/2 at the edge's cyclically first corner (the one carrying
 omega_m), w0(alpha_m)/2 at the second, zero at the opposite corner.  Weights
 are int tuples and balances are doubled like b2, so solved rows hold b2 entries.
+
+Vertex x_{i,j} is node i at occurrence j (j = 0 before the scan); edge vertex
+x_i belongs to node i.  Names only render these pairs, and two formatters
+write them all: triangle_name ("x_a2", edge "x_a") and four_point_name
+("x_2a", "x_-2a", "y_a", "y_-a").  From rank 10 up both put "_" between node
+and occurrence, so x_1_0 differs from the edge vertex x_10.  Nothing reads a
+name back: a frozen vertex's boundary pattern comes from its weights, which
+must lie on the edge from some corner s to corner s+1 (mod 3) with a
+fundamental weight omega_m at s.
 """
 from __future__ import annotations
 
@@ -24,19 +33,33 @@ from .linalg import solve_with_kernel
 from .seed_core import Minor, Seed, unit, weight_balance, weight_sum
 
 
-def vertex_node_occ(datum: rd.RootDatum, name: str) -> tuple[str, int | None]:
-    """Split a vertex name: "x_a12" -> ("a1", 2), "x_b" -> ("b", None)."""
-    if not name.startswith("x_"):
-        raise ValueError(f"not a row or edge vertex: {name!r}")
-    rest = name[2:]
-    for node in sorted(datum.nodes, key=len, reverse=True):
-        if rest.startswith(node):
-            tail = rest[len(node):]
-            if not tail:
-                return node, None
-            if tail.isdigit():
-                return node, int(tail)
-    raise ValueError(f"cannot parse vertex name {name!r} for type {datum.kind}")
+def _sep(datum: rd.RootDatum) -> str:
+    """Between node and occurrence once node names can have two digits."""
+    return "_" if datum.rank >= 10 else ""
+
+
+def triangle_name(datum: rd.RootDatum, node: str, occ: int | None = None) -> str:
+    """x_{node}{occ} for a word vertex, x_{node} for an edge vertex."""
+    return f"x_{node}" if occ is None else f"x_{node}{_sep(datum)}{occ}"
+
+
+def four_point_name(
+    datum: rd.RootDatum, node: str, occ: int | None = None, *, second: bool = False
+) -> str:
+    """The default four-point name of a triangle vertex.
+
+    x_{occ}{node} and y_{node} in the first triangle, x_-{occ}{node} and
+    y_-{node} in the second.
+    """
+    sign = "-" if second else ""
+    return f"y_{sign}{node}" if occ is None else f"x_{sign}{occ}{_sep(datum)}{node}"
+
+
+def triangle_vertices(datum: rd.RootDatum) -> list[tuple[str, int | None]]:
+    """(node, occ) of every vertex of the standard triangle seed, occ None on edges."""
+    word = rd.standard_longest_word(datum)
+    out = [(node, occ) for node in datum.nodes for occ in range(word.count(node) + 1)]
+    return out + [(node, None) for node in datum.nodes]
 
 
 # == word-vertex weights ==
@@ -132,7 +155,7 @@ def word_vertex_weights(datum: rd.RootDatum, word: tuple[str, ...]):
         for node in datum.nodes:
             r = std.count(node)
             for occ in range(r + 1):
-                out[f"x_{node}{occ}"] = per(node, occ)
+                out[triangle_name(datum, node, occ)] = per(node, occ)
         return out
     if word == tuple(reversed(std)):
         base = word_vertex_weights(datum, std)
@@ -140,7 +163,9 @@ def word_vertex_weights(datum: rd.RootDatum, word: tuple[str, ...]):
         for node in datum.nodes:
             r = std.count(node)
             for occ in range(r + 1):
-                out[f"x_{node}{occ}"] = _swap12(base[f"x_{node}{r - occ}"])
+                out[triangle_name(datum, node, occ)] = _swap12(
+                    base[triangle_name(datum, node, r - occ)]
+                )
         return out
     return None
 
@@ -154,8 +179,9 @@ def build_bruhat_seed(
     if not rd.is_longest_word(datum, word):
         raise ValueError(f"{''.join(word)!r} is not a reduced word for w0 of {datum.kind}")
 
-    names: list[str] = [f"x_{node}0" for node in datum.nodes]
+    names: list[str] = [triangle_name(datum, node, 0) for node in datum.nodes]
     node_of: list[str] = list(datum.nodes)
+    occ_of: list[int] = [0] * datum.rank
     current = {node: i for i, node in enumerate(datum.nodes)}
     counts = {node: 0 for node in datum.nodes}
     entries: dict[tuple[int, int], int] = {}
@@ -169,8 +195,9 @@ def build_bruhat_seed(
     for letter in reversed(word):
         counts[letter] += 1
         v = len(names)
-        names.append(f"x_{letter}{counts[letter]}")
+        names.append(triangle_name(datum, letter, counts[letter]))
         node_of.append(letter)
+        occ_of.append(counts[letter])
         add_arrow(current[letter], v, 2)
         for nb in rd.dynkin_neighbors(datum, letter):
             add_arrow(current[nb], current[letter], 1)
@@ -181,10 +208,7 @@ def build_bruhat_seed(
     b2 = tuple(
         tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n)
     )
-    frozen = []
-    for i, name in enumerate(names):
-        node, occ = vertex_node_occ(datum, name)
-        frozen.append(occ == 0 or occ == counts[node])
+    frozen = [occ == 0 or occ == counts[nd] for nd, occ in zip(node_of, occ_of)]
     mult = tuple(datum.d[datum.index(nd)] for nd in node_of)
 
     if weights is None:
@@ -211,14 +235,24 @@ class CompletionReport:
     unique: bool
 
 
-def _boundary_pattern(datum, m_node, first_slot, second_slot):
-    """Twice the boundary pattern: alpha_m and w0(alpha_m) at the two corners."""
-    alpha = rd.simple_root(datum, m_node)
+def _boundary_pattern(datum, name, ws):
+    """Twice the boundary pattern of a frozen vertex, read from its weights.
+
+    The weights must lie on the edge from corner s to corner s+1 (mod 3) and
+    carry a fundamental weight omega_m at s; the pattern is alpha_m at s and
+    w0(alpha_m) at s+1.
+    """
     zero = rd.zero_weight(datum)
-    S = [zero, zero, zero]
-    S[first_slot] = alpha
-    S[second_slot] = rd.w0_on_weight(datum, alpha)
-    return tuple(S)
+    fundamental = {rd.fundamental_weight(datum, m): m for m in datum.nodes}
+    for s in range(3):
+        t, off = (s + 1) % 3, (s + 2) % 3
+        if ws[off] == zero and ws[t] != zero and ws[s] in fundamental:
+            alpha = rd.simple_root(datum, fundamental[ws[s]])
+            S = [zero, zero, zero]
+            S[s] = alpha
+            S[t] = rd.w0_on_weight(datum, alpha)
+            return tuple(S)
+    raise ValueError(f"frozen vertex {name} has weights {ws} off the triangle's edges")
 
 
 def _stack(ws):
@@ -255,7 +289,7 @@ def complete_triangle_seed(
     edge_names = []
     edge_weights = []
     for node in datum.nodes:
-        nm = f"x_{node}"
+        nm = triangle_name(datum, node)
         if nm in seed.names:
             raise ValueError(f"edge vertex name {nm} already taken")
         dual = rd.w0_dual(datum, node)
@@ -264,18 +298,15 @@ def complete_triangle_seed(
             (rd.fundamental_weight(datum, dual), rd.fundamental_weight(datum, node), zero)
         )
     r = len(edge_names)
+    names = seed.names + tuple(edge_names)
+    frozen = seed.frozen + (True,) * r
+    weights = seed.weights + tuple(edge_weights)
 
-    patterns = {}
-    for name in seed.names:
-        node, occ = vertex_node_occ(datum, name)
-        if seed.frozen[seed.index(name)]:
-            if occ == 0:
-                patterns[name] = _boundary_pattern(datum, node, 2, 0)
-            else:
-                patterns[name] = _boundary_pattern(datum, rd.w0_dual(datum, node), 1, 2)
-    for e, nm in enumerate(edge_names):
-        node, _ = vertex_node_occ(datum, nm)
-        patterns[nm] = _boundary_pattern(datum, rd.w0_dual(datum, node), 0, 1)
+    patterns = {
+        name: _boundary_pattern(datum, name, ws)
+        for name, fz, ws in zip(names, frozen, weights)
+        if fz
+    }
 
     columns = [_stack(w) for w in edge_weights]
     matrix = [[columns[e][c] for e in range(r)] for c in range(3 * datum.rank)]
@@ -309,7 +340,7 @@ def complete_triangle_seed(
         b_to_edges.append(_b2_row(sol, name, edge_names, unfrozen=not seed.frozen[i]))
 
     # edge rows: old entries by skew-symmetrizability, then edge-edge solves
-    d_edge = [datum.d[datum.index(vertex_node_occ(datum, nm)[0])] for nm in edge_names]
+    d_edge = datum.d
     edge_to_old: list[list[int]] = []
     for e in range(r):
         row = []
@@ -340,10 +371,7 @@ def complete_triangle_seed(
     b2 = tuple(row + tuple(ext) for row, ext in zip(seed.b2, b_to_edges)) + tuple(
         tuple(old + new) for old, new in zip(edge_to_old, edge_to_edge)
     )
-    names = seed.names + tuple(edge_names)
-    frozen = seed.frozen + (True,) * r
-    mult = seed.mult + tuple(d_edge)
-    weights = seed.weights + tuple(edge_weights)
+    mult = seed.mult + d_edge
     if len(set(weights)) != n + r:
         raise ValueError("vertex weight tuples must be distinct")
     labels = tuple(Minor(w) for w in weights)

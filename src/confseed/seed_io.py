@@ -175,7 +175,7 @@ def format_weight(w, symbols) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-def _symbols(rank_weight) -> tuple[str, ...]:
+def weight_symbols(rank_weight) -> tuple[str, ...]:
     # purely cosmetic: w1..wn leaves type-A digits readable
     return tuple(f"w{k + 1}" for k in range(len(rank_weight)))
 
@@ -186,7 +186,7 @@ def to_dot(seed: Seed, graph_name: str = "seed") -> str:
         attrs = []
         label = name
         if seed.weights is not None:
-            syms = _symbols(seed.weights[i][0])
+            syms = weight_symbols(seed.weights[i][0])
             label += "\\n(" + ", ".join(
                 format_weight(w, syms) for w in seed.weights[i]
             ) + ")"

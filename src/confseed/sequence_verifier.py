@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from . import golden
 from . import root_data as rd
+from .seed_builder import triangle_name, triangle_vertices
 from .seed_core import (
     Seed,
     langlands_dual,
@@ -261,12 +262,10 @@ def verify_dynkin_automorphism_d4(seed: Seed, sigma: dict) -> CheckReport:
     """Outer-node permutation acting on the completed triangle seed."""
     datum = rd.root_datum("d4")
     full = {**sigma, "b": "b"}
-    from .seed_builder import vertex_node_occ
-
-    mapping = {}
-    for nm in seed.names:
-        node, occ = vertex_node_occ(datum, nm)
-        mapping[nm] = f"x_{full[node]}" if occ is None else f"x_{full[node]}{occ}"
+    mapping = {
+        triangle_name(datum, node, occ): triangle_name(datum, full[node], occ)
+        for node, occ in triangle_vertices(datum)
+    }
 
     def wmap(w):
         out = [None] * datum.rank

@@ -16,8 +16,10 @@ from .seed_builder import (
     build_bruhat_seed,
     build_triangle_seed,
     complete_triangle_seed,
+    four_point_name,
     reverse_word_seed,
-    vertex_node_occ,
+    triangle_name,
+    triangle_vertices,
 )
 from .seed_core import (
     Seed,
@@ -48,10 +50,16 @@ TRIANGLE_DUALITY_PAIRING = {
 
 
 def quad_duality_pairing(seed: Seed) -> dict[str, str]:
-    return {
-        nm: (nm[:-1] + "b" if nm.endswith("a") else nm[:-1] + "a")
-        for nm in seed.names
+    """Swap the short and long node at every vertex of the g2 four-point seed."""
+    datum = rd.root_datum("g2")
+    swap = {"a": "b", "b": "a"}
+    pairing = {
+        four_point_name(datum, node, occ, second=second):
+            four_point_name(datum, swap[node], occ, second=second)
+        for second in (False, True)
+        for node, occ in triangle_vertices(datum)
     }
+    return {nm: pairing[nm] for nm in seed.names}
 
 
 def _arrowset(seed: Seed) -> dict:
@@ -315,13 +323,16 @@ def suite_reversal(rng=None) -> list[CheckReport]:
         if iso is None:
             problems.append("reversed-word triangle does not match the slot swap")
         else:
-            for name, other in iso.items():
-                node, occ = vertex_node_occ(datum, name)
+            word = rd.standard_longest_word(datum)
+            reflected = {}
+            for node, occ in triangle_vertices(datum):
                 if occ is None:
-                    want = "x_" + rd.w0_dual(datum, node)
+                    image = triangle_name(datum, rd.w0_dual(datum, node))
                 else:
-                    r = sum(1 for x in rd.standard_longest_word(datum) if x == node)
-                    want = f"x_{node}{r - occ}"
+                    image = triangle_name(datum, node, word.count(node) - occ)
+                reflected[triangle_name(datum, node, occ)] = image
+            for name, other in iso.items():
+                want = reflected[name]
                 if other != want:
                     problems.append(f"{name} pairs with {other}, not {want}")
         reports.append(_report(

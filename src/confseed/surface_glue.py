@@ -16,7 +16,12 @@ from dataclasses import dataclass, replace
 from itertools import compress, count
 
 from . import root_data as rd
-from .seed_builder import build_triangle_seed, vertex_node_occ
+from .seed_builder import (
+    build_triangle_seed,
+    four_point_name,
+    triangle_name,
+    triangle_vertices,
+)
 from .seed_core import Seed, map_label_weights
 
 
@@ -194,17 +199,13 @@ def diagonal_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
 
 
 def _conf4_rename(datum, seed: Seed) -> Seed:
-    out = []
-    for nm in seed.names:
-        t, rest = nm.split(".", 1)
-        node, occ = vertex_node_occ(datum, rest)
-        if occ is None:
-            out.append(f"y_{node}" if t == "t0" else f"y_-{node}")
-        elif t == "t0":
-            out.append(f"x_{occ}{node}")
-        else:
-            out.append(f"x_-{occ}{node}")
-    return replace(seed, names=tuple(out))
+    rename = {}
+    for k, second in (("t0.", False), ("t1.", True)):
+        for node, occ in triangle_vertices(datum):
+            rename[k + triangle_name(datum, node, occ)] = four_point_name(
+                datum, node, occ, second=second
+            )
+    return replace(seed, names=tuple(rename[nm] for nm in seed.names))
 
 
 def build_conf_m_seed(

@@ -25,7 +25,7 @@ import re
 import confseed.minor_oracle as mo
 from confseed.root_data import root_datum
 from confseed.seed_builder import build_triangle_seed
-from confseed.seed_core import assert_face_equations, check_seed, mutate
+from confseed.seed_core import check_seed, mutate
 from confseed.sequence_verifier import apply_sequence, builtin_sequences
 from confseed.suites import (
     suite_builders,
@@ -35,6 +35,8 @@ from confseed.suites import (
     suite_oracle,
 )
 from confseed.surface_glue import build_conf_m_seed
+
+from seed_checks import assert_face_equations
 
 G2 = root_datum("g2")
 A3 = root_datum("a3")

@@ -1,10 +1,12 @@
 """Tests for the command-line interface.
 
 Claims covered:
-    - build / triangle / polygon emit valid, deterministic seed JSON
+    - build / triangle / polygon emit valid, deterministic seed JSON, with
+      distinct vertex names for a10, a11 and a12 too
     - mutating twice at one vertex reproduces the input file byte for byte
     - named sequences run from the command line and can dump stage traces
-    - verify exits 0 on a passing suite and prints one line per check
+    - verify exits 0 on a passing suite and prints one line per check; the
+      suites that map vertex names (langlands, triality, reversal) pass
     - export-dot renders a digraph; oracle runs the numeric checks
     - usage errors (unknown flags, suites, sequences) exit with status 2
     - domain and file errors exit with status 2 and a one-line message
@@ -54,6 +56,14 @@ class TestBuild:
         assert code == 0
         seed = seed_from_json(json.loads(out))
         assert seed.slots == 4
+
+    @pytest.mark.parametrize("kind", ["a10", "a11", "a12"])
+    def test_two_digit_ranks(self, kind, capsys):
+        for argv in (["build"], ["triangle"], ["polygon", "--m", "4"]):
+            code, out = run(capsys, *argv, "--type", kind)
+            assert code == 0, argv
+            seed = seed_from_json(json.loads(out))
+            assert len(set(seed.names)) == seed.size, argv
 
     def test_bad_word_raises(self, capsys):
         assert main(["build", "--type", "g2", "--word", "ababa"]) == 2
@@ -112,6 +122,13 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert all(entry["passed"] for entry in report)
+
+    @pytest.mark.parametrize("suite", ["langlands", "triality", "reversal"])
+    def test_name_mapping_suites_pass(self, suite, capsys):
+        # each maps vertex names through the formatters in seed_builder
+        code, out = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert "0 failures" in out
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

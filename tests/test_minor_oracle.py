@@ -14,7 +14,6 @@ Claims covered:
     - the five-step walk on a unit pair swaps the pair on the nose
     - the twisted shift matches rotated minors up to the computed central
       sign, and the shear torus moves only the glued edge coordinates
-    - the value-keyed search rediscovers the frozen flip sequences
 """
 from __future__ import annotations
 
@@ -27,8 +26,7 @@ import pytest
 import confseed.minor_oracle as mo
 from confseed.root_data import root_datum
 from confseed.seed_builder import build_triangle_seed
-from confseed.seed_core import Minor, mutate
-from confseed.sequence_verifier import builtin_sequences
+from confseed.seed_core import Minor, Seed, mutate
 from confseed.suites import suite_oracle
 from confseed.surface_glue import build_conf_m_seed
 
@@ -36,6 +34,17 @@ TRI3 = build_triangle_seed(root_datum("a2"))
 TRI4 = build_triangle_seed(root_datum("a3"))
 QUAD3 = build_conf_m_seed(root_datum("a2"), 4)
 QUAD4 = build_conf_m_seed(root_datum("a3"), 4)
+
+
+def atomic_mutations(seed: Seed) -> tuple[str, ...]:
+    """Unfrozen vertices whose exchange partner is again a stacked minor."""
+    n = len(seed.weights[0][0]) + 1
+    out = []
+    for nm in seed.unfrozen_names():
+        w = mutate(seed, nm, with_labels=False).weight(nm)
+        if mo.evaluatable(w, n):
+            out.append(nm)
+    return tuple(out)
 
 
 def _tuples(rng, n, m, count):
@@ -62,8 +71,6 @@ class TestWedges:
 
         with pytest.raises(ValueError, match="random_flag"):
             mo.random_flag(Zeros(0), 3)
-        with pytest.raises(ValueError, match="random_flag"):
-            mo.search_flip_sequence(QUAD3, QUAD3, Zeros(0))
 
     def test_oracle_suite_retries_are_bounded(self):
         # every 3x3 flag drawn is the identity, so some minor always vanishes
@@ -116,12 +123,12 @@ class TestWedges:
 
 class TestAtomicMutations:
     def test_triangles_have_none(self):
-        assert mo.atomic_mutations(TRI3) == ()
-        assert mo.atomic_mutations(TRI4) == ()
+        assert atomic_mutations(TRI3) == ()
+        assert atomic_mutations(TRI4) == ()
 
     def test_quads_expose_the_glued_edge(self):
-        assert mo.atomic_mutations(QUAD3) == ("x_01", "x_02")
-        assert mo.atomic_mutations(QUAD4) == ("x_01", "x_02", "x_03")
+        assert atomic_mutations(QUAD3) == ("x_01", "x_02")
+        assert atomic_mutations(QUAD4) == ("x_01", "x_02", "x_03")
 
 
 # == 3. exchange residuals ===================================================
@@ -270,18 +277,3 @@ class TestShear:
         ratios = mo.check_shear_action(QUAD3, flags, h)
         faces = [nm for nm in ratios if not nm.startswith("x_0")]
         assert any(ratios[nm] != 1 for nm in faces)
-
-
-# == 6. rediscovering the flip sequences =====================================
-
-class TestSearch:
-    def test_finds_the_two_node_flip(self):
-        from confseed.sequence_verifier import flip_target
-        rng = random.Random(40)
-        path = mo.search_flip_sequence(
-            QUAD3, flip_target(root_datum("a2")), rng, max_depth=4
-        )
-        assert path is not None
-        assert len(path) == 4
-        frozen = builtin_sequences()["a2_flip"]
-        assert sorted(path) == sorted(v for st in frozen.stages for v in st)

@@ -19,7 +19,6 @@ from confseed.root_data import (
     RootDatum,
     add_weights,
     apply_word,
-    check_symmetrizable,
     dynkin_neighbors,
     fold_d4_word,
     fundamental_weight,
@@ -40,6 +39,16 @@ from confseed.root_data import (
 )
 
 KINDS = ("a1", "a2", "a3", "g2", "d4")
+
+
+def check_symmetrizable(datum: RootDatum) -> None:
+    n = datum.rank
+    for i in range(n):
+        if datum.cartan[i][i] != 2:
+            raise ValueError("Cartan diagonal must be 2")
+        for j in range(n):
+            if datum.d[i] * datum.cartan[i][j] != datum.d[j] * datum.cartan[j][i]:
+                raise ValueError(f"symmetrizer fails at ({i},{j})")
 
 
 def _random_weight(rng: random.Random, datum: RootDatum):

@@ -10,6 +10,9 @@ Claims covered:
       the frozen tables, and certifies its linear systems unique
     - the sl4 start-edge imbalances equal the three frozen vectors
     - reverse_word_seed is the slot-swapped, arrow-reversed standard seed
+    - names are literal up to a9 and distinct from a10 on; word vertices are
+      frozen exactly at occurrence 0 and at their node's last occurrence
+    - completion refuses a frozen vertex whose weights are off the edges
 """
 from __future__ import annotations
 
@@ -29,17 +32,19 @@ from confseed.seed_builder import (
     build_triangle_seed,
     complete_triangle_seed,
     reverse_word_seed,
-    vertex_node_occ,
+    triangle_name,
+    triangle_vertices,
+    word_vertex_weights,
 )
 from confseed.seed_core import (
     arrows,
-    assert_face_equations,
     check_seed,
-    is_balanced,
     permute_slots,
     quiver_isomorphic,
     weight_balance,
 )
+
+from seed_checks import assert_face_equations, is_balanced
 
 WORD_TABLES = (
     ("a3", golden.ARROWS_A3_WORD),
@@ -168,10 +173,73 @@ class TestReversedWord:
         std = permute_slots(build_triangle_seed(datum), (1, 0, 2))
         iso = quiver_isomorphic(rev, std, reverse_arrows=True)
         word = standard_longest_word(datum)
-        for name, other in iso.items():
-            node, occ = vertex_node_occ(datum, name)
+        for node, occ in triangle_vertices(datum):
+            name = triangle_name(datum, node, occ)
             if occ is None:
-                assert other == "x_" + w0_dual(datum, node)
+                assert iso[name] == triangle_name(datum, w0_dual(datum, node))
             else:
                 r = sum(1 for x in word if x == node)
-                assert other == f"x_{node}{r - occ}"
+                assert iso[name] == triangle_name(datum, node, r - occ)
+        assert len(iso) == len(triangle_vertices(datum))
+
+
+# == 4. vertex names and boundary patterns ===================================
+
+A9_TRIANGLE_NAMES = tuple("""
+    x_10 x_20 x_30 x_40 x_50 x_60 x_70 x_80 x_90
+    x_11 x_21 x_31 x_41 x_51 x_61 x_71 x_81 x_91
+    x_12 x_22 x_32 x_42 x_52 x_62 x_72 x_82
+    x_13 x_23 x_33 x_43 x_53 x_63 x_73
+    x_14 x_24 x_34 x_44 x_54 x_64
+    x_15 x_25 x_35 x_45 x_55
+    x_16 x_26 x_36 x_46
+    x_17 x_27 x_37
+    x_18 x_28
+    x_19
+    x_1 x_2 x_3 x_4 x_5 x_6 x_7 x_8 x_9
+""".split())
+
+
+class TestVertexNames:
+    def test_a9_triangle_names(self):
+        assert build_triangle_seed(root_datum("a9")).names == A9_TRIANGLE_NAMES
+
+    def test_separator_from_rank_10(self):
+        datum = root_datum("a10")
+        assert triangle_name(datum, "1", 0) == "x_1_0"
+        assert triangle_name(datum, "10") == "x_10"
+        assert triangle_name(datum, "10", 1) == "x_10_1"
+        assert triangle_name(root_datum("a9"), "1", 0) == "x_10"
+
+    @pytest.mark.parametrize("kind", ["a10", "a11", "a12"])
+    def test_two_digit_ranks_build(self, kind):
+        datum = root_datum(kind)
+        word = standard_longest_word(datum)
+        quiver = build_bruhat_seed(datum, word)
+        assert len(set(quiver.names)) == quiver.size
+        for node, occ in triangle_vertices(datum):
+            if occ is not None:
+                frozen = quiver.frozen[quiver.index(triangle_name(datum, node, occ))]
+                assert frozen == (occ in (0, word.count(node))), (node, occ)
+        seed = build_triangle_seed(datum)
+        assert len(set(seed.names)) == seed.size == len(triangle_vertices(datum))
+        assert_face_equations(seed)
+
+
+class TestBoundaryPatterns:
+    @pytest.mark.parametrize("slots", [
+        # omega_1 also at the middle corner: the weights leave every edge
+        ((0, 1), (1, 0), (1, 0)),
+        # on the edge from corner 3 to corner 1, but 2 omega_1 is not fundamental
+        ((0, 1), (0, 0), (2, 0)),
+        # at corner 3 alone, not along an edge
+        ((0, 0), (0, 0), (1, 0)),
+    ])
+    def test_frozen_weights_off_the_edges_rejected(self, slots):
+        datum = root_datum("a2")
+        word = standard_longest_word(datum)
+        weights = dict(word_vertex_weights(datum, word))
+        weights[triangle_name(datum, "1", 0)] = slots
+        seed = build_bruhat_seed(datum, word, weights)
+        with pytest.raises(ValueError, match="off the triangle's edges"):
+            complete_triangle_seed(datum, seed)

@@ -27,9 +27,7 @@ from confseed.seed_core import (
     Minor,
     Seed,
     arrows,
-    assert_face_equations,
     check_seed,
-    is_balanced,
     langlands_dual,
     matches_under,
     mutate,
@@ -42,6 +40,8 @@ from confseed.seed_core import (
 from confseed.seed_builder import build_triangle_seed
 from confseed.seed_io import load_seed, save_seed
 from confseed.surface_glue import build_conf_m_seed
+
+from seed_checks import assert_face_equations, is_balanced
 
 
 # seeds are immutable, so one shared zoo serves every test

@@ -9,7 +9,8 @@ Claims covered:
     - diagonal_pairs matches boundary vertices across a diagonal by weight
     - amalgamate glues exactly as a name-by-name reference gluing does, on
       the flip targets and on triangulations that are not fans
-    - the glued g2 four-point seed equals the frozen tables
+    - the glued g2 four-point seed equals the frozen tables, and the a3 and
+      g2 four-point seeds carry the literal default names
     - glued seeds of every shape stay well-formed and face-balanced
 """
 from __future__ import annotations
@@ -23,7 +24,6 @@ from confseed.root_data import root_datum
 from confseed.seed_core import (
     Seed,
     arrows,
-    assert_face_equations,
     check_seed,
 )
 from confseed.seed_builder import build_triangle_seed
@@ -37,6 +37,8 @@ from confseed.surface_glue import (
     fan_triangulation,
     flip_diagonal,
 )
+
+from seed_checks import assert_face_equations
 
 
 # == 1. triangulations =======================================================
@@ -251,6 +253,18 @@ class TestPolygonSeeds:
         assert "x_01" in quad.names
         assert "x_-11" in quad.names
         assert "y_1" in quad.names and "y_-1" in quad.names
+
+    def test_default_quad_names(self):
+        a3 = build_conf_m_seed(root_datum("a3"), 4)
+        assert a3.names == tuple("""
+            x_01 x_02 x_03 x_11 x_12 x_13 x_21 x_22 x_31 y_1 y_2 y_3
+            x_-11 x_-12 x_-13 x_-21 x_-22 x_-31 y_-1 y_-2 y_-3
+        """.split())
+        g2 = build_conf_m_seed(root_datum("g2"), 4)
+        assert g2.names == tuple("""
+            x_0a x_0b x_1a x_1b x_2a x_2b x_3a x_3b y_a y_b
+            x_-1a x_-1b x_-2a x_-2b x_-3a x_-3b y_-a y_-b
+        """.split())
 
     def test_shapes_stay_well_formed(self):
         for kind in ("a2", "g2"):
