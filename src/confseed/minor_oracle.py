@@ -10,6 +10,7 @@ check below is pass/fail with no tolerance.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import compress
 
 from . import root_data as rd
 from .linalg import det, mat_mul
@@ -35,6 +36,21 @@ def random_flag(rng, n: int) -> Flag:
 
 def random_flags(rng, n: int, m: int) -> tuple[Flag, ...]:
     return tuple(random_flag(rng, n) for _ in range(m))
+
+
+def until_defined(check: str, trial):
+    """Return trial() from the first fresh draw on which no value vanishes.
+
+    A trial that raises ZeroDivisionError hit a vanishing value and is drawn
+    again; after MAX_FLAG_DRAWS such draws the check gives up with a
+    ValueError naming it.
+    """
+    for _ in range(MAX_FLAG_DRAWS):
+        try:
+            return trial()
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"{check}: a value vanished in each of {MAX_FLAG_DRAWS} draws")
 
 
 def scale_flag(diag, flag: Flag) -> Flag:
@@ -107,16 +123,16 @@ def evaluate_label(label: Label, flags, cache=None) -> Q:
     return val
 
 
-def seed_values(seed: Seed, flags, cache=None) -> dict[str, Q]:
+def seed_values(seed: Seed, flags) -> dict[str, Q]:
     if seed.labels is None:
         raise ValueError("seed carries no labels")
-    cache = {} if cache is None else cache
+    cache = {}
     return {nm: evaluate_label(l, flags, cache) for nm, l in zip(seed.names, seed.labels)}
 
 
 # == identity checks ==
 
-def check_exchange(seed: Seed, at: str, flags, cache=None) -> Q:
+def check_exchange(seed: Seed, at: str, flags) -> Q:
     """Residual of A_k * A'_k - (M+ + M-) under one mutation.
 
     When the mutated vertex weight is atomic, A'_k is evaluated as a fresh
@@ -125,7 +141,7 @@ def check_exchange(seed: Seed, at: str, flags, cache=None) -> Q:
     the new vertex's label tree, which exercises the evaluation machinery
     and the bookkeeping of the mutated seed.
     """
-    cache = {} if cache is None else cache
+    cache = {}
     k = seed.index(at)
     a_k = evaluate_label(seed.labels[k], flags, cache)
     stepped = mutate(seed, at)
@@ -134,10 +150,11 @@ def check_exchange(seed: Seed, at: str, flags, cache=None) -> Q:
         a_new = wedge_invariant(degrees_of(stepped.weight(at)), flags)
     else:
         a_new = evaluate_label(stepped.labels[k], flags, cache)
+    row = seed.b2[k]
     plus = Q(1)
     minus = Q(1)
-    for j in range(seed.size):
-        e = seed.b2[k][j] // 2
+    for j in compress(range(seed.size), row):
+        e = row[j] // 2
         if e > 0:
             plus *= evaluate_label(seed.labels[j], flags, cache) ** e
         elif e < 0:
@@ -158,9 +175,9 @@ def torus_scale(weights, toruses) -> Q:
     return out
 
 
-def torus_weight_check(seed: Seed, flags, toruses, cache=None) -> bool:
+def torus_weight_check(seed: Seed, flags, toruses) -> bool:
     """Every vertex value must scale by the character of its stored weights."""
-    base = seed_values(seed, flags, cache)
+    base = seed_values(seed, flags)
     moved = tuple(scale_flag(h, f) for h, f in zip(toruses, flags, strict=True))
     after = seed_values(seed, moved)
     for nm in seed.names:
@@ -227,20 +244,19 @@ def twisted_shift(flags, n: int):
     return flags[1:] + (first,)
 
 
-def check_cyclic_symmetry(seed: Seed, flags, closed: bool | None = None) -> bool:
+def check_cyclic_symmetry(seed: Seed, flags) -> bool:
     """Values on shifted flags must equal sign-adjusted rotated-slot values.
 
     For degrees (d_1,...,d_m): shifting flags matches rotating the slots,
     up to sign(z)^(d_m) from the twist and (-1)^(d_m * (d_1+...+d_{m-1}))
-    from moving a block of rows across the stack.  When ``closed`` (default
-    for triangles), the rotation must also map the stored weight tuples
-    into the seed's own weight set, so the shift permutes the cluster.
+    from moving a block of rows across the stack.  On a triangle seed the
+    rotation must also map the stored weight tuples into the seed's own
+    weight set, so the shift permutes the cluster.
     """
     n = len(flags[0])
     s = w0_square_sign(n)
     shifted = twisted_shift(flags, n)
-    if closed is None:
-        closed = seed.slots == 3
+    closed = seed.slots == 3
     weight_set = {seed.weight(nm) for nm in seed.names}
     for nm in seed.names:
         w = seed.weight(nm)
@@ -268,7 +284,7 @@ def group_scale_flag(flag: Flag, diag) -> Flag:
     return tuple(tuple(x * t for x, t in zip(row, diag)) for row in flag)
 
 
-def check_shear_action(seed: Seed, flags, h, cache=None) -> dict[str, Q]:
+def check_shear_action(seed: Seed, flags, h) -> dict[str, Q]:
     """Ratios X_v(sheared flags) / X_v(flags) at the unfrozen vertices.
 
     The shear moves the last flag by the diagonal group element h; the
@@ -278,7 +294,7 @@ def check_shear_action(seed: Seed, flags, h, cache=None) -> dict[str, Q]:
     """
     sheared = flags[:-1] + (group_scale_flag(flags[-1], h),)
     names = seed.unfrozen_names()
-    base = x_from_a(seed, seed_values(seed, flags, cache), names)
+    base = x_from_a(seed, seed_values(seed, flags), names)
     moved = x_from_a(seed, seed_values(seed, sheared), names)
     return {nm: moved[nm] / base[nm] for nm in names}
 
@@ -323,18 +339,12 @@ def check_shear_law(seed: Seed, rng, n: int) -> bool:
     w0-translate of the standard one), and X at every face vertex is
     unchanged.
     """
-    for _ in range(MAX_FLAG_DRAWS):
+    def trial():
         flags = shear_configuration(rng, n)
         h = random_torus(rng, n)
-        try:
-            ratios = check_shear_action(seed, flags, h)
-        except ZeroDivisionError:
-            continue
-        break
-    else:
-        raise ValueError(
-            f"check_shear_law: a value vanished in each of {MAX_FLAG_DRAWS} draws"
-        )
+        return h, check_shear_action(seed, flags, h)
+
+    h, ratios = until_defined("check_shear_law", trial)
     for nm, ratio in ratios.items():
         w = seed.weight(nm)
         if any(w[0]) and any(w[2]) and not any(w[1]) and not any(w[3]):

@@ -9,10 +9,10 @@ throughout:
 * the diagonal is zero.
 
 ``b2`` is a dense tuple of int rows, but the kernels that scan it
-(``check_seed``, ``mutate``, ``arrows``, ``langlands_dual``) visit only its
-nonzero entries: by skew-symmetrizability b2[i][j] and b2[j][i] are zero
-together, so a mutation rewrites only the rows of the mutated vertex's
-neighbours.
+(``check_seed``, ``mutate``, ``arrows``, ``langlands_dual``, ``p_exponents``,
+``matches_under``, ``quiver_isomorphic``) visit only its nonzero entries: by
+skew-symmetrizability b2[i][j] and b2[j][i] are zero together, so a mutation
+rewrites only the rows of the mutated vertex's neighbours.
 
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
@@ -260,13 +260,12 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
 
 def p_exponents(seed: Seed, name: str) -> dict[str, int]:
     """Integer row of exponents for X_name = prod_j A_j ** b[name][j]."""
-    k = seed.index(name)
+    row = seed.b2[seed.index(name)]
     out = {}
-    for j in range(seed.size):
-        if seed.b2[k][j] % 2:
+    for j in compress(range(seed.size), row):
+        if row[j] % 2:
             raise ValueError(f"row {name} has a half-integral entry at {seed.names[j]}")
-        if seed.b2[k][j]:
-            out[seed.names[j]] = seed.b2[k][j] // 2
+        out[seed.names[j]] = row[j] // 2
     return out
 
 
@@ -372,15 +371,23 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     )
 
 
-def matches_under(
-    s1: Seed,
-    s2: Seed,
-    mapping: dict,
-    *,
-    reverse_arrows: bool = False,
-    match_weights: bool = True,
-    weight_map=None,
-) -> bool:
+def _nonzero_rows(seed: Seed, sign: int = 1) -> list[dict[int, int]]:
+    """Each b2 row as {column: sign * entry} over its nonzero entries only."""
+    n = seed.size
+    return [{j: sign * row[j] for j in compress(range(n), row)} for row in seed.b2]
+
+
+def _features(seed: Seed, weights=None) -> list[tuple]:
+    """Per vertex (multiplier, frozen, weight tuple): what a matching keeps.
+
+    ``weights`` replaces the seed's own weight tuples when given.
+    """
+    if seed.weights is None:
+        raise ValueError("seeds to compare need weights")
+    return list(zip(seed.mult, seed.frozen, seed.weights if weights is None else weights))
+
+
+def matches_under(s1: Seed, s2: Seed, mapping: dict, *, weight_map=None) -> bool:
     """Exact comparison under an explicit vertex bijection s1 -> s2.
 
     ``weight_map`` (optional) transforms each s1 slot weight before
@@ -389,112 +396,71 @@ def matches_under(
     n = s1.size
     if s2.size != n or len(mapping) != n:
         return False
-    sign = -1 if reverse_arrows else 1
     try:
         perm = [s2.index(mapping[nm]) for nm in s1.names]
     except KeyError:
         return False
     if len(set(perm)) != n:
         return False
-    for i in range(n):
-        p = perm[i]
-        if s1.mult[i] != s2.mult[p] or s1.frozen[i] != s2.frozen[p]:
-            return False
-        if match_weights:
-            w = s1.weights[i]
-            if weight_map is not None:
-                w = tuple(weight_map(x) for x in w)
-            if w != s2.weights[p]:
-                return False
-        for j in range(n):
-            if sign * s1.b2[i][j] != s2.b2[perm[i]][perm[j]]:
-                return False
-    return True
+    w1 = None
+    if weight_map is not None:
+        w1 = [tuple(weight_map(x) for x in ws) for ws in s1.weights]
+    f1, f2 = _features(s1, w1), _features(s2)
+    rows2 = _nonzero_rows(s2)
+    return all(
+        f1[i] == f2[p] and {perm[j]: b for j, b in row.items()} == rows2[p]
+        for i, (p, row) in enumerate(zip(perm, _nonzero_rows(s1)))
+    )
 
 
 # == isomorphism of labeled quivers ==
 
 
-def quiver_isomorphic(
-    s1: Seed,
-    s2: Seed,
-    *,
-    reverse_arrows: bool = False,
-    match_weights: bool = True,
-    match_frozen: bool = True,
-    slot_perm: tuple[int, ...] | None = None,
-):
-    """Search for a vertex bijection matching b2 (and weights, multipliers).
+def quiver_isomorphic(s1: Seed, s2: Seed, *, reverse_arrows: bool = False):
+    """Search for a vertex bijection matching b2, weights and multipliers.
 
     Returns the lexicographically least mapping {s1 name: s2 name} in vertex
     order, or None.  ``reverse_arrows`` matches s2 against the opposite of
-    s1; ``slot_perm`` permutes s1's weight slots before comparing.
+    s1.
     """
     n = s1.size
     if s2.size != n:
         return None
     sign = -1 if reverse_arrows else 1
 
-    if match_weights and (s1.weights is None or s2.weights is None):
-        raise ValueError("both seeds need weights to match weights")
-    w1 = None
-    if match_weights:
-        w1 = list(s1.weights)
-        if slot_perm is not None:
-            w1 = [tuple(ws[p] for p in slot_perm) for ws in w1]
+    def keys(seed, s):
+        feats = _features(seed)
+        profiles = (
+            tuple(sorted((b, feats[j]) for j, b in row.items()))
+            for row in _nonzero_rows(seed, s)
+        )
+        return list(zip(feats, profiles))
 
-    def feature(seed, i, w):
-        parts = [seed.mult[i]]
-        if match_frozen:
-            parts.append(seed.frozen[i])
-        if w is not None:
-            parts.append(w[i])
-        return tuple(parts)
+    by_key: dict[tuple, list[int]] = {}
+    for j, key in enumerate(keys(s2, 1)):
+        by_key.setdefault(key, []).append(j)
+    cands = [by_key.get(key) for key in keys(s1, sign)]
+    if None in cands:
+        return None
 
-    def row_profile(seed, i, w, s):
-        prof = []
-        for j in range(seed.size):
-            if seed.b2[i][j]:
-                prof.append((s * seed.b2[i][j],) + feature(seed, j, w))
-        return tuple(sorted(prof))
-
-    w2 = list(s2.weights) if match_weights else None
-    feats2 = [feature(s2, j, w2) for j in range(n)]
-    profs2 = [row_profile(s2, j, w2, 1) for j in range(n)]
-    cands = []
-    for i in range(n):
-        f = feature(s1, i, w1)
-        p = row_profile(s1, i, w1, sign)
-        cs = [j for j in range(n) if feats2[j] == f and profs2[j] == p]
-        if not cs:
-            return None
-        cands.append(cs)
-
-    assigned: list[int | None] = [None] * n
+    assigned = [0] * n
     used = [False] * n
 
     def extend(i: int) -> bool:
         if i == n:
             return True
         for j in cands[i]:
-            if used[j]:
+            # with equal multipliers, skew-symmetrizability makes a match of
+            # b2[i][p] a match of b2[p][i] too
+            if used[j] or any(
+                s2.b2[j][assigned[p]] != sign * s1.b2[i][p] for p in range(i)
+            ):
                 continue
-            ok = True
-            for p in range(i):
-                q = assigned[p]
-                if (
-                    s2.b2[q][j] != sign * s1.b2[p][i]
-                    or s2.b2[j][q] != sign * s1.b2[i][p]
-                ):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                assigned[i] = None
-                used[j] = False
+            assigned[i] = j
+            used[j] = True
+            if extend(i + 1):
+                return True
+            used[j] = False
         return False
 
     if not extend(0):

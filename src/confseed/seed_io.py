@@ -180,8 +180,8 @@ def weight_symbols(rank_weight) -> tuple[str, ...]:
     return tuple(f"w{k + 1}" for k in range(len(rank_weight)))
 
 
-def to_dot(seed: Seed, graph_name: str = "seed") -> str:
-    lines = [f"digraph {graph_name} {{", "  rankdir=LR;"]
+def to_dot(seed: Seed) -> str:
+    lines = ["digraph seed {", "  rankdir=LR;"]
     for i, name in enumerate(seed.names):
         attrs = []
         label = name

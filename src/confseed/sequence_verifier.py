@@ -4,13 +4,13 @@ A sequence runs in stages; the vertices inside one stage must commute.  Two
 mutations commute when no arrow joins their vertices (b_uv = 0), so each
 stage is checked on the arrows of the seed it starts from.  The checks
 compare the outcome against slot-permuted, flipped, or Langlands-dual
-targets, always exactly.
+targets, always exactly.  The recorded per-stage weight tables of the G2
+sequences are compared whole by the suites, not here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import golden
 from . import root_data as rd
 from .seed_builder import triangle_name, triangle_vertices
 from .seed_core import (
@@ -134,22 +134,6 @@ class CheckReport:
         return self.passed
 
 
-def _compare_stage_tables(result: ApplyResult, seq_name: str, start: dict) -> list[str]:
-    problems = []
-    if seq_name not in golden.STAGE_DELTAS:
-        return problems
-    want = golden.stage_tables(seq_name, start)
-    if len(want) != len(result.stage_weights):
-        return [f"{seq_name}: expected {len(want)} stages, ran {len(result.stage_weights)}"]
-    for s, (got, exp) in enumerate(zip(result.stage_weights, want)):
-        for nm, w in exp.items():
-            if got[nm] != w:
-                problems.append(
-                    f"{seq_name} stage {s + 1}: {nm} reads {got[nm]}, table says {w}"
-                )
-    return problems
-
-
 def verify_s3(
     seed: Seed,
     seq: MutationSequence,
@@ -158,17 +142,17 @@ def verify_s3(
     expect_reversed: bool,
 ) -> CheckReport:
     """Does the sequence land on the slot-permuted seed (up to arrow flip)?"""
-    res = apply_sequence(seed, seq)
-    start = {nm: seed.weight(nm) for nm in seed.names}
-    problems = _compare_stage_tables(res, seq.name, start)
-    target = permute_slots(seed, slot_perm)
-    mapping = quiver_isomorphic(res.final, target, reverse_arrows=expect_reversed)
+    mapping = quiver_isomorphic(
+        apply_sequence(seed, seq).final,
+        permute_slots(seed, slot_perm),
+        reverse_arrows=expect_reversed,
+    )
     if mapping is None:
-        problems.append(f"{seq.name}: final seed does not match the permuted start")
-        return CheckReport(f"s3:{seq.name}", False, tuple(problems))
+        note = f"{seq.name}: final seed does not match the permuted start"
+        return CheckReport(f"s3:{seq.name}", False, (note,))
     moved = {k: v for k, v in mapping.items() if k != v}
     note = f"{seq.name}: matched, relabeling {moved or 'identity'}"
-    return CheckReport(f"s3:{seq.name}", not problems, tuple(problems) + (note,))
+    return CheckReport(f"s3:{seq.name}", True, (note,))
 
 
 FLIP_CORNER_ORDERS = ((1, 2, 4), (3, 4, 2))
@@ -181,16 +165,11 @@ def flip_target(datum: rd.RootDatum) -> Seed:
 
 
 def verify_flip(datum: rd.RootDatum, seed: Seed, seq: MutationSequence) -> CheckReport:
-    res = apply_sequence(seed, seq)
-    start = {nm: seed.weight(nm) for nm in seed.names}
-    problems = _compare_stage_tables(res, seq.name, start)
-    target = flip_target(datum)
-    mapping = quiver_isomorphic(res.final, target)
-    if mapping is None:
-        problems.append(f"{seq.name}: final seed does not match the flipped build")
-        return CheckReport(f"flip:{seq.name}", False, tuple(problems))
+    if quiver_isomorphic(apply_sequence(seed, seq).final, flip_target(datum)) is None:
+        note = f"{seq.name}: final seed does not match the flipped build"
+        return CheckReport(f"flip:{seq.name}", False, (note,))
     note = f"{seq.name}: final seed matches the flipped build"
-    return CheckReport(f"flip:{seq.name}", not problems, tuple(problems) + (note,))
+    return CheckReport(f"flip:{seq.name}", True, (note,))
 
 
 def verify_langlands_pairing(
@@ -212,6 +191,8 @@ def verify_langlands_pairing(
     seed is self-dual -- witnessed by ``relabel`` and ``slot_perm`` -- the two
     runs agree after relabeling and slot permutation.
     """
+    if relabel is not None and slot_perm is None:
+        raise ValueError("relabel needs slot_perm")
     lines = []
     ok = True
 
@@ -228,27 +209,20 @@ def verify_langlands_pairing(
         lines.append("paired sequence is the conjugate of the first")
 
     dual = langlands_dual(seed, weight_map)
+    finals, dual_finals = [], []
     for seq in (seq_a, seq_b):
-        left = langlands_dual(apply_sequence(seed, seq).final, weight_map)
-        right = apply_sequence(dual, seq).final
-        if left != right:
+        finals.append(apply_sequence(seed, seq).final)
+        dual_finals.append(langlands_dual(finals[-1], weight_map))
+        if dual_finals[-1] != apply_sequence(dual, seq).final:
             ok = False
             lines.append(f"dualizing does not commute with {seq.name}")
         else:
             lines.append(f"dualizing commutes with {seq.name}")
 
     if relabel is not None:
-        if slot_perm is None:
-            raise ValueError("relabel needs slot_perm")
-        base = matches_under(
-            langlands_dual(seed, weight_map),
-            permute_slots(seed, slot_perm),
-            relabel,
-        )
+        base = matches_under(dual, permute_slots(seed, slot_perm), relabel)
         fin = matches_under(
-            langlands_dual(apply_sequence(seed, seq_a).final, weight_map),
-            permute_slots(apply_sequence(seed, seq_b).final, slot_perm),
-            relabel,
+            dual_finals[0], permute_slots(finals[1], slot_perm), relabel
         )
         if base and fin:
             lines.append("self-duality relabeling holds before and after")

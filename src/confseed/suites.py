@@ -69,6 +69,17 @@ def _golden_arrowset(table) -> dict:
     return {(a, b): Q(m) for a, b, m in table}
 
 
+def _golden_row_problems(seed: Seed, rows: dict, what: str) -> list[str]:
+    """One problem per entry of a frozen exchange row that b2 does not hold."""
+    problems = []
+    for name, row in rows.items():
+        entries = seed.b2[seed.index(name)]
+        for j, other in enumerate(seed.names):
+            if entries[j] != 2 * row.get(other, 0):
+                problems.append(f"{what} {name} differs at {other}")
+    return problems
+
+
 def _report(name: str, problems: list[str], ok_note: str) -> CheckReport:
     if problems:
         return CheckReport(name, False, tuple(problems))
@@ -114,12 +125,7 @@ def suite_builders(rng=None) -> list[CheckReport]:
     seed, _ = complete_triangle_seed(
         datum, build_bruhat_seed(datum, rd.standard_longest_word(datum))
     )
-    problems = []
-    for name, row in golden.G2_TRIANGLE_ROWS.items():
-        i = seed.index(name)
-        for other in seed.names:
-            if seed.b2[i][seed.index(other)] != 2 * row.get(other, 0):
-                problems.append(f"row {name} differs at {other}")
+    problems = _golden_row_problems(seed, golden.G2_TRIANGLE_ROWS, "row")
     if {n: seed.weight(n) for n in seed.names} != dict(golden.G2_TRIANGLE_WEIGHTS):
         problems.append("weight triples differ from the frozen table")
     reports.append(_report(
@@ -133,11 +139,7 @@ def suite_builders(rng=None) -> list[CheckReport]:
         problems.append("glued arrow table differs from the frozen quiver")
     if {n: quad.weight(n) for n in quad.names} != dict(golden.G2_CONF4_WEIGHTS):
         problems.append("glued weight tuples differ from the frozen table")
-    for name, row in golden.G2_CONF4_ROWS.items():
-        i = quad.index(name)
-        for other in quad.names:
-            if quad.b2[i][quad.index(other)] != 2 * row.get(other, 0):
-                problems.append(f"glued row {name} differs at {other}")
+    problems += _golden_row_problems(quad, golden.G2_CONF4_ROWS, "glued row")
     reports.append(_report(
         "g2 four-point gluing", problems,
         f"{quad.size} vertices, rows and weights match exactly",
@@ -344,24 +346,6 @@ def suite_reversal(rng=None) -> list[CheckReport]:
 
 # == 4. the numeric oracle ==
 
-def _until_defined(check: str, trial) -> None:
-    """Run trial() on fresh draws until no value on them vanishes.
-
-    A trial that raises ZeroDivisionError hit a vanishing value and is drawn
-    again; after minor_oracle.MAX_FLAG_DRAWS such draws the check gives up
-    with a ValueError naming it.
-    """
-    for _ in range(mo.MAX_FLAG_DRAWS):
-        try:
-            trial()
-        except ZeroDivisionError:
-            continue
-        return
-    raise ValueError(
-        f"{check}: a value vanished in each of {mo.MAX_FLAG_DRAWS} draws"
-    )
-
-
 def suite_oracle(rng=None) -> list[CheckReport]:
     rng = rng or random.Random(0)
     reports = []
@@ -382,7 +366,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
                     problems.append(f"nonzero residual at {at} (n={n}, m={shape})")
 
         for _ in range(34):
-            _until_defined("exchange residuals", exchange_trial)
+            mo.until_defined("exchange residuals", exchange_trial)
             checked += 1
         if problems:
             break
@@ -408,7 +392,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
                 problems.append(f"weight character fails (n={n}, m={shape})")
 
         for _ in range(5):
-            _until_defined("torus weight characters", torus_trial)
+            mo.until_defined("torus weight characters", torus_trial)
     reports.append(_report(
         "torus weight characters", problems,
         "every vertex value scales by its stored weight character",
@@ -451,7 +435,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
             problems.append("pentagon walk does not swap the pair")
 
     for _ in range(5):
-        _until_defined("pentagon periodicity", pentagon_trial)
+        mo.until_defined("pentagon periodicity", pentagon_trial)
     reports.append(_report(
         "pentagon periodicity", problems,
         "five alternating mutations swap the unit pair exactly",

@@ -12,8 +12,9 @@ triangle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import compress, count
+from itertools import combinations, compress, count
 
 from . import root_data as rd
 from .seed_builder import (
@@ -31,21 +32,33 @@ class Triangulation:
     triangles: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        m = self.m
         for tri in self.triangles:
             if tuple(sorted(tri)) != tri:
                 raise ValueError(f"triangle {tri} must be listed ascending")
-            if not all(1 <= c <= self.m for c in tri):
-                raise ValueError(f"triangle {tri} outside 1..{self.m}")
-        if len(self.triangles) != self.m - 2:
+            if not all(1 <= c <= m for c in tri):
+                raise ValueError(f"triangle {tri} outside 1..{m}")
+            if self.triangles.count(tri) > 1:
+                raise ValueError(f"triangle {tri} is listed twice")
+        if len(self.triangles) != m - 2:
             raise ValueError("an m-gon triangulation has m-2 triangles")
+        # m-2 distinct triangles with each side of the m-gon in one of them
+        # and every other edge in none or two form a disk with all vertices
+        # on its boundary, so they tile the m-gon and no two diagonals cross
+        seen = self._edge_counts()
+        for k in range(1, m + 1):
+            if seen.pop(frozenset((k, k % m + 1)), 0) != 1:
+                raise ValueError(f"side {k}-{k % m + 1} must lie in exactly one triangle")
+        for e, c in seen.items():
+            if c != 2:
+                a, b = sorted(e)
+                raise ValueError(f"diagonal {a}-{b} must lie in exactly two triangles")
+
+    def _edge_counts(self) -> Counter:
+        return Counter(frozenset(e) for t in self.triangles for e in combinations(t, 2))
 
     def diagonals(self) -> frozenset[frozenset[int]]:
-        seen: dict[frozenset[int], int] = {}
-        for tri in self.triangles:
-            a, b, c = tri
-            for e in (frozenset((a, b)), frozenset((b, c)), frozenset((a, c))):
-                seen[e] = seen.get(e, 0) + 1
-        return frozenset(e for e, k in seen.items() if k == 2)
+        return frozenset(e for e, k in self._edge_counts().items() if k == 2)
 
 
 def fan_triangulation(m: int) -> Triangulation:

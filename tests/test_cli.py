@@ -6,19 +6,26 @@ Claims covered:
     - mutating twice at one vertex reproduces the input file byte for byte
     - named sequences run from the command line and can dump stage traces
     - verify exits 0 on a passing suite and prints one line per check; the
-      suites that map vertex names (langlands, triality, reversal) pass
+      suites that map vertex names (langlands, triality, reversal) pass;
+      the full text and JSON reports equal the pinned files in tests/data
     - export-dot renders a digraph; oracle runs the numeric checks
     - usage errors (unknown flags, suites, sequences) exit with status 2
-    - domain and file errors exit with status 2 and a one-line message
+    - domain and file errors exit with status 2 and a one-line message,
+      triangle lists that do not tile the m-gon included
 """
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from confseed.cli import main
 from confseed.seed_io import seed_from_json
+
+
+# the pinned verify reports; they read the same at rng seeds 0, 7 and 11
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -144,6 +151,16 @@ class TestVerify:
         code, _ = run(capsys, "oracle", "--rng-seed", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("name, flags", [
+        ("verify_all.txt", ()),
+        ("verify_all.json", ("--json",)),
+    ], ids=["text", "json"])
+    def test_full_report_is_pinned(self, name, flags, capsys):
+        code, out = run(capsys, "--rng-seed", "0", "verify", "--suite", "all",
+                        *flags)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
+
     def test_rng_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CONFSEED_RNG_SEED", "9")
         code, _ = run(capsys, "verify", "--suite", "typea-flip")
@@ -191,12 +208,17 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "float-mult.json"], "0", "multiplier d 1.0"),
         (["mutate", "--seed", "float-exponent.json"], "0",
          "plus exponent 0.5"),
+        (["polygon", "--type", "a2", "--m", "5",
+          "--triangles", "1,2,3;1,3,4;1,2,4"], "0",
+         "side 1-2 must lie in exactly one triangle"),
+        (["polygon", "--type", "a2", "--m", "4",
+          "--triangles", "1,2,3;1,2,3"], "0", "(1, 2, 3) is listed twice"),
     ], ids=["unknown-type", "non-reduced-word", "bad-rng-seed",
             "missing-seed-file", "empty-seed-object", "unknown-vertex",
             "negative-vertex-label", "negative-exchange-ref",
             "float-weight", "string-weight", "bool-weight",
             "float-b2", "string-b2", "string-frozen", "float-mult",
-            "float-exponent"])
+            "float-exponent", "non-tiling-triangles", "repeated-triangle"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
                                            tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

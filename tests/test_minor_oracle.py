@@ -2,8 +2,8 @@
 
 Claims covered:
     - random flags are unimodular; wedge invariants are exact rationals
-    - the random-flag retry loops, the oracle suite's included, give up
-      with ValueError after a fixed number of draws
+    - the random-flag retry loops, the oracle suite's and the shear law's
+      included, give up with ValueError after a fixed number of draws
     - minor labels evaluate through the wedge; exchange labels through the
       stored two-term relation
     - the glued four-point seeds are exactly the seeds with minor-valued
@@ -71,6 +71,15 @@ class TestWedges:
 
         with pytest.raises(ValueError, match="random_flag"):
             mo.random_flag(Zeros(0), 3)
+
+        # every unitriangular entry is 0, so corners 1 and 2 of the shear
+        # configuration are the same flag and a minor always vanishes
+        class Floor(random.Random):
+            def randint(self, a, b):
+                return max(a, 0)
+
+        with pytest.raises(ValueError, match="check_shear_law"):
+            mo.check_shear_law(QUAD3, Floor(0), 3)
 
     def test_oracle_suite_retries_are_bounded(self):
         # every 3x3 flag drawn is the identity, so some minor always vanishes

@@ -9,7 +9,8 @@ Claims covered:
     - face equations hold at every unfrozen vertex along random walks
     - X-coordinates transport through mutation compatibly with the p-map
     - slot permutations compose; the Langlands dual squares to the identity
-    - quiver_isomorphic finds real isomorphisms and rejects broken ones
+    - quiver_isomorphic and matches_under find real isomorphisms and reject
+      broken ones, an arrow added where none was included
     - every weight coordinate is an int, through building, gluing,
       mutation, duality and a save/load round trip
 """
@@ -353,6 +354,42 @@ class TestIsomorphism:
         other = Seed(seed.names, seed.frozen, seed.mult,
                      tuple(tuple(r) for r in b2), seed.weights)
         assert quiver_isomorphic(seed, other) is None
+
+    def test_backtracks_past_a_wrong_candidate(self):
+        # two arrows a -> b and c -> d with equal weights: every vertex
+        # profile has two candidates, and in s2's vertex order the first
+        # candidate for b is d, which only the arrow from a rules out
+        def two_arrows(names):
+            b2 = [[0] * 4 for _ in names]
+            for src, dst in (("a", "b"), ("c", "d")):
+                i, j = names.index(dst), names.index(src)
+                b2[i][j], b2[j][i] = 2, -2
+            return Seed(names, (False,) * 4, (1,) * 4,
+                        tuple(map(tuple, b2)), (((0,),),) * 4)
+
+        s1, s2 = two_arrows(("a", "c", "b", "d")), two_arrows(("a", "c", "d", "b"))
+        iso = quiver_isomorphic(s1, s2)
+        assert iso == {nm: nm for nm in s1.names}
+        assert matches_under(s1, s2, iso)
+
+    def test_arrow_where_none_was_is_caught(self):
+        # the sparse comparison must see an entry that is zero on one side
+        # only, whichever seed holds the nonzero one
+        seed = build_triangle_seed(root_datum("a3"))
+        i, j = next(
+            (i, j)
+            for i in range(seed.size) for j in range(i + 1, seed.size)
+            if seed.frozen[i] and seed.frozen[j] and not seed.b2[i][j]
+        )
+        assert seed.mult[i] == seed.mult[j] == 1
+        b2 = [list(r) for r in seed.b2]
+        b2[i][j], b2[j][i] = 1, -1
+        other = replace(seed, b2=tuple(tuple(r) for r in b2))
+        identity = {nm: nm for nm in seed.names}
+        assert not matches_under(seed, other, identity)
+        assert not matches_under(other, seed, identity)
+        assert quiver_isomorphic(seed, other) is None
+        assert quiver_isomorphic(other, seed) is None
 
     def test_arrow_multiplicities(self):
         seed = build_triangle_seed(root_datum("g2"))

@@ -1,7 +1,9 @@
 """Tests for triangulations and polygon gluing.
 
 Claims covered:
-    - Triangulation validates itself; fans and flips behave combinatorially
+    - Triangulation validates itself: it accepts exactly the triangulations
+      of the m-gon, with pairwise non-crossing diagonals; fans and flips
+      behave combinatorially
     - embedding a triangle spreads weights to the right slots, with odd
       corner orders reversing all arrows
     - amalgamation merges matching frozen vertices, adds their rows, and
@@ -16,6 +18,7 @@ Claims covered:
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -58,6 +61,34 @@ class TestTriangulation:
     def test_corner_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Triangulation(4, ((1, 2, 3), (1, 3, 7)))
+
+    # tests/test_cli.py covers a side in two triangles and a repeated one
+    @pytest.mark.parametrize("m, triangles, message", [
+        (6, ((1, 2, 3), (1, 3, 4), (1, 3, 6), (4, 5, 6)),
+         "diagonal 1-3 must lie in exactly two triangles"),
+        # an octahedron on corners 1,2,4,5,7,8 with antipodes 1-2, 4-5, 7-8:
+        # every edge lies in two triangles, but no side in any
+        (10, tuple((a, b, c) for a in (1, 2) for b in (4, 5) for c in (7, 8)),
+         "side 1-2 must lie in exactly one triangle"),
+    ], ids=["diagonal-once", "no-side"])
+    def test_listings_that_do_not_tile_rejected(self, m, triangles, message):
+        with pytest.raises(ValueError) as exc:
+            Triangulation(m, triangles)
+        assert str(exc.value) == message
+
+    def test_accepted_listings_are_the_triangulations(self):
+        # the m-gon has Catalan(m-2) triangulations: 1, 2, 5, 14
+        for m, catalan in ((3, 1), (4, 2), (5, 5), (6, 14)):
+            accepted = []
+            for triangles in combinations(combinations(range(1, m + 1), 3), m - 2):
+                try:
+                    accepted.append(Triangulation(m, triangles))
+                except ValueError:
+                    pass
+            assert len(accepted) == catalan
+            for tri in accepted:
+                for d, e in combinations(sorted(map(sorted, tri.diagonals())), 2):
+                    assert not (d[0] < e[0] < d[1] < e[1]), (tri, d, e)
 
     def test_flip_quad(self):
         tri = fan_triangulation(4)
