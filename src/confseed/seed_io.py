@@ -13,6 +13,12 @@ Weight coordinates, ``b2`` entries and multipliers ``d`` are JSON integers
 positive JSON integers; loading refuses anything else, floats, strings and
 booleans included.  The top-level "labels" table shares repeated subtrees; each vertex
 points into it by index, and an exchange entry only into earlier entries.
+
+``write_seed`` writes exactly the bytes of
+``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline.  It
+renders that schema itself because CPython's ``json`` turns its C encoder off
+whenever ``indent`` is set, and the pure-Python encoder it falls back to was
+the largest cost of writing a polygon seed file.
 """
 from __future__ import annotations
 
@@ -138,10 +144,69 @@ def seed_from_json(data: dict) -> Seed:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
 
 
+# "\n" and the indent of each depth a seed file reaches
+_PAD = tuple("\n" + " " * k for k in range(6))
+
+
+def _block(items, depth: int, ends: str = "[]") -> str:
+    """The ``indent=1`` text of a list, or of an object with ends "{}", from
+    its rendered items; its closing bracket sits at ``depth``."""
+    pad = _PAD[depth + 1]
+    # no JSON value renders empty, so an empty body means no items
+    body = ("," + pad).join(items)
+    return ends[0] + pad + body + _PAD[depth] + ends[1] if body else ends
+
+
+class _Memo(dict):
+    """key -> render(key), each distinct key rendered once."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 def write_seed(seed: Seed, fh) -> None:
-    """Write the seed-file text of a seed to an open text file."""
-    json.dump(seed_to_json(seed), fh, indent=1)
-    fh.write("\n")
+    """Write the seed-file text of a seed to an open text file.
+
+    The text is ``json.dumps(seed_to_json(seed), indent=1) + "\\n"``, byte
+    for byte, written one vertex, b2 row or label entry at a time.
+    """
+    # seeds hold plain ints in weights, b2 and labels, which str renders as
+    # json does
+    ints = _Memo(str)
+    # int rows at depth 4: weights, and (label index, exponent) pairs
+    rows = _Memo(lambda key: _block(map(ints.__getitem__, key), 4))
+
+    def value(x) -> str:
+        if type(x) is bool:
+            return "true" if x else "false"
+        if type(x) is int:
+            return ints[x]
+        if type(x) is str:
+            return json.dumps(x)
+        return _block(map(rows.__getitem__, map(tuple, x)), 3)
+
+    def entry(obj: dict) -> str:
+        # a vertex or a label entry; its keys are seed_to_json's plain names
+        return _block([f'"{k}": {value(x)}' for k, x in obj.items()], 2, "{}")
+
+    def b2_row(row) -> str:
+        return _block(map(ints.__getitem__, row), 2)
+
+    render = {"vertices": entry, "b2": b2_row, "labels": entry}
+    fh.write("{")
+    for n, (key, items) in enumerate(seed_to_json(seed).items()):
+        fh.write(f'{"," if n else ""}\n "{key}": [')
+        sep = _PAD[2]
+        for item in items:
+            fh.write(sep + render[key](item))
+            sep = "," + _PAD[2]
+        fh.write(_PAD[1] + "]" if items else "]")
+    fh.write("\n}\n")
 
 
 def save_seed(seed: Seed, path) -> None:

@@ -6,9 +6,11 @@ once per corner order into the m weight slots (slot t of the triangle maps
 to corner order[t]).  Consecutive triangles are then amalgamated along their
 shared diagonals: frozen vertices with equal weight tuples are merged and
 the merged vertex unfreezes (Fock and Goncharov, "Cluster X-varieties,
-amalgamation, and Poisson-Lie groups", 2006).  Corner orders are taken
-counterclockwise; a clockwise (odd) order reverses all arrows of that
-triangle.
+amalgamation, and Poisson-Lie groups", 2006).  Diagonals are matched per
+triangle: a diagonal lies in exactly two triangles, so the vertices to merge
+across it are found between those two pieces alone, not by a scan of the
+whole glued seed.  Corner orders are taken counterclockwise; a clockwise
+(odd) order reverses all arrows of that triangle.
 """
 from __future__ import annotations
 
@@ -187,7 +189,7 @@ def amalgamate(a: Seed, b: Seed, pairs) -> Seed:
 
 
 def _support(ws) -> frozenset[int]:
-    return frozenset(t for t, w in enumerate(ws) if any(c != 0 for c in w))
+    return frozenset(t for t, w in enumerate(ws) if any(w))
 
 
 def diagonal_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
@@ -251,28 +253,29 @@ def build_conf_m_seed(
         embed_triangle(base, order, m, f"t{k}.") for k, order in enumerate(orders)
     ]
 
+    # the triangles of a tiling are joined through its diagonals, so every
+    # sweep places at least one more triangle
     placed = pieces[0]
     placed_tris = [0]
     remaining = list(range(1, len(pieces)))
     while remaining:
-        progressed = False
         for k in list(remaining):
             shared = []
             for s in placed_tris:
-                common = frozenset(tri.triangles[k]) & frozenset(tri.triangles[s])
-                if len(common) == 2:
-                    shared.append(common)
+                diag = frozenset(tri.triangles[k]) & frozenset(tri.triangles[s])
+                if len(diag) == 2:
+                    shared.append((s, diag))
             if not shared:
                 continue
             pairs = []
-            for diag in set(shared):
-                pairs.extend(diagonal_pairs(placed, pieces[k], diag))
+            for s, diag in shared:
+                # a diagonal lies in exactly two triangles, so the glued
+                # seed's frozen vertices on it are still piece s's, unmerged
+                # and under the same names
+                pairs.extend(diagonal_pairs(pieces[s], pieces[k], diag))
             placed = amalgamate(placed, pieces[k], pairs)
             placed_tris.append(k)
             remaining.remove(k)
-            progressed = True
-        if not progressed:
-            raise ValueError("triangulation is not connected")
 
     if (
         m == 4

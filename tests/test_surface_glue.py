@@ -11,6 +11,9 @@ Claims covered:
     - diagonal_pairs matches boundary vertices across a diagonal by weight
     - amalgamate glues exactly as a name-by-name reference gluing does, on
       the flip targets and on triangulations that are not fans
+    - matching each diagonal between the two triangles on it glues the same
+      seed as scanning the whole glued seed for partners does, on fans and
+      on triangulations that are not fans
     - the glued g2 four-point seed equals the frozen tables, and the a3 and
       g2 four-point seeds carry the literal default names
     - glued seeds of every shape stay well-formed and face-balanced
@@ -35,6 +38,7 @@ from confseed.surface_glue import (
     Triangulation,
     amalgamate,
     build_conf_m_seed,
+    default_corner_orders,
     diagonal_pairs,
     embed_triangle,
     fan_triangulation,
@@ -176,6 +180,45 @@ def _reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
     )
 
 
+def _reference_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
+    """Pairs across a diagonal found by scanning every vertex of a, a slow
+    reference that takes the whole glued seed for a."""
+    want = frozenset(c - 1 for c in diag)
+
+    def on_diag(seed, i):
+        support = {t for t, w in enumerate(seed.weights[i]) if any(w)}
+        return seed.frozen[i] and support == want
+
+    left = {a.weights[i]: nm for i, nm in enumerate(a.names) if on_diag(a, i)}
+    pairs = [
+        (left.pop(b.weights[i]), nm) for i, nm in enumerate(b.names) if on_diag(b, i)
+    ]
+    assert not left
+    return pairs
+
+
+def _reference_glue(datum, tri: Triangulation) -> Seed:
+    """Glue pieces in build_conf_m_seed's order, finding each triangle's
+    pairs in the whole glued seed."""
+    base = build_triangle_seed(datum)
+    pieces = [
+        embed_triangle(base, order, tri.m, f"t{k}.")
+        for k, order in enumerate(default_corner_orders(tri))
+    ]
+    placed, placed_tris, remaining = pieces[0], [0], list(range(1, len(pieces)))
+    while remaining:
+        for k in list(remaining):
+            corners = frozenset(tri.triangles[k])
+            diags = {corners & frozenset(tri.triangles[s]) for s in placed_tris}
+            diags = [d for d in diags if len(d) == 2]
+            if diags:
+                pairs = [p for d in diags for p in _reference_pairs(placed, pieces[k], d)]
+                placed = amalgamate(placed, pieces[k], pairs)
+                placed_tris.append(k)
+                remaining.remove(k)
+    return placed
+
+
 # (type, m, triangles) for triangulations that are not fans
 NON_FAN_SHAPES = (
     ("a2", 5, ((1, 2, 3), (1, 3, 4), (1, 4, 5))),
@@ -262,6 +305,16 @@ class TestAmalgamate:
         got = build_conf_m_seed(datum, m, tri)
         monkeypatch.setattr(surface_glue, "amalgamate", _reference_amalgamate)
         assert got == build_conf_m_seed(datum, m, tri)
+
+    @pytest.mark.parametrize(
+        "kind,m,triangles",
+        NON_FAN_SHAPES + (("g2", 8, None), ("a3", 7, None)),
+        ids=[s[0] for s in NON_FAN_SHAPES] + ["g2-fan-8", "a3-fan-7"],
+    )
+    def test_pairs_per_triangle_match_the_whole_seed_scan(self, kind, m, triangles):
+        datum = root_datum(kind)
+        tri = Triangulation(m, triangles) if triangles else fan_triangulation(m)
+        assert build_conf_m_seed(datum, m, tri) == _reference_glue(datum, tri)
 
 
 # == 4. glued polygon seeds ==================================================
