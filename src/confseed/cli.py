@@ -121,7 +121,7 @@ def _run(argv) -> int:
     if args.command in ("build", "triangle"):
         datum = rd.root_datum(args.kind)
         word = (
-            rd.parse_word(datum, args.word) if args.word
+            rd.parse_word(datum, args.word) if args.word is not None
             else rd.standard_longest_word(datum)
         )
         if args.command == "build":
@@ -178,7 +178,7 @@ def _run(argv) -> int:
         try:
             reports = run_suite(suite, rng)
         except KeyError as exc:
-            parser.error(str(exc))
+            parser.error(exc.args[0])
         if args.as_json:
             payload = [
                 {"name": r.name, "passed": r.passed, "lines": list(r.lines)}

@@ -2,7 +2,9 @@
 
 Determinants are fraction-free: rows are scaled to integers by the lcm of
 their denominators and eliminated by Bareiss's integer-preserving method, so
-only the final quotient is a Fraction.  Linear solves stay in Fractions.
+only the final quotient is a Fraction.  solve_with_kernel stays in Fractions;
+it is the reference solver the tests check triangle completion against, and
+no longer sits on the build path, which reads each arrow off one equation.
 """
 from __future__ import annotations
 

@@ -9,11 +9,13 @@ current(j) -> v.  Half arrows between consecutive occurrences merge into full
 ones; the surviving halves join frozen vertices only.
 
 Completion adds one frozen vertex per node on the remaining side of the
-triangle and solves for the connecting arrows: every unfrozen row must pair
+triangle and reads off the connecting arrows: every unfrozen row must pair
 to zero against the weights, and every frozen row must pair to its boundary
 pattern -- alpha_m/2 at the edge's cyclically first corner (the one carrying
-omega_m), w0(alpha_m)/2 at the second, zero at the opposite corner.  Weights
-are int tuples and balances are doubled like b2, so solved rows hold b2 entries.
+omega_m), w0(alpha_m)/2 at the second, zero at the opposite corner.  Edge
+vertex e carries the weights (omega_{e*}, omega_e, 0), so each arrow to it
+appears alone in one equation.  Weights are int tuples and balances are
+doubled like b2, so the rows read off hold b2 entries.
 
 Vertex x_{i,j} is node i at occurrence j (j = 0 before the scan); edge vertex
 x_i belongs to node i.  Names only render these pairs, and two formatters
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import root_data as rd
-from .linalg import solve_with_kernel
 from .seed_core import Minor, Seed, unit, weight_balance, weight_sum
 
 
@@ -232,7 +233,6 @@ def build_bruhat_seed(
 class CompletionReport:
     edge_names: tuple[str, ...]
     patterns: dict  # doubled boundary pattern per frozen vertex
-    unique: bool
 
 
 def _boundary_pattern(datum, name, ws):
@@ -255,31 +255,19 @@ def _boundary_pattern(datum, name, ws):
     raise ValueError(f"frozen vertex {name} has weights {ws} off the triangle's edges")
 
 
-def _stack(ws):
-    return [c for w in ws for c in w]
-
-
-def _b2_row(sol, name, others, *, unfrozen: bool) -> list[int]:
-    """A solved row of b2 entries as ints; unfrozen rows must be even."""
-    row = []
-    for x, other in zip(sol, others):
-        if x.denominator != 1:
-            raise ValueError(f"entry ({name},{other}) is not half-integral: {x / 2}")
-        if unfrozen and x % 2:
-            raise ValueError(f"unfrozen entry ({name},{other}) is not integral: {x / 2}")
-        row.append(int(x))
-    return row
-
-
 def complete_triangle_seed(
     datum: rd.RootDatum, seed: Seed
 ) -> tuple[Seed, CompletionReport]:
-    """Add the third-edge vertices and solve for their arrows.
+    """Add the third-edge vertices and read off their arrows.
 
     Every unfrozen row must pair to zero against the weights and every frozen
-    row to its boundary pattern; each row's doubled system is solved exactly
-    for b2 entries and must have a unique solution.  Raises ValueError when
-    any system is inconsistent, non-integral, or underdetermined.
+    row to its boundary pattern.  Edge vertex e carries the weights
+    (omega_{e*}, omega_e, 0), so a row's entry at e is fixed by one equation:
+    it is coordinate e of the second slot of the row's doubled target
+    (pattern minus balance).  The row is consistent exactly when coordinate
+    e* of the first slot agrees for every e and the third slot is zero, so
+    the completion is unique.  Raises ValueError when any row is
+    inconsistent or an unfrozen entry is odd.
     """
     if seed.weights is None:
         raise ValueError("completion needs vertex weights")
@@ -288,6 +276,7 @@ def complete_triangle_seed(
 
     edge_names = []
     edge_weights = []
+    star = []
     for node in datum.nodes:
         nm = triangle_name(datum, node)
         if nm in seed.names:
@@ -297,6 +286,7 @@ def complete_triangle_seed(
         edge_weights.append(
             (rd.fundamental_weight(datum, dual), rd.fundamental_weight(datum, node), zero)
         )
+        star.append(datum.index(dual))
     r = len(edge_names)
     names = seed.names + tuple(edge_names)
     frozen = seed.frozen + (True,) * r
@@ -308,40 +298,31 @@ def complete_triangle_seed(
         if fz
     }
 
-    columns = [_stack(w) for w in edge_weights]
-    matrix = [[columns[e][c] for e in range(r)] for c in range(3 * datum.rank)]
-
-    unique = True
-
-    def solve_row(rhs_tuple, *, slot3_must_vanish: str | None):
-        rhs = _stack(rhs_tuple)
-        if slot3_must_vanish is not None and any(
-            c != 0 for c in rhs[2 * datum.rank:]
-        ):
-            raise ValueError(
-                f"third-corner component obstructs completion at {slot3_must_vanish}"
-            )
-        sol, kernel = solve_with_kernel(matrix, rhs)
-        nonlocal unique
-        if kernel:
-            unique = False
-        return sol
-
-    def target(name, acc):
-        """The doubled pattern at name (zero when it has none) minus acc."""
+    def read_off(name, acc, *, frozen_row: bool) -> tuple[int, ...]:
+        """The entries at the edges of a row with doubled balance acc."""
         want = patterns.get(name, (zero, zero, zero))
-        return weight_sum(((1, want), (-1, acc)), 3, datum.rank)
+        first, second, third = weight_sum(((1, want), (-1, acc)), 3, datum.rank)
+        if frozen_row and any(third):
+            raise ValueError(f"third-corner component obstructs completion at {name}")
+        if any(third) or any(first[s] != x for s, x in zip(star, second)):
+            raise ValueError("inconsistent linear system")
+        return second
 
     # rows of existing vertices against the new edges
-    b_to_edges: list[list[int]] = []
+    b_to_edges: list[tuple[int, ...]] = []
     for i, name in enumerate(seed.names):
-        sol = solve_row(target(name, weight_balance(seed, name)),
-                        slot3_must_vanish=name if seed.frozen[i] else None)
-        b_to_edges.append(_b2_row(sol, name, edge_names, unfrozen=not seed.frozen[i]))
+        row = read_off(name, weight_balance(seed, name), frozen_row=seed.frozen[i])
+        if not seed.frozen[i]:
+            for x, other in zip(row, edge_names):
+                if x % 2:
+                    raise ValueError(
+                        f"unfrozen entry ({name},{other}) is not integral: {x}/2"
+                    )
+        b_to_edges.append(row)
 
-    # edge rows: old entries by skew-symmetrizability, then edge-edge solves
+    # edge rows: old entries by skew-symmetrizability, then edge-edge entries
     d_edge = datum.d
-    edge_to_old: list[list[int]] = []
+    edge_to_old: list[tuple[int, ...]] = []
     for e in range(r):
         row = []
         for i in range(n):
@@ -349,17 +330,17 @@ def complete_triangle_seed(
             if num % d_edge[e]:
                 raise ValueError(f"({edge_names[e]},{seed.names[i]}) is not half-integral")
             row.append(num // d_edge[e])
-        edge_to_old.append(row)
+        edge_to_old.append(tuple(row))
 
-    edge_to_edge: list[list[int]] = []
+    edge_to_edge: list[tuple[int, ...]] = []
     for e in range(r):
         acc = weight_sum(
             ((c, w) for c, w in zip(edge_to_old[e], seed.weights) if c), 3, datum.rank
         )
-        sol = solve_row(target(edge_names[e], acc), slot3_must_vanish=edge_names[e])
-        if sol[e] != 0:
+        row = read_off(edge_names[e], acc, frozen_row=True)
+        if row[e] != 0:
             raise ValueError(f"edge row {edge_names[e]} hits its own column")
-        edge_to_edge.append(_b2_row(sol, edge_names[e], edge_names, unfrozen=False))
+        edge_to_edge.append(row)
 
     for e in range(r):
         for f in range(r):
@@ -368,8 +349,8 @@ def complete_triangle_seed(
                     f"edge rows disagree at ({edge_names[e]},{edge_names[f]})"
                 )
 
-    b2 = tuple(row + tuple(ext) for row, ext in zip(seed.b2, b_to_edges)) + tuple(
-        tuple(old + new) for old, new in zip(edge_to_old, edge_to_edge)
+    b2 = tuple(row + ext for row, ext in zip(seed.b2, b_to_edges)) + tuple(
+        old + new for old, new in zip(edge_to_old, edge_to_edge)
     )
     mult = seed.mult + d_edge
     if len(set(weights)) != n + r:
@@ -383,16 +364,14 @@ def complete_triangle_seed(
         want = patterns.get(name, (zero, zero, zero))
         if bal != want:
             raise ValueError(f"completed row {name} pairs to {bal}, wanted {want}")
-    return out, CompletionReport(tuple(edge_names), patterns, unique)
+    return out, CompletionReport(tuple(edge_names), patterns)
 
 
-def build_triangle_seed(
-    datum: rd.RootDatum, word: tuple[str, ...] | None = None, weights: dict | None = None
-) -> Seed:
+def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:
     """Word quiver plus completion, using the standard word by default."""
     if word is None:
         word = rd.standard_longest_word(datum)
-    seed = build_bruhat_seed(datum, word, weights)
+    seed = build_bruhat_seed(datum, word)
     done, _ = complete_triangle_seed(datum, seed)
     return done
 

@@ -28,10 +28,6 @@ from fractions import Fraction as Q
 from .seed_core import Exchange, Label, Minor, Seed, arrows
 
 
-def _weights_out(ws):
-    return [list(w) for w in ws]
-
-
 def _ints(values, what: str) -> tuple[int, ...]:
     """values as a tuple, refusing anything but JSON integers."""
     out = tuple(values)
@@ -65,12 +61,12 @@ def seed_to_json(seed: Seed) -> dict:
         if label in label_index:
             return label_index[label]
         if isinstance(label, Minor):
-            entry = {"kind": "minor", "weights": _weights_out(label.weights)}
+            entry = {"kind": "minor", "weights": label.weights}
         else:
             entry = {
                 "kind": "exchange",
-                "plus": [[intern(l), e] for l, e in label.plus],
-                "minus": [[intern(l), e] for l, e in label.minus],
+                "plus": [(intern(l), e) for l, e in label.plus],
+                "minus": [(intern(l), e) for l, e in label.minus],
                 "over": intern(label.over),
             }
         idx = len(table)
@@ -87,11 +83,11 @@ def seed_to_json(seed: Seed) -> dict:
             "d": seed.mult[i],
         }
         if seed.weights is not None:
-            v["weights"] = _weights_out(seed.weights[i])
+            v["weights"] = seed.weights[i]
         if seed.labels is not None:
             v["label"] = intern(seed.labels[i])
         vertices.append(v)
-    out = {"vertices": vertices, "b2": [list(row) for row in seed.b2]}
+    out = {"vertices": vertices, "b2": seed.b2}
     if table:
         out["labels"] = table
     return out
@@ -188,7 +184,7 @@ def write_seed(seed: Seed, fh) -> None:
             return ints[x]
         if type(x) is str:
             return json.dumps(x)
-        return _block(map(rows.__getitem__, map(tuple, x)), 3)
+        return _block(map(rows.__getitem__, x), 3)
 
     def entry(obj: dict) -> str:
         # a vertex or a label entry; its keys are seed_to_json's plain names

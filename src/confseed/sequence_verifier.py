@@ -135,17 +135,13 @@ class CheckReport:
 
 
 def verify_s3(
-    seed: Seed,
-    seq: MutationSequence,
-    slot_perm: tuple[int, int, int],
-    *,
-    expect_reversed: bool,
+    seed: Seed, seq: MutationSequence, slot_perm: tuple[int, int, int]
 ) -> CheckReport:
-    """Does the sequence land on the slot-permuted seed (up to arrow flip)?"""
+    """Does the sequence land on the slot-permuted seed with its arrows reversed?"""
     mapping = quiver_isomorphic(
         apply_sequence(seed, seq).final,
         permute_slots(seed, slot_perm),
-        reverse_arrows=expect_reversed,
+        reverse_arrows=True,
     )
     if mapping is None:
         note = f"{seq.name}: final seed does not match the permuted start"

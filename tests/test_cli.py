@@ -9,9 +9,10 @@ Claims covered:
       suites that map vertex names (langlands, triality, reversal) pass;
       the full text and JSON reports equal the pinned files in tests/data
     - export-dot renders a digraph; oracle runs the numeric checks
-    - usage errors (unknown flags, suites, sequences) exit with status 2
+    - usage errors (unknown flags, suites, sequences) exit with status 2;
+      an unknown suite is named without stray quotes
     - domain and file errors exit with status 2 and a one-line message,
-      triangle lists that do not tile the m-gon included
+      triangle lists that do not tile the m-gon and the empty word included
 """
 from __future__ import annotations
 
@@ -142,6 +143,13 @@ class TestVerify:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
 
+    def test_unknown_suite_message_is_unquoted(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--suite", "nope"])
+        assert capsys.readouterr().err.endswith(
+            "confseed: error: unknown suite 'nope'\n"
+        )
+
     def test_oracle_runs(self, capsys):
         code, out = run(capsys, "--rng-seed", "5", "oracle")
         assert code == 0
@@ -191,6 +199,10 @@ class TestExportAndErrors:
     @pytest.mark.parametrize("argv, env_seed, message", [
         (["build", "--type", "x7"], "0", "unsupported type"),
         (["build", "--type", "g2", "--word", "ababa"], "0", "not a reduced word"),
+        (["build", "--type", "g2", "--word", ""], "0",
+         "'' is not a reduced word for w0 of g2"),
+        (["triangle", "--type", "a3", "--word", ""], "0",
+         "'' is not a reduced word for w0 of a3"),
         (["verify", "--suite", "typea-flip"], "x", "CONFSEED_RNG_SEED"),
         (["mutate", "--seed", "missing.json"], "0", "missing.json"),
         (["mutate", "--seed", "empty.json"], "0", "malformed seed data"),
@@ -213,7 +225,8 @@ class TestExportAndErrors:
          "side 1-2 must lie in exactly one triangle"),
         (["polygon", "--type", "a2", "--m", "4",
           "--triangles", "1,2,3;1,2,3"], "0", "(1, 2, 3) is listed twice"),
-    ], ids=["unknown-type", "non-reduced-word", "bad-rng-seed",
+    ], ids=["unknown-type", "non-reduced-word", "empty-word-build",
+            "empty-word-triangle", "bad-rng-seed",
             "missing-seed-file", "empty-seed-object", "unknown-vertex",
             "negative-vertex-label", "negative-exchange-ref",
             "float-weight", "string-weight", "bool-weight",

@@ -6,8 +6,11 @@ Claims covered:
     - non-reduced and non-longest words are rejected
     - word-quiver rows at inner vertices are balanced; row weights follow
       the partial products of the word
-    - triangle completion adds one edge vertex per letter class, matches
-      the frozen tables, and certifies its linear systems unique
+    - triangle completion adds one edge vertex per letter class and matches
+      the frozen tables; the arrows it reads off equal the reference solver's
+      solution of each row's edge-weight system, whose kernel is empty
+    - completion refuses swapped word-vertex weights with the message of the
+      first check they fail
     - the sl4 start-edge imbalances equal the three frozen vectors
     - reverse_word_seed is the slot-swapped, arrow-reversed standard seed
     - names are literal up to a9 and distinct from a10 on; word vertices are
@@ -16,11 +19,13 @@ Claims covered:
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import pytest
 
 from confseed import golden
+from confseed.linalg import solve_with_kernel
 from confseed.root_data import (
     parse_word,
     root_datum,
@@ -42,9 +47,12 @@ from confseed.seed_core import (
     permute_slots,
     quiver_isomorphic,
     weight_balance,
+    weight_sum,
 )
 
 from seed_checks import assert_face_equations, is_balanced
+
+TABLED_KINDS = [f"a{n}" for n in range(1, 13)] + ["g2", "d4"]
 
 WORD_TABLES = (
     ("a3", golden.ARROWS_A3_WORD),
@@ -120,13 +128,52 @@ class TestTriangleCompletion:
             assert _arrowset(seed) == _goldenset(table), kind
 
     def test_completion_unique(self):
+        # uniqueness itself: test_read_off_matches_the_reference_solver
         for kind in ("a2", "a3", "g2", "d4"):
             datum = root_datum(kind)
             word_seed = build_bruhat_seed(datum, standard_longest_word(datum))
             seed, report = complete_triangle_seed(datum, word_seed)
-            assert report.unique
             assert set(report.edge_names) <= set(seed.names)
             assert len(report.edge_names) == datum.rank
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["standard", "reversed"])
+    @pytest.mark.parametrize("kind", TABLED_KINDS)
+    def test_read_off_matches_the_reference_solver(self, kind, reverse):
+        # each row's entries at the edge vertices solve the stacked system
+        # (edge weights) x = pattern - (balance over the other columns)
+        datum = root_datum(kind)
+        word = standard_longest_word(datum)
+        if reverse:
+            word = tuple(reversed(word))
+        seed, report = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
+        edges = [seed.index(nm) for nm in report.edge_names]
+        others = [j for j in range(seed.size) if j not in edges]
+        columns = [[c for w in seed.weights[e] for c in w] for e in edges]
+        matrix = [list(row) for row in zip(*columns)]
+        zero = ((0,) * datum.rank,) * 3
+        for i, name in enumerate(seed.names):
+            rest = ((seed.b2[i][j], seed.weights[j]) for j in others)
+            target = weight_sum(
+                ((1, report.patterns.get(name, zero)), (-1, weight_sum(rest, 3, datum.rank))),
+                3, datum.rank,
+            )
+            sol, kernel = solve_with_kernel(matrix, [c for w in target for c in w])
+            assert kernel == [], name
+            assert [seed.b2[i][e] for e in edges] == sol, name
+
+    @pytest.mark.parametrize("kind, first, second, message", [
+        ("a2", "x_20", "x_21", "inconsistent linear system"),
+        ("g2", "x_a1", "x_a2", "inconsistent linear system"),
+        ("a2", "x_10", "x_20", "third-corner component obstructs completion at x_10"),
+    ])
+    def test_swapped_word_weights_rejected(self, kind, first, second, message):
+        datum = root_datum(kind)
+        word = standard_longest_word(datum)
+        weights = dict(word_vertex_weights(datum, word))
+        weights[first], weights[second] = weights[second], weights[first]
+        seed = build_bruhat_seed(datum, word, weights)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            complete_triangle_seed(datum, seed)
 
     def test_g2_weights_and_rows(self):
         seed = build_triangle_seed(root_datum("g2"))

@@ -128,18 +128,15 @@ class TestApplySequence:
 class TestTranspositions:
     def test_swap13(self):
         seqs = builtin_sequences()
-        assert verify_s3(G2_TRI, seqs["g2_swap13"], (2, 1, 0),
-                         expect_reversed=True).passed
+        assert verify_s3(G2_TRI, seqs["g2_swap13"], (2, 1, 0)).passed
 
     def test_swap23(self):
         seqs = builtin_sequences()
-        assert verify_s3(G2_TRI, seqs["g2_swap23"], (0, 2, 1),
-                         expect_reversed=True).passed
+        assert verify_s3(G2_TRI, seqs["g2_swap23"], (0, 2, 1)).passed
 
     def test_swap12_composite(self):
         seqs = builtin_sequences()
-        assert verify_s3(G2_TRI, seqs["g2_swap12"], (1, 0, 2),
-                         expect_reversed=True).passed
+        assert verify_s3(G2_TRI, seqs["g2_swap12"], (1, 0, 2)).passed
 
     def test_swap12_reaches_the_reversed_word(self):
         datum = root_datum("g2")
@@ -148,8 +145,7 @@ class TestTranspositions:
 
     def test_wrong_permutation_fails(self):
         seqs = builtin_sequences()
-        assert not verify_s3(G2_TRI, seqs["g2_swap13"], (0, 2, 1),
-                             expect_reversed=True).passed
+        assert not verify_s3(G2_TRI, seqs["g2_swap13"], (0, 2, 1)).passed
 
 
 class TestFlips:
