@@ -14,7 +14,7 @@ from itertools import compress
 
 from . import root_data as rd
 from .linalg import det, mat_mul
-from .seed_core import Exchange, Label, Minor, Seed, matches_under, mutate, x_from_a
+from .seed_core import Label, Minor, Seed, matches_under, mutate, x_from_a
 
 Flag = tuple  # n x n matrix, rows first
 
@@ -104,30 +104,38 @@ def evaluatable(weights, n: int) -> bool:
         return False
 
 
-def evaluate_label(label: Label, flags, cache=None) -> Q:
-    if cache is None:
-        cache = {}
-    if label in cache:
-        return cache[label]
+def evaluate_label(label: Label, flags) -> Q:
+    """The value of a label on a tuple of flags.
+
+    Each label node keeps its last (flags, value) pair in its ``memo`` cell
+    and returns the stored value when it is given the very same flags object
+    again (``is``, not ``==``), so evaluating a DAG, or every label of a seed
+    and then those of a mutated seed, computes each distinct node once.  The
+    memo is keyed by identity, so flags must be immutable: tuples of row
+    tuples, as every flag producer here returns.  The cell holds the flags
+    alive, so their identity is not reused while the value is stored.
+    """
+    memo = label.memo
+    if memo[0] is flags:
+        return memo[1]
     if isinstance(label, Minor):
         val = wedge_invariant(degrees_of(label.weights), flags)
     else:
         plus = Q(1)
         for l, e in label.plus:
-            plus *= evaluate_label(l, flags, cache) ** e
+            plus *= evaluate_label(l, flags) ** e
         minus = Q(1)
         for l, e in label.minus:
-            minus *= evaluate_label(l, flags, cache) ** e
-        val = (plus + minus) / evaluate_label(label.over, flags, cache)
-    cache[label] = val
+            minus *= evaluate_label(l, flags) ** e
+        val = (plus + minus) / evaluate_label(label.over, flags)
+    memo[0], memo[1] = flags, val
     return val
 
 
 def seed_values(seed: Seed, flags) -> dict[str, Q]:
     if seed.labels is None:
         raise ValueError("seed carries no labels")
-    cache = {}
-    return {nm: evaluate_label(l, flags, cache) for nm, l in zip(seed.names, seed.labels)}
+    return {nm: evaluate_label(l, flags) for nm, l in zip(seed.names, seed.labels)}
 
 
 # == identity checks ==
@@ -141,24 +149,23 @@ def check_exchange(seed: Seed, at: str, flags) -> Q:
     the new vertex's label tree, which exercises the evaluation machinery
     and the bookkeeping of the mutated seed.
     """
-    cache = {}
     k = seed.index(at)
-    a_k = evaluate_label(seed.labels[k], flags, cache)
+    a_k = evaluate_label(seed.labels[k], flags)
     stepped = mutate(seed, at)
     n = len(flags[0])
     if evaluatable(stepped.weight(at), n):
         a_new = wedge_invariant(degrees_of(stepped.weight(at)), flags)
     else:
-        a_new = evaluate_label(stepped.labels[k], flags, cache)
+        a_new = evaluate_label(stepped.labels[k], flags)
     row = seed.b2[k]
     plus = Q(1)
     minus = Q(1)
     for j in compress(range(seed.size), row):
         e = row[j] // 2
         if e > 0:
-            plus *= evaluate_label(seed.labels[j], flags, cache) ** e
+            plus *= evaluate_label(seed.labels[j], flags) ** e
         elif e < 0:
-            minus *= evaluate_label(seed.labels[j], flags, cache) ** (-e)
+            minus *= evaluate_label(seed.labels[j], flags) ** (-e)
     return a_k * a_new - (plus + minus)
 
 

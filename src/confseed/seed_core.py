@@ -24,6 +24,18 @@ label recording which function on the configuration space it denotes: either
 an atomic wedge invariant (Minor) or an exchange tree (Exchange).  Weights are
 int tuples and weight balances are doubled like b2; only b = b2/2, arrow
 multiplicities and X-values are Fractions.
+
+Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006).  ``Minor(weights)`` and ``Exchange(plus, minus, over)``
+look their fields up in one intern table and return the label already stored
+there, so structurally equal labels are one object.  Equality and hashing are
+therefore the object defaults, identity in O(1), although mutation makes the
+trees grow exponentially in depth: the cost follows the DAG of distinct
+nodes, which grows by at most one node per mutation.  The table is a
+``WeakValueDictionary``; a label leaves it once no seed or label refers to
+it.  Labels are immutable, apart from one ``memo`` cell, a two-item list in
+which an evaluator may keep its last result; the cell takes no part in what
+the label denotes.
 """
 from __future__ import annotations
 
@@ -31,40 +43,91 @@ from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from itertools import compress
 from math import gcd
+from weakref import WeakValueDictionary
 
 from .root_data import Weight
 
 # == labels ==
 
+# the intern table: weight tuple -> Minor, (plus, minus, over) -> Exchange.
+# The two key shapes never compare equal, since an Exchange key ends in a
+# label and a weight tuple ends in a weight.
+_LABELS: WeakValueDictionary = WeakValueDictionary()
 
-@dataclass(frozen=True)
-class Minor:
+
+class _Label:
+    __slots__ = ("memo", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _intern(cls, key, **fields):
+    """The label stored under key, made from fields on first request."""
+    label = _LABELS.get(key)
+    if label is None:
+        label = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(label, name, value)
+        object.__setattr__(label, "memo", [None, None])
+        _LABELS[key] = label
+    return label
+
+
+class Minor(_Label):
     """An atomic invariant, determined by its weight tuple alone."""
 
-    weights: tuple[Weight, ...]
+    __slots__ = ("weights",)
+
+    def __new__(cls, weights: tuple[Weight, ...]):
+        return _intern(cls, weights, weights=weights)
+
+    def __repr__(self):
+        return f"Minor(weights={self.weights!r})"
 
 
-@dataclass(frozen=True)
-class Exchange:
+class Exchange(_Label):
     """(plus + minus) / over, each side a monomial in other labels."""
 
-    plus: tuple[tuple["Label", int], ...]
-    minus: tuple[tuple["Label", int], ...]
-    over: "Label"
+    __slots__ = ("plus", "minus", "over")
+
+    def __new__(cls, plus: tuple[tuple["Label", int], ...],
+                minus: tuple[tuple["Label", int], ...], over: "Label"):
+        return _intern(cls, (plus, minus, over), plus=plus, minus=minus, over=over)
+
+    def __repr__(self):
+        return f"Exchange(plus={self.plus!r}, minus={self.minus!r}, over={self.over!r})"
 
 
 Label = Minor | Exchange
 
 
-def map_label_weights(label: Label, fn) -> Label:
-    """Apply fn to every weight tuple inside a label tree."""
-    if isinstance(label, Minor):
-        return Minor(fn(label.weights))
-    return Exchange(
-        tuple((map_label_weights(l, fn), e) for l, e in label.plus),
-        tuple((map_label_weights(l, fn), e) for l, e in label.minus),
-        map_label_weights(label.over, fn),
-    )
+def map_label_weights(labels: tuple[Label, ...], fn) -> tuple[Label, ...]:
+    """Apply fn to every weight tuple inside the labels.
+
+    Each distinct node is mapped once per call, so subtrees shared within
+    and across the labels stay shared in the result.
+    """
+    done: dict[Label, Label] = {}
+
+    def walk(label: Label) -> Label:
+        out = done.get(label)
+        if out is None:
+            if isinstance(label, Minor):
+                out = Minor(fn(label.weights))
+            else:
+                out = Exchange(
+                    tuple((walk(l), e) for l, e in label.plus),
+                    tuple((walk(l), e) for l, e in label.minus),
+                    walk(label.over),
+                )
+            done[label] = out
+        return out
+
+    return tuple(map(walk, labels))
 
 
 # == the seed ==
@@ -321,17 +384,17 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
     new_weights = tuple(pw(ws) for ws in seed.weights)
     new_labels = seed.labels
     if seed.labels is not None:
-        new_labels = tuple(map_label_weights(l, pw) for l in seed.labels)
+        new_labels = map_label_weights(seed.labels, pw)
     return replace(seed, weights=new_weights, labels=new_labels)
 
 
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     """The dual seed: b'[i][j] = -b[i][j]*d[j]/d[i], d'_i = max(d)/d_i.
 
-    ``weight_map`` transposes a weight to the dual weight lattice; the dual
-    vertex weight is weight_map(w) / d_v.  Simply-laced seeds may omit it
-    (weights carry over unchanged).  Labels do not transport; they are
-    dropped.
+    ``weight_map`` transposes a weight to the dual weight lattice and returns
+    an int tuple; the dual vertex weight is weight_map(w) / d_v.
+    Simply-laced seeds may omit it (weights carry over unchanged).  Labels
+    do not transport; they are dropped.
     """
     dmax = max(seed.mult)
     if any(dmax % d for d in seed.mult):
@@ -355,16 +418,23 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
             if dmax != 1:
                 raise ValueError("weight_map required unless simply laced")
         else:
+            # each distinct (weight, d) pair is mapped once; with d = 1 the
+            # image is the dual weight itself
+            dual: dict[tuple, Weight] = {}
             rows = []
-            for v in range(seed.size):
-                d = seed.mult[v]
-                ws = []
-                for w in seed.weights[v]:
-                    img = weight_map(w)
-                    if any(c % d for c in img):
-                        raise ValueError(f"dual weight not integral at {seed.names[v]}")
-                    ws.append(tuple(c // d for c in img))
-                rows.append(tuple(ws))
+            for v, (d, ws) in enumerate(zip(seed.mult, seed.weights)):
+                row = []
+                for w in ws:
+                    img = dual.get((w, d))
+                    if img is None:
+                        img = weight_map(w)
+                        if d != 1:
+                            if any(c % d for c in img):
+                                raise ValueError(f"dual weight not integral at {seed.names[v]}")
+                            img = tuple(c // d for c in img)
+                        dual[w, d] = img
+                    row.append(img)
+                rows.append(tuple(row))
             new_weights = tuple(rows)
     return replace(
         seed, mult=new_mult, b2=tuple(new_b2), weights=new_weights, labels=None

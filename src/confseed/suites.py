@@ -107,10 +107,12 @@ def suite_builders(rng=None) -> list[CheckReport]:
         ))
 
     tri_tables = (("a3", golden.ARROWS_A3_TRIANGLE), ("g2", golden.ARROWS_G2_TRIANGLE))
+    triangles = {}
     for kind, table in tri_tables:
         datum = rd.root_datum(kind)
         word_seed = build_bruhat_seed(datum, rd.standard_longest_word(datum))
         seed, _ = complete_triangle_seed(datum, word_seed)
+        triangles[kind] = seed
         problems = []
         if _arrowset(seed) != _golden_arrowset(table):
             problems.append("completed arrow table differs from the frozen quiver")
@@ -119,10 +121,7 @@ def suite_builders(rng=None) -> list[CheckReport]:
             "arrows match and the completion is certified unique",
         ))
 
-    datum = rd.root_datum("g2")
-    seed, _ = complete_triangle_seed(
-        datum, build_bruhat_seed(datum, rd.standard_longest_word(datum))
-    )
+    seed = triangles["g2"]
     problems = _golden_row_problems(seed, golden.G2_TRIANGLE_ROWS, "row")
     if {n: seed.weight(n) for n in seed.names} != dict(golden.G2_TRIANGLE_WEIGHTS):
         problems.append("weight triples differ from the frozen table")
@@ -143,7 +142,7 @@ def suite_builders(rng=None) -> list[CheckReport]:
         f"{quad.size} vertices, rows and weights match exactly",
     ))
 
-    tri4 = build_triangle_seed(rd.root_datum("a3"))
+    tri4 = triangles["a3"]
     problems = []
     for name, want in golden.SL4_START_SUMS.items():
         doubled = tuple(tuple(2 * c for c in w) for w in want)

@@ -123,7 +123,7 @@ def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str)
     weights = tuple(embed(ws) for ws in seed.weights)
     labels = None
     if seed.labels is not None:
-        labels = tuple(map_label_weights(l, embed) for l in seed.labels)
+        labels = map_label_weights(seed.labels, embed)
     b2 = seed.b2
     if _parity(order):
         b2 = tuple(tuple(-x for x in row) for row in b2)
@@ -173,16 +173,19 @@ def amalgamate(a: Seed, b: Seed, pairs) -> Seed:
         frozen[i] = False
     total = a.size + len(keep)
     pad = (0,) * len(keep)
-    big = [list(row + pad) for row in a.b2] + [[0] * total for _ in keep]
+    # rows of a that b does not write stay tuples; spot is one-to-one, so
+    # each row b writes is unpacked once
+    big = [row + pad for row in a.b2] + [(0,) * total] * len(keep)
     for i, row in enumerate(b.b2):
-        out = big[spot[i]]
+        out = list(big[spot[i]])
         for j in compress(range(b.size), row):
             out[spot[j]] += row[j]
+        big[spot[i]] = tuple(out)
     return Seed(
         glue(a.names, b.names),
         glue(tuple(frozen), b.frozen),
         glue(a.mult, b.mult),
-        tuple(map(tuple, big)),
+        tuple(big),
         glue(a.weights, b.weights),
         glue(a.labels, b.labels),
     )

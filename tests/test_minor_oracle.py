@@ -14,6 +14,8 @@ Claims covered:
     - the five-step walk on a unit pair swaps the pair on the nose
     - the twisted shift matches rotated minors up to the computed central
       sign, and the shear torus moves only the glued edge coordinates
+    - the per-node value memo computes each distinct minor once along a
+      60-step walk, and alternating flags give the tree evaluator's values
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import pytest
 import confseed.minor_oracle as mo
 from confseed.root_data import root_datum
 from confseed.seed_builder import build_triangle_seed
-from confseed.seed_core import Minor, Seed, mutate
+from confseed.seed_core import Exchange, Minor, Seed, mutate
 from confseed.suites import suite_oracle
 from confseed.surface_glue import build_conf_m_seed
 
@@ -286,3 +288,72 @@ class TestShear:
         ratios = mo.check_shear_action(QUAD3, flags, h)
         faces = [nm for nm in ratios if not nm.startswith("x_0")]
         assert any(ratios[nm] != 1 for nm in faces)
+
+
+# == 6. the per-node value memo ==============================================
+
+CYCLE = ("x_01", "x_02", "x_11")
+
+
+def _tree_value(label, flags, cache):
+    """Evaluation with a per-call dict cache and no memo: the reference."""
+    if label not in cache:
+        if isinstance(label, Minor):
+            cache[label] = mo.wedge_invariant(mo.degrees_of(label.weights), flags)
+        else:
+            plus = minus = Q(1)
+            for l, e in label.plus:
+                plus *= _tree_value(l, flags, cache) ** e
+            for l, e in label.minus:
+                minus *= _tree_value(l, flags, cache) ** e
+            cache[label] = (plus + minus) / _tree_value(label.over, flags, cache)
+    return cache[label]
+
+
+def _minors(labels):
+    """The distinct Minor nodes reachable from the labels."""
+    seen, stack = set(), list(labels)
+    while stack:
+        label = stack.pop()
+        if label not in seen:
+            seen.add(label)
+            if isinstance(label, Exchange):
+                stack.extend(l for l, _ in label.plus + label.minus)
+                stack.append(label.over)
+    return {l for l in seen if isinstance(l, Minor)}
+
+
+class TestMemo:
+    def test_each_minor_is_computed_once_along_a_walk(self, monkeypatch):
+        seeds = [QUAD4]
+        for d in range(60):
+            seeds.append(mutate(seeds[-1], CYCLE[d % 3]))
+        minors = _minors(l for seed in seeds[1:] for l in seed.labels)
+        calls = []
+        wedge = mo.wedge_invariant
+
+        def counted(degrees, flags):
+            calls.append(degrees)
+            return wedge(degrees, flags)
+
+        monkeypatch.setattr(mo, "wedge_invariant", counted)
+        flags = mo.random_flags(random.Random(60), 4, 4)
+        values = [mo.seed_values(seed, flags) for seed in seeds[1:]]
+        assert 0 < len(calls) <= len(minors)
+        monkeypatch.undo()
+        for seed, got in zip(seeds[1:], values):
+            assert got == {
+                nm: _tree_value(l, flags, {}) for nm, l in zip(seed.names, seed.labels)
+            }
+
+    def test_alternating_flags_match_the_tree_evaluator(self):
+        rng = random.Random(62)
+        seed = QUAD4
+        for d in range(12):
+            seed = mutate(seed, CYCLE[d % 3])
+        label = seed.labels[seed.index(CYCLE[11 % 3])]
+        a, b = mo.random_flags(rng, 4, 4), mo.random_flags(rng, 4, 4)
+        want = {id(f): _tree_value(label, f, {}) for f in (a, b)}
+        assert want[id(a)] != want[id(b)]
+        for flags in (a, b, a):
+            assert mo.evaluate_label(label, flags) == want[id(flags)]

@@ -13,6 +13,9 @@ Claims covered:
       broken ones, an arrow added where none was included
     - every weight coordinate is an int, through building, gluing,
       mutation, duality and a save/load round trip
+    - labels are hash-consed: equal labels are one immutable object, a
+      save/load round trip returns the saved objects, and along the SL4
+      4-gon's cyclic walk the label table grows by one entry per step
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from confseed.seed_core import (
     x_from_a,
 )
 from confseed.seed_builder import build_triangle_seed
-from confseed.seed_io import load_seed, save_seed
+from confseed.seed_io import load_seed, save_seed, seed_from_json, seed_to_json
 from confseed.surface_glue import build_conf_m_seed
 
 from seed_checks import assert_face_equations, is_balanced
@@ -438,3 +441,65 @@ class TestWeightType:
             coords = _weight_coordinates(seed)
             assert coords
             assert all(type(c) is int for c in coords), seed
+
+
+# == 7. hash-consed labels ===================================================
+
+# the SL4 4-gon's cyclic walk, whose label trees double about every step
+CYCLE = ("x_01", "x_02", "x_11")
+
+
+def _cyclic_walk(steps):
+    """The SL4 4-gon and the seeds after 1..steps mutations along CYCLE."""
+    seed = build_conf_m_seed(root_datum("a3"), 4)
+    seeds = [seed]
+    for d in range(steps):
+        seed = mutate(seed, CYCLE[d % 3])
+        seeds.append(seed)
+    return seeds
+
+
+class TestLabelInterning:
+    def test_equal_minors_are_one_object(self):
+        a = Minor(tuple(tuple([1, 0]) for _ in range(2)))
+        b = Minor(((1, 0), (1, 0)))
+        assert a is b
+        assert Minor(((0, 1), (1, 0))) is not a
+
+    def test_exchange_from_equal_parts_is_one_object(self):
+        def build():
+            x, y, z = (Minor(((i, 0),)) for i in range(3))
+            return Exchange(tuple([(x, 1), (y, 2)]), tuple([(z, 1)]), Minor(((3, 0),)))
+
+        assert build() is build()
+        seed = ZOO[1]
+        at = seed.unfrozen_names()[0]
+        assert all(
+            a is b for a, b in zip(mutate(seed, at).labels, mutate(seed, at).labels)
+        )
+
+    def test_labels_are_immutable(self):
+        minor = Minor(((1, 0), (0, 1)))
+        ex = Exchange(((minor, 1),), (), minor)
+        for label, field in ((minor, "weights"), (ex, "over"), (ex, "plus"), (minor, "other")):
+            with pytest.raises(AttributeError):
+                setattr(label, field, ())
+        with pytest.raises(AttributeError):
+            del minor.weights
+        assert minor.weights == ((1, 0), (0, 1))
+
+    def test_round_trip_returns_the_saved_objects(self):
+        deepest = _cyclic_walk(12)[-1]
+        back = seed_from_json(seed_to_json(deepest))
+        assert back == deepest
+        assert all(a is b for a, b in zip(back.labels, deepest.labels))
+
+    def test_label_table_grows_one_entry_per_step(self):
+        seeds = _cyclic_walk(60)
+        sizes = [len(seed_to_json(s)["labels"]) for s in seeds]
+        assert sizes == [seeds[0].size + d for d in range(61)]
+        assert sizes[12] == 33 and sizes[60] == 81
+        # slot permutations and gluing map each distinct node once
+        rotated = permute_slots(seeds[-1], (1, 2, 3, 0))
+        assert len(seed_to_json(rotated)["labels"]) == 81
+        assert permute_slots(rotated, (3, 0, 1, 2)).labels == seeds[-1].labels
