@@ -10,12 +10,23 @@ Conventions, fixed once and used everywhere:
   satisfy d[i]*C[i][j] == d[j]*C[j][i] and the j-th simple root expands as
   alpha_j = sum_i C[i][j] * omega_i (columns expand roots);
 * a word is a tuple of nodes and acts on weights rightmost letter first.
+
+The longest element w0 is read from the type, never searched for:
+
+* a word is a reduced word for w0 exactly when it has length N, the length
+  of the standard word, and sends rho = (1, ..., 1) to -rho.  W acts simply
+  transitively on the Weyl chambers, so w0 is the only element taking the
+  dominant chamber, which holds rho, to its negative; and a word of length
+  l(w0) = N that represents w0 is reduced (Humphreys, "Reflection Groups
+  and Coxeter Groups", 1990, sections 1.6-1.8).
+* w0 = -iota with iota the diagram involution: i -> n+1-i on a<n>, the
+  identity on g2 and d4 (Bourbaki, "Lie Groups and Lie Algebras",
+  Ch. VI, plates).  So w0(omega_i) = -omega_{iota(i)}.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-
-from .linalg import mat_mul
 
 Weight = tuple  # tuple of ints, fundamental-weight coordinates
 
@@ -38,13 +49,38 @@ class RootDatum:
             raise KeyError(f"unknown node {node!r} for type {self.kind}") from None
 
 
+# The most vertices a built seed may have.  Seed files store b2 densely, so
+# they grow like its square: the g2 128-gon, 1,010 vertices, writes 13.5 MB.
+# The cap admits the a<n> triangles to a42 and the g2 polygons to m = 129.
+MAX_VERTICES = 1024
+
+_KIND = re.compile(r"a[1-9][0-9]*|g2|d4")
+
+
+def vertex_count(kind: str, rank: int, length: int, m: int) -> int:
+    """Vertices of the seed glued over an m-gon, refused above MAX_VERTICES.
+
+    A triangle of rank r and word length N has r + N word vertices and r
+    edge vertices; each of the m - 3 diagonals merges r pairs.
+    """
+    n = (m - 2) * (2 * rank + length) - (m - 3) * rank
+    if n > MAX_VERTICES:
+        shape = "triangle" if m == 3 else f"{m}-gon"
+        raise ValueError(
+            f"the {kind} {shape} seed has {n} vertices, over the cap of {MAX_VERTICES}"
+        )
+    return n
+
+
 def root_datum(kind: str) -> RootDatum:
-    """Return the root datum for "a<n>", "g2" or "d4"."""
+    """Return the root datum for "a<n>" (ASCII digits, no leading zero), "g2"
+    or "d4", in any case; a rank over the vertex cap is refused first."""
     kind = kind.lower()
-    if kind.startswith("a") and kind[1:].isdigit():
+    if not _KIND.fullmatch(kind):
+        raise ValueError(f"unsupported type {kind!r}")
+    if kind.startswith("a"):
         n = int(kind[1:])
-        if n < 1:
-            raise ValueError(f"bad rank in {kind!r}")
+        vertex_count(kind, n, n * (n + 1) // 2, 3)  # N = |positive roots of A_n|
         nodes = tuple(str(i) for i in range(1, n + 1))
         cartan = tuple(
             tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
@@ -53,17 +89,15 @@ def root_datum(kind: str) -> RootDatum:
         return RootDatum(kind, nodes, cartan, (1,) * n)
     if kind == "g2":
         return RootDatum("g2", ("a", "b"), ((2, -3), (-1, 2)), (1, 3))
-    if kind == "d4":
-        # central node "b", outer nodes "a1","a2","a3"
-        nodes = ("a1", "a2", "a3", "b")
-        cartan = (
-            (2, 0, 0, -1),
-            (0, 2, 0, -1),
-            (0, 0, 2, -1),
-            (-1, -1, -1, 2),
-        )
-        return RootDatum("d4", nodes, cartan, (1, 1, 1, 1))
-    raise ValueError(f"unsupported type {kind!r}")
+    # central node "b", outer nodes "a1","a2","a3"
+    nodes = ("a1", "a2", "a3", "b")
+    cartan = (
+        (2, 0, 0, -1),
+        (0, 2, 0, -1),
+        (0, 0, 2, -1),
+        (-1, -1, -1, 2),
+    )
+    return RootDatum("d4", nodes, cartan, (1, 1, 1, 1))
 
 
 def zero_weight(datum: RootDatum) -> Weight:
@@ -120,58 +154,7 @@ def dynkin_neighbors(datum: RootDatum, node: str) -> tuple[str, ...]:
     )
 
 
-# == reduced words and the longest element ==
-
-def _reflection_on_roots(datum: RootDatum, j: int) -> list[list[int]]:
-    """Matrix of s_j in simple-root coordinates: S_j = I - e_j (row j of C)."""
-    n = datum.rank
-    mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for c in range(n):
-        mat[j][c] -= datum.cartan[j][c]
-    return mat
-
-
-def is_reduced(datum: RootDatum, word: tuple[str, ...]) -> bool:
-    """True when no shorter word represents the same Weyl group element."""
-    n = datum.rank
-    cur = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for node in word:
-        j = datum.index(node)
-        # column j of cur is the image of alpha_j; length goes up iff positive
-        col = [cur[r][j] for r in range(n)]
-        if any(c < 0 for c in col):
-            return False
-        cur = mat_mul(cur, _reflection_on_roots(datum, j))
-    return True
-
-
-def positive_roots(datum: RootDatum) -> frozenset[tuple[int, ...]]:
-    """All positive roots, in simple-root coordinates."""
-    n = datum.rank
-    refl = [_reflection_on_roots(datum, j) for j in range(n)]
-    roots = {tuple(1 if k == i else 0 for k in range(n)) for i in range(n)}
-    frontier = set(roots)
-    while frontier:
-        fresh = set()
-        for r in frontier:
-            for j in range(n):
-                img = tuple(
-                    sum(refl[j][p][q] * r[q] for q in range(n)) for p in range(n)
-                )
-                if all(c >= 0 for c in img) and img not in roots:
-                    fresh.add(img)
-        roots |= fresh
-        frontier = fresh
-    return frozenset(roots)
-
-
-def positive_root_count(datum: RootDatum) -> int:
-    return len(positive_roots(datum))
-
-
-def is_longest_word(datum: RootDatum, word: tuple[str, ...]) -> bool:
-    return len(word) == positive_root_count(datum) and is_reduced(datum, word)
-
+# == the longest element ==
 
 def standard_longest_word(datum: RootDatum) -> tuple[str, ...]:
     """A fixed reduced word for the longest element of each supported type."""
@@ -182,22 +165,28 @@ def standard_longest_word(datum: RootDatum) -> tuple[str, ...]:
         return tuple(out)
     if datum.kind == "g2":
         return ("b", "a") * 3
-    if datum.kind == "d4":
-        return ("b", "a1", "a2", "a3") * 3
-    raise ValueError(f"no standard longest word for {datum.kind!r}")
+    return ("b", "a1", "a2", "a3") * 3
+
+
+def is_longest_word(datum: RootDatum, word: tuple[str, ...]) -> bool:
+    """True when word is a reduced word for w0: length N and rho -> -rho."""
+    if len(word) != len(standard_longest_word(datum)):
+        return False
+    rho = (1,) * datum.rank
+    return apply_word(datum, word, rho) == scale_weight(-1, rho)
 
 
 def w0_on_weight(datum: RootDatum, w: Weight) -> Weight:
-    return apply_word(datum, standard_longest_word(datum), w)
+    """w0(w) = -iota(w): minus w with its coordinates permuted by iota."""
+    if datum.kind.startswith("a"):
+        w = reversed(w)
+    return tuple(-c for c in w)
 
 
 def w0_dual(datum: RootDatum, node: str) -> str:
-    """The node i* with w0(omega_i) = -omega_{i*}."""
-    img = w0_on_weight(datum, fundamental_weight(datum, node))
-    for j, nm in enumerate(datum.nodes):
-        if img == tuple(-int(k == j) for k in range(datum.rank)):
-            return nm
-    raise ValueError(f"w0(omega_{node}) is not minus a fundamental weight: {img}")
+    """The node i* = iota(i), with w0(omega_i) = -omega_{i*}."""
+    i = datum.index(node)
+    return datum.nodes[-1 - i] if datum.kind.startswith("a") else node
 
 
 # == words as strings, and D4 folding ==

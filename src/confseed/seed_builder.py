@@ -148,10 +148,8 @@ def word_vertex_weights(datum: rd.RootDatum, word: tuple[str, ...]):
             per = lambda node, occ: _a_n_weights(datum, node, occ)
         elif datum.kind == "g2":
             per = lambda node, occ: _g2_weights(datum, node, occ)
-        elif datum.kind == "d4":
-            per = lambda node, occ: _d4_weights(datum, node, occ)
         else:
-            return None
+            per = lambda node, occ: _d4_weights(datum, node, occ)
         out = {}
         for node in datum.nodes:
             r = std.count(node)

@@ -35,12 +35,13 @@ class Triangulation:
 
     def __post_init__(self):
         m = self.m
+        listed = Counter(self.triangles)
         for tri in self.triangles:
             if tuple(sorted(tri)) != tri:
                 raise ValueError(f"triangle {tri} must be listed ascending")
             if not all(1 <= c <= m for c in tri):
                 raise ValueError(f"triangle {tri} outside 1..{m}")
-            if self.triangles.count(tri) > 1:
+            if listed[tri] > 1:
                 raise ValueError(f"triangle {tri} is listed twice")
         if len(self.triangles) != m - 2:
             raise ValueError("an m-gon triangulation has m-2 triangles")
@@ -239,8 +240,10 @@ def build_conf_m_seed(
 
     The default four-point seed (fan triangulation, default orders) renames
     its vertices x_0a, x_1a, x_-1a, y_a, ... with positive occurrences in the
-    first triangle; other shapes keep their "t<k>." prefixes.
+    first triangle; other shapes keep their "t<k>." prefixes.  An m whose
+    seed would exceed rd.MAX_VERTICES is refused before anything is built.
     """
+    rd.vertex_count(datum.kind, datum.rank, len(rd.standard_longest_word(datum)), m)
     tri = triangulation if triangulation is not None else fan_triangulation(m)
     if tri.m != m:
         raise ValueError("triangulation size disagrees with m")

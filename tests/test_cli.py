@@ -198,6 +198,12 @@ class TestExportAndErrors:
 
     @pytest.mark.parametrize("argv, env_seed, message", [
         (["build", "--type", "x7"], "0", "unsupported type"),
+        (["build", "--type", "a01"], "0", "unsupported type 'a01'"),
+        (["triangle", "--type", "a\uff11"], "0", "unsupported type"),
+        (["polygon", "--type", "a\u0663"], "0", "unsupported type"),
+        (["triangle", "--type", "a100000"], "0", "over the cap of 1024"),
+        (["polygon", "--type", "g2", "--m", "1000000000"], "0",
+         "over the cap of 1024"),
         (["build", "--type", "g2", "--word", "ababa"], "0", "not a reduced word"),
         (["build", "--type", "g2", "--word", ""], "0",
          "'' is not a reduced word for w0 of g2"),
@@ -225,7 +231,9 @@ class TestExportAndErrors:
          "side 1-2 must lie in exactly one triangle"),
         (["polygon", "--type", "a2", "--m", "4",
           "--triangles", "1,2,3;1,2,3"], "0", "(1, 2, 3) is listed twice"),
-    ], ids=["unknown-type", "non-reduced-word", "empty-word-build",
+    ], ids=["unknown-type", "leading-zero-rank", "full-width-digit",
+            "arabic-indic-digit", "oversized-rank", "oversized-polygon",
+            "non-reduced-word", "empty-word-build",
             "empty-word-triangle", "bad-rng-seed",
             "missing-seed-file", "empty-seed-object", "unknown-vertex",
             "negative-vertex-label", "negative-exchange-ref",

@@ -6,16 +6,23 @@ Claims covered:
     - standard longest words are reduced and have inversion-set length
     - parse_word round-trips node letters, with digit aliases for d4
     - w0 acts as minus a diagram automorphism (w0_dual)
+    - the closed forms (length and rho for longest words, the diagram
+      involution for w0) agree with the Weyl-group search kept here as
+      the reference: positive-root enumeration and the reducedness test
+    - kinds are canonical and the vertex cap refuses oversized ranks
     - folding d4 words along the triality orbit lands on g2 words
     - the two-node weight dual is an involution exchanging the node roles
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from confseed.linalg import mat_mul
 from confseed.root_data import (
+    MAX_VERTICES,
     RootDatum,
     add_weights,
     apply_word,
@@ -24,9 +31,7 @@ from confseed.root_data import (
     fundamental_weight,
     g2_weight_dual,
     is_longest_word,
-    is_reduced,
     parse_word,
-    positive_root_count,
     reflect,
     root_datum,
     scale_weight,
@@ -53,6 +58,55 @@ def check_symmetrizable(datum: RootDatum) -> None:
 
 def _random_weight(rng: random.Random, datum: RootDatum):
     return tuple(rng.randint(-6, 6) for _ in datum.nodes)
+
+
+# == reference: the Weyl-group search ========================================
+
+def _reflection_on_roots(datum: RootDatum, j: int) -> list[list[int]]:
+    """Matrix of s_j in simple-root coordinates: S_j = I - e_j (row j of C)."""
+    n = datum.rank
+    mat = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for c in range(n):
+        mat[j][c] -= datum.cartan[j][c]
+    return mat
+
+
+def is_reduced(datum: RootDatum, word: tuple[str, ...]) -> bool:
+    """True when no shorter word represents the same Weyl group element."""
+    n = datum.rank
+    cur = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for node in word:
+        j = datum.index(node)
+        # column j of cur is the image of alpha_j; length goes up iff positive
+        col = [cur[r][j] for r in range(n)]
+        if any(c < 0 for c in col):
+            return False
+        cur = mat_mul(cur, _reflection_on_roots(datum, j))
+    return True
+
+
+def positive_roots(datum: RootDatum) -> frozenset[tuple[int, ...]]:
+    """All positive roots, in simple-root coordinates."""
+    n = datum.rank
+    refl = [_reflection_on_roots(datum, j) for j in range(n)]
+    roots = {tuple(1 if k == i else 0 for k in range(n)) for i in range(n)}
+    frontier = set(roots)
+    while frontier:
+        fresh = set()
+        for r in frontier:
+            for j in range(n):
+                img = tuple(
+                    sum(refl[j][p][q] * r[q] for q in range(n)) for p in range(n)
+                )
+                if all(c >= 0 for c in img) and img not in roots:
+                    fresh.add(img)
+        roots |= fresh
+        frontier = fresh
+    return frozenset(roots)
+
+
+def positive_root_count(datum: RootDatum) -> int:
+    return len(positive_roots(datum))
 
 
 # == 1. datum tables ==========================================================
@@ -83,6 +137,26 @@ class TestDatum:
     def test_unknown_kind_rejected(self):
         with pytest.raises((KeyError, ValueError)):
             root_datum("e9")
+
+    @pytest.mark.parametrize("kind", [
+        "a01", "a0", "a", "a\uff11", "a\u0663", "a-1", "a+1", " a1", "a1\n",
+        "g02", "d04", "g3",
+    ])
+    def test_only_canonical_kinds(self, kind):
+        with pytest.raises(ValueError, match="unsupported type"):
+            root_datum(kind)
+
+    def test_case_blind_kinds(self):
+        assert root_datum("A12").kind == "a12"
+        assert root_datum("G2") == root_datum("g2")
+
+    def test_rank_cap(self):
+        # a42's triangle has 2*42 + 903 = 987 vertices, a43's has 1,032
+        assert root_datum("a42").rank == 42
+        with pytest.raises(ValueError, match=f"cap of {MAX_VERTICES}"):
+            root_datum("a43")
+        with pytest.raises(ValueError, match="5000250000 vertices"):
+            root_datum("a100000")
 
 
 # == 2. weights and reflections ==============================================
@@ -171,7 +245,72 @@ class TestWords:
         )
 
 
-# == 4. parsing ==============================================================
+# == 4. closed forms against the search ======================================
+
+def _random_reduced_word(datum: RootDatum, length: int, rng) -> tuple[str, ...]:
+    """A random reduced word of the given length, grown by the reference's
+    ascent test; at length |positive roots| it is a word for w0."""
+    r = datum.rank
+    cur = [[int(i == j) for j in range(r)] for i in range(r)]
+    word = []
+    for _ in range(length):
+        j = rng.choice([j for j in range(r) if all(row[j] >= 0 for row in cur)])
+        word.append(datum.nodes[j])
+        cur = mat_mul(cur, _reflection_on_roots(datum, j))
+    return tuple(word)
+
+
+class TestClosedForms:
+    def test_length_is_positive_root_count(self):
+        for kind in [f"a{r}" for r in range(1, 13)] + ["g2", "d4"]:
+            datum = root_datum(kind)
+            assert len(standard_longest_word(datum)) == positive_root_count(datum)
+
+    @pytest.mark.parametrize("kind", ["a2", "a3", "g2"])
+    def test_rho_test_on_every_word_of_length_n(self, kind):
+        datum = root_datum(kind)
+        n = positive_root_count(datum)
+        words = list(itertools.product(datum.nodes, repeat=n))
+        hits = [w for w in words if is_reduced(datum, w)]
+        assert [w for w in words if is_longest_word(datum, w)] == hits
+        assert len(hits) == {"a2": 2, "a3": 16, "g2": 2}[kind]
+
+    @pytest.mark.parametrize("kind", ["a4", "d4"])
+    def test_rho_test_on_random_words(self, kind):
+        # uniform words are almost never reduced, so every fourth word is a
+        # random reduced word and every eighth one of those has a letter changed
+        datum = root_datum(kind)
+        n = positive_root_count(datum)
+        rng = random.Random(2016)
+        hits = 0
+        for k in range(2000):
+            if k % 4:
+                word = tuple(rng.choice(datum.nodes) for _ in range(n))
+            else:
+                word = _random_reduced_word(datum, n, rng)
+                if k % 8:
+                    at = rng.randrange(n)
+                    word = word[:at] + (rng.choice(datum.nodes),) + word[at + 1:]
+            want = len(word) == n and is_reduced(datum, word)
+            assert is_longest_word(datum, word) == want, word
+            hits += want
+        assert hits >= 250
+
+    def test_diagram_involution_matches_word_action(self):
+        # the word acts linearly with entries far below 2**20, so its value
+        # on the weight with coordinates 2**(20 i) fixes every entry
+        for kind in [f"a{r}" for r in range(1, 33)] + ["g2", "d4"]:
+            datum = root_datum(kind)
+            generic = tuple(1 << (20 * i) for i in range(datum.rank))
+            word = standard_longest_word(datum)
+            assert w0_on_weight(datum, generic) == apply_word(datum, word, generic)
+            for node in datum.nodes:
+                wt = fundamental_weight(datum, node)
+                dual = fundamental_weight(datum, w0_dual(datum, node))
+                assert w0_on_weight(datum, wt) == scale_weight(-1, dual)
+
+
+# == 5. parsing ==============================================================
 
 class TestParseWord:
     def test_type_a_digits(self):
@@ -194,7 +333,7 @@ class TestParseWord:
             parse_word(root_datum("g2"), "abc")
 
 
-# == 5. folding and the two-node dual ========================================
+# == 6. folding and the two-node dual ========================================
 
 class TestFolding:
     def test_standard_word_folds(self):

@@ -16,6 +16,8 @@ Claims covered:
     - names are literal up to a9 and distinct from a10 on; word vertices are
       frozen exactly at occurrence 0 and at their node's last occurrence
     - completion refuses a frozen vertex whose weights are off the edges
+    - an a16 triangle costs at most one simple reflection per letter of
+      its word
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from confseed import golden
+from confseed import golden, root_data
 from confseed.linalg import solve_with_kernel
 from confseed.root_data import (
     parse_word,
@@ -290,3 +292,21 @@ class TestBoundaryPatterns:
         seed = build_bruhat_seed(datum, word, weights)
         with pytest.raises(ValueError, match="off the triangle's edges"):
             complete_triangle_seed(datum, seed)
+
+
+# == 5. cost =================================================================
+
+def test_triangle_build_reflects_once_per_letter(monkeypatch):
+    # the longest-word test is one pass of the word over rho; w0 on weights
+    # and on nodes is the diagram involution, with no reflections at all
+    calls = 0
+    reflect = root_data.reflect
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return reflect(*args)
+
+    monkeypatch.setattr(root_data, "reflect", counting)
+    build_triangle_seed(root_datum("a16"))
+    assert 0 < calls <= 16 * 17 // 2

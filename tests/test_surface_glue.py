@@ -17,6 +17,8 @@ Claims covered:
     - the glued g2 four-point seed equals the frozen tables, and the a3 and
       g2 four-point seeds carry the literal default names
     - glued seeds of every shape stay well-formed and face-balanced
+    - the vertex count from rank, word length and m equals the built size,
+      and an m over the cap is refused before any triangulation is built
 """
 from __future__ import annotations
 
@@ -26,13 +28,13 @@ from itertools import combinations
 import pytest
 
 from confseed import golden, surface_glue
-from confseed.root_data import root_datum
+from confseed.root_data import root_datum, standard_longest_word, vertex_count
 from confseed.seed_core import (
     Seed,
     arrows,
     check_seed,
 )
-from confseed.seed_builder import build_triangle_seed
+from confseed.seed_builder import build_bruhat_seed, build_triangle_seed
 from confseed.sequence_verifier import flip_target
 from confseed.surface_glue import (
     Triangulation,
@@ -366,6 +368,28 @@ class TestPolygonSeeds:
             seed = build_conf_m_seed(datum, m)
             merged = datum.rank * len(fan_triangulation(m).diagonals())
             assert seed.size == (m - 2) * tri.size - merged
+
+    def test_vertex_count_matches_built_sizes(self):
+        for kind in ("a1", "a2", "a3", "a5", "g2", "d4"):
+            datum = root_datum(kind)
+            word = standard_longest_word(datum)
+            assert build_bruhat_seed(datum, word).size == datum.rank + len(word)
+            count = lambda m: vertex_count(kind, datum.rank, len(word), m)
+            assert build_triangle_seed(datum).size == count(3)
+            for m in (3, 4, 5, 7):
+                assert build_conf_m_seed(datum, m).size == count(m), (kind, m)
+
+    def test_oversized_polygon_refused_before_building(self, monkeypatch):
+        def unbuilt(m):
+            raise AssertionError(f"built a triangulation of a {m}-gon")
+
+        monkeypatch.setattr(surface_glue, "fan_triangulation", unbuilt)
+        # g2 has 8m - 14 vertices: 1,018 at m = 129 and 1,026 at m = 130
+        assert vertex_count("g2", 2, 6, 129) == 1018
+        with pytest.raises(ValueError, match="1026 vertices, over the cap of 1024"):
+            build_conf_m_seed(root_datum("g2"), 130)
+        with pytest.raises(ValueError, match="over the cap"):
+            build_conf_m_seed(root_datum("g2"), 10**9)
 
     def test_triangulation_size_must_match(self):
         with pytest.raises(ValueError):
