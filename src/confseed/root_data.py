@@ -79,6 +79,11 @@ def root_datum(kind: str) -> RootDatum:
     if not _KIND.fullmatch(kind):
         raise ValueError(f"unsupported type {kind!r}")
     if kind.startswith("a"):
+        # a rank-r triangle has over r vertices; a rank of ten or more digits
+        # is refused unread, as int() refuses strings of over 4,300 digits
+        if len(kind) > 10:
+            raise ValueError(f"an a<n> rank of {len(kind) - 1} digits is over "
+                             f"the cap of {MAX_VERTICES} vertices")
         n = int(kind[1:])
         vertex_count(kind, n, n * (n + 1) // 2, 3)  # N = |positive roots of A_n|
         nodes = tuple(str(i) for i in range(1, n + 1))

@@ -11,8 +11,10 @@ Seed files look like::
 Weight coordinates, ``b2`` entries and multipliers ``d`` are JSON integers
 (``d`` at least 1), ``frozen`` is a JSON boolean and label exponents are
 positive JSON integers; loading refuses anything else, floats, strings and
-booleans included.  The top-level "labels" table shares repeated subtrees; each vertex
-points into it by index, and an exchange entry only into earlier entries.
+booleans included, as well as a weight list with no slots and weight
+vectors of different lengths.  The top-level "labels" table shares repeated
+subtrees; each vertex points into it by index, and an exchange entry only
+into earlier entries.
 
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline.  It
@@ -49,30 +51,36 @@ def _frozen_in(x) -> bool:
     return x
 
 
-def _weights_in(rows):
-    return tuple(_ints(row, "weight coordinate") for row in rows)
-
-
 def seed_to_json(seed: Seed) -> dict:
     label_index: dict[Label, int] = {}
     table: list[dict] = []
 
     def intern(label: Label) -> int:
-        if label in label_index:
-            return label_index[label]
-        if isinstance(label, Minor):
-            entry = {"kind": "minor", "weights": label.weights}
-        else:
-            entry = {
-                "kind": "exchange",
-                "plus": [(intern(l), e) for l, e in label.plus],
-                "minus": [(intern(l), e) for l, e in label.minus],
-                "over": intern(label.over),
-            }
-        idx = len(table)
-        table.append(entry)
-        label_index[label] = idx
-        return idx
+        # new subtrees are entered first (plus, then minus, then over), each
+        # before its parent; an explicit stack keeps deep labels off the
+        # call stack
+        stack = [label]
+        while stack:
+            top = stack.pop()
+            if top in label_index:
+                continue
+            if isinstance(top, Minor):
+                entry = {"kind": "minor", "weights": top.weights}
+            else:
+                below = [l for l, _ in top.plus + top.minus] + [top.over]
+                new = [l for l in below if l not in label_index]
+                if new:
+                    stack += [top, *reversed(new)]
+                    continue
+                entry = {
+                    "kind": "exchange",
+                    "plus": [(label_index[l], e) for l, e in top.plus],
+                    "minus": [(label_index[l], e) for l, e in top.minus],
+                    "over": label_index[top.over],
+                }
+            label_index[top] = len(table)
+            table.append(entry)
+        return label_index[label]
 
     vertices = []
     for i, name in enumerate(seed.names):
@@ -109,6 +117,17 @@ def _monomial_in(built: list, pairs, what: str):
 
 def seed_from_json(data: dict) -> Seed:
     """Rebuild a seed from its JSON form; raises ValueError on malformed data."""
+    lengths = set()  # of the weight vectors read; a file has one
+
+    def weights_in(rows):
+        out = tuple(_ints(row, "weight coordinate") for row in rows)
+        if not out:
+            raise ValueError("a weight list has no slots")
+        lengths.update(map(len, out))
+        if len(lengths) > 1:
+            raise ValueError(f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
+        return out
+
     try:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
         names = tuple(v["tag"] for v in vertices)
@@ -118,14 +137,14 @@ def seed_from_json(data: dict) -> Seed:
 
         weights = None
         if vertices and "weights" in vertices[0]:
-            weights = tuple(_weights_in(v["weights"]) for v in vertices)
+            weights = tuple(weights_in(v["weights"]) for v in vertices)
 
         labels = None
         if "labels" in data and vertices and "label" in vertices[0]:
             built: list[Label] = []
             for entry in data["labels"]:
                 if entry["kind"] == "minor":
-                    built.append(Minor(_weights_in(entry["weights"])))
+                    built.append(Minor(weights_in(entry["weights"])))
                 else:
                     built.append(
                         Exchange(
@@ -212,7 +231,11 @@ def save_seed(seed: Seed, path) -> None:
 
 def load_seed(path) -> Seed:
     with open(path) as fh:
-        return seed_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("malformed seed data (nested too deeply)") from None
+    return seed_from_json(data)
 
 
 # == DOT ==

@@ -3,20 +3,22 @@
 A triangulated m-gon has marked points 1..m.  Every triangle carries the
 same seed, so one completed triangle seed is built per polygon and embedded
 once per corner order into the m weight slots (slot t of the triangle maps
-to corner order[t]).  Consecutive triangles are then amalgamated along their
-shared diagonals: frozen vertices with equal weight tuples are merged and
-the merged vertex unfreezes (Fock and Goncharov, "Cluster X-varieties,
-amalgamation, and Poisson-Lie groups", 2006).  Diagonals are matched per
-triangle: a diagonal lies in exactly two triangles, so the vertices to merge
-across it are found between those two pieces alone, not by a scan of the
-whole glued seed.  Corner orders are taken counterclockwise; a clockwise
+to corner order[t]).  All the embedded triangles are then amalgamated in one
+pass along their shared diagonals: frozen vertices with equal weight tuples
+are merged and the merged vertex unfreezes (Fock and Goncharov, "Cluster
+X-varieties, amalgamation, and Poisson-Lie groups", 2006).  One b2 is filled
+and the glued seed is checked once, whatever m is.  Diagonals are matched
+per triangle: a diagonal lies in exactly two triangles, so the vertices to
+merge across it are found between those two pieces alone, not by a scan of
+the whole glued seed.  Corner orders are taken counterclockwise; a clockwise
 (odd) order reverses all arrows of that triangle.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, compress, count
+from itertools import accumulate, combinations, compress
 
 from . import root_data as rd
 from .seed_builder import (
@@ -76,12 +78,9 @@ def flip_diagonal(tri: Triangulation, diag) -> Triangulation:
     if d not in tri.diagonals():
         raise ValueError(f"{sorted(diag)} is not a diagonal")
     touching = [t for t in tri.triangles if d <= frozenset(t)]
-    quad = frozenset(touching[0]) | frozenset(touching[1])
-    new_d = quad - d
+    p, q = sorted((frozenset(touching[0]) | frozenset(touching[1])) - d)
     keep = [t for t in tri.triangles if t not in touching]
-    p, q = sorted(new_d)
-    for r in sorted(d):
-        keep.append(tuple(sorted((p, q, r))))
+    keep += [tuple(sorted((p, q, r))) for r in d]
     return Triangulation(tri.m, tuple(sorted(keep)))
 
 
@@ -92,21 +91,12 @@ def default_corner_orders(tri: Triangulation) -> tuple[tuple[int, int, int], ...
     for the triangle on {1,i,i+1}; any other triangulation is taken ascending.
     """
     if tri == fan_triangulation(tri.m):
-        orders = [(1, 2, 3)]
-        for i in range(3, tri.m):
-            orders.append((i, i + 1, 1))
-        return tuple(orders)
+        return ((1, 2, 3),) + tuple((i, i + 1, 1) for i in range(3, tri.m))
     return tri.triangles
 
 
 def _parity(order: tuple[int, int, int]) -> int:
-    inv = sum(
-        1
-        for i in range(3)
-        for j in range(i + 1, 3)
-        if order[i] > order[j]
-    )
-    return inv % 2
+    return sum(a > b for a, b in combinations(order, 2)) % 2
 
 
 def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str) -> Seed:
@@ -137,63 +127,64 @@ def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str)
     )
 
 
-def amalgamate(a: Seed, b: Seed, pairs) -> Seed:
-    """Merge seed b into seed a along pairs of frozen vertices.
+def amalgamate(pieces, pairs) -> Seed:
+    """Glue seeds in one pass along (kept, merged) pairs of frozen vertices.
 
-    Each pair (name_in_a, name_in_b) must agree in multiplier and weight
-    tuple; merged rows add, and the merged vertex unfreezes.  The glued seed
-    lists a's vertices, then b's unmerged ones in their order.
+    The pieces come in placement order.  Each pair keeps a vertex of an
+    earlier piece and merges into it one of a later piece with the same
+    multiplier and weight tuple; merged rows add and the kept vertex
+    unfreezes.  The glued seed lists the pieces' vertices in order less the
+    merged ones, and carries weights and labels when every piece does.
     """
-    if set(a.names) & set(b.names):
+    names = [nm for s in pieces for nm in s.names]
+    where = {nm: g for g, nm in enumerate(names)}
+    if len(where) != len(names):
         raise ValueError("seeds to amalgamate must have disjoint names")
-    partner = {}  # index in b -> index in a
+    starts = list(accumulate((s.size for s in pieces), initial=0))
+
+    def joined(field):
+        parts = [getattr(s, field) for s in pieces]
+        return None if None in parts else [x for part in parts for x in part]
+
+    frozen, mult, weights, labels = map(joined, ("frozen", "mult", "weights", "labels"))
+    into, used = {}, set()  # into: merged vertex -> the vertex kept for it
     for p, q in pairs:
-        ia, ib = a.index(p), b.index(q)
-        if not (a.frozen[ia] and b.frozen[ib]):
-            raise ValueError(f"pair ({p},{q}) must be frozen on both sides")
-        if a.mult[ia] != b.mult[ib]:
-            raise ValueError(f"pair ({p},{q}) has mismatched multipliers")
-        if a.weights is not None and b.weights is not None:
-            if a.weights[ia] != b.weights[ib]:
-                raise ValueError(f"pair ({p},{q}) has mismatched weights")
-        if ib in partner or ia in partner.values():
+        if p not in where or q not in where:
+            raise KeyError(f"no vertex named {p if p not in where else q!r}")
+        i, j = where[p], where[q]
+        if i in used or j in used:
             raise ValueError("pairs must be disjoint")
-        partner[ib] = ia
-
-    keep = [j for j in range(b.size) if j not in partner]
-    fresh = count(a.size)
-    spot = [partner[j] if j in partner else next(fresh) for j in range(b.size)]
-
-    def glue(xs, ys):
-        if xs is None or ys is None:
-            return None
-        return xs + tuple(ys[j] for j in keep)
-
-    frozen = list(a.frozen)
-    for i in partner.values():
+        if not (frozen[i] and frozen[j]):
+            raise ValueError(f"pair ({p},{q}) must be frozen on both sides")
+        if mult[i] != mult[j]:
+            raise ValueError(f"pair ({p},{q}) has mismatched multipliers")
+        if weights is not None and weights[i] != weights[j]:
+            raise ValueError(f"pair ({p},{q}) has mismatched weights")
+        if bisect_right(starts, i) >= bisect_right(starts, j):
+            raise ValueError(f"pair ({p},{q}) must keep a vertex of an earlier piece")
+        into[j] = i
+        used.update((i, j))
         frozen[i] = False
-    total = a.size + len(keep)
-    pad = (0,) * len(keep)
-    # rows of a that b does not write stay tuples; spot is one-to-one, so
-    # each row b writes is unpacked once
-    big = [row + pad for row in a.b2] + [(0,) * total] * len(keep)
-    for i, row in enumerate(b.b2):
-        out = list(big[spot[i]])
-        for j in compress(range(b.size), row):
-            out[spot[j]] += row[j]
-        big[spot[i]] = tuple(out)
-    return Seed(
-        glue(a.names, b.names),
-        glue(tuple(frozen), b.frozen),
-        glue(a.mult, b.mult),
-        tuple(big),
-        glue(a.weights, b.weights),
-        glue(a.labels, b.labels),
-    )
+
+    keep = [g for g in range(len(names)) if g not in into]
+    spot = {g: k for k, g in enumerate(keep)}
+    spot.update((j, spot[i]) for j, i in into.items())
+    b2 = [[0] * len(keep) for _ in keep]
+    for s, start in zip(pieces, starts):
+        for i, row in enumerate(s.b2, start):
+            out = b2[spot[i]]
+            for j in compress(range(s.size), row):
+                out[spot[start + j]] += row[j]
+
+    def listed(xs):
+        return None if xs is None else tuple(xs[g] for g in keep)
+
+    return Seed(*map(listed, (names, frozen, mult)), tuple(map(tuple, b2)),
+                listed(weights), listed(labels))
 
 
 def _support(ws) -> frozenset[int]:
-    return frozenset(t for t, w in enumerate(ws) if any(w))
+    return frozenset(compress(range(len(ws)), map(any, ws)))
 
 
 def diagonal_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
@@ -217,16 +208,6 @@ def diagonal_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
     return pairs
 
 
-def _conf4_rename(datum, seed: Seed) -> Seed:
-    rename = {}
-    for k, second in (("t0.", False), ("t1.", True)):
-        for node, occ in triangle_vertices(datum):
-            rename[k + triangle_name(datum, node, occ)] = four_point_name(
-                datum, node, occ, second=second
-            )
-    return replace(seed, names=tuple(rename[nm] for nm in seed.names))
-
-
 def build_conf_m_seed(
     datum: rd.RootDatum,
     m: int,
@@ -235,8 +216,9 @@ def build_conf_m_seed(
 ) -> Seed:
     """Glue copies of one completed triangle seed over a triangulated m-gon.
 
-    The triangle seed of ``datum`` is built and completed once, then embedded
-    once per corner order and amalgamated along the diagonals.
+    The triangle seed of ``datum`` is built and completed once and embedded
+    once per corner order.  Sweeps over the listed triangles place each that
+    shares a diagonal with one placed; one amalgamate pass glues them.
 
     The default four-point seed (fan triangulation, default orders) renames
     its vertices x_0a, x_1a, x_-1a, y_a, ... with positive occurrences in the
@@ -255,38 +237,27 @@ def build_conf_m_seed(
             raise ValueError(f"corner order {order} does not match triangle {t}")
 
     base = build_triangle_seed(datum)
-    pieces = [
-        embed_triangle(base, order, m, f"t{k}.") for k, order in enumerate(orders)
-    ]
+    pieces = [embed_triangle(base, order, m, f"t{k}.") for k, order in enumerate(orders)]
+    if m == 4 and tri == fan_triangulation(4) and orders == default_corner_orders(tri):
+        vertex = {triangle_name(datum, *v): v for v in triangle_vertices(datum)}
+        pieces = [
+            replace(p, names=tuple(
+                four_point_name(datum, *vertex[nm], second=bool(k)) for nm in base.names
+            ))
+            for k, p in enumerate(pieces)
+        ]
 
     # the triangles of a tiling are joined through its diagonals, so every
-    # sweep places at least one more triangle
-    placed = pieces[0]
-    placed_tris = [0]
-    remaining = list(range(1, len(pieces)))
+    # sweep places at least one more triangle; a diagonal lies in exactly two
+    # triangles, so its pairs are matched between those two pieces alone
+    placed, remaining, pairs = [0], list(range(1, len(pieces))), []
     while remaining:
         for k in list(remaining):
-            shared = []
-            for s in placed_tris:
-                diag = frozenset(tri.triangles[k]) & frozenset(tri.triangles[s])
-                if len(diag) == 2:
-                    shared.append((s, diag))
-            if not shared:
-                continue
-            pairs = []
-            for s, diag in shared:
-                # a diagonal lies in exactly two triangles, so the glued
-                # seed's frozen vertices on it are still piece s's, unmerged
-                # and under the same names
-                pairs.extend(diagonal_pairs(pieces[s], pieces[k], diag))
-            placed = amalgamate(placed, pieces[k], pairs)
-            placed_tris.append(k)
-            remaining.remove(k)
-
-    if (
-        m == 4
-        and tri == fan_triangulation(4)
-        and orders == default_corner_orders(tri)
-    ):
-        placed = _conf4_rename(datum, placed)
-    return placed
+            corners = frozenset(tri.triangles[k])
+            diags = [(s, corners & frozenset(tri.triangles[s])) for s in placed]
+            shared = [(s, d) for s, d in diags if len(d) == 2]
+            if shared:
+                pairs += [p for s, d in shared for p in diagonal_pairs(pieces[s], pieces[k], d)]
+                placed.append(k)
+                remaining.remove(k)
+    return amalgamate([pieces[k] for k in placed], pairs)

@@ -2,7 +2,8 @@
 
 Claims covered:
     - build / triangle / polygon emit valid, deterministic seed JSON, with
-      distinct vertex names for a10, a11 and a12 too
+      distinct vertex names for a10, a11 and a12 too; every file the
+      benchmark's polygons workload writes has its recorded digest
     - mutating twice at one vertex reproduces the input file byte for byte
     - named sequences run from the command line and can dump stage traces
     - verify exits 0 on a passing suite and prints one line per check; the
@@ -16,17 +17,38 @@ Claims covered:
 """
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from confseed.cli import main
-from confseed.seed_io import seed_from_json
+from confseed.seed_io import load_seed, save_seed, seed_from_json
 
 
 # the pinned verify reports; they read the same at rng seeds 0, 7 and 11
 DATA = Path(__file__).parent / "data"
+# the benchmark's polygons workload and the digests of the files it writes,
+# read and never written here
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _polygon_calls() -> dict:
+    """POLYGON_CALLS from perfbench/workloads.py, which imports hostspeed
+    from its own directory."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module.POLYGON_CALLS
 
 
 def run(capsys, *argv):
@@ -73,6 +95,18 @@ class TestBuild:
             seed = seed_from_json(json.loads(out))
             assert len(set(seed.names)) == seed.size, argv
 
+    def test_polygon_workload_files_match_their_digests(self, tmp_path, capsys):
+        calls = _polygon_calls()
+        digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+        assert set(calls) == set(digests)
+        differ = []
+        for key, argv in calls.items():
+            path = tmp_path / "seed.json"
+            assert main([*argv, "--out", str(path)]) == 0, key
+            if hashlib.sha256(path.read_bytes()).hexdigest() != digests[key]:
+                differ.append(key)
+        assert differ == []
+
     def test_bad_word_raises(self, capsys):
         assert main(["build", "--type", "g2", "--word", "ababa"]) == 2
 
@@ -92,6 +126,16 @@ class TestMutate:
                      "--at", "x_a2", "--out", str(dst)])
         assert code == 0
         assert src.read_bytes() == dst.read_bytes()
+
+    def test_deep_labels_write_and_reload(self, tmp_path, capsys):
+        # 1,200 cyclic steps nest labels too deep for a recursive writer
+        src = self._seed_file(tmp_path, "polygon", "--type", "a3", "--m", "4")
+        dst = tmp_path / "deep.json"
+        steps = [a for k in range(1200) for a in ("--at", ("x_01", "x_02", "x_11")[k % 3])]
+        assert main(["mutate", "--seed", str(src), *steps, "--out", str(dst)]) == 0
+        again = tmp_path / "again.json"
+        save_seed(load_seed(dst), again)
+        assert again.read_bytes() == dst.read_bytes()
 
     def test_single_mutation_changes_the_file(self, tmp_path, capsys):
         src = self._seed_file(tmp_path, "triangle", "--type", "g2")
@@ -202,6 +246,8 @@ class TestExportAndErrors:
         (["triangle", "--type", "a\uff11"], "0", "unsupported type"),
         (["polygon", "--type", "a\u0663"], "0", "unsupported type"),
         (["triangle", "--type", "a100000"], "0", "over the cap of 1024"),
+        (["triangle", "--type", "a" + "9" * 5000], "0",
+         "rank of 5000 digits is over the cap of 1024 vertices"),
         (["polygon", "--type", "g2", "--m", "1000000000"], "0",
          "over the cap of 1024"),
         (["build", "--type", "g2", "--word", "ababa"], "0", "not a reduced word"),
@@ -226,20 +272,31 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "float-mult.json"], "0", "multiplier d 1.0"),
         (["mutate", "--seed", "float-exponent.json"], "0",
          "plus exponent 0.5"),
+        (["mutate", "--seed", "no-slots.json", "--at", "x_11"], "0",
+         "a weight list has no slots"),
+        (["export-dot", "--seed", "no-slots.json"], "0",
+         "a weight list has no slots"),
+        (["mutate", "--seed", "ragged-weights.json", "--at", "x_11"], "0",
+         "weight vectors of 2 and 3 coordinates"),
+        (["mutate", "--seed", "deep.json"], "0",
+         "malformed seed data (nested too deeply)"),
         (["polygon", "--type", "a2", "--m", "5",
           "--triangles", "1,2,3;1,3,4;1,2,4"], "0",
          "side 1-2 must lie in exactly one triangle"),
         (["polygon", "--type", "a2", "--m", "4",
           "--triangles", "1,2,3;1,2,3"], "0", "(1, 2, 3) is listed twice"),
     ], ids=["unknown-type", "leading-zero-rank", "full-width-digit",
-            "arabic-indic-digit", "oversized-rank", "oversized-polygon",
+            "arabic-indic-digit", "oversized-rank", "huge-rank",
+            "oversized-polygon",
             "non-reduced-word", "empty-word-build",
             "empty-word-triangle", "bad-rng-seed",
             "missing-seed-file", "empty-seed-object", "unknown-vertex",
             "negative-vertex-label", "negative-exchange-ref",
             "float-weight", "string-weight", "bool-weight",
             "float-b2", "string-b2", "string-frozen", "float-mult",
-            "float-exponent", "non-tiling-triangles", "repeated-triangle"])
+            "float-exponent", "no-slots-mutate", "no-slots-export",
+            "ragged-weights", "deeply-nested-file", "non-tiling-triangles",
+            "repeated-triangle"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
                                            tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -281,3 +338,14 @@ def _write_seed_files(tmp_path):
             node = node[key]
         node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    # every vertex with no slots; a third coordinate on every weight but
+    # vertex 0's, which mutation read past; nesting deeper than json parses
+    no_slots, ragged = json.loads(text), json.loads(text)
+    for v in no_slots["vertices"]:
+        v["weights"] = []
+    for v in ragged["vertices"][1:]:
+        for w in v["weights"]:
+            w.append(1)
+    (tmp_path / "no-slots.json").write_text(json.dumps(no_slots))
+    (tmp_path / "ragged-weights.json").write_text(json.dumps(ragged))
+    (tmp_path / "deep.json").write_text("[" * 100000)

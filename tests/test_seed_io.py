@@ -7,6 +7,8 @@ Claims covered:
       with an empty side, and on random small seeds, with and without
       weights and labels, whose vertex names need escaping
     - save_seed writes the same text to a file, and load_seed reads it back
+    - seed_to_json numbers labels children first (plus, then minus, then
+      over) as a recursive numbering does, and without recursion
 """
 from __future__ import annotations
 
@@ -61,6 +63,42 @@ def test_labelled_walk():
     kinds = {entry["kind"] for entry in seed_to_json(seed)["labels"]}
     assert kinds == {"minor", "exchange"}
     assert _written(seed) == _reference(seed)
+
+
+def _recursive_table(seed: Seed) -> list[dict]:
+    """The label table numbered by plain recursion, as a reference."""
+    index: dict = {}
+    table: list[dict] = []
+
+    def number(label) -> int:
+        if label not in index:
+            if isinstance(label, Minor):
+                entry = {"kind": "minor", "weights": label.weights}
+            else:
+                entry = {
+                    "kind": "exchange",
+                    "plus": [(number(l), e) for l, e in label.plus],
+                    "minus": [(number(l), e) for l, e in label.minus],
+                    "over": number(label.over),
+                }
+            index[label] = len(table)
+            table.append(entry)
+        return index[label]
+
+    labels = [number(label) for label in seed.labels]
+    assert [v["label"] for v in seed_to_json(seed)["vertices"]] == labels
+    return table
+
+
+def test_label_numbering_matches_the_recursive_one():
+    # 300 cyclic steps nest labels about 300 deep, within reach of recursion
+    seed = build_conf_m_seed(root_datum("a3"), 4)
+    cycle = ("x_01", "x_02", "x_11")
+    for step in range(300):
+        seed = mutate(seed, cycle[step % 3])
+    table = seed_to_json(seed)["labels"]
+    assert len(table) > 300
+    assert table == _recursive_table(seed)
 
 
 def test_exchange_with_an_empty_side():

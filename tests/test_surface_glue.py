@@ -7,10 +7,14 @@ Claims covered:
     - embedding a triangle spreads weights to the right slots, with odd
       corner orders reversing all arrows
     - amalgamation merges matching frozen vertices, adds their rows, and
-      unfreezes them; mismatches are rejected
+      unfreezes them; mismatches, and pairs that do not keep a vertex of an
+      earlier piece or keep one twice, are rejected
     - diagonal_pairs matches boundary vertices across a diagonal by weight
-    - amalgamate glues exactly as a name-by-name reference gluing does, on
-      the flip targets and on triangulations that are not fans
+    - one amalgamate pass over all pieces glues exactly as gluing them one
+      at a time with a name-by-name reference does, on the flip targets and
+      on triangulations that are not fans, including one whose listed order
+      is not its placement order
+    - a polygon build amalgamates once and checks the glued seed once
     - matching each diagonal between the two triangles on it glues the same
       seed as scanning the whole glued seed for partners does, on fans and
       on triangulations that are not fans
@@ -27,7 +31,7 @@ from itertools import combinations
 
 import pytest
 
-from confseed import golden, surface_glue
+from confseed import golden, seed_core, surface_glue
 from confseed.root_data import root_datum, standard_longest_word, vertex_count
 from confseed.seed_core import (
     Seed,
@@ -182,6 +186,16 @@ def _reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
     )
 
 
+def _reference_fold(pieces, pairs) -> Seed:
+    """The pieces glued one at a time, in order, with _reference_amalgamate:
+    the sequential gluing that one amalgamate pass replaces."""
+    placed = pieces[0]
+    for b in pieces[1:]:
+        step = [(p, q) for p, q in pairs if q in b.names]
+        placed = _reference_amalgamate(placed, b, step)
+    return placed
+
+
 def _reference_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
     """Pairs across a diagonal found by scanning every vertex of a, a slow
     reference that takes the whole glued seed for a."""
@@ -200,8 +214,8 @@ def _reference_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
 
 
 def _reference_glue(datum, tri: Triangulation) -> Seed:
-    """Glue pieces in build_conf_m_seed's order, finding each triangle's
-    pairs in the whole glued seed."""
+    """Glue pieces one at a time in build_conf_m_seed's order, finding each
+    triangle's pairs in the whole glued seed."""
     base = build_triangle_seed(datum)
     pieces = [
         embed_triangle(base, order, tri.m, f"t{k}.")
@@ -215,19 +229,21 @@ def _reference_glue(datum, tri: Triangulation) -> Seed:
             diags = [d for d in diags if len(d) == 2]
             if diags:
                 pairs = [p for d in diags for p in _reference_pairs(placed, pieces[k], d)]
-                placed = amalgamate(placed, pieces[k], pairs)
+                placed = _reference_amalgamate(placed, pieces[k], pairs)
                 placed_tris.append(k)
                 remaining.remove(k)
     return placed
 
 
-# (type, m, triangles) for triangulations that are not fans
+# (type, m, triangles) for triangulations that are not fans; the last is
+# listed out of placement order, since (3,4,5) meets (1,2,3) in a corner only
 NON_FAN_SHAPES = (
     ("a2", 5, ((1, 2, 3), (1, 3, 4), (1, 4, 5))),
     ("g2", 6, ((1, 2, 3), (1, 3, 5), (3, 4, 5), (1, 5, 6))),
     ("a3", 6, ((1, 2, 6), (2, 3, 6), (3, 5, 6), (3, 4, 5))),
+    ("a2", 5, ((1, 2, 3), (3, 4, 5), (1, 3, 5))),
 )
-
+NON_FAN_IDS = ("a2", "g2", "a3", "a2-out-of-order")
 
 
 class TestAmalgamate:
@@ -241,7 +257,7 @@ class TestAmalgamate:
     def test_merged_vertices_unfreeze(self):
         a, b = self._two_triangles()
         pairs = diagonal_pairs(a, b, (1, 3))
-        glued = amalgamate(a, b, pairs)
+        glued = amalgamate((a, b), pairs)
         check_seed(glued)
         assert glued.size == a.size + b.size - len(pairs)
         for p, _ in pairs:
@@ -250,7 +266,7 @@ class TestAmalgamate:
     def test_rows_add_on_the_diagonal(self):
         a, b = self._two_triangles()
         pairs = diagonal_pairs(a, b, (1, 3))
-        glued = amalgamate(a, b, pairs)
+        glued = amalgamate((a, b), pairs)
         into = {q: p for p, q in pairs}
         for q in b.names:
             src = into.get(q, q)
@@ -267,17 +283,46 @@ class TestAmalgamate:
         base = build_triangle_seed(root_datum("a2"))
         a = embed_triangle(base, (1, 2, 3), 4, "t0.")
         with pytest.raises(ValueError):
-            amalgamate(a, a, ())
+            amalgamate((a, a), ())
 
     def test_unfrozen_pair_rejected(self):
         a, b = self._two_triangles()
         with pytest.raises(ValueError):
-            amalgamate(a, b, (("t0.x_11", "t1.x_11"),))
+            amalgamate((a, b), (("t0.x_11", "t1.x_11"),))
 
     def test_mismatched_weights_rejected(self):
         a, b = self._two_triangles()
         with pytest.raises(ValueError):
-            amalgamate(a, b, (("t0.x_10", "t1.x_20"),))
+            amalgamate((a, b), (("t0.x_10", "t1.x_20"),))
+
+    def test_three_pieces_in_one_pass(self):
+        # the a2 pentagon fan, glued by hand: t1 meets t0 on 1-3 and t2 on 1-4
+        datum = root_datum("a2")
+        base = build_triangle_seed(datum)
+        pieces = [
+            embed_triangle(base, order, 5, f"t{k}.")
+            for k, order in enumerate(((1, 2, 3), (3, 4, 1), (4, 5, 1)))
+        ]
+        pairs = diagonal_pairs(pieces[0], pieces[1], (1, 3))
+        pairs += diagonal_pairs(pieces[1], pieces[2], (1, 4))
+        glued = amalgamate(pieces, pairs)
+        assert glued.size == sum(p.size for p in pieces) - len(pairs)
+        assert glued == _reference_fold(pieces, pairs)
+        assert glued == build_conf_m_seed(datum, 5)
+
+    def test_kept_vertex_must_come_first_and_once(self):
+        a, b = self._two_triangles()
+        pairs = diagonal_pairs(a, b, (1, 3))
+        with pytest.raises(ValueError, match="must keep a vertex of an earlier piece"):
+            amalgamate((a, b), [(q, p) for p, q in pairs])
+        # a third piece, a copy of b: each diagonal vertex of a has a partner
+        # of equal weight in b and in c, but can be kept only once, and a
+        # vertex merged into a cannot be kept for c
+        c = embed_triangle(build_triangle_seed(root_datum("a2")), (3, 4, 1), 4, "t2.")
+        for extra in ([(p, "t2." + q[3:]) for p, q in pairs],
+                      [(q, "t2." + q[3:]) for _, q in pairs]):
+            with pytest.raises(ValueError, match="pairs must be disjoint"):
+                amalgamate((a, b, c), pairs + extra)
 
     def test_diagonal_pairs_cover_the_edge(self):
         # the shared side carries one frozen vertex per node (the row starts
@@ -294,24 +339,22 @@ class TestAmalgamate:
     def test_flip_targets_match_the_reference(self, kind, monkeypatch):
         datum = root_datum(kind)
         got = flip_target(datum)
-        monkeypatch.setattr(surface_glue, "amalgamate", _reference_amalgamate)
+        monkeypatch.setattr(surface_glue, "amalgamate", _reference_fold)
         # seeds compare names, frozen, mult, b2, weights and labels
         assert got == flip_target(datum)
 
-    @pytest.mark.parametrize(
-        "kind,m,triangles", NON_FAN_SHAPES, ids=[s[0] for s in NON_FAN_SHAPES]
-    )
+    @pytest.mark.parametrize("kind,m,triangles", NON_FAN_SHAPES, ids=NON_FAN_IDS)
     def test_non_fan_shapes_match_the_reference(self, kind, m, triangles, monkeypatch):
         datum = root_datum(kind)
         tri = Triangulation(m, triangles)
         got = build_conf_m_seed(datum, m, tri)
-        monkeypatch.setattr(surface_glue, "amalgamate", _reference_amalgamate)
+        monkeypatch.setattr(surface_glue, "amalgamate", _reference_fold)
         assert got == build_conf_m_seed(datum, m, tri)
 
     @pytest.mark.parametrize(
         "kind,m,triangles",
         NON_FAN_SHAPES + (("g2", 8, None), ("a3", 7, None)),
-        ids=[s[0] for s in NON_FAN_SHAPES] + ["g2-fan-8", "a3-fan-7"],
+        ids=NON_FAN_IDS + ("g2-fan-8", "a3-fan-7"),
     )
     def test_pairs_per_triangle_match_the_whole_seed_scan(self, kind, m, triangles):
         datum = root_datum(kind)
@@ -390,6 +433,28 @@ class TestPolygonSeeds:
             build_conf_m_seed(root_datum("g2"), 130)
         with pytest.raises(ValueError, match="over the cap"):
             build_conf_m_seed(root_datum("g2"), 10**9)
+
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_one_amalgamation_and_one_check_per_polygon(self, m, monkeypatch):
+        glued_with, checked = [], []
+        amalgamate = surface_glue.amalgamate
+        check = seed_core.check_seed
+
+        def counted_amalgamate(pieces, pairs):
+            glued_with.append(len(pieces))
+            return amalgamate(pieces, pairs)
+
+        def counted_check(seed):
+            checked.append(len(seed.names))
+            check(seed)
+
+        monkeypatch.setattr(surface_glue, "amalgamate", counted_amalgamate)
+        monkeypatch.setattr(seed_core, "check_seed", counted_check)
+        seed = build_conf_m_seed(root_datum("g2"), m)
+        assert glued_with == [m - 2]
+        # the triangle and its m - 2 embedded copies have 10 vertices each
+        assert checked.count(seed.size) == 1
+        assert max(checked) == seed.size
 
     def test_triangulation_size_must_match(self):
         with pytest.raises(ValueError):
