@@ -124,14 +124,6 @@ def simple_root(datum: RootDatum, node: str) -> Weight:
     return tuple(datum.cartan[i][j] for i in range(datum.rank))
 
 
-def add_weights(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def sub_weights(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def scale_weight(c, v: Weight) -> Weight:
     return tuple(c * a for a in v)
 

@@ -8,6 +8,17 @@ Dynkin neighbor j a half arrow current(i) -> current(j) plus a half arrow
 current(j) -> v.  Half arrows between consecutive occurrences merge into full
 ones; the surviving halves join frozen vertices only.
 
+Word-vertex weights come from the same scan.  The vertex of the k-th letter
+a_k = i has the chamber weight gamma = s_{a_1}...s_{a_k}(omega_i), and a
+vertex before the scan has gamma = omega_i (Berenstein, Fomin and Zelevinsky,
+"Cluster algebras III", 2005).  Each node keeps its latest chamber weight,
+and letter i updates its own by gamma(i) <- -gamma(i) - sum of C[m][i]
+gamma(m) over the Dynkin neighbours m of i.  The vertex carries the weights
+(iota(gamma+), gamma-, omega_i), with gamma+ and gamma- the positive and
+negative parts of gamma's coordinates and iota the diagram involution.  The
+one rule serves every reduced word; on the reversed standard word it gives
+x_{i,j} the weights of x_{i,r_i-j} with the first two corners swapped.
+
 Completion adds one frozen vertex per node on the remaining side of the
 triangle and reads off the connecting arrows: every unfrozen row must pair
 to zero against the weights, and every frozen row must pair to its boundary
@@ -63,124 +74,33 @@ def triangle_vertices(datum: rd.RootDatum) -> list[tuple[str, int | None]]:
     return out + [(node, None) for node in datum.nodes]
 
 
-# == word-vertex weights ==
-
-def _a_n_weights(datum: rd.RootDatum, node: str, occ: int):
-    n = datum.rank + 1
-    i = int(node)
-
-    def fw(k: int):
-        if k == 0:
-            return rd.zero_weight(datum)
-        return rd.fundamental_weight(datum, str(k))
-
-    return (fw(n - i - occ), fw(occ), fw(i))
-
-
-_G2_WORD_WEIGHTS = {
-    ("a", 0): ("a", "0", "a"),
-    ("a", 1): ("b", "a", "a"),
-    ("a", 2): ("b", "2a", "a"),
-    ("a", 3): ("0", "a", "a"),
-    ("b", 0): ("b", "0", "b"),
-    ("b", 1): ("2b", "3a", "b"),
-    ("b", 2): ("b", "3a", "b"),
-    ("b", 3): ("0", "b", "b"),
-}
-
-
-def _parse_weight_symbol(datum: rd.RootDatum, sym: str):
-    """Tiny reader for table entries like "2a" or "a1+a3" or "0"."""
-    w = rd.zero_weight(datum)
-    if sym == "0":
-        return w
-    for term in sym.split("+"):
-        mult = 1
-        while term and term[0].isdigit() and term not in datum.nodes:
-            mult = int(term[0])
-            term = term[1:]
-        w = rd.add_weights(w, rd.scale_weight(mult, rd.fundamental_weight(datum, term)))
-    return w
-
-
-def _g2_weights(datum, node, occ):
-    syms = _G2_WORD_WEIGHTS[(node, occ)]
-    return tuple(_parse_weight_symbol(datum, s) for s in syms)
-
-
-def _d4_weights(datum, node, occ):
-    outer = ("a1", "a2", "a3")
-    fw = lambda nd: rd.fundamental_weight(datum, nd)
-    zero = rd.zero_weight(datum)
-    all_outer = fw("a1")
-    all_outer = rd.add_weights(all_outer, fw("a2"))
-    all_outer = rd.add_weights(all_outer, fw("a3"))
-    if node == "b":
-        return {
-            0: (fw("b"), zero, fw("b")),
-            1: (rd.scale_weight(2, fw("b")), all_outer, fw("b")),
-            2: (fw("b"), all_outer, fw("b")),
-            3: (zero, fw("b"), fw("b")),
-        }[occ]
-    others = rd.sub_weights(all_outer, fw(node))
-    return {
-        0: (fw(node), zero, fw(node)),
-        1: (fw("b"), fw(node), fw(node)),
-        2: (fw("b"), others, fw(node)),
-        3: (zero, fw(node), fw(node)),
-    }[occ]
-
-
-def _swap12(ws):
-    return (ws[1], ws[0], ws[2])
-
-
-def word_vertex_weights(datum: rd.RootDatum, word: tuple[str, ...]):
-    """Weight triples for every word vertex, or None when unknown.
-
-    Known cases: the standard longest word of each supported type, and its
-    reversal (vertex x_{i,j} of the reversed word carries the weight of
-    x_{i, r_i - j} with the first two corners swapped).
-    """
-    std = rd.standard_longest_word(datum)
-    if word == std:
-        if datum.kind.startswith("a"):
-            per = lambda node, occ: _a_n_weights(datum, node, occ)
-        elif datum.kind == "g2":
-            per = lambda node, occ: _g2_weights(datum, node, occ)
-        else:
-            per = lambda node, occ: _d4_weights(datum, node, occ)
-        out = {}
-        for node in datum.nodes:
-            r = std.count(node)
-            for occ in range(r + 1):
-                out[triangle_name(datum, node, occ)] = per(node, occ)
-        return out
-    if word == tuple(reversed(std)):
-        base = word_vertex_weights(datum, std)
-        out = {}
-        for node in datum.nodes:
-            r = std.count(node)
-            for occ in range(r + 1):
-                out[triangle_name(datum, node, occ)] = _swap12(
-                    base[triangle_name(datum, node, r - occ)]
-                )
-        return out
-    return None
-
-
 # == the word quiver ==
 
-def build_bruhat_seed(
-    datum: rd.RootDatum, word: tuple[str, ...], weights: dict | None = None
-) -> Seed:
-    """The word quiver of a reduced word for the longest element."""
+def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
+    """The word quiver of a reduced word for the longest element, with weights.
+
+    Letters a_1, a_2, ... are read in application order, keeping one chamber
+    weight gamma(m) per node, first omega_m.  Letter a_k = i makes gamma(i)
+    = s_{a_1}...s_{a_k}(omega_i) (Berenstein, Fomin and Zelevinsky,
+    "Cluster algebras III", 2005).  As s_i(omega_i) = omega_i - alpha_i and
+    alpha_i = sum_m C[m][i] omega_m, that is the recurrence
+    gamma(i) <- -gamma(i) - sum over Dynkin neighbours m of C[m][i] gamma(m).
+    The vertex gets the weights (iota(gamma+), gamma-, omega_i), with gamma+
+    and gamma- the positive and negative parts of gamma's coordinates.
+    """
     if not rd.is_longest_word(datum, word):
         raise ValueError(f"{''.join(word)!r} is not a reduced word for w0 of {datum.kind}")
+
+    def vertex_weights(gamma, node):
+        # iota(gamma+) = w0(-gamma+)
+        first = rd.w0_on_weight(datum, tuple(-max(c, 0) for c in gamma))
+        return first, tuple(max(-c, 0) for c in gamma), rd.fundamental_weight(datum, node)
 
     names: list[str] = [triangle_name(datum, node, 0) for node in datum.nodes]
     node_of: list[str] = list(datum.nodes)
     occ_of: list[int] = [0] * datum.rank
+    chamber = {node: rd.fundamental_weight(datum, node) for node in datum.nodes}
+    weights = [vertex_weights(chamber[node], node) for node in datum.nodes]
     current = {node: i for i, node in enumerate(datum.nodes)}
     counts = {node: 0 for node in datum.nodes}
     entries: dict[tuple[int, int], int] = {}
@@ -198,9 +118,15 @@ def build_bruhat_seed(
         node_of.append(letter)
         occ_of.append(counts[letter])
         add_arrow(current[letter], v, 2)
+        col = datum.index(letter)
+        gamma = tuple(-c for c in chamber[letter])
         for nb in rd.dynkin_neighbors(datum, letter):
             add_arrow(current[nb], current[letter], 1)
             add_arrow(v, current[nb], 1)
+            c = datum.cartan[datum.index(nb)][col]
+            gamma = tuple(g - c * x for g, x in zip(gamma, chamber[nb]))
+        chamber[letter] = gamma
+        weights.append(vertex_weights(gamma, letter))
         current[letter] = v
 
     n = len(names)
@@ -209,20 +135,8 @@ def build_bruhat_seed(
     )
     frozen = [occ == 0 or occ == counts[nd] for nd, occ in zip(node_of, occ_of)]
     mult = tuple(datum.d[datum.index(nd)] for nd in node_of)
-
-    if weights is None:
-        weights = word_vertex_weights(datum, word)
-    wtuple = None
-    labels = None
-    if weights is not None:
-        missing = [nm for nm in names if nm not in weights]
-        if missing:
-            raise ValueError(f"weights missing for {missing}")
-        wtuple = tuple(weights[nm] for nm in names)
-        if len(set(wtuple)) != n:
-            raise ValueError("vertex weight tuples must be distinct")
-        labels = tuple(Minor(w) for w in wtuple)
-    return Seed(tuple(names), tuple(frozen), mult, b2, wtuple, labels)
+    labels = tuple(Minor(w) for w in weights)
+    return Seed(tuple(names), tuple(frozen), mult, b2, tuple(weights), labels)
 
 
 # == completion ==

@@ -105,6 +105,27 @@ class Exchange(_Label):
 Label = Minor | Exchange
 
 
+def post_order(label: Label, done):
+    """Yield the nodes of label not in done, each after its children.
+
+    New subtrees come first in the order plus, minus, over.  The caller
+    enters each yielded node into done before asking for the next one; an
+    explicit stack keeps deep labels off the call stack.
+    """
+    stack = [label]
+    while stack:
+        top = stack.pop()
+        if top in done:
+            continue
+        if isinstance(top, Exchange):
+            below = [l for l, _ in top.plus + top.minus] + [top.over]
+            new = [l for l in below if l not in done]
+            if new:
+                stack += [top, *reversed(new)]
+                continue
+        yield top
+
+
 def map_label_weights(labels: tuple[Label, ...], fn) -> tuple[Label, ...]:
     """Apply fn to every weight tuple inside the labels.
 
@@ -112,22 +133,17 @@ def map_label_weights(labels: tuple[Label, ...], fn) -> tuple[Label, ...]:
     and across the labels stay shared in the result.
     """
     done: dict[Label, Label] = {}
-
-    def walk(label: Label) -> Label:
-        out = done.get(label)
-        if out is None:
-            if isinstance(label, Minor):
-                out = Minor(fn(label.weights))
+    for label in labels:
+        for top in post_order(label, done):
+            if isinstance(top, Minor):
+                done[top] = Minor(fn(top.weights))
             else:
-                out = Exchange(
-                    tuple((walk(l), e) for l, e in label.plus),
-                    tuple((walk(l), e) for l, e in label.minus),
-                    walk(label.over),
+                done[top] = Exchange(
+                    tuple((done[l], e) for l, e in top.plus),
+                    tuple((done[l], e) for l, e in top.minus),
+                    done[top.over],
                 )
-            done[label] = out
-        return out
-
-    return tuple(map(walk, labels))
+    return tuple(done[l] for l in labels)
 
 
 # == the seed ==

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction as Q
 
-from .seed_core import Exchange, Label, Minor, Seed, arrows
+from .seed_core import Exchange, Label, Minor, Seed, arrows, post_order
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -56,22 +56,10 @@ def seed_to_json(seed: Seed) -> dict:
     table: list[dict] = []
 
     def intern(label: Label) -> int:
-        # new subtrees are entered first (plus, then minus, then over), each
-        # before its parent; an explicit stack keeps deep labels off the
-        # call stack
-        stack = [label]
-        while stack:
-            top = stack.pop()
-            if top in label_index:
-                continue
+        for top in post_order(label, label_index):
             if isinstance(top, Minor):
                 entry = {"kind": "minor", "weights": top.weights}
             else:
-                below = [l for l, _ in top.plus + top.minus] + [top.over]
-                new = [l for l in below if l not in label_index]
-                if new:
-                    stack += [top, *reversed(new)]
-                    continue
                 entry = {
                     "kind": "exchange",
                     "plus": [(label_index[l], e) for l, e in top.plus],

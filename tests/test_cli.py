@@ -14,12 +14,15 @@ Claims covered:
       an unknown suite is named without stray quotes
     - domain and file errors exit with status 2 and a one-line message,
       triangle lists that do not tile the m-gon and the empty word included
+    - any reduced word builds and completes, and build writes its weights
+    - every confseed line of README's command-line block exits 0
 """
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from confseed.seed_io import load_seed, save_seed, seed_from_json
 
 # the pinned verify reports; they read the same at rng seeds 0, 7 and 11
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # the benchmark's polygons workload and the digests of the files it writes,
 # read and never written here
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -109,6 +113,18 @@ class TestBuild:
 
     def test_bad_word_raises(self, capsys):
         assert main(["build", "--type", "g2", "--word", "ababa"]) == 2
+
+    def test_any_reduced_word_builds(self, tmp_path, capsys):
+        # 212321 is neither the standard a3 word nor its reversal
+        path = tmp_path / "tri.json"
+        assert main(["triangle", "--type", "a3", "--word", "212321",
+                     "--out", str(path)]) == 0
+        assert load_seed(path).size == 12
+        code, out = run(capsys, "build", "--type", "a3", "--word", "212321")
+        assert code == 0
+        data = json.loads(out)
+        assert all("weights" in v and "label" in v for v in data["vertices"])
+        assert seed_from_json(data).weights is not None
 
 
 # == 2. mutating =============================================================
@@ -349,3 +365,25 @@ def _write_seed_files(tmp_path):
     (tmp_path / "no-slots.json").write_text(json.dumps(no_slots))
     (tmp_path / "ragged-weights.json").write_text(json.dumps(ragged))
     (tmp_path / "deep.json").write_text("[" * 100000)
+
+
+# == 5. the README ===========================================================
+
+def _readme_commands() -> list[list[str]]:
+    """The confseed lines of README's command-line block, cut at any pipe."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.split("|", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("confseed ")
+    ]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CONFSEED_RNG_SEED", raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -3,6 +3,12 @@
 Claims covered:
     - word quivers for the standard a3, g2, d4 words match the frozen
       adjacency tables, half arrows and multipliers included
+    - word-vertex weights on the standard words of a1-a12, g2 and d4 equal
+      the type-A closed form, the G2 golden table and the D4 table kept
+      here; on the reversed words they follow the reversed-word rule
+    - every reduced word of a2, a3 and g2 builds and completes; along a
+      seeded braid walk on a4 and d4, a commutation move gives an
+      isomorphic seed and a length-3 move a seed one mutation away
     - non-reduced and non-longest words are rejected
     - word-quiver rows at inner vertices are balanced; row weights follow
       the partial products of the word
@@ -21,7 +27,9 @@ Claims covered:
 """
 from __future__ import annotations
 
+import random
 import re
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -29,7 +37,9 @@ import pytest
 from confseed import golden, root_data
 from confseed.linalg import solve_with_kernel
 from confseed.root_data import (
+    fundamental_weight,
     parse_word,
+    reflect,
     root_datum,
     standard_longest_word,
     w0_dual,
@@ -41,11 +51,11 @@ from confseed.seed_builder import (
     reverse_word_seed,
     triangle_name,
     triangle_vertices,
-    word_vertex_weights,
 )
 from confseed.seed_core import (
     arrows,
     check_seed,
+    mutate,
     permute_slots,
     quiver_isomorphic,
     weight_balance,
@@ -171,9 +181,10 @@ class TestTriangleCompletion:
     def test_swapped_word_weights_rejected(self, kind, first, second, message):
         datum = root_datum(kind)
         word = standard_longest_word(datum)
-        weights = dict(word_vertex_weights(datum, word))
+        seed = build_bruhat_seed(datum, word)
+        weights = dict(zip(seed.names, seed.weights))
         weights[first], weights[second] = weights[second], weights[first]
-        seed = build_bruhat_seed(datum, word, weights)
+        seed = replace(seed, weights=tuple(weights[nm] for nm in seed.names))
         with pytest.raises(ValueError, match=re.escape(message)):
             complete_triangle_seed(datum, seed)
 
@@ -287,14 +298,140 @@ class TestBoundaryPatterns:
     def test_frozen_weights_off_the_edges_rejected(self, slots):
         datum = root_datum("a2")
         word = standard_longest_word(datum)
-        weights = dict(word_vertex_weights(datum, word))
+        seed = build_bruhat_seed(datum, word)
+        weights = dict(zip(seed.names, seed.weights))
         weights[triangle_name(datum, "1", 0)] = slots
-        seed = build_bruhat_seed(datum, word, weights)
+        seed = replace(seed, weights=tuple(weights[nm] for nm in seed.names))
         with pytest.raises(ValueError, match="off the triangle's edges"):
             complete_triangle_seed(datum, seed)
 
 
-# == 5. cost =================================================================
+# == 5. word-vertex weights ==================================================
+
+def _type_a_weights(datum, node, occ):
+    """(omega_{n-i-j}, omega_j, omega_i) at x_{i,j} of the standard a<n-1> word."""
+    n, i = datum.rank + 1, int(node)
+    fw = lambda k: fundamental_weight(datum, str(k)) if k else (0,) * datum.rank
+    return fw(n - i - occ), fw(occ), fw(i)
+
+
+def _d4_weights(datum, node, occ):
+    """x_{i,j} of the standard d4 word, from the outer sum a1 + a2 + a3."""
+    fw = lambda nd: fundamental_weight(datum, nd)
+    zero = (0,) * datum.rank
+    outer = (1, 1, 1, 0)
+    if node == "b":
+        return {
+            0: (fw("b"), zero, fw("b")),
+            1: ((0, 0, 0, 2), outer, fw("b")),
+            2: (fw("b"), outer, fw("b")),
+            3: (zero, fw("b"), fw("b")),
+        }[occ]
+    others = tuple(c - x for c, x in zip(outer, fw(node)))
+    return {
+        0: (fw(node), zero, fw(node)),
+        1: (fw("b"), fw(node), fw(node)),
+        2: (fw("b"), others, fw(node)),
+        3: (zero, fw(node), fw(node)),
+    }[occ]
+
+
+def _reference_weights(datum) -> dict:
+    """Weights of the word vertices of the standard word, from the tables."""
+    if datum.kind == "g2":
+        return {nm: ws for nm, ws in golden.G2_TRIANGLE_WEIGHTS.items()
+                if nm not in ("x_a", "x_b")}
+    per = _d4_weights if datum.kind == "d4" else _type_a_weights
+    return {
+        triangle_name(datum, node, occ): per(datum, node, occ)
+        for node, occ in triangle_vertices(datum) if occ is not None
+    }
+
+
+def _reduced_words(datum) -> list[tuple[str, ...]]:
+    """Every reduced word for w0, grown leftwards: s_i w is longer than w
+    exactly when coordinate i of w(rho) is positive."""
+    length = len(standard_longest_word(datum))
+    out = []
+
+    def grow(word, image):
+        if len(word) == length:
+            out.append(word)
+            return
+        for k, node in enumerate(datum.nodes):
+            if image[k] > 0:
+                grow((node,) + word, reflect(datum, node, image))
+
+    grow((), (1,) * datum.rank)
+    return out
+
+
+def _braid_moves(datum, word) -> list[tuple[str, tuple[str, ...]]]:
+    """("commute", word') or ("braid", word') for every move that applies:
+    ij -> ji for unjoined i, j and iji -> jij for simply joined i, j."""
+    out = []
+    for p in range(len(word) - 1):
+        i, j = word[p], word[p + 1]
+        cij = datum.cartan[datum.index(i)][datum.index(j)]
+        cji = datum.cartan[datum.index(j)][datum.index(i)]
+        if cij == 0:
+            out.append(("commute", word[:p] + (j, i) + word[p + 2:]))
+        elif cij * cji == 1 and word[p + 2:p + 3] == (i,):
+            out.append(("braid", word[:p] + (j, i, j) + word[p + 3:]))
+    return out
+
+
+class TestWordVertexWeights:
+    @pytest.mark.parametrize("kind", TABLED_KINDS)
+    def test_standard_and_reversed_words_match_the_tables(self, kind):
+        # the reversed word gives x_{i,j} the weights of x_{i,r_i-j} with
+        # corners 1 and 2 swapped
+        datum = root_datum(kind)
+        word = standard_longest_word(datum)
+        want = _reference_weights(datum)
+        seed = build_bruhat_seed(datum, word)
+        assert dict(zip(seed.names, seed.weights)) == want
+        rev = build_bruhat_seed(datum, tuple(reversed(word)))
+        for node, occ in triangle_vertices(datum):
+            if occ is not None:
+                first, second, third = want[triangle_name(datum, node, word.count(node) - occ)]
+                assert rev.weight(triangle_name(datum, node, occ)) == (second, first, third)
+
+    @pytest.mark.parametrize("kind, count", [("a2", 2), ("a3", 16), ("g2", 2)])
+    def test_every_reduced_word_builds_and_completes(self, kind, count):
+        datum = root_datum(kind)
+        words = _reduced_words(datum)
+        assert len(words) == count
+        for word in words:
+            seed, _ = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
+            assert_face_equations(seed)
+
+    @pytest.mark.parametrize("kind", ["a4", "d4"])
+    def test_braid_walk(self, kind):
+        # a commutation move relabels the seed; a length-3 move is one
+        # mutation at an unfrozen vertex (Berenstein, Fomin and Zelevinsky
+        # 2005); weights included in both comparisons
+        datum = root_datum(kind)
+        rng = random.Random(0)
+        word = standard_longest_word(datum)
+        seed = build_triangle_seed(datum, word)
+        seen = set()
+        for _ in range(60):
+            move, nxt = rng.choice(_braid_moves(datum, word))
+            after = build_triangle_seed(datum, nxt)
+            if move == "commute":
+                assert quiver_isomorphic(seed, after) is not None, nxt
+            else:
+                assert any(
+                    quiver_isomorphic(mutate(seed, nm), after) is not None
+                    for nm in seed.unfrozen_names()
+                ), nxt
+            seen.add(move)
+            word, seed = nxt, after
+        assert seen == {"commute", "braid"}
+
+
+# == 6. cost =================================================================
 
 def test_triangle_build_reflects_once_per_letter(monkeypatch):
     # the longest-word test is one pass of the word over rho; w0 on weights

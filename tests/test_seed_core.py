@@ -15,7 +15,8 @@ Claims covered:
       mutation, duality and a save/load round trip
     - labels are hash-consed: equal labels are one immutable object, a
       save/load round trip returns the saved objects, and along the SL4
-      4-gon's cyclic walk the label table grows by one entry per step
+      4-gon's cyclic walk the label table grows by one entry per step;
+      slot permutations walk labels 1,200 steps deep without recursion
 """
 from __future__ import annotations
 
@@ -503,3 +504,11 @@ class TestLabelInterning:
         rotated = permute_slots(seeds[-1], (1, 2, 3, 0))
         assert len(seed_to_json(rotated)["labels"]) == 81
         assert permute_slots(rotated, (3, 0, 1, 2)).labels == seeds[-1].labels
+
+    def test_deep_labels_permute_without_recursion(self):
+        # 1,200 cyclic steps nest labels deeper than the recursion limit
+        seed = build_conf_m_seed(root_datum("a3"), 4)
+        for d in range(1200):
+            seed = mutate(seed, CYCLE[d % 3])
+        swap = (1, 0, 3, 2)
+        assert permute_slots(permute_slots(seed, swap), swap) == seed
