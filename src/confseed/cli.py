@@ -43,7 +43,8 @@ def _parse_triangles(text: str, m: int) -> Triangulation:
 def _add_common(p) -> None:
     p.add_argument("--type", required=True, dest="kind",
                    help="root datum kind: a1, a2, ... or g2 or d4")
-    p.add_argument("--word", help="reduced word for the longest element "
+    p.add_argument("--word", help="reduced word for the longest element, "
+                   "compact or split by commas or spaces, as 1,2,1 for a2 "
                    "(default: the standard word)")
     p.add_argument("--out", help="write seed JSON here instead of stdout")
 

@@ -189,7 +189,11 @@ def w0_dual(datum: RootDatum, node: str) -> str:
 # == words as strings, and D4 folding ==
 
 def parse_word(datum: RootDatum, text: str) -> tuple[str, ...]:
-    """Split a compact word string into node letters, longest node name first.
+    """Split a word string into node letters.
+
+    Text with commas or spaces is split there, and each token is one node,
+    so two-digit nodes of a<n> can be told apart.  A compact string is read
+    greedily, longest node name first.
 
     >>> parse_word(root_datum("a3"), "121321")
     ('1', '2', '1', '3', '2', '1')
@@ -201,10 +205,15 @@ def parse_word(datum: RootDatum, text: str) -> tuple[str, ...]:
     aliases = {nm: nm for nm in datum.nodes}
     if datum.kind == "d4":
         aliases.update({"1": "a1", "2": "a2", "3": "a3"})
+    if "," in text or " " in text:
+        tokens = text.replace(",", " ").split()
+        for token in tokens:
+            if token not in aliases:
+                raise ValueError(f"cannot read a {datum.kind} node at {token!r}")
+        return tuple(aliases[token] for token in tokens)
     names = sorted(aliases, key=len, reverse=True)
     out: list[str] = []
     pos = 0
-    text = text.replace(" ", "").replace(",", "")
     while pos < len(text):
         for nm in names:
             if text.startswith(nm, pos):

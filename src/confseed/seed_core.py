@@ -14,6 +14,16 @@ throughout:
 skew-symmetrizability b2[i][j] and b2[j][i] are zero together, so a mutation
 rewrites only the rows of the mutated vertex's neighbours.
 
+Every way to make a seed runs the full ``check_seed``, except ``mutate``.
+A seed stores its sequence fields as tuples, so a checked seed stays
+checked.  Mutation keeps skew-symmetrizability with the same multipliers
+(Fomin and Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes
+only the block of rows and columns at the mutated vertex and its
+neighbours; ``mutate`` checks that block with ``check_seed``'s own tests and
+messages, and every entry outside it is an entry of the checked seed it
+started from.  A mutation step therefore costs O(n * deg), deg the number
+of neighbours, where a full check would cost O(n^2).
+
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
 d_i // gcd(d_i, d_j) to b[i][j]; drawn multiplicity is b over that unit, and
@@ -39,7 +49,8 @@ the label denotes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction as Q
 from itertools import compress
 from math import gcd
@@ -159,6 +170,19 @@ class Seed:
     labels: tuple[Label, ...] | None = None
 
     def __post_init__(self):
+        # a caller's lists would let a checked seed change afterwards, so
+        # every sequence field check_seed reads is stored as a tuple
+        for name in ("names", "frozen", "mult", "labels"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not tuple:
+                object.__setattr__(self, name, tuple(value))
+        for name in ("b2", "weights"):
+            rows = getattr(self, name)
+            if rows is not None and (
+                type(rows) is not tuple
+                or not all(type(row) is tuple for row in rows)
+            ):
+                object.__setattr__(self, name, tuple(map(tuple, rows)))
         check_seed(self)
 
     @property
@@ -194,7 +218,19 @@ class Seed:
         return f"Seed({self.size} vertices, {n_mut} unfrozen)"
 
 
+_FIELDS = tuple(f.name for f in fields(Seed))
+
+
 def check_seed(seed: Seed) -> None:
+    """Raise ValueError unless seed is well formed.
+
+    Checks, in this order: unique names; equal field lengths; positive
+    multipliers; a square b2 with zero diagonal; then, row by row over the
+    nonzero entries, skew-symmetrizability and even entries at every pair
+    touching an unfrozen vertex; one weight tuple per vertex, all with the
+    same number of slots; one label per vertex.  The first failure names
+    its pair of vertices where there is one.
+    """
     n = len(seed.names)
     if len(set(seed.names)) != n:
         raise ValueError("vertex names must be unique")
@@ -202,19 +238,12 @@ def check_seed(seed: Seed) -> None:
         raise ValueError("field lengths disagree")
     if any(d < 1 for d in seed.mult):
         raise ValueError("multipliers must be positive")
-    b2, mult, frozen = seed.b2, seed.mult, seed.frozen
+    b2 = seed.b2
     if any(len(row) != n for row in b2):
         raise ValueError("b2 must be square")
     if any(row[i] != 0 for i, row in enumerate(b2)):
         raise ValueError("b2 diagonal must be zero")
-    # a zero facing a nonzero entry fails from the nonzero side, and zero is
-    # even, so the zero entries need no visit
-    for i, row in enumerate(b2):
-        for j in compress(range(n), row):
-            if row[j] * mult[j] != -b2[j][i] * mult[i]:
-                raise ValueError(f"not skew-symmetrizable at ({seed.names[i]},{seed.names[j]})")
-            if row[j] % 2 and not (frozen[i] and frozen[j]):
-                raise ValueError(f"half-integral entry at unfrozen pair ({seed.names[i]},{seed.names[j]})")
+    _check_entries(seed, b2, enumerate(compress(range(n), row) for row in b2))
     if seed.weights is not None:
         if len(seed.weights) != n:
             raise ValueError("one weight tuple per vertex required")
@@ -223,6 +252,41 @@ def check_seed(seed: Seed) -> None:
             raise ValueError("all vertices must use the same number of slots")
     if seed.labels is not None and len(seed.labels) != n:
         raise ValueError("one label per vertex required")
+
+
+def _check_entries(seed: Seed, b2, rows) -> None:
+    """check_seed's two entry tests, row by row, in the order given.
+
+    ``rows`` yields (i, js): a row index of ``b2`` and the columns of its
+    nonzero entries to test.  ``b2`` may differ from ``seed.b2``; names,
+    frozen flags and multipliers are read from ``seed``.  A zero facing a
+    nonzero entry fails from the nonzero side, and zero is even, so the
+    zero entries need no visit.
+    """
+    names, frozen, mult = seed.names, seed.frozen, seed.mult
+    for i, js in rows:
+        row, d_i, f_i = b2[i], mult[i], frozen[i]
+        for j in js:
+            b = row[j]
+            if b * mult[j] != -b2[j][i] * d_i:
+                raise ValueError(f"not skew-symmetrizable at ({names[i]},{names[j]})")
+            if b % 2 and not (f_i and frozen[j]):
+                raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
+
+
+def _unchecked(seed: Seed, b2, weights, labels) -> Seed:
+    """seed with b2, weights and labels replaced, for mutate alone.
+
+    Skips __post_init__: the caller has checked every entry it wrote, and
+    every other field comes from seed, which passed the full check_seed.
+    """
+    out = object.__new__(Seed)
+    # field by field in field order, as __init__ does, so that CPython keeps
+    # the values inline rather than building a __dict__ for each seed
+    for name, value in zip(_FIELDS, (seed.names, seed.frozen, seed.mult,
+                                     b2, weights, labels)):
+        object.__setattr__(out, name, value)
+    return out
 
 
 def unit(d_i: int, d_j: int) -> int:
@@ -270,7 +334,16 @@ def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
 
 
 def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
-    """Mutate at an unfrozen vertex; involutive, weight-homogeneous."""
+    """Mutate at an unfrozen vertex; involutive, weight-homogeneous.
+
+    Only the block of rows and columns at ``at`` and its neighbours is
+    written, and only that block is checked, diagonal first and then row by
+    row, with check_seed's tests and messages; a fault inside it is named by
+    the same first pair the full check would name.  That is enough: mutation
+    keeps skew-symmetrizability with the same multipliers, and every entry
+    outside the block is unchanged from ``seed``, which passed the full
+    check and cannot have changed since.
+    """
     k = seed.index(at)
     if seed.frozen[k]:
         raise ValueError(f"cannot mutate frozen vertex {at!r}")
@@ -279,7 +352,7 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     # only rows and columns of neighbours change; the others get increment 0
     nbrs = list(compress(range(seed.size), row_k))
     new_b2 = list(old)
-    new_b2[k] = tuple(-x for x in row_k)
+    new_b2[k] = tuple(map(operator.neg, row_k))
     for p in nbrs:
         b_pk = old[p][k]
         row = list(old[p])
@@ -290,6 +363,12 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
             row[q] += num // 4
         row[k] = -b_pk
         new_b2[p] = tuple(row)
+    block = sorted(nbrs + [k])
+    if any(new_b2[i][i] for i in block):
+        raise ValueError("b2 diagonal must be zero")
+    _check_entries(seed, new_b2, (
+        (i, [j for j in block if new_b2[i][j]]) for i in block
+    ))
 
     new_weights = seed.weights
     if seed.weights is not None:
@@ -331,7 +410,7 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
         else:
             new_labels = None
 
-    return replace(seed, b2=tuple(new_b2), weights=new_weights, labels=new_labels)
+    return _unchecked(seed, tuple(new_b2), new_weights, new_labels)
 
 
 # == X-coordinates and the p-map ==

@@ -2,7 +2,9 @@
 
 Claims covered:
     - build / triangle / polygon emit valid, deterministic seed JSON, with
-      distinct vertex names for a10, a11 and a12 too; every file the
+      distinct vertex names for a10, a11 and a12 too; the standard a11 and
+      a12 words given with commas or with spaces build the same seed as
+      the default word; every file the
       benchmark's polygons workload writes has its recorded digest
     - mutating twice at one vertex reproduces the input file byte for byte
     - named sequences run from the command line and can dump stage traces
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from confseed import root_data as rd
 from confseed.cli import main
 from confseed.seed_io import load_seed, save_seed, seed_from_json
 
@@ -98,6 +101,18 @@ class TestBuild:
             assert code == 0, argv
             seed = seed_from_json(json.loads(out))
             assert len(set(seed.names)) == seed.size, argv
+
+    @pytest.mark.parametrize("kind", ["a11", "a12"])
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_separated_two_digit_word(self, kind, sep, capsys):
+        # compact text cannot tell 1,0 from 10, so the standard word of
+        # a11 and a12 is given with separators
+        word = sep.join(rd.standard_longest_word(rd.root_datum(kind)))
+        for argv in (["build"], ["triangle"]):
+            _, default = run(capsys, *argv, "--type", kind)
+            code, out = run(capsys, *argv, "--type", kind, "--word", word)
+            assert code == 0, argv
+            assert out == default, argv
 
     def test_polygon_workload_files_match_their_digests(self, tmp_path, capsys):
         calls = _polygon_calls()

@@ -4,7 +4,8 @@ Claims covered:
     - root_datum builds symmetrizable Cartan data for a_n, g2, d4
     - simple reflections are involutions and fix the complementary weights
     - standard longest words are reduced and have inversion-set length
-    - parse_word round-trips node letters, with digit aliases for d4
+    - parse_word round-trips node letters, with digit aliases for d4;
+      commas or spaces split the text into one node per token
     - w0 acts as minus a diagram automorphism (w0_dual)
     - the closed forms (length and rho for longest words, the diagram
       involution for w0) agree with the Weyl-group search kept here as
@@ -323,6 +324,15 @@ class TestParseWord:
         datum = root_datum("d4")
         assert parse_word(datum, "b123") == ("b", "a1", "a2", "a3")
         assert parse_word(datum, "a1ba2") == ("a1", "b", "a2")
+
+    def test_separators_split_tokens(self):
+        assert parse_word(root_datum("a3"), "1,2,1") == ("1", "2", "1")
+        assert parse_word(root_datum("a3"), " 1 2, 1 ") == ("1", "2", "1")
+        assert parse_word(root_datum("a11"), "10,1,11") == ("10", "1", "11")
+        assert parse_word(root_datum("a11"), "10 1 11") == ("10", "1", "11")
+        assert parse_word(root_datum("d4"), "b, 1, a2") == ("b", "a1", "a2")
+        with pytest.raises(ValueError, match="cannot read a a3 node at '12'"):
+            parse_word(root_datum("a3"), "12,1")
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):

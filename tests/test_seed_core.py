@@ -5,7 +5,13 @@ Claims covered:
     - mutation is an involution on the full seed, labels included
     - the nonzero-only mutation and dual kernels agree with the dense
       reference formulas along random walks
-    - mutation preserves skew-symmetrizability and weight homogeneity
+    - mutation preserves skew-symmetrizability and weight homogeneity;
+      the full check_seed holds after every step of random walks, on the
+      zoo and on the g2 16-gon and the a3 hexagon
+    - mutation checks only the block it writes, names a fault planted there
+      by the same message as the full check of the dense reference, and
+      runs no full check_seed; construction and load run it once each
+    - a seed keeps tuples, so a caller's lists cannot change it afterwards
     - face equations hold at every unfrozen vertex along random walks
     - X-coordinates transport through mutation compatibly with the p-map
     - slot permutations compose; the Langlands dual squares to the identity
@@ -20,12 +26,14 @@ Claims covered:
 """
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
+from confseed import seed_core
 from confseed.root_data import g2_weight_dual, root_datum
 from confseed.seed_core import (
     Exchange,
@@ -56,6 +64,12 @@ ZOO = (
     build_triangle_seed(root_datum("g2")),
     build_conf_m_seed(root_datum("a2"), 4),
     build_conf_m_seed(root_datum("g2"), 4),
+)
+
+# larger seeds for the walks: the g2 16-gon (114 vertices), the a3 hexagon
+POLYGONS = (
+    build_conf_m_seed(root_datum("g2"), 16),
+    build_conf_m_seed(root_datum("a3"), 6),
 )
 
 
@@ -186,10 +200,14 @@ class TestMutation:
             assert mutate(mutate(seed, at), at) == seed
 
     def test_walks_stay_well_formed(self):
+        # the full check after every step is the reference for the local
+        # check inside mutate
         rng = random.Random(5)
-        for seed in _seed_zoo():
-            cur, _ = _random_walk(rng, seed, 12)
-            check_seed(cur)
+        for seed in _seed_zoo() + POLYGONS:
+            cur = seed
+            for _ in range(12):
+                cur = mutate(cur, rng.choice(cur.unfrozen_names()))
+                check_seed(cur)
             assert_face_equations(cur)
 
     def test_mutation_is_balanced_first(self):
@@ -220,7 +238,7 @@ class TestMutation:
 
     def test_matches_dense_rule_along_random_walks(self):
         rng = random.Random(808)
-        for seed in _seed_zoo() + (build_conf_m_seed(root_datum("g2"), 16),):
+        for seed in _seed_zoo() + POLYGONS[:1]:
             cur = seed
             for _ in range(25):
                 at = rng.choice(cur.unfrozen_names())
@@ -236,6 +254,98 @@ class TestMutation:
         for j in range(seed.size):
             assert nxt.b2[k][j] == -seed.b2[k][j]
             assert nxt.b2[j][k] == -seed.b2[j][k]
+
+
+def _plant(seed, b2):
+    """A copy of seed holding b2, made past every check."""
+    out = copy.copy(seed)
+    object.__setattr__(out, "b2", tuple(map(tuple, b2)))
+    return out
+
+
+def _full_check_message(seed, at):
+    """What check_seed says on the dense mutation of seed at ``at``."""
+    dense = _plant(seed, _dense_mutate_b2(seed.b2, seed.index(at)))
+    with pytest.raises(ValueError) as err:
+        check_seed(dense)
+    return str(err.value)
+
+
+def _count_full_checks(monkeypatch):
+    """Sizes of the seeds check_seed sees from now on."""
+    seen = []
+    real = seed_core.check_seed
+
+    def counting(seed):
+        seen.append(seed.size)
+        real(seed)
+
+    monkeypatch.setattr(seed_core, "check_seed", counting)
+    return seen
+
+
+class TestLocalCheck:
+    def _neighbourhood(self, seed):
+        """An unfrozen vertex k with two neighbours p, q (p < q)."""
+        for k in range(seed.size):
+            nbrs = [j for j, b in enumerate(seed.b2[k]) if b]
+            if not seed.frozen[k] and len(nbrs) >= 2:
+                return k, nbrs[0], nbrs[1]
+        raise AssertionError("no vertex with two neighbours")
+
+    @pytest.mark.parametrize("fault, message", [
+        ("diagonal", "b2 diagonal must be zero"),
+        ("skew", "not skew-symmetrizable"),
+        ("parity", "half-integral entry"),
+    ])
+    def test_fault_in_the_block_named_like_the_full_check(self, fault, message):
+        base = build_triangle_seed(root_datum("a3"))
+        k, p, q = self._neighbourhood(base)
+        b2 = [list(r) for r in base.b2]
+        if fault == "diagonal":
+            b2[p][p] = 2
+        elif fault == "skew":
+            b2[p][q] += 2
+        else:
+            # an odd pair at k keeps skew-symmetry (equal multipliers) and
+            # leaves every mutation increment integral
+            step = 1 if b2[k][p] > 0 else -1
+            b2[k][p] += step
+            b2[p][k] -= step
+        planted = _plant(base, b2)
+        want = _full_check_message(planted, base.names[k])
+        assert want.startswith(message)
+        with pytest.raises(ValueError) as err:
+            mutate(planted, base.names[k])
+        assert str(err.value) == want
+
+    def test_caller_lists_cannot_change_a_seed(self):
+        base = build_triangle_seed(root_datum("a3"))
+        k, p, q = self._neighbourhood(base)
+        rows = [list(r) for r in base.b2]
+        seed = Seed(list(base.names), list(base.frozen), list(base.mult), rows,
+                    [list(ws) for ws in base.weights], list(base.labels))
+        rows[p][q] += 2
+        assert seed.b2 == base.b2
+        assert mutate(seed, base.names[k]) == mutate(base, base.names[k])
+
+    def test_walk_runs_no_full_check(self, monkeypatch):
+        seen = _count_full_checks(monkeypatch)
+        _random_walk(random.Random(14), POLYGONS[0], 20)
+        assert seen == []
+
+    def test_construction_and_load_check_once(self, monkeypatch, tmp_path):
+        base = build_triangle_seed(root_datum("g2"))
+        save_seed(base, tmp_path / "g2.json")
+        seen = _count_full_checks(monkeypatch)
+        Seed(base.names, base.frozen, base.mult, base.b2, base.weights, base.labels)
+        assert seen == [base.size]
+        seen.clear()
+        assert load_seed(tmp_path / "g2.json") == base
+        assert seen == [base.size]
+        seen.clear()
+        glued = build_conf_m_seed(root_datum("g2"), 16)
+        assert seen.count(glued.size) == 1
 
 
 # == 3. X-coordinates ========================================================
