@@ -33,9 +33,12 @@ def _emit_seed(seed, out: str | None) -> None:
 def _parse_triangles(text: str, m: int) -> Triangulation:
     triangles = []
     for chunk in text.split(";"):
-        corners = tuple(int(x) for x in chunk.split(","))
+        try:
+            corners = tuple(int(x) for x in chunk.split(","))
+        except ValueError:  # an empty or non-numeric corner
+            corners = ()
         if len(corners) != 3:
-            raise ValueError(f"triangle {chunk!r} needs three corners")
+            raise ValueError(f"triangle {chunk!r} needs three integer corners")
         triangles.append(corners)
     return Triangulation(m, tuple(triangles))
 
@@ -135,7 +138,7 @@ def _run(argv) -> int:
     if args.command == "polygon":
         datum = rd.root_datum(args.kind)
         triangulation = (
-            _parse_triangles(args.triangles, args.m) if args.triangles else None
+            None if args.triangles is None else _parse_triangles(args.triangles, args.m)
         )
         seed = build_conf_m_seed(datum, args.m, triangulation)
         _emit_seed(seed, args.out)

@@ -25,8 +25,9 @@ MAX_FLAG_DRAWS = 1000
 # == flags ==
 
 def random_flag(rng, n: int) -> Flag:
+    """A flag of determinant one: integer rows but the last, divided by the det."""
     for _ in range(MAX_FLAG_DRAWS):
-        rows = [[Q(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         d = det(rows)
         if d != 0:
             rows[-1] = [x / d for x in rows[-1]]
@@ -313,22 +314,20 @@ def shear_configuration(rng, n: int):
     diagonal torus stabilizes the glued edge; corners 2 and 4 are generic
     unipotent translates.  Shearing then acts by diagonal group elements.
     """
-    ident = tuple(
-        tuple(Q(1) if r == c else Q(0) for c in range(n)) for r in range(n)
-    )
+    ident = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
 
     def unitriangular(lower: bool):
-        m = [[Q(1) if r == c else Q(0) for c in range(n)] for r in range(n)]
+        m = [list(row) for row in ident]
         for r in range(n):
             for c in range(n):
                 if r != c and (r > c) == lower:
-                    m[r][c] = Q(rng.randint(-9, 9))
+                    m[r][c] = rng.randint(-9, 9)
         return tuple(tuple(row) for row in m)
 
     def transpose(m):
         return tuple(tuple(row[i] for row in m) for i in range(len(m)))
 
-    w0 = tuple(tuple(Q(x) for x in row) for row in lift_w0(n))
+    w0 = lift_w0(n)
     return (
         ident,
         transpose(unitriangular(True)),

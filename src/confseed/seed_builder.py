@@ -26,7 +26,10 @@ pattern -- alpha_m/2 at the edge's cyclically first corner (the one carrying
 omega_m), w0(alpha_m)/2 at the second, zero at the opposite corner.  Edge
 vertex e carries the weights (omega_{e*}, omega_e, 0), so each arrow to it
 appears alone in one equation.  Weights are int tuples and balances are
-doubled like b2, so the rows read off hold b2 entries.
+doubled like b2, so the rows read off hold b2 entries.  Completion returns
+the completed Seed; Seed's own check_seed refuses a matrix that is not
+skew-symmetrizable, has a nonzero diagonal or an odd entry at an unfrozen
+vertex, so completion tests only what the weights alone decide.
 
 Vertex x_{i,j} is node i at occurrence j (j = 0 before the scan); edge vertex
 x_i belongs to node i.  Names only render these pairs, and two formatters
@@ -38,8 +41,6 @@ must lie on the edge from some corner s to corner s+1 (mod 3) with a
 fundamental weight omega_m at s.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import root_data as rd
 from .seed_core import Minor, Seed, unit, weight_balance, weight_sum
@@ -97,8 +98,7 @@ def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
         return first, tuple(max(-c, 0) for c in gamma), rd.fundamental_weight(datum, node)
 
     names: list[str] = [triangle_name(datum, node, 0) for node in datum.nodes]
-    node_of: list[str] = list(datum.nodes)
-    occ_of: list[int] = [0] * datum.rank
+    mult: list[int] = list(datum.d)
     chamber = {node: rd.fundamental_weight(datum, node) for node in datum.nodes}
     weights = [vertex_weights(chamber[node], node) for node in datum.nodes]
     current = {node: i for i, node in enumerate(datum.nodes)}
@@ -106,19 +106,16 @@ def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
     entries: dict[tuple[int, int], int] = {}
 
     def add_arrow(dst: int, src: int, halves: int) -> None:
-        di = datum.d[datum.index(node_of[dst])]
-        dj = datum.d[datum.index(node_of[src])]
-        entries[(dst, src)] = entries.get((dst, src), 0) + halves * unit(di, dj)
-        entries[(src, dst)] = entries.get((src, dst), 0) - halves * unit(dj, di)
+        entries[(dst, src)] = entries.get((dst, src), 0) + halves * unit(mult[dst], mult[src])
+        entries[(src, dst)] = entries.get((src, dst), 0) - halves * unit(mult[src], mult[dst])
 
     for letter in reversed(word):
         counts[letter] += 1
         v = len(names)
-        names.append(triangle_name(datum, letter, counts[letter]))
-        node_of.append(letter)
-        occ_of.append(counts[letter])
-        add_arrow(current[letter], v, 2)
         col = datum.index(letter)
+        names.append(triangle_name(datum, letter, counts[letter]))
+        mult.append(datum.d[col])
+        add_arrow(current[letter], v, 2)
         gamma = tuple(-c for c in chamber[letter])
         for nb in rd.dynkin_neighbors(datum, letter):
             add_arrow(current[nb], current[letter], 1)
@@ -133,19 +130,14 @@ def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
     b2 = tuple(
         tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n)
     )
-    frozen = [occ == 0 or occ == counts[nd] for nd, occ in zip(node_of, occ_of)]
-    mult = tuple(datum.d[datum.index(nd)] for nd in node_of)
+    # frozen: the vertices before the scan and each node's last vertex
+    last = set(current.values())
+    frozen = tuple(v < datum.rank or v in last for v in range(n))
     labels = tuple(Minor(w) for w in weights)
-    return Seed(tuple(names), tuple(frozen), mult, b2, tuple(weights), labels)
+    return Seed(tuple(names), frozen, tuple(mult), b2, tuple(weights), labels)
 
 
 # == completion ==
-
-@dataclass(frozen=True)
-class CompletionReport:
-    edge_names: tuple[str, ...]
-    patterns: dict  # doubled boundary pattern per frozen vertex
-
 
 def _boundary_pattern(datum, name, ws):
     """Twice the boundary pattern of a frozen vertex, read from its weights.
@@ -167,10 +159,8 @@ def _boundary_pattern(datum, name, ws):
     raise ValueError(f"frozen vertex {name} has weights {ws} off the triangle's edges")
 
 
-def complete_triangle_seed(
-    datum: rd.RootDatum, seed: Seed
-) -> tuple[Seed, CompletionReport]:
-    """Add the third-edge vertices and read off their arrows.
+def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
+    """Add the third-edge vertices, read off their arrows, return the Seed.
 
     Every unfrozen row must pair to zero against the weights and every frozen
     row to its boundary pattern.  Edge vertex e carries the weights
@@ -178,12 +168,14 @@ def complete_triangle_seed(
     it is coordinate e of the second slot of the row's doubled target
     (pattern minus balance).  The row is consistent exactly when coordinate
     e* of the first slot agrees for every e and the third slot is zero, so
-    the completion is unique.  Raises ValueError when any row is
-    inconsistent or an unfrozen entry is odd.
+    the completion is unique.  An edge row's entries at the old vertices
+    follow by skew-symmetrizability, and its entries at the edges are read
+    off the balance of those.  Raises ValueError when a row is inconsistent,
+    an edge entry is not half-integral, or weights repeat; Seed itself
+    refuses a completed matrix that check_seed rejects.
     """
     if seed.weights is None:
         raise ValueError("completion needs vertex weights")
-    n = seed.size
     zero = rd.zero_weight(datum)
 
     edge_names = []
@@ -199,9 +191,8 @@ def complete_triangle_seed(
             (rd.fundamental_weight(datum, dual), rd.fundamental_weight(datum, node), zero)
         )
         star.append(datum.index(dual))
-    r = len(edge_names)
     names = seed.names + tuple(edge_names)
-    frozen = seed.frozen + (True,) * r
+    frozen = seed.frozen + (True,) * datum.rank
     weights = seed.weights + tuple(edge_weights)
 
     patterns = {
@@ -221,54 +212,28 @@ def complete_triangle_seed(
         return second
 
     # rows of existing vertices against the new edges
-    b_to_edges: list[tuple[int, ...]] = []
-    for i, name in enumerate(seed.names):
-        row = read_off(name, weight_balance(seed, name), frozen_row=seed.frozen[i])
-        if not seed.frozen[i]:
-            for x, other in zip(row, edge_names):
-                if x % 2:
-                    raise ValueError(
-                        f"unfrozen entry ({name},{other}) is not integral: {x}/2"
-                    )
-        b_to_edges.append(row)
+    b_to_edges = [
+        read_off(name, weight_balance(seed, name), frozen_row=fz)
+        for name, fz in zip(seed.names, seed.frozen)
+    ]
 
     # edge rows: old entries by skew-symmetrizability, then edge-edge entries
-    d_edge = datum.d
-    edge_to_old: list[tuple[int, ...]] = []
-    for e in range(r):
-        row = []
-        for i in range(n):
-            num = -b_to_edges[i][e] * seed.mult[i]
-            if num % d_edge[e]:
+    edge_rows = []
+    for e, d_e in enumerate(datum.d):
+        skew = []
+        for i, row in enumerate(b_to_edges):
+            num = -row[e] * seed.mult[i]
+            if num % d_e:
                 raise ValueError(f"({edge_names[e]},{seed.names[i]}) is not half-integral")
-            row.append(num // d_edge[e])
-        edge_to_old.append(tuple(row))
+            skew.append(num // d_e)
+        acc = weight_sum(((c, w) for c, w in zip(skew, seed.weights) if c), 3, datum.rank)
+        edge_rows.append(tuple(skew) + read_off(edge_names[e], acc, frozen_row=True))
 
-    edge_to_edge: list[tuple[int, ...]] = []
-    for e in range(r):
-        acc = weight_sum(
-            ((c, w) for c, w in zip(edge_to_old[e], seed.weights) if c), 3, datum.rank
-        )
-        row = read_off(edge_names[e], acc, frozen_row=True)
-        if row[e] != 0:
-            raise ValueError(f"edge row {edge_names[e]} hits its own column")
-        edge_to_edge.append(row)
-
-    for e in range(r):
-        for f in range(r):
-            if edge_to_edge[e][f] * d_edge[f] != -edge_to_edge[f][e] * d_edge[e]:
-                raise ValueError(
-                    f"edge rows disagree at ({edge_names[e]},{edge_names[f]})"
-                )
-
-    b2 = tuple(row + ext for row, ext in zip(seed.b2, b_to_edges)) + tuple(
-        old + new for old, new in zip(edge_to_old, edge_to_edge)
-    )
-    mult = seed.mult + d_edge
-    if len(set(weights)) != n + r:
+    b2 = tuple(row + ext for row, ext in zip(seed.b2, b_to_edges)) + tuple(edge_rows)
+    if len(set(weights)) != len(weights):
         raise ValueError("vertex weight tuples must be distinct")
     labels = tuple(Minor(w) for w in weights)
-    out = Seed(names, frozen, mult, b2, weights, labels)
+    out = Seed(names, frozen, seed.mult + datum.d, b2, weights, labels)
 
     # final validation: faces and boundary patterns
     for name in out.names:
@@ -276,16 +241,14 @@ def complete_triangle_seed(
         want = patterns.get(name, (zero, zero, zero))
         if bal != want:
             raise ValueError(f"completed row {name} pairs to {bal}, wanted {want}")
-    return out, CompletionReport(tuple(edge_names), patterns)
+    return out
 
 
 def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:
     """Word quiver plus completion, using the standard word by default."""
     if word is None:
         word = rd.standard_longest_word(datum)
-    seed = build_bruhat_seed(datum, word)
-    done, _ = complete_triangle_seed(datum, seed)
-    return done
+    return complete_triangle_seed(datum, build_bruhat_seed(datum, word))
 
 
 def reverse_word_seed(datum: rd.RootDatum) -> Seed:

@@ -610,24 +610,29 @@ def quiver_isomorphic(s1: Seed, s2: Seed, *, reverse_arrows: bool = False):
 
     assigned = [0] * n
     used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in cands[i]:
-            # with equal multipliers, skew-symmetrizability makes a match of
-            # b2[i][p] a match of b2[p][i] too
-            if used[j] or any(
-                s2.b2[j][assigned[p]] != sign * s1.b2[i][p] for p in range(i)
-            ):
-                continue
-            assigned[i] = j
-            used[j] = True
-            if extend(i + 1):
-                return True
-            used[j] = False
-        return False
-
-    if not extend(0):
-        return None
+    # depth-first over vertex i = 0, 1, ... with an explicit stack: pos[i] is
+    # the next position to try in cands[i], so a 1,000-vertex seed needs no
+    # Python recursion, and trying candidates in list order makes the first
+    # full mapping the least one
+    pos = [0] * (n + 1)
+    i = 0
+    while i < n:
+        if pos[i] == len(cands[i]):
+            if i == 0:
+                return None
+            i -= 1
+            used[assigned[i]] = False
+            continue
+        j = cands[i][pos[i]]
+        pos[i] += 1
+        # with equal multipliers, skew-symmetrizability makes a match of
+        # b2[i][p] a match of b2[p][i] too
+        if used[j] or any(
+            s2.b2[j][assigned[p]] != sign * s1.b2[i][p] for p in range(i)
+        ):
+            continue
+        assigned[i] = j
+        used[j] = True
+        i += 1
+        pos[i] = 0
     return {s1.names[i]: s2.names[assigned[i]] for i in range(n)}

@@ -111,7 +111,7 @@ def suite_builders(rng=None) -> list[CheckReport]:
     for kind, table in tri_tables:
         datum = rd.root_datum(kind)
         word_seed = build_bruhat_seed(datum, rd.standard_longest_word(datum))
-        seed, _ = complete_triangle_seed(datum, word_seed)
+        seed = complete_triangle_seed(datum, word_seed)
         triangles[kind] = seed
         problems = []
         if _arrowset(seed) != _golden_arrowset(table):

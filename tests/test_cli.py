@@ -15,7 +15,9 @@ Claims covered:
     - usage errors (unknown flags, suites, sequences) exit with status 2;
       an unknown suite is named without stray quotes
     - domain and file errors exit with status 2 and a one-line message,
-      triangle lists that do not tile the m-gon and the empty word included
+      triangle lists that do not tile the m-gon, empty triangle lists and
+      triangles with an empty or non-integer corner (the message quotes the
+      triangle) and the empty word included
     - any reduced word builds and completes, and build writes its weights
     - every confseed line of README's command-line block exits 0
 """
@@ -316,6 +318,14 @@ class TestExportAndErrors:
          "side 1-2 must lie in exactly one triangle"),
         (["polygon", "--type", "a2", "--m", "4",
           "--triangles", "1,2,3;1,2,3"], "0", "(1, 2, 3) is listed twice"),
+        (["polygon", "--type", "a2", "--m", "5", "--triangles", ","], "0",
+         "triangle ',' needs three integer corners"),
+        (["polygon", "--type", "a2", "--m", "5", "--triangles", "1,2,3;"], "0",
+         "triangle '' needs three integer corners"),
+        (["polygon", "--type", "a2", "--m", "5", "--triangles", "1,2,x"], "0",
+         "triangle '1,2,x' needs three integer corners"),
+        (["polygon", "--type", "a2", "--m", "5", "--triangles", ""], "0",
+         "triangle '' needs three integer corners"),
     ], ids=["unknown-type", "leading-zero-rank", "full-width-digit",
             "arabic-indic-digit", "oversized-rank", "huge-rank",
             "oversized-polygon",
@@ -327,7 +337,8 @@ class TestExportAndErrors:
             "float-b2", "string-b2", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
             "ragged-weights", "deeply-nested-file", "non-tiling-triangles",
-            "repeated-triangle"])
+            "repeated-triangle", "empty-corners", "trailing-semicolon",
+            "non-integer-corner", "empty-triangle-list"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
                                            tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -14,7 +14,9 @@ Claims covered:
       the partial products of the word
     - triangle completion adds one edge vertex per letter class and matches
       the frozen tables; the arrows it reads off equal the reference solver's
-      solution of each row's edge-weight system, whose kernel is empty
+      solution of each row's edge-weight system, whose kernel is empty, on
+      the standard and reversed words and on every reduced word of a2, a3
+      and g2
     - completion refuses swapped word-vertex weights with the message of the
       first check they fail
     - the sl4 start-edge imbalances equal the three frozen vectors
@@ -45,6 +47,7 @@ from confseed.root_data import (
     w0_dual,
 )
 from confseed.seed_builder import (
+    _boundary_pattern,
     build_bruhat_seed,
     build_triangle_seed,
     complete_triangle_seed,
@@ -144,34 +147,42 @@ class TestTriangleCompletion:
         for kind in ("a2", "a3", "g2", "d4"):
             datum = root_datum(kind)
             word_seed = build_bruhat_seed(datum, standard_longest_word(datum))
-            seed, report = complete_triangle_seed(datum, word_seed)
-            assert set(report.edge_names) <= set(seed.names)
-            assert len(report.edge_names) == datum.rank
+            seed = complete_triangle_seed(datum, word_seed)
+            edge_names = [triangle_name(datum, node) for node in datum.nodes]
+            assert seed.names == word_seed.names + tuple(edge_names)
+            assert seed.frozen[word_seed.size:] == (True,) * datum.rank
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["standard", "reversed"])
-    @pytest.mark.parametrize("kind", TABLED_KINDS)
-    def test_read_off_matches_the_reference_solver(self, kind, reverse):
+    @pytest.mark.parametrize("kind, words", [
+        (kind, words) for kind in TABLED_KINDS for words in ("standard", "reversed")
+    ] + [(kind, "every-word") for kind in ("a2", "a3", "g2")])
+    def test_read_off_matches_the_reference_solver(self, kind, words):
         # each row's entries at the edge vertices solve the stacked system
         # (edge weights) x = pattern - (balance over the other columns)
         datum = root_datum(kind)
-        word = standard_longest_word(datum)
-        if reverse:
-            word = tuple(reversed(word))
-        seed, report = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
-        edges = [seed.index(nm) for nm in report.edge_names]
-        others = [j for j in range(seed.size) if j not in edges]
-        columns = [[c for w in seed.weights[e] for c in w] for e in edges]
-        matrix = [list(row) for row in zip(*columns)]
+        std = standard_longest_word(datum)
+        if words == "every-word":
+            # completion leaves its matrix tests to Seed; this checks its rows
+            todo = _reduced_words(datum)
+        else:
+            todo = [std if words == "standard" else tuple(reversed(std))]
         zero = ((0,) * datum.rank,) * 3
-        for i, name in enumerate(seed.names):
-            rest = ((seed.b2[i][j], seed.weights[j]) for j in others)
-            target = weight_sum(
-                ((1, report.patterns.get(name, zero)), (-1, weight_sum(rest, 3, datum.rank))),
-                3, datum.rank,
-            )
-            sol, kernel = solve_with_kernel(matrix, [c for w in target for c in w])
-            assert kernel == [], name
-            assert [seed.b2[i][e] for e in edges] == sol, name
+        for word in todo:
+            seed = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
+            edges = [seed.index(triangle_name(datum, node)) for node in datum.nodes]
+            others = [j for j in range(seed.size) if j not in edges]
+            columns = [[c for w in seed.weights[e] for c in w] for e in edges]
+            matrix = [list(row) for row in zip(*columns)]
+            for i, name in enumerate(seed.names):
+                want = (
+                    _boundary_pattern(datum, name, seed.weights[i]) if seed.frozen[i] else zero
+                )
+                rest = ((seed.b2[i][j], seed.weights[j]) for j in others)
+                target = weight_sum(
+                    ((1, want), (-1, weight_sum(rest, 3, datum.rank))), 3, datum.rank
+                )
+                sol, kernel = solve_with_kernel(matrix, [c for w in target for c in w])
+                assert kernel == [], (word, name)
+                assert [seed.b2[i][e] for e in edges] == sol, (word, name)
 
     @pytest.mark.parametrize("kind, first, second, message", [
         ("a2", "x_20", "x_21", "inconsistent linear system"),
@@ -403,7 +414,7 @@ class TestWordVertexWeights:
         words = _reduced_words(datum)
         assert len(words) == count
         for word in words:
-            seed, _ = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
+            seed = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
             assert_face_equations(seed)
 
     @pytest.mark.parametrize("kind", ["a4", "d4"])

@@ -16,7 +16,8 @@ Claims covered:
     - X-coordinates transport through mutation compatibly with the p-map
     - slot permutations compose; the Langlands dual squares to the identity
     - quiver_isomorphic and matches_under find real isomorphisms and reject
-      broken ones, an arrow added where none was included
+      broken ones, an arrow added where none was included; the search finds
+      the identity on the g2 128-gon (1,010 vertices) without recursion
     - every weight coordinate is an int, through building, gluing,
       mutation, duality and a save/load round trip
     - labels are hash-consed: equal labels are one immutable object, a
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -485,6 +487,13 @@ class TestIsomorphism:
         iso = quiver_isomorphic(s1, s2)
         assert iso == {nm: nm for nm in s1.names}
         assert matches_under(s1, s2, iso)
+
+    def test_large_seed_needs_no_recursion(self):
+        # the search goes one level deeper per vertex, and the g2 128-gon
+        # has more vertices than Python's default recursion limit
+        seed = build_conf_m_seed(root_datum("g2"), 128)
+        assert seed.size == 1010 > sys.getrecursionlimit()
+        assert quiver_isomorphic(seed, seed) == {nm: nm for nm in seed.names}
 
     def test_arrow_where_none_was_is_caught(self):
         # the sparse comparison must see an entry that is zero on one side
