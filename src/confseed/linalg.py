@@ -1,15 +1,20 @@
 """Exact linear algebra over the rationals, small dense systems only.
 
-Determinants are fraction-free: rows are scaled to integers by the lcm of
-their denominators and eliminated by Bareiss's integer-preserving method, so
-only the final quotient is a Fraction.  solve_with_kernel stays in Fractions;
-it is the reference solver the tests check triangle completion against, and
-no longer sits on the build path, which reads each arrow off one equation.
+Determinants are fraction-free: int rows enter Bareiss's integer-preserving
+elimination as they stand, a row holding a Fraction is first scaled to
+integers by the lcm of its denominators, and only the final value is built
+as a Fraction.  The flag oracle's minors mostly stack int flag rows, so they
+skip the scaling and build one Fraction each.  solve_with_kernel stays in
+Fractions; it is the reference solver the tests check triangle completion
+against, and no longer sits on the build path, which reads each arrow off
+one equation.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import lcm
+
+_INT = {int}
 
 
 def mat_mul(a, b) -> list[list]:
@@ -19,20 +24,24 @@ def mat_mul(a, b) -> list[list]:
 
 
 def det(rows) -> Q:
-    """Determinant by fraction-free Bareiss elimination.
+    """Determinant by fraction-free Bareiss elimination, always a Fraction.
 
-    Each row is first scaled to integers by the lcm of its entries'
-    denominators; the integer matrix is then eliminated with exact division
-    by the previous pivot (Bareiss, Math. Comp. 22, 1968), and the result is
-    divided by the product of the row scales.  Entries are ints or
-    Fractions; det([]) == 1.
+    Rows of ints are eliminated as they stand.  A row that holds a Fraction
+    is first scaled to integers by the lcm of its entries' denominators, and
+    the result is divided by the product of those scales.  Elimination
+    divides exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968),
+    so every intermediate stays an int.  Entries are ints or Fractions;
+    det([]) == 1.
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("det needs a square matrix")
     a = []
     scale = 1
     for row in rows:
+        if len(row) != n:
+            raise ValueError("det needs a square matrix")
+        if set(map(type, row)) == _INT:
+            a.append(list(row))
+            continue
         den = lcm(*(x.denominator for x in row))
         scale *= den
         a.append([x.numerator * (den // x.denominator) for x in row])
@@ -47,12 +56,14 @@ def det(rows) -> Q:
             sign = -sign
         pivot_row = a[k]
         p = pivot_row[k]
+        rest = range(k + 1, n)
         for row in a[k + 1:]:
             f = row[k]
-            for c in range(k + 1, n):
+            for c in rest:
                 row[c] = (p * row[c] - f * pivot_row[c]) // prev
         prev = p
-    return Q(sign * a[-1][-1], scale) if n else Q(1)
+    d = sign * a[-1][-1] if n else 1
+    return Q(d) if scale == 1 else Q(d, scale)
 
 
 def solve_with_kernel(rows, rhs) -> tuple[list[Q], list[list[Q]]]:

@@ -10,11 +10,14 @@ check below is pass/fail with no tolerance.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cache
 from itertools import compress
 
 from . import root_data as rd
 from .linalg import det, mat_mul
-from .seed_core import Label, Minor, Seed, matches_under, mutate, x_from_a
+from .seed_core import (
+    Label, Minor, Seed, matches_under, monomial, mutate, x_from_a,
+)
 
 Flag = tuple  # n x n matrix, rows first
 
@@ -28,9 +31,9 @@ def random_flag(rng, n: int) -> Flag:
     """A flag of determinant one: integer rows but the last, divided by the det."""
     for _ in range(MAX_FLAG_DRAWS):
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        d = det(rows)
+        d = det(rows).numerator  # an int, as the rows are
         if d != 0:
-            rows[-1] = [x / d for x in rows[-1]]
+            rows[-1] = [Q(x, d) for x in rows[-1]]
             return tuple(tuple(r) for r in rows)
     raise ValueError(f"random_flag: no invertible matrix in {MAX_FLAG_DRAWS} draws")
 
@@ -74,8 +77,12 @@ def random_torus(rng, n: int):
 
 # == atomic invariants ==
 
+@cache
 def degrees_of(weights) -> tuple[int, ...]:
-    """Row counts per slot for an atomic weight tuple; raises otherwise."""
+    """Row counts per slot for an atomic weight tuple; raises otherwise.
+
+    Cached by weight tuple, so the tuple must be hashable.
+    """
     degs = []
     for w in weights:
         nz = [(i, c) for i, c in enumerate(w) if c != 0]
@@ -114,7 +121,9 @@ def evaluate_label(label: Label, flags) -> Q:
     and then those of a mutated seed, computes each distinct node once.  The
     memo is keyed by identity, so flags must be immutable: tuples of row
     tuples, as every flag producer here returns.  The cell holds the flags
-    alive, so their identity is not reused while the value is stored.
+    alive, so their identity is not reused while the value is stored.  An
+    exchange node multiplies its factors' numerators and denominators as
+    ints and builds its value as one Fraction.
     """
     memo = label.memo
     if memo[0] is flags:
@@ -122,36 +131,39 @@ def evaluate_label(label: Label, flags) -> Q:
     if isinstance(label, Minor):
         val = wedge_invariant(degrees_of(label.weights), flags)
     else:
-        plus = Q(1)
-        for l, e in label.plus:
-            plus *= evaluate_label(l, flags) ** e
-        minus = Q(1)
-        for l, e in label.minus:
-            minus *= evaluate_label(l, flags) ** e
-        val = (plus + minus) / evaluate_label(label.over, flags)
+        pn, pd = monomial((evaluate_label(l, flags), e) for l, e in label.plus)
+        mn, md = monomial((evaluate_label(l, flags), e) for l, e in label.minus)
+        over = evaluate_label(label.over, flags)
+        val = Q((pn * md + mn * pd) * over.denominator, pd * md * over.numerator)
     memo[0], memo[1] = flags, val
     return val
 
 
-def seed_values(seed: Seed, flags) -> dict[str, Q]:
+def _labels_of(seed: Seed) -> tuple[Label, ...]:
     if seed.labels is None:
         raise ValueError("seed carries no labels")
-    return {nm: evaluate_label(l, flags) for nm, l in zip(seed.names, seed.labels)}
+    return seed.labels
+
+
+def seed_values(seed: Seed, flags) -> dict[str, Q]:
+    return {nm: evaluate_label(l, flags) for nm, l in zip(seed.names, _labels_of(seed))}
 
 
 # == identity checks ==
 
 def check_exchange(seed: Seed, at: str, flags) -> Q:
-    """Residual of A_k * A'_k - (M+ + M-) under one mutation.
+    """Residual of A_k * A'_k - (M+ + M-) under one mutation, a Fraction.
 
     When the mutated vertex weight is atomic, A'_k is evaluated as a fresh
     stacked minor -- independent of the exchange relation, so the residual
     is a genuine identity between determinants.  Otherwise A'_k comes from
     the new vertex's label tree, which exercises the evaluation machinery
-    and the bookkeeping of the mutated seed.
+    and the bookkeeping of the mutated seed.  Raises ValueError when the
+    seed carries no labels.
     """
+    labels = _labels_of(seed)
     k = seed.index(at)
-    a_k = evaluate_label(seed.labels[k], flags)
+    a_k = evaluate_label(labels[k], flags)
     stepped = mutate(seed, at)
     n = len(flags[0])
     if evaluatable(stepped.weight(at), n):
@@ -159,28 +171,32 @@ def check_exchange(seed: Seed, at: str, flags) -> Q:
     else:
         a_new = evaluate_label(stepped.labels[k], flags)
     row = seed.b2[k]
-    plus = Q(1)
-    minus = Q(1)
-    for j in compress(range(seed.size), row):
-        e = row[j] // 2
-        if e > 0:
-            plus *= evaluate_label(seed.labels[j], flags) ** e
-        elif e < 0:
-            minus *= evaluate_label(seed.labels[j], flags) ** (-e)
-    return a_k * a_new - (plus + minus)
+    terms = [
+        (evaluate_label(labels[j], flags), row[j] // 2)
+        for j in compress(range(seed.size), row)
+    ]
+    pn, pd = monomial((v, e) for v, e in terms if e > 0)
+    mn, md = monomial((v, -e) for v, e in terms if e < 0)
+    num = a_k.numerator * a_new.numerator
+    den = a_k.denominator * a_new.denominator
+    return Q(num * pd * md - den * (pn * md + mn * pd), den * pd * md)
 
 
 def torus_scale(weights, toruses) -> Q:
-    """Character of a weight tuple against one diagonal per slot."""
-    out = Q(1)
+    """Character of a weight tuple against one diagonal per slot.
+
+    A weight c in fundamental coordinates takes a diagonal h to
+    prod_i (h_1 ... h_i) ** c_i, which is prod_i h_i ** (c_i + ... + c_{n-1}).
+    """
+    factors = []
     for w, h in zip(weights, toruses, strict=True):
-        lead = Q(1)
-        for i, c in enumerate(w):
-            lead *= h[i]
-            if c != int(c):
-                raise ValueError("character needs integral weights")
-            out *= lead ** int(c)
-    return out
+        if any(c != int(c) for c in w):
+            raise ValueError("character needs integral weights")
+        e = 0
+        for i in reversed(range(len(w))):
+            e += int(w[i])
+            factors.append((h[i], e))
+    return Q(*monomial(factors))
 
 
 def torus_weight_check(seed: Seed, flags, toruses) -> bool:
@@ -218,11 +234,13 @@ def check_pentagon(seed: Seed, j: str, k: str, flags) -> bool:
 
 # == the longest-element lift and the twisted cyclic shift ==
 
-def lift_w0(n: int):
+@cache
+def lift_w0(n: int) -> tuple[tuple[int, ...], ...]:
     """Product of (I-E_i)(I+F_i)(I-E_i) along the standard longest word.
 
     Each factor is the identity with the block [[0,-1],[1,0]] on rows and
-    columns i-1, i.
+    columns i-1, i.  Computed once per n and returned as row tuples, so no
+    caller can change the cached matrix.
     """
     datum = rd.root_datum(f"a{n - 1}")
     out = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
@@ -232,11 +250,12 @@ def lift_w0(n: int):
         s[i - 1][i - 1] = s[i][i] = 0
         s[i - 1][i], s[i][i - 1] = -1, 1
         out = mat_mul(out, s)
-    return out
+    return tuple(map(tuple, out))
 
 
+@cache
 def w0_square_sign(n: int) -> int:
-    """The central element lift(w0)^2 as +1 or -1."""
+    """The central element lift(w0)^2 as +1 or -1, computed once per n."""
     w = lift_w0(n)
     sq = mat_mul(w, w)
     for s in (1, -1):

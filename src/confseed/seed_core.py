@@ -427,14 +427,36 @@ def p_exponents(seed: Seed, name: str) -> dict[str, int]:
     return out
 
 
+def monomial(factors) -> tuple[int, int]:
+    """prod v ** e over (v, e) pairs, as an int (numerator, denominator).
+
+    Each v is an int or a Fraction and each e an int of either sign.  The
+    pair is not reduced, and its denominator is 0 when a v of 0 has a
+    negative exponent, so Q(num, den) raises ZeroDivisionError exactly
+    where the product of Fractions would.
+    """
+    num = den = 1
+    for v, e in factors:
+        if e >= 0:
+            num *= v.numerator ** e
+            den *= v.denominator ** e
+        else:
+            num *= v.denominator ** -e
+            den *= v.numerator ** -e
+    return num, den
+
+
 def x_from_a(seed: Seed, avals: dict, names=None) -> dict:
-    """Push A-values through the p-map, X_i = prod_j A_j ** b[i][j]."""
+    """Push A-values through the p-map, X_i = prod_j A_j ** b[i][j].
+
+    A-values are ints or Fractions; each X-value is one Fraction, built
+    from the monomial's int numerator and denominator.
+    """
     out = {}
     for name in names if names is not None else seed.unfrozen_names():
-        x = Q(1)
-        for j, e in p_exponents(seed, name).items():
-            x *= Q(avals[j]) ** e
-        out[name] = x
+        out[name] = Q(*monomial(
+            (avals[j], e) for j, e in p_exponents(seed, name).items()
+        ))
     return out
 
 

@@ -347,15 +347,14 @@ def suite_reversal(rng=None) -> list[CheckReport]:
 def suite_oracle(rng=None) -> list[CheckReport]:
     rng = rng or random.Random(0)
     reports = []
+    # seeds are immutable, so every check shares one a2 and one a3 build
+    tris = {n: build_triangle_seed(rd.root_datum(f"a{n - 1}")) for n in (3, 4)}
+    quads = {n: build_conf_m_seed(rd.root_datum(f"a{n - 1}"), 4) for n in (3, 4)}
 
     problems = []
     checked = 0
     for n, shape in ((3, 3), (4, 3), (3, 4)):
-        datum = rd.root_datum(f"a{n - 1}")
-        seed = (
-            build_triangle_seed(datum) if shape == 3
-            else build_conf_m_seed(datum, 4)
-        )
+        seed = tris[n] if shape == 3 else quads[n]
 
         def exchange_trial():
             flags = mo.random_flags(rng, n, shape)
@@ -375,13 +374,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
 
     problems = []
     for n, shape in ((3, 3), (4, 3), (3, 4)):
-        datum = rd.root_datum(f"a{n - 1}")
-        seed = (
-            build_triangle_seed(datum) if shape == 3
-            else build_conf_m_seed(datum, 4)
-        )
-        if shape == 4:
-            seed = mutate(seed, "x_01")
+        seed = tris[n] if shape == 3 else mutate(quads[n], "x_01")
 
         def torus_trial():
             flags = mo.random_flags(rng, n, shape)
@@ -398,9 +391,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
 
     problems = []
     for n in (3, 4):
-        datum = rd.root_datum(f"a{n - 1}")
-        tri = build_triangle_seed(datum)
-        quad = build_conf_m_seed(datum, 4)
+        tri, quad = tris[n], quads[n]
         if mo.w0_square_sign(n) != (-1) ** (n - 1):
             problems.append(f"unexpected central sign for n={n}")
         for _ in range(5):
@@ -415,9 +406,8 @@ def suite_oracle(rng=None) -> list[CheckReport]:
 
     problems = []
     for n in (3, 4):
-        quad = build_conf_m_seed(rd.root_datum(f"a{n - 1}"), 4)
         for _ in range(20):
-            if not mo.check_shear_law(quad, rng, n):
+            if not mo.check_shear_law(quads[n], rng, n):
                 problems.append(f"shear law fails (n={n})")
                 break
     reports.append(_report(
@@ -426,7 +416,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
     ))
 
     problems = []
-    quad = build_conf_m_seed(rd.root_datum("a2"), 4)
+    quad = quads[3]
 
     def pentagon_trial():
         if not mo.check_pentagon(quad, "x_01", "x_11", mo.random_flags(rng, 3, 4)):

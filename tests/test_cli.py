@@ -12,6 +12,8 @@ Claims covered:
       suites that map vertex names (langlands, triality, reversal) pass;
       the full text and JSON reports equal the pinned files in tests/data
     - export-dot renders a digraph; oracle runs the numeric checks
+    - ``python -m confseed`` runs the command line from a checkout: the
+      full verify report is the pinned one, and an unknown suite exits 2
     - usage errors (unknown flags, suites, sequences) exit with status 2;
       an unknown suite is named without stray quotes
     - domain and file errors exit with status 2 and a one-line message,
@@ -26,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +44,7 @@ from confseed.seed_io import load_seed, save_seed, seed_from_json
 # the pinned verify reports; they read the same at rng seeds 0, 7 and 11
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 # the benchmark's polygons workload and the digests of the files it writes,
 # read and never written here
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -250,6 +255,20 @@ class TestVerify:
         monkeypatch.setenv("CONFSEED_RNG_SEED", "9")
         code, _ = run(capsys, "verify", "--suite", "typea-flip")
         assert code == 0
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        # python -m confseed from a checkout, with src/ on the path only
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("CONFSEED_RNG_SEED", None)
+        argv = [sys.executable, "-m", "confseed", "--rng-seed", "0", "verify"]
+        done = subprocess.run(argv + ["--suite", "all"], cwd=tmp_path, env=env,
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (DATA / "verify_all.txt").read_bytes()
+        done = subprocess.run(argv + ["--suite", "nope"], cwd=tmp_path, env=env,
+                              capture_output=True)
+        assert done.returncode == 2
+        assert done.stderr.endswith(b"confseed: error: unknown suite 'nope'\n")
 
 
 # == 4. export and usage errors ==============================================

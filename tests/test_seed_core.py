@@ -13,7 +13,11 @@ Claims covered:
       runs no full check_seed; construction and load run it once each
     - a seed keeps tuples, so a caller's lists cannot change it afterwards
     - face equations hold at every unfrozen vertex along random walks
-    - X-coordinates transport through mutation compatibly with the p-map
+    - X-coordinates transport through mutation compatibly with the p-map;
+      x_from_a equals the product of one Fraction power per factor on
+      signed rationals with exponents of both signs, returns Fractions, and
+      raises ZeroDivisionError where a vanishing value has a negative
+      exponent
     - slot permutations compose; the Langlands dual squares to the identity
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
@@ -390,6 +394,50 @@ class TestXCoordinates:
             want = x_from_a(stepped, new_avals)
             got = mutate_x(seed, at, x_from_a(seed, avals))
             assert want == got
+
+    @staticmethod
+    def _x_reference(seed, avals):
+        """X-values as a product of one Fraction power per factor."""
+        out = {}
+        for name in seed.unfrozen_names():
+            x = Q(1)
+            for j, e in p_exponents(seed, name).items():
+                x *= Q(avals[j]) ** e
+            out[name] = x
+        return out
+
+    def test_x_values_match_the_fraction_product(self):
+        # signed rationals and ints, on seeds walked until their p-map rows
+        # carry exponents of both signs
+        rng = random.Random(23)
+        for _ in range(40):
+            seed = rng.choice(_seed_zoo())
+            for _ in range(rng.randint(0, 6)):
+                seed = mutate(seed, rng.choice(seed.unfrozen_names()))
+            avals = {
+                nm: rng.choice((
+                    rng.randint(-9, 9) or 1,
+                    Q(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                ))
+                for nm in seed.names
+            }
+            got = x_from_a(seed, avals)
+            assert got == self._x_reference(seed, avals)
+            assert all(type(x) is Q for x in got.values())
+            rows = [p_exponents(seed, nm).values() for nm in seed.unfrozen_names()]
+            assert any(min(row) < 0 < max(row) for row in rows if row)
+
+    def test_a_vanishing_value_raises_only_under_a_negative_exponent(self):
+        seed = build_conf_m_seed(root_datum("a2"), 4)
+        for name in seed.unfrozen_names():
+            for j, e in p_exponents(seed, name).items():
+                avals = {nm: Q(2, 3) for nm in seed.names}
+                avals[j] = Q(0)
+                if e < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        x_from_a(seed, avals, [name])
+                else:
+                    assert x_from_a(seed, avals, [name]) == {name: 0}
 
 
 # == 4. slot permutations and duality ========================================
