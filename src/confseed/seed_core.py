@@ -9,10 +9,12 @@ throughout:
 * the diagonal is zero.
 
 ``b2`` is a dense tuple of int rows, but the kernels that scan it
-(``check_seed``, ``mutate``, ``arrows``, ``langlands_dual``, ``p_exponents``,
-``matches_under``, ``quiver_isomorphic``) visit only its nonzero entries: by
+(``check_seed``, ``mutate``, ``arrows``, ``p_exponents``, ``matches_under``,
+``quiver_isomorphic``) visit only its nonzero entries: by
 skew-symmetrizability b2[i][j] and b2[j][i] are zero together, so a mutation
-rewrites only the rows of the mutated vertex's neighbours.
+rewrites only the rows of the mutated vertex's neighbours.  The same rule
+makes the Langlands dual's matrix the transpose of ``b2``, so
+``langlands_dual`` scans no row at all.
 
 Every way to make a seed runs the full ``check_seed``, except ``mutate``.
 A seed stores its sequence fields as tuples, so a checked seed stays
@@ -476,8 +478,7 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
         if i == k:
             out[name] = 1 / xk
             continue
-        if seed.b2[i][k] % 2:
-            raise ValueError(f"no integral X-row at {name}")
+        # k is unfrozen, so check_seed's parity rule makes b2[i][k] even
         bik = seed.b2[i][k] // 2
         val = x
         if bik > 0:
@@ -508,6 +509,11 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     """The dual seed: b'[i][j] = -b[i][j]*d[j]/d[i], d'_i = max(d)/d_i.
 
+    The dual matrix is the transpose of b2.  check_seed enforces
+    b2[i][j]*d[j] == -b2[j][i]*d[i], so -b2[i][j]*d[j]/d[i] is exactly
+    b2[j][i]: every dual entry is integral and has the parity of b2 at the
+    same pair.  The result still runs the full check_seed.
+
     ``weight_map`` transposes a weight to the dual weight lattice and returns
     an int tuple; the dual vertex weight is weight_map(w) / d_v.
     Simply-laced seeds may omit it (weights carry over unchanged).  Labels
@@ -517,17 +523,6 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     if any(dmax % d for d in seed.mult):
         raise ValueError("multipliers must divide their maximum")
     new_mult = tuple(dmax // d for d in seed.mult)
-    n = seed.size
-    new_b2 = []
-    for i, old in enumerate(seed.b2):
-        d_i = seed.mult[i]
-        row = [0] * n
-        for j in compress(range(n), old):
-            num = -old[j] * seed.mult[j]
-            if num % d_i:
-                raise ValueError(f"dual entry not integral at ({i},{j})")
-            row[j] = num // d_i
-        new_b2.append(tuple(row))
 
     new_weights = seed.weights
     if seed.weights is not None:
@@ -554,7 +549,7 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
                 rows.append(tuple(row))
             new_weights = tuple(rows)
     return replace(
-        seed, mult=new_mult, b2=tuple(new_b2), weights=new_weights, labels=None
+        seed, mult=new_mult, b2=tuple(zip(*seed.b2)), weights=new_weights, labels=None
     )
 
 

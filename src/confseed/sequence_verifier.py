@@ -144,11 +144,11 @@ def verify_s3(
         reverse_arrows=True,
     )
     if mapping is None:
-        note = f"{seq.name}: final seed does not match the permuted start"
-        return CheckReport(f"s3:{seq.name}", False, (note,))
-    moved = {k: v for k, v in mapping.items() if k != v}
-    note = f"{seq.name}: matched, relabeling {moved or 'identity'}"
-    return CheckReport(f"s3:{seq.name}", True, (note,))
+        note = "final seed does not match the permuted start"
+    else:
+        moved = {k: v for k, v in mapping.items() if k != v}
+        note = f"matched, relabeling {moved or 'identity'}"
+    return CheckReport(f"s3:{seq.name}", mapping is not None, (f"{seq.name}: {note}",))
 
 
 FLIP_CORNER_ORDERS = ((1, 2, 4), (3, 4, 2))
@@ -161,11 +161,9 @@ def flip_target(datum: rd.RootDatum) -> Seed:
 
 
 def verify_flip(datum: rd.RootDatum, seed: Seed, seq: MutationSequence) -> CheckReport:
-    if quiver_isomorphic(apply_sequence(seed, seq).final, flip_target(datum)) is None:
-        note = f"{seq.name}: final seed does not match the flipped build"
-        return CheckReport(f"flip:{seq.name}", False, (note,))
-    note = f"{seq.name}: final seed matches the flipped build"
-    return CheckReport(f"flip:{seq.name}", True, (note,))
+    ok = quiver_isomorphic(apply_sequence(seed, seq).final, flip_target(datum)) is not None
+    note = f"final seed {'matches' if ok else 'does not match'} the flipped build"
+    return CheckReport(f"flip:{seq.name}", ok, (f"{seq.name}: {note}",))
 
 
 def verify_langlands_pairing(
@@ -175,20 +173,19 @@ def verify_langlands_pairing(
     pairing: dict,
     *,
     weight_map=None,
-    relabel: dict | None = None,
     slot_perm: tuple[int, ...] | None = None,
     stage_reversal: bool = False,
 ) -> CheckReport:
     """Check that seq_b is the Langlands shadow of seq_a on this seed.
 
-    Three parts: (1) conjugating seq_a's stages by the vertex pairing --
-    and reversing stage order when ``stage_reversal`` is set -- gives seq_b;
-    (2) dualizing commutes with running either sequence; (3) when the
-    seed is self-dual -- witnessed by ``relabel`` and ``slot_perm`` -- the two
-    runs agree after relabeling and slot permutation.
+    ``pairing`` is the self-duality relabeling: it sends each vertex to its
+    dual partner, short and long nodes exchanged.  Three parts: (1)
+    conjugating seq_a's stages by the pairing -- and reversing stage order
+    when ``stage_reversal`` is set -- gives seq_b; (2) dualizing commutes
+    with running either sequence; (3) when ``slot_perm`` is given, the seed
+    is self-dual: its dual matches it under the pairing after the slot
+    permutation, and so does the dual of seq_a's run against seq_b's run.
     """
-    if relabel is not None and slot_perm is None:
-        raise ValueError("relabel needs slot_perm")
     lines = []
     ok = True
 
@@ -215,10 +212,10 @@ def verify_langlands_pairing(
         else:
             lines.append(f"dualizing commutes with {seq.name}")
 
-    if relabel is not None:
-        base = matches_under(dual, permute_slots(seed, slot_perm), relabel)
+    if slot_perm is not None:
+        base = matches_under(dual, permute_slots(seed, slot_perm), pairing)
         fin = matches_under(
-            dual_finals[0], permute_slots(finals[1], slot_perm), relabel
+            dual_finals[0], permute_slots(finals[1], slot_perm), pairing
         )
         if base and fin:
             lines.append("self-duality relabeling holds before and after")
@@ -229,23 +226,29 @@ def verify_langlands_pairing(
 
 
 def verify_dynkin_automorphism_d4(seed: Seed, sigma: dict) -> CheckReport:
-    """Outer-node permutation acting on the completed triangle seed."""
+    """A permutation of the d4 nodes acting on the completed triangle seed.
+
+    ``sigma`` maps each node a1, a2, a3, b to its image and must be a
+    permutation of the four nodes; anything else raises ValueError.  The
+    report is named by the images of a1, a2, a3, as in "triality a1a3a2".
+    """
     datum = rd.root_datum("d4")
-    full = {**sigma, "b": "b"}
+    if set(sigma) != set(datum.nodes) or set(sigma.values()) != set(datum.nodes):
+        raise ValueError(f"{sigma} is not a permutation of the d4 nodes")
     mapping = {
-        triangle_name(datum, node, occ): triangle_name(datum, full[node], occ)
+        triangle_name(datum, node, occ): triangle_name(datum, sigma[node], occ)
         for node, occ in triangle_vertices(datum)
     }
 
     def wmap(w):
         out = [None] * datum.rank
         for node in datum.nodes:
-            out[datum.index(full[node])] = w[datum.index(node)]
+            out[datum.index(sigma[node])] = w[datum.index(node)]
         return tuple(out)
 
     ok = matches_under(seed, seed, mapping, weight_map=wmap)
     return CheckReport(
-        f"triality:{'-'.join(sorted(sigma))}",
+        f"triality {''.join(sigma[a] for a in ('a1', 'a2', 'a3'))}",
         ok,
         (f"permutation {sigma} {'preserves' if ok else 'breaks'} the seed",),
     )

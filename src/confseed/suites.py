@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 from . import golden
@@ -95,9 +96,10 @@ def suite_builders(rng=None) -> list[CheckReport]:
         ("g2", golden.ARROWS_G2_WORD),
         ("d4", golden.ARROWS_D4_WORD),
     )
+    words = {}
     for kind, table in word_tables:
         datum = rd.root_datum(kind)
-        seed = build_bruhat_seed(datum, rd.standard_longest_word(datum))
+        seed = words[kind] = build_bruhat_seed(datum, rd.standard_longest_word(datum))
         problems = []
         if _arrowset(seed) != _golden_arrowset(table):
             problems.append("arrow table differs from the frozen quiver")
@@ -109,10 +111,7 @@ def suite_builders(rng=None) -> list[CheckReport]:
     tri_tables = (("a3", golden.ARROWS_A3_TRIANGLE), ("g2", golden.ARROWS_G2_TRIANGLE))
     triangles = {}
     for kind, table in tri_tables:
-        datum = rd.root_datum(kind)
-        word_seed = build_bruhat_seed(datum, rd.standard_longest_word(datum))
-        seed = complete_triangle_seed(datum, word_seed)
-        triangles[kind] = seed
+        seed = triangles[kind] = complete_triangle_seed(rd.root_datum(kind), words[kind])
         problems = []
         if _arrowset(seed) != _golden_arrowset(table):
             problems.append("completed arrow table differs from the frozen quiver")
@@ -228,15 +227,12 @@ def suite_langlands(rng=None) -> list[CheckReport]:
 
     problems = []
     for seed in (tri, quad):
-        bare = Seed(seed.names, seed.frozen, seed.mult, seed.b2, seed.weights)
+        bare = replace(seed, labels=None)
         if langlands_dual(langlands_dual(seed, weight_map=wmap), weight_map=wmap) != bare:
             problems.append("dualizing twice does not return the seed")
     a3 = build_triangle_seed(rd.root_datum("a3"))
     da3 = langlands_dual(a3, weight_map=lambda w: tuple(reversed(w)))
-    if any(
-        da3.b2[i][j] != -a3.b2[i][j]
-        for i in range(a3.size) for j in range(a3.size)
-    ):
+    if da3.b2 != tuple(tuple(-b for b in row) for row in a3.b2):
         problems.append("dual of a multiplier-one seed is not the opposite quiver")
     reports.append(_report(
         "duality involution", problems,
@@ -257,7 +253,7 @@ def suite_langlands(rng=None) -> list[CheckReport]:
 
     reports.append(verify_langlands_pairing(
         tri, seqs["g2_swap13"], seqs["g2_swap23"], TRIANGLE_DUALITY_PAIRING,
-        weight_map=wmap, relabel=TRIANGLE_DUALITY_PAIRING, slot_perm=(1, 0, 2),
+        weight_map=wmap, slot_perm=(1, 0, 2),
     ))
 
     pairing = quad_duality_pairing(quad)
@@ -291,13 +287,11 @@ def suite_langlands(rng=None) -> list[CheckReport]:
 def suite_triality(rng=None) -> list[CheckReport]:
     datum = rd.root_datum("d4")
     tri = build_triangle_seed(datum)
-    reports = []
-    for perm in itertools.permutations(("a1", "a2", "a3")):
-        sigma = dict(zip(("a1", "a2", "a3"), perm))
-        sigma["b"] = "b"
-        rep = verify_dynkin_automorphism_d4(tri, sigma)
-        label = "".join(perm)
-        reports.append(CheckReport(f"triality {label}", rep.passed, rep.lines))
+    outer = ("a1", "a2", "a3")
+    reports = [
+        verify_dynkin_automorphism_d4(tri, {**dict(zip(outer, perm)), "b": "b"})
+        for perm in itertools.permutations(outer)
+    ]
 
     problems = []
     folded = rd.fold_d4_word(rd.standard_longest_word(datum))
@@ -433,10 +427,7 @@ def suite_oracle(rng=None) -> list[CheckReport]:
     i, j = quad.index("x_01"), quad.index("x_11")
     b2 = [list(row) for row in quad.b2]
     b2[i][j], b2[j][i] = -b2[i][j], -b2[j][i]
-    corrupt = Seed(
-        quad.names, quad.frozen, quad.mult,
-        tuple(tuple(row) for row in b2), quad.weights, quad.labels,
-    )
+    corrupt = replace(quad, b2=tuple(map(tuple, b2)))
     caught = 0
     for _ in range(10):
         flags = mo.random_flags(rng, 3, 4)

@@ -18,10 +18,17 @@ Claims covered:
       signed rationals with exponents of both signs, returns Fractions, and
       raises ZeroDivisionError where a vanishing value has a negative
       exponent
-    - slot permutations compose; the Langlands dual squares to the identity
+    - every refusal of a malformed seed carries its exact message, on
+      construction, mutation, duality and comparison; the faults a seed file
+      can hold are refused by load_seed and exit the command line with 2
+    - slot permutations compose; the Langlands dual squares to the identity,
+      and its matrix equals the dense rule on the zoo, the a4 and d4
+      triangles and the polygons, each also after a random walk
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
-      the identity on the g2 128-gon (1,010 vertices) without recursion
+      the identity on the g2 128-gon (1,010 vertices) without recursion,
+      backtracks to the brute-force least mapping, and returns None once the
+      first vertex runs out of candidates
     - every weight coordinate is an int, through building, gluing,
       mutation, duality and a save/load round trip
     - labels are hash-consed: equal labels are one immutable object, a
@@ -32,6 +39,8 @@ Claims covered:
 from __future__ import annotations
 
 import copy
+import itertools
+import json
 import random
 import sys
 from dataclasses import replace
@@ -40,6 +49,7 @@ from fractions import Fraction as Q
 import pytest
 
 from confseed import seed_core
+from confseed.cli import main
 from confseed.root_data import g2_weight_dual, root_datum
 from confseed.seed_core import (
     Exchange,
@@ -187,6 +197,101 @@ class TestCheckSeed:
         seed = build_triangle_seed(root_datum("a2"))
         with pytest.raises(ValueError):
             mutate(seed, "x_10")
+
+
+def _a2_fields(**changes):
+    """Seed(...) on the a2 triangle's fields, some of them replaced."""
+    base = ZOO[0]
+    fields = dict(names=base.names, frozen=base.frozen, mult=base.mult,
+                  b2=base.b2, weights=base.weights, labels=base.labels)
+    fields.update(changes)
+    return lambda: Seed(**fields)
+
+
+def _odd_path():
+    """The a3 triangle with arrows q -> k -> p at an unfrozen k made odd.
+
+    b2[p][k] = b2[k][q] = 1 makes the increment at (p, q) 2/4; the entries
+    are planted past every check, so mutate's own test must refuse it.
+    """
+    base = ZOO[1]
+    n = base.size
+    k, p, q = next(
+        (k, p, q) for k in range(n) if not base.frozen[k]
+        for p in range(n) if base.b2[p][k] > 0
+        for q in range(n) if base.b2[k][q] > 0
+    )
+    b2 = [list(r) for r in base.b2]
+    b2[p][k], b2[k][p] = 1, -1
+    b2[k][q], b2[q][k] = 1, -1
+    return _plant(base, b2), base.names[k]
+
+
+_G2_TRI = ZOO[2]
+_G2_LONG = next(nm for nm, d in zip(_G2_TRI.names, _G2_TRI.mult) if d != 1)
+
+
+def _extra_slot(data):
+    data["vertices"][0]["weights"].append(data["vertices"][0]["weights"][0])
+
+
+class TestRefusals:
+    """Every refusal of a malformed seed, with its exact message.
+
+    A fault a seed file can hold is also written to one, which load_seed
+    refuses with the same message and the command line with one line on
+    stderr and exit status 2.
+    """
+
+    @pytest.mark.parametrize("call, message, file_fault", [
+        (_a2_fields(names=(ZOO[0].names[1],) + ZOO[0].names[1:]),
+         "vertex names must be unique",
+         lambda data: data["vertices"][0].update(tag=data["vertices"][1]["tag"])),
+        (_a2_fields(b2=ZOO[0].b2[:-1]), "field lengths disagree",
+         lambda data: data["b2"].pop()),
+        (_a2_fields(mult=(0,) + ZOO[0].mult[1:]), "multipliers must be positive",
+         None),
+        (_a2_fields(b2=(ZOO[0].b2[0] + (0,),) + ZOO[0].b2[1:]), "b2 must be square",
+         lambda data: data["b2"][0].append(0)),
+        (_a2_fields(weights=ZOO[0].weights[:-1]),
+         "one weight tuple per vertex required", None),
+        (_a2_fields(weights=(ZOO[0].weights[0] * 2,) + ZOO[0].weights[1:]),
+         "all vertices must use the same number of slots", _extra_slot),
+        (_a2_fields(labels=ZOO[0].labels[:-1]), "one label per vertex required",
+         None),
+        (lambda: mutate(*_odd_path()), "mutation increment not integral", None),
+        (lambda: langlands_dual(Seed(("u", "v"), (True, True), (2, 3),
+                                     ((0, 0), (0, 0)))),
+         "multipliers must divide their maximum", None),
+        (lambda: langlands_dual(_G2_TRI), "weight_map required unless simply laced",
+         None),
+        (lambda: langlands_dual(_G2_TRI, weight_map=lambda w: (1, 1)),
+         f"dual weight not integral at {_G2_LONG}", None),
+        (lambda: quiver_isomorphic(*[replace(ZOO[0], weights=None)] * 2),
+         "seeds to compare need weights", None),
+    ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
+            "missing-weights", "extra-slot", "missing-label", "odd-increment",
+            "non-dividing-multipliers", "dual-without-weight-map",
+            "non-integral-dual-weight", "comparison-without-weights"])
+    def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+        if file_fault is None:
+            return
+        path = tmp_path / "broken.json"
+        save_seed(ZOO[0], path)
+        data = json.loads(path.read_text())
+        file_fault(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as err:
+            load_seed(path)
+        assert str(err.value) == message
+        capsys.readouterr()
+        assert main(["export-dot", "--seed", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"confseed: error: {message}\n"
 
 
 # == 2. mutation =============================================================
@@ -468,8 +573,10 @@ class TestSymmetries:
                 assert dual.b2[i][j] == -seed.b2[i][j]
 
     def test_dual_matches_dense_rule(self):
+        # the dual matrix is the transpose; the reference scales every entry
         rng = random.Random(12)
-        for seed in _seed_zoo():
+        triangles = tuple(build_triangle_seed(root_datum(k)) for k in ("a4", "d4"))
+        for seed in _seed_zoo() + triangles + POLYGONS:
             wmap = g2_weight_dual if max(seed.mult) > 1 else None
             for cur in (seed, _random_walk(rng, seed, 8)[0]):
                 dual = langlands_dual(cur, weight_map=wmap)
@@ -535,6 +642,48 @@ class TestIsomorphism:
         iso = quiver_isomorphic(s1, s2)
         assert iso == {nm: nm for nm in s1.names}
         assert matches_under(s1, s2, iso)
+
+    @staticmethod
+    def _unit_quiver(arrow_list, n=6):
+        """n unfrozen vertices v0, v1, ... of multiplier 1 and one weight."""
+        b2 = [[0] * n for _ in range(n)]
+        for src, dst in arrow_list:
+            b2[dst][src], b2[src][dst] = 2, -2
+        return Seed(tuple(f"v{i}" for i in range(n)), (False,) * n, (1,) * n,
+                    tuple(map(tuple, b2)), (((0,),),) * n)
+
+    @staticmethod
+    def _least_mapping(s1, s2):
+        """Brute force: the least matching bijection, s2's vertex order."""
+        for perm in itertools.permutations(s2.names):
+            mapping = dict(zip(s1.names, perm))
+            if matches_under(s1, s2, mapping):
+                return mapping
+        return None
+
+    def test_backtracks_a_level_to_the_least_mapping(self):
+        # every vertex has one weight and multiplier, so only the arrows
+        # prune; the first full choice fails a level up and is taken back
+        s1 = self._unit_quiver(((1, 0), (1, 5), (2, 5), (5, 4), (4, 3)))
+        p = (5, 1, 4, 3, 2, 0)
+        s2 = replace(s1, b2=tuple(
+            tuple(s1.b2[p[i]][p[j]] for j in range(6)) for i in range(6)
+        ))
+        iso = quiver_isomorphic(s1, s2)
+        assert iso is not None
+        assert iso == self._least_mapping(s1, s2)
+
+    def test_exhausted_search_returns_none(self):
+        # an oriented 6-cycle against two oriented 3-cycles: every vertex
+        # has the same key, so the search tries and drops every candidate
+        # of the first vertex
+        hexagon = self._unit_quiver([(i, (i + 1) % 6) for i in range(6)])
+        triangles = self._unit_quiver(
+            [(i, (i + 1) % 3) for i in range(3)]
+            + [(3 + i, 3 + (i + 1) % 3) for i in range(3)]
+        )
+        assert self._least_mapping(hexagon, triangles) is None
+        assert quiver_isomorphic(hexagon, triangles) is None
 
     def test_large_seed_needs_no_recursion(self):
         # the search goes one level deeper per vertex, and the g2 128-gon

@@ -11,10 +11,14 @@ Claims covered:
       flipped-triangulation seed
     - the composite twelve-step sequence reaches the reversed-word seed
     - sequences correspond across the Langlands dual, stagewise
-    - the outer-node permutations of the triality diagram act on its triangle
+    - the outer-node permutations of the triality diagram act on its triangle,
+      each under its own report name, the suite's; a permutation moving the
+      center node breaks the seed, and a map that is not a permutation of
+      the four nodes is refused
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -34,6 +38,7 @@ from confseed.sequence_verifier import (
     verify_langlands_pairing,
     verify_s3,
 )
+from confseed.suites import suite_triality
 from confseed.surface_glue import build_conf_m_seed
 
 G2_TRI = build_triangle_seed(root_datum("g2"))
@@ -187,8 +192,7 @@ class TestLanglandsPairings:
         seqs = builtin_sequences()
         rep = verify_langlands_pairing(
             G2_TRI, seqs["g2_swap13"], seqs["g2_swap23"], self.PAIRING,
-            weight_map=g2_weight_dual, relabel=self.PAIRING,
-            slot_perm=(1, 0, 2),
+            weight_map=g2_weight_dual, slot_perm=(1, 0, 2),
         )
         assert rep.passed
 
@@ -209,8 +213,7 @@ class TestLanglandsPairings:
         seqs = builtin_sequences()
         rep = verify_langlands_pairing(
             G2_TRI, seqs["g2_swap13"], seqs["g2_swap13"], self.PAIRING,
-            weight_map=g2_weight_dual, relabel=self.PAIRING,
-            slot_perm=(1, 0, 2),
+            weight_map=g2_weight_dual, slot_perm=(1, 0, 2),
         )
         assert not rep.passed
 
@@ -229,6 +232,31 @@ class TestTriality:
             assert verify_dynkin_automorphism_d4(tri, sigma).passed
 
     def test_moving_the_center_fails(self):
+        # a bijection of the four nodes, so the arrows and weights decide
         tri = build_triangle_seed(root_datum("d4"))
         sigma = {"a1": "b", "b": "a1", "a2": "a2", "a3": "a3"}
-        assert not verify_dynkin_automorphism_d4(tri, sigma).passed
+        rep = verify_dynkin_automorphism_d4(tri, sigma)
+        assert not rep.passed
+        assert rep.lines == (f"permutation {sigma} breaks the seed",)
+
+    @pytest.mark.parametrize("sigma", [
+        {"a1": "a1", "a2": "a2", "a3": "a3", "b": "a1"},
+        {"a1": "a2", "a2": "a1", "a3": "a3"},
+        {"a1": "a1", "a2": "a2", "a3": "a3", "b": "b", "c": "c"},
+    ], ids=["repeated-image", "missing-node", "extra-node"])
+    def test_a_non_permutation_is_refused(self, sigma):
+        tri = build_triangle_seed(root_datum("d4"))
+        with pytest.raises(ValueError, match="not a permutation of the d4 nodes"):
+            verify_dynkin_automorphism_d4(tri, sigma)
+
+    def test_report_names_match_the_suite(self):
+        tri = build_triangle_seed(root_datum("d4"))
+        names = [
+            verify_dynkin_automorphism_d4(
+                tri, {**dict(zip(("a1", "a2", "a3"), perm)), "b": "b"}
+            ).name
+            for perm in itertools.permutations(("a1", "a2", "a3"))
+        ]
+        assert names == [rep.name for rep in suite_triality()[:6]]
+        assert len(set(names)) == 6
+        assert names[1] == "triality a1a3a2"
