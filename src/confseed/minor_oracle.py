@@ -16,7 +16,7 @@ from itertools import compress
 from . import root_data as rd
 from .linalg import det, mat_mul
 from .seed_core import (
-    Label, Minor, Seed, matches_under, monomial, mutate, x_from_a,
+    Label, Minor, Seed, matches_under, monomial, mutate, post_order, x_from_a,
 )
 
 Flag = tuple  # n x n matrix, rows first
@@ -112,31 +112,45 @@ def evaluatable(weights, n: int) -> bool:
         return False
 
 
+# the flags evaluate_label last saw, and a table of the value on them of each
+# label node it has met since
+_current: list = [None, {}]
+
+
 def evaluate_label(label: Label, flags) -> Q:
     """The value of a label on a tuple of flags.
 
-    Each label node keeps its last (flags, value) pair in its ``memo`` cell
-    and returns the stored value when it is given the very same flags object
-    again (``is``, not ``==``), so evaluating a DAG, or every label of a seed
-    and then those of a mutated seed, computes each distinct node once.  The
-    memo is keyed by identity, so flags must be immutable: tuples of row
-    tuples, as every flag producer here returns.  The cell holds the flags
-    alive, so their identity is not reused while the value is stored.  An
-    exchange node multiplies its factors' numerators and denominators as
-    ints and builds its value as one Fraction.
+    This module owns one value table, for the flags object evaluate_label
+    last saw, compared by identity (``is``, not ``==``); a new flags object
+    starts a new table.  So evaluating a DAG, or every label of a seed and
+    then those of a mutated seed, computes each distinct node once.  Since
+    the table is keyed by identity, flags must be immutable: tuples of row
+    tuples, as every flag producer here returns.  The table holds those
+    flags alive, so their identity is not reused while it is current, and
+    with them every label node it has valued and its value, until a new
+    flags object replaces them.  The nodes are visited by ``post_order``,
+    so deep labels take no recursion.  An exchange node multiplies its
+    factors' numerators and denominators as ints and builds its value as
+    one Fraction.
     """
-    memo = label.memo
-    if memo[0] is flags:
-        return memo[1]
-    if isinstance(label, Minor):
-        val = wedge_invariant(degrees_of(label.weights), flags)
-    else:
-        pn, pd = monomial((evaluate_label(l, flags), e) for l, e in label.plus)
-        mn, md = monomial((evaluate_label(l, flags), e) for l, e in label.minus)
-        over = evaluate_label(label.over, flags)
-        val = Q((pn * md + mn * pd) * over.denominator, pd * md * over.numerator)
-    memo[0], memo[1] = flags, val
-    return val
+    # one read and one write of the pair, so a value never lands in the
+    # table of other flags
+    last, values = _current
+    if last is not flags:
+        values = {}
+        _current[:] = flags, values
+    if label in values:
+        return values[label]
+    for top in post_order(label, values):
+        if isinstance(top, Minor):
+            val = wedge_invariant(degrees_of(top.weights), flags)
+        else:
+            pn, pd = monomial((values[l], e) for l, e in top.plus)
+            mn, md = monomial((values[l], e) for l, e in top.minus)
+            over = values[top.over]
+            val = Q((pn * md + mn * pd) * over.denominator, pd * md * over.numerator)
+        values[top] = val
+    return values[label]
 
 
 def _labels_of(seed: Seed) -> tuple[Label, ...]:

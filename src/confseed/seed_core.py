@@ -45,9 +45,9 @@ therefore the object defaults, identity in O(1), although mutation makes the
 trees grow exponentially in depth: the cost follows the DAG of distinct
 nodes, which grows by at most one node per mutation.  The table is a
 ``WeakValueDictionary``; a label leaves it once no seed or label refers to
-it.  Labels are immutable, apart from one ``memo`` cell, a two-item list in
-which an evaluator may keep its last result; the cell takes no part in what
-the label denotes.
+it.  Labels are immutable, and ``post_order`` is the one walker over them:
+it visits each distinct node once with an explicit stack, so no label code
+recurses however deep a walk nests the trees.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ _LABELS: WeakValueDictionary = WeakValueDictionary()
 
 
 class _Label:
-    __slots__ = ("memo", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -85,7 +85,6 @@ def _intern(cls, key, **fields):
         label = object.__new__(cls)
         for name, value in fields.items():
             object.__setattr__(label, name, value)
-        object.__setattr__(label, "memo", [None, None])
         _LABELS[key] = label
     return label
 
@@ -112,7 +111,8 @@ class Exchange(_Label):
         return _intern(cls, (plus, minus, over), plus=plus, minus=minus, over=over)
 
     def __repr__(self):
-        return f"Exchange(plus={self.plus!r}, minus={self.minus!r}, over={self.over!r})"
+        # this node alone: the whole tree can be exponentially large
+        return f"Exchange(<{len(self.plus)} plus, {len(self.minus)} minus factors>)"
 
 
 Label = Minor | Exchange

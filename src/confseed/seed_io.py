@@ -8,11 +8,13 @@ Seed files look like::
      "labels": [{"kind": "minor", "weights": [...]},
                 {"kind": "exchange", "plus": [[0,1]], "minus": [[2,1]], "over": 0}]}
 
-Weight coordinates, ``b2`` entries and multipliers ``d`` are JSON integers
-(``d`` at least 1), ``frozen`` is a JSON boolean and label exponents are
-positive JSON integers; loading refuses anything else, floats, strings and
-booleans included, as well as a weight list with no slots and weight
-vectors of different lengths.  The top-level "labels" table shares repeated
+Vertex ids are the JSON integers 0 to n-1, each once, a ``tag`` is a JSON
+string, weight coordinates, ``b2`` entries and multipliers ``d`` are JSON
+integers (``d`` at least 1), ``frozen`` is a JSON boolean, a label's
+``kind`` is "minor" or "exchange" and label exponents are positive JSON
+integers; loading refuses anything else, floats, strings and booleans
+included, as well as a weight list with no slots and weight vectors of
+different lengths.  The top-level "labels" table shares repeated
 subtrees; each vertex points into it by index, and an exchange entry only
 into earlier entries.
 
@@ -48,6 +50,12 @@ def _positive(x, what: str) -> int:
 def _frozen_in(x) -> bool:
     if type(x) is not bool:
         raise ValueError(f"frozen flag {x!r} is not a boolean")
+    return x
+
+
+def _tag_in(x) -> str:
+    if type(x) is not str:
+        raise ValueError(f"vertex tag {x!r} is not a string")
     return x
 
 
@@ -118,7 +126,13 @@ def seed_from_json(data: dict) -> Seed:
 
     try:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
-        names = tuple(v["tag"] for v in vertices)
+        ids = _ints((v["id"] for v in vertices), "vertex id")
+        n = len(ids)
+        if ids != tuple(range(n)):
+            # n ids that are not 0..n-1 miss at least one of them
+            missing = min(set(range(n)) - set(ids))
+            raise ValueError(f"no vertex has id {missing}; ids must be 0 to {n - 1}")
+        names = tuple(_tag_in(v["tag"]) for v in vertices)
         frozen = tuple(_frozen_in(v["frozen"]) for v in vertices)
         mult = tuple(_positive(v["d"], "multiplier d") for v in vertices)
         b2 = tuple(_ints(row, "b2 entry") for row in data["b2"])
@@ -131,9 +145,10 @@ def seed_from_json(data: dict) -> Seed:
         if "labels" in data and vertices and "label" in vertices[0]:
             built: list[Label] = []
             for entry in data["labels"]:
-                if entry["kind"] == "minor":
+                kind = entry["kind"]
+                if kind == "minor":
                     built.append(Minor(weights_in(entry["weights"])))
-                else:
+                elif kind == "exchange":
                     built.append(
                         Exchange(
                             _monomial_in(built, entry["plus"], "plus"),
@@ -141,6 +156,8 @@ def seed_from_json(data: dict) -> Seed:
                             _entry(built, entry["over"], "over"),
                         )
                     )
+                else:
+                    raise ValueError(f"label kind {kind!r} is not 'minor' or 'exchange'")
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
         return Seed(names, frozen, mult, b2, weights, labels)
     except (KeyError, IndexError, TypeError) as exc:
@@ -252,11 +269,16 @@ def weight_symbols(rank_weight) -> tuple[str, ...]:
     return tuple(f"w{k + 1}" for k in range(len(rank_weight)))
 
 
+def _dot_text(text: str) -> str:
+    """text for the inside of a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(seed: Seed) -> str:
     lines = ["digraph seed {", "  rankdir=LR;"]
     for i, name in enumerate(seed.names):
         attrs = []
-        label = name
+        node = label = _dot_text(name)
         if seed.weights is not None:
             syms = weight_symbols(seed.weights[i][0])
             label += "\\n(" + ", ".join(
@@ -270,7 +292,7 @@ def to_dot(seed: Seed) -> str:
             attrs.append(f'xlabel="{label}"')
         if seed.frozen[i]:
             attrs.append("color=gray40")
-        lines.append(f'  "{name}" [{", ".join(attrs)}];')
+        lines.append(f'  "{node}" [{", ".join(attrs)}];')
     for src, dst, m in arrows(seed):
         attrs = []
         if m == Q(1, 2):
@@ -279,6 +301,6 @@ def to_dot(seed: Seed) -> str:
             attrs.append(f'label="{m}"')
             attrs.append("penwidth=1.8")
         suffix = f' [{", ".join(attrs)}]' if attrs else ""
-        lines.append(f'  "{src}" -> "{dst}"{suffix};')
+        lines.append(f'  "{_dot_text(src)}" -> "{_dot_text(dst)}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -29,6 +29,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -282,6 +283,20 @@ class TestExportAndErrors:
         assert out.startswith("digraph")
         assert '"x_11"' in out
 
+    def test_export_dot_escapes_quotes_in_tags(self, tmp_path, capsys):
+        src = tmp_path / "seed.json"
+        assert main(["triangle", "--type", "a2", "--out", str(src)]) == 0
+        data = json.loads(src.read_text())
+        data["vertices"][0]["tag"] = 'a"b\\'
+        src.write_text(json.dumps(data))
+        code, out = run(capsys, "export-dot", "--seed", str(src))
+        assert code == 0
+        assert '\n  "a\\"b\\\\" [' in out
+        assert 'xlabel="a\\"b\\\\\\n(' in out
+        # every double quote opens or closes a string, or is escaped in one
+        for line in out.splitlines():
+            assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line), line
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["build", "--type", "g2", "--frobnicate"])
@@ -332,6 +347,12 @@ class TestExportAndErrors:
          "weight vectors of 2 and 3 coordinates"),
         (["mutate", "--seed", "deep.json"], "0",
          "malformed seed data (nested too deeply)"),
+        (["export-dot", "--seed", "int-tag.json"], "0",
+         "vertex tag 1 is not a string"),
+        (["mutate", "--seed", "unknown-kind.json", "--at", "x_11"], "0",
+         "label kind 'foo' is not 'minor' or 'exchange'"),
+        (["mutate", "--seed", "duplicate-id.json", "--at", "x_11"], "0",
+         "no vertex has id 0; ids must be 0 to 6"),
         (["polygon", "--type", "a2", "--m", "5",
           "--triangles", "1,2,3;1,3,4;1,2,4"], "0",
          "side 1-2 must lie in exactly one triangle"),
@@ -355,7 +376,8 @@ class TestExportAndErrors:
             "float-weight", "string-weight", "bool-weight",
             "float-b2", "string-b2", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
-            "ragged-weights", "deeply-nested-file", "non-tiling-triangles",
+            "ragged-weights", "deeply-nested-file", "int-tag",
+            "unknown-label-kind", "duplicate-vertex-id", "non-tiling-triangles",
             "repeated-triangle", "empty-corners", "trailing-semicolon",
             "non-integer-corner", "empty-triangle-list"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
@@ -392,6 +414,9 @@ def _write_seed_files(tmp_path):
         ("string-frozen", ("vertices", 0, "frozen"), "false"),
         ("float-mult", ("vertices", 0, "d"), 1.0),
         ("float-exponent", ("labels", ex, "plus", 0, 1), 0.5),
+        ("int-tag", ("vertices", 0, "tag"), 1),
+        ("unknown-kind", ("labels", ex, "kind"), "foo"),
+        ("duplicate-id", ("vertices", 0, "id"), 1),
     ):
         data = json.loads(text)
         node = data

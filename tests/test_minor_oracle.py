@@ -15,8 +15,9 @@ Claims covered:
     - the five-step walk on a unit pair swaps the pair on the nose
     - the twisted shift matches rotated minors up to the computed central
       sign, and the shear torus moves only the glued edge coordinates
-    - the per-node value memo computes each distinct minor once along a
-      60-step walk, and alternating flags give the tree evaluator's values
+    - the value table on the current flags computes each distinct minor
+      once along a 60-step walk, and alternating flags give the tree
+      evaluator's values
     - det, wedge_invariant, evaluate_label, seed_values, check_exchange and
       x_from_a return Fractions on int, torus-scaled and sheared flags; a
       label over a vanishing value raises ZeroDivisionError; a seed without
@@ -342,7 +343,7 @@ class TestShear:
         assert any(ratios[nm] != 1 for nm in faces)
 
 
-# == 6. the per-node value memo ==============================================
+# == 6. the value table ======================================================
 
 CYCLE = ("x_01", "x_02", "x_11")
 

@@ -34,7 +34,9 @@ Claims covered:
     - labels are hash-consed: equal labels are one immutable object, a
       save/load round trip returns the saved objects, and along the SL4
       4-gon's cyclic walk the label table grows by one entry per step;
-      slot permutations walk labels 1,200 steps deep without recursion
+      slot permutations, evaluation on fresh flags (against values stepped
+      by the exchange relation) and repr take labels 1,200 steps deep
+      without recursion
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from confseed import minor_oracle as mo
 from confseed import seed_core
 from confseed.cli import main
 from confseed.root_data import g2_weight_dual, root_datum
@@ -823,8 +826,32 @@ class TestLabelInterning:
 
     def test_deep_labels_permute_without_recursion(self):
         # 1,200 cyclic steps nest labels deeper than the recursion limit
-        seed = build_conf_m_seed(root_datum("a3"), 4)
-        for d in range(1200):
-            seed = mutate(seed, CYCLE[d % 3])
+        start = build_conf_m_seed(root_datum("a3"), 4)
+        rng = random.Random(1200)
+
+        def walk():
+            # the values are stepped by the exchange relation alone, with no
+            # label evaluated; until_defined draws again if one vanishes
+            flags = mo.random_flags(rng, 4, 4)
+            values = {
+                nm: mo.wedge_invariant(mo.degrees_of(start.weight(nm)), flags)
+                for nm in start.names
+            }
+            seed = start
+            for d in range(1200):
+                at = CYCLE[d % 3]
+                plus = minus = Q(1)
+                for b, nm in zip(seed.b2[seed.index(at)], seed.names):
+                    if b > 0:
+                        plus *= values[nm] ** (b // 2)
+                    elif b < 0:
+                        minus *= values[nm] ** (-b // 2)
+                values[at] = (plus + minus) / values[at]
+                seed = mutate(seed, at)
+            return seed, flags, values
+
+        seed, flags, want = mo.until_defined("the stepped walk", walk)
+        assert mo.seed_values(seed, flags) == want
         swap = (1, 0, 3, 2)
         assert permute_slots(permute_slots(seed, swap), swap) == seed
+        assert len(repr(seed.labels[seed.index("x_01")])) < 1000
