@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache
-from itertools import compress
 
 from . import root_data as rd
 from .linalg import det, mat_mul
 from .seed_core import (
-    Label, Minor, Seed, matches_under, monomial, mutate, post_order, x_from_a,
+    Label, Minor, Seed, exchange, matches_under, monomial, mutate, post_order,
+    x_from_a,
 )
 
 Flag = tuple  # n x n matrix, rows first
@@ -168,29 +168,32 @@ def seed_values(seed: Seed, flags) -> dict[str, Q]:
 def check_exchange(seed: Seed, at: str, flags) -> Q:
     """Residual of A_k * A'_k - (M+ + M-) under one mutation, a Fraction.
 
-    When the mutated vertex weight is atomic, A'_k is evaluated as a fresh
-    stacked minor -- independent of the exchange relation, so the residual
-    is a genuine identity between determinants.  Otherwise A'_k comes from
-    the new vertex's label tree, which exercises the evaluation machinery
-    and the bookkeeping of the mutated seed.  Raises ValueError when the
-    seed carries no labels.
+    The sides, the new weight and the new label come from ``exchange``.
+    When the new weight is atomic, A'_k is evaluated as a fresh stacked
+    minor, independent of the exchange relation, so the residual is a
+    genuine identity between determinants.  Otherwise A'_k is the value of
+    the new label, which is (M+ + M-) / A_k by construction, so the
+    residual is zero whatever the flags, except on the collapse path: when
+    mutating back, the label is the one the current label was built over,
+    and the residual checks the relation that built it.  No mutated weight
+    of the a2 or a3 triangle is atomic (0 of 1 and 0 of 3 unfrozen
+    vertices), so there only the label branch runs.  Raises ValueError when
+    the seed carries no labels or no weights, and ZeroDivisionError when a
+    value it divides by vanishes.
     """
     labels = _labels_of(seed)
-    k = seed.index(at)
-    a_k = evaluate_label(labels[k], flags)
-    stepped = mutate(seed, at)
-    n = len(flags[0])
-    if evaluatable(stepped.weight(at), n):
-        a_new = wedge_invariant(degrees_of(stepped.weight(at)), flags)
+    a_k = evaluate_label(labels[seed.index(at)], flags)
+    plus, minus, weight, label = exchange(seed, at)
+    if weight is None:
+        raise ValueError("seed carries no weights")
+    if evaluatable(weight, len(flags[0])):
+        a_new = wedge_invariant(degrees_of(weight), flags)
     else:
-        a_new = evaluate_label(stepped.labels[k], flags)
-    row = seed.b2[k]
-    terms = [
-        (evaluate_label(labels[j], flags), row[j] // 2)
-        for j in compress(range(seed.size), row)
-    ]
-    pn, pd = monomial((v, e) for v, e in terms if e > 0)
-    mn, md = monomial((v, -e) for v, e in terms if e < 0)
+        a_new = evaluate_label(label, flags)
+    # in column order, so that of two failing neighbours the first in row k raises
+    value = {j: evaluate_label(labels[j], flags) for j, _ in sorted(plus + minus)}
+    pn, pd = monomial((value[j], e) for j, e in plus)
+    mn, md = monomial((value[j], e) for j, e in minus)
     num = a_k.numerator * a_new.numerator
     den = a_k.denominator * a_new.denominator
     return Q(num * pd * md - den * (pn * md + mn * pd), den * pd * md)

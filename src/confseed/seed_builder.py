@@ -173,6 +173,14 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
     off the balance of those.  Raises ValueError when a row is inconsistent,
     an edge entry is not half-integral, or weights repeat; Seed itself
     refuses a completed matrix that check_seed rejects.
+
+    Every completed row then pairs to its target, so nothing is checked
+    again: a row with doubled balance acc gets the entries
+    second = want_2 - acc_2 at the edges, and read_off has refused it
+    unless want_3 = acc_3 and (want_1 - acc_1)[e*] = second[e] for every e.
+    The edges' weights (omega_{e*}, omega_e, 0) add second[e] at e* of slot
+    1 and at e of slot 2, and e -> e* is a bijection, so the completed
+    balance is want in every slot.
     """
     if seed.weights is None:
         raise ValueError("completion needs vertex weights")
@@ -233,15 +241,7 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
     if len(set(weights)) != len(weights):
         raise ValueError("vertex weight tuples must be distinct")
     labels = tuple(Minor(w) for w in weights)
-    out = Seed(names, frozen, seed.mult + datum.d, b2, weights, labels)
-
-    # final validation: faces and boundary patterns
-    for name in out.names:
-        bal = weight_balance(out, name)
-        want = patterns.get(name, (zero, zero, zero))
-        if bal != want:
-            raise ValueError(f"completed row {name} pairs to {bal}, wanted {want}")
-    return out
+    return Seed(names, frozen, seed.mult + datum.d, b2, weights, labels)
 
 
 def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:

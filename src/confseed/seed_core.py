@@ -26,6 +26,12 @@ messages, and every entry outside it is an entry of the checked seed it
 started from.  A mutation step therefore costs O(n * deg), deg the number
 of neighbours, where a full check would cost O(n^2).
 
+The exchange relation A_k * A'_k = M+ + M- is stated once, by
+``exchange``: it splits row k by sign into the two monomials, refuses a
+relation that is not weight-homogeneous, and gives A'_k's weight and label.
+``mutate`` takes the new vertex's weight and label from the same step, and
+the flag oracle reads it without building the mutated seed.
+
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
 d_i // gcd(d_i, d_j) to b[i][j]; drawn multiplicity is b over that unit, and
@@ -335,6 +341,59 @@ def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
 # == mutation ==
 
 
+def _unfrozen(seed: Seed, at: str) -> int:
+    """The index of vertex ``at``, refused unless it is unfrozen."""
+    k = seed.index(at)
+    if seed.frozen[k]:
+        raise ValueError(f"cannot mutate frozen vertex {at!r}")
+    return k
+
+
+def exchange(seed: Seed, at: str) -> tuple[tuple, tuple, tuple | None, Label | None]:
+    """The exchange relation A_k * A'_k = M+ + M- at an unfrozen vertex.
+
+    Returns (plus, minus, weight, label): the (j, e) pairs of the two
+    monomials M+ and M-, e = |b2[k][j]| / 2 > 0; the weight of A'_k, the
+    sum of e * w_j over plus minus w_k; and the label of A'_k.  The weight
+    is None on a seed without weights and the label None on one without
+    labels.  Raises ValueError unless the two monomials have equal weights.
+    """
+    k = _unfrozen(seed, at)
+    return _exchange(seed, k, list(compress(range(seed.size), seed.b2[k])), seed.labels)
+
+
+def _exchange(seed: Seed, k: int, nbrs: list[int], labels):
+    """``exchange`` at vertex index k, whose nonzero columns are nbrs.
+
+    The label is built over ``labels`` and is None when they are.  Mutating
+    back collapses it: when the label at k is already the exchange with
+    these two sides swapped, A'_k is the label that one was built over.
+    """
+    row_k = seed.b2[k]
+    plus = tuple((j, row_k[j] // 2) for j in nbrs if row_k[j] > 0)
+    minus = tuple((j, -row_k[j] // 2) for j in nbrs if row_k[j] < 0)
+    weight = label = None
+    ws = seed.weights
+    if ws is not None:
+        slots, rank = len(ws[0]), len(ws[0][0])
+        pos = weight_sum(((e, ws[j]) for j, e in plus), slots, rank)
+        if pos != weight_sum(((e, ws[j]) for j, e in minus), slots, rank):
+            at = seed.names[k]
+            raise ValueError(
+                f"mutation at {at} is not weight-homogeneous: {weight_balance(seed, at)}"
+            )
+        weight = tuple(tuple(p - q for p, q in zip(ps, qs)) for ps, qs in zip(pos, ws[k]))
+    if labels is not None:
+        lp = tuple((labels[j], e) for j, e in plus)
+        lm = tuple((labels[j], e) for j, e in minus)
+        over = labels[k]
+        if isinstance(over, Exchange) and over.minus == lp and over.plus == lm:
+            label = over.over
+        else:
+            label = Exchange(lp, lm, over)
+    return plus, minus, weight, label
+
+
 def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     """Mutate at an unfrozen vertex; involutive, weight-homogeneous.
 
@@ -344,11 +403,10 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     the same first pair the full check would name.  That is enough: mutation
     keeps skew-symmetrizability with the same multipliers, and every entry
     outside the block is unchanged from ``seed``, which passed the full
-    check and cannot have changed since.
+    check and cannot have changed since.  The new weight and label at
+    ``at`` are those of ``exchange``.
     """
-    k = seed.index(at)
-    if seed.frozen[k]:
-        raise ValueError(f"cannot mutate frozen vertex {at!r}")
+    k = _unfrozen(seed, at)
     old = seed.b2
     row_k = old[k]
     # only rows and columns of neighbours change; the others get increment 0
@@ -372,47 +430,13 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
         (i, [j for j in block if new_b2[i][j]]) for i in block
     ))
 
-    new_weights = seed.weights
-    if seed.weights is not None:
-        slots, rank = seed.slots, len(seed.weights[0][0])
-        pos = weight_sum(
-            ((row_k[j] // 2, seed.weights[j]) for j in nbrs if row_k[j] > 0),
-            slots, rank,
-        )
-        neg = weight_sum(
-            ((-row_k[j] // 2, seed.weights[j]) for j in nbrs if row_k[j] < 0),
-            slots, rank,
-        )
-        if pos != neg:
-            raise ValueError(
-                f"mutation at {at} is not weight-homogeneous: "
-                f"{weight_balance(seed, at)}"
-            )
-        wk = tuple(
-            tuple(p - q for p, q in zip(ps, qs))
-            for ps, qs in zip(pos, seed.weights[k])
-        )
-        new_weights = seed.weights[:k] + (wk,) + seed.weights[k + 1:]
-
-    new_labels = seed.labels
-    if seed.labels is not None:
-        if with_labels:
-            plus = tuple(
-                (seed.labels[j], row_k[j] // 2) for j in nbrs if row_k[j] > 0
-            )
-            minus = tuple(
-                (seed.labels[j], -row_k[j] // 2) for j in nbrs if row_k[j] < 0
-            )
-            over = seed.labels[k]
-            if isinstance(over, Exchange) and over.minus == plus and over.plus == minus:
-                lk: Label = over.over
-            else:
-                lk = Exchange(plus, minus, over)
-            new_labels = seed.labels[:k] + (lk,) + seed.labels[k + 1:]
-        else:
-            new_labels = None
-
-    return _unchecked(seed, tuple(new_b2), new_weights, new_labels)
+    ws, labels = seed.weights, seed.labels if with_labels else None
+    _, _, wk, lk = _exchange(seed, k, nbrs, labels)
+    if wk is not None:
+        ws = ws[:k] + (wk,) + ws[k + 1:]
+    if lk is not None:
+        labels = labels[:k] + (lk,) + labels[k + 1:]
+    return _unchecked(seed, tuple(new_b2), ws, labels)
 
 
 # == X-coordinates and the p-map ==
@@ -468,9 +492,7 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     X'_k = 1/X_k and X'_i = X_i * X_k**[b_ik]+ * (1+X_k)**(-b_ik); values may
     live in any exact field.
     """
-    k = seed.index(at)
-    if seed.frozen[k]:
-        raise ValueError(f"cannot mutate frozen vertex {at!r}")
+    k = _unfrozen(seed, at)
     xk = xvals[at]
     out = {}
     for name, x in xvals.items():
@@ -492,9 +514,14 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
 
 
 def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
-    """Reorder marked-point slots: new slot t carries old slot perm[t]."""
+    """Reorder marked-point slots: new slot t carries old slot perm[t].
+
+    Raises ValueError unless perm holds each slot of the seed once.
+    """
     if seed.weights is None:
         return seed
+    if sorted(perm) != list(range(seed.slots)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of the {seed.slots} slots")
 
     def pw(ws):
         return tuple(ws[p] for p in perm)
@@ -559,14 +586,17 @@ def _nonzero_rows(seed: Seed, sign: int = 1) -> list[dict[int, int]]:
     return [{j: sign * row[j] for j in compress(range(n), row)} for row in seed.b2]
 
 
-def _features(seed: Seed, weights=None) -> list[tuple]:
+def _features(seed: Seed, weight_map=None) -> list[tuple]:
     """Per vertex (multiplier, frozen, weight tuple): what a matching keeps.
 
-    ``weights`` replaces the seed's own weight tuples when given.
+    ``weight_map``, when given, transforms each slot weight.
     """
     if seed.weights is None:
         raise ValueError("seeds to compare need weights")
-    return list(zip(seed.mult, seed.frozen, seed.weights if weights is None else weights))
+    weights = seed.weights
+    if weight_map is not None:
+        weights = [tuple(map(weight_map, ws)) for ws in weights]
+    return list(zip(seed.mult, seed.frozen, weights))
 
 
 def matches_under(s1: Seed, s2: Seed, mapping: dict, *, weight_map=None) -> bool:
@@ -584,10 +614,7 @@ def matches_under(s1: Seed, s2: Seed, mapping: dict, *, weight_map=None) -> bool
         return False
     if len(set(perm)) != n:
         return False
-    w1 = None
-    if weight_map is not None:
-        w1 = [tuple(weight_map(x) for x in ws) for ws in s1.weights]
-    f1, f2 = _features(s1, w1), _features(s2)
+    f1, f2 = _features(s1, weight_map), _features(s2)
     rows2 = _nonzero_rows(s2)
     return all(
         f1[i] == f2[p] and {perm[j]: b for j, b in row.items()} == rows2[p]

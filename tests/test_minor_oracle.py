@@ -9,7 +9,8 @@ Claims covered:
     - the glued four-point seeds are exactly the seeds with minor-valued
       exchange partners, one per glued edge vertex
     - every unfrozen exchange relation has residual zero on random flags,
-      and a corrupted seed never slips through
+      read from the exchange step without building a mutated seed, and a
+      corrupted seed never slips through
     - values scale by the stored weight character under the torus action;
       the character equals the product of powers of leading torus minors
     - the five-step walk on a unit pair swaps the pair on the nose
@@ -38,7 +39,8 @@ import confseed.minor_oracle as mo
 from confseed.linalg import det
 from confseed.root_data import root_datum
 from confseed.seed_builder import build_triangle_seed
-from confseed.seed_core import Exchange, Minor, Seed, mutate, x_from_a
+from confseed import seed_core
+from confseed.seed_core import Exchange, Minor, Seed, exchange, mutate, x_from_a
 from confseed.suites import suite_oracle
 from confseed.surface_glue import build_conf_m_seed
 
@@ -53,8 +55,7 @@ def atomic_mutations(seed: Seed) -> tuple[str, ...]:
     n = len(seed.weights[0][0]) + 1
     out = []
     for nm in seed.unfrozen_names():
-        w = mutate(seed, nm, with_labels=False).weight(nm)
-        if mo.evaluatable(w, n):
+        if mo.evaluatable(exchange(seed, nm)[2], n):
             out.append(nm)
     return tuple(out)
 
@@ -179,6 +180,18 @@ class TestExchangeResiduals:
         rng = random.Random(13)
         seed = mutate(QUAD3, "x_01")
         self._run(seed, 3, 4, rng, count=10)
+
+    def test_no_mutated_seed_is_built(self, monkeypatch):
+        # check_exchange reads the one exchange step; it builds no seed
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_exchange called mutate")
+
+        monkeypatch.setattr(seed_core, "mutate", refuse)
+        monkeypatch.setattr(mo, "mutate", refuse)
+        for i, (seed, n, m) in enumerate(
+            ((TRI3, 3, 3), (TRI4, 4, 3), (QUAD3, 3, 4), (QUAD4, 4, 4))
+        ):
+            self._run(seed, n, m, random.Random(30 + i), count=3)
 
     def test_corrupted_seed_is_caught(self):
         from confseed.seed_core import Seed

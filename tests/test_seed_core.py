@@ -3,6 +3,9 @@
 Claims covered:
     - check_seed enforces skew-symmetrizability and frozen-row parity
     - mutation is an involution on the full seed, labels included
+    - exchange's sides, weight and label agree with the dense reference over
+      every column along random walks, mutate stores them, and exchanging
+      straight back collapses the label
     - the nonzero-only mutation and dual kernels agree with the dense
       reference formulas along random walks
     - mutation preserves skew-symmetrizability and weight homogeneity;
@@ -19,7 +22,8 @@ Claims covered:
       raises ZeroDivisionError where a vanishing value has a negative
       exponent
     - every refusal of a malformed seed carries its exact message, on
-      construction, mutation, duality and comparison; the faults a seed file
+      construction, mutation, exchange, duality, slot permutation and
+      comparison; the faults a seed file
       can hold are refused by load_seed and exit the command line with 2
     - slot permutations compose; the Langlands dual squares to the identity,
       and its matrix equals the dense rule on the zoo, the a4 and d4
@@ -60,6 +64,7 @@ from confseed.seed_core import (
     Seed,
     arrows,
     check_seed,
+    exchange,
     langlands_dual,
     matches_under,
     mutate,
@@ -111,6 +116,32 @@ def _dense_mutate_b2(b2, k):
                 row.append(b2[p][q] + num // 4)
         out.append(tuple(row))
     return tuple(out)
+
+
+def _dense_exchange(seed, k):
+    """Reference: exchange's sides, weight and label over every column of row k."""
+    row, ws, labels = seed.b2[k], seed.weights, seed.labels
+    plus = tuple((j, b // 2) for j, b in enumerate(row) if b > 0)
+    minus = tuple((j, -b // 2) for j, b in enumerate(row) if b < 0)
+
+    def side(terms):
+        return [
+            [sum(e * ws[j][s][r] for j, e in terms) for r in range(len(ws[k][s]))]
+            for s in range(len(ws[k]))
+        ]
+
+    assert side(plus) == side(minus)
+    weight = tuple(
+        tuple(p - w for p, w in zip(ps, wk)) for ps, wk in zip(side(plus), ws[k])
+    )
+    lp = tuple((labels[j], e) for j, e in plus)
+    lm = tuple((labels[j], e) for j, e in minus)
+    old = labels[k]
+    if isinstance(old, Exchange) and (old.plus, old.minus) == (lm, lp):
+        label = old.over
+    else:
+        label = Exchange(lp, lm, old)
+    return plus, minus, weight, label
 
 
 def _dense_dual_b2(seed):
@@ -272,10 +303,27 @@ class TestRefusals:
          f"dual weight not integral at {_G2_LONG}", None),
         (lambda: quiver_isomorphic(*[replace(ZOO[0], weights=None)] * 2),
          "seeds to compare need weights", None),
+        (lambda: matches_under(replace(ZOO[0], weights=None), ZOO[0],
+                               {nm: nm for nm in ZOO[0].names},
+                               weight_map=lambda w: w),
+         "seeds to compare need weights", None),
+        (lambda: permute_slots(ZOO[0], (0, 1)),
+         "(0, 1) is not a permutation of the 3 slots", None),
+        (lambda: permute_slots(ZOO[0], (0, 0, 0)),
+         "(0, 0, 0) is not a permutation of the 3 slots", None),
+        (lambda: permute_slots(ZOO[0], (0, 1, 5)),
+         "(0, 1, 5) is not a permutation of the 3 slots", None),
+        (lambda: mutate(ZOO[0], "x_10"), "cannot mutate frozen vertex 'x_10'", None),
+        (lambda: mutate_x(ZOO[0], "x_10", {"x_10": Q(1)}),
+         "cannot mutate frozen vertex 'x_10'", None),
+        (lambda: exchange(ZOO[0], "x_10"), "cannot mutate frozen vertex 'x_10'", None),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
-            "non-integral-dual-weight", "comparison-without-weights"])
+            "non-integral-dual-weight", "comparison-without-weights",
+            "weight-map-without-weights", "short-slot-permutation",
+            "repeated-slot", "slot-out-of-range", "mutate-frozen",
+            "mutate-x-frozen", "exchange-frozen"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()
@@ -359,6 +407,27 @@ class TestMutation:
                 want = _dense_mutate_b2(cur.b2, cur.index(at))
                 cur = mutate(cur, at, with_labels=False)
                 assert cur.b2 == want
+
+    def test_exchange_matches_dense_rule_along_random_walks(self):
+        # each step also checks that mutate stores exchange's weight and
+        # label, and that exchanging straight back collapses the label
+        rng = random.Random(909)
+        for seed in _seed_zoo() + POLYGONS:
+            cur = seed
+            for _ in range(12):
+                at = rng.choice(cur.unfrozen_names())
+                k = cur.index(at)
+                got = exchange(cur, at)
+                want = _dense_exchange(cur, k)
+                assert got[:3] == want[:3]
+                assert got[3] is want[3]
+                nxt = mutate(cur, at)
+                assert nxt.weights[k] == got[2]
+                assert nxt.labels[k] is got[3]
+                back = exchange(nxt, at)
+                assert back[3] is cur.labels[k]
+                assert back == _dense_exchange(nxt, k)
+                cur = nxt
 
     def test_matrix_rule_on_a_known_pair(self):
         seed = build_triangle_seed(root_datum("a2"))
