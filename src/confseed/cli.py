@@ -16,7 +16,8 @@ from . import root_data as rd
 from .seed_builder import build_bruhat_seed, build_triangle_seed
 from .seed_core import mutate
 from .seed_io import (
-    format_weight, load_seed, save_seed, to_dot, weight_symbols, write_seed,
+    format_weight, load_seed, save_seed, to_dot, weight_symbols, write_atomically,
+    write_seed,
 )
 from .sequence_verifier import apply_sequence, builtin_sequences
 from .suites import run_suite
@@ -161,8 +162,11 @@ def _run(argv) -> int:
                         cells = ", ".join(format_weight(s, syms) for s in w)
                         print(f"  {name}: ({cells})")
             seed = result.final
-        for at in args.at:
-            seed = mutate(seed, at)
+        for step, at in enumerate(args.at, start=1):
+            try:
+                seed = mutate(seed, at)
+            except ValueError as exc:
+                raise ValueError(f"--at step {step}: {exc}") from None
         _emit_seed(seed, args.out)
         return 0
 
@@ -170,8 +174,7 @@ def _run(argv) -> int:
         seed = load_seed(args.seed)
         text = to_dot(seed)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_atomically(args.out, lambda fh: fh.write(text))
         else:
             sys.stdout.write(text)
         return 0

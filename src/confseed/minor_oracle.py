@@ -16,7 +16,7 @@ from . import root_data as rd
 from .linalg import det, mat_mul
 from .seed_core import (
     Label, Minor, Seed, exchange, matches_under, monomial, mutate, post_order,
-    x_from_a,
+    quiver_isomorphic, x_from_a,
 )
 
 Flag = tuple  # n x n matrix, rows first
@@ -247,6 +247,22 @@ def check_pentagon(seed: Seed, j: str, k: str, flags) -> bool:
         return False
     after = seed_values(walked, flags)
     return all(after[nm] == base[swap.get(nm, nm)] for nm in seed.names)
+
+
+def check_flip_values(flipped: Seed, target: Seed, flags) -> tuple[str, ...]:
+    """Vertices of ``flipped`` whose value differs from ``target``'s at their image.
+
+    The image is that of ``quiver_isomorphic(flipped, target)``.  After a
+    type-A flip sequence on the four-point seed, each label is the function
+    the rebuilt flipped seed has at its image, so the result is empty.
+    Raises ValueError when the two quivers do not match, and
+    ZeroDivisionError when a value it divides by vanishes.
+    """
+    mapping = quiver_isomorphic(flipped, target)
+    if mapping is None:
+        raise ValueError("the flipped seed does not match the target's quiver")
+    have, want = seed_values(flipped, flags), seed_values(target, flags)
+    return tuple(nm for nm in flipped.names if have[nm] != want[mapping[nm]])
 
 
 # == the longest-element lift and the twisted cyclic shift ==

@@ -54,6 +54,14 @@ class RootDatum:
 # The cap admits the a<n> triangles to a42 and the g2 polygons to m = 129.
 MAX_VERTICES = 1024
 
+# The most bits a b2 entry or weight coordinate may have.  Along a mutation
+# walk on a mutation-infinite quiver the bit length of the entries grows
+# exponentially with the walk's length, so mutation and loading refuse a
+# larger value.  4,096 bits stay under the 4,300 decimal digits that int()
+# and str() convert by default, so every seed within the cap can be written
+# and loaded again.
+MAX_ENTRY_BITS = 4096
+
 _KIND = re.compile(r"a[1-9][0-9]*|g2|d4")
 
 

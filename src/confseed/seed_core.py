@@ -6,7 +6,8 @@ throughout:
 
 * b2 is skew-symmetrizable: b2[i][j]*d[j] == -b2[j][i]*d[i];
 * any entry touching an unfrozen vertex is even (b itself is integral there);
-* the diagonal is zero.
+* the diagonal is zero;
+* no entry has more than MAX_ENTRY_BITS bits.
 
 ``b2`` is a dense tuple of int rows, but the kernels that scan it
 (``check_seed``, ``mutate``, ``arrows``, ``p_exponents``, ``matches_under``,
@@ -16,21 +17,32 @@ rewrites only the rows of the mutated vertex's neighbours.  The same rule
 makes the Langlands dual's matrix the transpose of ``b2``, so
 ``langlands_dual`` scans no row at all.
 
-Every way to make a seed runs the full ``check_seed``, except ``mutate``.
-A seed stores its sequence fields as tuples, so a checked seed stays
-checked.  Mutation keeps skew-symmetrizability with the same multipliers
-(Fomin and Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes
-only the block of rows and columns at the mutated vertex and its
-neighbours; ``mutate`` checks that block with ``check_seed``'s own tests and
-messages, and every entry outside it is an entry of the checked seed it
-started from.  A mutation step therefore costs O(n * deg), deg the number
-of neighbours, where a full check would cost O(n^2).
+Every way to make a seed runs the full ``check_seed``, except ``mutate``
+and ``opposite``.  A seed stores its sequence fields as tuples, so a
+checked seed stays checked.  Mutation keeps skew-symmetrizability with the
+same multipliers (Fomin and Zelevinsky, "Cluster algebras I", 2002,
+Section 4) and writes only the block of rows and columns at the mutated
+vertex and its neighbours; ``mutate`` checks that block with
+``check_seed``'s own tests and messages, and every entry outside it is an
+entry of the checked seed it started from.  A mutation step therefore
+costs O(n * deg), deg the number of neighbours, where a full check would
+cost O(n^2).
 
 The exchange relation A_k * A'_k = M+ + M- is stated once, by
 ``exchange``: it splits row k by sign into the two monomials, refuses a
 relation that is not weight-homogeneous, and gives A'_k's weight and label.
 ``mutate`` takes the new vertex's weight and label from the same step, and
 the flag oracle reads it without building the mutated seed.
+
+Symmetry checks relabel a seed and then compare it exactly, and the
+comparisons (``matches_under``, ``quiver_isomorphic``) take no options.
+Two transforms state the relabelling rules once each.  ``opposite``
+reverses every arrow by negating b2: an odd permutation of a triangle's
+corners gives the opposite seed (Fock and Goncharov, "Moduli spaces of local
+systems and higher Teichmuller theory", 2006).  ``map_weights`` applies one
+map to every slot-weight tuple, a vertex's and those inside its label alike:
+slot permutations, the embedding of a triangle into a polygon's slots, and
+diagram automorphisms acting on weight coordinates all go through it.
 
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
@@ -60,11 +72,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction as Q
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from weakref import WeakValueDictionary
 
-from .root_data import Weight
+from .root_data import MAX_ENTRY_BITS, Weight
 
 # == labels ==
 
@@ -234,8 +246,9 @@ def check_seed(seed: Seed) -> None:
 
     Checks, in this order: unique names; equal field lengths; positive
     multipliers; a square b2 with zero diagonal; then, row by row over the
-    nonzero entries, skew-symmetrizability and even entries at every pair
-    touching an unfrozen vertex; one weight tuple per vertex, all with the
+    nonzero entries, entries of at most MAX_ENTRY_BITS bits,
+    skew-symmetrizability and even entries at every pair touching an
+    unfrozen vertex; one weight tuple per vertex, all with the
     same number of slots; one label per vertex.  The first failure names
     its pair of vertices where there is one.
     """
@@ -262,8 +275,12 @@ def check_seed(seed: Seed) -> None:
         raise ValueError("one label per vertex required")
 
 
+# the least magnitude of more than MAX_ENTRY_BITS bits
+_TOO_BIG = 1 << MAX_ENTRY_BITS
+
+
 def _check_entries(seed: Seed, b2, rows) -> None:
-    """check_seed's two entry tests, row by row, in the order given.
+    """check_seed's three entry tests, row by row, in the order given.
 
     ``rows`` yields (i, js): a row index of ``b2`` and the columns of its
     nonzero entries to test.  ``b2`` may differ from ``seed.b2``; names,
@@ -276,6 +293,10 @@ def _check_entries(seed: Seed, b2, rows) -> None:
         row, d_i, f_i = b2[i], mult[i], frozen[i]
         for j in js:
             b = row[j]
+            if not -_TOO_BIG < b < _TOO_BIG:
+                raise ValueError(
+                    f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
+                )
             if b * mult[j] != -b2[j][i] * d_i:
                 raise ValueError(f"not skew-symmetrizable at ({names[i]},{names[j]})")
             if b % 2 and not (f_i and frozen[j]):
@@ -283,10 +304,11 @@ def _check_entries(seed: Seed, b2, rows) -> None:
 
 
 def _unchecked(seed: Seed, b2, weights, labels) -> Seed:
-    """seed with b2, weights and labels replaced, for mutate alone.
+    """seed with b2, weights and labels replaced, for mutate and opposite.
 
-    Skips __post_init__: the caller has checked every entry it wrote, and
-    every other field comes from seed, which passed the full check_seed.
+    Skips __post_init__: the caller has checked every entry it wrote, or
+    proved that it cannot break a check, and every other field comes from
+    seed, which passed the full check_seed.
     """
     out = object.__new__(Seed)
     # field by field in field order, as __init__ does, so that CPython keeps
@@ -382,7 +404,7 @@ def _exchange(seed: Seed, k: int, nbrs: list[int], labels):
             raise ValueError(
                 f"mutation at {at} is not weight-homogeneous: {weight_balance(seed, at)}"
             )
-        weight = tuple(tuple(p - q for p, q in zip(ps, qs)) for ps, qs in zip(pos, ws[k]))
+        weight = tuple(tuple(map(operator.sub, ps, qs)) for ps, qs in zip(pos, ws[k]))
     if labels is not None:
         lp = tuple((labels[j], e) for j, e in plus)
         lm = tuple((labels[j], e) for j, e in minus)
@@ -404,7 +426,9 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     keeps skew-symmetrizability with the same multipliers, and every entry
     outside the block is unchanged from ``seed``, which passed the full
     check and cannot have changed since.  The new weight and label at
-    ``at`` are those of ``exchange``.
+    ``at`` are those of ``exchange``.  The block check refuses a b2 entry
+    of more than MAX_ENTRY_BITS bits, and the new weight is refused when a
+    coordinate is.
     """
     k = _unfrozen(seed, at)
     old = seed.b2
@@ -433,6 +457,8 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     ws, labels = seed.weights, seed.labels if with_labels else None
     _, _, wk, lk = _exchange(seed, k, nbrs, labels)
     if wk is not None:
+        if max(map(abs, chain.from_iterable(wk)), default=0) >= _TOO_BIG:
+            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}")
         ws = ws[:k] + (wk,) + ws[k + 1:]
     if lk is not None:
         labels = labels[:k] + (lk,) + labels[k + 1:]
@@ -510,7 +536,31 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     return out
 
 
-# == slot permutations and Langlands dual ==
+# == relabelling: the opposite seed, weight maps, slot permutations ==
+
+
+def opposite(seed: Seed) -> Seed:
+    """The opposite seed: every arrow reversed, every other field kept.
+
+    Negating b2 keeps the zero diagonal, the parity and size of every entry
+    and skew-symmetrizability with the same multipliers, so the result needs
+    no check beyond the one ``seed`` passed.
+    """
+    b2 = tuple(tuple(map(operator.neg, row)) for row in seed.b2)
+    return _unchecked(seed, b2, seed.weights, seed.labels)
+
+
+def map_weights(seed: Seed, fn) -> tuple[tuple | None, tuple[Label, ...] | None]:
+    """(weights, labels) with fn applied to every slot-weight tuple.
+
+    fn takes and returns one tuple of slot weights; it is applied to each
+    vertex's weights and, through ``map_label_weights``, to every weight
+    tuple inside the labels, so shared label subtrees stay shared.  Either
+    part is None where the seed has none.
+    """
+    weights, labels = seed.weights, seed.labels
+    return (None if weights is None else tuple(map(fn, weights)),
+            None if labels is None else map_label_weights(labels, fn))
 
 
 def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
@@ -522,15 +572,8 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
         return seed
     if sorted(perm) != list(range(seed.slots)):
         raise ValueError(f"{tuple(perm)} is not a permutation of the {seed.slots} slots")
-
-    def pw(ws):
-        return tuple(ws[p] for p in perm)
-
-    new_weights = tuple(pw(ws) for ws in seed.weights)
-    new_labels = seed.labels
-    if seed.labels is not None:
-        new_labels = map_label_weights(seed.labels, pw)
-    return replace(seed, weights=new_weights, labels=new_labels)
+    weights, labels = map_weights(seed, lambda ws: tuple(ws[p] for p in perm))
+    return replace(seed, weights=weights, labels=labels)
 
 
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
@@ -580,31 +623,21 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     )
 
 
-def _nonzero_rows(seed: Seed, sign: int = 1) -> list[dict[int, int]]:
-    """Each b2 row as {column: sign * entry} over its nonzero entries only."""
+def _nonzero_rows(seed: Seed) -> list[dict[int, int]]:
+    """Each b2 row as {column: entry} over its nonzero entries only."""
     n = seed.size
-    return [{j: sign * row[j] for j in compress(range(n), row)} for row in seed.b2]
+    return [{j: row[j] for j in compress(range(n), row)} for row in seed.b2]
 
 
-def _features(seed: Seed, weight_map=None) -> list[tuple]:
-    """Per vertex (multiplier, frozen, weight tuple): what a matching keeps.
-
-    ``weight_map``, when given, transforms each slot weight.
-    """
+def _features(seed: Seed) -> list[tuple]:
+    """Per vertex (multiplier, frozen, weight tuple): what a matching keeps."""
     if seed.weights is None:
         raise ValueError("seeds to compare need weights")
-    weights = seed.weights
-    if weight_map is not None:
-        weights = [tuple(map(weight_map, ws)) for ws in weights]
-    return list(zip(seed.mult, seed.frozen, weights))
+    return list(zip(seed.mult, seed.frozen, seed.weights))
 
 
-def matches_under(s1: Seed, s2: Seed, mapping: dict, *, weight_map=None) -> bool:
-    """Exact comparison under an explicit vertex bijection s1 -> s2.
-
-    ``weight_map`` (optional) transforms each s1 slot weight before
-    comparing.
-    """
+def matches_under(s1: Seed, s2: Seed, mapping: dict) -> bool:
+    """Exact comparison under an explicit vertex bijection s1 -> s2."""
     n = s1.size
     if s2.size != n or len(mapping) != n:
         return False
@@ -614,7 +647,7 @@ def matches_under(s1: Seed, s2: Seed, mapping: dict, *, weight_map=None) -> bool
         return False
     if len(set(perm)) != n:
         return False
-    f1, f2 = _features(s1, weight_map), _features(s2)
+    f1, f2 = _features(s1), _features(s2)
     rows2 = _nonzero_rows(s2)
     return all(
         f1[i] == f2[p] and {perm[j]: b for j, b in row.items()} == rows2[p]
@@ -625,30 +658,28 @@ def matches_under(s1: Seed, s2: Seed, mapping: dict, *, weight_map=None) -> bool
 # == isomorphism of labeled quivers ==
 
 
-def quiver_isomorphic(s1: Seed, s2: Seed, *, reverse_arrows: bool = False):
+def quiver_isomorphic(s1: Seed, s2: Seed):
     """Search for a vertex bijection matching b2, weights and multipliers.
 
     Returns the lexicographically least mapping {s1 name: s2 name} in vertex
-    order, or None.  ``reverse_arrows`` matches s2 against the opposite of
-    s1.
+    order, or None.
     """
     n = s1.size
     if s2.size != n:
         return None
-    sign = -1 if reverse_arrows else 1
 
-    def keys(seed, s):
+    def keys(seed):
         feats = _features(seed)
         profiles = (
             tuple(sorted((b, feats[j]) for j, b in row.items()))
-            for row in _nonzero_rows(seed, s)
+            for row in _nonzero_rows(seed)
         )
         return list(zip(feats, profiles))
 
     by_key: dict[tuple, list[int]] = {}
-    for j, key in enumerate(keys(s2, 1)):
+    for j, key in enumerate(keys(s2)):
         by_key.setdefault(key, []).append(j)
-    cands = [by_key.get(key) for key in keys(s1, sign)]
+    cands = [by_key.get(key) for key in keys(s1)]
     if None in cands:
         return None
 
@@ -672,7 +703,7 @@ def quiver_isomorphic(s1: Seed, s2: Seed, *, reverse_arrows: bool = False):
         # with equal multipliers, skew-symmetrizability makes a match of
         # b2[i][p] a match of b2[p][i] too
         if used[j] or any(
-            s2.b2[j][assigned[p]] != sign * s1.b2[i][p] for p in range(i)
+            s2.b2[j][assigned[p]] != s1.b2[i][p] for p in range(i)
         ):
             continue
         assigned[i] = j

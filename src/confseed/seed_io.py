@@ -12,11 +12,11 @@ Vertex ids are the JSON integers 0 to n-1, each once, a ``tag`` is a JSON
 string, weight coordinates, ``b2`` entries and multipliers ``d`` are JSON
 integers (``d`` at least 1), ``frozen`` is a JSON boolean, a label's
 ``kind`` is "minor" or "exchange" and label exponents are positive JSON
-integers; loading refuses anything else, floats, strings and booleans
-included, as well as a weight list with no slots and weight vectors of
-different lengths.  The top-level "labels" table shares repeated
-subtrees; each vertex points into it by index, and an exchange entry only
-into earlier entries.
+integers, and no integer has more than ``MAX_ENTRY_BITS`` bits; loading
+refuses anything else, floats, strings and booleans included, as well as a
+weight list with no slots and weight vectors of different lengths.  The
+top-level "labels" table shares repeated subtrees; each vertex points into
+it by index, and an exchange entry only into earlier entries.
 
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline.  It
@@ -27,8 +27,12 @@ the largest cost of writing a polygon seed file.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction as Q
+from itertools import chain
 
+from .root_data import MAX_ENTRY_BITS
 from .seed_core import Exchange, Label, Minor, Seed, arrows, post_order
 
 
@@ -44,6 +48,8 @@ def _ints(values, what: str) -> tuple[int, ...]:
 def _positive(x, what: str) -> int:
     if type(x) is not int or x < 1:
         raise ValueError(f"{what} {x!r} is not a positive integer")
+    if x.bit_length() > MAX_ENTRY_BITS:
+        raise ValueError(f"{what} over the cap of {MAX_ENTRY_BITS} bits")
     return x
 
 
@@ -114,6 +120,7 @@ def _monomial_in(built: list, pairs, what: str):
 def seed_from_json(data: dict) -> Seed:
     """Rebuild a seed from its JSON form; raises ValueError on malformed data."""
     lengths = set()  # of the weight vectors read; a file has one
+    tables = []  # of weight vectors, checked against the cap in one pass
 
     def weights_in(rows):
         out = tuple(_ints(row, "weight coordinate") for row in rows)
@@ -122,6 +129,7 @@ def seed_from_json(data: dict) -> Seed:
         lengths.update(map(len, out))
         if len(lengths) > 1:
             raise ValueError(f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
+        tables.append(out)
         return out
 
     try:
@@ -159,6 +167,10 @@ def seed_from_json(data: dict) -> Seed:
                 else:
                     raise ValueError(f"label kind {kind!r} is not 'minor' or 'exchange'")
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
+        # check_seed caps b2; the weights, mostly small, take one C-level pass
+        coords = chain.from_iterable(chain.from_iterable(tables))
+        if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:
+            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
         return Seed(names, frozen, mult, b2, weights, labels)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
@@ -229,9 +241,42 @@ def write_seed(seed: Seed, fh) -> None:
     fh.write("\n}\n")
 
 
+def write_atomically(path, write) -> None:
+    """Call write(fh) on a new text file, then move that file onto path.
+
+    The new file sits in path's directory, so ``os.replace`` moves it in one
+    step: a write that fails leaves any earlier file at path as it was, and
+    the new file is removed.  The file gets the mode ``open(path, "w")``
+    gives, the earlier file's or 0o666 less the umask.  There is no fsync:
+    this guards against a failed write, not a power loss.
+    """
+    # through a symbolic link to its target, as open(path, "w") writes
+    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                try:
+                    os.chmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+                except FileNotFoundError:
+                    pass
+                write(fh)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the file asked for, as open(path, "w") would
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
 def save_seed(seed: Seed, path) -> None:
-    with open(path, "w") as fh:
-        write_seed(seed, fh)
+    """Write the seed file through ``write_atomically``."""
+    write_atomically(path, lambda fh: write_seed(seed, fh))
 
 
 def load_seed(path) -> Seed:

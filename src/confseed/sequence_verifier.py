@@ -9,15 +9,17 @@ sequences are compared whole by the suites, not here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import root_data as rd
 from .seed_builder import triangle_name, triangle_vertices
 from .seed_core import (
     Seed,
     langlands_dual,
+    map_weights,
     matches_under,
     mutate,
+    opposite,
     permute_slots,
     quiver_isomorphic,
 )
@@ -139,9 +141,7 @@ def verify_s3(
 ) -> CheckReport:
     """Does the sequence land on the slot-permuted seed with its arrows reversed?"""
     mapping = quiver_isomorphic(
-        apply_sequence(seed, seq).final,
-        permute_slots(seed, slot_perm),
-        reverse_arrows=True,
+        opposite(apply_sequence(seed, seq).final), permute_slots(seed, slot_perm)
     )
     if mapping is None:
         note = "final seed does not match the permuted start"
@@ -172,11 +172,10 @@ def verify_langlands_pairing(
     seq_b: MutationSequence,
     pairing: dict,
     *,
-    weight_map=None,
     slot_perm: tuple[int, ...] | None = None,
     stage_reversal: bool = False,
 ) -> CheckReport:
-    """Check that seq_b is the Langlands shadow of seq_a on this seed.
+    """Check that seq_b is the Langlands shadow of seq_a on this g2 seed.
 
     ``pairing`` is the self-duality relabeling: it sends each vertex to its
     dual partner, short and long nodes exchanged.  Three parts: (1)
@@ -185,6 +184,7 @@ def verify_langlands_pairing(
     with running either sequence; (3) when ``slot_perm`` is given, the seed
     is self-dual: its dual matches it under the pairing after the slot
     permutation, and so does the dual of seq_a's run against seq_b's run.
+    Weights go to the dual lattice through ``rd.g2_weight_dual``.
     """
     lines = []
     ok = True
@@ -201,11 +201,11 @@ def verify_langlands_pairing(
     else:
         lines.append("paired sequence is the conjugate of the first")
 
-    dual = langlands_dual(seed, weight_map)
+    dual = langlands_dual(seed, rd.g2_weight_dual)
     finals, dual_finals = [], []
     for seq in (seq_a, seq_b):
         finals.append(apply_sequence(seed, seq).final)
-        dual_finals.append(langlands_dual(finals[-1], weight_map))
+        dual_finals.append(langlands_dual(finals[-1], rd.g2_weight_dual))
         if dual_finals[-1] != apply_sequence(dual, seq).final:
             ok = False
             lines.append(f"dualizing does not commute with {seq.name}")
@@ -246,7 +246,8 @@ def verify_dynkin_automorphism_d4(seed: Seed, sigma: dict) -> CheckReport:
             out[datum.index(sigma[node])] = w[datum.index(node)]
         return tuple(out)
 
-    ok = matches_under(seed, seed, mapping, weight_map=wmap)
+    weights, labels = map_weights(seed, lambda ws: tuple(map(wmap, ws)))
+    ok = matches_under(replace(seed, weights=weights, labels=labels), seed, mapping)
     return CheckReport(
         f"triality {''.join(sigma[a] for a in ('a1', 'a2', 'a3'))}",
         ok,

@@ -28,6 +28,7 @@ from .seed_core import (
     langlands_dual,
     matches_under,
     mutate,
+    opposite,
     permute_slots,
     quiver_isomorphic,
     weight_balance,
@@ -232,7 +233,7 @@ def suite_langlands(rng=None) -> list[CheckReport]:
             problems.append("dualizing twice does not return the seed")
     a3 = build_triangle_seed(rd.root_datum("a3"))
     da3 = langlands_dual(a3, weight_map=lambda w: tuple(reversed(w)))
-    if da3.b2 != tuple(tuple(-b for b in row) for row in a3.b2):
+    if da3.b2 != opposite(a3).b2:
         problems.append("dual of a multiplier-one seed is not the opposite quiver")
     reports.append(_report(
         "duality involution", problems,
@@ -253,14 +254,13 @@ def suite_langlands(rng=None) -> list[CheckReport]:
 
     reports.append(verify_langlands_pairing(
         tri, seqs["g2_swap13"], seqs["g2_swap23"], TRIANGLE_DUALITY_PAIRING,
-        weight_map=wmap, slot_perm=(1, 0, 2),
+        slot_perm=(1, 0, 2),
     ))
 
     pairing = quad_duality_pairing(quad)
     dual_flip = seqs["g2_flip"].conjugated(pairing, name="g2_flip_dual").reversed()
     reports.append(verify_langlands_pairing(
-        quad, seqs["g2_flip"], dual_flip, pairing,
-        weight_map=wmap, stage_reversal=True,
+        quad, seqs["g2_flip"], dual_flip, pairing, stage_reversal=True,
     ))
 
     problems = []
@@ -310,9 +310,7 @@ def suite_reversal(rng=None) -> list[CheckReport]:
         datum = rd.root_datum(kind)
         rev = reverse_word_seed(datum)
         std = build_triangle_seed(datum)
-        iso = quiver_isomorphic(
-            rev, permute_slots(std, (1, 0, 2)), reverse_arrows=True
-        )
+        iso = quiver_isomorphic(opposite(rev), permute_slots(std, (1, 0, 2)))
         problems = []
         if iso is None:
             problems.append("reversed-word triangle does not match the slot swap")

@@ -27,7 +27,7 @@ from .seed_builder import (
     triangle_name,
     triangle_vertices,
 )
-from .seed_core import Seed, map_label_weights
+from .seed_core import Seed, map_weights, opposite
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,12 @@ def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str)
             out[corner - 1] = ws[t]
         return tuple(out)
 
-    weights = tuple(embed(ws) for ws in seed.weights)
-    labels = None
-    if seed.labels is not None:
-        labels = map_label_weights(seed.labels, embed)
-    b2 = seed.b2
+    weights, labels = map_weights(seed, embed)
     if _parity(order):
-        b2 = tuple(tuple(-x for x in row) for row in b2)
+        seed = opposite(seed)
     return replace(
         seed,
         names=tuple(prefix + nm for nm in seed.names),
-        b2=b2,
         weights=weights,
         labels=labels,
     )

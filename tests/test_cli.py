@@ -7,11 +7,15 @@ Claims covered:
       the default word; every file the
       benchmark's polygons workload writes has its recorded digest
     - mutating twice at one vertex reproduces the input file byte for byte
+    - a 400-step walk on the g2 16-gon is refused within 1 s at the first
+      step that writes a value over the entry cap, naming the step and the
+      vertex, and leaves no new file and an earlier file as it was
     - named sequences run from the command line and can dump stage traces
     - verify exits 0 on a passing suite and prints one line per check; the
       suites that map vertex names (langlands, triality, reversal) pass;
       the full text and JSON reports equal the pinned files in tests/data
-    - export-dot renders a digraph; oracle runs the numeric checks
+    - export-dot renders a digraph, and writes the same bytes to --out;
+      oracle runs the numeric checks
     - ``python -m confseed`` runs the command line from a checkout: the
       full verify report is the pinned one, and an unknown suite exits 2
     - usage errors (unknown flags, suites, sequences) exit with status 2;
@@ -19,7 +23,9 @@ Claims covered:
     - domain and file errors exit with status 2 and a one-line message,
       triangle lists that do not tile the m-gon, empty triangle lists and
       triangles with an empty or non-integer corner (the message quotes the
-      triangle) and the empty word included
+      triangle), the empty word, seed-file integers over the entry cap and
+      an --out that cannot be written (the message names that path)
+      included
     - any reduced word builds and completes, and build writes its weights
     - every confseed line of README's command-line block exits 0
 """
@@ -29,10 +35,12 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +199,28 @@ class TestMutate:
         assert "stage 6:" in out
         assert "x_0a:" in out
 
+    def test_long_walk_stops_at_the_entry_cap(self, tmp_path, capsys):
+        # the largest value of this walk has 72 bits at step 200 and 47,590
+        # at step 400, and its cost grows with them; the cap refuses the
+        # first step that writes over 4,096 bits, so no file is written
+        src = self._seed_file(tmp_path, "polygon", "--type", "g2", "--m", "16")
+        rng = random.Random(3)
+        names = load_seed(src).unfrozen_names()
+        steps = [a for _ in range(400) for a in ("--at", rng.choice(names))]
+        old = tmp_path / "old.json"
+        old.write_bytes(src.read_bytes())
+        for out in (tmp_path / "new.json", old):
+            start = time.perf_counter()
+            code = main(["mutate", "--seed", str(src), *steps, "--out", str(out)])
+            assert time.perf_counter() - start < 1
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "confseed: error: --at step 292: weight coordinate over the cap "
+                f"of {rd.MAX_ENTRY_BITS} bits at t4.x_a3\n"
+            )
+        assert old.read_bytes() == src.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "seed.json"]
+
     def test_unknown_sequence_exits_2(self, tmp_path, capsys):
         src = self._seed_file(tmp_path, "triangle", "--type", "g2")
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +313,15 @@ class TestExportAndErrors:
         assert out.startswith("digraph")
         assert '"x_11"' in out
 
+    def test_export_dot_to_a_file(self, tmp_path, capsys):
+        src = tmp_path / "seed.json"
+        assert main(["polygon", "--type", "g2", "--m", "4", "--out", str(src)]) == 0
+        code, out = run(capsys, "export-dot", "--seed", str(src))
+        assert code == 0
+        dot = tmp_path / "seed.dot"
+        assert run(capsys, "export-dot", "--seed", str(src), "--out", str(dot)) == (0, "")
+        assert dot.read_bytes() == out.encode()
+
     def test_export_dot_escapes_quotes_in_tags(self, tmp_path, capsys):
         src = tmp_path / "seed.json"
         assert main(["triangle", "--type", "a2", "--out", str(src)]) == 0
@@ -353,6 +392,16 @@ class TestExportAndErrors:
          "label kind 'foo' is not 'minor' or 'exchange'"),
         (["mutate", "--seed", "duplicate-id.json", "--at", "x_11"], "0",
          "no vertex has id 0; ids must be 0 to 6"),
+        (["export-dot", "--seed", "huge-weight.json"], "0",
+         "weight coordinate over the cap of 4096 bits"),
+        (["export-dot", "--seed", "huge-mult.json"], "0",
+         "multiplier d over the cap of 4096 bits"),
+        (["mutate", "--seed", "huge-exponent.json"], "0",
+         "plus exponent over the cap of 4096 bits"),
+        (["triangle", "--type", "a2", "--out", "adir"], "0",
+         "[Errno 21] Is a directory: 'adir'\n"),
+        (["triangle", "--type", "a2", "--out", "nodir/t.json"], "0",
+         "[Errno 2] No such file or directory: 'nodir/t.json'\n"),
         (["polygon", "--type", "a2", "--m", "5",
           "--triangles", "1,2,3;1,3,4;1,2,4"], "0",
          "side 1-2 must lie in exactly one triangle"),
@@ -377,7 +426,9 @@ class TestExportAndErrors:
             "float-b2", "string-b2", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
             "ragged-weights", "deeply-nested-file", "int-tag",
-            "unknown-label-kind", "duplicate-vertex-id", "non-tiling-triangles",
+            "unknown-label-kind", "duplicate-vertex-id", "huge-weight",
+            "huge-mult", "huge-exponent", "out-is-a-directory",
+            "out-in-a-missing-directory", "non-tiling-triangles",
             "repeated-triangle", "empty-corners", "trailing-semicolon",
             "non-integer-corner", "empty-triangle-list"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
@@ -417,6 +468,10 @@ def _write_seed_files(tmp_path):
         ("int-tag", ("vertices", 0, "tag"), 1),
         ("unknown-kind", ("labels", ex, "kind"), "foo"),
         ("duplicate-id", ("vertices", 0, "id"), 1),
+        # 4,097 bits, so the file holds it and json reads it back
+        ("huge-weight", weight, 1 << 4096),
+        ("huge-mult", ("vertices", 0, "d"), 1 << 4096),
+        ("huge-exponent", ("labels", ex, "plus", 0, 1), 1 << 4096),
     ):
         data = json.loads(text)
         node = data
@@ -435,6 +490,7 @@ def _write_seed_files(tmp_path):
     (tmp_path / "no-slots.json").write_text(json.dumps(no_slots))
     (tmp_path / "ragged-weights.json").write_text(json.dumps(ragged))
     (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "adir").mkdir()
 
 
 # == 5. the README ===========================================================

@@ -59,6 +59,7 @@ from confseed.seed_core import (
     arrows,
     check_seed,
     mutate,
+    opposite,
     permute_slots,
     quiver_isomorphic,
     weight_balance,
@@ -235,14 +236,14 @@ class TestReversedWord:
             datum = root_datum(kind)
             rev = reverse_word_seed(datum)
             std = permute_slots(build_triangle_seed(datum), (1, 0, 2))
-            iso = quiver_isomorphic(rev, std, reverse_arrows=True)
+            iso = quiver_isomorphic(opposite(rev), std)
             assert iso is not None
 
     def test_mapping_reflects_occurrences(self):
         datum = root_datum("g2")
         rev = reverse_word_seed(datum)
         std = permute_slots(build_triangle_seed(datum), (1, 0, 2))
-        iso = quiver_isomorphic(rev, std, reverse_arrows=True)
+        iso = quiver_isomorphic(opposite(rev), std)
         word = standard_longest_word(datum)
         for node, occ in triangle_vertices(datum):
             name = triangle_name(datum, node, occ)

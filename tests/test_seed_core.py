@@ -8,6 +8,8 @@ Claims covered:
       straight back collapses the label
     - the nonzero-only mutation and dual kernels agree with the dense
       reference formulas along random walks
+    - mutation refuses a step that writes a b2 entry over the entry cap
+      and takes one at the cap
     - mutation preserves skew-symmetrizability and weight homogeneity;
       the full check_seed holds after every step of random walks, on the
       zoo and on the g2 16-gon and the a3 hexagon
@@ -25,9 +27,11 @@ Claims covered:
       construction, mutation, exchange, duality, slot permutation and
       comparison; the faults a seed file
       can hold are refused by load_seed and exit the command line with 2
-    - slot permutations compose; the Langlands dual squares to the identity,
-      and its matrix equals the dense rule on the zoo, the a4 and d4
-      triangles and the polygons, each also after a random walk
+    - slot permutations compose; the opposite seed negates b2, keeps every
+      other field, passes check_seed and is its own inverse; the Langlands
+      dual squares to the identity, and its matrix equals the dense rule on
+      the zoo, the a4 and d4 triangles and the polygons, each also after a
+      random walk
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
       the identity on the g2 128-gon (1,010 vertices) without recursion,
@@ -37,7 +41,8 @@ Claims covered:
       mutation, duality and a save/load round trip
     - labels are hash-consed: equal labels are one immutable object, a
       save/load round trip returns the saved objects, and along the SL4
-      4-gon's cyclic walk the label table grows by one entry per step;
+      4-gon's cyclic walk the label table grows by one entry per step, and
+      map_weights maps each distinct node once, keeping their number;
       slot permutations, evaluation on fresh flags (against values stepped
       by the exchange relation) and repr take labels 1,200 steps deep
       without recursion
@@ -57,7 +62,7 @@ import pytest
 from confseed import minor_oracle as mo
 from confseed import seed_core
 from confseed.cli import main
-from confseed.root_data import g2_weight_dual, root_datum
+from confseed.root_data import MAX_ENTRY_BITS, g2_weight_dual, root_datum
 from confseed.seed_core import (
     Exchange,
     Minor,
@@ -66,9 +71,11 @@ from confseed.seed_core import (
     check_seed,
     exchange,
     langlands_dual,
+    map_weights,
     matches_under,
     mutate,
     mutate_x,
+    opposite,
     p_exponents,
     permute_slots,
     quiver_isomorphic,
@@ -269,6 +276,13 @@ def _extra_slot(data):
     data["vertices"][0]["weights"].append(data["vertices"][0]["weights"][0])
 
 
+def _oversized(b2):
+    """b2 with the arrow between x_10 and x_20 grown one bit over the cap."""
+    rows = [list(r) for r in b2]
+    rows[0][1], rows[1][0] = -1 << MAX_ENTRY_BITS, 1 << MAX_ENTRY_BITS
+    return rows
+
+
 class TestRefusals:
     """Every refusal of a malformed seed, with its exact message.
 
@@ -304,8 +318,7 @@ class TestRefusals:
         (lambda: quiver_isomorphic(*[replace(ZOO[0], weights=None)] * 2),
          "seeds to compare need weights", None),
         (lambda: matches_under(replace(ZOO[0], weights=None), ZOO[0],
-                               {nm: nm for nm in ZOO[0].names},
-                               weight_map=lambda w: w),
+                               {nm: nm for nm in ZOO[0].names}),
          "seeds to compare need weights", None),
         (lambda: permute_slots(ZOO[0], (0, 1)),
          "(0, 1) is not a permutation of the 3 slots", None),
@@ -317,13 +330,16 @@ class TestRefusals:
         (lambda: mutate_x(ZOO[0], "x_10", {"x_10": Q(1)}),
          "cannot mutate frozen vertex 'x_10'", None),
         (lambda: exchange(ZOO[0], "x_10"), "cannot mutate frozen vertex 'x_10'", None),
+        (_a2_fields(b2=_oversized(ZOO[0].b2)),
+         f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at (x_10,x_20)",
+         lambda data: data.update(b2=_oversized(data["b2"]))),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
             "non-integral-dual-weight", "comparison-without-weights",
             "weight-map-without-weights", "short-slot-permutation",
             "repeated-slot", "slot-out-of-range", "mutate-frozen",
-            "mutate-x-frozen", "exchange-frozen"])
+            "mutate-x-frozen", "exchange-frozen", "oversized-entry"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()
@@ -371,6 +387,21 @@ class TestMutation:
                 cur = mutate(cur, rng.choice(cur.unfrozen_names()))
                 check_seed(cur)
             assert_face_equations(cur)
+
+    @pytest.mark.parametrize("bits, refused", [(2047, False), (2048, True)])
+    def test_entry_cap(self, bits, refused):
+        # a path a -> b -> c whose b2 entries are 2**(bits + 1): mutating at
+        # b writes -2**(2 * bits + 1) at (a, c), of 2 * bits + 2 bits, so
+        # exactly the cap when bits is 2,047 and over it when bits is 2,048
+        big = 2 << bits
+        seed = Seed(("a", "b", "c"), (False,) * 3, (1,) * 3,
+                    ((0, -big, 0), (big, 0, -big), (0, big, 0)))
+        if refused:
+            with pytest.raises(ValueError, match=(
+                    rf"^b2 entry over the cap of {MAX_ENTRY_BITS} bits at \(a,c\)$")):
+                mutate(seed, "b")
+        else:
+            assert mutate(seed, "b").b2[0][2].bit_length() <= MAX_ENTRY_BITS
 
     def test_mutation_is_balanced_first(self):
         # the weight rule only makes sense at a homogeneous vertex, and every
@@ -629,6 +660,17 @@ class TestSymmetries:
         seed = build_conf_m_seed(root_datum("a2"), 4)
         assert permute_slots(seed, (0, 1, 2, 3)) == seed
 
+    def test_opposite_reverses_arrows_and_keeps_the_rest(self):
+        walked = _random_walk(random.Random(7), ZOO[4], 6)[0]
+        for seed in _seed_zoo() + (walked,):
+            opp = opposite(seed)
+            assert opp.b2 == tuple(tuple(-b for b in row) for row in seed.b2)
+            for name in ("names", "frozen", "mult", "weights", "labels"):
+                assert getattr(opp, name) is getattr(seed, name), name
+            # negation keeps every invariant, so the unchecked result passes
+            check_seed(opp)
+            assert opposite(opp) == seed
+
     def test_dual_squares_to_identity(self):
         for kind, wmap in (("a2", None), ("a3", None), ("g2", g2_weight_dual)):
             seed = build_triangle_seed(root_datum(kind))
@@ -686,7 +728,7 @@ class TestIsomorphism:
         seed = build_triangle_seed(root_datum("g2"))
         flipped = replace(seed, b2=tuple(tuple(-x for x in r) for r in seed.b2))
         assert quiver_isomorphic(seed, flipped) is None
-        iso = quiver_isomorphic(seed, flipped, reverse_arrows=True)
+        iso = quiver_isomorphic(opposite(seed), flipped)
         assert iso == {nm: nm for nm in seed.names}
 
     def test_rejects_corrupted_arrow(self):
@@ -892,6 +934,25 @@ class TestLabelInterning:
         rotated = permute_slots(seeds[-1], (1, 2, 3, 0))
         assert len(seed_to_json(rotated)["labels"]) == 81
         assert permute_slots(rotated, (3, 0, 1, 2)).labels == seeds[-1].labels
+
+    def test_map_weights_maps_each_distinct_node_once(self):
+        seed = _cyclic_walk(60)[-1]
+        seen = []
+
+        def widen(ws):
+            seen.append(ws)
+            return ws + ((0, 0, 0),)
+
+        weights, labels = map_weights(seed, widen)
+        assert weights == tuple(ws + ((0, 0, 0),) for ws in seed.weights)
+        # the 81 distinct label nodes stay 81, and fn saw each minor once
+        table = seed_to_json(replace(seed, weights=weights, labels=labels))["labels"]
+        assert len(table) == len(seed_to_json(seed)["labels"]) == 81
+        n_minors = sum(e["kind"] == "minor" for e in table)
+        assert len(seen) == seed.size + n_minors
+        same_weights, same_labels = map_weights(seed, lambda ws: ws)
+        assert same_weights == seed.weights
+        assert all(a is b for a, b in zip(same_labels, seed.labels))
 
     def test_deep_labels_permute_without_recursion(self):
         # 1,200 cyclic steps nest labels deeper than the recursion limit

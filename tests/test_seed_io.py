@@ -6,7 +6,10 @@ Claims covered:
       up to the g2 32-gon, on a labelled mutation walk, on exchange labels
       with an empty side, and on random small seeds, with and without
       weights and labels, whose vertex names need escaping
-    - save_seed writes the same text to a file, and load_seed reads it back
+    - save_seed writes the same text to a file, and load_seed reads it back;
+      a save that fails mid-file leaves an earlier file byte for byte and no
+      new file, and a saved file has the mode open(path, "w") gives and
+      is written through a symbolic link
     - seed_to_json numbers labels children first (plus, then minus, then
       over) as a recursive numbering does, and without recursion
 """
@@ -122,6 +125,39 @@ def test_save_and_load(tmp_path):
     save_seed(seed, path)
     assert path.read_text(encoding="utf-8") == _reference(seed)
     assert load_seed(path) == seed
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path):
+    # vertex "a" renders, then str() refuses the 5,001-digit weight of "b"
+    broken = Seed(("a", "b"), (True, True), (1, 1), ((0, 0), (0, 0)),
+                  (((1,),), ((10 ** 5000,),)))
+    path = tmp_path / "seed.json"
+    save_seed(build_triangle_seed(root_datum("a2")), path)
+    before = path.read_bytes()
+    for target in (path, tmp_path / "new.json"):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            save_seed(broken, target)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["seed.json"]
+
+
+def test_save_gives_the_mode_open_gives(tmp_path):
+    seed = build_triangle_seed(root_datum("a2"))
+    (tmp_path / "plain").write_text("")
+    save_seed(seed, tmp_path / "new.json")
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    old = tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o640)
+    save_seed(seed, old)
+    assert oct(old.stat().st_mode & 0o777) == oct(0o640)
+    assert load_seed(old) == seed
+    # through a symbolic link to its target, which open(path, "w") writes
+    link = tmp_path / "link.json"
+    link.symlink_to(old)
+    save_seed(build_triangle_seed(root_datum("a3")), link)
+    assert link.is_symlink()
+    assert load_seed(old) == build_triangle_seed(root_datum("a3"))
 
 
 # == 2. random small seeds ===================================================

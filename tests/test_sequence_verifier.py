@@ -6,9 +6,12 @@ Claims covered:
       stages that repeat a vertex; every built-in stage gives the same seed,
       labels and stage tables in reversed and shuffled order
     - the two-node transposition sequences reproduce the frozen stage tables
-      and land on slot-permuted, arrow-reversed seeds
+      and land on slot-permuted, arrow-reversed seeds; on them and on the
+      reversed-word triangles, the opposite seed gets the mapping of a
+      dense reference search for a reversed match
     - the three flip sequences land on the independently rebuilt
-      flipped-triangulation seed
+      flipped-triangulation seed; after the type-A flips every label's
+      value on random flags equals the rebuilt seed's value at its image
     - the composite twelve-step sequence reaches the reversed-word seed
     - sequences correspond across the Langlands dual, stagewise
     - the outer-node permutations of the triality diagram act on its triangle,
@@ -24,9 +27,10 @@ import random
 import pytest
 
 from confseed import golden
-from confseed.root_data import g2_weight_dual, root_datum, standard_longest_word
+from confseed import minor_oracle as mo
+from confseed.root_data import root_datum, standard_longest_word
 from confseed.seed_builder import build_triangle_seed, reverse_word_seed
-from confseed.seed_core import mutate, quiver_isomorphic
+from confseed.seed_core import mutate, opposite, permute_slots, quiver_isomorphic
 from confseed.sequence_verifier import (
     MutationSequence,
     StageOrderError,
@@ -152,6 +156,49 @@ class TestTranspositions:
         seqs = builtin_sequences()
         assert not verify_s3(G2_TRI, seqs["g2_swap13"], (0, 2, 1)).passed
 
+    @staticmethod
+    def _least_reversed_mapping(s1, s2):
+        """Reference: the least bijection under which s2 is s1 with every
+        arrow reversed, by a dense depth-first search in s2's vertex order."""
+        n = s1.size
+
+        def extend(image):
+            i = len(image)
+            if i == n:
+                return {s1.names[p]: s2.names[j] for p, j in enumerate(image)}
+            for j in range(n):
+                if j in image or (s1.mult[i], s1.frozen[i], s1.weights[i]) != (
+                    s2.mult[j], s2.frozen[j], s2.weights[j]
+                ):
+                    continue
+                if all(s2.b2[j][image[p]] == -s1.b2[i][p]
+                       and s2.b2[image[p]][j] == -s1.b2[p][i] for p in range(i)):
+                    found = extend(image + [j])
+                    if found is not None:
+                        return found
+            return None
+
+        return extend([])
+
+    @pytest.mark.parametrize("case", [
+        "g2_swap13", "g2_swap23", "g2_swap12", "reversed a3", "reversed g2",
+    ])
+    def test_opposite_seed_gives_the_reference_mapping(self, case):
+        # the S3 checks and the reversal suite match the opposite of one
+        # seed against a slot permutation of another
+        if case.startswith("reversed"):
+            datum = root_datum(case.split()[1])
+            s1 = reverse_word_seed(datum)
+            s2 = permute_slots(build_triangle_seed(datum), (1, 0, 2))
+        else:
+            perm = {"g2_swap13": (2, 1, 0), "g2_swap23": (0, 2, 1),
+                    "g2_swap12": (1, 0, 2)}[case]
+            s1 = apply_sequence(G2_TRI, builtin_sequences()[case]).final
+            s2 = permute_slots(G2_TRI, perm)
+        want = self._least_reversed_mapping(s1, s2)
+        assert want is not None
+        assert quiver_isomorphic(opposite(s1), s2) == want
+
 
 class TestFlips:
     def test_g2(self):
@@ -167,6 +214,18 @@ class TestFlips:
         datum = root_datum("a3")
         quad = build_conf_m_seed(datum, 4)
         assert verify_flip(datum, quad, builtin_sequences()["a3_flip"]).passed
+
+    @pytest.mark.parametrize("kind", ["a2", "a3"])
+    def test_type_a_flip_on_values(self, kind):
+        # each flipped label is the function of the rebuilt seed at its image
+        datum = root_datum(kind)
+        quad = build_conf_m_seed(datum, 4)
+        flipped = apply_sequence(quad, builtin_sequences()[f"{kind}_flip"]).final
+        target = flip_target(datum)
+        rng = random.Random(5)
+        for _ in range(5):
+            assert mo.until_defined("flip values", lambda: mo.check_flip_values(
+                flipped, target, mo.random_flags(rng, datum.rank + 1, 4))) == ()
 
     def test_flip_target_differs_from_start(self):
         datum = root_datum("a2")
@@ -192,7 +251,7 @@ class TestLanglandsPairings:
         seqs = builtin_sequences()
         rep = verify_langlands_pairing(
             G2_TRI, seqs["g2_swap13"], seqs["g2_swap23"], self.PAIRING,
-            weight_map=g2_weight_dual, slot_perm=(1, 0, 2),
+            slot_perm=(1, 0, 2),
         )
         assert rep.passed
 
@@ -205,7 +264,7 @@ class TestLanglandsPairings:
         dual = seq.conjugated(quad_pairing, name="g2_flip_dual").reversed()
         rep = verify_langlands_pairing(
             G2_QUAD, seq, dual, quad_pairing,
-            weight_map=g2_weight_dual, stage_reversal=True,
+            stage_reversal=True,
         )
         assert rep.passed
 
@@ -213,7 +272,7 @@ class TestLanglandsPairings:
         seqs = builtin_sequences()
         rep = verify_langlands_pairing(
             G2_TRI, seqs["g2_swap13"], seqs["g2_swap13"], self.PAIRING,
-            weight_map=g2_weight_dual, slot_perm=(1, 0, 2),
+            slot_perm=(1, 0, 2),
         )
         assert not rep.passed
 
