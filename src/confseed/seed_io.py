@@ -167,6 +167,8 @@ def seed_from_json(data: dict) -> Seed:
                 else:
                     raise ValueError(f"label kind {kind!r} is not 'minor' or 'exchange'")
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
+        if 0 in lengths:
+            raise ValueError("a weight vector has no coordinates")
         # check_seed caps b2; the weights, mostly small, take one C-level pass
         coords = chain.from_iterable(chain.from_iterable(tables))
         if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:

@@ -6,12 +6,21 @@ stage is checked on the arrows of the seed it starts from.  The checks
 compare the outcome against slot-permuted, flipped, or Langlands-dual
 targets, always exactly.  The recorded per-stage weight tables of the G2
 sequences are compared whole by the suites, not here.
+
+The type-A flips are generated, not tabled.  Fock and Goncharov ("Moduli
+spaces of local systems and higher Teichmuller theory", Publ. IHES 103,
+2006) decompose the SL_n flip into one mutation per octahedron of the
+n-subdivided tetrahedron, C(n+1, 3) in all; ``type_a_flip`` runs them one
+layer per stage, so layer k of the a<n-1> flip holds k(n-k) mutations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import product
 
 from . import root_data as rd
+from .minor_oracle import degrees_of
 from .seed_builder import triangle_name, triangle_vertices
 from .seed_core import (
     Seed,
@@ -30,39 +39,56 @@ from .surface_glue import build_conf_m_seed, fan_triangulation, flip_diagonal
 class MutationSequence:
     name: str
     stages: tuple[tuple[str, ...], ...]
-    note: str = ""
 
     def reversed(self) -> "MutationSequence":
-        return MutationSequence(
-            self.name + "_rev", tuple(reversed(self.stages)), self.note
-        )
+        return MutationSequence(self.name + "_rev", tuple(reversed(self.stages)))
 
     def conjugated(self, mapping: dict, name: str = "") -> "MutationSequence":
         return MutationSequence(
             name or self.name + "_conj",
             tuple(tuple(mapping[v] for v in stage) for stage in self.stages),
-            self.note,
         )
 
 
+# exchange corners 1 and 3, and corners 2 and 3, of the g2 triangle seed
 _S13 = (("x_a2",), ("x_a1", "x_b1"), ("x_a2",))
 _S23 = (("x_b1",), ("x_b2", "x_a2"), ("x_b1",))
 
 
+@cache
+def type_a_flip(datum: rd.RootDatum) -> MutationSequence:
+    """The diagonal flip of a type-A datum's default four-point seed.
+
+    For SL_n, a vertex sits at the point of the n-subdivided tetrahedron
+    given by its slot degrees (a, b, c, d).  Each point p with sum n - 2 is
+    one octahedron: it mutates the vertex now at p + e1 + e3, which moves to
+    p + e2 + e4.  Layer L holds the octahedra with b + d = L; each layer is
+    one stage, in vertex order.  Other types raise ValueError.
+    """
+    if not datum.kind.startswith("a"):
+        raise ValueError(f"type {datum.kind} has no type-A flip")
+    n = datum.rank + 1
+    seed = build_conf_m_seed(datum, 4)
+    at = {degrees_of(ws): v for v, ws in enumerate(seed.weights)}
+    stages = []
+    for layer in range(n - 1):
+        moved = []
+        for a, b in product(range(n - 1 - layer), range(layer + 1)):
+            c, d = n - 2 - layer - a, layer - b
+            v = at.pop((a + 1, b, c + 1, d))
+            at[a, b + 1, c, d + 1] = v
+            moved.append(v)
+        stages.append(tuple(seed.names[v] for v in sorted(moved)))
+    return MutationSequence(f"{datum.kind}_flip", tuple(stages))
+
+
 def builtin_sequences() -> dict[str, MutationSequence]:
     return {
-        "g2_swap13": MutationSequence(
-            "g2_swap13", _S13,
-            "exchanges corners 1 and 3 of the two-parameter triangle seed",
-        ),
-        "g2_swap23": MutationSequence(
-            "g2_swap23", _S23,
-            "exchanges corners 2 and 3 of the two-parameter triangle seed",
-        ),
-        "g2_swap12": MutationSequence(
-            "g2_swap12", _S13 + _S23 + _S13,
-            "exchanges corners 1 and 2, composed from the other two swaps",
-        ),
+        "g2_swap13": MutationSequence("g2_swap13", _S13),
+        "g2_swap23": MutationSequence("g2_swap23", _S23),
+        # exchanges corners 1 and 2, composed from the other two swaps
+        "g2_swap12": MutationSequence("g2_swap12", _S13 + _S23 + _S13),
+        # moves the g2 four-point seed across the diagonal flip
         "g2_flip": MutationSequence(
             "g2_flip",
             (
@@ -73,21 +99,9 @@ def builtin_sequences() -> dict[str, MutationSequence]:
                 ("x_-1b", "x_0a", "x_1b"),
                 ("x_0b",),
             ),
-            "moves the four-point seed across the diagonal flip",
         ),
-        "a2_flip": MutationSequence(
-            "a2_flip",
-            (("x_01", "x_02"), ("x_11", "x_-11")),
-            "diagonal flip for the rank-two special linear group",
-        ),
-        "a3_flip": MutationSequence(
-            "a3_flip",
-            (
-                ("x_01",), ("x_02",), ("x_03",), ("x_11",), ("x_12",),
-                ("x_-11",), ("x_21",), ("x_-12",), ("x_02",), ("x_-21",),
-            ),
-            "diagonal flip for the rank-three special linear group",
-        ),
+        "a2_flip": type_a_flip(rd.root_datum("a2")),
+        "a3_flip": type_a_flip(rd.root_datum("a3")),
     }
 
 

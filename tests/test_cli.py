@@ -10,7 +10,9 @@ Claims covered:
     - a 400-step walk on the g2 16-gon is refused within 1 s at the first
       step that writes a value over the entry cap, naming the step and the
       vertex, and leaves no new file and an earlier file as it was
-    - named sequences run from the command line and can dump stage traces
+    - named sequences run from the command line and can dump stage traces;
+      the generated a3 flip writes the bytes the former ten-stage hand
+      table wrote, and traces one table per layer
     - verify exits 0 on a passing suite and prints one line per check; the
       suites that map vertex names (langlands, triality, reversal) pass;
       the full text and JSON reports equal the pinned files in tests/data
@@ -23,9 +25,9 @@ Claims covered:
     - domain and file errors exit with status 2 and a one-line message,
       triangle lists that do not tile the m-gon, empty triangle lists and
       triangles with an empty or non-integer corner (the message quotes the
-      triangle), the empty word, seed-file integers over the entry cap and
-      an --out that cannot be written (the message names that path)
-      included
+      triangle), the empty word, seed-file integers over the entry cap,
+      weight vectors with no coordinates and an --out that cannot be
+      written (the message names that path) included
     - any reduced word builds and completes, and build writes its weights
     - every confseed line of README's command-line block exits 0
 """
@@ -48,6 +50,7 @@ import pytest
 from confseed import root_data as rd
 from confseed.cli import main
 from confseed.seed_io import load_seed, save_seed, seed_from_json
+from confseed.sequence_verifier import MutationSequence, apply_sequence
 
 
 # the pinned verify reports; they read the same at rng seeds 0, 7 and 11
@@ -198,6 +201,26 @@ class TestMutate:
         assert code == 0
         assert "stage 6:" in out
         assert "x_0a:" in out
+
+    # the a3 flip as it was written out by hand, one mutation per stage
+    A3_FLIP_TABLE = (
+        ("x_01",), ("x_02",), ("x_03",), ("x_11",), ("x_12",),
+        ("x_-11",), ("x_21",), ("x_-12",), ("x_02",), ("x_-21",),
+    )
+
+    def test_a3_flip_writes_what_the_former_table_wrote(self, tmp_path, capsys):
+        src = self._seed_file(tmp_path, "polygon", "--type", "a3", "--m", "4")
+        dst, want = tmp_path / "flipped.json", tmp_path / "want.json"
+        assert main(["mutate", "--seed", str(src), "--seq", "a3_flip",
+                     "--out", str(dst)]) == 0
+        table = MutationSequence("a3_flip", self.A3_FLIP_TABLE)
+        save_seed(apply_sequence(load_seed(src), table).final, want)
+        assert dst.read_bytes() == want.read_bytes()
+        # the trace shows one table per layer of octahedra
+        code, out = run(capsys, "mutate", "--seed", str(src),
+                        "--seq", "a3_flip", "--trace")
+        tables = out.split("stage ")[1:]
+        assert code == 0 and len(tables) == 3
 
     def test_long_walk_stops_at_the_entry_cap(self, tmp_path, capsys):
         # the largest value of this walk has 72 bits at step 200 and 47,590
@@ -382,6 +405,12 @@ class TestExportAndErrors:
          "a weight list has no slots"),
         (["export-dot", "--seed", "no-slots.json"], "0",
          "a weight list has no slots"),
+        (["mutate", "--seed", "empty-vectors.json", "--at", "x_11"], "0",
+         "a weight vector has no coordinates"),
+        (["export-dot", "--seed", "empty-vectors.json"], "0",
+         "a weight vector has no coordinates"),
+        (["export-dot", "--seed", "empty-label-vectors.json"], "0",
+         "a weight vector has no coordinates"),
         (["mutate", "--seed", "ragged-weights.json", "--at", "x_11"], "0",
          "weight vectors of 2 and 3 coordinates"),
         (["mutate", "--seed", "deep.json"], "0",
@@ -425,9 +454,10 @@ class TestExportAndErrors:
             "float-weight", "string-weight", "bool-weight",
             "float-b2", "string-b2", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
-            "ragged-weights", "deeply-nested-file", "int-tag",
-            "unknown-label-kind", "duplicate-vertex-id", "huge-weight",
-            "huge-mult", "huge-exponent", "out-is-a-directory",
+            "empty-vectors-mutate", "empty-vectors-export",
+            "empty-label-vectors", "ragged-weights", "deeply-nested-file",
+            "int-tag", "unknown-label-kind", "duplicate-vertex-id",
+            "huge-weight", "huge-mult", "huge-exponent", "out-is-a-directory",
             "out-in-a-missing-directory", "non-tiling-triangles",
             "repeated-triangle", "empty-corners", "trailing-semicolon",
             "non-integer-corner", "empty-triangle-list"])
@@ -479,11 +509,20 @@ def _write_seed_files(tmp_path):
             node = node[key]
         node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    # every vertex with no slots; a third coordinate on every weight but
-    # vertex 0's, which mutation read past; nesting deeper than json parses
+    # every vertex with no slots; every weight vector of the triangle, its
+    # vertices' and its minor labels', with no coordinates, and then with
+    # the vertices' left out; a third coordinate on every weight but vertex
+    # 0's, which mutation read past; nesting deeper than json parses
     no_slots, ragged = json.loads(text), json.loads(text)
+    empty = json.loads((tmp_path / "triangle.json").read_text())
     for v in no_slots["vertices"]:
         v["weights"] = []
+    for entry in empty["vertices"] + empty["labels"]:
+        entry["weights"] = [[] for _ in entry["weights"]]
+    (tmp_path / "empty-vectors.json").write_text(json.dumps(empty))
+    for v in empty["vertices"]:
+        del v["weights"]
+    (tmp_path / "empty-label-vectors.json").write_text(json.dumps(empty))
     for v in ragged["vertices"][1:]:
         for w in v["weights"]:
             w.append(1)

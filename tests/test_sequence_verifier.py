@@ -1,7 +1,10 @@
 """Tests for staged mutation sequences and their equivalence checks.
 
 Claims covered:
-    - the named sequences carry the right stage shapes and mutation counts
+    - the named sequences carry the right stage shapes and mutation counts;
+      the generated a2 flip is the former hand table, the a3 flip runs the
+      former table's ten mutations in three layers, layer k of every a<n>
+      flip holds k(n+1-k) mutations, and other types have no type-A flip
     - apply_sequence rejects stages whose vertices are joined by an arrow and
       stages that repeat a vertex; every built-in stage gives the same seed,
       labels and stage tables in reversed and shuffled order
@@ -9,9 +12,10 @@ Claims covered:
       and land on slot-permuted, arrow-reversed seeds; on them and on the
       reversed-word triangles, the opposite seed gets the mapping of a
       dense reference search for a reversed match
-    - the three flip sequences land on the independently rebuilt
-      flipped-triangulation seed; after the type-A flips every label's
-      value on random flags equals the rebuilt seed's value at its image
+    - the g2 flip and the type-A flips of ranks 2 to 7 land on the
+      independently rebuilt flipped-triangulation seed; after the type-A
+      flips every label's value on random flags equals the rebuilt seed's
+      value at its image
     - the composite twelve-step sequence reaches the reversed-word seed
     - sequences correspond across the Langlands dual, stagewise
     - the outer-node permutations of the triality diagram act on its triangle,
@@ -37,6 +41,7 @@ from confseed.sequence_verifier import (
     apply_sequence,
     builtin_sequences,
     flip_target,
+    type_a_flip,
     verify_dynkin_automorphism_d4,
     verify_flip,
     verify_langlands_pairing,
@@ -74,6 +79,33 @@ class TestBuiltinSequences:
         assert tuple(len(st) for st in seqs["g2_flip"].stages) == \
             (1, 3, 5, 5, 3, 1)
         assert tuple(len(st) for st in seqs["g2_swap13"].stages) == (1, 2, 1)
+
+    def test_a2_flip_is_the_former_table(self):
+        assert builtin_sequences()["a2_flip"].stages == (
+            ("x_01", "x_02"), ("x_11", "x_-11"),
+        )
+
+    def test_a3_flip_runs_by_layer(self):
+        # the octahedra of each layer of the subdivided tetrahedron commute
+        assert builtin_sequences()["a3_flip"].stages == (
+            ("x_01", "x_02", "x_03"),
+            ("x_11", "x_12", "x_-11", "x_-12"),
+            ("x_02", "x_21", "x_-21"),
+        )
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_type_a_layers_count_octahedra(self, n):
+        # layer k of the SL_(n+1) flip holds k(n+1-k) octahedra
+        seq = type_a_flip(root_datum(f"a{n}"))
+        assert seq.name == f"a{n}_flip"
+        assert tuple(map(len, seq.stages)) == tuple(
+            k * (n + 1 - k) for k in range(1, n + 1)
+        )
+
+    @pytest.mark.parametrize("kind", ["g2", "d4"])
+    def test_type_a_flip_refuses_other_types(self, kind):
+        with pytest.raises(ValueError, match=f"type {kind} has no type-A flip"):
+            type_a_flip(root_datum(kind))
 
     def test_reversed_and_conjugated(self):
         seq = builtin_sequences()["g2_swap13"]
@@ -205,22 +237,15 @@ class TestFlips:
         assert verify_flip(root_datum("g2"), G2_QUAD,
                            builtin_sequences()["g2_flip"]).passed
 
-    def test_a2(self):
-        datum = root_datum("a2")
-        quad = build_conf_m_seed(datum, 4)
-        assert verify_flip(datum, quad, builtin_sequences()["a2_flip"]).passed
-
-    def test_a3(self):
-        datum = root_datum("a3")
-        quad = build_conf_m_seed(datum, 4)
-        assert verify_flip(datum, quad, builtin_sequences()["a3_flip"]).passed
-
-    @pytest.mark.parametrize("kind", ["a2", "a3"])
+    @pytest.mark.parametrize("kind", [f"a{n}" for n in range(2, 8)])
     def test_type_a_flip_on_values(self, kind):
-        # each flipped label is the function of the rebuilt seed at its image
+        # the flip lands on the rebuilt seed, and each flipped label is the
+        # function of the rebuilt seed at its image
         datum = root_datum(kind)
         quad = build_conf_m_seed(datum, 4)
-        flipped = apply_sequence(quad, builtin_sequences()[f"{kind}_flip"]).final
+        seq = type_a_flip(datum)
+        assert verify_flip(datum, quad, seq).passed
+        flipped = apply_sequence(quad, seq).final
         target = flip_target(datum)
         rng = random.Random(5)
         for _ in range(5):
