@@ -237,6 +237,16 @@ class TestFlips:
         assert verify_flip(root_datum("g2"), G2_QUAD,
                            builtin_sequences()["g2_flip"]).passed
 
+    def test_a2(self):
+        datum = root_datum("a2")
+        quad = build_conf_m_seed(datum, 4)
+        assert verify_flip(datum, quad, builtin_sequences()["a2_flip"]).passed
+
+    def test_a3(self):
+        datum = root_datum("a3")
+        quad = build_conf_m_seed(datum, 4)
+        assert verify_flip(datum, quad, builtin_sequences()["a3_flip"]).passed
+
     @pytest.mark.parametrize("kind", [f"a{n}" for n in range(2, 8)])
     def test_type_a_flip_on_values(self, kind):
         # the flip lands on the rebuilt seed, and each flipped label is the
