@@ -42,8 +42,10 @@ fundamental weight omega_m at s.
 """
 from __future__ import annotations
 
+import operator
+
 from . import root_data as rd
-from .seed_core import Minor, Seed, unit, weight_balance, weight_sum
+from .seed_core import Minor, Seed, stored_weights, unit, weight_sum
 
 
 def _sep(datum: rd.RootDatum) -> str:
@@ -127,14 +129,16 @@ def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
         current[letter] = v
 
     n = len(names)
-    b2 = tuple(
-        tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n)
-    )
+    rows = [[] for _ in range(n)]
+    for (i, j), b in sorted(entries.items()):
+        if b:
+            rows[i].append((j, b))
     # frozen: the vertices before the scan and each node's last vertex
     last = set(current.values())
     frozen = tuple(v < datum.rank or v in last for v in range(n))
     labels = tuple(Minor(w) for w in weights)
-    return Seed(tuple(names), frozen, tuple(mult), b2, tuple(weights), labels)
+    return Seed.sparse(names, frozen, mult, tuple(map(tuple, rows)),
+                       *stored_weights(weights), labels)
 
 
 # == completion ==
@@ -182,7 +186,7 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
     1 and at e of slot 2, and e -> e* is a bijection, so the completed
     balance is want in every slot.
     """
-    if seed.weights is None:
+    if seed.weight_shape is None:
         raise ValueError("completion needs vertex weights")
     zero = rd.zero_weight(datum)
 
@@ -209,39 +213,48 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
         if fz
     }
 
-    def read_off(name, acc, *, frozen_row: bool) -> tuple[int, ...]:
-        """The entries at the edges of a row with doubled balance acc."""
+    def read_off(name, terms, *, frozen_row: bool) -> tuple[int, ...]:
+        """The entries at the edges of a row, from its (b2 entry, slot
+        weights) terms."""
         want = patterns.get(name, (zero, zero, zero))
-        first, second, third = weight_sum(((1, want), (-1, acc)), 3, datum.rank)
+        acc = dict(weight_sum(terms))
+        first, second, third = (
+            tuple(map(operator.sub, w, acc.get(s, zero))) for s, w in enumerate(want)
+        )
         if frozen_row and any(third):
             raise ValueError(f"third-corner component obstructs completion at {name}")
         if any(third) or any(first[s] != x for s, x in zip(star, second)):
             raise ValueError("inconsistent linear system")
         return second
 
+    def at_edges(entries) -> tuple[tuple[int, int], ...]:
+        return tuple((n + e, x) for e, x in enumerate(entries) if x)
+
     # rows of existing vertices against the new edges
-    b_to_edges = [
-        read_off(name, weight_balance(seed, name), frozen_row=fz)
-        for name, fz in zip(seed.names, seed.frozen)
+    n, ws = seed.size, seed.slot_weights
+    to_edges = [
+        read_off(name, ((b, ws[j]) for j, b in row), frozen_row=fz)
+        for name, fz, row in zip(seed.names, seed.frozen, seed.rows)
     ]
+    rows = [row + at_edges(ext) for row, ext in zip(seed.rows, to_edges)]
 
     # edge rows: old entries by skew-symmetrizability, then edge-edge entries
-    edge_rows = []
     for e, d_e in enumerate(datum.d):
         skew = []
-        for i, row in enumerate(b_to_edges):
-            num = -row[e] * seed.mult[i]
+        for i, ext in enumerate(to_edges):
+            num = -ext[e] * seed.mult[i]
             if num % d_e:
                 raise ValueError(f"({edge_names[e]},{seed.names[i]}) is not half-integral")
-            skew.append(num // d_e)
-        acc = weight_sum(((c, w) for c, w in zip(skew, seed.weights) if c), 3, datum.rank)
-        edge_rows.append(tuple(skew) + read_off(edge_names[e], acc, frozen_row=True))
+            if num:
+                skew.append((i, num // d_e))
+        ext = read_off(edge_names[e], ((c, ws[i]) for i, c in skew), frozen_row=True)
+        rows.append(tuple(skew) + at_edges(ext))
 
-    b2 = tuple(row + ext for row, ext in zip(seed.b2, b_to_edges)) + tuple(edge_rows)
     if len(set(weights)) != len(weights):
         raise ValueError("vertex weight tuples must be distinct")
     labels = tuple(Minor(w) for w in weights)
-    return Seed(names, frozen, seed.mult + datum.d, b2, weights, labels)
+    return Seed.sparse(names, frozen, seed.mult + datum.d, rows, *stored_weights(weights),
+                       labels)
 
 
 def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:

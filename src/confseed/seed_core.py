@@ -9,24 +9,34 @@ throughout:
 * the diagonal is zero;
 * no entry has more than MAX_ENTRY_BITS bits.
 
-``b2`` is a dense tuple of int rows, but the kernels that scan it
-(``check_seed``, ``mutate``, ``arrows``, ``p_exponents``, ``matches_under``,
-``quiver_isomorphic``) visit only its nonzero entries: by
-skew-symmetrizability b2[i][j] and b2[j][i] are zero together, so a mutation
-rewrites only the rows of the mutated vertex's neighbours.  The same rule
-makes the Langlands dual's matrix the transpose of ``b2``, so
-``langlands_dual`` scans no row at all.
+A seed stores only what is nonzero.  ``rows[i]`` holds the (j, b2[i][j])
+pairs of row i whose entry is nonzero, ascending in j, and
+``slot_weights[v]`` the (slot, weight) pairs of vertex v whose weight is
+nonzero, ascending in slot; ``weight_shape`` is the number of slots and the
+zero weight.  A glued polygon has about four arrows and at most three
+nonzero slot weights per vertex whatever its size, so building, checking,
+mutating and writing a seed cost O(n + arrows) rather than O(n^2) or
+O(n * slots).  ``b2`` and ``weights`` are read-only dense views of the
+stored forms, built on first use and kept; equality, hashing and repr read
+the stored forms alone.  ``Seed(names, frozen, mult, b2, weights, labels)``
+takes b2 and the weights dense; ``Seed.sparse`` and ``Seed.replace`` take
+the stored forms.
+
+By skew-symmetrizability b2[i][j] and b2[j][i] are zero together, so the
+columns of row k are the neighbours of k: a mutation rewrites only the rows
+of k and its neighbours, and the Langlands dual's matrix is the transpose
+of b2, read off the rows.
 
 Every way to make a seed runs the full ``check_seed``, except ``mutate``
-and ``opposite``.  A seed stores its sequence fields as tuples, so a
-checked seed stays checked.  Mutation keeps skew-symmetrizability with the
-same multipliers (Fomin and Zelevinsky, "Cluster algebras I", 2002,
-Section 4) and writes only the block of rows and columns at the mutated
-vertex and its neighbours; ``mutate`` checks that block with
-``check_seed``'s own tests and messages, and every entry outside it is an
-entry of the checked seed it started from.  A mutation step therefore
-costs O(n * deg), deg the number of neighbours, where a full check would
-cost O(n^2).
+and ``opposite``.  A seed is immutable and stores its sequence fields as
+tuples, so a checked seed stays checked.  Mutation keeps
+skew-symmetrizability with the same multipliers (Fomin and Zelevinsky,
+"Cluster algebras I", 2002, Section 4) and writes only row k and the
+entries between k's neighbours; ``mutate`` checks that block with
+``check_seed``'s own tests and messages, and every other row is the very
+row object of the checked seed it started from.  A mutation step therefore
+does O(deg^2) arithmetic, deg the number of neighbours, where a full check
+would cost O(n + arrows).
 
 The exchange relation A_k * A'_k = M+ + M- is stated once, by
 ``exchange``: it splits row k by sign into the two monomials, refuses a
@@ -39,10 +49,12 @@ comparisons (``matches_under``, ``quiver_isomorphic``) take no options.
 Two transforms state the relabelling rules once each.  ``opposite``
 reverses every arrow by negating b2: an odd permutation of a triangle's
 corners gives the opposite seed (Fock and Goncharov, "Moduli spaces of local
-systems and higher Teichmuller theory", 2006).  ``map_weights`` applies one
-map to every slot-weight tuple, a vertex's and those inside its label alike:
-slot permutations, the embedding of a triangle into a polygon's slots, and
-diagram automorphisms acting on weight coordinates all go through it.
+systems and higher Teichmuller theory", 2006).  ``move_slots`` moves every
+slot to a new one, a vertex's nonzero slots and the slots of every weight
+tuple inside its label alike: slot permutations and the embedding of a
+triangle into a polygon's slots both go through it.  ``map_weights``
+applies one map to every slot-weight tuple, as diagram automorphisms acting
+on weight coordinates do.
 
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
@@ -53,7 +65,8 @@ Each vertex optionally carries one weight per marked point ("slot") and a
 label recording which function on the configuration space it denotes: either
 an atomic wedge invariant (Minor) or an exchange tree (Exchange).  Weights are
 int tuples and weight balances are doubled like b2; only b = b2/2, arrow
-multiplicities and X-values are Fractions.
+multiplicities and X-values are Fractions.  A Minor keeps its dense tuple of
+slot weights, by which it is interned.
 
 Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006).  ``Minor(weights)`` and ``Exchange(plus, minus, over)``
@@ -70,13 +83,12 @@ recurses however deep a walk nests the trees.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction as Q
 from itertools import chain, compress
 from math import gcd
 from weakref import WeakValueDictionary
 
-from .root_data import MAX_ENTRY_BITS, Weight
+from .root_data import MAX_ENTRY_BITS, MAX_VERTICES, Weight
 
 # == labels ==
 
@@ -177,33 +189,126 @@ def map_label_weights(labels: tuple[Label, ...], fn) -> tuple[Label, ...]:
     return tuple(done[l] for l in labels)
 
 
+
 # == the seed ==
 
 
-@dataclass(frozen=True)
-class Seed:
-    names: tuple[str, ...]
-    frozen: tuple[bool, ...]
-    mult: tuple[int, ...]
-    b2: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[Weight, ...], ...] | None = None
-    labels: tuple[Label, ...] | None = None
+def _dense(pairs, length: int, zero) -> tuple:
+    """The tuple of ``length`` items, all ``zero`` but those the (index, item) pairs give."""
+    out = [zero] * length
+    for i, x in pairs:
+        out[i] = x
+    return tuple(out)
 
-    def __post_init__(self):
-        # a caller's lists would let a checked seed change afterwards, so
-        # every sequence field check_seed reads is stored as a tuple
-        for name in ("names", "frozen", "mult", "labels"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not tuple:
-                object.__setattr__(self, name, tuple(value))
-        for name in ("b2", "weights"):
-            rows = getattr(self, name)
-            if rows is not None and (
-                type(rows) is not tuple
-                or not all(type(row) is tuple for row in rows)
-            ):
-                object.__setattr__(self, name, tuple(map(tuple, rows)))
+
+# the indices a seed can use, made once: compressing this list yields stored
+# ints, where a range makes a new int for each index past 256
+_INDICES = list(range(MAX_VERTICES + 1))
+
+
+def nonzero_pairs(items, length: int, nonzero=None) -> tuple:
+    """The (index, item) pairs of a dense list at its true flags in ``nonzero``.
+
+    ``nonzero`` defaults to the items themselves.  This is the one scan of
+    a dense list, for input given dense.  A list that is not ``length``
+    long gets one more pair, at index ``length``, which check_seed refuses
+    as a row that is not square or a vertex with the wrong number of slots.
+    """
+    size = len(items)
+    index = _INDICES if size <= len(_INDICES) else range(size)
+    pairs = tuple([(i, items[i]) for i in compress(index, items if nonzero is None else nonzero)])
+    return pairs if size == length else pairs + ((length, ()),)
+
+
+def _stored_rows(b2, n: int) -> tuple:
+    """The stored rows of a dense b2 for n vertices."""
+    return tuple(nonzero_pairs(row, n) for row in map(tuple, b2))
+
+
+def stored_weights(weights) -> tuple[tuple | None, tuple | None]:
+    """(slot_weights, weight_shape) of dense weights, or (None, None)."""
+    if weights is None:
+        return None, None
+    weights = tuple(map(tuple, weights))
+    slots = len(weights[0]) if weights else 0
+    zero = (0,) * len(weights[0][0]) if slots else ()
+    return tuple(nonzero_pairs(ws, slots, map(any, ws)) for ws in weights), (slots, zero)
+
+
+# the stored fields, in the order Seed.sparse takes them
+_STORED = ("names", "frozen", "mult", "rows", "slot_weights", "weight_shape", "labels")
+
+
+class Seed:
+    """A checked seed; see the module docstring for the stored forms."""
+
+    __slots__ = _STORED + ("_b2", "_weights")
+
+    def __init__(self, names, frozen, mult, b2, weights=None, labels=None):
+        names = tuple(names)
+        _fill(self, names, frozen, mult, _stored_rows(b2, len(names)),
+              *stored_weights(weights), labels)
         check_seed(self)
+
+    @classmethod
+    def sparse(cls, names, frozen, mult, rows, slot_weights=None, weight_shape=None,
+               labels=None) -> Seed:
+        """A seed from the stored forms, checked by check_seed."""
+        seed = object.__new__(cls)
+        _fill(seed, names, frozen, mult, rows, slot_weights, weight_shape, labels)
+        check_seed(seed)
+        return seed
+
+    def replace(self, **changes) -> Seed:
+        """This seed with some fields changed, checked again.
+
+        Takes the stored fields by name, and ``b2`` and ``weights`` dense,
+        as Seed takes them.
+        """
+        fields = dict(zip(_STORED, self._key()))
+        if "b2" in changes:
+            n = len(changes.get("names", self.names))
+            changes["rows"] = _stored_rows(changes.pop("b2"), n)
+        if "weights" in changes:
+            changes["slot_weights"], changes["weight_shape"] = stored_weights(
+                changes.pop("weights"))
+        if changes.keys() - fields.keys():
+            raise TypeError(f"Seed has no fields {sorted(changes.keys() - fields.keys())}")
+        fields.update(changes)
+        return Seed.sparse(**fields)
+
+    def _key(self) -> tuple:
+        return (self.names, self.frozen, self.mult, self.rows, self.slot_weights,
+                self.weight_shape, self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not Seed:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, *_):
+        raise AttributeError("Seed is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def b2(self) -> tuple[tuple[int, ...], ...]:
+        """The dense b2, built from the rows on first use."""
+        if self._b2 is None:
+            n = len(self.names)
+            _SET_B2(self, tuple(_dense(row, n, 0) for row in self.rows))
+        return self._b2
+
+    @property
+    def weights(self) -> tuple[tuple[Weight, ...], ...] | None:
+        """The dense weights, one tuple of slot weights per vertex, built on first use."""
+        if self._weights is None and self.weight_shape is not None:
+            slots, zero = self.weight_shape
+            _SET_WEIGHTS(self, tuple(_dense(ws, slots, zero) for ws in self.slot_weights))
+        return self._weights
 
     @property
     def size(self) -> int:
@@ -211,9 +316,9 @@ class Seed:
 
     @property
     def slots(self) -> int:
-        if self.weights is None:
+        if self.weight_shape is None:
             raise ValueError("seed carries no weights")
-        return len(self.weights[0])
+        return self.weight_shape[0]
 
     def index(self, name: str) -> int:
         try:
@@ -223,12 +328,11 @@ class Seed:
 
     def b(self, src: str, dst: str) -> Q:
         """Exchange-matrix entry b[dst][src] (positive = arrow src -> dst)."""
-        return Q(self.b2[self.index(dst)][self.index(src)], 2)
+        return Q(dict(self.rows[self.index(dst)]).get(self.index(src), 0), 2)
 
     def weight(self, name: str) -> tuple[Weight, ...]:
-        if self.weights is None:
-            raise ValueError("seed carries no weights")
-        return self.weights[self.index(name)]
+        slots = self.slots
+        return _dense(self.slot_weights[self.index(name)], slots, self.weight_shape[1])
 
     def unfrozen_names(self) -> tuple[str, ...]:
         return tuple(n for n, f in zip(self.names, self.frozen) if not f)
@@ -238,7 +342,20 @@ class Seed:
         return f"Seed({self.size} vertices, {n_mut} unfrozen)"
 
 
-_FIELDS = tuple(f.name for f in fields(Seed))
+# the setters of Seed's slots, in _STORED order and then the two views;
+# called directly, they cost less than object.__setattr__ by name
+_SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2", "_weights"))
+_SET_B2, _SET_WEIGHTS = _SETTERS[-2:]
+
+
+def _fill(seed: Seed, *stored) -> None:
+    """Set seed's stored fields, in _STORED order, each sequence as a
+    tuple, so a caller's lists cannot change a checked seed afterwards; the
+    dense views start unbuilt."""
+    for set_field, value in zip(_SETTERS, stored + (None, None)):
+        if value is not None and type(value) is not tuple:
+            value = tuple(value)
+        set_field(seed, value)
 
 
 def check_seed(seed: Seed) -> None:
@@ -250,26 +367,30 @@ def check_seed(seed: Seed) -> None:
     skew-symmetrizability and even entries at every pair touching an
     unfrozen vertex; one weight tuple per vertex, all with the
     same number of slots; one label per vertex.  The first failure names
-    its pair of vertices where there is one.
+    its pair of vertices where there is one.  It visits each stored pair
+    once, in O(n + arrows).
     """
     n = len(seed.names)
     if len(set(seed.names)) != n:
         raise ValueError("vertex names must be unique")
-    if not (len(seed.frozen) == len(seed.mult) == len(seed.b2) == n):
+    rows = seed.rows
+    if not (len(seed.frozen) == len(seed.mult) == len(rows) == n):
         raise ValueError("field lengths disagree")
     if any(d < 1 for d in seed.mult):
         raise ValueError("multipliers must be positive")
-    b2 = seed.b2
-    if any(len(row) != n for row in b2):
+    # rows ascend in j, so a column past the end is a row's last
+    if any(row and row[-1][0] >= n for row in rows):
         raise ValueError("b2 must be square")
-    if any(row[i] != 0 for i, row in enumerate(b2)):
+    lookup = dict(enumerate(map(dict, rows)))
+    if any(map(dict.__contains__, lookup.values(), range(n))):
         raise ValueError("b2 diagonal must be zero")
-    _check_entries(seed, b2, enumerate(compress(range(n), row) for row in b2))
-    if seed.weights is not None:
-        if len(seed.weights) != n:
+    _check_entries(seed, enumerate(rows), lookup)
+    slot_weights = seed.slot_weights
+    if slot_weights is not None:
+        if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")
-        slots = len(seed.weights[0])
-        if any(len(w) != slots for w in seed.weights):
+        slots = seed.weight_shape[0]
+        if any(ws and ws[-1][0] >= slots for ws in slot_weights):
             raise ValueError("all vertices must use the same number of slots")
     if seed.labels is not None and len(seed.labels) != n:
         raise ValueError("one label per vertex required")
@@ -279,43 +400,46 @@ def check_seed(seed: Seed) -> None:
 _TOO_BIG = 1 << MAX_ENTRY_BITS
 
 
-def _check_entries(seed: Seed, b2, rows) -> None:
+def _check_entries(seed: Seed, rows, lookup) -> None:
     """check_seed's three entry tests, row by row, in the order given.
 
-    ``rows`` yields (i, js): a row index of ``b2`` and the columns of its
-    nonzero entries to test.  ``b2`` may differ from ``seed.b2``; names,
+    ``rows`` yields (i, pairs): a row index and the (j, b2[i][j]) entries
+    of that row, ascending in j.  An entry is tested where ``lookup`` holds
+    row j, as a dict from i to b2[j][i] wherever that is nonzero.  Names,
     frozen flags and multipliers are read from ``seed``.  A zero facing a
     nonzero entry fails from the nonzero side, and zero is even, so the
     zero entries need no visit.
     """
     names, frozen, mult = seed.names, seed.frozen, seed.mult
-    for i, js in rows:
-        row, d_i, f_i = b2[i], mult[i], frozen[i]
-        for j in js:
-            b = row[j]
-            if not -_TOO_BIG < b < _TOO_BIG:
+    low, high = -_TOO_BIG, _TOO_BIG
+    for i, pairs in rows:
+        d_i, f_i = mult[i], frozen[i]
+        for j, b in pairs:
+            col = lookup.get(j)
+            if col is None:
+                continue
+            if not low < b < high:
                 raise ValueError(
                     f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
                 )
-            if b * mult[j] != -b2[j][i] * d_i:
+            if b * mult[j] != -col.get(i, 0) * d_i:
                 raise ValueError(f"not skew-symmetrizable at ({names[i]},{names[j]})")
             if b % 2 and not (f_i and frozen[j]):
                 raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
 
 
-def _unchecked(seed: Seed, b2, weights, labels) -> Seed:
-    """seed with b2, weights and labels replaced, for mutate and opposite.
+def _unchecked(seed: Seed, rows, slot_weights, labels) -> Seed:
+    """seed with rows, slot weights and labels replaced, for mutate and opposite.
 
-    Skips __post_init__: the caller has checked every entry it wrote, or
+    Skips check_seed: the caller has checked every entry it wrote, or
     proved that it cannot break a check, and every other field comes from
     seed, which passed the full check_seed.
     """
     out = object.__new__(Seed)
-    # field by field in field order, as __init__ does, so that CPython keeps
-    # the values inline rather than building a __dict__ for each seed
-    for name, value in zip(_FIELDS, (seed.names, seed.frozen, seed.mult,
-                                     b2, weights, labels)):
-        object.__setattr__(out, name, value)
+    values = (seed.names, seed.frozen, seed.mult, rows, slot_weights, seed.weight_shape,
+              labels, None, None)
+    for set_field, value in zip(_SETTERS, values):
+        set_field(out, value)
     return out
 
 
@@ -329,35 +453,42 @@ def arrows(seed: Seed):
 
     Multiplicity 1/2 is a dashed (frozen-frozen) half arrow.
     """
-    n = seed.size
-    for i, row in enumerate(seed.b2):
-        for j in compress(range(n), row):
-            if row[j] > 0:
-                u = unit(seed.mult[i], seed.mult[j])
-                yield seed.names[j], seed.names[i], Q(row[j], 2 * u)
+    names, mult = seed.names, seed.mult
+    for i, row in enumerate(seed.rows):
+        for j, b in row:
+            if b > 0:
+                yield names[j], names[i], Q(b, 2 * unit(mult[i], mult[j]))
 
 
 # == weights: balance and homogeneity ==
 
 
-def weight_sum(terms, slots: int, rank: int) -> tuple[Weight, ...]:
-    """Per-slot sum of c * w over (c, w) pairs, w holding one weight per slot."""
-    acc = [[0] * rank for _ in range(slots)]
+def weight_sum(terms) -> tuple:
+    """Sum of c * w over (c, w) pairs, w given as (slot, weight) pairs.
+
+    Visits only the slots the terms give, and returns the (slot, weight)
+    pairs of the sum whose weight is nonzero, ascending in slot: the stored
+    form of a vertex's weights.
+    """
+    acc: dict[int, list[int]] = {}
     for c, ws in terms:
-        for row, w in zip(acc, ws):
-            for r, x in enumerate(w):
-                if x:
-                    row[r] += c * x
-    return tuple(map(tuple, acc))
+        for s, w in ws:
+            row = acc.get(s)
+            if row is None:
+                acc[s] = list(w) if c == 1 else [c * x for x in w]
+            else:
+                for r, x in enumerate(w):
+                    if x:
+                        row[r] += c * x
+    return tuple([(s, tuple(v)) for s, v in sorted(acc.items()) if any(v)])
 
 
 def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
     """Per-slot value of sum_j b2[k][j] * w(j) for vertex k: twice the balance."""
-    row = seed.b2[seed.index(name)]
-    return weight_sum(
-        ((b, w) for b, w in zip(row, seed.weights) if b),
-        seed.slots, len(seed.weights[0][0]),
-    )
+    slots = seed.slots
+    ws = seed.slot_weights
+    total = weight_sum((b, ws[j]) for j, b in seed.rows[seed.index(name)])
+    return _dense(total, slots, seed.weight_shape[1])
 
 
 # == mutation ==
@@ -376,38 +507,41 @@ def exchange(seed: Seed, at: str) -> tuple[tuple, tuple, tuple | None, Label | N
 
     Returns (plus, minus, weight, label): the (j, e) pairs of the two
     monomials M+ and M-, e = |b2[k][j]| / 2 > 0; the weight of A'_k, the
-    sum of e * w_j over plus minus w_k; and the label of A'_k.  The weight
-    is None on a seed without weights and the label None on one without
-    labels.  Raises ValueError unless the two monomials have equal weights.
+    sum of e * w_j over plus minus w_k, one weight per slot; and the label
+    of A'_k.  The weight is None on a seed without weights and the label
+    None on one without labels.  Raises ValueError unless the two monomials
+    have equal weights.
     """
-    k = _unfrozen(seed, at)
-    return _exchange(seed, k, list(compress(range(seed.size), seed.b2[k])), seed.labels)
+    plus, minus, weight, label = _exchange(seed, _unfrozen(seed, at), seed.labels)
+    if weight is not None:
+        weight = _dense(weight, seed.slots, seed.weight_shape[1])
+    return plus, minus, weight, label
 
 
-def _exchange(seed: Seed, k: int, nbrs: list[int], labels):
-    """``exchange`` at vertex index k, whose nonzero columns are nbrs.
+def _exchange(seed: Seed, k: int, labels):
+    """``exchange`` at vertex index k, with the weight as (slot, weight) pairs.
 
     The label is built over ``labels`` and is None when they are.  Mutating
     back collapses it: when the label at k is already the exchange with
     these two sides swapped, A'_k is the label that one was built over.
     """
-    row_k = seed.b2[k]
-    plus = tuple((j, row_k[j] // 2) for j in nbrs if row_k[j] > 0)
-    minus = tuple((j, -row_k[j] // 2) for j in nbrs if row_k[j] < 0)
+    row_k = seed.rows[k]
+    plus = tuple([(j, b // 2) for j, b in row_k if b > 0])
+    minus = tuple([(j, -b // 2) for j, b in row_k if b < 0])
     weight = label = None
-    ws = seed.weights
+    ws = seed.slot_weights
     if ws is not None:
-        slots, rank = len(ws[0]), len(ws[0][0])
-        pos = weight_sum(((e, ws[j]) for j, e in plus), slots, rank)
-        if pos != weight_sum(((e, ws[j]) for j, e in minus), slots, rank):
+        terms = [(e, ws[j]) for j, e in plus]
+        # M+ and M- have equal weights when their difference is zero
+        if weight_sum(terms + [(-e, ws[j]) for j, e in minus]):
             at = seed.names[k]
             raise ValueError(
                 f"mutation at {at} is not weight-homogeneous: {weight_balance(seed, at)}"
             )
-        weight = tuple(tuple(map(operator.sub, ps, qs)) for ps, qs in zip(pos, ws[k]))
+        weight = weight_sum(terms + [(-1, ws[k])])
     if labels is not None:
-        lp = tuple((labels[j], e) for j, e in plus)
-        lm = tuple((labels[j], e) for j, e in minus)
+        lp = tuple([(labels[j], e) for j, e in plus])
+        lm = tuple([(labels[j], e) for j, e in minus])
         over = labels[k]
         if isinstance(over, Exchange) and over.minus == lp and over.plus == lm:
             label = over.over
@@ -416,53 +550,61 @@ def _exchange(seed: Seed, k: int, nbrs: list[int], labels):
     return plus, minus, weight, label
 
 
+_ENTRY = operator.itemgetter(1)
+
+
 def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     """Mutate at an unfrozen vertex; involutive, weight-homogeneous.
 
-    Only the block of rows and columns at ``at`` and its neighbours is
-    written, and only that block is checked, diagonal first and then row by
-    row, with check_seed's tests and messages; a fault inside it is named by
-    the same first pair the full check would name.  That is enough: mutation
-    keeps skew-symmetrizability with the same multipliers, and every entry
-    outside the block is unchanged from ``seed``, which passed the full
-    check and cannot have changed since.  The new weight and label at
-    ``at`` are those of ``exchange``.  The block check refuses a b2 entry
-    of more than MAX_ENTRY_BITS bits, and the new weight is refused when a
-    coordinate is.
+    Only row k of ``at`` and the rows of its neighbours are written, each
+    at k and at k's neighbours, and only that block is checked, diagonal
+    first and then row by row, with check_seed's tests and messages; a
+    fault inside it is named by the same first pair the full check would
+    name.  That is enough: mutation keeps skew-symmetrizability with the
+    same multipliers, and every other row is the row object of ``seed``,
+    which passed the full check and cannot have changed since.  The new
+    weight and label at ``at`` are those of ``exchange``.  The block check
+    refuses a b2 entry of more than MAX_ENTRY_BITS bits, and the new weight
+    is refused when a coordinate is.
     """
     k = _unfrozen(seed, at)
-    old = seed.b2
-    row_k = old[k]
-    # only rows and columns of neighbours change; the others get increment 0
-    nbrs = list(compress(range(seed.size), row_k))
-    new_b2 = list(old)
-    new_b2[k] = tuple(map(operator.neg, row_k))
-    for p in nbrs:
-        b_pk = old[p][k]
-        row = list(old[p])
-        for q in nbrs:
-            num = abs(b_pk) * row_k[q] + b_pk * abs(row_k[q])
-            if num % 4:
+    rows = seed.rows
+    row_k = rows[k]
+    # b2[p][q] gains |b2[p][k]| * b2[k][q] + b2[p][k] * |b2[k][q]|, over 4
+    # as b2 is doubled: that is b2[p][k] * |b2[k][q]| / 2 where the two
+    # entries have one sign and 0 where they differ, so each neighbour p
+    # visits only the columns q of its own sign
+    ups = [(q, b) for q, b in row_k if b > 0]
+    downs = [(q, -b) for q, b in row_k if b < 0]
+    new = list(rows)
+    new[k] = tuple([(j, -b) for j, b in row_k])
+    # block: each written row as {column: entry}
+    block = {k: dict(new[k])}
+    for p, _ in row_k:
+        row = dict(rows[p])
+        b_pk = row.get(k, 0)
+        for q, a in (ups if b_pk > 0 else downs if b_pk else ()):
+            inc = b_pk * a
+            if inc % 2:
                 raise ValueError("mutation increment not integral")
-            row[q] += num // 4
+            row[q] = row.get(q, 0) + inc // 2
         row[k] = -b_pk
-        new_b2[p] = tuple(row)
-    block = sorted(nbrs + [k])
-    if any(new_b2[i][i] for i in block):
+        block[p] = row
+        new[p] = tuple(sorted(filter(_ENTRY, row.items())))
+    order = sorted(block)
+    if any(map(dict.get, map(block.get, order), order)):
         raise ValueError("b2 diagonal must be zero")
-    _check_entries(seed, new_b2, (
-        (i, [j for j in block if new_b2[i][j]]) for i in block
-    ))
+    _check_entries(seed, zip(order, map(new.__getitem__, order)), block)
 
-    ws, labels = seed.weights, seed.labels if with_labels else None
-    _, _, wk, lk = _exchange(seed, k, nbrs, labels)
+    ws, labels = seed.slot_weights, seed.labels if with_labels else None
+    _, _, wk, lk = _exchange(seed, k, labels)
     if wk is not None:
-        if max(map(abs, chain.from_iterable(wk)), default=0) >= _TOO_BIG:
+        if max(map(abs, chain.from_iterable(w for _, w in wk)), default=0) >= _TOO_BIG:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}")
         ws = ws[:k] + (wk,) + ws[k + 1:]
     if lk is not None:
         labels = labels[:k] + (lk,) + labels[k + 1:]
-    return _unchecked(seed, tuple(new_b2), ws, labels)
+    return _unchecked(seed, tuple(new), ws, labels)
 
 
 # == X-coordinates and the p-map ==
@@ -470,12 +612,11 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
 
 def p_exponents(seed: Seed, name: str) -> dict[str, int]:
     """Integer row of exponents for X_name = prod_j A_j ** b[name][j]."""
-    row = seed.b2[seed.index(name)]
     out = {}
-    for j in compress(range(seed.size), row):
-        if row[j] % 2:
+    for j, b in seed.rows[seed.index(name)]:
+        if b % 2:
             raise ValueError(f"row {name} has a half-integral entry at {seed.names[j]}")
-        out[seed.names[j]] = row[j] // 2
+        out[seed.names[j]] = b // 2
     return out
 
 
@@ -519,6 +660,9 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     live in any exact field.
     """
     k = _unfrozen(seed, at)
+    # column k is nonzero at k's neighbours only; k is unfrozen, so
+    # check_seed's parity rule makes each b2[i][k] even
+    col = {i: dict(seed.rows[i]).get(k, 0) // 2 for i, _ in seed.rows[k]}
     xk = xvals[at]
     out = {}
     for name, x in xvals.items():
@@ -526,8 +670,7 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
         if i == k:
             out[name] = 1 / xk
             continue
-        # k is unfrozen, so check_seed's parity rule makes b2[i][k] even
-        bik = seed.b2[i][k] // 2
+        bik = col.get(i, 0)
         val = x
         if bik > 0:
             val = val * xk ** bik
@@ -536,7 +679,7 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     return out
 
 
-# == relabelling: the opposite seed, weight maps, slot permutations ==
+# == relabelling: the opposite seed, weight maps, slot moves ==
 
 
 def opposite(seed: Seed) -> Seed:
@@ -546,21 +689,45 @@ def opposite(seed: Seed) -> Seed:
     and skew-symmetrizability with the same multipliers, so the result needs
     no check beyond the one ``seed`` passed.
     """
-    b2 = tuple(tuple(map(operator.neg, row)) for row in seed.b2)
-    return _unchecked(seed, b2, seed.weights, seed.labels)
+    rows = tuple(tuple((j, -b) for j, b in row) for row in seed.rows)
+    return _unchecked(seed, rows, seed.slot_weights, seed.labels)
 
 
 def map_weights(seed: Seed, fn) -> tuple[tuple | None, tuple[Label, ...] | None]:
     """(weights, labels) with fn applied to every slot-weight tuple.
 
-    fn takes and returns one tuple of slot weights; it is applied to each
-    vertex's weights and, through ``map_label_weights``, to every weight
-    tuple inside the labels, so shared label subtrees stay shared.  Either
-    part is None where the seed has none.
+    fn takes and returns one dense tuple of slot weights; it is applied to
+    each vertex's weights and, through ``map_label_weights``, to every
+    weight tuple inside the labels, so shared label subtrees stay shared.
+    Either part is None where the seed has none.
     """
     weights, labels = seed.weights, seed.labels
     return (None if weights is None else tuple(map(fn, weights)),
             None if labels is None else map_label_weights(labels, fn))
+
+
+def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
+    """The seed with old slot s moved to slot where[s] of ``slots``.
+
+    Slots that no old slot moves to carry the zero weight.  A vertex's
+    nonzero slots are moved one by one, and every weight tuple inside the
+    labels is rebuilt through ``map_label_weights``.  Other fields change
+    as ``Seed.replace`` takes them, and the result is checked once.
+    """
+    zero = seed.weight_shape[1]
+
+    def move(ws):
+        out = [zero] * slots
+        for s, w in zip(where, ws):
+            out[s] = w
+        return tuple(out)
+
+    slot_weights = tuple(
+        [tuple(sorted([(where[s], w) for s, w in ws])) for ws in seed.slot_weights]
+    )
+    labels = None if seed.labels is None else map_label_weights(seed.labels, move)
+    return seed.replace(slot_weights=slot_weights, weight_shape=(slots, zero), labels=labels,
+                        **changes)
 
 
 def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
@@ -568,12 +735,14 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
 
     Raises ValueError unless perm holds each slot of the seed once.
     """
-    if seed.weights is None:
+    if seed.weight_shape is None:
         return seed
     if sorted(perm) != list(range(seed.slots)):
         raise ValueError(f"{tuple(perm)} is not a permutation of the {seed.slots} slots")
-    weights, labels = map_weights(seed, lambda ws: tuple(ws[p] for p in perm))
-    return replace(seed, weights=weights, labels=labels)
+    where = [0] * len(perm)
+    for t, p in enumerate(perm):
+        where[p] = t
+    return move_slots(seed, where, len(perm))
 
 
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
@@ -584,18 +753,19 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     b2[j][i]: every dual entry is integral and has the parity of b2 at the
     same pair.  The result still runs the full check_seed.
 
-    ``weight_map`` transposes a weight to the dual weight lattice and returns
-    an int tuple; the dual vertex weight is weight_map(w) / d_v.
-    Simply-laced seeds may omit it (weights carry over unchanged).  Labels
-    do not transport; they are dropped.
+    ``weight_map`` transposes a weight to the dual weight lattice, a linear
+    map, and returns an int tuple; the dual vertex weight is
+    weight_map(w) / d_v, and zero weights stay zero.  Simply-laced seeds may
+    omit it (weights carry over unchanged).  Labels do not transport; they
+    are dropped.
     """
     dmax = max(seed.mult)
     if any(dmax % d for d in seed.mult):
         raise ValueError("multipliers must divide their maximum")
     new_mult = tuple(dmax // d for d in seed.mult)
 
-    new_weights = seed.weights
-    if seed.weights is not None:
+    slot_weights = seed.slot_weights
+    if slot_weights is not None:
         if weight_map is None:
             if dmax != 1:
                 raise ValueError("weight_map required unless simply laced")
@@ -603,10 +773,10 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
             # each distinct (weight, d) pair is mapped once; with d = 1 the
             # image is the dual weight itself
             dual: dict[tuple, Weight] = {}
-            rows = []
-            for v, (d, ws) in enumerate(zip(seed.mult, seed.weights)):
+            out = []
+            for v, (d, ws) in enumerate(zip(seed.mult, slot_weights)):
                 row = []
-                for w in ws:
+                for s, w in ws:
                     img = dual.get((w, d))
                     if img is None:
                         img = weight_map(w)
@@ -615,25 +785,24 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
                                 raise ValueError(f"dual weight not integral at {seed.names[v]}")
                             img = tuple(c // d for c in img)
                         dual[w, d] = img
-                    row.append(img)
-                rows.append(tuple(row))
-            new_weights = tuple(rows)
-    return replace(
-        seed, mult=new_mult, b2=tuple(zip(*seed.b2)), weights=new_weights, labels=None
-    )
-
-
-def _nonzero_rows(seed: Seed) -> list[dict[int, int]]:
-    """Each b2 row as {column: entry} over its nonzero entries only."""
-    n = seed.size
-    return [{j: row[j] for j in compress(range(n), row)} for row in seed.b2]
+                    if any(img):
+                        row.append((s, img))
+                out.append(tuple(row))
+            slot_weights = tuple(out)
+    # row i lists its columns ascending, so each transposed row does too
+    dual_rows = [[] for _ in seed.rows]
+    for i, row in enumerate(seed.rows):
+        for j, b in row:
+            dual_rows[j].append((i, b))
+    return Seed.sparse(seed.names, seed.frozen, new_mult, tuple(map(tuple, dual_rows)),
+                       slot_weights, seed.weight_shape)
 
 
 def _features(seed: Seed) -> list[tuple]:
-    """Per vertex (multiplier, frozen, weight tuple): what a matching keeps."""
-    if seed.weights is None:
+    """Per vertex (multiplier, frozen, slot weights): what a matching keeps."""
+    if seed.weight_shape is None:
         raise ValueError("seeds to compare need weights")
-    return list(zip(seed.mult, seed.frozen, seed.weights))
+    return list(zip(seed.mult, seed.frozen, seed.slot_weights))
 
 
 def matches_under(s1: Seed, s2: Seed, mapping: dict) -> bool:
@@ -648,10 +817,12 @@ def matches_under(s1: Seed, s2: Seed, mapping: dict) -> bool:
     if len(set(perm)) != n:
         return False
     f1, f2 = _features(s1), _features(s2)
-    rows2 = _nonzero_rows(s2)
+    if s1.weight_shape != s2.weight_shape:
+        return False
+    rows2 = s2.rows
     return all(
-        f1[i] == f2[p] and {perm[j]: b for j, b in row.items()} == rows2[p]
-        for i, (p, row) in enumerate(zip(perm, _nonzero_rows(s1)))
+        f1[i] == f2[p] and sorted((perm[j], b) for j, b in row) == list(rows2[p])
+        for i, (p, row) in enumerate(zip(perm, s1.rows))
     )
 
 
@@ -671,18 +842,21 @@ def quiver_isomorphic(s1: Seed, s2: Seed):
     def keys(seed):
         feats = _features(seed)
         profiles = (
-            tuple(sorted((b, feats[j]) for j, b in row.items()))
-            for row in _nonzero_rows(seed)
+            tuple(sorted((b, feats[j]) for j, b in row)) for row in seed.rows
         )
         return list(zip(feats, profiles))
 
+    keys1, keys2 = keys(s1), keys(s2)
+    if s1.weight_shape != s2.weight_shape:
+        return None
     by_key: dict[tuple, list[int]] = {}
-    for j, key in enumerate(keys(s2)):
+    for j, key in enumerate(keys2):
         by_key.setdefault(key, []).append(j)
-    cands = [by_key.get(key) for key in keys(s1)]
+    cands = [by_key.get(key) for key in keys1]
     if None in cands:
         return None
 
+    rows1, rows2 = s1.rows, s2.rows
     assigned = [0] * n
     used = [False] * n
     # depth-first over vertex i = 0, 1, ... with an explicit stack: pos[i] is
@@ -700,10 +874,13 @@ def quiver_isomorphic(s1: Seed, s2: Seed):
             continue
         j = cands[i][pos[i]]
         pos[i] += 1
-        # with equal multipliers, skew-symmetrizability makes a match of
-        # b2[i][p] a match of b2[p][i] too
-        if used[j] or any(
-            s2.b2[j][assigned[p]] != s1.b2[i][p] for p in range(i)
+        # b2[i][p] for the placed p < i must be b2[j][assigned[p]], nonzero
+        # entries on both sides alike; with equal multipliers,
+        # skew-symmetrizability makes a match of b2[i][p] a match of
+        # b2[p][i] too
+        if used[j] or (
+            {assigned[p]: b for p, b in rows1[i] if p < i}
+            != {c: b for c, b in rows2[j] if used[c]}
         ):
             continue
         assigned[i] = j

@@ -16,13 +16,22 @@ integers, and no integer has more than ``MAX_ENTRY_BITS`` bits; loading
 refuses anything else, floats, strings and booleans included, as well as a
 weight list with no slots and weight vectors of different lengths.  The
 top-level "labels" table shares repeated subtrees; each vertex points into
-it by index, and an exchange entry only into earlier entries.
+it by index, and an exchange entry only into earlier entries.  Either every
+vertex has "weights" or none has, and either every vertex has a "label"
+and the file has a "labels" table or neither is there; loading refuses any
+other mix, naming the first vertex that differs.
 
+The file stores b2 and every vertex's weights densely, one entry per
+vertex pair and one weight per slot, while a Seed stores only the nonzero
+ones.  ``seed_from_json`` type-checks each b2 row and each weight list in
+one C-level pass and keeps only their nonzero entries and slots.
 ``write_seed`` writes exactly the bytes of
-``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline.  It
-renders that schema itself because CPython's ``json`` turns its C encoder off
-whenever ``indent`` is set, and the pure-Python encoder it falls back to was
-the largest cost of writing a polygon seed file.
+``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline,
+rendered from the stored forms: a run of zero entries or zero slots is one
+repeated string.  It renders that schema itself because CPython's ``json``
+turns its C encoder off whenever ``indent`` is set, and the pure-Python
+encoder it falls back to was the largest cost of writing a polygon seed
+file.
 """
 from __future__ import annotations
 
@@ -30,10 +39,10 @@ import json
 import os
 import stat
 from fractions import Fraction as Q
-from itertools import chain
+from itertools import chain, compress
 
 from .root_data import MAX_ENTRY_BITS
-from .seed_core import Exchange, Label, Minor, Seed, arrows, post_order
+from .seed_core import Exchange, Label, Minor, Seed, arrows, nonzero_pairs, post_order
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -65,11 +74,13 @@ def _tag_in(x) -> str:
     return x
 
 
-def seed_to_json(seed: Seed) -> dict:
+def _label_table(seed: Seed) -> tuple[list[dict], list[int] | None]:
+    """The "labels" table, children first, and each vertex's index into it."""
     label_index: dict[Label, int] = {}
     table: list[dict] = []
-
-    def intern(label: Label) -> int:
+    if seed.labels is None:
+        return table, None
+    for label in seed.labels:
         for top in post_order(label, label_index):
             if isinstance(top, Minor):
                 entry = {"kind": "minor", "weights": top.weights}
@@ -82,8 +93,13 @@ def seed_to_json(seed: Seed) -> dict:
                 }
             label_index[top] = len(table)
             table.append(entry)
-        return label_index[label]
+    return table, [label_index[label] for label in seed.labels]
 
+
+def seed_to_json(seed: Seed) -> dict:
+    """The JSON form of a seed, dense: b2 and every slot's weight."""
+    table, at = _label_table(seed)
+    weights = seed.weights
     vertices = []
     for i, name in enumerate(seed.names):
         v = {
@@ -92,10 +108,10 @@ def seed_to_json(seed: Seed) -> dict:
             "frozen": seed.frozen[i],
             "d": seed.mult[i],
         }
-        if seed.weights is not None:
-            v["weights"] = seed.weights[i]
-        if seed.labels is not None:
-            v["label"] = intern(seed.labels[i])
+        if weights is not None:
+            v["weights"] = weights[i]
+        if at is not None:
+            v["label"] = at[i]
         vertices.append(v)
     out = {"vertices": vertices, "b2": seed.b2}
     if table:
@@ -117,20 +133,57 @@ def _monomial_in(built: list, pairs, what: str):
     )
 
 
-def seed_from_json(data: dict) -> Seed:
-    """Rebuild a seed from its JSON form; raises ValueError on malformed data."""
-    lengths = set()  # of the weight vectors read; a file has one
-    tables = []  # of weight vectors, checked against the cap in one pass
+def _all_ints(values) -> bool:
+    """Whether every value is a JSON integer, in one C-level pass.
 
-    def weights_in(rows):
-        out = tuple(_ints(row, "weight coordinate") for row in rows)
-        if not out:
+    Counting the types that are int keeps booleans out, as ``type(x) is
+    int`` does.  A TypeError from iterating gives False, so that the
+    entry-by-entry check of ``_ints`` names the first fault in order.
+    """
+    try:
+        types = list(map(type, values))
+    except TypeError:
+        return False
+    return types.count(int) == len(types)
+
+
+def _carried(vertices, key: str) -> bool:
+    """Whether the vertices carry ``key``: all of them do or none does."""
+    first = bool(vertices) and key in vertices[0]
+    for i, v in enumerate(vertices):
+        if (key in v) != first:
+            raise ValueError(
+                f"vertex {i} has no {key!r} key, but vertex 0 has one" if first
+                else f"vertex {i} has a {key!r} key, but vertex 0 has none"
+            )
+    return first
+
+
+def seed_from_json(data: dict) -> Seed:
+    """Rebuild a seed from its JSON form; raises ValueError on malformed data.
+
+    Each b2 row and each weight list is type-checked in one C-level pass,
+    and only its nonzero entries and slots are kept; the entry-by-entry
+    check of ``_ints`` runs only to name an offending entry.
+    """
+    lengths = set()  # of the weight vectors read; a file has one
+    nonzero = []  # the nonzero weight vectors read, checked against the cap in one pass
+
+    def weights_in(ws):
+        if not _all_ints(chain.from_iterable(ws)):
+            for w in ws:
+                _ints(w, "weight coordinate")
+        if not ws:
             raise ValueError("a weight list has no slots")
-        lengths.update(map(len, out))
+        lengths.update(map(len, ws))
         if len(lengths) > 1:
             raise ValueError(f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
-        tables.append(out)
-        return out
+        return ws
+
+    def row_in(row):
+        if not _all_ints(row):
+            _ints(row, "b2 entry")
+        return nonzero_pairs(row, n)
 
     try:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
@@ -143,19 +196,34 @@ def seed_from_json(data: dict) -> Seed:
         names = tuple(_tag_in(v["tag"]) for v in vertices)
         frozen = tuple(_frozen_in(v["frozen"]) for v in vertices)
         mult = tuple(_positive(v["d"], "multiplier d") for v in vertices)
-        b2 = tuple(_ints(row, "b2 entry") for row in data["b2"])
+        rows = tuple(map(row_in, data["b2"]))
 
-        weights = None
-        if vertices and "weights" in vertices[0]:
-            weights = tuple(weights_in(v["weights"]) for v in vertices)
+        slot_weights = shape = None
+        if _carried(vertices, "weights"):
+            lists = [weights_in(v["weights"]) for v in vertices]
+            slots, (rank,) = len(lists[0]), lengths
+            slot_weights = [
+                tuple([(s, tuple(w)) for s, w in nonzero_pairs(ws, slots, map(any, ws))])
+                for ws in lists
+            ]
+            nonzero += [w for pairs in slot_weights for _, w in pairs]
+            shape = (slots, (0,) * rank)
 
         labels = None
-        if "labels" in data and vertices and "label" in vertices[0]:
+        if _carried(vertices, "label") != ("labels" in data) and vertices:
+            raise ValueError(
+                "the file has a 'labels' table, but vertex 0 has no 'label' key"
+                if "labels" in data
+                else "vertex 0 has a 'label' key, but the file has no 'labels' table"
+            )
+        if "labels" in data and vertices:
             built: list[Label] = []
             for entry in data["labels"]:
                 kind = entry["kind"]
                 if kind == "minor":
-                    built.append(Minor(weights_in(entry["weights"])))
+                    weights = tuple(map(tuple, weights_in(entry["weights"])))
+                    nonzero.extend(compress(weights, map(any, weights)))
+                    built.append(Minor(weights))
                 elif kind == "exchange":
                     built.append(
                         Exchange(
@@ -169,11 +237,12 @@ def seed_from_json(data: dict) -> Seed:
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
         if 0 in lengths:
             raise ValueError("a weight vector has no coordinates")
-        # check_seed caps b2; the weights, mostly small, take one C-level pass
-        coords = chain.from_iterable(chain.from_iterable(tables))
+        # check_seed caps b2; the weights take one C-level pass over the
+        # nonzero vectors, as zero ones are under any cap
+        coords = chain.from_iterable(nonzero)
         if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
-        return Seed(names, frozen, mult, b2, weights, labels)
+        return Seed.sparse(names, frozen, mult, rows, slot_weights, shape, labels)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
 
@@ -189,6 +258,29 @@ def _block(items, depth: int, ends: str = "[]") -> str:
     # no JSON value renders empty, so an empty body means no items
     body = ("," + pad).join(items)
     return ends[0] + pad + body + _PAD[depth] + ends[1] if body else ends
+
+
+def _runs(pairs, length: int, zero: str, depth: int) -> str:
+    """``_block`` of a list of ``length`` rendered items, each ``zero`` but
+    those the (index, text) pairs give, ascending in index.
+
+    A run of zeros is one string product rather than a visit per item.
+    """
+    if not length:
+        return "[]"
+    sep = "," + _PAD[depth + 1]
+    fill = zero + sep
+    parts = ["[" + _PAD[depth + 1]]
+    at = 0
+    for i, text in pairs:
+        parts += (fill * (i - at), text, sep)
+        at = i + 1
+    if at < length:
+        parts += (fill * (length - at - 1), zero)
+    else:
+        parts.pop()
+    parts.append(_PAD[depth] + "]")
+    return "".join(parts)
 
 
 class _Memo(dict):
@@ -207,37 +299,53 @@ def write_seed(seed: Seed, fh) -> None:
     """Write the seed-file text of a seed to an open text file.
 
     The text is ``json.dumps(seed_to_json(seed), indent=1) + "\\n"``, byte
-    for byte, written one vertex, b2 row or label entry at a time.
+    for byte, written one vertex, b2 row or label entry at a time.  It is
+    rendered from the stored forms: the zero entries of a b2 row and the
+    zero slots of a vertex's weights go out as runs.
     """
     # seeds hold plain ints in weights, b2 and labels, which str renders as
     # json does
     ints = _Memo(str)
     # int rows at depth 4: weights, and (label index, exponent) pairs
     rows = _Memo(lambda key: _block(map(ints.__getitem__, key), 4))
+    table, at = _label_table(seed)
+    names, frozen, mult, n = seed.names, seed.frozen, seed.mult, seed.size
+    if seed.weight_shape is not None:
+        slots, zero = seed.weight_shape
+        zero_text = rows[zero]
 
     def value(x) -> str:
-        if type(x) is bool:
-            return "true" if x else "false"
         if type(x) is int:
             return ints[x]
         if type(x) is str:
             return json.dumps(x)
         return _block(map(rows.__getitem__, x), 3)
 
-    def entry(obj: dict) -> str:
-        # a vertex or a label entry; its keys are seed_to_json's plain names
+    def label_entry(obj: dict) -> str:
         return _block([f'"{k}": {value(x)}' for k, x in obj.items()], 2, "{}")
 
-    def b2_row(row) -> str:
-        return _block(map(ints.__getitem__, row), 2)
+    def vertex(i: int) -> str:
+        items = [f'"id": {ints[i]}', f'"tag": {json.dumps(names[i])}',
+                 f'"frozen": {"true" if frozen[i] else "false"}', f'"d": {ints[mult[i]]}']
+        if seed.slot_weights is not None:
+            slot_texts = ((s, rows[w]) for s, w in seed.slot_weights[i])
+            items.append(f'"weights": {_runs(slot_texts, slots, zero_text, 3)}')
+        if at is not None:
+            items.append(f'"label": {ints[at[i]]}')
+        return _block(items, 2, "{}")
 
-    render = {"vertices": entry, "b2": b2_row, "labels": entry}
+    def b2_row(row) -> str:
+        return _runs(((j, ints[b]) for j, b in row), n, "0", 2)
+
+    sections = [("vertices", range(n), vertex), ("b2", seed.rows, b2_row)]
+    if table:
+        sections.append(("labels", table, label_entry))
     fh.write("{")
-    for n, (key, items) in enumerate(seed_to_json(seed).items()):
-        fh.write(f'{"," if n else ""}\n "{key}": [')
+    for k, (key, items, render) in enumerate(sections):
+        fh.write(f'{"," if k else ""}\n "{key}": [')
         sep = _PAD[2]
         for item in items:
-            fh.write(sep + render[key](item))
+            fh.write(sep + render(item))
             sep = "," + _PAD[2]
         fh.write(_PAD[1] + "]" if items else "]")
     fh.write("\n}\n")

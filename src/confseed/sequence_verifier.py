@@ -15,7 +15,7 @@ layer per stage, so layer k of the a<n-1> flip holds k(n-k) mutations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -128,15 +128,15 @@ def apply_sequence(seed: Seed, seq: MutationSequence) -> ApplyResult:
     for s, stage in enumerate(seq.stages):
         if len(set(stage)) != len(stage):
             raise ValueError(f"stage {s + 1} of {seq.name} repeats a vertex")
-        idx = [cur.index(v) for v in stage]
-        if any(cur.b2[p][q] for p in idx for q in idx):
+        idx = {cur.index(v) for v in stage}
+        if any(j in idx for p in idx for j, _ in cur.rows[p]):
             raise StageOrderError(
                 f"stage {s + 1} of {seq.name} depends on its order"
             )
         for v in stage:
             cur = mutate(cur, v)
         if cur.weights is not None:
-            tables.append({nm: cur.weight(nm) for nm in cur.names})
+            tables.append(dict(zip(cur.names, cur.weights)))
     return ApplyResult(cur, tuple(tables))
 
 
@@ -261,7 +261,7 @@ def verify_dynkin_automorphism_d4(seed: Seed, sigma: dict) -> CheckReport:
         return tuple(out)
 
     weights, labels = map_weights(seed, lambda ws: tuple(map(wmap, ws)))
-    ok = matches_under(replace(seed, weights=weights, labels=labels), seed, mapping)
+    ok = matches_under(seed.replace(weights=weights, labels=labels), seed, mapping)
     return CheckReport(
         f"triality {''.join(sigma[a] for a in ('a1', 'a2', 'a3'))}",
         ok,

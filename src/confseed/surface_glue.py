@@ -6,8 +6,10 @@ once per corner order into the m weight slots (slot t of the triangle maps
 to corner order[t]).  All the embedded triangles are then amalgamated in one
 pass along their shared diagonals: frozen vertices with equal weight tuples
 are merged and the merged vertex unfreezes (Fock and Goncharov, "Cluster
-X-varieties, amalgamation, and Poisson-Lie groups", 2006).  One b2 is filled
-and the glued seed is checked once, whatever m is.  Diagonals are matched
+X-varieties, amalgamation, and Poisson-Lie groups", 2006).  The pieces'
+nonzero rows are concatenated with their columns moved to the glued places,
+merged rows adding, and the glued seed is checked once, whatever m is, so
+gluing costs O(n + arrows).  Diagonals are matched
 per triangle: a diagonal lies in exactly two triangles, so the vertices to
 merge across it are found between those two pieces alone, not by a scan of
 the whole glued seed.  Corner orders are taken counterclockwise; a clockwise
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
-from itertools import accumulate, combinations, compress
+from dataclasses import dataclass
+from itertools import accumulate, combinations
 
 from . import root_data as rd
 from .seed_builder import (
@@ -27,7 +29,7 @@ from .seed_builder import (
     triangle_name,
     triangle_vertices,
 )
-from .seed_core import Seed, map_weights, opposite
+from .seed_core import Seed, move_slots, opposite
 
 
 @dataclass(frozen=True)
@@ -103,23 +105,10 @@ def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str)
     """Spread a 3-slot seed over m slots through its corner order."""
     if seed.slots != 3:
         raise ValueError("triangle seeds have three slots")
-    zero = (0,) * len(seed.weights[0][0])
-
-    def embed(ws):
-        out = [zero] * m
-        for t, corner in enumerate(order):
-            out[corner - 1] = ws[t]
-        return tuple(out)
-
-    weights, labels = map_weights(seed, embed)
+    names = tuple(prefix + nm for nm in seed.names)
     if _parity(order):
         seed = opposite(seed)
-    return replace(
-        seed,
-        names=tuple(prefix + nm for nm in seed.names),
-        weights=weights,
-        labels=labels,
-    )
+    return move_slots(seed, [c - 1 for c in order], m, names=names)
 
 
 def amalgamate(pieces, pairs) -> Seed:
@@ -141,7 +130,10 @@ def amalgamate(pieces, pairs) -> Seed:
         parts = [getattr(s, field) for s in pieces]
         return None if None in parts else [x for part in parts for x in part]
 
-    frozen, mult, weights, labels = map(joined, ("frozen", "mult", "weights", "labels"))
+    frozen, mult, weights, labels = map(joined, ("frozen", "mult", "slot_weights", "labels"))
+    shapes = {s.weight_shape for s in pieces}
+    if weights is not None and len(shapes) > 1:
+        raise ValueError("all vertices must use the same number of slots")
     into, used = {}, set()  # into: merged vertex -> the vertex kept for it
     for p, q in pairs:
         if p not in where or q not in where:
@@ -164,22 +156,27 @@ def amalgamate(pieces, pairs) -> Seed:
     keep = [g for g in range(len(names)) if g not in into]
     spot = {g: k for k, g in enumerate(keep)}
     spot.update((j, spot[i]) for j, i in into.items())
-    b2 = [[0] * len(keep) for _ in keep]
+    # each piece's rows, their columns moved to the glued places; a merged
+    # vertex's row adds into the row of the vertex kept for it
+    glued = [{} for _ in keep]
     for s, start in zip(pieces, starts):
-        for i, row in enumerate(s.b2, start):
-            out = b2[spot[i]]
-            for j in compress(range(s.size), row):
-                out[spot[start + j]] += row[j]
+        for i, row in enumerate(s.rows, start):
+            acc = glued[spot[i]]
+            for j, b in row:
+                c = spot[start + j]
+                acc[c] = acc.get(c, 0) + b
+    rows = tuple(tuple(sorted(item for item in acc.items() if item[1])) for acc in glued)
 
     def listed(xs):
         return None if xs is None else tuple(xs[g] for g in keep)
 
-    return Seed(*map(listed, (names, frozen, mult)), tuple(map(tuple, b2)),
-                listed(weights), listed(labels))
+    return Seed.sparse(*map(listed, (names, frozen, mult)), rows, listed(weights),
+                       None if weights is None else shapes.pop(), listed(labels))
 
 
 def _support(ws) -> frozenset[int]:
-    return frozenset(compress(range(len(ws)), map(any, ws)))
+    """The slots of a vertex's nonzero weights."""
+    return frozenset(s for s, _ in ws)
 
 
 def diagonal_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
@@ -187,17 +184,16 @@ def diagonal_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
     matched by weight tuple."""
     want = frozenset(c - 1 for c in diag)
     left = {
-        a.weights[i]: nm
-        for i, nm in enumerate(a.names)
-        if a.frozen[i] and _support(a.weights[i]) == want
+        ws: nm
+        for nm, fz, ws in zip(a.names, a.frozen, a.slot_weights)
+        if fz and _support(ws) == want
     }
     pairs = []
-    for i, nm in enumerate(b.names):
-        if b.frozen[i] and _support(b.weights[i]) == want:
-            w = b.weights[i]
-            if w not in left:
+    for nm, fz, ws in zip(b.names, b.frozen, b.slot_weights):
+        if fz and _support(ws) == want:
+            if ws not in left:
                 raise ValueError(f"no partner for {nm} across {sorted(diag)}")
-            pairs.append((left.pop(w), nm))
+            pairs.append((left.pop(ws), nm))
     if left:
         raise ValueError(f"unmatched vertices {sorted(left.values())} on {sorted(diag)}")
     return pairs
@@ -236,7 +232,7 @@ def build_conf_m_seed(
     if m == 4 and tri == fan_triangulation(4) and orders == default_corner_orders(tri):
         vertex = {triangle_name(datum, *v): v for v in triangle_vertices(datum)}
         pieces = [
-            replace(p, names=tuple(
+            p.replace(names=tuple(
                 four_point_name(datum, *vertex[nm], second=bool(k)) for nm in base.names
             ))
             for k, p in enumerate(pieces)

@@ -26,8 +26,10 @@ Claims covered:
       triangle lists that do not tile the m-gon, empty triangle lists and
       triangles with an empty or non-integer corner (the message quotes the
       triangle), the empty word, seed-file integers over the entry cap,
-      weight vectors with no coordinates and an --out that cannot be
-      written (the message names that path) included
+      weight vectors with no coordinates, seed files where only some
+      vertices carry weights or a label or whose labels lack their table
+      (the message names the first vertex that differs) and an --out that
+      cannot be written (the message names that path) included
     - any reduced word builds and completes, and build writes its weights
     - every confseed line of README's command-line block exits 0
 """
@@ -415,6 +417,12 @@ class TestExportAndErrors:
          "weight vectors of 2 and 3 coordinates"),
         (["mutate", "--seed", "deep.json"], "0",
          "malformed seed data (nested too deeply)"),
+        (["export-dot", "--seed", "weights-not-at-0.json"], "0",
+         "vertex 1 has a 'weights' key, but vertex 0 has none\n"),
+        (["export-dot", "--seed", "label-not-at-0.json"], "0",
+         "vertex 1 has a 'label' key, but vertex 0 has none\n"),
+        (["export-dot", "--seed", "no-label-table.json"], "0",
+         "vertex 0 has a 'label' key, but the file has no 'labels' table\n"),
         (["export-dot", "--seed", "int-tag.json"], "0",
          "vertex tag 1 is not a string"),
         (["mutate", "--seed", "unknown-kind.json", "--at", "x_11"], "0",
@@ -456,6 +464,7 @@ class TestExportAndErrors:
             "float-exponent", "no-slots-mutate", "no-slots-export",
             "empty-vectors-mutate", "empty-vectors-export",
             "empty-label-vectors", "ragged-weights", "deeply-nested-file",
+            "weights-not-at-vertex-0", "label-not-at-vertex-0", "no-label-table",
             "int-tag", "unknown-label-kind", "duplicate-vertex-id",
             "huge-weight", "huge-mult", "huge-exponent", "out-is-a-directory",
             "out-in-a-missing-directory", "non-tiling-triangles",
@@ -529,6 +538,16 @@ def _write_seed_files(tmp_path):
     (tmp_path / "no-slots.json").write_text(json.dumps(no_slots))
     (tmp_path / "ragged-weights.json").write_text(json.dumps(ragged))
     (tmp_path / "deep.json").write_text("[" * 100000)
+    # the triangle with vertex 0's weights, vertex 0's label or the label
+    # table left out, each of which loading once dropped without a word
+    for name, drop in (
+        ("weights-not-at-0", lambda data: data["vertices"][0].pop("weights")),
+        ("label-not-at-0", lambda data: data["vertices"][0].pop("label")),
+        ("no-label-table", lambda data: data.pop("labels")),
+    ):
+        data = json.loads((tmp_path / "triangle.json").read_text())
+        drop(data)
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     (tmp_path / "adir").mkdir()
 
 

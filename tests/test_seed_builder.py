@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -63,7 +62,6 @@ from confseed.seed_core import (
     permute_slots,
     quiver_isomorphic,
     weight_balance,
-    weight_sum,
 )
 
 from seed_checks import assert_face_equations, is_balanced
@@ -177,10 +175,11 @@ class TestTriangleCompletion:
                 want = (
                     _boundary_pattern(datum, name, seed.weights[i]) if seed.frozen[i] else zero
                 )
-                rest = ((seed.b2[i][j], seed.weights[j]) for j in others)
-                target = weight_sum(
-                    ((1, want), (-1, weight_sum(rest, 3, datum.rank))), 3, datum.rank
-                )
+                target = [
+                    [want[s][r] - sum(seed.b2[i][j] * seed.weights[j][s][r] for j in others)
+                     for r in range(datum.rank)]
+                    for s in range(3)
+                ]
                 sol, kernel = solve_with_kernel(matrix, [c for w in target for c in w])
                 assert kernel == [], (word, name)
                 assert [seed.b2[i][e] for e in edges] == sol, (word, name)
@@ -196,7 +195,7 @@ class TestTriangleCompletion:
         seed = build_bruhat_seed(datum, word)
         weights = dict(zip(seed.names, seed.weights))
         weights[first], weights[second] = weights[second], weights[first]
-        seed = replace(seed, weights=tuple(weights[nm] for nm in seed.names))
+        seed = seed.replace(weights=tuple(weights[nm] for nm in seed.names))
         with pytest.raises(ValueError, match=re.escape(message)):
             complete_triangle_seed(datum, seed)
 
@@ -313,7 +312,7 @@ class TestBoundaryPatterns:
         seed = build_bruhat_seed(datum, word)
         weights = dict(zip(seed.names, seed.weights))
         weights[triangle_name(datum, "1", 0)] = slots
-        seed = replace(seed, weights=tuple(weights[nm] for nm in seed.names))
+        seed = seed.replace(weights=tuple(weights[nm] for nm in seed.names))
         with pytest.raises(ValueError, match="off the triangle's edges"):
             complete_triangle_seed(datum, seed)
 

@@ -16,6 +16,15 @@ Claims covered:
     - mutation checks only the block it writes, names a fault planted there
       by the same message as the full check of the dense reference, and
       runs no full check_seed; construction and load run it once each
+    - mutation at any unfrozen vertex of the g2 128-gon keeps every row
+      outside the vertex and its neighbours as the parent's own row object
+      and builds no dense view of the parent
+    - against the dense references of dense_reference: the sparse check
+      raises the dense check's message, naming the same first pair, on
+      every planted refusal; after every step of seeded walks on the g2
+      16-gon, the a3 hexagon and the d4 triangle the dense b2 and weights
+      equal the references; the glued seeds equal the one-at-a-time dense
+      gluing
     - a seed keeps tuples, so a caller's lists cannot change it afterwards
     - face equations hold at every unfrozen vertex along random walks
     - X-coordinates transport through mutation compatibly with the p-map;
@@ -49,18 +58,17 @@ Claims covered:
 """
 from __future__ import annotations
 
-import copy
 import itertools
 import json
+import operator
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from confseed import minor_oracle as mo
-from confseed import seed_core
+from confseed import seed_core, surface_glue
 from confseed.cli import main
 from confseed.root_data import MAX_ENTRY_BITS, g2_weight_dual, root_datum
 from confseed.seed_core import (
@@ -85,6 +93,14 @@ from confseed.seed_builder import build_triangle_seed
 from confseed.seed_io import load_seed, save_seed, seed_from_json, seed_to_json
 from confseed.surface_glue import build_conf_m_seed
 
+from dense_reference import (
+    dense_dual_b2,
+    dense_exchange,
+    dense_mutate_b2,
+    plant,
+    reference_check_seed,
+    reference_fold,
+)
 from seed_checks import assert_face_equations, is_balanced
 
 
@@ -106,62 +122,6 @@ POLYGONS = (
 
 def _seed_zoo():
     return ZOO
-
-
-def _dense_mutate_b2(b2, k):
-    """Reference: the mutation rule applied to every entry of b2."""
-    n = len(b2)
-    out = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            if p == k or q == k:
-                row.append(-b2[p][q])
-            else:
-                num = abs(b2[p][k]) * b2[k][q] + b2[p][k] * abs(b2[k][q])
-                assert num % 4 == 0
-                row.append(b2[p][q] + num // 4)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _dense_exchange(seed, k):
-    """Reference: exchange's sides, weight and label over every column of row k."""
-    row, ws, labels = seed.b2[k], seed.weights, seed.labels
-    plus = tuple((j, b // 2) for j, b in enumerate(row) if b > 0)
-    minus = tuple((j, -b // 2) for j, b in enumerate(row) if b < 0)
-
-    def side(terms):
-        return [
-            [sum(e * ws[j][s][r] for j, e in terms) for r in range(len(ws[k][s]))]
-            for s in range(len(ws[k]))
-        ]
-
-    assert side(plus) == side(minus)
-    weight = tuple(
-        tuple(p - w for p, w in zip(ps, wk)) for ps, wk in zip(side(plus), ws[k])
-    )
-    lp = tuple((labels[j], e) for j, e in plus)
-    lm = tuple((labels[j], e) for j, e in minus)
-    old = labels[k]
-    if isinstance(old, Exchange) and (old.plus, old.minus) == (lm, lp):
-        label = old.over
-    else:
-        label = Exchange(lp, lm, old)
-    return plus, minus, weight, label
-
-
-def _dense_dual_b2(seed):
-    """Reference: b'[i][j] = -b[i][j] * d[j] / d[i] over every entry."""
-    out = []
-    for i in range(seed.size):
-        row = []
-        for j in range(seed.size):
-            num = -seed.b2[i][j] * seed.mult[j]
-            assert num % seed.mult[i] == 0
-            row.append(num // seed.mult[i])
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _random_walk(rng, seed, steps):
@@ -265,7 +225,7 @@ def _odd_path():
     b2 = [list(r) for r in base.b2]
     b2[p][k], b2[k][p] = 1, -1
     b2[k][q], b2[q][k] = 1, -1
-    return _plant(base, b2), base.names[k]
+    return plant(base, b2), base.names[k]
 
 
 _G2_TRI = ZOO[2]
@@ -315,9 +275,9 @@ class TestRefusals:
          None),
         (lambda: langlands_dual(_G2_TRI, weight_map=lambda w: (1, 1)),
          f"dual weight not integral at {_G2_LONG}", None),
-        (lambda: quiver_isomorphic(*[replace(ZOO[0], weights=None)] * 2),
+        (lambda: quiver_isomorphic(*[ZOO[0].replace(weights=None)] * 2),
          "seeds to compare need weights", None),
-        (lambda: matches_under(replace(ZOO[0], weights=None), ZOO[0],
+        (lambda: matches_under(ZOO[0].replace(weights=None), ZOO[0],
                                {nm: nm for nm in ZOO[0].names}),
          "seeds to compare need weights", None),
         (lambda: permute_slots(ZOO[0], (0, 1)),
@@ -435,7 +395,7 @@ class TestMutation:
             cur = seed
             for _ in range(25):
                 at = rng.choice(cur.unfrozen_names())
-                want = _dense_mutate_b2(cur.b2, cur.index(at))
+                want = dense_mutate_b2(cur.b2, cur.index(at))
                 cur = mutate(cur, at, with_labels=False)
                 assert cur.b2 == want
 
@@ -449,7 +409,7 @@ class TestMutation:
                 at = rng.choice(cur.unfrozen_names())
                 k = cur.index(at)
                 got = exchange(cur, at)
-                want = _dense_exchange(cur, k)
+                want = dense_exchange(cur, k)
                 assert got[:3] == want[:3]
                 assert got[3] is want[3]
                 nxt = mutate(cur, at)
@@ -457,7 +417,7 @@ class TestMutation:
                 assert nxt.labels[k] is got[3]
                 back = exchange(nxt, at)
                 assert back[3] is cur.labels[k]
-                assert back == _dense_exchange(nxt, k)
+                assert back == dense_exchange(nxt, k)
                 cur = nxt
 
     def test_matrix_rule_on_a_known_pair(self):
@@ -470,16 +430,9 @@ class TestMutation:
             assert nxt.b2[j][k] == -seed.b2[j][k]
 
 
-def _plant(seed, b2):
-    """A copy of seed holding b2, made past every check."""
-    out = copy.copy(seed)
-    object.__setattr__(out, "b2", tuple(map(tuple, b2)))
-    return out
-
-
 def _full_check_message(seed, at):
     """What check_seed says on the dense mutation of seed at ``at``."""
-    dense = _plant(seed, _dense_mutate_b2(seed.b2, seed.index(at)))
+    dense = plant(seed, dense_mutate_b2(seed.b2, seed.index(at)))
     with pytest.raises(ValueError) as err:
         check_seed(dense)
     return str(err.value)
@@ -526,7 +479,7 @@ class TestLocalCheck:
             step = 1 if b2[k][p] > 0 else -1
             b2[k][p] += step
             b2[p][k] -= step
-        planted = _plant(base, b2)
+        planted = plant(base, b2)
         want = _full_check_message(planted, base.names[k])
         assert want.startswith(message)
         with pytest.raises(ValueError) as err:
@@ -542,6 +495,20 @@ class TestLocalCheck:
         rows[p][q] += 2
         assert seed.b2 == base.b2
         assert mutate(seed, base.names[k]) == mutate(base, base.names[k])
+
+    def test_mutation_writes_only_its_neighbourhood(self):
+        # on the g2 128-gon (1,010 vertices), mutating at any unfrozen k
+        # keeps every row but those of k and its neighbours as the parent's
+        # own row object, and builds no dense view of the parent
+        seed = build_conf_m_seed(root_datum("g2"), 128)
+        n = seed.size
+        for at in seed.unfrozen_names():
+            k = seed.index(at)
+            nxt = mutate(seed, at)
+            written = set(itertools.compress(range(n), map(operator.is_not, nxt.rows, seed.rows)))
+            assert k in written
+            assert written <= {k, *(j for j, _ in seed.rows[k])}
+        assert seed._b2 is None and seed._weights is None
 
     def test_walk_runs_no_full_check(self, monkeypatch):
         seen = _count_full_checks(monkeypatch)
@@ -560,6 +527,95 @@ class TestLocalCheck:
         seen.clear()
         glued = build_conf_m_seed(root_datum("g2"), 16)
         assert seen.count(glued.size) == 1
+
+
+def _dense_fields(seed, **changes):
+    """Seed's dense arguments for seed, some of them replaced."""
+    fields = dict(names=seed.names, frozen=seed.frozen, mult=seed.mult,
+                  b2=seed.b2, weights=seed.weights, labels=seed.labels)
+    fields.update(changes)
+    return fields
+
+
+def _planted_b2(seed, *entries):
+    """seed's dense b2 with (row name, column name, increment) added."""
+    b2 = [list(r) for r in seed.b2]
+    for a, b, step in entries:
+        b2[seed.index(a)][seed.index(b)] += step
+    return b2
+
+
+def _planted_refusals():
+    """(id, dense fields) for every check_seed refusal, one fault or two each."""
+    a2, a3, g2 = ZOO[0], ZOO[1], ZOO[2]
+    facing_zero = next(
+        (i, j) for i in range(a2.size) for j in range(a2.size)
+        if i != j and a2.b2[i][j] == 0
+    )
+    zero_facing = [list(r) for r in a2.b2]
+    zero_facing[facing_zero[0]][facing_zero[1]] = 2
+    return [
+        ("duplicate-names", _dense_fields(a2, names=(a2.names[1],) + a2.names[1:])),
+        ("missing-row", _dense_fields(a2, b2=a2.b2[:-1])),
+        ("zero-multiplier", _dense_fields(a2, mult=(0,) + a2.mult[1:])),
+        ("ragged-row", _dense_fields(a2, b2=(a2.b2[0] + (0,),) + a2.b2[1:])),
+        ("short-row", _dense_fields(a2, b2=a2.b2[:2] + (a2.b2[2][:-1],) + a2.b2[3:])),
+        ("diagonal", _dense_fields(a2, b2=_planted_b2(a2, ("x_10", "x_10", 2)))),
+        ("oversized", _dense_fields(a2, b2=_oversized(a2.b2))),
+        ("skew", _dense_fields(g2, b2=_planted_b2(g2, ("x_a1", "x_b1", 2)))),
+        ("odd-unfrozen", _dense_fields(
+            a2, b2=_planted_b2(a2, ("x_11", "x_10", 1), ("x_10", "x_11", -1)))),
+        ("facing-zero", _dense_fields(a2, b2=zero_facing)),
+        ("odd-frozen-row", _dense_fields(
+            a2, b2=_planted_b2(a2, ("x_10", "x_11", 1), ("x_11", "x_10", -1)))),
+        # two faults: the later row's skew fault and an earlier row's
+        # parity fault; both checks must name the earlier row's pair
+        ("first-of-two", _dense_fields(a3, b2=_planted_b2(
+            a3, (a3.names[-1], a3.names[-2], 2),
+            ("x_11", "x_12", 1), ("x_12", "x_11", -1)))),
+        ("missing-weights", _dense_fields(a2, weights=a2.weights[:-1])),
+        ("extra-slot", _dense_fields(
+            a2, weights=(a2.weights[0] * 2,) + a2.weights[1:])),
+        ("missing-label", _dense_fields(a2, labels=a2.labels[:-1])),
+    ]
+
+
+class TestDenseReferences:
+    """The sparse kernels against the dense references of dense_reference."""
+
+    @pytest.mark.parametrize("fields", [f for _, f in _planted_refusals()],
+                             ids=[i for i, _ in _planted_refusals()])
+    def test_check_names_the_reference_fault(self, fields):
+        with pytest.raises(ValueError) as want:
+            reference_check_seed(**fields)
+        with pytest.raises(ValueError) as got:
+            Seed(**fields)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", [POLYGONS[0], POLYGONS[1], build_triangle_seed(
+        root_datum("d4"))], ids=["g2-16", "a3-6", "d4-3"])
+    def test_walk_views_equal_the_references(self, seed):
+        rng = random.Random(23)
+        cur = seed
+        for _ in range(15):
+            at = rng.choice(cur.unfrozen_names())
+            k = cur.index(at)
+            weight = dense_exchange(cur, k)[2]
+            want_b2 = dense_mutate_b2(cur.b2, k)
+            want_weights = cur.weights[:k] + (weight,) + cur.weights[k + 1:]
+            cur = mutate(cur, at)
+            assert cur.b2 == want_b2
+            assert cur.weights == want_weights
+            reference_check_seed(**_dense_fields(cur))
+
+    @pytest.mark.parametrize("seed, kind, m", [
+        (ZOO[3], "a2", 4), (ZOO[4], "g2", 4), (POLYGONS[0], "g2", 16), (POLYGONS[1], "a3", 6),
+    ], ids=["a2-4", "g2-4", "g2-16", "a3-6"])
+    def test_glued_seeds_equal_the_reference_fold(self, seed, kind, m, monkeypatch):
+        # the glued seeds of ZOO and POLYGONS, rebuilt by gluing their
+        # pieces one at a time on dense matrices
+        monkeypatch.setattr(surface_glue, "amalgamate", reference_fold)
+        assert build_conf_m_seed(root_datum(kind), m) == seed
 
 
 # == 3. X-coordinates ========================================================
@@ -665,7 +721,7 @@ class TestSymmetries:
         for seed in _seed_zoo() + (walked,):
             opp = opposite(seed)
             assert opp.b2 == tuple(tuple(-b for b in row) for row in seed.b2)
-            for name in ("names", "frozen", "mult", "weights", "labels"):
+            for name in ("names", "frozen", "mult", "slot_weights", "weight_shape", "labels"):
                 assert getattr(opp, name) is getattr(seed, name), name
             # negation keeps every invariant, so the unchecked result passes
             check_seed(opp)
@@ -694,7 +750,7 @@ class TestSymmetries:
             wmap = g2_weight_dual if max(seed.mult) > 1 else None
             for cur in (seed, _random_walk(rng, seed, 8)[0]):
                 dual = langlands_dual(cur, weight_map=wmap)
-                assert dual.b2 == _dense_dual_b2(cur)
+                assert dual.b2 == dense_dual_b2(cur)
 
     def test_dual_commutes_with_mutation(self):
         rng = random.Random(41)
@@ -726,7 +782,7 @@ class TestIsomorphism:
         # weights pin the vertex map, so the only candidate against the
         # negated matrix is the identity, which needs reversed arrows
         seed = build_triangle_seed(root_datum("g2"))
-        flipped = replace(seed, b2=tuple(tuple(-x for x in r) for r in seed.b2))
+        flipped = seed.replace(b2=tuple(tuple(-x for x in r) for r in seed.b2))
         assert quiver_isomorphic(seed, flipped) is None
         iso = quiver_isomorphic(opposite(seed), flipped)
         assert iso == {nm: nm for nm in seed.names}
@@ -780,7 +836,7 @@ class TestIsomorphism:
         # prune; the first full choice fails a level up and is taken back
         s1 = self._unit_quiver(((1, 0), (1, 5), (2, 5), (5, 4), (4, 3)))
         p = (5, 1, 4, 3, 2, 0)
-        s2 = replace(s1, b2=tuple(
+        s2 = s1.replace(b2=tuple(
             tuple(s1.b2[p[i]][p[j]] for j in range(6)) for i in range(6)
         ))
         iso = quiver_isomorphic(s1, s2)
@@ -818,7 +874,7 @@ class TestIsomorphism:
         assert seed.mult[i] == seed.mult[j] == 1
         b2 = [list(r) for r in seed.b2]
         b2[i][j], b2[j][i] = 1, -1
-        other = replace(seed, b2=tuple(tuple(r) for r in b2))
+        other = seed.replace(b2=tuple(tuple(r) for r in b2))
         identity = {nm: nm for nm in seed.names}
         assert not matches_under(seed, other, identity)
         assert not matches_under(other, seed, identity)
@@ -946,7 +1002,7 @@ class TestLabelInterning:
         weights, labels = map_weights(seed, widen)
         assert weights == tuple(ws + ((0, 0, 0),) for ws in seed.weights)
         # the 81 distinct label nodes stay 81, and fn saw each minor once
-        table = seed_to_json(replace(seed, weights=weights, labels=labels))["labels"]
+        table = seed_to_json(seed.replace(weights=weights, labels=labels))["labels"]
         assert len(table) == len(seed_to_json(seed)["labels"]) == 81
         n_minors = sum(e["kind"] == "minor" for e in table)
         assert len(seen) == seed.size + n_minors

@@ -51,6 +51,7 @@ from confseed.surface_glue import (
     flip_diagonal,
 )
 
+from dense_reference import reference_amalgamate, reference_fold
 from seed_checks import assert_face_equations
 
 
@@ -135,67 +136,6 @@ class TestEmbedding:
 
 # == 3. amalgamation =========================================================
 
-def _reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
-    """Gluing vertex by vertex through name lookups, as a slow reference."""
-    partner = {q: p for p, q in pairs}
-    names = list(a.names) + [nm for nm in b.names if nm not in partner]
-    pos = {nm: i for i, nm in enumerate(names)}
-
-    def spot(seed, nm):
-        if seed is b and nm in partner:
-            nm = partner[nm]
-        return pos[nm]
-
-    total = len(names)
-    big = [[0] * total for _ in range(total)]
-    for seed in (a, b):
-        for i, ni in enumerate(seed.names):
-            for j, nj in enumerate(seed.names):
-                if seed.b2[i][j]:
-                    big[spot(seed, ni)][spot(seed, nj)] += seed.b2[i][j]
-
-    merged_names = set(partner.values())
-    frozen = []
-    mult = []
-    weights = [] if a.weights is not None and b.weights is not None else None
-    labels = [] if a.labels is not None and b.labels is not None else None
-    for nm in names:
-        if nm in a.names:
-            i = a.index(nm)
-            frozen.append(False if nm in merged_names else a.frozen[i])
-            mult.append(a.mult[i])
-            if weights is not None:
-                weights.append(a.weights[i])
-            if labels is not None:
-                labels.append(a.labels[i])
-        else:
-            i = b.index(nm)
-            frozen.append(b.frozen[i])
-            mult.append(b.mult[i])
-            if weights is not None:
-                weights.append(b.weights[i])
-            if labels is not None:
-                labels.append(b.labels[i])
-    return Seed(
-        tuple(names),
-        tuple(frozen),
-        tuple(mult),
-        tuple(tuple(row) for row in big),
-        tuple(weights) if weights is not None else None,
-        tuple(labels) if labels is not None else None,
-    )
-
-
-def _reference_fold(pieces, pairs) -> Seed:
-    """The pieces glued one at a time, in order, with _reference_amalgamate:
-    the sequential gluing that one amalgamate pass replaces."""
-    placed = pieces[0]
-    for b in pieces[1:]:
-        step = [(p, q) for p, q in pairs if q in b.names]
-        placed = _reference_amalgamate(placed, b, step)
-    return placed
-
-
 def _reference_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
     """Pairs across a diagonal found by scanning every vertex of a, a slow
     reference that takes the whole glued seed for a."""
@@ -229,7 +169,7 @@ def _reference_glue(datum, tri: Triangulation) -> Seed:
             diags = [d for d in diags if len(d) == 2]
             if diags:
                 pairs = [p for d in diags for p in _reference_pairs(placed, pieces[k], d)]
-                placed = _reference_amalgamate(placed, pieces[k], pairs)
+                placed = reference_amalgamate(placed, pieces[k], pairs)
                 placed_tris.append(k)
                 remaining.remove(k)
     return placed
@@ -307,7 +247,7 @@ class TestAmalgamate:
         pairs += diagonal_pairs(pieces[1], pieces[2], (1, 4))
         glued = amalgamate(pieces, pairs)
         assert glued.size == sum(p.size for p in pieces) - len(pairs)
-        assert glued == _reference_fold(pieces, pairs)
+        assert glued == reference_fold(pieces, pairs)
         assert glued == build_conf_m_seed(datum, 5)
 
     def test_kept_vertex_must_come_first_and_once(self):
@@ -339,7 +279,7 @@ class TestAmalgamate:
     def test_flip_targets_match_the_reference(self, kind, monkeypatch):
         datum = root_datum(kind)
         got = flip_target(datum)
-        monkeypatch.setattr(surface_glue, "amalgamate", _reference_fold)
+        monkeypatch.setattr(surface_glue, "amalgamate", reference_fold)
         # seeds compare names, frozen, mult, b2, weights and labels
         assert got == flip_target(datum)
 
@@ -348,7 +288,7 @@ class TestAmalgamate:
         datum = root_datum(kind)
         tri = Triangulation(m, triangles)
         got = build_conf_m_seed(datum, m, tri)
-        monkeypatch.setattr(surface_glue, "amalgamate", _reference_fold)
+        monkeypatch.setattr(surface_glue, "amalgamate", reference_fold)
         assert got == build_conf_m_seed(datum, m, tri)
 
     @pytest.mark.parametrize(
