@@ -35,8 +35,9 @@ skew-symmetrizability with the same multipliers (Fomin and Zelevinsky,
 entries between k's neighbours; ``mutate`` checks that block with
 ``check_seed``'s own tests and messages, and every other row is the very
 row object of the checked seed it started from.  A mutation step therefore
-does O(deg^2) arithmetic, deg the number of neighbours, where a full check
-would cost O(n + arrows).
+does O(deg^2) arithmetic, deg the number of neighbours, besides copying the
+n row references into a new tuple, where a full check would cost
+O(n + arrows).
 
 The exchange relation A_k * A'_k = M+ + M- is stated once, by
 ``exchange``: it splits row k by sign into the two monomials, refuses a
