@@ -580,11 +580,13 @@ def _planted_refusals():
     ]
 
 
+PLANTED = _planted_refusals()
+
+
 class TestDenseReferences:
     """The sparse kernels against the dense references of dense_reference."""
 
-    @pytest.mark.parametrize("fields", [f for _, f in _planted_refusals()],
-                             ids=[i for i, _ in _planted_refusals()])
+    @pytest.mark.parametrize("fields", [f for _, f in PLANTED], ids=[i for i, _ in PLANTED])
     def test_check_names_the_reference_fault(self, fields):
         with pytest.raises(ValueError) as want:
             reference_check_seed(**fields)
