@@ -45,7 +45,7 @@ from __future__ import annotations
 import operator
 
 from . import root_data as rd
-from .seed_core import Minor, Seed, stored_weights, unit, weight_sum
+from .seed_core import Minor, Seed, dense, stored_weights, unit, weight_sum
 
 
 def _sep(datum: rd.RootDatum) -> str:
@@ -137,8 +137,8 @@ def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
     last = set(current.values())
     frozen = tuple(v < datum.rank or v in last for v in range(n))
     labels = tuple(Minor(w) for w in weights)
-    return Seed.sparse(names, frozen, mult, tuple(map(tuple, rows)),
-                       *stored_weights(weights), labels)
+    return Seed(names, frozen, mult, tuple(map(tuple, rows)), *stored_weights(weights),
+                labels)
 
 
 # == completion ==
@@ -191,7 +191,8 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
     zero = rd.zero_weight(datum)
 
     edge_names = []
-    edge_weights = []
+    # every vertex's weights, the edges' appended
+    weights = [dense(ws, *seed.weight_shape) for ws in seed.slot_weights]
     star = []
     for node in datum.nodes:
         nm = triangle_name(datum, node)
@@ -199,13 +200,12 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
             raise ValueError(f"edge vertex name {nm} already taken")
         dual = rd.w0_dual(datum, node)
         edge_names.append(nm)
-        edge_weights.append(
+        weights.append(
             (rd.fundamental_weight(datum, dual), rd.fundamental_weight(datum, node), zero)
         )
         star.append(datum.index(dual))
     names = seed.names + tuple(edge_names)
     frozen = seed.frozen + (True,) * datum.rank
-    weights = seed.weights + tuple(edge_weights)
 
     patterns = {
         name: _boundary_pattern(datum, name, ws)
@@ -253,8 +253,7 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
     if len(set(weights)) != len(weights):
         raise ValueError("vertex weight tuples must be distinct")
     labels = tuple(Minor(w) for w in weights)
-    return Seed.sparse(names, frozen, seed.mult + datum.d, rows, *stored_weights(weights),
-                       labels)
+    return Seed(names, frozen, seed.mult + datum.d, rows, *stored_weights(weights), labels)
 
 
 def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:

@@ -9,18 +9,18 @@ throughout:
 * the diagonal is zero;
 * no entry has more than MAX_ENTRY_BITS bits.
 
-A seed stores only what is nonzero.  ``rows[i]`` holds the (j, b2[i][j])
-pairs of row i whose entry is nonzero, ascending in j, and
-``slot_weights[v]`` the (slot, weight) pairs of vertex v whose weight is
-nonzero, ascending in slot; ``weight_shape`` is the number of slots and the
-zero weight.  A glued polygon has about four arrows and at most three
-nonzero slot weights per vertex whatever its size, so building, checking,
-mutating and writing a seed cost O(n + arrows) rather than O(n^2) or
-O(n * slots).  ``b2`` and ``weights`` are read-only dense views of the
-stored forms, built on first use and kept; equality, hashing and repr read
-the stored forms alone.  ``Seed(names, frozen, mult, b2, weights, labels)``
-takes b2 and the weights dense; ``Seed.sparse`` and ``Seed.replace`` take
-the stored forms.
+A seed stores only what is nonzero, and that is the one form it takes.
+``rows[i]`` holds the (j, b2[i][j]) pairs of row i whose entry is nonzero,
+ascending in j, and ``slot_weights[v]`` the (slot, weight) pairs of vertex
+v whose weight is nonzero, ascending in slot; ``weight_shape`` is the
+number of slots and the zero weight.  A glued polygon has about four arrows
+and at most three nonzero slot weights per vertex whatever its size, so
+building, checking, mutating and writing a seed cost O(n + arrows) rather
+than O(n^2) or O(n * slots).  ``Seed(names, frozen, mult, rows,
+slot_weights, weight_shape, labels)`` and ``Seed.replace`` take these
+stored fields, and ``check_seed`` refuses any that are not stored this way.
+``dense`` expands one row or one vertex's weights where a caller needs every
+entry, as the dense seed file does.
 
 By skew-symmetrizability b2[i][j] and b2[j][i] are zero together, so the
 columns of row k are the neighbours of k: a mutation rewrites only the rows
@@ -54,8 +54,8 @@ systems and higher Teichmuller theory", 2006).  ``move_slots`` moves every
 slot to a new one, a vertex's nonzero slots and the slots of every weight
 tuple inside its label alike: slot permutations and the embedding of a
 triangle into a polygon's slots both go through it.  ``map_weights``
-applies one map to every slot-weight tuple, as diagram automorphisms acting
-on weight coordinates do.
+applies one linear map to every weight, as diagram automorphisms acting on
+weight coordinates do.
 
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
@@ -194,8 +194,12 @@ def map_label_weights(labels: tuple[Label, ...], fn) -> tuple[Label, ...]:
 # == the seed ==
 
 
-def _dense(pairs, length: int, zero) -> tuple:
-    """The tuple of ``length`` items, all ``zero`` but those the (index, item) pairs give."""
+def dense(pairs, length: int, zero) -> tuple:
+    """The tuple of ``length`` items, all ``zero`` but those the (index, item) pairs give.
+
+    ``dense(row, n, 0)`` is a row of b2, and ``dense(ws, *seed.weight_shape)``
+    the slot weights of a vertex.
+    """
     out = [zero] * length
     for i, x in pairs:
         out[i] = x
@@ -221,62 +225,47 @@ def nonzero_pairs(items, length: int, nonzero=None) -> tuple:
     return pairs if size == length else pairs + ((length, ()),)
 
 
-def _stored_rows(b2, n: int) -> tuple:
-    """The stored rows of a dense b2 for n vertices."""
-    return tuple(nonzero_pairs(row, n) for row in map(tuple, b2))
-
-
 def stored_weights(weights) -> tuple[tuple | None, tuple | None]:
-    """(slot_weights, weight_shape) of dense weights, or (None, None)."""
+    """(slot_weights, weight_shape) of dense weights, or (None, None).
+
+    Each vertex's weights are a sequence of one weight per slot; each
+    nonzero weight is stored as a tuple, so a caller's lists stay out of
+    the seed.
+    """
     if weights is None:
         return None, None
-    weights = tuple(map(tuple, weights))
     slots = len(weights[0]) if weights else 0
     zero = (0,) * len(weights[0][0]) if slots else ()
-    return tuple(nonzero_pairs(ws, slots, map(any, ws)) for ws in weights), (slots, zero)
+    pairs = (nonzero_pairs(ws, slots, map(any, ws)) for ws in weights)
+    return tuple(tuple([(s, tuple(w)) for s, w in p]) for p in pairs), (slots, zero)
 
 
-# the stored fields, in the order Seed.sparse takes them
+# the stored fields, in the order Seed takes them
 _STORED = ("names", "frozen", "mult", "rows", "slot_weights", "weight_shape", "labels")
 
 
 class Seed:
     """A checked seed; see the module docstring for the stored forms."""
 
-    __slots__ = _STORED + ("_b2", "_weights")
+    __slots__ = _STORED + ("_b2",)
 
-    def __init__(self, names, frozen, mult, b2, weights=None, labels=None):
-        names = tuple(names)
-        _fill(self, names, frozen, mult, _stored_rows(b2, len(names)),
-              *stored_weights(weights), labels)
+    def __init__(self, names, frozen, mult, rows, slot_weights=None, weight_shape=None,
+                 labels=None):
+        # each sequence as a tuple, so a caller's lists cannot change a
+        # checked seed afterwards; the b2 view starts unbuilt
+        stored = (names, frozen, mult, rows, slot_weights, weight_shape, labels, None)
+        for set_field, value in zip(_SETTERS, stored):
+            if value is not None and type(value) is not tuple:
+                value = tuple(value)
+            set_field(self, value)
         check_seed(self)
 
-    @classmethod
-    def sparse(cls, names, frozen, mult, rows, slot_weights=None, weight_shape=None,
-               labels=None) -> Seed:
-        """A seed from the stored forms, checked by check_seed."""
-        seed = object.__new__(cls)
-        _fill(seed, names, frozen, mult, rows, slot_weights, weight_shape, labels)
-        check_seed(seed)
-        return seed
-
     def replace(self, **changes) -> Seed:
-        """This seed with some fields changed, checked again.
+        """This seed with some stored fields changed, checked again.
 
-        Takes the stored fields by name, and ``b2`` and ``weights`` dense,
-        as Seed takes them.
+        Any other keyword is Seed's TypeError.
         """
-        fields = dict(zip(_STORED, self._key()))
-        if "b2" in changes:
-            n = len(changes.get("names", self.names))
-            changes["rows"] = _stored_rows(changes.pop("b2"), n)
-        if "weights" in changes:
-            changes["slot_weights"], changes["weight_shape"] = stored_weights(
-                changes.pop("weights"))
-        if changes.keys() - fields.keys():
-            raise TypeError(f"Seed has no fields {sorted(changes.keys() - fields.keys())}")
-        fields.update(changes)
-        return Seed.sparse(**fields)
+        return Seed(**dict(zip(_STORED, self._key()), **changes))
 
     def _key(self) -> tuple:
         return (self.names, self.frozen, self.mult, self.rows, self.slot_weights,
@@ -297,19 +286,16 @@ class Seed:
 
     @property
     def b2(self) -> tuple[tuple[int, ...], ...]:
-        """The dense b2, built from the rows on first use."""
+        """The dense b2, built from the rows on first use and kept.
+
+        Nothing in confseed reads it: it stays only for the benchmark's
+        independent exchange check, which reads ``seed.b2[k][j]``, and goes
+        once that check reads the rows.
+        """
         if self._b2 is None:
             n = len(self.names)
-            _SET_B2(self, tuple(_dense(row, n, 0) for row in self.rows))
+            _SET_B2(self, tuple(dense(row, n, 0) for row in self.rows))
         return self._b2
-
-    @property
-    def weights(self) -> tuple[tuple[Weight, ...], ...] | None:
-        """The dense weights, one tuple of slot weights per vertex, built on first use."""
-        if self._weights is None and self.weight_shape is not None:
-            slots, zero = self.weight_shape
-            _SET_WEIGHTS(self, tuple(_dense(ws, slots, zero) for ws in self.slot_weights))
-        return self._weights
 
     @property
     def size(self) -> int:
@@ -333,7 +319,7 @@ class Seed:
 
     def weight(self, name: str) -> tuple[Weight, ...]:
         slots = self.slots
-        return _dense(self.slot_weights[self.index(name)], slots, self.weight_shape[1])
+        return dense(self.slot_weights[self.index(name)], slots, self.weight_shape[1])
 
     def unfrozen_names(self) -> tuple[str, ...]:
         return tuple(n for n, f in zip(self.names, self.frozen) if not f)
@@ -343,33 +329,27 @@ class Seed:
         return f"Seed({self.size} vertices, {n_mut} unfrozen)"
 
 
-# the setters of Seed's slots, in _STORED order and then the two views;
+# the setters of Seed's slots, in _STORED order and then the b2 view;
 # called directly, they cost less than object.__setattr__ by name
-_SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2", "_weights"))
-_SET_B2, _SET_WEIGHTS = _SETTERS[-2:]
-
-
-def _fill(seed: Seed, *stored) -> None:
-    """Set seed's stored fields, in _STORED order, each sequence as a
-    tuple, so a caller's lists cannot change a checked seed afterwards; the
-    dense views start unbuilt."""
-    for set_field, value in zip(_SETTERS, stored + (None, None)):
-        if value is not None and type(value) is not tuple:
-            value = tuple(value)
-        set_field(seed, value)
+_SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2",))
+_SET_B2 = _SETTERS[-1]
 
 
 def check_seed(seed: Seed) -> None:
     """Raise ValueError unless seed is well formed.
 
     Checks, in this order: unique names; equal field lengths; positive
-    multipliers; a square b2 with zero diagonal; then, row by row over the
-    nonzero entries, entries of at most MAX_ENTRY_BITS bits,
+    multipliers; a square b2; hashable fields, so that no list a caller
+    could change afterwards is inside the seed; rows stored as strictly
+    ascending columns with nonzero entries; a zero diagonal; then, row by
+    row over the nonzero entries, entries of at most MAX_ENTRY_BITS bits,
     skew-symmetrizability and even entries at every pair touching an
-    unfrozen vertex; one weight tuple per vertex, all with the
-    same number of slots; one label per vertex.  The first failure names
-    its pair of vertices where there is one.  It visits each stored pair
-    once, in O(n + arrows).
+    unfrozen vertex; slot weights and a weight shape given together, the
+    shape a slot count and a zero weight; one weight tuple per vertex, all
+    with the same number of slots, stored as strictly ascending slots with
+    nonzero weights of the zero weight's length; one label per vertex.
+    The first failure names its pair of vertices where there is one.  It
+    runs in O(n + arrows + nonzero slots).
     """
     n = len(seed.names)
     if len(set(seed.names)) != n:
@@ -382,19 +362,50 @@ def check_seed(seed: Seed) -> None:
     # rows ascend in j, so a column past the end is a row's last
     if any(row and row[-1][0] >= n for row in rows):
         raise ValueError("b2 must be square")
+    try:
+        hash(seed._key())
+    except TypeError:
+        raise ValueError("seed fields must be hashable: tuples, not lists") from None
+    for name, row in zip(seed.names, rows):
+        prev = -1
+        for j, b in row:
+            if j <= prev or not b:
+                raise _unstored(j, prev, "b2 row", name)
+            prev = j
     lookup = dict(enumerate(map(dict, rows)))
     if any(map(dict.__contains__, lookup.values(), range(n))):
         raise ValueError("b2 diagonal must be zero")
     _check_entries(seed, enumerate(rows), lookup)
-    slot_weights = seed.slot_weights
+    slot_weights, shape = seed.slot_weights, seed.weight_shape
+    if (slot_weights is None) != (shape is None):
+        raise ValueError("slot weights and a weight shape must be given together")
     if slot_weights is not None:
+        if not (len(shape) == 2 and type(shape[0]) is int and shape[0] >= 0
+                and type(shape[1]) is tuple and not any(shape[1])):
+            raise ValueError("the weight shape must be a slot count and a zero weight tuple")
         if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")
-        slots = seed.weight_shape[0]
+        slots, rank = shape[0], len(shape[1])
         if any(ws and ws[-1][0] >= slots for ws in slot_weights):
             raise ValueError("all vertices must use the same number of slots")
+        for name, ws in zip(seed.names, slot_weights):
+            prev = -1
+            for s, w in ws:
+                if len(w) != rank:
+                    raise ValueError(f"a weight of {name} does not have {rank} coordinates")
+                if s <= prev or not any(w):
+                    raise _unstored(s, prev, "slot weights", name)
+                prev = s
     if seed.labels is not None and len(seed.labels) != n:
         raise ValueError("one label per vertex required")
+
+
+def _unstored(i: int, prev: int, what: str, name: str) -> ValueError:
+    """The refusal of a stored pair at index i, after one at prev: out of
+    order, or else holding a zero."""
+    if i <= prev:
+        return ValueError(f"index {i} out of order in the {what} of {name}")
+    return ValueError(f"stored zero at {i} in the {what} of {name}")
 
 
 # the least magnitude of more than MAX_ENTRY_BITS bits
@@ -438,7 +449,7 @@ def _unchecked(seed: Seed, rows, slot_weights, labels) -> Seed:
     """
     out = object.__new__(Seed)
     values = (seed.names, seed.frozen, seed.mult, rows, slot_weights, seed.weight_shape,
-              labels, None, None)
+              labels, None)
     for set_field, value in zip(_SETTERS, values):
         set_field(out, value)
     return out
@@ -489,7 +500,7 @@ def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
     slots = seed.slots
     ws = seed.slot_weights
     total = weight_sum((b, ws[j]) for j, b in seed.rows[seed.index(name)])
-    return _dense(total, slots, seed.weight_shape[1])
+    return dense(total, slots, seed.weight_shape[1])
 
 
 # == mutation ==
@@ -515,7 +526,7 @@ def exchange(seed: Seed, at: str) -> tuple[tuple, tuple, tuple | None, Label | N
     """
     plus, minus, weight, label = _exchange(seed, _unfrozen(seed, at), seed.labels)
     if weight is not None:
-        weight = _dense(weight, seed.slots, seed.weight_shape[1])
+        weight = dense(weight, seed.slots, seed.weight_shape[1])
     return plus, minus, weight, label
 
 
@@ -694,17 +705,21 @@ def opposite(seed: Seed) -> Seed:
     return _unchecked(seed, rows, seed.slot_weights, seed.labels)
 
 
-def map_weights(seed: Seed, fn) -> tuple[tuple | None, tuple[Label, ...] | None]:
-    """(weights, labels) with fn applied to every slot-weight tuple.
+def map_weights(seed: Seed, fn) -> Seed:
+    """The seed with the linear map fn applied to every weight.
 
-    fn takes and returns one dense tuple of slot weights; it is applied to
-    each vertex's weights and, through ``map_label_weights``, to every
-    weight tuple inside the labels, so shared label subtrees stay shared.
-    Either part is None where the seed has none.
+    fn takes and returns one weight.  It is applied to each vertex's
+    nonzero weights, which stay nonzero as fn is invertible wherever a
+    relabelling uses it, and, through ``map_label_weights``, to every
+    weight inside the labels, so shared label subtrees stay shared.  The
+    result is checked once.
     """
-    weights, labels = seed.weights, seed.labels
-    return (None if weights is None else tuple(map(fn, weights)),
-            None if labels is None else map_label_weights(labels, fn))
+    stored, labels = seed.slot_weights, seed.labels
+    if stored is not None:
+        stored = tuple(tuple([(s, fn(w)) for s, w in ws]) for ws in stored)
+    if labels is not None:
+        labels = map_label_weights(labels, lambda ws: tuple(map(fn, ws)))
+    return seed.replace(slot_weights=stored, labels=labels)
 
 
 def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
@@ -716,17 +731,11 @@ def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
     as ``Seed.replace`` takes them, and the result is checked once.
     """
     zero = seed.weight_shape[1]
-
-    def move(ws):
-        out = [zero] * slots
-        for s, w in zip(where, ws):
-            out[s] = w
-        return tuple(out)
-
     slot_weights = tuple(
         [tuple(sorted([(where[s], w) for s, w in ws])) for ws in seed.slot_weights]
     )
-    labels = None if seed.labels is None else map_label_weights(seed.labels, move)
+    labels = None if seed.labels is None else map_label_weights(
+        seed.labels, lambda ws: dense(zip(where, ws), slots, zero))
     return seed.replace(slot_weights=slot_weights, weight_shape=(slots, zero), labels=labels,
                         **changes)
 
@@ -740,10 +749,8 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
         return seed
     if sorted(perm) != list(range(seed.slots)):
         raise ValueError(f"{tuple(perm)} is not a permutation of the {seed.slots} slots")
-    where = [0] * len(perm)
-    for t, p in enumerate(perm):
-        where[p] = t
-    return move_slots(seed, where, len(perm))
+    # old slot perm[t] moves to t
+    return move_slots(seed, dense(zip(perm, range(len(perm))), len(perm), 0), len(perm))
 
 
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
@@ -795,8 +802,8 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     for i, row in enumerate(seed.rows):
         for j, b in row:
             dual_rows[j].append((i, b))
-    return Seed.sparse(seed.names, seed.frozen, new_mult, tuple(map(tuple, dual_rows)),
-                       slot_weights, seed.weight_shape)
+    return Seed(seed.names, seed.frozen, new_mult, tuple(map(tuple, dual_rows)), slot_weights,
+                seed.weight_shape)
 
 
 def _features(seed: Seed) -> list[tuple]:

@@ -14,7 +14,9 @@ integers (``d`` at least 1), ``frozen`` is a JSON boolean, a label's
 ``kind`` is "minor" or "exchange" and label exponents are positive JSON
 integers, and no integer has more than ``MAX_ENTRY_BITS`` bits; loading
 refuses anything else, floats, strings and booleans included, as well as a
-weight list with no slots and weight vectors of different lengths.  The
+weight list with no slots, weight vectors of different lengths, and a minor
+label whose weight list has another number of slots than the vertices'
+(than the first minor's where the vertices carry no weights).  The
 top-level "labels" table shares repeated subtrees; each vertex points into
 it by index, and an exchange entry only into earlier entries.  Either every
 vertex has "weights" or none has, and either every vertex has a "label"
@@ -42,7 +44,8 @@ from fractions import Fraction as Q
 from itertools import chain, compress
 
 from .root_data import MAX_ENTRY_BITS
-from .seed_core import Exchange, Label, Minor, Seed, arrows, nonzero_pairs, post_order
+from .seed_core import (Exchange, Label, Minor, Seed, arrows, dense, nonzero_pairs, post_order,
+                        stored_weights)
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -99,7 +102,7 @@ def _label_table(seed: Seed) -> tuple[list[dict], list[int] | None]:
 def seed_to_json(seed: Seed) -> dict:
     """The JSON form of a seed, dense: b2 and every slot's weight."""
     table, at = _label_table(seed)
-    weights = seed.weights
+    shape = seed.weight_shape
     vertices = []
     for i, name in enumerate(seed.names):
         v = {
@@ -108,12 +111,12 @@ def seed_to_json(seed: Seed) -> dict:
             "frozen": seed.frozen[i],
             "d": seed.mult[i],
         }
-        if weights is not None:
-            v["weights"] = weights[i]
+        if shape is not None:
+            v["weights"] = dense(seed.slot_weights[i], *shape)
         if at is not None:
             v["label"] = at[i]
         vertices.append(v)
-    out = {"vertices": vertices, "b2": seed.b2}
+    out = {"vertices": vertices, "b2": tuple(dense(row, seed.size, 0) for row in seed.rows)}
     if table:
         out["labels"] = table
     return out
@@ -199,15 +202,12 @@ def seed_from_json(data: dict) -> Seed:
         rows = tuple(map(row_in, data["b2"]))
 
         slot_weights = shape = None
+        slot_counts = set()  # of the vertices' weight lists, or of the first minor's
         if _carried(vertices, "weights"):
             lists = [weights_in(v["weights"]) for v in vertices]
-            slots, (rank,) = len(lists[0]), lengths
-            slot_weights = [
-                tuple([(s, tuple(w)) for s, w in nonzero_pairs(ws, slots, map(any, ws))])
-                for ws in lists
-            ]
+            slot_counts = set(map(len, lists))
+            slot_weights, shape = stored_weights(lists)
             nonzero += [w for pairs in slot_weights for _, w in pairs]
-            shape = (slots, (0,) * rank)
 
         labels = None
         if _carried(vertices, "label") != ("labels" in data) and vertices:
@@ -222,6 +222,11 @@ def seed_from_json(data: dict) -> Seed:
                 kind = entry["kind"]
                 if kind == "minor":
                     weights = tuple(map(tuple, weights_in(entry["weights"])))
+                    # vertices whose counts differ are check_seed's to refuse
+                    slot_counts = slot_counts or {len(weights)}
+                    if len(weights) not in slot_counts:
+                        raise ValueError(
+                            f"a minor label has {len(weights)} slots, not {min(slot_counts)}")
                     nonzero.extend(compress(weights, map(any, weights)))
                     built.append(Minor(weights))
                 elif kind == "exchange":
@@ -242,7 +247,7 @@ def seed_from_json(data: dict) -> Seed:
         coords = chain.from_iterable(nonzero)
         if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
-        return Seed.sparse(names, frozen, mult, rows, slot_weights, shape, labels)
+        return Seed(names, frozen, mult, rows, slot_weights, shape, labels)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc
 
@@ -431,13 +436,14 @@ def _dot_text(text: str) -> str:
 
 def to_dot(seed: Seed) -> str:
     lines = ["digraph seed {", "  rankdir=LR;"]
+    shape = seed.weight_shape
     for i, name in enumerate(seed.names):
         attrs = []
         node = label = _dot_text(name)
-        if seed.weights is not None:
-            syms = weight_symbols(seed.weights[i][0])
+        if shape is not None:
+            syms = weight_symbols(shape[1])
             label += "\\n(" + ", ".join(
-                format_weight(w, syms) for w in seed.weights[i]
+                format_weight(w, syms) for w in dense(seed.slot_weights[i], *shape)
             ) + ")"
         if seed.mult[i] > 1:
             attrs.append("shape=circle")

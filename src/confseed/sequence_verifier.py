@@ -24,6 +24,7 @@ from .minor_oracle import degrees_of
 from .seed_builder import triangle_name, triangle_vertices
 from .seed_core import (
     Seed,
+    dense,
     langlands_dual,
     map_weights,
     matches_under,
@@ -69,7 +70,7 @@ def type_a_flip(datum: rd.RootDatum) -> MutationSequence:
         raise ValueError(f"type {datum.kind} has no type-A flip")
     n = datum.rank + 1
     seed = build_conf_m_seed(datum, 4)
-    at = {degrees_of(ws): v for v, ws in enumerate(seed.weights)}
+    at = {degrees_of(dense(ws, *seed.weight_shape)): v for v, ws in enumerate(seed.slot_weights)}
     stages = []
     for layer in range(n - 1):
         moved = []
@@ -135,8 +136,9 @@ def apply_sequence(seed: Seed, seq: MutationSequence) -> ApplyResult:
             )
         for v in stage:
             cur = mutate(cur, v)
-        if cur.weights is not None:
-            tables.append(dict(zip(cur.names, cur.weights)))
+        if cur.weight_shape is not None:
+            tables.append({nm: dense(ws, *cur.weight_shape)
+                           for nm, ws in zip(cur.names, cur.slot_weights)})
     return ApplyResult(cur, tuple(tables))
 
 
@@ -255,13 +257,10 @@ def verify_dynkin_automorphism_d4(seed: Seed, sigma: dict) -> CheckReport:
     }
 
     def wmap(w):
-        out = [None] * datum.rank
-        for node in datum.nodes:
-            out[datum.index(sigma[node])] = w[datum.index(node)]
-        return tuple(out)
+        return dense(((datum.index(sigma[node]), w[datum.index(node)]) for node in datum.nodes),
+                     datum.rank, None)
 
-    weights, labels = map_weights(seed, lambda ws: tuple(map(wmap, ws)))
-    ok = matches_under(seed.replace(weights=weights, labels=labels), seed, mapping)
+    ok = matches_under(map_weights(seed, wmap), seed, mapping)
     return CheckReport(
         f"triality {''.join(sigma[a] for a in ('a1', 'a2', 'a3'))}",
         ok,

@@ -75,9 +75,9 @@ def _golden_row_problems(seed: Seed, rows: dict, what: str) -> list[str]:
     """One problem per entry of a frozen exchange row that b2 does not hold."""
     problems = []
     for name, row in rows.items():
-        entries = seed.b2[seed.index(name)]
+        entries = dict(seed.rows[seed.index(name)])
         for j, other in enumerate(seed.names):
-            if entries[j] != 2 * row.get(other, 0):
+            if entries.get(j, 0) != 2 * row.get(other, 0):
                 problems.append(f"{what} {name} differs at {other}")
     return problems
 
@@ -418,9 +418,9 @@ def suite_oracle(rng=None) -> list[CheckReport]:
 
     problems = []
     i, j = quad.index("x_01"), quad.index("x_11")
-    b2 = [list(row) for row in quad.b2]
-    b2[i][j], b2[j][i] = -b2[i][j], -b2[j][i]
-    corrupt = quad.replace(b2=b2)
+    flip = {(i, j), (j, i)}
+    corrupt = quad.replace(rows=[tuple((c, -b if (p, c) in flip else b) for c, b in row)
+                                 for p, row in enumerate(quad.rows)])
     caught = 0
     for _ in range(10):
         flags = mo.random_flags(rng, 3, 4)

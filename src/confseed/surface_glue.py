@@ -170,8 +170,8 @@ def amalgamate(pieces, pairs) -> Seed:
     def listed(xs):
         return None if xs is None else tuple(xs[g] for g in keep)
 
-    return Seed.sparse(*map(listed, (names, frozen, mult)), rows, listed(weights),
-                       None if weights is None else shapes.pop(), listed(labels))
+    return Seed(*map(listed, (names, frozen, mult)), rows, listed(weights),
+                None if weights is None else shapes.pop(), listed(labels))
 
 
 def _support(ws) -> frozenset[int]:

@@ -1,15 +1,36 @@
 """Dense references for the differential tests of the sparse seed kernels.
 
-Each reference states its rule over every entry of a dense n x n b2, or
-every slot of the dense weights, and reads a seed only through its dense
-views ``b2`` and ``weights``.  The kernels in ``confseed`` visit only the
-stored nonzero rows and slots; the tests require the two to agree.
+A Seed stores only its nonzero rows and slot weights.  ``dense_seed``
+builds one from a dense n x n b2 and dense weights, and ``dense_weights``
+expands a seed's weights back, one tuple of slot weights per vertex.  Each
+reference states its rule over every entry of the dense b2, or every slot
+of the dense weights, and reads a seed only through ``b2`` and
+``dense_weights``.  The kernels in ``confseed`` visit only the stored
+nonzero rows and slots; the tests require the two to agree.
 """
 from __future__ import annotations
 
 from confseed import seed_core
 from confseed.root_data import MAX_ENTRY_BITS
-from confseed.seed_core import Exchange, Seed
+from confseed.seed_core import Exchange, Seed, dense, nonzero_pairs, stored_weights
+
+
+def dense_seed(names, frozen, mult, b2, weights=None, labels=None) -> Seed:
+    """The Seed of a dense b2 and dense weights, checked by check_seed.
+
+    A row or weight list of the wrong length keeps the one extra pair that
+    ``nonzero_pairs`` gives it, so check_seed refuses it as it refuses
+    such a row or vertex in a seed file.
+    """
+    rows = tuple(nonzero_pairs(tuple(row), len(names)) for row in b2)
+    return Seed(names, frozen, mult, rows, *stored_weights(weights), labels)
+
+
+def dense_weights(seed: Seed):
+    """The dense weights of a seed, one tuple of slot weights per vertex, or None."""
+    if seed.weight_shape is None:
+        return None
+    return tuple(dense(ws, *seed.weight_shape) for ws in seed.slot_weights)
 
 
 def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> None:
@@ -76,7 +97,7 @@ def dense_mutate_b2(b2, k):
 
 def dense_exchange(seed: Seed, k: int):
     """exchange's sides, weight and label over every column of row k."""
-    row, ws, labels = seed.b2[k], seed.weights, seed.labels
+    row, ws, labels = seed.b2[k], dense_weights(seed), seed.labels
     plus = tuple((j, b // 2) for j, b in enumerate(row) if b > 0)
     minus = tuple((j, -b // 2) for j, b in enumerate(row) if b < 0)
 
@@ -137,7 +158,8 @@ def reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
     merged_names = set(partner.values())
     frozen = []
     mult = []
-    weights = [] if a.weights is not None and b.weights is not None else None
+    a_weights, b_weights = dense_weights(a), dense_weights(b)
+    weights = [] if a_weights is not None and b_weights is not None else None
     labels = [] if a.labels is not None and b.labels is not None else None
     for nm in names:
         if nm in a.names:
@@ -145,7 +167,7 @@ def reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
             frozen.append(False if nm in merged_names else a.frozen[i])
             mult.append(a.mult[i])
             if weights is not None:
-                weights.append(a.weights[i])
+                weights.append(a_weights[i])
             if labels is not None:
                 labels.append(a.labels[i])
         else:
@@ -153,10 +175,10 @@ def reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
             frozen.append(b.frozen[i])
             mult.append(b.mult[i])
             if weights is not None:
-                weights.append(b.weights[i])
+                weights.append(b_weights[i])
             if labels is not None:
                 labels.append(b.labels[i])
-    return Seed(
+    return dense_seed(
         tuple(names),
         tuple(frozen),
         tuple(mult),

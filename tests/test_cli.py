@@ -160,7 +160,7 @@ class TestBuild:
         assert code == 0
         data = json.loads(out)
         assert all("weights" in v and "label" in v for v in data["vertices"])
-        assert seed_from_json(data).weights is not None
+        assert seed_from_json(data).weight_shape is not None
 
 
 # == 2. mutating =============================================================
@@ -393,9 +393,17 @@ class TestExportAndErrors:
          "no vertex named 'x_zz'\n"),
         (["mutate", "--seed", "negative-label.json"], "0", "label index -1"),
         (["mutate", "--seed", "negative-over.json"], "0", "over index -1"),
+        (["export-dot", "--seed", "label-past-end.json"], "0",
+         "label index 8 is outside the label table"),
+        (["mutate", "--seed", "short-row.json", "--at", "x_11"], "0", "b2 must be square\n"),
+        (["export-dot", "--seed", "asymmetric.json"], "0",
+         "not skew-symmetrizable at (x_10,x_20)\n"),
+        (["mutate", "--seed", "label-fewer-slots.json", "--at", "x_11"], "0",
+         "a minor label has 2 slots, not 3\n"),
         (["export-dot", "--seed", "float-weight.json"], "0", "0.5"),
         (["export-dot", "--seed", "string-weight.json"], "0", "'1/2'"),
         (["export-dot", "--seed", "bool-weight.json"], "0", "True"),
+        (["export-dot", "--seed", "bool-b2.json"], "0", "b2 entry True is not an integer"),
         (["export-dot", "--seed", "float-b2.json"], "0", "b2 entry -0.5"),
         (["export-dot", "--seed", "string-b2.json"], "0", "b2 entry '3'"),
         (["export-dot", "--seed", "string-frozen.json"], "0",
@@ -458,8 +466,9 @@ class TestExportAndErrors:
             "non-reduced-word", "empty-word-build",
             "empty-word-triangle", "bad-rng-seed",
             "missing-seed-file", "empty-seed-object", "unknown-vertex",
-            "negative-vertex-label", "negative-exchange-ref",
-            "float-weight", "string-weight", "bool-weight",
+            "negative-vertex-label", "negative-exchange-ref", "label-past-end",
+            "short-row", "asymmetric", "label-fewer-slots",
+            "float-weight", "string-weight", "bool-weight", "bool-b2",
             "float-b2", "string-b2", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
             "empty-vectors-mutate", "empty-vectors-export",
@@ -490,8 +499,9 @@ def _write_seed_files(tmp_path):
     assert main(["mutate", "--seed", "triangle.json", "--at", "x_11",
                  "--out", "seed.json"]) == 0
     text = (tmp_path / "seed.json").read_text()
-    labels = json.loads(text)["labels"]
+    labels, b2 = json.loads(text)["labels"], json.loads(text)["b2"]
     ex = next(k for k, e in enumerate(labels) if e["kind"] == "exchange")
+    minor = next(k for k, e in enumerate(labels) if e["kind"] == "minor")
     weight = ("vertices", 0, "weights", 0, 0)
     for name, path, value in (
         ("negative-label", ("vertices", 0, "label"), -1),
@@ -499,6 +509,10 @@ def _write_seed_files(tmp_path):
         ("float-weight", weight, 0.5),
         ("string-weight", weight, "1/2"),
         ("bool-weight", weight, True),
+        ("bool-b2", ("b2", 0, 1), True),
+        ("label-past-end", ("vertices", 0, "label"), len(labels)),
+        # b2[0][1] no longer the negative of b2[1][0] at equal multipliers
+        ("asymmetric", ("b2", 0, 1), b2[0][1] + 2),
         ("float-b2", ("b2", 0, 1), -0.5),
         ("string-b2", ("b2", 0, 1), "3"),
         ("string-frozen", ("vertices", 0, "frozen"), "false"),
@@ -517,6 +531,15 @@ def _write_seed_files(tmp_path):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    # a b2 row one entry short; a minor label one slot short of the
+    # vertices' three, which loading once took and mutate wrote back out
+    for name, drop in (
+        ("short-row", lambda data: data["b2"][2].pop()),
+        ("label-fewer-slots", lambda data: data["labels"][minor]["weights"].pop()),
+    ):
+        data = json.loads(text)
+        drop(data)
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     # every vertex with no slots; every weight vector of the triangle, its
     # vertices' and its minor labels', with no coordinates, and then with

@@ -52,7 +52,7 @@ QUAD4 = build_conf_m_seed(root_datum("a3"), 4)
 
 def atomic_mutations(seed: Seed) -> tuple[str, ...]:
     """Unfrozen vertices whose exchange partner is again a stacked minor."""
-    n = len(seed.weights[0][0]) + 1
+    n = len(seed.weight_shape[1]) + 1
     out = []
     for nm in seed.unfrozen_names():
         if mo.evaluatable(exchange(seed, nm)[2], n):
@@ -194,13 +194,13 @@ class TestExchangeResiduals:
             self._run(seed, n, m, random.Random(30 + i), count=3)
 
     def test_corrupted_seed_is_caught(self):
-        from confseed.seed_core import Seed
+        from dense_reference import dense_seed, dense_weights
         rng = random.Random(14)
         i, j = QUAD3.index("x_01"), QUAD3.index("x_11")
         b2 = [list(row) for row in QUAD3.b2]
         b2[i][j], b2[j][i] = -b2[i][j], -b2[j][i]
-        corrupt = Seed(QUAD3.names, QUAD3.frozen, QUAD3.mult,
-                       tuple(tuple(r) for r in b2), QUAD3.weights, QUAD3.labels)
+        corrupt = dense_seed(QUAD3.names, QUAD3.frozen, QUAD3.mult, b2, dense_weights(QUAD3),
+                             QUAD3.labels)
         caught = 0
         for _ in range(10):
             flags = mo.random_flags(rng, 3, 4)

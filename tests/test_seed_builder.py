@@ -64,6 +64,7 @@ from confseed.seed_core import (
     weight_balance,
 )
 
+from dense_reference import dense_seed, dense_weights
 from seed_checks import assert_face_equations, is_balanced
 
 TABLED_KINDS = [f"a{n}" for n in range(1, 13)] + ["g2", "d4"]
@@ -81,6 +82,12 @@ def _arrowset(seed):
 
 def _goldenset(table):
     return {(a, b): Q(m) for a, b, m in table}
+
+
+def _with_weights(seed, weights: dict):
+    """seed with the dense weights given by vertex name."""
+    return dense_seed(seed.names, seed.frozen, seed.mult, seed.b2,
+                      [weights[nm] for nm in seed.names], seed.labels)
 
 
 # == 1. word quivers =========================================================
@@ -169,14 +176,15 @@ class TestTriangleCompletion:
             seed = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
             edges = [seed.index(triangle_name(datum, node)) for node in datum.nodes]
             others = [j for j in range(seed.size) if j not in edges]
-            columns = [[c for w in seed.weights[e] for c in w] for e in edges]
+            weights = dense_weights(seed)
+            columns = [[c for w in weights[e] for c in w] for e in edges]
             matrix = [list(row) for row in zip(*columns)]
             for i, name in enumerate(seed.names):
                 want = (
-                    _boundary_pattern(datum, name, seed.weights[i]) if seed.frozen[i] else zero
+                    _boundary_pattern(datum, name, weights[i]) if seed.frozen[i] else zero
                 )
                 target = [
-                    [want[s][r] - sum(seed.b2[i][j] * seed.weights[j][s][r] for j in others)
+                    [want[s][r] - sum(seed.b2[i][j] * weights[j][s][r] for j in others)
                      for r in range(datum.rank)]
                     for s in range(3)
                 ]
@@ -193,9 +201,9 @@ class TestTriangleCompletion:
         datum = root_datum(kind)
         word = standard_longest_word(datum)
         seed = build_bruhat_seed(datum, word)
-        weights = dict(zip(seed.names, seed.weights))
+        weights = dict(zip(seed.names, dense_weights(seed)))
         weights[first], weights[second] = weights[second], weights[first]
-        seed = seed.replace(weights=tuple(weights[nm] for nm in seed.names))
+        seed = _with_weights(seed, weights)
         with pytest.raises(ValueError, match=re.escape(message)):
             complete_triangle_seed(datum, seed)
 
@@ -310,9 +318,9 @@ class TestBoundaryPatterns:
         datum = root_datum("a2")
         word = standard_longest_word(datum)
         seed = build_bruhat_seed(datum, word)
-        weights = dict(zip(seed.names, seed.weights))
+        weights = dict(zip(seed.names, dense_weights(seed)))
         weights[triangle_name(datum, "1", 0)] = slots
-        seed = seed.replace(weights=tuple(weights[nm] for nm in seed.names))
+        seed = _with_weights(seed, weights)
         with pytest.raises(ValueError, match="off the triangle's edges"):
             complete_triangle_seed(datum, seed)
 
@@ -401,7 +409,7 @@ class TestWordVertexWeights:
         word = standard_longest_word(datum)
         want = _reference_weights(datum)
         seed = build_bruhat_seed(datum, word)
-        assert dict(zip(seed.names, seed.weights)) == want
+        assert dict(zip(seed.names, dense_weights(seed))) == want
         rev = build_bruhat_seed(datum, tuple(reversed(word)))
         for node, occ in triangle_vertices(datum):
             if occ is not None:

@@ -1,7 +1,9 @@
 """Tests for seeds, mutation, labels, and duality.
 
 Claims covered:
-    - check_seed enforces skew-symmetrizability and frozen-row parity
+    - check_seed enforces skew-symmetrizability and frozen-row parity, and
+      refuses rows and slot weights not stored as strictly ascending
+      nonzero pairs of the right length; replace takes only stored fields
     - mutation is an involution on the full seed, labels included
     - exchange's sides, weight and label agree with the dense reference over
       every column along random walks, mutate stores them, and exchanging
@@ -25,7 +27,9 @@ Claims covered:
       16-gon, the a3 hexagon and the d4 triangle the dense b2 and weights
       equal the references; the glued seeds equal the one-at-a-time dense
       gluing
-    - a seed keeps tuples, so a caller's lists cannot change it afterwards
+    - a seed keeps its fields as tuples, so a caller's lists of names,
+      flags, multipliers, rows, slot weights and labels cannot change it
+      afterwards
     - face equations hold at every unfrozen vertex along random walks
     - X-coordinates transport through mutation compatibly with the p-map;
       x_from_a equals the product of one Fraction power per factor on
@@ -97,6 +101,8 @@ from dense_reference import (
     dense_dual_b2,
     dense_exchange,
     dense_mutate_b2,
+    dense_seed,
+    dense_weights,
     plant,
     reference_check_seed,
     reference_fold,
@@ -118,6 +124,20 @@ POLYGONS = (
     build_conf_m_seed(root_datum("g2"), 16),
     build_conf_m_seed(root_datum("a3"), 6),
 )
+
+# check_seed's refusals of a list in a stored field and of a malformed weight shape
+_LISTS = "seed fields must be hashable: tuples, not lists"
+_SHAPE = "the weight shape must be a slot count and a zero weight tuple"
+
+
+def _at_x10(field: str, pairs) -> dict:
+    """The change to the a2 triangle that stores ``pairs`` as its vertex
+    x_10's entry of ``field``."""
+    base = ZOO[0]
+    assert base.names[0] == "x_10" and base.weight_shape == (3, (0, 0))
+    stored = list(getattr(base, field))
+    stored[0] = pairs
+    return {field: stored}
 
 
 def _seed_zoo():
@@ -146,8 +166,8 @@ class TestCheckSeed:
         b2 = [list(r) for r in base.b2]
         b2[0][0] = 2
         with pytest.raises(ValueError):
-            Seed(base.names, base.frozen, base.mult,
-                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+            dense_seed(base.names, base.frozen, base.mult, b2, dense_weights(base),
+                       base.labels)
 
     def test_broken_symmetrizability_rejected(self):
         base = build_triangle_seed(root_datum("g2"))
@@ -156,8 +176,8 @@ class TestCheckSeed:
         j = base.index("x_b1")
         b2[i][j] += 2
         with pytest.raises(ValueError):
-            Seed(base.names, base.frozen, base.mult,
-                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+            dense_seed(base.names, base.frozen, base.mult, b2, dense_weights(base),
+                       base.labels)
 
     def test_odd_unfrozen_entry_rejected(self):
         base = build_triangle_seed(root_datum("a2"))
@@ -167,8 +187,8 @@ class TestCheckSeed:
         b2[i][j] += 1
         b2[j][i] -= 1
         with pytest.raises(ValueError):
-            Seed(base.names, base.frozen, base.mult,
-                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+            dense_seed(base.names, base.frozen, base.mult, b2, dense_weights(base),
+                       base.labels)
 
     def test_entry_facing_a_zero_rejected(self):
         base = build_triangle_seed(root_datum("a2"))
@@ -179,8 +199,8 @@ class TestCheckSeed:
         b2 = [list(r) for r in base.b2]
         b2[i][j] = 2
         with pytest.raises(ValueError, match="not skew-symmetrizable"):
-            Seed(base.names, base.frozen, base.mult,
-                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+            dense_seed(base.names, base.frozen, base.mult, b2, dense_weights(base),
+                       base.labels)
 
     def test_odd_entry_in_frozen_row_at_unfrozen_column_rejected(self):
         base = build_triangle_seed(root_datum("a2"))
@@ -191,8 +211,59 @@ class TestCheckSeed:
         b2[i][j] += 1
         b2[j][i] -= 1
         with pytest.raises(ValueError, match="half-integral"):
-            Seed(base.names, base.frozen, base.mult,
-                 tuple(tuple(r) for r in b2), base.weights, base.labels)
+            dense_seed(base.names, base.frozen, base.mult, b2, dense_weights(base),
+                       base.labels)
+
+    @pytest.mark.parametrize("changes, message", [
+        (_at_x10("rows", ((1, -1), (1, -1), (2, 2), (5, -2))),
+         "index 1 out of order in the b2 row of x_10"),
+        (_at_x10("rows", ((2, 2), (1, -1), (5, -2))),
+         "index 1 out of order in the b2 row of x_10"),
+        (_at_x10("rows", ((1, -1), (2, 2), (3, 0), (5, -2))),
+         "stored zero at 3 in the b2 row of x_10"),
+        # a column past the end that is not the row's last: mutate, arrows
+        # and the b2 view would index past the rows
+        (_at_x10("rows", ((7, 2), (1, -1), (2, 2), (5, -2))),
+         "index 1 out of order in the b2 row of x_10"),
+        (_at_x10("slot_weights", ((2, (1, 0)), (0, (0, 1)))),
+         "index 0 out of order in the slot weights of x_10"),
+        (_at_x10("slot_weights", ((0, (0, 1)), (1, (0, 0)), (2, (1, 0)))),
+         "stored zero at 1 in the slot weights of x_10"),
+        (_at_x10("slot_weights", ((0, (0, 1)), (2, (1, 0, 5)))),
+         "a weight of x_10 does not have 2 coordinates"),
+        # lists would stay the caller's to change inside an immutable seed
+        (_at_x10("rows", [(1, -1), (2, 2), (5, -2)]), _LISTS),
+        (_at_x10("rows", ((1, -1), [2, 2], (5, -2))), _LISTS),
+        (_at_x10("slot_weights", [(0, (0, 1)), (2, (1, 0))]), _LISTS),
+        (_at_x10("slot_weights", ((0, (0, 1)), [2, (1, 0)])), _LISTS),
+        (_at_x10("slot_weights", ((0, (0, 1)), (2, [1, 0]))), _LISTS),
+        ({"weight_shape": None}, "slot weights and a weight shape must be given together"),
+        ({"slot_weights": None}, "slot weights and a weight shape must be given together"),
+        # a nonzero zero weight would fill every unstored slot with it
+        ({"weight_shape": (3, (1, 0))}, _SHAPE),
+        ({"weight_shape": (-1, (0, 0))}, _SHAPE),
+        ({"weight_shape": (True, (0, 0))}, _SHAPE),
+        ({"weight_shape": (3, [0, 0])}, _LISTS),
+        ({"weight_shape": (3,)}, _SHAPE),
+    ], ids=["repeated-column", "descending-columns", "stored-zero-entry",
+            "column-past-the-end-first", "descending-slots", "stored-zero-weight",
+            "wrong-coordinate-count", "row-list", "row-pair-list", "slot-weights-list",
+            "slot-pair-list", "weight-list", "shape-without-weights", "weights-without-shape",
+            "nonzero-zero-weight", "negative-slot-count", "bool-slot-count",
+            "zero-weight-list", "shape-too-short"])
+    def test_stored_form_not_canonical_rejected(self, changes, message):
+        # the a2 triangle with a pair of vertex x_10 repeated, out of order,
+        # zero, of the wrong length or not a tuple, or with a weight shape
+        # that is missing or malformed; were it accepted, each seed would
+        # compare unequal to the one stored canonically, or fail to hash
+        with pytest.raises(ValueError) as err:
+            ZOO[0].replace(**changes)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field", ["b2", "weights"])
+    def test_replace_takes_stored_fields_only(self, field):
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            ZOO[0].replace(**{field: None})
 
     def test_mutating_frozen_vertex_rejected(self):
         seed = build_triangle_seed(root_datum("a2"))
@@ -200,13 +271,18 @@ class TestCheckSeed:
             mutate(seed, "x_10")
 
 
-def _a2_fields(**changes):
-    """Seed(...) on the a2 triangle's fields, some of them replaced."""
-    base = ZOO[0]
-    fields = dict(names=base.names, frozen=base.frozen, mult=base.mult,
-                  b2=base.b2, weights=base.weights, labels=base.labels)
+def _dense_fields(seed, **changes):
+    """dense_seed's arguments for seed, some of them replaced."""
+    fields = dict(names=seed.names, frozen=seed.frozen, mult=seed.mult,
+                  b2=seed.b2, weights=dense_weights(seed), labels=seed.labels)
     fields.update(changes)
-    return lambda: Seed(**fields)
+    return fields
+
+
+def _a2_fields(**changes):
+    """dense_seed(...) on the a2 triangle's fields, some of them replaced."""
+    fields = _dense_fields(ZOO[0], **changes)
+    return lambda: dense_seed(**fields)
 
 
 def _odd_path():
@@ -228,8 +304,13 @@ def _odd_path():
     return plant(base, b2), base.names[k]
 
 
+A2_WEIGHTS = dense_weights(ZOO[0])
 _G2_TRI = ZOO[2]
 _G2_LONG = next(nm for nm, d in zip(_G2_TRI.names, _G2_TRI.mult) if d != 1)
+
+
+def _without_weights(seed):
+    return seed.replace(slot_weights=None, weight_shape=None)
 
 
 def _extra_slot(data):
@@ -261,23 +342,22 @@ class TestRefusals:
          None),
         (_a2_fields(b2=(ZOO[0].b2[0] + (0,),) + ZOO[0].b2[1:]), "b2 must be square",
          lambda data: data["b2"][0].append(0)),
-        (_a2_fields(weights=ZOO[0].weights[:-1]),
+        (_a2_fields(weights=A2_WEIGHTS[:-1]),
          "one weight tuple per vertex required", None),
-        (_a2_fields(weights=(ZOO[0].weights[0] * 2,) + ZOO[0].weights[1:]),
+        (_a2_fields(weights=(A2_WEIGHTS[0] * 2,) + A2_WEIGHTS[1:]),
          "all vertices must use the same number of slots", _extra_slot),
         (_a2_fields(labels=ZOO[0].labels[:-1]), "one label per vertex required",
          None),
         (lambda: mutate(*_odd_path()), "mutation increment not integral", None),
-        (lambda: langlands_dual(Seed(("u", "v"), (True, True), (2, 3),
-                                     ((0, 0), (0, 0)))),
+        (lambda: langlands_dual(Seed(("u", "v"), (True, True), (2, 3), ((), ()))),
          "multipliers must divide their maximum", None),
         (lambda: langlands_dual(_G2_TRI), "weight_map required unless simply laced",
          None),
         (lambda: langlands_dual(_G2_TRI, weight_map=lambda w: (1, 1)),
          f"dual weight not integral at {_G2_LONG}", None),
-        (lambda: quiver_isomorphic(*[ZOO[0].replace(weights=None)] * 2),
+        (lambda: quiver_isomorphic(*[_without_weights(ZOO[0])] * 2),
          "seeds to compare need weights", None),
-        (lambda: matches_under(ZOO[0].replace(weights=None), ZOO[0],
+        (lambda: matches_under(_without_weights(ZOO[0]), ZOO[0],
                                {nm: nm for nm in ZOO[0].names}),
          "seeds to compare need weights", None),
         (lambda: permute_slots(ZOO[0], (0, 1)),
@@ -355,7 +435,7 @@ class TestMutation:
         # exactly the cap when bits is 2,047 and over it when bits is 2,048
         big = 2 << bits
         seed = Seed(("a", "b", "c"), (False,) * 3, (1,) * 3,
-                    ((0, -big, 0), (big, 0, -big), (0, big, 0)))
+                    (((1, -big),), ((0, big), (2, -big)), ((1, big),)))
         if refused:
             with pytest.raises(ValueError, match=(
                     rf"^b2 entry over the cap of {MAX_ENTRY_BITS} bits at \(a,c\)$")):
@@ -413,7 +493,7 @@ class TestMutation:
                 assert got[:3] == want[:3]
                 assert got[3] is want[3]
                 nxt = mutate(cur, at)
-                assert nxt.weights[k] == got[2]
+                assert nxt.weight(at) == got[2]
                 assert nxt.labels[k] is got[3]
                 back = exchange(nxt, at)
                 assert back[3] is cur.labels[k]
@@ -489,12 +569,24 @@ class TestLocalCheck:
     def test_caller_lists_cannot_change_a_seed(self):
         base = build_triangle_seed(root_datum("a3"))
         k, p, q = self._neighbourhood(base)
-        rows = [list(r) for r in base.b2]
-        seed = Seed(list(base.names), list(base.frozen), list(base.mult), rows,
-                    [list(ws) for ws in base.weights], list(base.labels))
-        rows[p][q] += 2
-        assert seed.b2 == base.b2
+        # outer lists are copied into tuples
+        fields = [list(base.names), list(base.frozen), list(base.mult), list(base.rows),
+                  list(base.slot_weights), base.weight_shape, list(base.labels)]
+        seed = Seed(*fields)
+        fields[3][p] = fields[3][q]
+        fields[4][p] = ()
+        assert seed == base
+        assert hash(seed) == hash(base)
         assert mutate(seed, base.names[k]) == mutate(base, base.names[k])
+        # inner lists, which the seed would keep, are refused
+        rows = [list(r) for r in base.rows]
+        with pytest.raises(ValueError, match="tuples, not lists"):
+            Seed(base.names, base.frozen, base.mult, rows, base.slot_weights,
+                 base.weight_shape, base.labels)
+        slot_weights = [list(ws) for ws in base.slot_weights]
+        with pytest.raises(ValueError, match="tuples, not lists"):
+            Seed(base.names, base.frozen, base.mult, base.rows, slot_weights,
+                 base.weight_shape, base.labels)
 
     def test_mutation_writes_only_its_neighbourhood(self):
         # on the g2 128-gon (1,010 vertices), mutating at any unfrozen k
@@ -508,7 +600,7 @@ class TestLocalCheck:
             written = set(itertools.compress(range(n), map(operator.is_not, nxt.rows, seed.rows)))
             assert k in written
             assert written <= {k, *(j for j, _ in seed.rows[k])}
-        assert seed._b2 is None and seed._weights is None
+        assert seed._b2 is None
 
     def test_walk_runs_no_full_check(self, monkeypatch):
         seen = _count_full_checks(monkeypatch)
@@ -519,7 +611,8 @@ class TestLocalCheck:
         base = build_triangle_seed(root_datum("g2"))
         save_seed(base, tmp_path / "g2.json")
         seen = _count_full_checks(monkeypatch)
-        Seed(base.names, base.frozen, base.mult, base.b2, base.weights, base.labels)
+        Seed(base.names, base.frozen, base.mult, base.rows, base.slot_weights, base.weight_shape,
+             base.labels)
         assert seen == [base.size]
         seen.clear()
         assert load_seed(tmp_path / "g2.json") == base
@@ -527,14 +620,6 @@ class TestLocalCheck:
         seen.clear()
         glued = build_conf_m_seed(root_datum("g2"), 16)
         assert seen.count(glued.size) == 1
-
-
-def _dense_fields(seed, **changes):
-    """Seed's dense arguments for seed, some of them replaced."""
-    fields = dict(names=seed.names, frozen=seed.frozen, mult=seed.mult,
-                  b2=seed.b2, weights=seed.weights, labels=seed.labels)
-    fields.update(changes)
-    return fields
 
 
 def _planted_b2(seed, *entries):
@@ -573,9 +658,9 @@ def _planted_refusals():
         ("first-of-two", _dense_fields(a3, b2=_planted_b2(
             a3, (a3.names[-1], a3.names[-2], 2),
             ("x_11", "x_12", 1), ("x_12", "x_11", -1)))),
-        ("missing-weights", _dense_fields(a2, weights=a2.weights[:-1])),
+        ("missing-weights", _dense_fields(a2, weights=A2_WEIGHTS[:-1])),
         ("extra-slot", _dense_fields(
-            a2, weights=(a2.weights[0] * 2,) + a2.weights[1:])),
+            a2, weights=(A2_WEIGHTS[0] * 2,) + A2_WEIGHTS[1:])),
         ("missing-label", _dense_fields(a2, labels=a2.labels[:-1])),
     ]
 
@@ -591,7 +676,7 @@ class TestDenseReferences:
         with pytest.raises(ValueError) as want:
             reference_check_seed(**fields)
         with pytest.raises(ValueError) as got:
-            Seed(**fields)
+            dense_seed(**fields)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("seed", [POLYGONS[0], POLYGONS[1], build_triangle_seed(
@@ -604,10 +689,11 @@ class TestDenseReferences:
             k = cur.index(at)
             weight = dense_exchange(cur, k)[2]
             want_b2 = dense_mutate_b2(cur.b2, k)
-            want_weights = cur.weights[:k] + (weight,) + cur.weights[k + 1:]
+            weights = dense_weights(cur)
+            want_weights = weights[:k] + (weight,) + weights[k + 1:]
             cur = mutate(cur, at)
             assert cur.b2 == want_b2
-            assert cur.weights == want_weights
+            assert dense_weights(cur) == want_weights
             reference_check_seed(**_dense_fields(cur))
 
     @pytest.mark.parametrize("seed, kind, m", [
@@ -732,7 +818,7 @@ class TestSymmetries:
     def test_dual_squares_to_identity(self):
         for kind, wmap in (("a2", None), ("a3", None), ("g2", g2_weight_dual)):
             seed = build_triangle_seed(root_datum(kind))
-            bare = Seed(seed.names, seed.frozen, seed.mult, seed.b2, seed.weights)
+            bare = seed.replace(labels=None)
             dd = langlands_dual(langlands_dual(seed, weight_map=wmap),
                                 weight_map=wmap)
             assert dd == bare
@@ -784,7 +870,7 @@ class TestIsomorphism:
         # weights pin the vertex map, so the only candidate against the
         # negated matrix is the identity, which needs reversed arrows
         seed = build_triangle_seed(root_datum("g2"))
-        flipped = seed.replace(b2=tuple(tuple(-x for x in r) for r in seed.b2))
+        flipped = seed.replace(rows=tuple(tuple((j, -b) for j, b in r) for r in seed.rows))
         assert quiver_isomorphic(seed, flipped) is None
         iso = quiver_isomorphic(opposite(seed), flipped)
         assert iso == {nm: nm for nm in seed.names}
@@ -794,8 +880,7 @@ class TestIsomorphism:
         b2 = [list(r) for r in seed.b2]
         i, j = seed.index("x_11"), seed.index("x_21")
         b2[i][j], b2[j][i] = -b2[i][j], -b2[j][i]
-        other = Seed(seed.names, seed.frozen, seed.mult,
-                     tuple(tuple(r) for r in b2), seed.weights)
+        other = dense_seed(seed.names, seed.frozen, seed.mult, b2, dense_weights(seed))
         assert quiver_isomorphic(seed, other) is None
 
     def test_backtracks_past_a_wrong_candidate(self):
@@ -807,8 +892,7 @@ class TestIsomorphism:
             for src, dst in (("a", "b"), ("c", "d")):
                 i, j = names.index(dst), names.index(src)
                 b2[i][j], b2[j][i] = 2, -2
-            return Seed(names, (False,) * 4, (1,) * 4,
-                        tuple(map(tuple, b2)), (((0,),),) * 4)
+            return dense_seed(names, (False,) * 4, (1,) * 4, b2, (((0,),),) * 4)
 
         s1, s2 = two_arrows(("a", "c", "b", "d")), two_arrows(("a", "c", "d", "b"))
         iso = quiver_isomorphic(s1, s2)
@@ -821,8 +905,8 @@ class TestIsomorphism:
         b2 = [[0] * n for _ in range(n)]
         for src, dst in arrow_list:
             b2[dst][src], b2[src][dst] = 2, -2
-        return Seed(tuple(f"v{i}" for i in range(n)), (False,) * n, (1,) * n,
-                    tuple(map(tuple, b2)), (((0,),),) * n)
+        return dense_seed(tuple(f"v{i}" for i in range(n)), (False,) * n, (1,) * n, b2,
+                          (((0,),),) * n)
 
     @staticmethod
     def _least_mapping(s1, s2):
@@ -838,9 +922,9 @@ class TestIsomorphism:
         # prune; the first full choice fails a level up and is taken back
         s1 = self._unit_quiver(((1, 0), (1, 5), (2, 5), (5, 4), (4, 3)))
         p = (5, 1, 4, 3, 2, 0)
-        s2 = s1.replace(b2=tuple(
-            tuple(s1.b2[p[i]][p[j]] for j in range(6)) for i in range(6)
-        ))
+        s2 = dense_seed(s1.names, s1.frozen, s1.mult, [
+            [s1.b2[p[i]][p[j]] for j in range(6)] for i in range(6)
+        ], dense_weights(s1))
         iso = quiver_isomorphic(s1, s2)
         assert iso is not None
         assert iso == self._least_mapping(s1, s2)
@@ -876,7 +960,8 @@ class TestIsomorphism:
         assert seed.mult[i] == seed.mult[j] == 1
         b2 = [list(r) for r in seed.b2]
         b2[i][j], b2[j][i] = 1, -1
-        other = seed.replace(b2=tuple(tuple(r) for r in b2))
+        other = dense_seed(seed.names, seed.frozen, seed.mult, b2, dense_weights(seed),
+                           seed.labels)
         identity = {nm: nm for nm in seed.names}
         assert not matches_under(seed, other, identity)
         assert not matches_under(other, seed, identity)
@@ -901,7 +986,7 @@ class TestIsomorphism:
 
 def _weight_coordinates(seed):
     """Every weight coordinate of a seed: vertex weights and minor labels."""
-    tables = list(seed.weights)
+    tables = list(dense_weights(seed))
     stack = list(seed.labels or ())
     while stack:
         label = stack.pop()
@@ -997,20 +1082,22 @@ class TestLabelInterning:
         seed = _cyclic_walk(60)[-1]
         seen = []
 
-        def widen(ws):
-            seen.append(ws)
-            return ws + ((0, 0, 0),)
+        def negate(w):
+            seen.append(w)
+            return tuple(-c for c in w)
 
-        weights, labels = map_weights(seed, widen)
-        assert weights == tuple(ws + ((0, 0, 0),) for ws in seed.weights)
-        # the 81 distinct label nodes stay 81, and fn saw each minor once
-        table = seed_to_json(seed.replace(weights=weights, labels=labels))["labels"]
+        mapped = map_weights(seed, negate)
+        assert dense_weights(mapped) == tuple(
+            tuple(tuple(-c for c in w) for w in ws) for ws in dense_weights(seed))
+        # the 81 distinct label nodes stay 81, and fn saw each nonzero
+        # vertex weight and each slot of each minor once
+        table = seed_to_json(mapped)["labels"]
         assert len(table) == len(seed_to_json(seed)["labels"]) == 81
         n_minors = sum(e["kind"] == "minor" for e in table)
-        assert len(seen) == seed.size + n_minors
-        same_weights, same_labels = map_weights(seed, lambda ws: ws)
-        assert same_weights == seed.weights
-        assert all(a is b for a, b in zip(same_labels, seed.labels))
+        assert len(seen) == sum(map(len, seed.slot_weights)) + n_minors * seed.slots
+        same = map_weights(seed, lambda w: w)
+        assert same == seed
+        assert all(a is b for a, b in zip(same.labels, seed.labels))
 
     def test_deep_labels_permute_without_recursion(self):
         # 1,200 cyclic steps nest labels deeper than the recursion limit

@@ -29,6 +29,8 @@ from confseed.seed_core import Exchange, Minor, Seed, mutate
 from confseed.seed_io import load_seed, save_seed, seed_to_json, write_seed
 from confseed.surface_glue import build_conf_m_seed
 
+from dense_reference import dense_seed
+
 
 def _written(seed: Seed) -> str:
     fh = io.StringIO()
@@ -108,7 +110,7 @@ def test_exchange_with_an_empty_side():
     # p has one neighbour and no frozen ones, so mutating there leaves
     # one side of its exchange label empty
     seed = Seed(
-        ("p", "q"), (False, False), (1, 1), ((0, 2), (-2, 0)),
+        ("p", "q"), (False, False), (1, 1), (((1, 2),), ((0, -2),)),
         labels=(Minor(((1, 0),)), Minor(((0, 1),))),
     )
     seed = mutate(seed, "p")
@@ -129,8 +131,8 @@ def test_save_and_load(tmp_path):
 
 def test_failed_save_keeps_the_earlier_file(tmp_path):
     # vertex "a" renders, then str() refuses the 5,001-digit weight of "b"
-    broken = Seed(("a", "b"), (True, True), (1, 1), ((0, 0), (0, 0)),
-                  (((1,),), ((10 ** 5000,),)))
+    broken = Seed(("a", "b"), (True, True), (1, 1), ((), ()),
+                  (((0, (1,)),), ((0, (10 ** 5000,)),)), (1, (0,)))
     path = tmp_path / "seed.json"
     save_seed(build_triangle_seed(root_datum("a2")), path)
     before = path.read_bytes()
@@ -210,7 +212,7 @@ def small_seeds(draw) -> Seed:
     labels = None
     if draw(st.booleans()):
         labels = tuple(draw(LABELS) for _ in range(n))
-    return Seed(names, frozen, mult, tuple(map(tuple, b2)), weights, labels)
+    return dense_seed(names, frozen, mult, b2, weights, labels)
 
 
 @settings(max_examples=100, deadline=None)

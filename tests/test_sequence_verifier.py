@@ -50,6 +50,8 @@ from confseed.sequence_verifier import (
 from confseed.suites import suite_triality
 from confseed.surface_glue import build_conf_m_seed
 
+from dense_reference import dense_weights
+
 G2_TRI = build_triangle_seed(root_datum("g2"))
 G2_QUAD = build_conf_m_seed(root_datum("g2"), 4)
 
@@ -193,14 +195,15 @@ class TestTranspositions:
         """Reference: the least bijection under which s2 is s1 with every
         arrow reversed, by a dense depth-first search in s2's vertex order."""
         n = s1.size
+        w1, w2 = dense_weights(s1), dense_weights(s2)
 
         def extend(image):
             i = len(image)
             if i == n:
                 return {s1.names[p]: s2.names[j] for p, j in enumerate(image)}
             for j in range(n):
-                if j in image or (s1.mult[i], s1.frozen[i], s1.weights[i]) != (
-                    s2.mult[j], s2.frozen[j], s2.weights[j]
+                if j in image or (s1.mult[i], s1.frozen[i], w1[i]) != (
+                    s2.mult[j], s2.frozen[j], w2[j]
                 ):
                     continue
                 if all(s2.b2[j][image[p]] == -s1.b2[i][p]

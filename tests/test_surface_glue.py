@@ -51,7 +51,7 @@ from confseed.surface_glue import (
     flip_diagonal,
 )
 
-from dense_reference import reference_amalgamate, reference_fold
+from dense_reference import dense_weights, reference_amalgamate, reference_fold
 from seed_checks import assert_face_equations
 
 
@@ -140,14 +140,15 @@ def _reference_pairs(a: Seed, b: Seed, diag) -> list[tuple[str, str]]:
     """Pairs across a diagonal found by scanning every vertex of a, a slow
     reference that takes the whole glued seed for a."""
     want = frozenset(c - 1 for c in diag)
+    a_weights, b_weights = dense_weights(a), dense_weights(b)
 
     def on_diag(seed, i):
-        support = {t for t, w in enumerate(seed.weights[i]) if any(w)}
+        support = {t for t, _ in seed.slot_weights[i]}
         return seed.frozen[i] and support == want
 
-    left = {a.weights[i]: nm for i, nm in enumerate(a.names) if on_diag(a, i)}
+    left = {a_weights[i]: nm for i, nm in enumerate(a.names) if on_diag(a, i)}
     pairs = [
-        (left.pop(b.weights[i]), nm) for i, nm in enumerate(b.names) if on_diag(b, i)
+        (left.pop(b_weights[i]), nm) for i, nm in enumerate(b.names) if on_diag(b, i)
     ]
     assert not left
     return pairs
@@ -273,7 +274,7 @@ class TestAmalgamate:
             ("t0.x_a0", "t1.x_a0"), ("t0.x_b0", "t1.x_b0"),
         ]
         for p, q in pairs:
-            assert a.weights[a.index(p)] == b.weights[b.index(q)]
+            assert a.weight(p) == b.weight(q)
 
     @pytest.mark.parametrize("kind", ["a2", "a3", "g2", "d4"])
     def test_flip_targets_match_the_reference(self, kind, monkeypatch):
