@@ -3,6 +3,11 @@
 Words are compact strings over node letters (``1..n`` for the linear types,
 ``a``/``b`` for the two-node type, ``1/2/3/b`` shorthand for the triality
 type), applied right to left.
+
+The argument parser is built once per process and serves every ``main``
+call.  Only ``verify`` and ``oracle`` draw random numbers: they read the
+``CONFSEED_RNG_SEED`` environment variable on each call, and only when no
+``--rng-seed`` is given, so no other command depends on its value.
 """
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import json
 import os
 import random
 import sys
+from functools import cache
 
 from . import root_data as rd
 from .seed_builder import build_bruhat_seed, build_triangle_seed
@@ -64,18 +70,21 @@ def main(argv=None) -> int:
         return 2
 
 
-def _run(argv) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept.
+
+    It holds no per-call state: parse_args gives each call a new namespace,
+    and ``--at``'s append copies its default before adding to it.
+    """
     parser = argparse.ArgumentParser(
         prog="confseed",
         description="build, glue, mutate, and verify cluster seeds "
                     "for configurations of decorated flags",
     )
-    try:
-        env_seed = int(os.environ.get("CONFSEED_RNG_SEED", "0"))
-    except ValueError:
-        raise ValueError("CONFSEED_RNG_SEED must be an integer") from None
+    # no default: verify and oracle read the environment on each call
     parser.add_argument(
-        "--rng-seed", type=int, default=env_seed,
+        "--rng-seed", type=int,
         help="seed for randomized checks (env CONFSEED_RNG_SEED)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -120,7 +129,21 @@ def _run(argv) -> int:
     p_orc.add_argument("--json", action="store_true", dest="as_json")
     p_orc.add_argument("--rng-seed", type=int, default=argparse.SUPPRESS,
                        help="seed for randomized checks")
+    return parser
 
+
+def _rng_seed(args) -> int:
+    """--rng-seed if given, else CONFSEED_RNG_SEED, else 0."""
+    if args.rng_seed is not None:
+        return args.rng_seed
+    try:
+        return int(os.environ.get("CONFSEED_RNG_SEED", "0"))
+    except ValueError:
+        raise ValueError("CONFSEED_RNG_SEED must be an integer") from None
+
+
+def _run(argv) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command in ("build", "triangle"):
@@ -181,7 +204,7 @@ def _run(argv) -> int:
 
     if args.command in ("verify", "oracle"):
         suite = args.suite if args.command == "verify" else "oracle"
-        rng = random.Random(args.rng_seed)
+        rng = random.Random(_rng_seed(args))
         try:
             reports = run_suite(suite, rng)
         except KeyError as exc:

@@ -25,8 +25,11 @@ other mix, naming the first vertex that differs.
 
 The file stores b2 and every vertex's weights densely, one entry per
 vertex pair and one weight per slot, while a Seed stores only the nonzero
-ones.  ``seed_from_json`` type-checks each b2 row and each weight list in
-one C-level pass and keeps only their nonzero entries and slots.
+ones.  ``seed_from_json`` type-checks the whole file's b2 entries in one
+C-level pass over the rows chained, and likewise every vertex's weights and
+then every minor label's; an entry-by-entry walk runs only where a pass
+fails, to name the first offender in file order.  It keeps only the
+nonzero entries and slots.
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline,
 rendered from the stored forms: a run of zero entries or zero slots is one
@@ -41,7 +44,7 @@ import json
 import os
 import stat
 from fractions import Fraction as Q
-from itertools import chain, compress
+from itertools import chain, repeat
 
 from .root_data import MAX_ENTRY_BITS
 from .seed_core import (Exchange, Label, Minor, Seed, arrows, dense, nonzero_pairs, post_order,
@@ -150,6 +153,36 @@ def _all_ints(values) -> bool:
     return types.count(int) == len(types)
 
 
+def _weights_pass(lists, lengths: set) -> bool:
+    """Whether the weight lists are well formed, checked in C-level passes
+    over all of them at once.
+
+    Well formed means that every coordinate is a JSON integer, every list
+    has a slot, and every vector has one length, the same as any already in
+    ``lengths``.  Only then does ``lengths`` gain that length; where they
+    are not, ``_weights_walk`` names the first fault.
+    """
+    if not (_all_ints(chain.from_iterable(chain.from_iterable(lists))) and all(lists)):
+        return False
+    seen = lengths.union(map(len, chain.from_iterable(lists)))
+    if len(seen) > 1:
+        return False
+    lengths.update(seen)
+    return True
+
+
+def _weights_walk(lists, lengths: set) -> None:
+    """Refuse the first fault of the weight lists, list by list in file order."""
+    for ws in lists:
+        for w in ws:
+            _ints(w, "weight coordinate")
+        if not ws:
+            raise ValueError("a weight list has no slots")
+        lengths.update(map(len, ws))
+        if len(lengths) > 1:
+            raise ValueError(f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
+
+
 def _carried(vertices, key: str) -> bool:
     """Whether the vertices carry ``key``: all of them do or none does."""
     first = bool(vertices) and key in vertices[0]
@@ -165,29 +198,13 @@ def _carried(vertices, key: str) -> bool:
 def seed_from_json(data: dict) -> Seed:
     """Rebuild a seed from its JSON form; raises ValueError on malformed data.
 
-    Each b2 row and each weight list is type-checked in one C-level pass,
-    and only its nonzero entries and slots are kept; the entry-by-entry
-    check of ``_ints`` runs only to name an offending entry.
+    The type checks of b2, of the vertices' weights and of the minor
+    labels' weights each take one C-level pass over the whole file's
+    entries, chained; only where a pass fails does an entry-by-entry walk
+    run, to name the first offending entry in file order.  Only the
+    nonzero b2 entries and weight slots are kept.
     """
     lengths = set()  # of the weight vectors read; a file has one
-    nonzero = []  # the nonzero weight vectors read, checked against the cap in one pass
-
-    def weights_in(ws):
-        if not _all_ints(chain.from_iterable(ws)):
-            for w in ws:
-                _ints(w, "weight coordinate")
-        if not ws:
-            raise ValueError("a weight list has no slots")
-        lengths.update(map(len, ws))
-        if len(lengths) > 1:
-            raise ValueError(f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
-        return ws
-
-    def row_in(row):
-        if not _all_ints(row):
-            _ints(row, "b2 entry")
-        return nonzero_pairs(row, n)
-
     try:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
         ids = _ints((v["id"] for v in vertices), "vertex id")
@@ -199,15 +216,23 @@ def seed_from_json(data: dict) -> Seed:
         names = tuple(_tag_in(v["tag"]) for v in vertices)
         frozen = tuple(_frozen_in(v["frozen"]) for v in vertices)
         mult = tuple(_positive(v["d"], "multiplier d") for v in vertices)
-        rows = tuple(map(row_in, data["b2"]))
+        b2 = data["b2"]
+        if not _all_ints(chain.from_iterable(b2)):
+            for row in b2:
+                _ints(row, "b2 entry")
+        rows = tuple(map(nonzero_pairs, b2, repeat(n)))
 
         slot_weights = shape = None
         slot_counts = set()  # of the vertices' weight lists, or of the first minor's
+        nonzero = []  # the vertices' nonzero weight vectors
+        minor_weights = []
         if _carried(vertices, "weights"):
-            lists = [weights_in(v["weights"]) for v in vertices]
+            lists = [v["weights"] for v in vertices]
+            if not _weights_pass(lists, lengths):
+                _weights_walk(lists, lengths)
             slot_counts = set(map(len, lists))
             slot_weights, shape = stored_weights(lists)
-            nonzero += [w for pairs in slot_weights for _, w in pairs]
+            nonzero = [w for pairs in slot_weights for _, w in pairs]
 
         labels = None
         if _carried(vertices, "label") != ("labels" in data) and vertices:
@@ -217,17 +242,25 @@ def seed_from_json(data: dict) -> Seed:
                 else "vertex 0 has a 'label' key, but the file has no 'labels' table"
             )
         if "labels" in data and vertices:
+            entries = data["labels"]
+            try:
+                minors = [entry["weights"] for entry in entries if entry["kind"] == "minor"]
+                checked = _weights_pass(minors, lengths)
+            except (KeyError, TypeError):  # the walk below names the fault
+                checked = False
             built: list[Label] = []
-            for entry in data["labels"]:
+            for entry in entries:
                 kind = entry["kind"]
                 if kind == "minor":
-                    weights = tuple(map(tuple, weights_in(entry["weights"])))
+                    if not checked:
+                        _weights_walk([entry["weights"]], lengths)
+                    weights = tuple(map(tuple, entry["weights"]))
                     # vertices whose counts differ are check_seed's to refuse
                     slot_counts = slot_counts or {len(weights)}
                     if len(weights) not in slot_counts:
                         raise ValueError(
                             f"a minor label has {len(weights)} slots, not {min(slot_counts)}")
-                    nonzero.extend(compress(weights, map(any, weights)))
+                    minor_weights.append(weights)
                     built.append(Minor(weights))
                 elif kind == "exchange":
                     built.append(
@@ -244,7 +277,8 @@ def seed_from_json(data: dict) -> Seed:
             raise ValueError("a weight vector has no coordinates")
         # check_seed caps b2; the weights take one C-level pass over the
         # nonzero vectors, as zero ones are under any cap
-        coords = chain.from_iterable(nonzero)
+        vectors = chain(nonzero, filter(any, chain.from_iterable(minor_weights)))
+        coords = chain.from_iterable(vectors)
         if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
         return Seed(names, frozen, mult, rows, slot_weights, shape, labels)

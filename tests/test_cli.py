@@ -16,6 +16,11 @@ Claims covered:
     - verify exits 0 on a passing suite and prints one line per check; the
       suites that map vertex names (langlands, triality, reversal) pass;
       the full text and JSON reports equal the pinned files in tests/data
+    - verify and oracle read CONFSEED_RNG_SEED on every call, an explicit
+      --rng-seed wins, and a malformed value stops no other command
+    - one parser serves every call: each --help text equals the one pinned
+      in tests/data on two calls, --at starts empty on every call, and an
+      unknown sequence exits 2 again
     - export-dot renders a digraph, and writes the same bytes to --out;
       oracle runs the numeric checks
     - ``python -m confseed`` runs the command line from a checkout: the
@@ -28,8 +33,9 @@ Claims covered:
       triangle), the empty word, seed-file integers over the entry cap,
       weight vectors with no coordinates, seed files where only some
       vertices carry weights or a label or whose labels lack their table
-      (the message names the first vertex that differs) and an --out that
-      cannot be written (the message names that path) included
+      (the message names the first vertex that differs), type faults past
+      row 0 and vertex 0 (the message names the first in file order) and
+      an --out that cannot be written (the message names that path) included
     - any reduced word builds and completes, and build writes its weights
     - every confseed line of README's command-line block exits 0
 """
@@ -49,6 +55,7 @@ from pathlib import Path
 
 import pytest
 
+from confseed import cli
 from confseed import root_data as rd
 from confseed.cli import main
 from confseed.seed_io import load_seed, save_seed, seed_from_json
@@ -308,9 +315,35 @@ class TestVerify:
         assert out.encode() == (DATA / name).read_bytes()
 
     def test_rng_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONFSEED_RNG_SEED", "9")
-        code, _ = run(capsys, "verify", "--suite", "typea-flip")
-        assert code == 0
+        # read on every call, so a parser that kept the first value fails;
+        # an explicit --rng-seed, before or after the subcommand, wins
+        states = []
+
+        def record(suite, rng):
+            states.append(rng.getstate())
+            return []
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        for value in ("9", "11"):
+            monkeypatch.setenv("CONFSEED_RNG_SEED", value)
+            assert main(["verify", "--suite", "typea-flip"]) == 0
+        assert main(["--rng-seed", "5", "verify", "--suite", "typea-flip"]) == 0
+        assert main(["oracle", "--rng-seed", "7"]) == 0
+        assert states == [random.Random(k).getstate() for k in (9, 11, 5, 7)]
+
+    def test_malformed_environment_seed_stops_only_draws(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # only verify and oracle read CONFSEED_RNG_SEED, and only when no
+        # --rng-seed is given; bad-rng-seed in the error table is the refusal
+        monkeypatch.setenv("CONFSEED_RNG_SEED", "x")
+        path = tmp_path / "seed.json"
+        assert main(["polygon", "--type", "g2", "--m", "4", "--out", str(path)]) == 0
+        digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests["polygon g2 m=4"]
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(["verify", "--rng-seed", "0", "--suite", "typea-flip"]) == 0
 
     def test_package_runs_as_a_module(self, tmp_path):
         # python -m confseed from a checkout, with src/ on the path only
@@ -325,6 +358,37 @@ class TestVerify:
                               capture_output=True)
         assert done.returncode == 2
         assert done.stderr.endswith(b"confseed: error: unknown suite 'nope'\n")
+
+
+class TestOneParser:
+    """The parser is built once per process and serves every call."""
+
+    def test_help_texts_are_pinned(self, capsys, monkeypatch):
+        # recorded at COLUMNS=80 when each call built its own parser; each
+        # text is asked for twice
+        monkeypatch.setenv("COLUMNS", "80")
+        pinned = json.loads((DATA / "help.json").read_text(encoding="utf-8"))
+        assert len(pinned) == 8
+        for argv, text in [*pinned.items(), *pinned.items()]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv.split())
+            assert exc.value.code == 0, argv
+            assert capsys.readouterr().out == text, argv
+
+    def test_calls_share_no_arguments(self, tmp_path, capsys):
+        # --at appends to a default list, which must start empty on every
+        # call: an odd number of leftover steps would mutate the last seed
+        src = tmp_path / "seed.json"
+        assert main(["triangle", "--type", "a2", "--out", str(src)]) == 0
+        for ats, same in ((["--at", "x_11", "--at", "x_11"], True),
+                          (["--at", "x_11"], False), ([], True)):
+            out = tmp_path / "out.json"
+            assert main(["mutate", "--seed", str(src), *ats, "--out", str(out)]) == 0
+            assert (out.read_bytes() == src.read_bytes()) == same, ats
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["mutate", "--seed", str(src), "--seq", "nope"])
+            assert exc.value.code == 2
 
 
 # == 4. export and usage errors ==============================================
@@ -406,6 +470,14 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "bool-b2.json"], "0", "b2 entry True is not an integer"),
         (["export-dot", "--seed", "float-b2.json"], "0", "b2 entry -0.5"),
         (["export-dot", "--seed", "string-b2.json"], "0", "b2 entry '3'"),
+        (["export-dot", "--seed", "late-float-b2.json"], "0",
+         "b2 entry 2.5 is not an integer\n"),
+        (["export-dot", "--seed", "two-faults-b2.json"], "0",
+         "b2 entry 1.5 is not an integer\n"),
+        (["export-dot", "--seed", "late-string-weight.json"], "0",
+         "weight coordinate '7' is not an integer\n"),
+        (["mutate", "--seed", "late-bool-minor.json"], "0",
+         "weight coordinate True is not an integer\n"),
         (["export-dot", "--seed", "string-frozen.json"], "0",
          "frozen flag 'false'"),
         (["export-dot", "--seed", "float-mult.json"], "0", "multiplier d 1.0"),
@@ -469,7 +541,8 @@ class TestExportAndErrors:
             "negative-vertex-label", "negative-exchange-ref", "label-past-end",
             "short-row", "asymmetric", "label-fewer-slots",
             "float-weight", "string-weight", "bool-weight", "bool-b2",
-            "float-b2", "string-b2", "string-frozen", "float-mult",
+            "float-b2", "string-b2", "late-float-b2", "two-faults-b2",
+            "late-string-weight", "late-bool-minor", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
             "empty-vectors-mutate", "empty-vectors-export",
             "empty-label-vectors", "ragged-weights", "deeply-nested-file",
@@ -502,6 +575,7 @@ def _write_seed_files(tmp_path):
     labels, b2 = json.loads(text)["labels"], json.loads(text)["b2"]
     ex = next(k for k, e in enumerate(labels) if e["kind"] == "exchange")
     minor = next(k for k, e in enumerate(labels) if e["kind"] == "minor")
+    last_minor = max(k for k, e in enumerate(labels) if e["kind"] == "minor")
     weight = ("vertices", 0, "weights", 0, 0)
     for name, path, value in (
         ("negative-label", ("vertices", 0, "label"), -1),
@@ -515,6 +589,10 @@ def _write_seed_files(tmp_path):
         ("asymmetric", ("b2", 0, 1), b2[0][1] + 2),
         ("float-b2", ("b2", 0, 1), -0.5),
         ("string-b2", ("b2", 0, 1), "3"),
+        # faults past row 0 and vertex 0, for the whole-file type passes
+        ("late-float-b2", ("b2", -1, 0), 2.5),
+        ("late-string-weight", ("vertices", -1, "weights", -1, -1), "7"),
+        ("late-bool-minor", ("labels", last_minor, "weights", -1, -1), True),
         ("string-frozen", ("vertices", 0, "frozen"), "false"),
         ("float-mult", ("vertices", 0, "d"), 1.0),
         ("float-exponent", ("labels", ex, "plus", 0, 1), 0.5),
@@ -532,6 +610,10 @@ def _write_seed_files(tmp_path):
             node = node[key]
         node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    # a float in row 1 and a string in row 4: loading names the first
+    data = json.loads(text)
+    data["b2"][1][0], data["b2"][4][0] = 1.5, "x"
+    (tmp_path / "two-faults-b2.json").write_text(json.dumps(data))
     # a b2 row one entry short; a minor label one slot short of the
     # vertices' three, which loading once took and mutate wrote back out
     for name, drop in (

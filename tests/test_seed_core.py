@@ -227,6 +227,8 @@ class TestCheckSeed:
          "index 1 out of order in the b2 row of x_10"),
         (_at_x10("slot_weights", ((2, (1, 0)), (0, (0, 1)))),
          "index 0 out of order in the slot weights of x_10"),
+        (_at_x10("slot_weights", ((0, (0, 1)), (0, (0, 1)), (2, (1, 0)))),
+         "index 0 out of order in the slot weights of x_10"),
         (_at_x10("slot_weights", ((0, (0, 1)), (1, (0, 0)), (2, (1, 0)))),
          "stored zero at 1 in the slot weights of x_10"),
         (_at_x10("slot_weights", ((0, (0, 1)), (2, (1, 0, 5)))),
@@ -246,7 +248,8 @@ class TestCheckSeed:
         ({"weight_shape": (3, [0, 0])}, _LISTS),
         ({"weight_shape": (3,)}, _SHAPE),
     ], ids=["repeated-column", "descending-columns", "stored-zero-entry",
-            "column-past-the-end-first", "descending-slots", "stored-zero-weight",
+            "column-past-the-end-first", "descending-slots", "repeated-slot",
+            "stored-zero-weight",
             "wrong-coordinate-count", "row-list", "row-pair-list", "slot-weights-list",
             "slot-pair-list", "weight-list", "shape-without-weights", "weights-without-shape",
             "nonzero-zero-weight", "negative-slot-count", "bool-slot-count",
