@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from .root_data import (
     RootDatum,
+    dual_weight_map,
     fold_d4_word,
     g2_weight_dual,
     parse_word,
@@ -66,6 +67,7 @@ __all__ = [
     "builtin_sequences",
     "complete_triangle_seed",
     "diagonal_pairs",
+    "dual_weight_map",
     "fan_triangulation",
     "flip_diagonal",
     "flip_target",

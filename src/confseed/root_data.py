@@ -11,17 +11,27 @@ Conventions, fixed once and used everywhere:
   alpha_j = sum_i C[i][j] * omega_i (columns expand roots);
 * a word is a tuple of nodes and acts on weights rightmost letter first.
 
-The longest element w0 is read from the type, never searched for:
+Each type is one entry of a table, and every type rule reads the entry's
+fields, never the type's name.  An entry is a RootDatum:
 
-* a word is a reduced word for w0 exactly when it has length N, the length
-  of the standard word, and sends rho = (1, ..., 1) to -rho.  W acts simply
-  transitively on the Weyl chambers, so w0 is the only element taking the
-  dominant chamber, which holds rho, to its negative; and a word of length
-  l(w0) = N that represents w0 is reduced (Humphreys, "Reflection Groups
-  and Coxeter Groups", 1990, sections 1.6-1.8).
-* w0 = -iota with iota the diagram involution: i -> n+1-i on a<n>, the
-  identity on g2 and d4 (Bourbaki, "Lie Groups and Lie Algebras",
-  Ch. VI, plates).  So w0(omega_i) = -omega_{iota(i)}.
+* ``cartan`` and ``d``: the Cartan matrix and its symmetrizers;
+* ``iota``: the diagram involution, as node indices, with w0 = -iota, so
+  w0(omega_i) = -omega_{iota[i]}: i -> n+1-i on a<n>, the identity on g2
+  and d4 (Bourbaki, "Lie Groups and Lie Algebras", Ch. VI, plates);
+* ``word``: the standard reduced word for w0;
+* ``dual``: node i of the type goes to node dual[i] of its Langlands dual
+  type, the type with the transposed Cartan matrix.  Every type here is its
+  own dual: dual swaps g2's short and long node and fixes the others.
+
+g2 and d4 are constant entries; a<n> is built from n.
+
+The longest element w0 is read from the entry, never searched for: a word
+is a reduced word for w0 exactly when it has length N = len(datum.word) and
+sends rho = (1, ..., 1) to -rho.  W acts simply transitively on the Weyl
+chambers, so w0 is the only element taking the dominant chamber, which
+holds rho, to its negative; and a word of length l(w0) = N that represents
+w0 is reduced (Humphreys, "Reflection Groups and Coxeter Groups", 1990,
+sections 1.6-1.8).
 """
 from __future__ import annotations
 
@@ -37,6 +47,9 @@ class RootDatum:
     nodes: tuple[str, ...]
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
+    iota: tuple[int, ...]
+    word: tuple[str, ...]
+    dual: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -80,37 +93,45 @@ def vertex_count(kind: str, rank: int, length: int, m: int) -> int:
     return n
 
 
+def _type_a(kind: str) -> RootDatum:
+    """The entry of a<n>, refused first if its triangle is over the cap."""
+    # a rank-r triangle has over r vertices; a rank of ten or more digits
+    # is refused unread, as int() refuses strings of over 4,300 digits
+    if len(kind) > 10:
+        raise ValueError(f"an a<n> rank of {len(kind) - 1} digits is over "
+                         f"the cap of {MAX_VERTICES} vertices")
+    n = int(kind[1:])
+    vertex_count(kind, n, n * (n + 1) // 2, 3)  # N = |positive roots of A_n|
+    nodes = tuple(str(i) for i in range(1, n + 1))
+    cartan = tuple(
+        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
+        for i in range(n)
+    )
+    # the word (1)(2 1)(3 2 1)...(n ... 1)
+    word = tuple(nodes[i] for k in range(n) for i in range(k, -1, -1))
+    return RootDatum(kind, nodes, cartan, (1,) * n, iota=tuple(range(n - 1, -1, -1)),
+                     word=word, dual=tuple(range(n)))
+
+
+# the constant entries; d4 has central node "b" and outer nodes "a1","a2","a3"
+_TYPES = {
+    "g2": RootDatum("g2", ("a", "b"), ((2, -3), (-1, 2)), (1, 3),
+                    iota=(0, 1), word=("b", "a") * 3, dual=(1, 0)),
+    "d4": RootDatum(
+        "d4", ("a1", "a2", "a3", "b"),
+        ((2, 0, 0, -1), (0, 2, 0, -1), (0, 0, 2, -1), (-1, -1, -1, 2)),
+        (1, 1, 1, 1), iota=(0, 1, 2, 3), word=("b", "a1", "a2", "a3") * 3, dual=(0, 1, 2, 3),
+    ),
+}
+
+
 def root_datum(kind: str) -> RootDatum:
     """Return the root datum for "a<n>" (ASCII digits, no leading zero), "g2"
     or "d4", in any case; a rank over the vertex cap is refused first."""
     kind = kind.lower()
     if not _KIND.fullmatch(kind):
         raise ValueError(f"unsupported type {kind!r}")
-    if kind.startswith("a"):
-        # a rank-r triangle has over r vertices; a rank of ten or more digits
-        # is refused unread, as int() refuses strings of over 4,300 digits
-        if len(kind) > 10:
-            raise ValueError(f"an a<n> rank of {len(kind) - 1} digits is over "
-                             f"the cap of {MAX_VERTICES} vertices")
-        n = int(kind[1:])
-        vertex_count(kind, n, n * (n + 1) // 2, 3)  # N = |positive roots of A_n|
-        nodes = tuple(str(i) for i in range(1, n + 1))
-        cartan = tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
-            for i in range(n)
-        )
-        return RootDatum(kind, nodes, cartan, (1,) * n)
-    if kind == "g2":
-        return RootDatum("g2", ("a", "b"), ((2, -3), (-1, 2)), (1, 3))
-    # central node "b", outer nodes "a1","a2","a3"
-    nodes = ("a1", "a2", "a3", "b")
-    cartan = (
-        (2, 0, 0, -1),
-        (0, 2, 0, -1),
-        (0, 0, 2, -1),
-        (-1, -1, -1, 2),
-    )
-    return RootDatum("d4", nodes, cartan, (1, 1, 1, 1))
+    return _TYPES[kind] if kind in _TYPES else _type_a(kind)
 
 
 def zero_weight(datum: RootDatum) -> Weight:
@@ -162,20 +183,13 @@ def dynkin_neighbors(datum: RootDatum, node: str) -> tuple[str, ...]:
 # == the longest element ==
 
 def standard_longest_word(datum: RootDatum) -> tuple[str, ...]:
-    """A fixed reduced word for the longest element of each supported type."""
-    if datum.kind.startswith("a"):
-        out: list[str] = []
-        for k in range(1, datum.rank + 1):
-            out.extend(str(i) for i in range(k, 0, -1))
-        return tuple(out)
-    if datum.kind == "g2":
-        return ("b", "a") * 3
-    return ("b", "a1", "a2", "a3") * 3
+    """The type's fixed reduced word for the longest element."""
+    return datum.word
 
 
 def is_longest_word(datum: RootDatum, word: tuple[str, ...]) -> bool:
     """True when word is a reduced word for w0: length N and rho -> -rho."""
-    if len(word) != len(standard_longest_word(datum)):
+    if len(word) != len(datum.word):
         return False
     rho = (1,) * datum.rank
     return apply_word(datum, word, rho) == scale_weight(-1, rho)
@@ -183,15 +197,12 @@ def is_longest_word(datum: RootDatum, word: tuple[str, ...]) -> bool:
 
 def w0_on_weight(datum: RootDatum, w: Weight) -> Weight:
     """w0(w) = -iota(w): minus w with its coordinates permuted by iota."""
-    if datum.kind.startswith("a"):
-        w = reversed(w)
-    return tuple(-c for c in w)
+    return tuple(-w[j] for j in datum.iota)
 
 
 def w0_dual(datum: RootDatum, node: str) -> str:
     """The node i* = iota(i), with w0(omega_i) = -omega_{i*}."""
-    i = datum.index(node)
-    return datum.nodes[-1 - i] if datum.kind.startswith("a") else node
+    return datum.nodes[datum.iota[datum.index(node)]]
 
 
 # == words as strings, and D4 folding ==
@@ -262,7 +273,16 @@ def fold_d4_word(word: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def g2_weight_dual(w: Weight) -> Weight:
-    """Langlands weight map for G2 in the (a,b) basis: omega_a -> omega_b, omega_b -> 3*omega_a."""
-    ca, cb = w
-    return (3 * cb, ca)
+def dual_weight_map(datum: RootDatum):
+    """The Langlands weight map omega_i -> d_i * omega_{dual[i]}, from the
+    weights of datum to those of its dual type, as a function on int tuples.
+
+    Applied twice to a self-dual type it is max(d) times the identity.
+    """
+    src = sorted(range(datum.rank), key=datum.dual.__getitem__)  # dual[src[k]] == k
+    scale = tuple(datum.d[i] for i in src)
+    return lambda w: tuple(c * w[i] for c, i in zip(scale, src))
+
+
+# omega_a -> omega_b, omega_b -> 3*omega_a in the (a,b) basis
+g2_weight_dual = dual_weight_map(root_datum("g2"))

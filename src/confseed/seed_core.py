@@ -345,9 +345,11 @@ def check_seed(seed: Seed) -> None:
     row over the nonzero entries, entries of at most MAX_ENTRY_BITS bits,
     skew-symmetrizability and even entries at every pair touching an
     unfrozen vertex; slot weights and a weight shape given together, the
-    shape a slot count and a zero weight; one weight tuple per vertex, all
-    with the same number of slots, stored as strictly ascending slots with
-    nonzero weights of the zero weight's length; one label per vertex.
+    shape a positive slot count and a zero weight of at least one
+    coordinate, as a seed file stores no other; one weight tuple per
+    vertex, all with the same number of slots, stored as strictly ascending
+    slots with nonzero weights of the zero weight's length; one label per
+    vertex.
     The first failure names its pair of vertices where there is one.  It
     runs in O(n + arrows + nonzero slots).
     """
@@ -380,8 +382,8 @@ def check_seed(seed: Seed) -> None:
     if (slot_weights is None) != (shape is None):
         raise ValueError("slot weights and a weight shape must be given together")
     if slot_weights is not None:
-        if not (len(shape) == 2 and type(shape[0]) is int and shape[0] >= 0
-                and type(shape[1]) is tuple and not any(shape[1])):
+        if not (len(shape) == 2 and type(shape[0]) is int and shape[0] >= 1
+                and type(shape[1]) is tuple and shape[1] and not any(shape[1])):
             raise ValueError("the weight shape must be a slot count and a zero weight tuple")
         if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")

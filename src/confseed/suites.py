@@ -52,12 +52,13 @@ TRIANGLE_DUALITY_PAIRING = {
 
 
 def quad_duality_pairing(seed: Seed) -> dict[str, str]:
-    """Swap the short and long node at every vertex of the g2 four-point seed."""
+    """Send every vertex of the g2 four-point seed to the same vertex of the
+    Langlands dual node, short and long exchanged."""
     datum = rd.root_datum("g2")
-    swap = {"a": "b", "b": "a"}
+    dual = {node: datum.nodes[i] for node, i in zip(datum.nodes, datum.dual)}
     pairing = {
         four_point_name(datum, node, occ, second=second):
-            four_point_name(datum, swap[node], occ, second=second)
+            four_point_name(datum, dual[node], occ, second=second)
         for second in (False, True)
         for node, occ in triangle_vertices(datum)
     }
@@ -219,7 +220,7 @@ def suite_langlands(rng=None) -> list[CheckReport]:
     tri = build_triangle_seed(datum)
     quad = build_conf_m_seed(datum, 4)
     seqs = builtin_sequences()
-    wmap = rd.g2_weight_dual
+    wmap = rd.dual_weight_map(datum)
     reports = []
 
     problems = []

@@ -216,7 +216,7 @@ def build_conf_m_seed(
     first triangle; other shapes keep their "t<k>." prefixes.  An m whose
     seed would exceed rd.MAX_VERTICES is refused before anything is built.
     """
-    rd.vertex_count(datum.kind, datum.rank, len(rd.standard_longest_word(datum)), m)
+    rd.vertex_count(datum.kind, datum.rank, len(datum.word), m)
     tri = triangulation if triangulation is not None else fan_triangulation(m)
     if tri.m != m:
         raise ValueError("triangulation size disagrees with m")

@@ -13,6 +13,9 @@ Claims covered:
     - kinds are canonical and the vertex cap refuses oversized ranks
     - folding d4 words along the triality orbit lands on g2 words
     - the two-node weight dual is an involution exchanging the node roles
+    - every type-table entry is consistent: iota is a diagram involution
+      that the standard word realizes as -w0, and the Langlands node
+      permutation transposes the Cartan matrix and inverts the symmetrizers
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from confseed.root_data import (
     MAX_VERTICES,
     RootDatum,
     apply_word,
+    dual_weight_map,
     dynkin_neighbors,
     fold_d4_word,
     fundamental_weight,
@@ -119,6 +123,26 @@ class TestDatum:
     def test_symmetrizable(self):
         for kind in KINDS:
             check_symmetrizable(root_datum(kind))
+
+    @pytest.mark.parametrize("kind", [f"a{n}" for n in range(1, 9)] + ["g2", "d4"])
+    def test_type_table_entry_is_consistent(self, kind):
+        datum = root_datum(kind)
+        cartan, d, iota, dual = datum.cartan, datum.d, datum.iota, datum.dual
+        nodes = range(datum.rank)
+        assert sorted(iota) == sorted(dual) == list(nodes)
+        for i in nodes:
+            assert iota[iota[i]] == i
+            assert d[dual[i]] == max(d) // d[i]
+            wt = fundamental_weight(datum, datum.nodes[i])
+            assert w0_on_weight(datum, wt) == apply_word(datum, datum.word, wt)
+            for j in nodes:
+                assert cartan[iota[i]][iota[j]] == cartan[i][j]
+                assert cartan[dual[i]][dual[j]] == cartan[j][i]
+        wmap = dual_weight_map(datum)
+        rng = random.Random(kind)
+        for _ in range(20):
+            w = _random_weight(rng, datum)
+            assert wmap(wmap(w)) == scale_weight(max(d), w)
 
     def test_g2_cartan_is_asymmetric(self):
         datum = root_datum("g2")
@@ -367,3 +391,7 @@ class TestFolding:
         wb = fundamental_weight(datum, "b")
         assert g2_weight_dual(wa) == wb
         assert g2_weight_dual(wb) == scale_weight(3, wa)
+        rng = random.Random(5)
+        for _ in range(50):
+            ca, cb = rng.randint(-9, 9), rng.randint(-9, 9)
+            assert g2_weight_dual((ca, cb)) == (3 * cb, ca)

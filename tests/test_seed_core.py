@@ -247,13 +247,17 @@ class TestCheckSeed:
         ({"weight_shape": (True, (0, 0))}, _SHAPE),
         ({"weight_shape": (3, [0, 0])}, _LISTS),
         ({"weight_shape": (3,)}, _SHAPE),
+        # a seed file cannot store a weight list with no slots or a weight
+        # with no coordinates, so no seed holds either
+        ({"weight_shape": (0, (0, 0)), "slot_weights": ((),) * ZOO[0].size}, _SHAPE),
+        ({"weight_shape": (3, ()), "slot_weights": ((),) * ZOO[0].size}, _SHAPE),
     ], ids=["repeated-column", "descending-columns", "stored-zero-entry",
             "column-past-the-end-first", "descending-slots", "repeated-slot",
             "stored-zero-weight",
             "wrong-coordinate-count", "row-list", "row-pair-list", "slot-weights-list",
             "slot-pair-list", "weight-list", "shape-without-weights", "weights-without-shape",
             "nonzero-zero-weight", "negative-slot-count", "bool-slot-count",
-            "zero-weight-list", "shape-too-short"])
+            "zero-weight-list", "shape-too-short", "zero-slots", "zero-coordinates"])
     def test_stored_form_not_canonical_rejected(self, changes, message):
         # the a2 triangle with a pair of vertex x_10 repeated, out of order,
         # zero, of the wrong length or not a tuple, or with a weight shape
@@ -316,6 +320,12 @@ def _without_weights(seed):
     return seed.replace(slot_weights=None, weight_shape=None)
 
 
+def _two_vertex(weight_at_v):
+    """Frozen u -> v with multipliers (1, 2), v's one weight given."""
+    return Seed(("u", "v"), (True, True), (1, 2), (((1, 1),), ((0, -2),)),
+                (((0, (2,)),), ((0, weight_at_v),)), (1, (0,)))
+
+
 def _extra_slot(data):
     data["vertices"][0]["weights"].append(data["vertices"][0]["weights"][0])
 
@@ -358,6 +368,8 @@ class TestRefusals:
          None),
         (lambda: langlands_dual(_G2_TRI, weight_map=lambda w: (1, 1)),
          f"dual weight not integral at {_G2_LONG}", None),
+        (lambda: langlands_dual(_two_vertex((3,)), weight_map=lambda w: w),
+         "dual weight not integral at v", None),
         (lambda: quiver_isomorphic(*[_without_weights(ZOO[0])] * 2),
          "seeds to compare need weights", None),
         (lambda: matches_under(_without_weights(ZOO[0]), ZOO[0],
@@ -379,7 +391,8 @@ class TestRefusals:
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
-            "non-integral-dual-weight", "comparison-without-weights",
+            "non-integral-dual-weight", "non-integral-dual-weight-mult-2",
+            "comparison-without-weights",
             "weight-map-without-weights", "short-slot-permutation",
             "repeated-slot", "slot-out-of-range", "mutate-frozen",
             "mutate-x-frozen", "exchange-frozen", "oversized-entry"])
@@ -825,6 +838,13 @@ class TestSymmetries:
             dd = langlands_dual(langlands_dual(seed, weight_map=wmap),
                                 weight_map=wmap)
             assert dd == bare
+
+    def test_dual_divides_by_a_multiplier_of_two(self):
+        # g2's multipliers are 1 and 3, so only this seed divides by 2
+        dual = langlands_dual(_two_vertex((2,)), weight_map=lambda w: w)
+        assert dual.mult == (2, 1)
+        assert dual.weight("v") == ((1,),)
+        assert dual.weight("u") == ((2,),)
 
     def test_dual_of_simply_laced_reverses_arrows(self):
         seed = build_triangle_seed(root_datum("a3"))

@@ -206,7 +206,7 @@ def small_seeds(draw) -> Seed:
         b2[i][j], b2[j][i] = c * mult[i], -c * mult[j]
     weights = None
     if n and draw(st.booleans()):
-        slots, rank = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        slots, rank = draw(st.integers(1, 3)), draw(st.integers(1, 2))
         each = _weight_tuples(slots, rank)
         weights = tuple(draw(each) for _ in range(n))
     labels = None
