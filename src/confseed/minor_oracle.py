@@ -78,20 +78,19 @@ def random_torus(rng, n: int):
 # == atomic invariants ==
 
 @cache
-def degrees_of(weights) -> tuple[int, ...]:
-    """Row counts per slot for an atomic weight tuple; raises otherwise.
+def degrees_of(weights, slots: int) -> tuple[int, ...]:
+    """Row counts per slot for atomic weights; raises otherwise.
 
-    Cached by weight tuple, so the tuple must be hashable.
+    ``weights`` are stored (slot, weight) pairs, as a vertex or a Minor
+    holds them, of ``slots`` slots; a slot without a pair has degree 0.
+    Cached by both, so the pairs must be hashable.
     """
-    degs = []
-    for w in weights:
+    degs = [0] * slots
+    for s, w in weights:
         nz = [(i, c) for i, c in enumerate(w) if c != 0]
-        if not nz:
-            degs.append(0)
-        elif len(nz) == 1 and nz[0][1] == 1:
-            degs.append(nz[0][0] + 1)
-        else:
+        if len(nz) != 1 or nz[0][1] != 1:
             raise ValueError(f"weight {w} is not fundamental or zero")
+        degs[s] = nz[0][0] + 1
     return tuple(degs)
 
 
@@ -105,9 +104,9 @@ def wedge_invariant(degrees, flags) -> Q:
     return det(rows)
 
 
-def evaluatable(weights, n: int) -> bool:
+def evaluatable(weights, slots: int, n: int) -> bool:
     try:
-        return sum(degrees_of(weights)) == n
+        return sum(degrees_of(weights, slots)) == n
     except ValueError:
         return False
 
@@ -143,7 +142,7 @@ def evaluate_label(label: Label, flags) -> Q:
         return values[label]
     for top in post_order(label, values):
         if isinstance(top, Minor):
-            val = wedge_invariant(degrees_of(top.weights), flags)
+            val = wedge_invariant(degrees_of(top.weights, top.shape[0]), flags)
         else:
             pn, pd = monomial((values[l], e) for l, e in top.plus)
             mn, md = monomial((values[l], e) for l, e in top.minus)
@@ -186,8 +185,8 @@ def check_exchange(seed: Seed, at: str, flags) -> Q:
     plus, minus, weight, label = exchange(seed, at)
     if weight is None:
         raise ValueError("seed carries no weights")
-    if evaluatable(weight, len(flags[0])):
-        a_new = wedge_invariant(degrees_of(weight), flags)
+    if evaluatable(weight, seed.slots, len(flags[0])):
+        a_new = wedge_invariant(degrees_of(weight, seed.slots), flags)
     else:
         a_new = evaluate_label(label, flags)
     # in column order, so that of two failing neighbours the first in row k raises
@@ -316,13 +315,13 @@ def check_cyclic_symmetry(seed: Seed, flags) -> bool:
     n = len(flags[0])
     s = w0_square_sign(n)
     shifted = twisted_shift(flags, n)
-    closed = seed.slots == 3
-    weight_set = {seed.weight(nm) for nm in seed.names}
-    for nm in seed.names:
-        w = seed.weight(nm)
-        if closed and (w[-1],) + w[:-1] not in weight_set:
+    slots = seed.slots
+    weight_set = set(seed.slot_weights)
+    for ws in seed.slot_weights:
+        # the rotation moves slot t to t + 1
+        if slots == 3 and tuple(sorted([((t + 1) % 3, w) for t, w in ws])) not in weight_set:
             return False
-        degs = degrees_of(w)
+        degs = degrees_of(ws, slots)
         lhs = wedge_invariant(degs, shifted)
         rotated = (degs[-1],) + degs[:-1]
         eps = (s ** degs[-1]) * ((-1) ** (degs[-1] * sum(degs[:-1])))
@@ -403,10 +402,11 @@ def check_shear_law(seed: Seed, rng, n: int) -> bool:
         return h, check_shear_action(seed, flags, h)
 
     h, ratios = until_defined("check_shear_law", trial)
+    stored = dict(zip(seed.names, seed.slot_weights))
     for nm, ratio in ratios.items():
-        w = seed.weight(nm)
-        if any(w[0]) and any(w[2]) and not any(w[1]) and not any(w[3]):
-            (j,) = degrees_of(w[:1])
+        ws = stored[nm]
+        if [t for t, _ in ws] == [0, 2]:
+            (j,) = degrees_of(ws[:1], 1)
             if ratio * simple_root_character(j, h) != 1:
                 return False
         elif ratio != 1:

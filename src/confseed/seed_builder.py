@@ -136,9 +136,9 @@ def build_bruhat_seed(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
     # frozen: the vertices before the scan and each node's last vertex
     last = set(current.values())
     frozen = tuple(v < datum.rank or v in last for v in range(n))
-    labels = tuple(Minor(w) for w in weights)
-    return Seed(names, frozen, mult, tuple(map(tuple, rows)), *stored_weights(weights),
-                labels)
+    slot_weights, shape = stored_weights(weights)
+    labels = tuple([Minor(ws, shape) for ws in slot_weights])
+    return Seed(names, frozen, mult, tuple(map(tuple, rows)), slot_weights, shape, labels)
 
 
 # == completion ==
@@ -252,8 +252,9 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
 
     if len(set(weights)) != len(weights):
         raise ValueError("vertex weight tuples must be distinct")
-    labels = tuple(Minor(w) for w in weights)
-    return Seed(names, frozen, seed.mult + datum.d, rows, *stored_weights(weights), labels)
+    slot_weights, shape = stored_weights(weights)
+    labels = tuple([Minor(ws, shape) for ws in slot_weights])
+    return Seed(names, frozen, seed.mult + datum.d, rows, slot_weights, shape, labels)
 
 
 def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:

@@ -66,13 +66,17 @@ Each vertex optionally carries one weight per marked point ("slot") and a
 label recording which function on the configuration space it denotes: either
 an atomic wedge invariant (Minor) or an exchange tree (Exchange).  Weights are
 int tuples and weight balances are doubled like b2; only b = b2/2, arrow
-multiplicities and X-values are Fractions.  A Minor keeps its dense tuple of
-slot weights, by which it is interned.
+multiplicities and X-values are Fractions.  A Minor stores its weights as a
+vertex does, its nonzero (slot, weight) pairs ascending in slot, together
+with the weight shape, and is interned by both; so the one ``moved`` rule of
+``move_slots`` and the one ``mapped`` rule of ``map_weights`` relabel
+vertices and labels alike, and no label weight is expanded but for output.
 
 Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006).  ``Minor(weights)`` and ``Exchange(plus, minus, over)``
+hash-consing", 2006).  ``Minor(weights, shape)`` and ``Exchange(plus, minus, over)``
 look their fields up in one intern table and return the label already stored
-there, so structurally equal labels are one object.  Equality and hashing are
+there, so structurally equal labels are one object: two minors are one
+exactly when their dense weights are equal.  Equality and hashing are
 therefore the object defaults, identity in O(1), although mutation makes the
 trees grow exponentially in depth: the cost follows the DAG of distinct
 nodes, which grows by at most one node per mutation.  The table is a
@@ -93,9 +97,8 @@ from .root_data import MAX_ENTRY_BITS, MAX_VERTICES, Weight
 
 # == labels ==
 
-# the intern table: weight tuple -> Minor, (plus, minus, over) -> Exchange.
-# The two key shapes never compare equal, since an Exchange key ends in a
-# label and a weight tuple ends in a weight.
+# the intern table: (weights, shape) -> Minor, (plus, minus, over) ->
+# Exchange.  The two key shapes never compare equal, as their lengths differ.
 _LABELS: WeakValueDictionary = WeakValueDictionary()
 
 
@@ -121,15 +124,20 @@ def _intern(cls, key, **fields):
 
 
 class Minor(_Label):
-    """An atomic invariant, determined by its weight tuple alone."""
+    """An atomic invariant, determined by its weights alone.
 
-    __slots__ = ("weights",)
+    ``weights`` holds the nonzero (slot, weight) pairs, ascending in slot,
+    as ``Seed.slot_weights`` holds a vertex's, and ``shape`` is the (slots,
+    zero weight) pair of ``Seed.weight_shape``.
+    """
 
-    def __new__(cls, weights: tuple[Weight, ...]):
-        return _intern(cls, weights, weights=weights)
+    __slots__ = ("weights", "shape")
+
+    def __new__(cls, weights: tuple[tuple[int, Weight], ...], shape: tuple[int, Weight]):
+        return _intern(cls, (weights, shape), weights=weights, shape=shape)
 
     def __repr__(self):
-        return f"Minor(weights={self.weights!r})"
+        return f"Minor(weights={self.weights!r}, shape={self.shape!r})"
 
 
 class Exchange(_Label):
@@ -170,17 +178,18 @@ def post_order(label: Label, done):
         yield top
 
 
-def map_label_weights(labels: tuple[Label, ...], fn) -> tuple[Label, ...]:
-    """Apply fn to every weight tuple inside the labels.
+def map_label_weights(labels: tuple[Label, ...], fn, shape) -> tuple[Label, ...]:
+    """Apply fn to the stored weights of every minor inside the labels.
 
-    Each distinct node is mapped once per call, so subtrees shared within
-    and across the labels stay shared in the result.
+    The new minors get ``shape``, or keep their own where it is None.  Each
+    distinct node is mapped once per call, so subtrees shared within and
+    across the labels stay shared in the result.
     """
     done: dict[Label, Label] = {}
     for label in labels:
         for top in post_order(label, done):
             if isinstance(top, Minor):
-                done[top] = Minor(fn(top.weights))
+                done[top] = Minor(fn(top.weights), shape or top.shape)
             else:
                 done[top] = Exchange(
                     tuple((done[l], e) for l, e in top.plus),
@@ -521,19 +530,16 @@ def exchange(seed: Seed, at: str) -> tuple[tuple, tuple, tuple | None, Label | N
 
     Returns (plus, minus, weight, label): the (j, e) pairs of the two
     monomials M+ and M-, e = |b2[k][j]| / 2 > 0; the weight of A'_k, the
-    sum of e * w_j over plus minus w_k, one weight per slot; and the label
-    of A'_k.  The weight is None on a seed without weights and the label
-    None on one without labels.  Raises ValueError unless the two monomials
-    have equal weights.
+    sum of e * w_j over plus minus w_k, stored as ``mutate`` stores it, as
+    (slot, weight) pairs; and the label of A'_k.  The weight is None on a
+    seed without weights and the label None on one without labels.  Raises
+    ValueError unless the two monomials have equal weights.
     """
-    plus, minus, weight, label = _exchange(seed, _unfrozen(seed, at), seed.labels)
-    if weight is not None:
-        weight = dense(weight, seed.slots, seed.weight_shape[1])
-    return plus, minus, weight, label
+    return _exchange(seed, _unfrozen(seed, at), seed.labels)
 
 
 def _exchange(seed: Seed, k: int, labels):
-    """``exchange`` at vertex index k, with the weight as (slot, weight) pairs.
+    """``exchange`` at vertex index k.
 
     The label is built over ``labels`` and is None when they are.  Mutating
     back collapses it: when the label at k is already the exchange with
@@ -710,36 +716,40 @@ def opposite(seed: Seed) -> Seed:
 def map_weights(seed: Seed, fn) -> Seed:
     """The seed with the linear map fn applied to every weight.
 
-    fn takes and returns one weight.  It is applied to each vertex's
-    nonzero weights, which stay nonzero as fn is invertible wherever a
-    relabelling uses it, and, through ``map_label_weights``, to every
-    weight inside the labels, so shared label subtrees stay shared.  The
-    result is checked once.
+    fn takes and returns one weight of the same length.  One rule,
+    ``mapped``, applies it to the nonzero weights of each vertex and,
+    through ``map_label_weights``, of each minor inside the labels, so
+    shared label subtrees stay shared.  Nonzero weights stay nonzero, as fn
+    is invertible wherever a relabelling uses it.  The result is checked
+    once.
     """
+    def mapped(ws):
+        return tuple([(s, fn(w)) for s, w in ws])
+
     stored, labels = seed.slot_weights, seed.labels
     if stored is not None:
-        stored = tuple(tuple([(s, fn(w)) for s, w in ws]) for ws in stored)
+        stored = tuple(map(mapped, stored))
     if labels is not None:
-        labels = map_label_weights(labels, lambda ws: tuple(map(fn, ws)))
+        labels = map_label_weights(labels, mapped, seed.weight_shape)
     return seed.replace(slot_weights=stored, labels=labels)
 
 
 def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
     """The seed with old slot s moved to slot where[s] of ``slots``.
 
-    Slots that no old slot moves to carry the zero weight.  A vertex's
-    nonzero slots are moved one by one, and every weight tuple inside the
-    labels is rebuilt through ``map_label_weights``.  Other fields change
-    as ``Seed.replace`` takes them, and the result is checked once.
+    Slots that no old slot moves to carry the zero weight.  One rule,
+    ``moved``, moves the nonzero slots of each vertex and, through
+    ``map_label_weights``, of each minor inside the labels.  Other fields
+    change as ``Seed.replace`` takes them, and the result is checked once.
     """
-    zero = seed.weight_shape[1]
-    slot_weights = tuple(
-        [tuple(sorted([(where[s], w) for s, w in ws])) for ws in seed.slot_weights]
-    )
-    labels = None if seed.labels is None else map_label_weights(
-        seed.labels, lambda ws: dense(zip(where, ws), slots, zero))
-    return seed.replace(slot_weights=slot_weights, weight_shape=(slots, zero), labels=labels,
-                        **changes)
+    shape = (slots, seed.weight_shape[1])
+
+    def moved(ws):
+        return tuple(sorted([(where[s], w) for s, w in ws]))
+
+    labels = None if seed.labels is None else map_label_weights(seed.labels, moved, shape)
+    return seed.replace(slot_weights=tuple(map(moved, seed.slot_weights)), weight_shape=shape,
+                        labels=labels, **changes)
 
 
 def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:

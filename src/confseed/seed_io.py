@@ -89,7 +89,7 @@ def _label_table(seed: Seed) -> tuple[list[dict], list[int] | None]:
     for label in seed.labels:
         for top in post_order(label, label_index):
             if isinstance(top, Minor):
-                entry = {"kind": "minor", "weights": top.weights}
+                entry = {"kind": "minor", "weights": dense(top.weights, *top.shape)}
             else:
                 entry = {
                     "kind": "exchange",
@@ -225,7 +225,7 @@ def seed_from_json(data: dict) -> Seed:
         slot_weights = shape = None
         slot_counts = set()  # of the vertices' weight lists, or of the first minor's
         nonzero = []  # the vertices' nonzero weight vectors
-        minor_weights = []
+        minor_pairs = []  # the minors' stored weights
         if _carried(vertices, "weights"):
             lists = [v["weights"] for v in vertices]
             if not _weights_pass(lists, lengths):
@@ -249,19 +249,21 @@ def seed_from_json(data: dict) -> Seed:
             except (KeyError, TypeError):  # the walk below names the fault
                 checked = False
             built: list[Label] = []
+            minor_shape = shape  # the vertices', or else the first minor's
             for entry in entries:
                 kind = entry["kind"]
                 if kind == "minor":
                     if not checked:
                         _weights_walk([entry["weights"]], lengths)
-                    weights = tuple(map(tuple, entry["weights"]))
+                    (pairs,), own = stored_weights((entry["weights"],))
                     # vertices whose counts differ are check_seed's to refuse
-                    slot_counts = slot_counts or {len(weights)}
-                    if len(weights) not in slot_counts:
+                    slot_counts = slot_counts or {own[0]}
+                    if own[0] not in slot_counts:
                         raise ValueError(
-                            f"a minor label has {len(weights)} slots, not {min(slot_counts)}")
-                    minor_weights.append(weights)
-                    built.append(Minor(weights))
+                            f"a minor label has {own[0]} slots, not {min(slot_counts)}")
+                    minor_shape = minor_shape or own
+                    minor_pairs.append(pairs)
+                    built.append(Minor(pairs, minor_shape))
                 elif kind == "exchange":
                     built.append(
                         Exchange(
@@ -277,7 +279,7 @@ def seed_from_json(data: dict) -> Seed:
             raise ValueError("a weight vector has no coordinates")
         # check_seed caps b2; the weights take one C-level pass over the
         # nonzero vectors, as zero ones are under any cap
-        vectors = chain(nonzero, filter(any, chain.from_iterable(minor_weights)))
+        vectors = chain(nonzero, (w for _, w in chain.from_iterable(minor_pairs)))
         coords = chain.from_iterable(vectors)
         if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")

@@ -70,7 +70,7 @@ def type_a_flip(datum: rd.RootDatum) -> MutationSequence:
         raise ValueError(f"type {datum.kind} has no type-A flip")
     n = datum.rank + 1
     seed = build_conf_m_seed(datum, 4)
-    at = {degrees_of(dense(ws, *seed.weight_shape)): v for v, ws in enumerate(seed.slot_weights)}
+    at = {degrees_of(ws, seed.slots): v for v, ws in enumerate(seed.slot_weights)}
     stages = []
     for layer in range(n - 1):
         moved = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from confseed import seed_core
 from confseed.root_data import MAX_ENTRY_BITS
-from confseed.seed_core import Exchange, Seed, dense, nonzero_pairs, stored_weights
+from confseed.seed_core import Exchange, Minor, Seed, dense, nonzero_pairs, stored_weights
 
 
 def dense_seed(names, frozen, mult, b2, weights=None, labels=None) -> Seed:
@@ -24,6 +24,12 @@ def dense_seed(names, frozen, mult, b2, weights=None, labels=None) -> Seed:
     """
     rows = tuple(nonzero_pairs(tuple(row), len(names)) for row in b2)
     return Seed(names, frozen, mult, rows, *stored_weights(weights), labels)
+
+
+def dense_minor(weights) -> Minor:
+    """The Minor of dense weights, one per slot, stored as a vertex's are."""
+    (pairs,), shape = stored_weights((weights,))
+    return Minor(pairs, shape)
 
 
 def dense_weights(seed: Seed):

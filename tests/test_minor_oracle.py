@@ -55,7 +55,7 @@ def atomic_mutations(seed: Seed) -> tuple[str, ...]:
     n = len(seed.weight_shape[1]) + 1
     out = []
     for nm in seed.unfrozen_names():
-        if mo.evaluatable(exchange(seed, nm)[2], n):
+        if mo.evaluatable(exchange(seed, nm)[2], seed.slots, n):
             out.append(nm)
     return tuple(out)
 
@@ -119,10 +119,10 @@ class TestWedges:
             mo.wedge_invariant((1, 1), flags)
 
     def test_degrees_of_reads_fundamental_weights(self):
-        assert mo.degrees_of(((1, 0, 0), (0, 0, 1))) == (1, 3)
-        assert mo.degrees_of(((0, 0, 0), (0, 1, 0))) == (0, 2)
+        assert mo.degrees_of(((0, (1, 0, 0)), (1, (0, 0, 1))), 2) == (1, 3)
+        assert mo.degrees_of(((1, (0, 1, 0)),), 2) == (0, 2)
         with pytest.raises(ValueError):
-            mo.degrees_of(((1, 1, 0),))
+            mo.degrees_of(((0, (1, 1, 0)),), 1)
 
     def test_row_scaling_is_multilinear(self):
         rng = random.Random(2)
@@ -136,7 +136,7 @@ class TestWedges:
     def test_minor_label_matches_wedge(self):
         rng = random.Random(3)
         flags = mo.random_flags(rng, 3, 3)
-        label = Minor(((1, 0), (0, 1), (0, 0)))
+        label = Minor(((0, (1, 0)), (1, (0, 1))), (3, (0, 0)))
         want = mo.wedge_invariant((1, 2, 0), flags)
         assert mo.evaluate_label(label, flags) == want
 
@@ -365,7 +365,7 @@ def _tree_value(label, flags, cache):
     """Evaluation with a per-call dict cache and no memo: the reference."""
     if label not in cache:
         if isinstance(label, Minor):
-            cache[label] = mo.wedge_invariant(mo.degrees_of(label.weights), flags)
+            cache[label] = mo.wedge_invariant(mo.degrees_of(label.weights, label.shape[0]), flags)
         else:
             plus = minus = Q(1)
             for l, e in label.plus:
@@ -463,7 +463,7 @@ class TestFractionContract:
                 for label in seed.labels:
                     assert type(mo.evaluate_label(label, flags)) is Q
                     if isinstance(label, Minor):
-                        degrees = mo.degrees_of(label.weights)
+                        degrees = mo.degrees_of(label.weights, label.shape[0])
                         rows = [r for d, f in zip(degrees, flags) for r in f[:d]]
                         assert type(det(rows)) is Q
                         assert type(mo.wedge_invariant(degrees, flags)) is Q

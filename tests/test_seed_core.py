@@ -81,6 +81,7 @@ from confseed.seed_core import (
     Seed,
     arrows,
     check_seed,
+    dense,
     exchange,
     langlands_dual,
     map_weights,
@@ -100,6 +101,7 @@ from confseed.surface_glue import build_conf_m_seed
 from dense_reference import (
     dense_dual_b2,
     dense_exchange,
+    dense_minor,
     dense_mutate_b2,
     dense_seed,
     dense_weights,
@@ -506,14 +508,14 @@ class TestMutation:
                 k = cur.index(at)
                 got = exchange(cur, at)
                 want = dense_exchange(cur, k)
-                assert got[:3] == want[:3]
+                assert _dense_weight(cur, got)[:3] == want[:3]
                 assert got[3] is want[3]
                 nxt = mutate(cur, at)
-                assert nxt.weight(at) == got[2]
+                assert nxt.slot_weights[k] == got[2]
                 assert nxt.labels[k] is got[3]
                 back = exchange(nxt, at)
                 assert back[3] is cur.labels[k]
-                assert back == dense_exchange(nxt, k)
+                assert _dense_weight(nxt, back) == dense_exchange(nxt, k)
                 cur = nxt
 
     def test_matrix_rule_on_a_known_pair(self):
@@ -524,6 +526,11 @@ class TestMutation:
         for j in range(seed.size):
             assert nxt.b2[k][j] == -seed.b2[k][j]
             assert nxt.b2[j][k] == -seed.b2[j][k]
+
+
+def _dense_weight(seed, ex):
+    """exchange's result ex on seed, its stored weight expanded as dense_exchange gives it."""
+    return ex[:2] + (dense(ex[2], *seed.weight_shape),) + ex[3:]
 
 
 def _full_check_message(seed, at):
@@ -1014,7 +1021,7 @@ def _weight_coordinates(seed):
     while stack:
         label = stack.pop()
         if isinstance(label, Minor):
-            tables.append(label.weights)
+            tables.append(dense(label.weights, *label.shape))
         else:
             stack.extend(l for l, _ in label.plus + label.minus)
             stack.append(label.over)
@@ -1058,15 +1065,16 @@ def _cyclic_walk(steps):
 
 class TestLabelInterning:
     def test_equal_minors_are_one_object(self):
-        a = Minor(tuple(tuple([1, 0]) for _ in range(2)))
-        b = Minor(((1, 0), (1, 0)))
+        a = Minor(tuple((s, tuple([1, 0])) for s in range(2)), (2, (0, 0)))
+        b = Minor(((0, (1, 0)), (1, (1, 0))), (2, (0, 0)))
         assert a is b
-        assert Minor(((0, 1), (1, 0))) is not a
+        assert Minor(((0, (0, 1)), (1, (1, 0))), (2, (0, 0))) is not a
+        assert Minor(b.weights, (3, (0, 0))) is not a
 
     def test_exchange_from_equal_parts_is_one_object(self):
         def build():
-            x, y, z = (Minor(((i, 0),)) for i in range(3))
-            return Exchange(tuple([(x, 1), (y, 2)]), tuple([(z, 1)]), Minor(((3, 0),)))
+            x, y, z = (dense_minor(((i, 0),)) for i in range(3))
+            return Exchange(tuple([(x, 1), (y, 2)]), tuple([(z, 1)]), dense_minor(((3, 0),)))
 
         assert build() is build()
         seed = ZOO[1]
@@ -1076,14 +1084,16 @@ class TestLabelInterning:
         )
 
     def test_labels_are_immutable(self):
-        minor = Minor(((1, 0), (0, 1)))
+        minor = dense_minor(((1, 0), (0, 1)))
         ex = Exchange(((minor, 1),), (), minor)
-        for label, field in ((minor, "weights"), (ex, "over"), (ex, "plus"), (minor, "other")):
+        for label, field in ((minor, "weights"), (minor, "shape"), (ex, "over"), (ex, "plus"),
+                             (minor, "other")):
             with pytest.raises(AttributeError):
                 setattr(label, field, ())
         with pytest.raises(AttributeError):
             del minor.weights
-        assert minor.weights == ((1, 0), (0, 1))
+        assert minor.weights == ((0, (1, 0)), (1, (0, 1)))
+        assert minor.shape == (2, (0, 0))
 
     def test_round_trip_returns_the_saved_objects(self):
         deepest = _cyclic_walk(12)[-1]
@@ -1113,11 +1123,11 @@ class TestLabelInterning:
         assert dense_weights(mapped) == tuple(
             tuple(tuple(-c for c in w) for w in ws) for ws in dense_weights(seed))
         # the 81 distinct label nodes stay 81, and fn saw each nonzero
-        # vertex weight and each slot of each minor once
+        # weight of each vertex and of each minor once
         table = seed_to_json(mapped)["labels"]
         assert len(table) == len(seed_to_json(seed)["labels"]) == 81
-        n_minors = sum(e["kind"] == "minor" for e in table)
-        assert len(seen) == sum(map(len, seed.slot_weights)) + n_minors * seed.slots
+        minor_weights = sum(sum(map(any, e["weights"])) for e in table if e["kind"] == "minor")
+        assert len(seen) == sum(map(len, seed.slot_weights)) + minor_weights
         same = map_weights(seed, lambda w: w)
         assert same == seed
         assert all(a is b for a, b in zip(same.labels, seed.labels))
@@ -1132,8 +1142,8 @@ class TestLabelInterning:
             # label evaluated; until_defined draws again if one vanishes
             flags = mo.random_flags(rng, 4, 4)
             values = {
-                nm: mo.wedge_invariant(mo.degrees_of(start.weight(nm)), flags)
-                for nm in start.names
+                nm: mo.wedge_invariant(mo.degrees_of(ws, start.slots), flags)
+                for nm, ws in zip(start.names, start.slot_weights)
             }
             seed = start
             for d in range(1200):

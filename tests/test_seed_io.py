@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 
 from confseed.root_data import root_datum
 from confseed.seed_builder import build_triangle_seed
-from confseed.seed_core import Exchange, Minor, Seed, mutate
+from confseed.seed_core import Exchange, Minor, Seed, dense, mutate
 from confseed.seed_io import load_seed, save_seed, seed_to_json, write_seed
 from confseed.surface_glue import build_conf_m_seed
 
-from dense_reference import dense_seed
+from dense_reference import dense_minor, dense_seed
 
 
 def _written(seed: Seed) -> str:
@@ -78,7 +78,7 @@ def _recursive_table(seed: Seed) -> list[dict]:
     def number(label) -> int:
         if label not in index:
             if isinstance(label, Minor):
-                entry = {"kind": "minor", "weights": label.weights}
+                entry = {"kind": "minor", "weights": dense(label.weights, *label.shape)}
             else:
                 entry = {
                     "kind": "exchange",
@@ -111,7 +111,7 @@ def test_exchange_with_an_empty_side():
     # one side of its exchange label empty
     seed = Seed(
         ("p", "q"), (False, False), (1, 1), (((1, 2),), ((0, -2),)),
-        labels=(Minor(((1, 0),)), Minor(((0, 1),))),
+        labels=(dense_minor(((1, 0),)), dense_minor(((0, 1),))),
     )
     seed = mutate(seed, "p")
     label = seed.labels[0]
@@ -187,7 +187,7 @@ LABELS = st.recursive(
         lambda slots: st.integers(0, 2).flatmap(
             lambda rank: _weight_tuples(slots, rank)
         )
-    ).map(Minor),
+    ).map(dense_minor),
     lambda labels: st.builds(Exchange, _sides(labels), _sides(labels), labels),
     max_leaves=6,
 )
