@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction as Q
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd
 from weakref import WeakValueDictionary
 
@@ -344,21 +344,35 @@ _SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2",))
 _SET_B2 = _SETTERS[-1]
 
 
+# the second item of a stored pair: a b2 entry or a vertex's weight
+_ENTRY = operator.itemgetter(1)
+
+# check_seed's refusal of a weight shape a seed file cannot hold
+_SHAPE = "the weight shape must be a slot count and a zero weight tuple"
+
+
 def check_seed(seed: Seed) -> None:
     """Raise ValueError unless seed is well formed.
 
-    Checks, in this order: unique names; equal field lengths; positive
-    multipliers; a square b2; hashable fields, so that no list a caller
-    could change afterwards is inside the seed; rows stored as strictly
-    ascending columns with nonzero entries; a zero diagonal; then, row by
-    row over the nonzero entries, entries of at most MAX_ENTRY_BITS bits,
-    skew-symmetrizability and even entries at every pair touching an
-    unfrozen vertex; slot weights and a weight shape given together, the
-    shape a positive slot count and a zero weight of at least one
-    coordinate, as a seed file stores no other; one weight tuple per
-    vertex, all with the same number of slots, stored as strictly ascending
-    slots with nonzero weights of the zero weight's length; one label per
-    vertex.
+    Checks, in this order: unique names; equal field lengths; names that
+    are str, frozen flags that are bool, and multipliers that are int,
+    positive and of at most MAX_ENTRY_BITS bits; a square b2; hashable
+    fields, so that no list a caller could change afterwards is inside the
+    seed; rows stored as strictly ascending columns with nonzero int
+    entries; a zero diagonal; then, row by row over the nonzero entries,
+    entries of at most MAX_ENTRY_BITS bits, skew-symmetrizability and even
+    entries at every pair touching an unfrozen vertex; slot weights and a
+    weight shape given together, and neither weights nor labels on a seed
+    with no vertices; the shape a positive slot count and a zero weight of
+    at least one coordinate, as a seed file stores no other; one weight
+    tuple per vertex, all with the same number of slots, stored as strictly
+    ascending slots with nonzero weights of the zero weight's length, whose
+    coordinates are int of at most MAX_ENTRY_BITS bits; one label per
+    vertex, and every vertex label that is a Minor of the seed's weight
+    shape, or on a seed without weights of the first such minor's shape,
+    which has slots and coordinates.  Minors nested inside exchange labels
+    are not visited.  So a checked seed is one that a seed file can hold,
+    and a value the loader refuses is refused with the loader's message.
     The first failure names its pair of vertices where there is one.  It
     runs in O(n + arrows + nonzero slots).
     """
@@ -368,8 +382,13 @@ def check_seed(seed: Seed) -> None:
     rows = seed.rows
     if not (len(seed.frozen) == len(seed.mult) == len(rows) == n):
         raise ValueError("field lengths disagree")
-    if any(d < 1 for d in seed.mult):
+    _require(str, seed.names, "vertex tag {!r} is not a string")
+    _require(bool, seed.frozen, "frozen flag {!r} is not a boolean")
+    _require(int, seed.mult, "multiplier d {!r} is not a positive integer")
+    if min(seed.mult, default=1) < 1:
         raise ValueError("multipliers must be positive")
+    if max(seed.mult, default=0) >= _TOO_BIG:
+        raise ValueError(f"multiplier d over the cap of {MAX_ENTRY_BITS} bits")
     # rows ascend in j, so a column past the end is a row's last
     if any(row and row[-1][0] >= n for row in rows):
         raise ValueError("b2 must be square")
@@ -387,13 +406,14 @@ def check_seed(seed: Seed) -> None:
     if any(map(dict.__contains__, lookup.values(), range(n))):
         raise ValueError("b2 diagonal must be zero")
     _check_entries(seed, enumerate(rows), lookup)
-    slot_weights, shape = seed.slot_weights, seed.weight_shape
+    slot_weights, shape, labels = seed.slot_weights, seed.weight_shape, seed.labels
     if (slot_weights is None) != (shape is None):
         raise ValueError("slot weights and a weight shape must be given together")
+    if not n and (shape is not None or labels is not None):
+        raise ValueError("a seed with no vertices carries no weights or labels")
     if slot_weights is not None:
-        if not (len(shape) == 2 and type(shape[0]) is int and shape[0] >= 1
-                and type(shape[1]) is tuple and shape[1] and not any(shape[1])):
-            raise ValueError("the weight shape must be a slot count and a zero weight tuple")
+        if not (len(shape) == 2 and _is_shape(shape)):
+            raise ValueError(_SHAPE)
         if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")
         slots, rank = shape[0], len(shape[1])
@@ -407,8 +427,68 @@ def check_seed(seed: Seed) -> None:
                 if s <= prev or not any(w):
                     raise _unstored(s, prev, "slot weights", name)
                 prev = s
-    if seed.labels is not None and len(seed.labels) != n:
-        raise ValueError("one label per vertex required")
+        weights = map(_ENTRY, chain.from_iterable(slot_weights))
+        coords = list(chain(shape[1], chain.from_iterable(weights)))
+        _require(int, coords, "weight coordinate {!r} is not an integer")
+        # ints now, so equal coordinates are one value under the cap
+        distinct = set(coords)
+        if max(distinct) >= _TOO_BIG or min(distinct) <= -_TOO_BIG:
+            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+    if labels is not None:
+        if len(labels) != n:
+            raise ValueError("one label per vertex required")
+        # the shapes of the vertices' minors, where any differs from the seed's
+        if set(map(getattr, labels, repeat("shape"), repeat(None))) - {None, shape}:
+            for label in labels:
+                if type(label) is Minor:
+                    fault = _minor_fault(label.shape, shape)
+                    if fault:
+                        raise ValueError(fault)
+                    shape = label.shape
+            if not shape[1]:
+                raise ValueError("a weight vector has no coordinates")
+
+
+def _require(kind: type, values, message: str) -> None:
+    """Refuse the first of the values whose type is not ``kind``, with
+    ``message`` formatted on it.
+
+    The types are counted in one C-level pass; the values are walked only
+    where one differs.
+    """
+    types = list(map(type, values))
+    if types.count(kind) != len(types):
+        raise ValueError(message.format(next(x for x in values if type(x) is not kind)))
+
+
+def _is_shape(shape) -> bool:
+    """Whether a (slots, zero) pair is a weight shape a seed file can hold:
+    a positive int slot count and a zero weight of at least one int zero."""
+    slots, zero = shape
+    return (type(slots) is int and slots >= 1 and type(zero) is tuple and zero
+            and list(map(type, zero)).count(int) == len(zero) and not any(zero))
+
+
+def _minor_fault(shape, want) -> str | None:
+    """Why a vertex's minor label of weight shape ``shape`` cannot stand
+    among weights of shape ``want``, or, where ``want`` is None, as the
+    first minor of a seed without weights; None when it can.
+
+    The message is the loader's for the file such a seed writes.  As the
+    loader does, this takes a zero weight of no coordinates until every
+    minor has been read.
+    """
+    if shape == want:
+        return None
+    slots, zero = shape
+    if not slots:
+        return "a weight list has no slots"
+    if want is None:
+        return None if not zero or _is_shape(shape) else _SHAPE
+    if len(zero) != len(want[1]):
+        low, high = sorted((len(zero), len(want[1])))
+        return f"weight vectors of {low} and {high} coordinates"
+    return f"a minor label has {slots} slots, not {want[0]}" if slots != want[0] else _SHAPE
 
 
 def _unstored(i: int, prev: int, what: str, name: str) -> ValueError:
@@ -424,7 +504,7 @@ _TOO_BIG = 1 << MAX_ENTRY_BITS
 
 
 def _check_entries(seed: Seed, rows, lookup) -> None:
-    """check_seed's three entry tests, row by row, in the order given.
+    """check_seed's entry tests, row by row, in the order given.
 
     ``rows`` yields (i, pairs): a row index and the (j, b2[i][j]) entries
     of that row, ascending in j.  An entry is tested where ``lookup`` holds
@@ -441,8 +521,9 @@ def _check_entries(seed: Seed, rows, lookup) -> None:
             col = lookup.get(j)
             if col is None:
                 continue
-            if not low < b < high:
+            if type(b) is not int or not low < b < high:
                 raise ValueError(
+                    f"b2 entry {b!r} is not an integer" if type(b) is not int else
                     f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
                 )
             if b * mult[j] != -col.get(i, 0) * d_i:
@@ -568,9 +649,6 @@ def _exchange(seed: Seed, k: int, labels):
         else:
             label = Exchange(lp, lm, over)
     return plus, minus, weight, label
-
-
-_ENTRY = operator.itemgetter(1)
 
 
 def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:

@@ -23,13 +23,17 @@ vertex has "weights" or none has, and either every vertex has a "label"
 and the file has a "labels" table or neither is there; loading refuses any
 other mix, naming the first vertex that differs.
 
-The file stores b2 and every vertex's weights densely, one entry per
-vertex pair and one weight per slot, while a Seed stores only the nonzero
-ones.  ``seed_from_json`` type-checks the whole file's b2 entries in one
-C-level pass over the rows chained, and likewise every vertex's weights and
-then every minor label's; an entry-by-entry walk runs only where a pass
-fails, to name the first offender in file order.  It keeps only the
-nonzero entries and slots.
+The file stores b2 and the weights of every vertex and every minor label
+densely, one entry per vertex pair and one weight per slot, while a Seed
+and a Minor store only the nonzero ones.  ``seed_from_json`` type-checks
+the whole file's b2 entries in one C-level pass over the rows chained, and
+likewise every vertex's weights and then every minor label's; an
+entry-by-entry walk runs only where a pass fails, to name the first
+offender in file order.  It keeps only the nonzero entries and slots,
+building each minor's (slot, weight) pairs through ``stored_weights`` as
+each vertex's are.  ``check_seed`` caps b2 and the vertices' weights, with
+the messages used here, and the loader caps the minors' weights.  A minor
+is expanded to its dense weight list only to be written.
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline,
 rendered from the stored forms: a run of zero entries or zero slots is one
@@ -224,7 +228,6 @@ def seed_from_json(data: dict) -> Seed:
 
         slot_weights = shape = None
         slot_counts = set()  # of the vertices' weight lists, or of the first minor's
-        nonzero = []  # the vertices' nonzero weight vectors
         minor_pairs = []  # the minors' stored weights
         if _carried(vertices, "weights"):
             lists = [v["weights"] for v in vertices]
@@ -232,7 +235,6 @@ def seed_from_json(data: dict) -> Seed:
                 _weights_walk(lists, lengths)
             slot_counts = set(map(len, lists))
             slot_weights, shape = stored_weights(lists)
-            nonzero = [w for pairs in slot_weights for _, w in pairs]
 
         labels = None
         if _carried(vertices, "label") != ("labels" in data) and vertices:
@@ -277,11 +279,10 @@ def seed_from_json(data: dict) -> Seed:
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
         if 0 in lengths:
             raise ValueError("a weight vector has no coordinates")
-        # check_seed caps b2; the weights take one C-level pass over the
-        # nonzero vectors, as zero ones are under any cap
-        vectors = chain(nonzero, (w for _, w in chain.from_iterable(minor_pairs)))
-        coords = chain.from_iterable(vectors)
-        if max(map(abs, coords), default=0).bit_length() > MAX_ENTRY_BITS:
+        # check_seed caps b2 and the vertices' weights; the minors' take one
+        # C-level pass over their nonzero vectors, as zero ones are under any cap
+        vectors = (w for _, w in chain.from_iterable(minor_pairs))
+        if max(map(abs, chain.from_iterable(vectors)), default=0).bit_length() > MAX_ENTRY_BITS:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
         return Seed(names, frozen, mult, rows, slot_weights, shape, labels)
     except (KeyError, IndexError, TypeError) as exc:

@@ -43,15 +43,24 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
     """check_seed's rules over the dense fields, in check_seed's order: O(n^2).
 
     Every entry of every row is visited, so this raises the message, and
-    names the first offending pair, that the sparse check must raise.
+    names the first offending pair, that the sparse check must raise.  A
+    vertex's minor label is read as the loader reads its weight list.
     """
     n = len(names)
     if len(set(names)) != n:
         raise ValueError("vertex names must be unique")
     if not (len(frozen) == len(mult) == len(b2) == n):
         raise ValueError("field lengths disagree")
+    for kind, values, message in ((str, names, "vertex tag {!r} is not a string"),
+                                  (bool, frozen, "frozen flag {!r} is not a boolean"),
+                                  (int, mult, "multiplier d {!r} is not a positive integer")):
+        for x in values:
+            if type(x) is not kind:
+                raise ValueError(message.format(x))
     if any(d < 1 for d in mult):
         raise ValueError("multipliers must be positive")
+    if any(d.bit_length() > MAX_ENTRY_BITS for d in mult):
+        raise ValueError(f"multiplier d over the cap of {MAX_ENTRY_BITS} bits")
     if any(len(row) != n for row in b2):
         raise ValueError("b2 must be square")
     if any(row[i] != 0 for i, row in enumerate(b2)):
@@ -59,8 +68,10 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
     for i, row in enumerate(b2):
         for j in range(n):
             b = row[j]
-            if not b:
+            if not b:  # a zero entry is not stored, whatever its type
                 continue
+            if type(b) is not int:
+                raise ValueError(f"b2 entry {b!r} is not an integer")
             if b.bit_length() > MAX_ENTRY_BITS:
                 raise ValueError(
                     f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
@@ -69,13 +80,41 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
                 raise ValueError(f"not skew-symmetrizable at ({names[i]},{names[j]})")
             if b % 2 and not (frozen[i] and frozen[j]):
                 raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
+    if not n and (weights is not None or labels is not None):
+        raise ValueError("a seed with no vertices carries no weights or labels")
+    want = None  # the slot count and coordinate count of every weight list
     if weights is not None:
         if len(weights) != n:
             raise ValueError("one weight tuple per vertex required")
         if any(len(ws) != len(weights[0]) for ws in weights):
             raise ValueError("all vertices must use the same number of slots")
-    if labels is not None and len(labels) != n:
-        raise ValueError("one label per vertex required")
+        # a zero weight is not stored, whatever its coordinates' types
+        coords = [c for ws in weights for w in ws if any(w) for c in w]
+        for c in coords:
+            if type(c) is not int:
+                raise ValueError(f"weight coordinate {c!r} is not an integer")
+        if any(c.bit_length() > MAX_ENTRY_BITS for c in coords):
+            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+        want = (len(weights[0]), len(weights[0][0]))
+    if labels is not None:
+        if len(labels) != n:
+            raise ValueError("one label per vertex required")
+        # each vertex's minor as the loader reads its weight list
+        for label in labels:
+            if not isinstance(label, Minor):
+                continue
+            ws = dense(label.weights, *label.shape)
+            if not ws:
+                raise ValueError("a weight list has no slots")
+            lengths = {len(w) for w in ws} | ({want[1]} if want else set())
+            if len(lengths) > 1:
+                raise ValueError(
+                    f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
+            if want and len(ws) != want[0]:
+                raise ValueError(f"a minor label has {len(ws)} slots, not {want[0]}")
+            want = (len(ws), len(ws[0]))
+        if want and not want[1]:
+            raise ValueError("a weight vector has no coordinates")
 
 
 def plant(seed: Seed, b2) -> Seed:

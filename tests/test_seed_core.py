@@ -91,6 +91,7 @@ from confseed.seed_core import (
     opposite,
     p_exponents,
     permute_slots,
+    post_order,
     quiver_isomorphic,
     x_from_a,
 )
@@ -334,9 +335,62 @@ def _extra_slot(data):
 
 def _oversized(b2):
     """b2 with the arrow between x_10 and x_20 grown one bit over the cap."""
+    return _at_01(b2, -1 << MAX_ENTRY_BITS, 1 << MAX_ENTRY_BITS)
+
+
+def _at_01(b2, b01, b10):
+    """b2 with the entries between vertices 0 and 1 replaced."""
     rows = [list(r) for r in b2]
-    rows[0][1], rows[1][0] = -1 << MAX_ENTRY_BITS, 1 << MAX_ENTRY_BITS
+    rows[0][1], rows[1][0] = b01, b10
     return rows
+
+
+def _at_0(values, value):
+    """values with the one of vertex 0 replaced."""
+    return (value,) + tuple(values[1:])
+
+
+def _first_weight(weights, weight):
+    """The dense weights with vertex 0's first slot replaced."""
+    return _at_0(weights, _at_0(weights[0], weight))
+
+
+def _first_minor(labels, weights):
+    """The labels with vertex 0's replaced by the minor of dense weights."""
+    return _at_0(labels, dense_minor(weights))
+
+
+def _file_at_0(key, value):
+    """A seed-file fault: vertex 0's ``key`` set to value."""
+    return lambda data: data["vertices"][0].update({key: value})
+
+
+def _file_minor_0(change):
+    """A seed-file fault: change applied to vertex 0's minor's weight list."""
+    return lambda data: change(data["labels"][data["vertices"][0]["label"]]["weights"])
+
+
+def _file_weightless_minor_0(change):
+    """A seed-file fault: every vertex's weights left out, and change
+    applied to vertex 0's minor's weight list."""
+    def fault(data):
+        for v in data["vertices"]:
+            del v["weights"]
+        _file_minor_0(change)(data)
+    return fault
+
+
+def _no_coordinates(data):
+    """A seed-file fault: every vertex's weights left out, and every minor's
+    weight vectors emptied."""
+    for v in data["vertices"]:
+        del v["weights"]
+    for entry in data["labels"]:
+        entry["weights"] = [[] for _ in entry["weights"]]
+
+
+# vertex 0's minor in the a2 triangle, dense
+_A2_MINOR = dense(ZOO[0].labels[0].weights, *ZOO[0].weight_shape)
 
 
 class TestRefusals:
@@ -390,6 +444,47 @@ class TestRefusals:
         (_a2_fields(b2=_oversized(ZOO[0].b2)),
          f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at (x_10,x_20)",
          lambda data: data.update(b2=_oversized(data["b2"]))),
+        (_a2_fields(names=_at_0(ZOO[0].names, 1)), "vertex tag 1 is not a string",
+         _file_at_0("tag", 1)),
+        (_a2_fields(frozen=_at_0(ZOO[0].frozen, 1)), "frozen flag 1 is not a boolean",
+         _file_at_0("frozen", 1)),
+        (_a2_fields(mult=_at_0(ZOO[0].mult, 1.0)), "multiplier d 1.0 is not a positive integer",
+         _file_at_0("d", 1.0)),
+        (_a2_fields(mult=_at_0(ZOO[0].mult, True)),
+         "multiplier d True is not a positive integer", _file_at_0("d", True)),
+        (lambda: Seed(("u", "v"), (True, True), (True, True), ((), ())),
+         "multiplier d True is not a positive integer", None),
+        (_a2_fields(mult=_at_0(ZOO[0].mult, 1 << MAX_ENTRY_BITS)),
+         f"multiplier d over the cap of {MAX_ENTRY_BITS} bits",
+         _file_at_0("d", 1 << MAX_ENTRY_BITS)),
+        (_a2_fields(b2=_at_01(ZOO[0].b2, True, -2)), "b2 entry True is not an integer",
+         lambda data: data.update(b2=_at_01(data["b2"], True, -2))),
+        (_a2_fields(b2=_at_01(ZOO[0].b2, 2.0, -2)), "b2 entry 2.0 is not an integer",
+         lambda data: data.update(b2=_at_01(data["b2"], 2.0, -2))),
+        (_a2_fields(weights=_first_weight(A2_WEIGHTS, (1.5, 0))),
+         "weight coordinate 1.5 is not an integer",
+         lambda data: data["vertices"][0]["weights"][0].__setitem__(0, 1.5)),
+        (_a2_fields(weights=_first_weight(A2_WEIGHTS, (1 << MAX_ENTRY_BITS, 0))),
+         f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits",
+         lambda data: data["vertices"][0]["weights"][0].__setitem__(0, 1 << MAX_ENTRY_BITS)),
+        (_a2_fields(labels=_first_minor(ZOO[0].labels, _A2_MINOR[:2])),
+         "a minor label has 2 slots, not 3", _file_minor_0(list.pop)),
+        (_a2_fields(labels=_first_minor(ZOO[0].labels, ())), "a weight list has no slots",
+         _file_minor_0(list.clear)),
+        (_a2_fields(labels=_first_minor(ZOO[0].labels, tuple(w + (0,) for w in _A2_MINOR))),
+         "weight vectors of 2 and 3 coordinates",
+         _file_minor_0(lambda ws: [w.append(0) for w in ws])),
+        (_a2_fields(weights=None, labels=_first_minor(ZOO[0].labels, _A2_MINOR[:2])),
+         "a minor label has 3 slots, not 2", _file_weightless_minor_0(list.pop)),
+        (_a2_fields(weights=None, labels=_first_minor(ZOO[0].labels, ((),) * 3)),
+         "weight vectors of 0 and 2 coordinates",
+         _file_weightless_minor_0(lambda ws: [w.clear() for w in ws])),
+        (_a2_fields(weights=None, labels=(dense_minor(((),) * 3),) * ZOO[0].size),
+         "a weight vector has no coordinates", _no_coordinates),
+        (lambda: Seed((), (), (), (), (), (1, (0,))),
+         "a seed with no vertices carries no weights or labels", None),
+        (lambda: Seed((), (), (), (), labels=()),
+         "a seed with no vertices carries no weights or labels", None),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
@@ -397,7 +492,13 @@ class TestRefusals:
             "comparison-without-weights",
             "weight-map-without-weights", "short-slot-permutation",
             "repeated-slot", "slot-out-of-range", "mutate-frozen",
-            "mutate-x-frozen", "exchange-frozen", "oversized-entry"])
+            "mutate-x-frozen", "exchange-frozen", "oversized-entry", "int-name",
+            "int-frozen", "float-multiplier", "bool-multiplier", "bool-multipliers",
+            "oversized-multiplier",
+            "bool-b2", "float-b2", "float-weight", "oversized-weight", "minor-fewer-slots",
+            "minor-no-slots", "minor-more-coordinates", "weightless-minors-differ",
+            "weightless-minor-coordinates-differ", "weightless-minors-no-coordinates",
+            "empty-with-shape", "empty-with-labels"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()
@@ -685,6 +786,26 @@ def _planted_refusals():
         ("extra-slot", _dense_fields(
             a2, weights=(A2_WEIGHTS[0] * 2,) + A2_WEIGHTS[1:])),
         ("missing-label", _dense_fields(a2, labels=a2.labels[:-1])),
+        ("int-name", _dense_fields(a2, names=_at_0(a2.names, 1))),
+        ("int-frozen", _dense_fields(a2, frozen=_at_0(a2.frozen, 1))),
+        ("float-multiplier", _dense_fields(a2, mult=_at_0(a2.mult, 1.0))),
+        ("oversized-multiplier", _dense_fields(a2, mult=_at_0(a2.mult, 1 << MAX_ENTRY_BITS))),
+        ("bool-b2", _dense_fields(a2, b2=_at_01(a2.b2, True, -2))),
+        ("float-weight", _dense_fields(a2, weights=_first_weight(A2_WEIGHTS, (1.5, 0)))),
+        ("oversized-weight", _dense_fields(
+            a2, weights=_first_weight(A2_WEIGHTS, (1 << MAX_ENTRY_BITS, 0)))),
+        ("minor-fewer-slots", _dense_fields(a2, labels=_first_minor(a2.labels, _A2_MINOR[:2]))),
+        ("minor-no-slots", _dense_fields(a2, labels=_first_minor(a2.labels, ()))),
+        ("minor-more-coordinates", _dense_fields(
+            a2, labels=_first_minor(a2.labels, tuple(w + (0,) for w in _A2_MINOR)))),
+        ("weightless-minors-differ", _dense_fields(
+            a2, weights=None, labels=_first_minor(a2.labels, _A2_MINOR[:2]))),
+        ("weightless-minor-coordinates-differ", _dense_fields(
+            a2, weights=None, labels=_first_minor(a2.labels, ((),) * 3))),
+        ("weightless-minors-no-coordinates", _dense_fields(
+            a2, weights=None, labels=(dense_minor(((),) * 3),) * a2.size)),
+        ("empty-with-weights", dict(names=(), frozen=(), mult=(), b2=(), weights=())),
+        ("empty-with-labels", dict(names=(), frozen=(), mult=(), b2=(), labels=())),
     ]
 
 
@@ -1094,6 +1215,27 @@ class TestLabelInterning:
             del minor.weights
         assert minor.weights == ((0, (1, 0)), (1, (0, 1)))
         assert minor.shape == (2, (0, 0))
+
+    def test_minors_hold_stored_weights(self):
+        # every minor of the built seeds, of slot-moved and weight-mapped
+        # ones and of a loaded walk: ascending slots in range, nonzero
+        # weights of the shape's length, as a vertex stores them
+        walked = _cyclic_walk(12)[-1]
+        seeds = list(ZOO + POLYGONS) + [
+            walked, permute_slots(walked, (1, 2, 3, 0)), seed_from_json(seed_to_json(walked)),
+            map_weights(ZOO[2], lambda w: tuple(-c for c in w)),
+        ]
+        for seed in seeds:
+            done = set()
+            for label in seed.labels:
+                for top in post_order(label, done):
+                    done.add(top)
+                    if isinstance(top, Minor):
+                        slots = [s for s, _ in top.weights]
+                        assert slots == sorted(set(slots)) and set(slots) <= set(range(seed.slots))
+                        assert all(any(w) and len(w) == len(seed.weight_shape[1])
+                                   for _, w in top.weights)
+                        assert top.shape == seed.weight_shape
 
     def test_round_trip_returns_the_saved_objects(self):
         deepest = _cyclic_walk(12)[-1]

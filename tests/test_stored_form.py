@@ -4,8 +4,10 @@ A Seed stores its nonzero rows and slot weights and nothing else.  Its
 cached dense ``b2`` view stays only for the benchmark's independent
 exchange check, so no code in ``src/confseed`` outside the ``Seed.b2``
 property reads an attribute named ``b2``, and ``Seed`` defines neither a
-second constructor ``sparse`` nor a dense ``weights`` view.  Each module is
-parsed with ``ast``, so these hold without importing or running anything.
+second constructor ``sparse`` nor a dense ``weights`` view.  A Minor stores
+its weights as a vertex does, so the rules that relabel weights and read
+degrees off them never call ``dense``.  Each module is parsed with ``ast``,
+so these hold without importing or running anything.
 """
 from __future__ import annotations
 
@@ -53,3 +55,26 @@ def test_seed_defines_no_sparse_constructor_or_weights_view():
                     defined.append(node.id)
     assert "__init__" in defined
     assert not {"sparse", "weights"} & set(defined)
+
+
+# the functions that move, map or read stored weights, vertices' and minors' alike
+_STORED_ONLY = {"move_slots", "map_weights", "map_label_weights", "degrees_of", "type_a_flip"}
+
+
+def _called(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_relabelling_and_degrees_call_no_dense():
+    seen, found = set(), []
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in _STORED_ONLY:
+                seen.add(fn.name)
+                found += [
+                    f"{name}:{node.lineno}" for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and _called(node) == "dense"
+                ]
+    assert seen == _STORED_ONLY
+    assert found == []
