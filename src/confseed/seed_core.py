@@ -73,9 +73,9 @@ with the weight shape, and is interned by both; so the one ``moved`` rule of
 vertices and labels alike, and no label weight is expanded but for output.
 
 Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006).  ``Minor(weights, shape)`` and ``Exchange(plus, minus, over)``
-look their fields up in one intern table and return the label already stored
-there, so structurally equal labels are one object: two minors are one
+hash-consing", 2006).  ``Minor(weights, shape)`` and ``Exchange(plus, minus,
+over)`` look their fields up in one intern table and return the label already
+stored there, so structurally equal labels are one object: two minors are one
 exactly when their dense weights are equal.  Equality and hashing are
 therefore the object defaults, identity in O(1), although mutation makes the
 trees grow exponentially in depth: the cost follows the DAG of distinct
@@ -427,12 +427,11 @@ def check_seed(seed: Seed) -> None:
                 if s <= prev or not any(w):
                     raise _unstored(s, prev, "slot weights", name)
                 prev = s
-        weights = map(_ENTRY, chain.from_iterable(slot_weights))
-        coords = list(chain(shape[1], chain.from_iterable(weights)))
+        coords = list(chain.from_iterable(map(_ENTRY, chain.from_iterable(slot_weights))))
         _require(int, coords, "weight coordinate {!r} is not an integer")
         # ints now, so equal coordinates are one value under the cap
         distinct = set(coords)
-        if max(distinct) >= _TOO_BIG or min(distinct) <= -_TOO_BIG:
+        if max(distinct, default=0) >= _TOO_BIG or min(distinct, default=0) <= -_TOO_BIG:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
     if labels is not None:
         if len(labels) != n:
