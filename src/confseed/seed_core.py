@@ -344,9 +344,6 @@ _SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2",))
 _SET_B2 = _SETTERS[-1]
 
 
-# the second item of a stored pair: a b2 entry or a vertex's weight
-_ENTRY = operator.itemgetter(1)
-
 # check_seed's refusal of a weight shape a seed file cannot hold
 _SHAPE = "the weight shape must be a slot count and a zero weight tuple"
 
@@ -419,6 +416,7 @@ def check_seed(seed: Seed) -> None:
         slots, rank = shape[0], len(shape[1])
         if any(ws and ws[-1][0] >= slots for ws in slot_weights):
             raise ValueError("all vertices must use the same number of slots")
+        low, high = -_TOO_BIG, _TOO_BIG
         for name, ws in zip(seed.names, slot_weights):
             prev = -1
             for s, w in ws:
@@ -427,12 +425,11 @@ def check_seed(seed: Seed) -> None:
                 if s <= prev or not any(w):
                     raise _unstored(s, prev, "slot weights", name)
                 prev = s
-        coords = list(chain.from_iterable(map(_ENTRY, chain.from_iterable(slot_weights))))
-        _require(int, coords, "weight coordinate {!r} is not an integer")
-        # ints now, so equal coordinates are one value under the cap
-        distinct = set(coords)
-        if max(distinct, default=0) >= _TOO_BIG or min(distinct, default=0) <= -_TOO_BIG:
-            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+                for c in w:
+                    if type(c) is not int or not low < c < high:
+                        raise ValueError(
+                            f"weight coordinate {c!r} is not an integer" if type(c) is not int
+                            else f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
     if labels is not None:
         if len(labels) != n:
             raise ValueError("one label per vertex required")
@@ -648,6 +645,9 @@ def _exchange(seed: Seed, k: int, labels):
         else:
             label = Exchange(lp, lm, over)
     return plus, minus, weight, label
+
+
+_ENTRY = operator.itemgetter(1)
 
 
 def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:

@@ -89,12 +89,11 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
         if any(len(ws) != len(weights[0]) for ws in weights):
             raise ValueError("all vertices must use the same number of slots")
         # a zero weight is not stored, whatever its coordinates' types
-        coords = [c for ws in weights for w in ws if any(w) for c in w]
-        for c in coords:
+        for c in (c for ws in weights for w in ws if any(w) for c in w):
             if type(c) is not int:
                 raise ValueError(f"weight coordinate {c!r} is not an integer")
-        if any(c.bit_length() > MAX_ENTRY_BITS for c in coords):
-            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+            if c.bit_length() > MAX_ENTRY_BITS:
+                raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
         want = (len(weights[0]), len(weights[0][0]))
     if labels is not None:
         if len(labels) != n:

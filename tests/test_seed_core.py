@@ -4,6 +4,11 @@ Claims covered:
     - check_seed enforces skew-symmetrizability and frozen-row parity, and
       refuses rows and slot weights not stored as strictly ascending
       nonzero pairs of the right length; replace takes only stored fields
+    - check_seed refuses every value no seed file holds with the loader's
+      message: names, flags, multipliers, b2 entries and weight coordinates
+      of another type, multipliers and coordinates over the cap, a vertex's
+      minor label of another weight shape, weights or labels on a seed with
+      no vertices
     - mutation is an involution on the full seed, labels included
     - exchange's sides, weight and label agree with the dense reference over
       every column along random walks, mutate stores them, and exchanging
@@ -53,6 +58,9 @@ Claims covered:
     - every weight coordinate is an int, through building, gluing,
       mutation, duality and a save/load round trip
     - labels are hash-consed: equal labels are one immutable object, a
+      minor holds its nonzero (slot, weight) pairs ascending in slot and
+      the seed's weight shape through building, gluing, slot moves, weight
+      maps, walks and loading, a
       save/load round trip returns the saved objects, and along the SL4
       4-gon's cyclic walk the label table grows by one entry per step, and
       map_weights maps each distinct node once, keeping their number;
