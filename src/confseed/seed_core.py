@@ -398,6 +398,8 @@ def check_seed(seed: Seed) -> None:
         for j, b in row:
             if j <= prev or not b:
                 raise _unstored(j, prev, "b2 row", name)
+            if type(b) is not int:
+                raise ValueError(f"b2 entry {b!r} is not an integer")
             prev = j
     lookup = dict(enumerate(map(dict, rows)))
     if any(map(dict.__contains__, lookup.values(), range(n))):
@@ -500,7 +502,7 @@ _TOO_BIG = 1 << MAX_ENTRY_BITS
 
 
 def _check_entries(seed: Seed, rows, lookup) -> None:
-    """check_seed's entry tests, row by row, in the order given.
+    """check_seed's three entry tests, row by row, in the order given.
 
     ``rows`` yields (i, pairs): a row index and the (j, b2[i][j]) entries
     of that row, ascending in j.  An entry is tested where ``lookup`` holds
@@ -517,9 +519,8 @@ def _check_entries(seed: Seed, rows, lookup) -> None:
             col = lookup.get(j)
             if col is None:
                 continue
-            if type(b) is not int or not low < b < high:
+            if not low < b < high:
                 raise ValueError(
-                    f"b2 entry {b!r} is not an integer" if type(b) is not int else
                     f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
                 )
             if b * mult[j] != -col.get(i, 0) * d_i:

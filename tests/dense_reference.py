@@ -63,15 +63,17 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
         raise ValueError(f"multiplier d over the cap of {MAX_ENTRY_BITS} bits")
     if any(len(row) != n for row in b2):
         raise ValueError("b2 must be square")
+    for b in (b for row in b2 for b in row):
+        # a zero entry is not stored, whatever its type
+        if b and type(b) is not int:
+            raise ValueError(f"b2 entry {b!r} is not an integer")
     if any(row[i] != 0 for i, row in enumerate(b2)):
         raise ValueError("b2 diagonal must be zero")
     for i, row in enumerate(b2):
         for j in range(n):
             b = row[j]
-            if not b:  # a zero entry is not stored, whatever its type
+            if not b:
                 continue
-            if type(b) is not int:
-                raise ValueError(f"b2 entry {b!r} is not an integer")
             if b.bit_length() > MAX_ENTRY_BITS:
                 raise ValueError(
                     f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
