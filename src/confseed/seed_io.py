@@ -279,8 +279,8 @@ def seed_from_json(data: dict) -> Seed:
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
         if 0 in lengths:
             raise ValueError("a weight vector has no coordinates")
-        # check_seed caps b2 and the vertices' weights; the minors' take one
-        # C-level pass over their nonzero vectors, as zero ones are under any cap
+        # check_seed caps b2 and the vertices' weights; the minors' stored,
+        # nonzero weights are capped here, as zero ones are under any cap
         vectors = (w for _, w in chain.from_iterable(minor_pairs))
         if max(map(abs, chain.from_iterable(vectors)), default=0).bit_length() > MAX_ENTRY_BITS:
             raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
