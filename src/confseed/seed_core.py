@@ -27,9 +27,14 @@ columns of row k are the neighbours of k: a mutation rewrites only the rows
 of k and its neighbours, and the Langlands dual's matrix is the transpose
 of b2, read off the rows.
 
-Every way to make a seed runs the full ``check_seed``, except ``mutate``
-and ``opposite``.  A seed is immutable and stores its sequence fields as
-tuples, so a checked seed stays checked.  Mutation keeps
+Every way to make a seed runs the full ``check_seed``, except ``mutate``,
+``opposite`` and ``langlands_dual``, which build through ``_unchecked``.  A
+seed is immutable and stores its sequence fields as tuples, so a checked
+seed stays checked, and each of the three proves or tests what it writes.
+Negation and the dual's transpose keep every invariant of b2: the transpose
+is skew-symmetrizable with the multipliers max(d)/d, by the input's own
+rule, so the dual tests only the weight images it computes, and hands any
+that fails to the checked constructor for its message.  Mutation keeps
 skew-symmetrizability with the same multipliers (Fomin and Zelevinsky,
 "Cluster algebras I", 2002, Section 4) and writes only row k and the
 entries between k's neighbours; ``mutate`` checks that block with
@@ -367,9 +372,15 @@ def check_seed(seed: Seed) -> None:
     coordinates are int of at most MAX_ENTRY_BITS bits; one label per
     vertex, and every vertex label that is a Minor of the seed's weight
     shape, or on a seed without weights of the first such minor's shape,
-    which has slots and coordinates.  Minors nested inside exchange labels
-    are not visited.  So a checked seed is one that a seed file can hold,
-    and a value the loader refuses is refused with the loader's message.
+    which has slots and coordinates; and where a vertex's minor stores
+    other pairs than the vertex itself, those pairs pass the vertices'
+    tests, a slot past the count and a weight of another length refused
+    with the loader's messages for the weight list such a minor writes.
+    Built and loaded seeds label each vertex with its own weights, so they
+    pay one tuple comparison per vertex for this.  Minors nested inside
+    exchange labels are not visited.  So a checked seed is one that a seed
+    file can hold, and a value the loader refuses is refused with the
+    loader's message.
     The first failure names its pair of vertices where there is one.  It
     runs in O(n + arrows + nonzero slots).
     """
@@ -415,23 +426,9 @@ def check_seed(seed: Seed) -> None:
             raise ValueError(_SHAPE)
         if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")
-        slots, rank = shape[0], len(shape[1])
-        if any(ws and ws[-1][0] >= slots for ws in slot_weights):
+        if any(ws and ws[-1][0] >= shape[0] for ws in slot_weights):
             raise ValueError("all vertices must use the same number of slots")
-        low, high = -_TOO_BIG, _TOO_BIG
-        for name, ws in zip(seed.names, slot_weights):
-            prev = -1
-            for s, w in ws:
-                if len(w) != rank:
-                    raise ValueError(f"a weight of {name} does not have {rank} coordinates")
-                if s <= prev or not any(w):
-                    raise _unstored(s, prev, "slot weights", name)
-                prev = s
-                for c in w:
-                    if type(c) is not int or not low < c < high:
-                        raise ValueError(
-                            f"weight coordinate {c!r} is not an integer" if type(c) is not int
-                            else f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+        _check_pairs(zip(seed.names, slot_weights), shape, "slot weights")
     if labels is not None:
         if len(labels) != n:
             raise ValueError("one label per vertex required")
@@ -445,6 +442,18 @@ def check_seed(seed: Seed) -> None:
                     shape = label.shape
             if not shape[1]:
                 raise ValueError("a weight vector has no coordinates")
+        # every minor now has one shape; those that store other pairs than
+        # their vertex get the vertices' tests, with the loader's messages
+        stored = tuple(map(getattr, labels, repeat("weights"), repeat(None)))
+        if stored != slot_weights:
+            minors = [(name, ws) for name, ws, own in
+                      zip(seed.names, stored, slot_weights or repeat(None))
+                      if ws is not None and ws != own]
+            for _, ws in minors:
+                if ws and ws[-1][0] >= shape[0]:
+                    raise ValueError(f"a minor label has {ws[-1][0] + 1} slots, not {shape[0]}")
+            if minors:
+                _check_pairs(minors, shape, "minor label")
 
 
 def _require(kind: type, values, message: str) -> None:
@@ -489,6 +498,37 @@ def _minor_fault(shape, want) -> str | None:
     return f"a minor label has {slots} slots, not {want[0]}" if slots != want[0] else _SHAPE
 
 
+def _check_pairs(named_pairs, shape, what: str) -> None:
+    """Refuse the first fault among (name, pairs) items, each the stored
+    (slot, weight) pairs that are vertex name's ``what``: its "slot
+    weights" or its "minor label".
+
+    Slots must ascend, and each weight must be nonzero, of the length of
+    ``shape``'s zero weight, with int coordinates of at most MAX_ENTRY_BITS
+    bits.  A minor's weight of another length gets the loader's message for
+    the weight list that minor writes.  Slots past the shape's count are
+    the caller's to refuse: as the pairs ascend, only the last can be.
+    """
+    rank = len(shape[1])
+    low, high = -_TOO_BIG, _TOO_BIG
+    for name, pairs in named_pairs:
+        prev = -1
+        for s, w in pairs:
+            if len(w) != rank:
+                if what == "minor label":
+                    raise ValueError("weight vectors of {} and {} coordinates".format(
+                        *sorted((len(w), rank))))
+                raise ValueError(f"a weight of {name} does not have {rank} coordinates")
+            if s <= prev or not any(w):
+                raise _unstored(s, prev, what, name)
+            prev = s
+            for c in w:
+                if type(c) is not int or not low < c < high:
+                    raise ValueError(
+                        f"weight coordinate {c!r} is not an integer" if type(c) is not int
+                        else f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+
+
 def _unstored(i: int, prev: int, what: str, name: str) -> ValueError:
     """The refusal of a stored pair at index i, after one at prev: out of
     order, or else holding a zero."""
@@ -529,16 +569,17 @@ def _check_entries(seed: Seed, rows, lookup) -> None:
                 raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
 
 
-def _unchecked(seed: Seed, rows, slot_weights, labels) -> Seed:
-    """seed with rows, slot weights and labels replaced, for mutate and opposite.
+def _unchecked(seed: Seed, rows, slot_weights, labels, mult=None) -> Seed:
+    """seed with rows, slot weights, labels and, unless None, multipliers
+    replaced, for mutate, opposite and langlands_dual.
 
     Skips check_seed: the caller has checked every entry it wrote, or
     proved that it cannot break a check, and every other field comes from
     seed, which passed the full check_seed.
     """
     out = object.__new__(Seed)
-    values = (seed.names, seed.frozen, seed.mult, rows, slot_weights, seed.weight_shape,
-              labels, None)
+    values = (seed.names, seed.frozen, seed.mult if mult is None else mult, rows, slot_weights,
+              seed.weight_shape, labels, None)
     for set_field, value in zip(_SETTERS, values):
         set_field(out, value)
     return out
@@ -849,13 +890,21 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     The dual matrix is the transpose of b2.  check_seed enforces
     b2[i][j]*d[j] == -b2[j][i]*d[i], so -b2[i][j]*d[j]/d[i] is exactly
     b2[j][i]: every dual entry is integral and has the parity of b2 at the
-    same pair.  The result still runs the full check_seed.
+    same pair.  So the transpose cannot fail a test that ``seed`` passed:
+    names and frozen flags are seed's own, each transposed row ascends and
+    holds seed's nonzero entries, ``b2[j][i]*d'_j == -b2[i][j]*d'_i`` is
+    seed's skew rule divided by d_i*d_j/max(d), and max(d)//d_i is a
+    positive int no larger than max(d).  The result is built unchecked,
+    as ``mutate`` and ``opposite`` build theirs.
 
     ``weight_map`` transposes a weight to the dual weight lattice, a linear
     map, and returns an int tuple; the dual vertex weight is
     weight_map(w) / d_v, and zero weights stay zero.  Simply-laced seeds may
-    omit it (weights carry over unchanged).  Labels do not transport; they
-    are dropped.
+    omit it (weights carry over unchanged).  The images are the one new
+    thing in the dual, so each distinct nonzero image gets check_seed's
+    weight tests in C-level passes; where one fails, the dual is built
+    through the checked ``Seed``, which refuses it with check_seed's own
+    message.  Labels do not transport; they are dropped.
     """
     dmax = max(seed.mult)
     if any(dmax % d for d in seed.mult):
@@ -863,27 +912,36 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     new_mult = tuple(dmax // d for d in seed.mult)
 
     slot_weights = seed.slot_weights
+    images = []  # the nonzero images, each distinct (weight, d) pair's once
     if slot_weights is not None:
         if weight_map is None:
             if dmax != 1:
                 raise ValueError("weight_map required unless simply laced")
         else:
-            # each distinct (weight, d) pair is mapped once; with d = 1 the
-            # image is the dual weight itself
-            dual: dict[tuple, Weight] = {}
+            # each distinct weight is mapped once per multiplier; with d = 1
+            # the image is the dual weight itself, and a zero image is kept
+            # as () so that it is dropped
+            dual: dict[int, dict] = {}
             out = []
             for v, (d, ws) in enumerate(zip(seed.mult, slot_weights)):
+                cache = dual.get(d)
+                if cache is None:
+                    cache = dual[d] = {}
                 row = []
                 for s, w in ws:
-                    img = dual.get((w, d))
+                    img = cache.get(w)
                     if img is None:
                         img = weight_map(w)
                         if d != 1:
                             if any(c % d for c in img):
                                 raise ValueError(f"dual weight not integral at {seed.names[v]}")
                             img = tuple(c // d for c in img)
-                        dual[w, d] = img
-                    if any(img):
+                        if any(img):
+                            images.append(img)
+                        else:
+                            img = ()
+                        cache[w] = img
+                    if img:
                         row.append((s, img))
                 out.append(tuple(row))
             slot_weights = tuple(out)
@@ -892,8 +950,23 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     for i, row in enumerate(seed.rows):
         for j, b in row:
             dual_rows[j].append((i, b))
-    return Seed(seed.names, seed.frozen, new_mult, tuple(map(tuple, dual_rows)), slot_weights,
-                seed.weight_shape)
+    rows = tuple(map(tuple, dual_rows))
+    if images and not _are_weights(images, len(seed.weight_shape[1])):
+        return Seed(seed.names, seed.frozen, new_mult, rows, slot_weights, seed.weight_shape)
+    return _unchecked(seed, rows, slot_weights, None, new_mult)
+
+
+def _are_weights(images: list, rank: int) -> bool:
+    """Whether every image is a weight check_seed lets a seed store: a tuple
+    of ``rank`` int coordinates, not bool, of at most MAX_ENTRY_BITS bits.
+
+    Each test is one C-level pass over all the images at once.
+    """
+    if list(map(type, images)).count(tuple) != len(images) or set(map(len, images)) != {rank}:
+        return False
+    coords = list(chain.from_iterable(images))
+    return (list(map(type, coords)).count(int) == len(coords)
+            and -_TOO_BIG < min(coords) and max(coords) < _TOO_BIG)
 
 
 def _features(seed: Seed) -> list[tuple]:

@@ -8,7 +8,9 @@ Claims covered:
       message: names, flags, multipliers, b2 entries and weight coordinates
       of another type, multipliers and coordinates over the cap, a vertex's
       minor label of another weight shape, weights or labels on a seed with
-      no vertices
+      no vertices; a vertex's minor that stores other pairs than the vertex
+      gets the vertices' tests, so a slot past the count and descending
+      pairs are refused
     - mutation is an involution on the full seed, labels included
     - exchange's sides, weight and label agree with the dense reference over
       every column along random walks, mutate stores them, and exchanging
@@ -49,7 +51,10 @@ Claims covered:
       other field, passes check_seed and is its own inverse; the Langlands
       dual squares to the identity, and its matrix equals the dense rule on
       the zoo, the a4 and d4 triangles and the polygons, each also after a
-      random walk
+      random walk, with and without a weight map; every such dual, built
+      unchecked, passes check_seed and equals the checked Seed of its
+      fields, and weight maps whose images no seed holds are refused with
+      the full check's exact type and message
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
       the identity on the g2 128-gon (1,010 vertices) without recursion,
@@ -397,6 +402,13 @@ def _no_coordinates(data):
         entry["weights"] = [[] for _ in entry["weights"]]
 
 
+def _one_vertex_minor(pairs):
+    """Frozen u, of weight (1, 0) at slot 0 of 3, labelled by the minor of
+    the stored pairs given; no seed file holds such a minor."""
+    shape = (3, (0, 0))
+    return Seed(("u",), (True,), (1,), ((),), (((0, (1, 0)),),), shape, (Minor(pairs, shape),))
+
+
 # vertex 0's minor in the a2 triangle, dense
 _A2_MINOR = dense(ZOO[0].labels[0].weights, *ZOO[0].weight_shape)
 
@@ -489,6 +501,9 @@ class TestRefusals:
          _file_weightless_minor_0(lambda ws: [w.clear() for w in ws])),
         (_a2_fields(weights=None, labels=(dense_minor(((),) * 3),) * ZOO[0].size),
          "a weight vector has no coordinates", _no_coordinates),
+        (lambda: _one_vertex_minor(((5, (1, 0)),)), "a minor label has 6 slots, not 3", None),
+        (lambda: _one_vertex_minor(((1, (1, 0)), (0, (0, 1)))),
+         "index 0 out of order in the minor label of u", None),
         (lambda: Seed((), (), (), (), (), (1, (0,))),
          "a seed with no vertices carries no weights or labels", None),
         (lambda: Seed((), (), (), (), labels=()),
@@ -506,7 +521,7 @@ class TestRefusals:
             "bool-b2", "float-b2", "float-weight", "oversized-weight", "minor-fewer-slots",
             "minor-no-slots", "minor-more-coordinates", "weightless-minors-differ",
             "weightless-minor-coordinates-differ", "weightless-minors-no-coordinates",
-            "empty-with-shape", "empty-with-labels"])
+            "minor-slot-past-end", "minor-descending-pairs", "empty-with-shape", "empty-with-labels"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()
@@ -946,6 +961,16 @@ class TestXCoordinates:
 
 # == 4. slot permutations and duality ========================================
 
+# weight maps for the dual, most of whose images no seed can hold
+_FLOATS = lambda w: tuple(map(float, w))
+_BOOLS = lambda w: tuple(map(bool, w))
+_STRS = lambda w: tuple(map(str, w))
+_SHORT = lambda w: w[:-1]
+_LONG = lambda w: w + (1,)
+_HUGE = lambda w: tuple(c << 5000 for c in w)
+_NEGATED = lambda w: tuple(-c for c in w)
+
+
 class TestSymmetries:
     def test_permute_slots_composes(self):
         seed = build_triangle_seed(root_datum("g2"))
@@ -990,14 +1015,52 @@ class TestSymmetries:
                 assert dual.b2[i][j] == -seed.b2[i][j]
 
     def test_dual_matches_dense_rule(self):
-        # the dual matrix is the transpose; the reference scales every entry
+        # the dual matrix is the transpose; the reference scales every entry.
+        # The dual is built unchecked, so the full check and the checked
+        # constructor must take it as it is, with or without a weight map
         rng = random.Random(12)
         triangles = tuple(build_triangle_seed(root_datum(k)) for k in ("a4", "d4"))
         for seed in _seed_zoo() + triangles + POLYGONS:
-            wmap = g2_weight_dual if max(seed.mult) > 1 else None
+            maps = (g2_weight_dual,) if max(seed.mult) > 1 else (None, _NEGATED)
             for cur in (seed, _random_walk(rng, seed, 8)[0]):
-                dual = langlands_dual(cur, weight_map=wmap)
-                assert dual.b2 == dense_dual_b2(cur)
+                for weight_map in maps:
+                    dual = langlands_dual(cur, weight_map=weight_map)
+                    assert dual.b2 == dense_dual_b2(cur)
+                    check_seed(dual)
+                    assert dual == Seed(*dual._key())
+
+    @pytest.mark.parametrize("seed, weight_map, error, message", [
+        (ZOO[0], _FLOATS, ValueError, "weight coordinate 0.0 is not an integer"),
+        (ZOO[0], _BOOLS, ValueError, "weight coordinate False is not an integer"),
+        (ZOO[0], _STRS, ValueError, "weight coordinate '0' is not an integer"),
+        (ZOO[0], list, ValueError, _LISTS),
+        (ZOO[0], _SHORT, ValueError, "a weight of x_10 does not have 2 coordinates"),
+        (ZOO[0], _LONG, ValueError, "a weight of x_10 does not have 2 coordinates"),
+        (ZOO[0], _HUGE, ValueError, f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits"),
+        (_two_vertex((1,)), _FLOATS, ValueError, "dual weight not integral at v"),
+        (_two_vertex((1,)), _BOOLS, ValueError, "dual weight not integral at v"),
+        (_two_vertex((1,)), _STRS, TypeError,
+         "not all arguments converted during string formatting"),
+        (_two_vertex((1,)), list, ValueError, "dual weight not integral at v"),
+        (_two_vertex((1,)), _LONG, ValueError, "dual weight not integral at v"),
+        (_two_vertex((1,)), _HUGE, ValueError,
+         f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits"),
+    ], ids=["a2-float", "a2-bool", "a2-str", "a2-list", "a2-short", "a2-long", "a2-huge",
+            "mult-2-float", "mult-2-bool", "mult-2-str", "mult-2-list", "mult-2-long",
+            "mult-2-huge"])
+    def test_dual_refuses_images_as_the_checked_seed_does(self, seed, weight_map, error,
+                                                          message):
+        # the a2 triangle's multipliers are 1, so its images reach the
+        # coordinate tests; the messages are the full check_seed's
+        with pytest.raises(Exception) as err:
+            langlands_dual(seed, weight_map=weight_map)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_dual_drops_images_that_vanish(self):
+        dual = langlands_dual(_two_vertex((1,)), weight_map=_SHORT)
+        assert dual.slot_weights == ((), ())
+        assert dual == Seed(*dual._key())
 
     def test_dual_commutes_with_mutation(self):
         rng = random.Random(41)

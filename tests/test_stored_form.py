@@ -6,8 +6,10 @@ exchange check, so no code in ``src/confseed`` outside the ``Seed.b2``
 property reads an attribute named ``b2``, and ``Seed`` defines neither a
 second constructor ``sparse`` nor a dense ``weights`` view.  A Minor stores
 its weights as a vertex does, so the rules that relabel weights and read
-degrees off them never call ``dense``.  Each module is parsed with ``ast``,
-so these hold without importing or running anything.
+degrees off them never call ``dense``.  Only the three constructions that
+prove their result checked call ``_unchecked``, the one place that makes a
+Seed without ``check_seed``.  Each module is parsed with ``ast``, so these
+hold without importing or running anything.
 """
 from __future__ import annotations
 
@@ -78,3 +80,41 @@ def test_relabelling_and_degrees_call_no_dense():
                 ]
     assert seen == _STORED_ONLY
     assert found == []
+
+
+def _enclosed(tree):
+    """(name of the innermost function around it, or None, node) for every node."""
+    out = []
+    stack = [(tree, None)]
+    while stack:
+        node, fn = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            out.append((fn, child))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            stack.append((child, child.name if is_def else fn))
+    return out
+
+
+# the constructions that prove their result passes check_seed: each writes
+# only what keeps every invariant, or tests what it writes
+_UNCHECKED_CALLERS = {"mutate", "opposite", "langlands_dual"}
+
+
+def test_only_proven_constructions_skip_the_check():
+    callers, refs, news = [], [], []
+    for name, tree in _trees():
+        for fn, node in _enclosed(tree):
+            if isinstance(node, ast.Call) and _called(node) == "_unchecked":
+                callers.append(fn)
+            if ((isinstance(node, ast.Name) and node.id == "_unchecked")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_unchecked")):
+                refs.append(fn)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+                    and [ast.unparse(a) for a in node.args] == ["Seed"]):
+                news.append(f"{name}:{fn}")
+    assert set(callers) == _UNCHECKED_CALLERS
+    # every mention of _unchecked is one of those calls: no alias escapes
+    assert sorted(refs) == sorted(callers)
+    assert news == ["seed_core.py:_unchecked"]
