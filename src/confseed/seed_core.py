@@ -444,10 +444,10 @@ def check_seed(seed: Seed) -> None:
                 raise ValueError("a weight vector has no coordinates")
         # every minor now has one shape; those that store other pairs than
         # their vertex get the vertices' tests, with the loader's messages
-        stored = tuple(map(getattr, labels, repeat("weights"), repeat(None)))
-        if stored != slot_weights:
+        minor_weights = tuple(map(getattr, labels, repeat("weights"), repeat(None)))
+        if minor_weights != slot_weights:
             minors = [(name, ws) for name, ws, own in
-                      zip(seed.names, stored, slot_weights or repeat(None))
+                      zip(seed.names, minor_weights, slot_weights or repeat(None))
                       if ws is not None and ws != own]
             for _, ws in minors:
                 if ws and ws[-1][0] >= shape[0]:

@@ -1050,8 +1050,9 @@ class TestSymmetries:
             "mult-2-huge"])
     def test_dual_refuses_images_as_the_checked_seed_does(self, seed, weight_map, error,
                                                           message):
-        # the a2 triangle's multipliers are 1, so its images reach the
-        # coordinate tests; the messages are the full check_seed's
+        # each refusal is check_seed's own, or the dual's integrality test,
+        # which runs first; the a2 triangle's multipliers are 1, so its
+        # images reach the coordinate tests
         with pytest.raises(Exception) as err:
             langlands_dual(seed, weight_map=weight_map)
         assert type(err.value) is error
