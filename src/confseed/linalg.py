@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals, small dense systems only.
 
-Determinants are fraction-free: int rows enter Bareiss's integer-preserving
-elimination as they stand, a row holding a Fraction is first scaled to
-integers by the lcm of its denominators, and only the final value is built
-as a Fraction.  The flag oracle's minors mostly stack int flag rows, so they
-skip the scaling and build one Fraction each.  solve_with_kernel stays in
-Fractions; it is the reference solver the tests check triangle completion
-against, and no longer sits on the build path, which reads each arrow off
-one equation.
+Determinants are fraction-free: int rows are taken as they stand, a row
+holding a Fraction is first scaled to integers by the lcm of its
+denominators, and only the final value is built as a Fraction.  A 3x3 or
+4x4 determinant, the flag oracle's usual minor, is expanded in closed form:
+along its first row, or by Laplace along its first two rows.  Every other
+size runs Bareiss's integer-preserving elimination.  The flag oracle's
+minors mostly stack int flag rows, so they skip the scaling and build one
+Fraction each.  solve_with_kernel stays in Fractions; it is the reference
+solver the tests check triangle completion against, and no longer sits on
+the build path, which reads each arrow off one equation.
 """
 from __future__ import annotations
 
@@ -24,14 +26,17 @@ def mat_mul(a, b) -> list[list]:
 
 
 def det(rows) -> Q:
-    """Determinant by fraction-free Bareiss elimination, always a Fraction.
+    """Determinant of integer rows, always a Fraction.
 
-    Rows of ints are eliminated as they stand.  A row that holds a Fraction
-    is first scaled to integers by the lcm of its entries' denominators, and
-    the result is divided by the product of those scales.  Elimination
-    divides exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968),
-    so every intermediate stays an int.  Entries are ints or Fractions;
-    det([]) == 1.
+    Rows of ints are taken as they stand.  A row that holds a Fraction is
+    first scaled to integers by the lcm of its entries' denominators, and
+    the result is divided by the product of those scales.  n = 3 expands
+    along the first row.  n = 4 is Laplace's expansion along rows 0 and 1:
+    the sum of the six signed products of a 2x2 minor of rows 0-1 and the
+    complementary minor of rows 2-3.  Every other n runs fraction-free
+    Bareiss elimination, which divides exactly by the previous pivot
+    (Bareiss, Math. Comp. 22, 1968), so every intermediate stays an int.
+    Entries are ints or Fractions; det([]) == 1.
     """
     n = len(rows)
     a = []
@@ -40,29 +45,42 @@ def det(rows) -> Q:
         if len(row) != n:
             raise ValueError("det needs a square matrix")
         if set(map(type, row)) == _INT:
-            a.append(list(row))
+            a.append(row)
             continue
         den = lcm(*(x.denominator for x in row))
         scale *= den
         a.append([x.numerator * (den // x.denominator) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return Q(0)
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot_row = a[k]
-        p = pivot_row[k]
-        rest = range(k + 1, n)
-        for row in a[k + 1:]:
-            f = row[k]
-            for c in rest:
-                row[c] = (p * row[c] - f * pivot_row[c]) // prev
-        prev = p
-    d = sign * a[-1][-1] if n else 1
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        d = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    elif n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = a
+        d = ((a0 * b1 - a1 * b0) * (c2 * e3 - c3 * e2)
+             - (a0 * b2 - a2 * b0) * (c1 * e3 - c3 * e1)
+             + (a0 * b3 - a3 * b0) * (c1 * e2 - c2 * e1)
+             + (a1 * b2 - a2 * b1) * (c0 * e3 - c3 * e0)
+             - (a1 * b3 - a3 * b1) * (c0 * e2 - c2 * e0)
+             + (a2 * b3 - a3 * b2) * (c0 * e1 - c1 * e0))
+    else:
+        a = [list(row) for row in a]  # elimination writes into its rows
+        sign = 1
+        prev = 1
+        for k in range(n - 1):
+            if a[k][k] == 0:
+                piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+                if piv is None:
+                    return Q(0)
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            pivot_row = a[k]
+            p = pivot_row[k]
+            rest = range(k + 1, n)
+            for row in a[k + 1:]:
+                f = row[k]
+                for c in rest:
+                    row[c] = (p * row[c] - f * pivot_row[c]) // prev
+            prev = p
+        d = sign * a[-1][-1] if n else 1
     return Q(d) if scale == 1 else Q(d, scale)
 
 

@@ -34,10 +34,15 @@ seed stays checked, and each of the three proves or tests what it writes.
 Negation and the dual's transpose keep every invariant of b2: the transpose
 is skew-symmetrizable with the multipliers max(d)/d, by the input's own
 rule, so the dual tests only the weight images it computes, and hands any
-that fails to the checked constructor for its message.  Mutation keeps
-skew-symmetrizability with the same multipliers (Fomin and Zelevinsky,
-"Cluster algebras I", 2002, Section 4) and writes only row k and the
-entries between k's neighbours; ``mutate`` checks that block with
+that fails to the checked constructor for its message.  Those images are
+memoized per weight map: a module-level ``WeakKeyDictionary`` maps each
+map object to a dict from (d_v, a vertex's stored weights) to the vertex's
+dual stored weights, entered only once a call's new images have passed.
+The memo lives as long as its map, so a map must be a pure function, and
+a dual along a mutation walk maps only the vertex that changed.
+Mutation keeps skew-symmetrizability with the same multipliers (Fomin and
+Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes only row k
+and the entries between k's neighbours; ``mutate`` checks that block with
 ``check_seed``'s own tests and messages, and every other row is the very
 row object of the checked seed it started from.  A mutation step therefore
 does O(deg^2) arithmetic, deg the number of neighbours, besides copying the
@@ -96,7 +101,7 @@ import operator
 from fractions import Fraction as Q
 from itertools import chain, compress, repeat
 from math import gcd
-from weakref import WeakValueDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .root_data import MAX_ENTRY_BITS, MAX_VERTICES, Weight
 
@@ -884,6 +889,11 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
     return move_slots(seed, dense(zip(perm, range(len(perm))), len(perm), 0), len(perm))
 
 
+# langlands_dual's memo, one per weight map: (d, a vertex's stored weights)
+# -> that vertex's dual stored weights.  A map's memo goes when the map does.
+_DUAL_ROWS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     """The dual seed: b'[i][j] = -b[i][j]*d[j]/d[i], d'_i = max(d)/d_i.
 
@@ -895,7 +905,8 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     holds seed's nonzero entries, ``b2[j][i]*d'_j == -b2[i][j]*d'_i`` is
     seed's skew rule divided by d_i*d_j/max(d), and max(d)//d_i is a
     positive int no larger than max(d).  The result is built unchecked,
-    as ``mutate`` and ``opposite`` build theirs.
+    as ``mutate`` and ``opposite`` build theirs.  The seed with no vertices
+    is its own dual.
 
     ``weight_map`` transposes a weight to the dual weight lattice, a linear
     map, and returns an int tuple; the dual vertex weight is
@@ -905,45 +916,71 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     weight tests in C-level passes; where one fails, the dual is built
     through the checked ``Seed``, which refuses it with check_seed's own
     message.  Labels do not transport; they are dropped.
+
+    The dual stored weights of a vertex depend only on the map, d_v and the
+    vertex's stored weights, and a mutation changes one vertex, so each
+    map keeps a memo from (d_v, stored weights) to the dual stored weights:
+    a vertex seen before under the map costs one lookup and returns the
+    same tuple object.  A map must therefore be a pure function.  The memo
+    is held weakly by the map and goes with it; a map that cannot be weakly
+    referenced or hashed, ``operator.itemgetter`` for one, gets a memo for
+    the one call.  A call enters its new vertices only once all of their
+    images have passed, so a refused call stores nothing.
     """
-    dmax = max(seed.mult)
+    dmax = max(seed.mult, default=1)
     if any(dmax % d for d in seed.mult):
         raise ValueError("multipliers must divide their maximum")
     new_mult = tuple(dmax // d for d in seed.mult)
 
     slot_weights = seed.slot_weights
-    images = []  # the nonzero images, each distinct (weight, d) pair's once
+    images = []  # the new nonzero images, each distinct (weight, d) pair's once
+    new = {}  # the vertices the memo misses: (d, stored weights) -> dual
     if slot_weights is not None:
         if weight_map is None:
             if dmax != 1:
                 raise ValueError("weight_map required unless simply laced")
         else:
-            # each distinct weight is mapped once per multiplier; with d = 1
-            # the image is the dual weight itself, and a zero image is kept
-            # as () so that it is dropped
-            dual: dict[int, dict] = {}
-            out = []
-            for v, (d, ws) in enumerate(zip(seed.mult, slot_weights)):
-                cache = dual.get(d)
-                if cache is None:
-                    cache = dual[d] = {}
-                row = []
-                for s, w in ws:
-                    img = cache.get(w)
-                    if img is None:
-                        img = weight_map(w)
-                        if d != 1:
-                            if any(c % d for c in img):
-                                raise ValueError(f"dual weight not integral at {seed.names[v]}")
-                            img = tuple(c // d for c in img)
-                        if any(img):
-                            images.append(img)
-                        else:
-                            img = ()
-                        cache[w] = img
-                    if img:
-                        row.append((s, img))
-                out.append(tuple(row))
+            try:
+                memo = _DUAL_ROWS.get(weight_map)
+                if memo is None:
+                    memo = _DUAL_ROWS[weight_map] = {}
+            except TypeError:
+                memo = {}
+            keys = list(zip(seed.mult, slot_weights))
+            out = list(map(memo.get, keys))
+            if None in out:
+                # each distinct weight is mapped once per multiplier; with
+                # d = 1 the image is the dual weight itself, and a zero
+                # image is kept as () so that it is dropped
+                dual: dict[int, dict] = {}
+                for v, key in enumerate(keys):
+                    if out[v] is not None:
+                        continue
+                    row = new.get(key)
+                    if row is None:
+                        d, ws = key
+                        cache = dual.get(d)
+                        if cache is None:
+                            cache = dual[d] = {}
+                        row = []
+                        for s, w in ws:
+                            img = cache.get(w)
+                            if img is None:
+                                img = weight_map(w)
+                                if d != 1:
+                                    if any(c % d for c in img):
+                                        raise ValueError(
+                                            f"dual weight not integral at {seed.names[v]}")
+                                    img = tuple(c // d for c in img)
+                                if any(img):
+                                    images.append(img)
+                                else:
+                                    img = ()
+                                cache[w] = img
+                            if img:
+                                row.append((s, img))
+                        row = new[key] = tuple(row)
+                    out[v] = row
             slot_weights = tuple(out)
     # row i lists its columns ascending, so each transposed row does too
     dual_rows = [[] for _ in seed.rows]
@@ -953,6 +990,8 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     rows = tuple(map(tuple, dual_rows))
     if images and not _are_weights(images, len(seed.weight_shape[1])):
         return Seed(seed.names, seed.frozen, new_mult, rows, slot_weights, seed.weight_shape)
+    if new:
+        memo.update(new)
     return _unchecked(seed, rows, slot_weights, None, new_mult)
 
 

@@ -7,6 +7,10 @@ Claims covered:
     - singular matrices and matrices with a zero row give zero
     - stacked minors of random flags agree with the permutation sum
     - a non-square input raises ValueError
+    - the closed forms for n = 3 and 4 equal the permutation sum on entries
+      of up to MAX_ENTRY_BITS bits, with a Fraction row, with a zero
+      leading pivot and on singular matrices, and return a Fraction; a
+      non-square input of 3 or 4 rows raises the square-matrix message
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import pytest
 
 import confseed.minor_oracle as mo
 from confseed.linalg import det
+from confseed.root_data import MAX_ENTRY_BITS
 
 
 def leibniz(rows) -> Q:
@@ -102,3 +107,67 @@ class TestDet:
             det([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             det([[1, 2], [3]])
+
+
+def _wide(rng, n):
+    """An n x n int matrix with entries of up to MAX_ENTRY_BITS bits."""
+    top = (1 << MAX_ENTRY_BITS) - 1
+    return [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+class TestClosedForms:
+    def _agree(self, rows):
+        got = det(rows)
+        assert type(got) is Q
+        assert got == leibniz(rows), rows
+        return got
+
+    def test_wide_entries(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(10):
+            self._agree(_wide(rng, n))
+        top = (1 << MAX_ENTRY_BITS) - 1
+        self._agree([[top if i == j else -top for j in range(n)] for i in range(n)])
+
+    def test_a_fraction_row_is_scaled(self, n):
+        rng = random.Random(50 + n)
+        for r in range(n):
+            rows = _wide(rng, n)
+            rows[r] = [Q(x, rng.randint(1, 1 << 64)) for x in rows[r]]
+            self._agree(rows)
+            rows = _matrix(rng, n, "int")
+            rows[r] = _matrix(rng, n, "fraction")[0]
+            self._agree(rows)
+
+    def test_zero_leading_pivot(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(10):
+            rows = _matrix(rng, n, "mixed")
+            rows[0][0] = 0
+            self._agree(rows)
+        swap = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+        assert self._agree(swap) == (-1) ** (n - 1)
+        rows = _matrix(rng, n, "int")
+        for row in rows:
+            row[0] = 0
+        assert self._agree(rows) == 0
+
+    def test_singular(self, n):
+        rng = random.Random(70 + n)
+        for r in range(n):
+            rows = _wide(rng, n)
+            rows[r] = [3 * x - 2 * y for x, y in zip(rows[(r + 1) % n], rows[(r + 2) % n])]
+            assert self._agree(rows) == 0
+            rows = _matrix(rng, n, "mixed")
+            rows[r] = list(rows[(r + 1) % n])
+            assert self._agree(rows) == 0
+            rows[r] = [0] * n
+            assert self._agree(rows) == 0
+
+    def test_non_square(self, n):
+        square = [list(range(i, i + n)) for i in range(n)]
+        for rows in (square[:-1] + [square[-1][:-1]], square[:-1] + [square[-1] + [1]],
+                     [row[:-1] for row in square], [row + [1] for row in square]):
+            with pytest.raises(ValueError, match="^det needs a square matrix$"):
+                det(rows)

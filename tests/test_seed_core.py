@@ -75,11 +75,13 @@ Claims covered:
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import operator
 import random
 import sys
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -87,7 +89,7 @@ import pytest
 from confseed import minor_oracle as mo
 from confseed import seed_core, surface_glue
 from confseed.cli import main
-from confseed.root_data import MAX_ENTRY_BITS, g2_weight_dual, root_datum
+from confseed.root_data import MAX_ENTRY_BITS, dual_weight_map, g2_weight_dual, root_datum
 from confseed.seed_core import (
     Exchange,
     Minor,
@@ -971,6 +973,19 @@ _HUGE = lambda w: tuple(c << 5000 for c in w)
 _NEGATED = lambda w: tuple(-c for c in w)
 
 
+def _dense_dual_weights(seed, weight_map):
+    """The dual's dense weights: weight_map(w) / d at every vertex and slot."""
+    out = []
+    for d, ws in zip(seed.mult, dense_weights(seed)):
+        row = []
+        for w in ws:
+            img = weight_map(w)
+            assert all(c % d == 0 for c in img)
+            row.append(tuple(c // d for c in img))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 class TestSymmetries:
     def test_permute_slots_composes(self):
         seed = build_triangle_seed(root_datum("g2"))
@@ -1072,6 +1087,90 @@ class TestSymmetries:
             right = mutate(langlands_dual(seed, weight_map=g2_weight_dual), at)
             assert left == right
             seed = mutate(seed, at)
+
+    def test_dual_of_the_empty_seed_is_itself(self):
+        empty = Seed((), (), (), ())
+        check_seed(empty)
+        assert opposite(empty) == empty
+        for weight_map in (None, g2_weight_dual):
+            assert langlands_dual(empty, weight_map=weight_map) == empty
+
+    def test_dual_memo_returns_the_rows_it_stored(self):
+        # a fresh map object starts with an empty memo; every vertex whose
+        # (d, weights) pair an earlier dual saw under it gets that dual's tuple
+        wmap = dual_weight_map(root_datum("g2"))
+        rng = random.Random(23)
+        seed, seen, hits = ZOO[4], {}, 0
+        for step in range(21):
+            if step:
+                seed = mutate(seed, rng.choice(seed.unfrozen_names()))
+            dual = langlands_dual(seed, weight_map=wmap)
+            assert dual.b2 == dense_dual_b2(seed)
+            assert dense_weights(dual) == _dense_dual_weights(seed, wmap)
+            for key, row in zip(zip(seed.mult, seed.slot_weights), dual.slot_weights):
+                if key in seen:
+                    assert row is seen[key]
+                    hits += 1
+                else:
+                    seen[key] = row
+        # each step mutates one vertex, so every other one was seen
+        assert hits >= 20 * (seed.size - 1)
+        assert seed_core._DUAL_ROWS[wmap] == seen
+
+    def test_dual_memo_stores_nothing_from_a_refused_call(self):
+        # the a3 triangle's multipliers are 1, so images reach the weight
+        # tests; the map refuses only the weight that mutation at x_11 makes
+        seed = ZOO[1]
+        known = {w for ws in seed.slot_weights for _, w in ws}
+
+        def weight_map(w):
+            return w if w in known else tuple(map(float, w))
+
+        walked = mutate(seed, "x_11")
+        k = walked.index("x_11")
+        assert any(w not in known for _, w in walked.slot_weights[k])
+        # the checked Seed of the expected fields gives the refusal
+        images = tuple(tuple((s, weight_map(w)) for s, w in ws) for ws in walked.slot_weights)
+        with pytest.raises(ValueError) as expected:
+            Seed(walked.names, walked.frozen, walked.mult, opposite(walked).rows, images,
+                 walked.weight_shape)
+        assert str(expected.value).startswith("weight coordinate ")
+
+        assert langlands_dual(seed, weight_map=weight_map) == langlands_dual(seed)
+        memo = seed_core._DUAL_ROWS[weight_map]
+        stored = dict(memo)
+        keys = list(zip(walked.mult, walked.slot_weights))
+        assert [key in memo for key in keys] == [v != k for v in range(walked.size)]
+        for _ in range(2):
+            with pytest.raises(Exception) as err:
+                langlands_dual(walked, weight_map=weight_map)
+            assert type(err.value) is ValueError
+            assert str(err.value) == str(expected.value)
+            assert memo == stored
+        dual = langlands_dual(seed, weight_map=weight_map)
+        assert dual == langlands_dual(seed)
+        assert all(row is stored[key] for key, row in zip(zip(seed.mult, seed.slot_weights),
+                                                          dual.slot_weights))
+
+    def test_dual_takes_a_map_it_cannot_weakly_reference(self):
+        swap = operator.itemgetter(1, 0)
+        with pytest.raises(TypeError):
+            weakref.ref(swap)
+        seed = ZOO[0]
+        for _ in range(2):
+            assert langlands_dual(seed, weight_map=swap) == langlands_dual(
+                seed, weight_map=lambda w: (w[1], w[0]))
+
+    def test_dual_memo_goes_with_its_map(self):
+        wmap = dual_weight_map(root_datum("g2"))
+        langlands_dual(ZOO[2], weight_map=wmap)
+        memo = seed_core._DUAL_ROWS[wmap]
+        assert memo
+        alive = weakref.ref(wmap)
+        del wmap
+        gc.collect()
+        assert alive() is None
+        assert all(rows is not memo for rows in seed_core._DUAL_ROWS.values())
 
 
 # == 5. isomorphism search ===================================================
