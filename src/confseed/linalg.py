@@ -26,7 +26,7 @@ def mat_mul(a, b) -> list[list]:
 
 
 def det(rows) -> Q:
-    """Determinant of integer rows, always a Fraction.
+    """Exact determinant, always a Fraction.
 
     Rows of ints are taken as they stand.  A row that holds a Fraction is
     first scaled to integers by the lcm of its entries' denominators, and

@@ -941,10 +941,8 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
                 raise ValueError("weight_map required unless simply laced")
         else:
             try:
-                memo = _DUAL_ROWS.get(weight_map)
-                if memo is None:
-                    memo = _DUAL_ROWS[weight_map] = {}
-            except TypeError:
+                memo = _DUAL_ROWS.setdefault(weight_map, {})
+            except TypeError:  # a map that cannot be weakly referenced or hashed
                 memo = {}
             keys = list(zip(seed.mult, slot_weights))
             out = list(map(memo.get, keys))

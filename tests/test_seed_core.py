@@ -54,7 +54,13 @@ Claims covered:
       random walk, with and without a weight map; every such dual, built
       unchecked, passes check_seed and equals the checked Seed of its
       fields, and weight maps whose images no seed holds are refused with
-      the full check's exact type and message
+      the full check's exact type and message; the seed with no vertices is
+      its own dual
+    - the dual's memo: along a walk each vertex seen before under a map gets
+      the very tuple the memo stored, and every dual equals the dense rule;
+      a refused call after memo hits keeps the checked Seed's message and
+      stores nothing; a map that cannot be weakly referenced works; the
+      memo goes with its map
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
       the identity on the g2 128-gon (1,010 vertices) without recursion,
