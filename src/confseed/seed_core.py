@@ -922,10 +922,12 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     map keeps a memo from (d_v, stored weights) to the dual stored weights:
     a vertex seen before under the map costs one lookup and returns the
     same tuple object.  A map must therefore be a pure function.  The memo
-    is held weakly by the map and goes with it; a map that cannot be weakly
-    referenced or hashed, ``operator.itemgetter`` for one, gets a memo for
-    the one call.  A call enters its new vertices only once all of their
-    images have passed, so a refused call stores nothing.
+    is held weakly by the map and goes with it, so a map kept for the whole
+    process, such as ``g2_weight_dual``, keeps every vertex it has seen; a
+    map that cannot be weakly referenced or hashed, ``operator.itemgetter``
+    for one, gets a memo for the one call.  A call enters its new vertices
+    only once all of their images have passed, so a refused call stores
+    nothing.
     """
     dmax = max(seed.mult, default=1)
     if any(dmax % d for d in seed.mult):
