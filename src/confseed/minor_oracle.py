@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache
+from itertools import filterfalse
 
 from . import root_data as rd
 from .linalg import det, mat_mul
@@ -159,7 +160,20 @@ def _labels_of(seed: Seed) -> tuple[Label, ...]:
 
 
 def seed_values(seed: Seed, flags) -> dict[str, Q]:
-    return {nm: evaluate_label(l, flags) for nm, l in zip(seed.names, _labels_of(seed))}
+    """The value of each vertex's label on flags, keyed by name in vertex order.
+
+    The labels that the flags' value table lacks are evaluated first, in
+    vertex order, so the first vanishing value raises from the same label
+    as evaluating every label in turn would; then one C-level pass reads
+    every value off the table.
+    """
+    labels = _labels_of(seed)
+    if labels and _current[0] is not flags:
+        evaluate_label(labels[0], flags)  # starts the table of these flags
+    values = _current[1]
+    for label in filterfalse(values.__contains__, labels):
+        evaluate_label(label, flags)
+    return dict(zip(seed.names, map(values.__getitem__, labels)))
 
 
 # == identity checks ==

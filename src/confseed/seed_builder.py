@@ -30,6 +30,9 @@ doubled like b2, so the rows read off hold b2 entries.  Completion returns
 the completed Seed; Seed's own check_seed refuses a matrix that is not
 skew-symmetrizable, has a nonzero diagonal or an odd entry at an unfrozen
 vertex, so completion tests only what the weights alone decide.
+``build_triangle_seed`` completes each (type, word) once per process and
+returns that one immutable seed after, so every polygon of a type glues
+copies of the same object.
 
 Vertex x_{i,j} is node i at occurrence j (j = 0 before the scan); edge vertex
 x_i belongs to node i.  Names only render these pairs, and two formatters
@@ -43,6 +46,7 @@ fundamental weight omega_m at s.
 from __future__ import annotations
 
 import operator
+from functools import cache
 
 from . import root_data as rd
 from .seed_core import Minor, Seed, dense, stored_weights, unit, weight_sum
@@ -258,9 +262,21 @@ def complete_triangle_seed(datum: rd.RootDatum, seed: Seed) -> Seed:
 
 
 def build_triangle_seed(datum: rd.RootDatum, word: tuple[str, ...] | None = None) -> Seed:
-    """Word quiver plus completion, using the standard word by default."""
+    """Word quiver plus completion, using the standard word by default.
+
+    The completed seed depends on the type and the word alone, so it is
+    built once per (datum, word) in a process and the same object returned
+    after; seeds are immutable and their labels interned, so sharing it is
+    safe.  A word given as a list is the same word as its tuple.  A word
+    that is refused raises on every call.
+    """
     if word is None:
         word = rd.standard_longest_word(datum)
+    return _completed_triangle(datum, tuple(word))
+
+
+@cache
+def _completed_triangle(datum: rd.RootDatum, word: tuple[str, ...]) -> Seed:
     return complete_triangle_seed(datum, build_bruhat_seed(datum, word))
 
 

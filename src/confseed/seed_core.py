@@ -60,10 +60,12 @@ comparisons (``matches_under``, ``quiver_isomorphic``) take no options.
 Two transforms state the relabelling rules once each.  ``opposite``
 reverses every arrow by negating b2: an odd permutation of a triangle's
 corners gives the opposite seed (Fock and Goncharov, "Moduli spaces of local
-systems and higher Teichmuller theory", 2006).  ``move_slots`` moves every
+systems and higher Teichmuller theory", 2006).  ``moved_fields`` moves every
 slot to a new one, a vertex's nonzero slots and the slots of every weight
-tuple inside its label alike: slot permutations and the embedding of a
-triangle into a polygon's slots both go through it.  ``map_weights``
+tuple inside its label alike, and a vertex labelled by its own minor keeps
+the moved minor's very tuple: slot permutations go through it by
+``move_slots``, which checks the result, and the embedding of a triangle
+into a polygon's slots by the glued seed's one check.  ``map_weights``
 applies one linear map to every weight, as diagram automorphisms acting on
 weight coordinates do.
 
@@ -79,7 +81,7 @@ int tuples and weight balances are doubled like b2; only b = b2/2, arrow
 multiplicities and X-values are Fractions.  A Minor stores its weights as a
 vertex does, its nonzero (slot, weight) pairs ascending in slot, together
 with the weight shape, and is interned by both; so the one ``moved`` rule of
-``move_slots`` and the one ``mapped`` rule of ``map_weights`` relabel
+``moved_fields`` and the one ``mapped`` rule of ``map_weights`` relabel
 vertices and labels alike, and no label weight is expanded but for output.
 
 Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
@@ -90,10 +92,12 @@ exactly when their dense weights are equal.  Equality and hashing are
 therefore the object defaults, identity in O(1), although mutation makes the
 trees grow exponentially in depth: the cost follows the DAG of distinct
 nodes, which grows by at most one node per mutation.  The table is a
-``WeakValueDictionary``; a label leaves it once no seed or label refers to
-it.  Labels are immutable, and ``post_order`` is the one walker over them:
-it visits each distinct node once with an explicit stack, so no label code
-recurses however deep a walk nests the trees.
+plain dict from each key to a weak reference that carries its key, so a
+lookup is one C-level ``dict.get`` and one reference call; a label leaves
+the table once no seed or label refers to it.  Labels are immutable, and
+``post_order`` is the one walker over them: it visits each distinct node
+once with an explicit stack, so no label code recurses however deep a walk
+nests the trees.
 """
 from __future__ import annotations
 
@@ -101,15 +105,24 @@ import operator
 from fractions import Fraction as Q
 from itertools import chain, compress, repeat
 from math import gcd
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from weakref import KeyedRef, WeakKeyDictionary
 
 from .root_data import MAX_ENTRY_BITS, MAX_VERTICES, Weight
 
 # == labels ==
 
-# the intern table: (weights, shape) -> Minor, (plus, minus, over) ->
-# Exchange.  The two key shapes never compare equal, as their lengths differ.
-_LABELS: WeakValueDictionary = WeakValueDictionary()
+# the intern table: (weights, shape) -> a weak reference to the Minor,
+# (plus, minus, over) -> one to the Exchange.  The two key shapes never
+# compare equal, as their lengths differ, and each key is its label's fields
+# in slot order.  A plain dict of KeyedRefs, which carry their key, is read
+# in C; a label's reference drops its entry when the label dies.
+_LABELS: dict = {}
+
+
+def _forget(ref: KeyedRef) -> None:
+    """Drop a dead label's entry, unless an equal label has taken it since."""
+    if _LABELS.get(ref.key) is ref:
+        del _LABELS[ref.key]
 
 
 class _Label:
@@ -122,14 +135,15 @@ class _Label:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _intern(cls, key, **fields):
-    """The label stored under key, made from fields on first request."""
-    label = _LABELS.get(key)
+def _intern(cls, key):
+    """The label stored under key, made from key's fields on first request."""
+    ref = _LABELS.get(key)
+    label = None if ref is None else ref()
     if label is None:
         label = object.__new__(cls)
-        for name, value in fields.items():
+        for name, value in zip(cls.__slots__, key):
             object.__setattr__(label, name, value)
-        _LABELS[key] = label
+        _LABELS[key] = KeyedRef(label, _forget, key)
     return label
 
 
@@ -144,7 +158,7 @@ class Minor(_Label):
     __slots__ = ("weights", "shape")
 
     def __new__(cls, weights: tuple[tuple[int, Weight], ...], shape: tuple[int, Weight]):
-        return _intern(cls, (weights, shape), weights=weights, shape=shape)
+        return _intern(cls, (weights, shape))
 
     def __repr__(self):
         return f"Minor(weights={self.weights!r}, shape={self.shape!r})"
@@ -157,7 +171,7 @@ class Exchange(_Label):
 
     def __new__(cls, plus: tuple[tuple["Label", int], ...],
                 minus: tuple[tuple["Label", int], ...], over: "Label"):
-        return _intern(cls, (plus, minus, over), plus=plus, minus=minus, over=over)
+        return _intern(cls, (plus, minus, over))
 
     def __repr__(self):
         # this node alone: the whole tree can be exponentially large
@@ -858,22 +872,49 @@ def map_weights(seed: Seed, fn) -> Seed:
     return seed.replace(slot_weights=stored, labels=labels)
 
 
-def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
-    """The seed with old slot s moved to slot where[s] of ``slots``.
+def moved_fields(seed: Seed, where, slots: int) -> tuple[tuple, tuple, tuple | None]:
+    """(slot_weights, weight_shape, labels) of seed with old slot s moved to
+    slot where[s] of ``slots``.
 
     Slots that no old slot moves to carry the zero weight.  One rule,
-    ``moved``, moves the nonzero slots of each vertex and, through
-    ``map_label_weights``, of each minor inside the labels.  Other fields
-    change as ``Seed.replace`` takes them, and the result is checked once.
+    ``moved``, moves the nonzero slots of each vertex and of each minor
+    inside the labels.  A vertex labelled by the minor of its own weights
+    gets the moved minor and stores that minor's very tuple, so the two
+    compare by identity; any other label goes through
+    ``map_label_weights``.  Nothing is checked here.
     """
     shape = (slots, seed.weight_shape[1])
 
     def moved(ws):
         return tuple(sorted([(where[s], w) for s, w in ws]))
 
-    labels = None if seed.labels is None else map_label_weights(seed.labels, moved, shape)
-    return seed.replace(slot_weights=tuple(map(moved, seed.slot_weights)), weight_shape=shape,
-                        labels=labels, **changes)
+    stored = list(map(moved, seed.slot_weights))
+    if seed.labels is None:
+        return tuple(stored), shape, None
+    own = [type(label) is Minor and label.weights == ws
+           for label, ws in zip(seed.labels, seed.slot_weights)]
+    others = iter(map_label_weights(
+        tuple(label for label, is_own in zip(seed.labels, own) if not is_own), moved, shape))
+    labels = []
+    for v, is_own in enumerate(own):
+        if is_own:
+            label = Minor(stored[v], shape)
+            stored[v] = label.weights
+        else:
+            label = next(others)
+        labels.append(label)
+    return tuple(stored), shape, tuple(labels)
+
+
+def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
+    """The seed with old slot s moved to slot where[s] of ``slots``, by
+    ``moved_fields``.
+
+    Other fields change as ``Seed.replace`` takes them, and the result is
+    checked once.
+    """
+    stored, shape, labels = moved_fields(seed, where, slots)
+    return seed.replace(slot_weights=stored, weight_shape=shape, labels=labels, **changes)
 
 
 def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:

@@ -1,26 +1,32 @@
 """Glue triangle seeds into polygon seeds.
 
 A triangulated m-gon has marked points 1..m.  Every triangle carries the
-same seed, so one completed triangle seed is built per polygon and embedded
-once per corner order into the m weight slots (slot t of the triangle maps
-to corner order[t]).  All the embedded triangles are then amalgamated in one
-pass along their shared diagonals: frozen vertices with equal weight tuples
-are merged and the merged vertex unfreezes (Fock and Goncharov, "Cluster
-X-varieties, amalgamation, and Poisson-Lie groups", 2006).  The pieces'
-nonzero rows are concatenated with their columns moved to the glued places,
-merged rows adding, and the glued seed is checked once, whatever m is, so
-gluing costs O(n + arrows).  Diagonals are matched
-per triangle: a diagonal lies in exactly two triangles, so the vertices to
-merge across it are found between those two pieces alone, not by a scan of
-the whole glued seed.  Corner orders are taken counterclockwise; a clockwise
-(odd) order reverses all arrows of that triangle.
+same seed, the completed triangle seed of the type, which
+``build_triangle_seed`` builds once per process.  Each triangle's piece is
+that seed moved into the m weight slots through its corner order (slot t of
+the triangle maps to corner order[t]) by ``seed_core.moved_fields``, the
+rule of ``move_slots``, and renamed.  A piece is a record of the stored
+fields, not a Seed, so it is not checked on its own.  All the pieces are
+then amalgamated in one pass along their shared diagonals: frozen vertices
+with equal weight tuples are merged and the merged vertex unfreezes (Fock
+and Goncharov, "Cluster X-varieties, amalgamation, and Poisson-Lie groups",
+2006).  The pieces' nonzero rows are concatenated with their columns moved
+to the glued places, merged rows adding, and the glued seed, which holds
+every piece's rows, weights and labels, is the one seed checked, whatever m
+is, so gluing costs O(n + arrows).  Diagonals are matched per triangle: a
+diagonal lies in exactly two triangles, so the vertices to merge across it
+are found between those two pieces alone, not by a scan of the whole glued
+seed.  Corner orders are taken counterclockwise; a clockwise (odd) order
+reverses all arrows of that triangle.  ``embed_triangle`` is the checked
+Seed of one piece.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from . import root_data as rd
 from .seed_builder import (
@@ -29,7 +35,7 @@ from .seed_builder import (
     triangle_name,
     triangle_vertices,
 )
-from .seed_core import Seed, move_slots, opposite
+from .seed_core import Seed, moved_fields, opposite
 
 
 @dataclass(frozen=True)
@@ -101,30 +107,49 @@ def _parity(order: tuple[int, int, int]) -> int:
     return sum(a > b for a, b in combinations(order, 2)) % 2
 
 
-def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str) -> Seed:
-    """Spread a 3-slot seed over m slots through its corner order."""
+class _Piece(NamedTuple):
+    """The stored fields of an embedded triangle, in the order Seed takes
+    them, unchecked: ``amalgamate`` checks the glued seed that holds them."""
+
+    names: tuple
+    frozen: tuple
+    mult: tuple
+    rows: tuple
+    slot_weights: tuple
+    weight_shape: tuple
+    labels: tuple | None
+
+
+def _piece(seed: Seed, order: tuple[int, int, int], m: int, names: tuple[str, ...]) -> _Piece:
+    """A 3-slot seed spread over m slots through its corner order, renamed."""
     if seed.slots != 3:
         raise ValueError("triangle seeds have three slots")
-    names = tuple(prefix + nm for nm in seed.names)
     if _parity(order):
         seed = opposite(seed)
-    return move_slots(seed, [c - 1 for c in order], m, names=names)
+    stored, shape, labels = moved_fields(seed, [c - 1 for c in order], m)
+    return _Piece(names, seed.frozen, seed.mult, seed.rows, stored, shape, labels)
+
+
+def embed_triangle(seed: Seed, order: tuple[int, int, int], m: int, prefix: str) -> Seed:
+    """Spread a 3-slot seed over m slots through its corner order, checked."""
+    return Seed(*_piece(seed, order, m, tuple(prefix + nm for nm in seed.names)))
 
 
 def amalgamate(pieces, pairs) -> Seed:
     """Glue seeds in one pass along (kept, merged) pairs of frozen vertices.
 
-    The pieces come in placement order.  Each pair keeps a vertex of an
-    earlier piece and merges into it one of a later piece with the same
-    multiplier and weight tuple; merged rows add and the kept vertex
-    unfreezes.  The glued seed lists the pieces' vertices in order less the
+    The pieces come in placement order, as Seeds or as unchecked records of
+    the same stored fields; only the glued seed is checked.  Each pair
+    keeps a vertex of an earlier piece and merges into it one of a later
+    piece with the same multiplier and weight tuple; merged rows add and the
+    kept vertex unfreezes.  The glued seed lists the pieces' vertices in order less the
     merged ones, and carries weights and labels when every piece does.
     """
     names = [nm for s in pieces for nm in s.names]
     where = {nm: g for g, nm in enumerate(names)}
     if len(where) != len(names):
         raise ValueError("seeds to amalgamate must have disjoint names")
-    starts = list(accumulate((s.size for s in pieces), initial=0))
+    starts = list(accumulate((len(s.names) for s in pieces), initial=0))
 
     def joined(field):
         parts = [getattr(s, field) for s in pieces]
@@ -207,8 +232,8 @@ def build_conf_m_seed(
 ) -> Seed:
     """Glue copies of one completed triangle seed over a triangulated m-gon.
 
-    The triangle seed of ``datum`` is built and completed once and embedded
-    once per corner order.  Sweeps over the listed triangles place each that
+    The triangle seed of ``datum`` comes from ``build_triangle_seed``, and
+    one unchecked piece is made of it per corner order.  Sweeps over the listed triangles place each that
     shares a diagonal with one placed; one amalgamate pass glues them.
 
     The default four-point seed (fan triangulation, default orders) renames
@@ -228,27 +253,31 @@ def build_conf_m_seed(
             raise ValueError(f"corner order {order} does not match triangle {t}")
 
     base = build_triangle_seed(datum)
-    pieces = [embed_triangle(base, order, m, f"t{k}.") for k, order in enumerate(orders)]
     if m == 4 and tri == fan_triangulation(4) and orders == default_corner_orders(tri):
         vertex = {triangle_name(datum, *v): v for v in triangle_vertices(datum)}
-        pieces = [
-            p.replace(names=tuple(
-                four_point_name(datum, *vertex[nm], second=bool(k)) for nm in base.names
-            ))
-            for k, p in enumerate(pieces)
-        ]
+        names = [tuple(four_point_name(datum, *vertex[nm], second=second) for nm in base.names)
+                 for second in (False, True)]
+    else:
+        names = [tuple(f"t{k}.{nm}" for nm in base.names) for k in range(len(orders))]
+    pieces = [_piece(base, order, m, nms) for order, nms in zip(orders, names)]
 
     # the triangles of a tiling are joined through its diagonals, so every
     # sweep places at least one more triangle; a diagonal lies in exactly two
     # triangles, so its pairs are matched between those two pieces alone
-    placed, remaining, pairs = [0], list(range(1, len(pieces))), []
+    on_edge = defaultdict(list)
+    for k, t in enumerate(tri.triangles):
+        for e in combinations(t, 2):
+            on_edge[e].append(k)
+    # each triangle's neighbours, with the diagonal shared with each
+    across = [[(s, e) for e in combinations(t, 2) for s in on_edge[e] if s != k]
+              for k, t in enumerate(tri.triangles)]
+    place = {0: 0}  # the placed triangles, each to its place, in placement order
+    remaining, pairs = list(range(1, len(pieces))), []
     while remaining:
         for k in list(remaining):
-            corners = frozenset(tri.triangles[k])
-            diags = [(s, corners & frozenset(tri.triangles[s])) for s in placed]
-            shared = [(s, d) for s, d in diags if len(d) == 2]
+            shared = sorted((place[s], s, d) for s, d in across[k] if s in place)
             if shared:
-                pairs += [p for s, d in shared for p in diagonal_pairs(pieces[s], pieces[k], d)]
-                placed.append(k)
+                pairs += [p for _, s, d in shared for p in diagonal_pairs(pieces[s], pieces[k], d)]
+                place[k] = len(place)
                 remaining.remove(k)
-    return amalgamate([pieces[k] for k in placed], pairs)
+    return amalgamate([pieces[k] for k in place], pairs)

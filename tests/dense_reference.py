@@ -236,7 +236,9 @@ def reference_amalgamate(a: Seed, b: Seed, pairs) -> Seed:
 
 def reference_fold(pieces, pairs) -> Seed:
     """The pieces glued one at a time, in order, with reference_amalgamate:
-    the sequential gluing that one amalgamate pass replaces."""
+    the sequential gluing that one amalgamate pass replaces.  A piece given
+    as a record of stored fields is first made the checked Seed of them."""
+    pieces = [p if isinstance(p, Seed) else Seed(*p) for p in pieces]
     placed = pieces[0]
     for b in pieces[1:]:
         step = [(p, q) for p, q in pairs if q in b.names]

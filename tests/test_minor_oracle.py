@@ -18,7 +18,9 @@ Claims covered:
       sign, and the shear torus moves only the glued edge coordinates
     - the value table on the current flags computes each distinct minor
       once along a 60-step walk, and alternating flags give the tree
-      evaluator's values
+      evaluator's values; seed_values reads warm and fresh tables as
+      evaluating label after label does, key order included, and raises
+      from the label that vertex order meets first
     - det, wedge_invariant, evaluate_label, seed_values, check_exchange and
       x_from_a return Fractions on int, torus-scaled and sheared flags; a
       label over a vanishing value raises ZeroDivisionError; a seed without
@@ -423,6 +425,49 @@ class TestMemo:
         assert want[id(a)] != want[id(b)]
         for flags in (a, b, a):
             assert mo.evaluate_label(label, flags) == want[id(flags)]
+
+
+    def test_seed_values_reads_the_table_as_each_label_would(self):
+        # along a seeded cyclic walk, warm and fresh tables alike, the values
+        # and their key order are those of evaluating label after label
+        flags = mo.random_flags(random.Random(63), 4, 4)
+        seed, cache = QUAD4, {}
+        for d in range(24):
+            seed = mutate(seed, CYCLE[d % 3])
+            want = [(nm, _tree_value(l, flags, cache)) for nm, l in zip(seed.names, seed.labels)]
+            for on in (flags, flags, tuple(list(flags))):
+                assert list(mo.seed_values(seed, on).items()) == want
+
+    def test_seed_values_raises_from_the_first_vanishing_label(self, monkeypatch):
+        # slots 3 and 4 hold one flag, so labels start to vanish at depth 5;
+        # the raise comes from the label that evaluating in vertex order on a
+        # fresh table meets first, also once later labels vanish too
+        rng = random.Random(64)
+        a, b, c = (mo.random_flag(rng, 4) for _ in range(3))
+        flags = (a, b, c, c)
+        evaluate = mo.evaluate_label
+        seed, raised = QUAD4, []
+        for d in range(12):
+            seed = mutate(seed, CYCLE[d % 3])
+            fresh, first = tuple(list(flags)), None
+            for i, label in enumerate(seed.labels):
+                try:
+                    evaluate(label, fresh)
+                except ZeroDivisionError:
+                    first = i
+                    break
+            seen = []
+            monkeypatch.setattr(mo, "evaluate_label",
+                                lambda label, on: seen.append(label) or evaluate(label, on))
+            if first is None:
+                mo.seed_values(seed, flags)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    mo.seed_values(seed, flags)
+                assert seen[-1] is seed.labels[first]
+                raised.append(first)
+            monkeypatch.undo()
+        assert len(raised) == 8 and set(raised) == {0, 1}
 
 
 # == 7. integer arithmetic inside, Fractions outside =========================

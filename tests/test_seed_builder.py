@@ -24,6 +24,10 @@ Claims covered:
     - names are literal up to a9 and distinct from a10 on; word vertices are
       frozen exactly at occurrence 0 and at their node's last occurrence
     - completion refuses a frozen vertex whose weights are off the edges
+    - build_triangle_seed returns one object per type and word, a list word
+      the same as its tuple, equal to a fresh completion on the standard and
+      reversed words of a2-a5, g2 and d4; a refused word is checked and
+      refused on every call
     - an a16 triangle costs at most one simple reflection per letter of
       its word
 """
@@ -451,6 +455,36 @@ class TestWordVertexWeights:
 
 
 # == 6. cost =================================================================
+
+class TestTriangleMemo:
+    @pytest.mark.parametrize("kind", ["a2", "a3", "a4", "a5", "g2", "d4"])
+    def test_memo_equals_a_fresh_completion(self, kind):
+        datum = root_datum(kind)
+        std = standard_longest_word(datum)
+        for word in (std, tuple(reversed(std))):
+            fresh = complete_triangle_seed(datum, build_bruhat_seed(datum, word))
+            memo = build_triangle_seed(datum, word)
+            assert memo == fresh and memo is not fresh
+            assert build_triangle_seed(datum, list(word)) is memo
+            assert build_triangle_seed(root_datum(kind), word) is memo
+        assert build_triangle_seed(datum) is build_triangle_seed(datum, std)
+
+    def test_a_refused_word_raises_on_every_call(self, monkeypatch):
+        datum = root_datum("a2")
+        calls = []
+        is_longest = root_data.is_longest_word
+
+        def counted(*args):
+            calls.append(args)
+            return is_longest(*args)
+
+        monkeypatch.setattr(root_data, "is_longest_word", counted)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a reduced word"):
+                build_triangle_seed(datum, ("1", "1"))
+        assert len(calls) == 2
+
+
 
 def test_triangle_build_reflects_once_per_letter(monkeypatch):
     # the longest-word test is one pass of the word over rho; w0 on weights

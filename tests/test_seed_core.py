@@ -74,7 +74,9 @@ Claims covered:
       maps, walks and loading, a
       save/load round trip returns the saved objects, and along the SL4
       4-gon's cyclic walk the label table grows by one entry per step, and
-      map_weights maps each distinct node once, keeping their number;
+      map_weights maps each distinct node once, keeping their number; once
+      nothing refers to a label its table entry goes, and the next equal
+      label is a new object;
       slot permutations, evaluation on fresh flags (against values stepped
       by the exchange relation) and repr take labels 1,200 steps deep
       without recursion
@@ -1368,6 +1370,27 @@ class TestLabelInterning:
         assert a is b
         assert Minor(((0, (0, 1)), (1, (1, 0))), (2, (0, 0))) is not a
         assert Minor(b.weights, (3, (0, 0))) is not a
+
+    def test_a_dead_label_leaves_the_table(self):
+        # weights no other test uses, so only this test holds these labels
+        pairs, shape = ((0, (7, -7, 7)),), (1, (0, 0, 0))
+        minor = Minor(pairs, shape)
+        ex = Exchange(((minor, 2),), (), minor)
+        assert Minor(tuple([(0, (7, -7, 7))]), shape) is minor
+        assert Exchange(((minor, 2),), (), minor) is ex
+        keys = [(pairs, shape), (((minor, 2),), (), minor)]
+        assert all(seed_core._LABELS[k]() is label for k, label in zip(keys, (minor, ex)))
+        gone = weakref.ref(minor)
+        del minor, ex
+        keys.pop()
+        gc.collect()
+        assert gone() is None
+        assert keys[0] not in seed_core._LABELS
+        again = Minor(pairs, shape)
+        assert gone() is None and seed_core._LABELS[keys[0]]() is again
+        # a stale reference's callback leaves the entry an equal label took
+        seed_core._forget(weakref.KeyedRef(again, None, keys[0]))
+        assert seed_core._LABELS[keys[0]]() is again
 
     def test_exchange_from_equal_parts_is_one_object(self):
         def build():

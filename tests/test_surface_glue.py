@@ -14,7 +14,10 @@ Claims covered:
       at a time with a name-by-name reference does, on the flip targets and
       on triangulations that are not fans, including one whose listed order
       is not its placement order
-    - a polygon build amalgamates once and checks the glued seed once
+    - a polygon build amalgamates once and, with the triangle built, runs
+      check_seed once, on the glued seed, on fans and on other shapes
+    - each glued vertex's minor label stores the very tuple of the vertex's
+      weights
     - matching each diagonal between the two triangles on it glues the same
       seed as scanning the whole glued seed for partners does, on fans and
       on triangulations that are not fans
@@ -375,8 +378,11 @@ class TestPolygonSeeds:
         with pytest.raises(ValueError, match="over the cap"):
             build_conf_m_seed(root_datum("g2"), 10**9)
 
-    @pytest.mark.parametrize("m", [4, 16])
-    def test_one_amalgamation_and_one_check_per_polygon(self, m, monkeypatch):
+    @pytest.mark.parametrize("kind, m, triangles", [
+        ("g2", 4, None), ("g2", 16, None), *NON_FAN_SHAPES,
+    ], ids=("4", "16") + NON_FAN_IDS)
+    def test_one_amalgamation_and_one_check_per_polygon(self, kind, m, triangles,
+                                                        monkeypatch):
         glued_with, checked = [], []
         amalgamate = surface_glue.amalgamate
         check = seed_core.check_seed
@@ -389,13 +395,23 @@ class TestPolygonSeeds:
             checked.append(len(seed.names))
             check(seed)
 
+        datum = root_datum(kind)
+        tri = Triangulation(m, triangles) if triangles else None
+        build_triangle_seed(datum)  # the completed triangle, built once per process
         monkeypatch.setattr(surface_glue, "amalgamate", counted_amalgamate)
         monkeypatch.setattr(seed_core, "check_seed", counted_check)
-        seed = build_conf_m_seed(root_datum("g2"), m)
+        seed = build_conf_m_seed(datum, m, tri)
         assert glued_with == [m - 2]
-        # the triangle and its m - 2 embedded copies have 10 vertices each
-        assert checked.count(seed.size) == 1
-        assert max(checked) == seed.size
+        # the pieces are not seeds: only the glued seed is checked
+        assert checked == [seed.size]
+
+    @pytest.mark.parametrize("kind, m, triangles", [
+        ("g2", 16, None), ("g2", 128, None), ("a3", 6, None), NON_FAN_SHAPES[1],
+    ], ids=["g2-16", "g2-128", "a3-6", "g2-non-fan"])
+    def test_each_minor_shares_its_vertex_tuple(self, kind, m, triangles):
+        tri = Triangulation(m, triangles) if triangles else None
+        seed = build_conf_m_seed(root_datum(kind), m, tri)
+        assert all(label.weights is ws for label, ws in zip(seed.labels, seed.slot_weights))
 
     def test_triangulation_size_must_match(self):
         with pytest.raises(ValueError):
