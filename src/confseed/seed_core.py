@@ -38,8 +38,8 @@ that fails to the checked constructor for its message.  Those images are
 memoized per weight map: a module-level ``WeakKeyDictionary`` maps each
 map object to a dict from (d_v, a vertex's stored weights) to the vertex's
 dual stored weights, entered only once a call's new images have passed.
-The memo lives as long as its map, so a map must be a pure function, and
-a dual along a mutation walk maps only the vertex that changed.
+A map must be a pure function, and a dual along a mutation walk maps only
+the vertex that changed.
 Mutation keeps skew-symmetrizability with the same multipliers (Fomin and
 Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes only row k
 and the entries between k's neighbours; ``mutate`` checks that block with
@@ -82,7 +82,13 @@ multiplicities and X-values are Fractions.  A Minor stores its weights as a
 vertex does, its nonzero (slot, weight) pairs ascending in slot, together
 with the weight shape, and is interned by both; so the one ``moved`` rule of
 ``moved_fields`` and the one ``mapped`` rule of ``map_weights`` relabel
-vertices and labels alike, and no label weight is expanded but for output.
+vertices and labels alike.  The vertex's weight is its label's torus
+weight, and exchange relations are weight-homogeneous, so ``check_seed``
+takes labels only with weights and holds each to one rule: a Minor's weight
+is its pairs, of the seed's shape, and an Exchange's is sum e * w(plus) -
+w(over), its two sides of equal weight.  Where each label is its vertex's
+own minor this is three C-level passes, O(n); any other label costs
+O(label DAG * slots).
 
 Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006).  ``Minor(weights, shape)`` and ``Exchange(plus, minus,
@@ -103,7 +109,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction as Q
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import gcd
 from weakref import KeyedRef, WeakKeyDictionary
 
@@ -205,15 +211,15 @@ def post_order(label: Label, done):
 def map_label_weights(labels: tuple[Label, ...], fn, shape) -> tuple[Label, ...]:
     """Apply fn to the stored weights of every minor inside the labels.
 
-    The new minors get ``shape``, or keep their own where it is None.  Each
-    distinct node is mapped once per call, so subtrees shared within and
-    across the labels stay shared in the result.
+    The new minors get ``shape``.  Each distinct node is mapped once per
+    call, so subtrees shared within and across the labels stay shared in
+    the result.
     """
     done: dict[Label, Label] = {}
     for label in labels:
         for top in post_order(label, done):
             if isinstance(top, Minor):
-                done[top] = Minor(fn(top.weights), shape or top.shape)
+                done[top] = Minor(fn(top.weights), shape)
             else:
                 done[top] = Exchange(
                     tuple((done[l], e) for l, e in top.plus),
@@ -375,45 +381,45 @@ _SHAPE = "the weight shape must be a slot count and a zero weight tuple"
 def check_seed(seed: Seed) -> None:
     """Raise ValueError unless seed is well formed.
 
-    Checks, in this order: unique names; equal field lengths; names that
-    are str, frozen flags that are bool, and multipliers that are int,
-    positive and of at most MAX_ENTRY_BITS bits; a square b2; hashable
-    fields, so that no list a caller could change afterwards is inside the
-    seed; rows stored as strictly ascending columns with nonzero int
-    entries; a zero diagonal; then, row by row over the nonzero entries,
-    entries of at most MAX_ENTRY_BITS bits, skew-symmetrizability and even
-    entries at every pair touching an unfrozen vertex; slot weights and a
-    weight shape given together, and neither weights nor labels on a seed
-    with no vertices; the shape a positive slot count and a zero weight of
-    at least one coordinate, as a seed file stores no other; one weight
-    tuple per vertex, all with the same number of slots, stored as strictly
-    ascending slots with nonzero weights of the zero weight's length, whose
-    coordinates are int of at most MAX_ENTRY_BITS bits; one label per
-    vertex, and every vertex label that is a Minor of the seed's weight
-    shape, or on a seed without weights of the first such minor's shape,
-    which has slots and coordinates; and where a vertex's minor stores
-    other pairs than the vertex itself, those pairs pass the vertices'
-    tests, a slot past the count and a weight of another length refused
-    with the loader's messages for the weight list such a minor writes.
-    Built and loaded seeds label each vertex with its own weights, so they
-    pay one tuple comparison per vertex for this.  Minors nested inside
-    exchange labels are not visited.  So a checked seed is one that a seed
-    file can hold, and a value the loader refuses is refused with the
-    loader's message.
-    The first failure names its pair of vertices where there is one.  It
-    runs in O(n + arrows + nonzero slots).
+    Checks, in this order: names that are str, frozen flags that are bool
+    and multipliers that are int; unique names; equal field lengths;
+    multipliers positive and of at most MAX_ENTRY_BITS bits; a square b2;
+    hashable fields, so that no list a caller could change afterwards is
+    inside the seed; rows stored as strictly ascending columns with nonzero
+    int entries; a zero diagonal; then, row by row over the nonzero
+    entries, entries of at most MAX_ENTRY_BITS bits, skew-symmetrizability
+    and even entries at every pair touching an unfrozen vertex; slot
+    weights and a weight shape given together, and neither weights nor
+    labels on a seed with no vertices; the shape a positive slot count and
+    a zero weight of at least one coordinate, as a seed file stores no
+    other; one weight tuple per vertex, all with the same number of slots,
+    stored as strictly ascending slots with nonzero weights of the zero
+    weight's length, whose coordinates are int of at most MAX_ENTRY_BITS
+    bits; then one label per vertex, on a seed with weights, and the label
+    rule: every minor inside a label has the seed's weight shape and is
+    stored as a vertex's weights are, and each vertex's label has the
+    vertex's weight, as ``_check_label_weights`` computes it.  Where every
+    label is the minor of its vertex's own weights, as in every built and
+    loaded seed, the rule is three C-level passes.  So a checked seed is
+    one that a seed file can hold, and a value the loader refuses is
+    refused with the loader's message.
+    The first failure names its pair of vertices, or its vertex, where
+    there is one.  It runs in O(n + arrows + nonzero slots) where the
+    labels are their vertices' minors, and otherwise in O(label DAG *
+    slots).
     """
+    _require(str, seed.names, "vertex tag {!r} is not a string")
+    _require(bool, seed.frozen, "frozen flag {!r} is not a boolean")
+    _require(int, seed.mult, "multiplier d {!r} is not a positive integer")
     n = len(seed.names)
     if len(set(seed.names)) != n:
         raise ValueError("vertex names must be unique")
     rows = seed.rows
     if not (len(seed.frozen) == len(seed.mult) == len(rows) == n):
         raise ValueError("field lengths disagree")
-    _require(str, seed.names, "vertex tag {!r} is not a string")
-    _require(bool, seed.frozen, "frozen flag {!r} is not a boolean")
-    _require(int, seed.mult, "multiplier d {!r} is not a positive integer")
     if min(seed.mult, default=1) < 1:
-        raise ValueError("multipliers must be positive")
+        low = next(d for d in seed.mult if d < 1)
+        raise ValueError(f"multiplier d {low} is not a positive integer")
     if max(seed.mult, default=0) >= _TOO_BIG:
         raise ValueError(f"multiplier d over the cap of {MAX_ENTRY_BITS} bits")
     # rows ascend in j, so a column past the end is a row's last
@@ -451,28 +457,14 @@ def check_seed(seed: Seed) -> None:
     if labels is not None:
         if len(labels) != n:
             raise ValueError("one label per vertex required")
-        # the shapes of the vertices' minors, where any differs from the seed's
-        if set(map(getattr, labels, repeat("shape"), repeat(None))) - {None, shape}:
-            for label in labels:
-                if type(label) is Minor:
-                    fault = _minor_fault(label.shape, shape)
-                    if fault:
-                        raise ValueError(fault)
-                    shape = label.shape
-            if not shape[1]:
-                raise ValueError("a weight vector has no coordinates")
-        # every minor now has one shape; those that store other pairs than
-        # their vertex get the vertices' tests, with the loader's messages
-        minor_weights = tuple(map(getattr, labels, repeat("weights"), repeat(None)))
-        if minor_weights != slot_weights:
-            minors = [(name, ws) for name, ws, own in
-                      zip(seed.names, minor_weights, slot_weights or repeat(None))
-                      if ws is not None and ws != own]
-            for _, ws in minors:
-                if ws and ws[-1][0] >= shape[0]:
-                    raise ValueError(f"a minor label has {ws[-1][0] + 1} slots, not {shape[0]}")
-            if minors:
-                _check_pairs(minors, shape, "minor label")
+        if shape is None:
+            raise ValueError("a seed with labels must carry weights")
+        # built and loaded seeds label each vertex with the minor of its own
+        # weights, which these C-level passes confirm
+        if (set(map(type, labels)) != {Minor}
+                or set(map(operator.attrgetter("shape"), labels)) != {shape}
+                or tuple(map(operator.attrgetter("weights"), labels)) != slot_weights):
+            _check_label_weights(seed.names, labels, slot_weights, shape)
 
 
 def _require(kind: type, values, message: str) -> None:
@@ -495,38 +487,49 @@ def _is_shape(shape) -> bool:
             and list(map(type, zero)).count(int) == len(zero) and not any(zero))
 
 
-def _minor_fault(shape, want) -> str | None:
-    """Why a vertex's minor label of weight shape ``shape`` cannot stand
-    among weights of shape ``want``, or, where ``want`` is None, as the
-    first minor of a seed without weights; None when it can.
+def _check_label_weights(names, labels, slot_weights, shape) -> None:
+    """Refuse the first vertex whose label does not have its weight.
 
-    The message is the loader's for the file such a seed writes.  As the
-    loader does, this takes a zero weight of no coordinates until every
-    minor has been read.
+    A Minor's weight is its pairs, which must have the seed's weight shape
+    and be stored as a vertex's are, and an Exchange's is the sum of e * w
+    over ``plus`` minus the weight of ``over``, where the sums over ``plus``
+    and ``minus`` must be equal.  Each distinct node's weight is computed
+    once, in stored form, so the comparison is tuple equality.
     """
-    if shape == want:
-        return None
-    slots, zero = shape
-    if not slots:
-        return "a weight list has no slots"
-    if want is None:
-        return None if not zero or _is_shape(shape) else _SHAPE
-    if len(zero) != len(want[1]):
-        low, high = sorted((len(zero), len(want[1])))
-        return f"weight vectors of {low} and {high} coordinates"
-    return f"a minor label has {slots} slots, not {want[0]}" if slots != want[0] else _SHAPE
+    weights: dict = {}
+    for name, label, own in zip(names, labels, slot_weights):
+        for top in post_order(label, weights):
+            if type(top) is Exchange:
+                plus = [(e, weights[l]) for l, e in top.plus]
+                if weight_sum(plus + [(-e, weights[l]) for l, e in top.minus]):
+                    raise ValueError(
+                        f"an exchange in the label of {name} is not weight-homogeneous")
+                weights[top] = weight_sum(plus + [(-1, weights[top.over])])
+            elif type(top) is not Minor:
+                raise ValueError(f"the label of {name} holds an object of type "
+                                 f"{type(top).__name__}, not a Minor or an Exchange")
+            elif top.shape != shape:
+                raise ValueError(
+                    f"a minor in the label of {name} has weight shape {top.shape}, not {shape}")
+            else:
+                ws = weights[top] = top.weights
+                _check_pairs(((name, ws),), shape, "minor label")
+                if ws and ws[-1][0] >= shape[0]:
+                    raise ValueError(f"a minor in the label of {name} stores slot {ws[-1][0]} "
+                                     f"of {shape[0]}")
+        if weights[label] != own:
+            raise ValueError(f"the label of {name} does not have its vertex's weight")
 
 
 def _check_pairs(named_pairs, shape, what: str) -> None:
     """Refuse the first fault among (name, pairs) items, each the stored
-    (slot, weight) pairs that are vertex name's ``what``: its "slot
-    weights" or its "minor label".
+    (slot, weight) pairs of vertex name's ``what``: its "slot weights", or
+    a minor in its "minor label".
 
     Slots must ascend, and each weight must be nonzero, of the length of
     ``shape``'s zero weight, with int coordinates of at most MAX_ENTRY_BITS
-    bits.  A minor's weight of another length gets the loader's message for
-    the weight list that minor writes.  Slots past the shape's count are
-    the caller's to refuse: as the pairs ascend, only the last can be.
+    bits.  Slots past the shape's count are the caller's to refuse: as the
+    pairs ascend, only the last can be.
     """
     rank = len(shape[1])
     low, high = -_TOO_BIG, _TOO_BIG
@@ -534,9 +537,6 @@ def _check_pairs(named_pairs, shape, what: str) -> None:
         prev = -1
         for s, w in pairs:
             if len(w) != rank:
-                if what == "minor label":
-                    raise ValueError("weight vectors of {} and {} coordinates".format(
-                        *sorted((len(w), rank))))
                 raise ValueError(f"a weight of {name} does not have {rank} coordinates")
             if s <= prev or not any(w):
                 raise _unstored(s, prev, what, name)
@@ -931,8 +931,10 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
 
 
 # langlands_dual's memo, one per weight map: (d, a vertex's stored weights)
-# -> that vertex's dual stored weights.  A map's memo goes when the map does.
+# -> that vertex's dual stored weights.  A map's memo goes when the map does,
+# and is emptied before it would pass the cap; a verify run fills about 160.
 _DUAL_ROWS: WeakKeyDictionary = WeakKeyDictionary()
+_DUAL_CAP = 1024
 
 
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
@@ -963,12 +965,13 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     map keeps a memo from (d_v, stored weights) to the dual stored weights:
     a vertex seen before under the map costs one lookup and returns the
     same tuple object.  A map must therefore be a pure function.  The memo
-    is held weakly by the map and goes with it, so a map kept for the whole
-    process, such as ``g2_weight_dual``, keeps every vertex it has seen; a
-    map that cannot be weakly referenced or hashed, ``operator.itemgetter``
-    for one, gets a memo for the one call.  A call enters its new vertices
-    only once all of their images have passed, so a refused call stores
-    nothing.
+    is held weakly by the map and goes with it, and holds at most
+    ``_DUAL_CAP`` vertices: it is emptied before a call's new vertices would
+    pass the cap, so a long walk under a map kept for the whole process,
+    such as ``g2_weight_dual``, holds a bounded memo.  A map that cannot be
+    weakly referenced or hashed, ``operator.itemgetter`` for one, gets a
+    memo for the one call.  A call enters its new vertices only once all of
+    their images have passed, so a refused call stores nothing.
     """
     dmax = max(seed.mult, default=1)
     if any(dmax % d for d in seed.mult):
@@ -1000,9 +1003,7 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
                     row = new.get(key)
                     if row is None:
                         d, ws = key
-                        cache = dual.get(d)
-                        if cache is None:
-                            cache = dual[d] = {}
+                        cache = dual.setdefault(d, {})
                         row = []
                         for s, w in ws:
                             img = cache.get(w)
@@ -1031,7 +1032,9 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     rows = tuple(map(tuple, dual_rows))
     if images and not _are_weights(images, len(seed.weight_shape[1])):
         return Seed(seed.names, seed.frozen, new_mult, rows, slot_weights, seed.weight_shape)
-    if new:
+    if new and len(new) <= _DUAL_CAP:
+        if len(memo) + len(new) > _DUAL_CAP:
+            memo.clear()
         memo.update(new)
     return _unchecked(seed, rows, slot_weights, None, new_mult)
 

@@ -14,14 +14,15 @@ integers (``d`` at least 1), ``frozen`` is a JSON boolean, a label's
 ``kind`` is "minor" or "exchange" and label exponents are positive JSON
 integers, and no integer has more than ``MAX_ENTRY_BITS`` bits; loading
 refuses anything else, floats, strings and booleans included, as well as a
-weight list with no slots, weight vectors of different lengths, and a minor
-label whose weight list has another number of slots than the vertices'
-(than the first minor's where the vertices carry no weights).  The
-top-level "labels" table shares repeated subtrees; each vertex points into
-it by index, and an exchange entry only into earlier entries.  Either every
-vertex has "weights" or none has, and either every vertex has a "label"
-and the file has a "labels" table or neither is there; loading refuses any
-other mix, naming the first vertex that differs.
+vertex weight list with no slots, and weight vectors of different lengths
+among the vertices' or within one minor's.  The top-level "labels" table
+shares repeated subtrees; each vertex points into it by index, and an
+exchange entry only into earlier entries.  Either every vertex has
+"weights" or none has, and either every vertex has a "label" and the file
+has a "labels" table or neither is there; loading refuses any other mix,
+naming the first vertex that differs.  Labels need weights, and a vertex's
+label must have the vertex's weight: check_seed's label rule, which also
+refuses a minor of another shape.
 
 The file stores b2 and the weights of every vertex and every minor label
 densely, one entry per vertex pair and one weight per slot, while a Seed
@@ -30,10 +31,10 @@ the whole file's b2 entries in one C-level pass over the rows chained, and
 likewise every vertex's weights and then every minor label's; an
 entry-by-entry walk runs only where a pass fails, to name the first
 offender in file order.  It keeps only the nonzero entries and slots,
-building each minor's (slot, weight) pairs through ``stored_weights`` as
-each vertex's are.  ``check_seed`` caps b2 and the vertices' weights, with
-the messages used here, and the loader caps the minors' weights.  A minor
-is expanded to its dense weight list only to be written.
+building each minor's (slot, weight) pairs and shape through
+``stored_weights`` as the vertices' are.  Names, flags, multipliers and
+caps are check_seed's, with the messages used here.  A minor is expanded
+to its dense weight list only to be written.
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline,
 rendered from the stored forms: a run of zero entries or zero slots is one
@@ -69,18 +70,6 @@ def _positive(x, what: str) -> int:
         raise ValueError(f"{what} {x!r} is not a positive integer")
     if x.bit_length() > MAX_ENTRY_BITS:
         raise ValueError(f"{what} over the cap of {MAX_ENTRY_BITS} bits")
-    return x
-
-
-def _frozen_in(x) -> bool:
-    if type(x) is not bool:
-        raise ValueError(f"frozen flag {x!r} is not a boolean")
-    return x
-
-
-def _tag_in(x) -> str:
-    if type(x) is not str:
-        raise ValueError(f"vertex tag {x!r} is not a string")
     return x
 
 
@@ -157,26 +146,21 @@ def _all_ints(values) -> bool:
     return types.count(int) == len(types)
 
 
-def _weights_pass(lists, lengths: set) -> bool:
+def _weights_pass(lists) -> bool:
     """Whether the weight lists are well formed, checked in C-level passes
     over all of them at once.
 
     Well formed means that every coordinate is a JSON integer, every list
-    has a slot, and every vector has one length, the same as any already in
-    ``lengths``.  Only then does ``lengths`` gain that length; where they
-    are not, ``_weights_walk`` names the first fault.
+    has a slot, and every vector has one length; where they are not,
+    ``_weights_walk`` names the first fault.
     """
-    if not (_all_ints(chain.from_iterable(chain.from_iterable(lists))) and all(lists)):
-        return False
-    seen = lengths.union(map(len, chain.from_iterable(lists)))
-    if len(seen) > 1:
-        return False
-    lengths.update(seen)
-    return True
+    return (_all_ints(chain.from_iterable(chain.from_iterable(lists))) and all(lists)
+            and len(set(map(len, chain.from_iterable(lists)))) == 1)
 
 
-def _weights_walk(lists, lengths: set) -> None:
+def _weights_walk(lists) -> None:
     """Refuse the first fault of the weight lists, list by list in file order."""
+    lengths = set()
     for ws in lists:
         for w in ws:
             _ints(w, "weight coordinate")
@@ -208,7 +192,6 @@ def seed_from_json(data: dict) -> Seed:
     run, to name the first offending entry in file order.  Only the
     nonzero b2 entries and weight slots are kept.
     """
-    lengths = set()  # of the weight vectors read; a file has one
     try:
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
         ids = _ints((v["id"] for v in vertices), "vertex id")
@@ -217,9 +200,9 @@ def seed_from_json(data: dict) -> Seed:
             # n ids that are not 0..n-1 miss at least one of them
             missing = min(set(range(n)) - set(ids))
             raise ValueError(f"no vertex has id {missing}; ids must be 0 to {n - 1}")
-        names = tuple(_tag_in(v["tag"]) for v in vertices)
-        frozen = tuple(_frozen_in(v["frozen"]) for v in vertices)
-        mult = tuple(_positive(v["d"], "multiplier d") for v in vertices)
+        names = tuple(v["tag"] for v in vertices)
+        frozen = tuple(v["frozen"] for v in vertices)
+        mult = tuple(v["d"] for v in vertices)
         b2 = data["b2"]
         if not _all_ints(chain.from_iterable(b2)):
             for row in b2:
@@ -227,13 +210,12 @@ def seed_from_json(data: dict) -> Seed:
         rows = tuple(map(nonzero_pairs, b2, repeat(n)))
 
         slot_weights = shape = None
-        slot_counts = set()  # of the vertices' weight lists, or of the first minor's
-        minor_pairs = []  # the minors' stored weights
         if _carried(vertices, "weights"):
             lists = [v["weights"] for v in vertices]
-            if not _weights_pass(lists, lengths):
-                _weights_walk(lists, lengths)
-            slot_counts = set(map(len, lists))
+            if not _weights_pass(lists):
+                _weights_walk(lists)
+            if not lists[0][0]:
+                raise ValueError("a weight vector has no coordinates")
             slot_weights, shape = stored_weights(lists)
 
         labels = None
@@ -246,26 +228,20 @@ def seed_from_json(data: dict) -> Seed:
         if "labels" in data and vertices:
             entries = data["labels"]
             try:
-                minors = [entry["weights"] for entry in entries if entry["kind"] == "minor"]
-                checked = _weights_pass(minors, lengths)
+                checked = _weights_pass(
+                    [entry["weights"] for entry in entries if entry["kind"] == "minor"])
             except (KeyError, TypeError):  # the walk below names the fault
                 checked = False
             built: list[Label] = []
-            minor_shape = shape  # the vertices', or else the first minor's
             for entry in entries:
                 kind = entry["kind"]
                 if kind == "minor":
-                    if not checked:
-                        _weights_walk([entry["weights"]], lengths)
+                    # a minor of another shape than the vertices', or of no
+                    # slots, is check_seed's to refuse
+                    if not checked and entry["weights"]:
+                        _weights_walk([entry["weights"]])
                     (pairs,), own = stored_weights((entry["weights"],))
-                    # vertices whose counts differ are check_seed's to refuse
-                    slot_counts = slot_counts or {own[0]}
-                    if own[0] not in slot_counts:
-                        raise ValueError(
-                            f"a minor label has {own[0]} slots, not {min(slot_counts)}")
-                    minor_shape = minor_shape or own
-                    minor_pairs.append(pairs)
-                    built.append(Minor(pairs, minor_shape))
+                    built.append(Minor(pairs, own))
                 elif kind == "exchange":
                     built.append(
                         Exchange(
@@ -277,13 +253,6 @@ def seed_from_json(data: dict) -> Seed:
                 else:
                     raise ValueError(f"label kind {kind!r} is not 'minor' or 'exchange'")
             labels = tuple(_entry(built, v["label"], "label") for v in vertices)
-        if 0 in lengths:
-            raise ValueError("a weight vector has no coordinates")
-        # check_seed caps b2 and the vertices' weights; the minors' stored,
-        # nonzero weights are capped here, as zero ones are under any cap
-        vectors = (w for _, w in chain.from_iterable(minor_pairs))
-        if max(map(abs, chain.from_iterable(vectors)), default=0).bit_length() > MAX_ENTRY_BITS:
-            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
         return Seed(names, frozen, mult, rows, slot_weights, shape, labels)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed seed data ({type(exc).__name__}: {exc})") from exc

@@ -43,22 +43,23 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
     """check_seed's rules over the dense fields, in check_seed's order: O(n^2).
 
     Every entry of every row is visited, so this raises the message, and
-    names the first offending pair, that the sparse check must raise.  A
-    vertex's minor label is read as the loader reads its weight list.
+    names the first offending pair, that the sparse check must raise.  Each
+    label's weight is found by ``dense_label_weight``, vertex by vertex.
     """
-    n = len(names)
-    if len(set(names)) != n:
-        raise ValueError("vertex names must be unique")
-    if not (len(frozen) == len(mult) == len(b2) == n):
-        raise ValueError("field lengths disagree")
     for kind, values, message in ((str, names, "vertex tag {!r} is not a string"),
                                   (bool, frozen, "frozen flag {!r} is not a boolean"),
                                   (int, mult, "multiplier d {!r} is not a positive integer")):
         for x in values:
             if type(x) is not kind:
                 raise ValueError(message.format(x))
-    if any(d < 1 for d in mult):
-        raise ValueError("multipliers must be positive")
+    n = len(names)
+    if len(set(names)) != n:
+        raise ValueError("vertex names must be unique")
+    if not (len(frozen) == len(mult) == len(b2) == n):
+        raise ValueError("field lengths disagree")
+    for d in mult:
+        if d < 1:
+            raise ValueError(f"multiplier d {d} is not a positive integer")
     if any(d.bit_length() > MAX_ENTRY_BITS for d in mult):
         raise ValueError(f"multiplier d over the cap of {MAX_ENTRY_BITS} bits")
     if any(len(row) != n for row in b2):
@@ -84,38 +85,70 @@ def reference_check_seed(names, frozen, mult, b2, weights=None, labels=None) -> 
                 raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
     if not n and (weights is not None or labels is not None):
         raise ValueError("a seed with no vertices carries no weights or labels")
-    want = None  # the slot count and coordinate count of every weight list
     if weights is not None:
         if len(weights) != n:
             raise ValueError("one weight tuple per vertex required")
         if any(len(ws) != len(weights[0]) for ws in weights):
             raise ValueError("all vertices must use the same number of slots")
-        # a zero weight is not stored, whatever its coordinates' types
-        for c in (c for ws in weights for w in ws if any(w) for c in w):
-            if type(c) is not int:
-                raise ValueError(f"weight coordinate {c!r} is not an integer")
-            if c.bit_length() > MAX_ENTRY_BITS:
-                raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
-        want = (len(weights[0]), len(weights[0][0]))
+        _check_coordinates(weights)
     if labels is not None:
         if len(labels) != n:
             raise ValueError("one label per vertex required")
-        # each vertex's minor as the loader reads its weight list
-        for label in labels:
-            if not isinstance(label, Minor):
-                continue
-            ws = dense(label.weights, *label.shape)
-            if not ws:
-                raise ValueError("a weight list has no slots")
-            lengths = {len(w) for w in ws} | ({want[1]} if want else set())
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"weight vectors of {min(lengths)} and {max(lengths)} coordinates")
-            if want and len(ws) != want[0]:
-                raise ValueError(f"a minor label has {len(ws)} slots, not {want[0]}")
-            want = (len(ws), len(ws[0]))
-        if want and not want[1]:
-            raise ValueError("a weight vector has no coordinates")
+        if weights is None:
+            raise ValueError("a seed with labels must carry weights")
+        shape = (len(weights[0]), len(weights[0][0]))
+        found = {}
+        for name, label, own in zip(names, labels, weights):
+            if dense_label_weight(label, shape, found, name) != tuple(map(tuple, own)):
+                raise ValueError(f"the label of {name} does not have its vertex's weight")
+
+
+def _check_coordinates(weights) -> None:
+    """Refuse the first coordinate of the dense weights no seed stores."""
+    # a zero weight is not stored, whatever its coordinates' types
+    for c in (c for ws in weights for w in ws if any(w) for c in w):
+        if type(c) is not int:
+            raise ValueError(f"weight coordinate {c!r} is not an integer")
+        if c.bit_length() > MAX_ENTRY_BITS:
+            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+
+
+def dense_label_weight(label, shape, found: dict, name: str = "") -> tuple:
+    """The dense weight of a label on a seed of ``shape``, (slots, rank).
+
+    A minor's weight is its dense weights, and an exchange's is the sum of e * w over plus less the weight of
+    over, its two sides of equal weight.  Each node's weight is entered in
+    ``found``, children first in the order plus, minus, over, so a fault is
+    named as check_seed names it, by vertex ``name``.  Recursive: the tests'
+    labels are shallow.
+    """
+    if label in found:
+        return found[label]
+    slots, rank = shape
+    if isinstance(label, Exchange):
+        for part, _ in label.plus + label.minus + ((label.over, 1),):
+            dense_label_weight(part, shape, found, name)
+
+        def side(terms):
+            return tuple(tuple(sum(e * found[l][s][r] for l, e in terms) for r in range(rank))
+                         for s in range(slots))
+
+        plus = side(label.plus)
+        if plus != side(label.minus):
+            raise ValueError(f"an exchange in the label of {name} is not weight-homogeneous")
+        weight = side(label.plus + ((label.over, -1),))
+    elif isinstance(label, Minor):
+        want = (slots, (0,) * rank)
+        if label.shape != want:
+            raise ValueError(
+                f"a minor in the label of {name} has weight shape {label.shape}, not {want}")
+        weight = dense(label.weights, *label.shape)
+        _check_coordinates((weight,))
+    else:
+        raise ValueError(f"the label of {name} holds an object of type "
+                         f"{type(label).__name__}, not a Minor or an Exchange")
+    found[label] = weight
+    return weight
 
 
 def plant(seed: Seed, b2) -> Seed:

@@ -31,8 +31,9 @@ Claims covered:
       triangle lists that do not tile the m-gon, empty triangle lists and
       triangles with an empty or non-integer corner (the message quotes the
       triangle), the empty word, seed-file integers over the entry cap,
-      weight vectors with no coordinates, seed files where only some
-      vertices carry weights or a label or whose labels lack their table
+      weight vectors with no coordinates, labels without weights, seed
+      files where only some vertices carry weights or a label or whose
+      labels lack their table
       (the message names the first vertex that differs), type faults past
       row 0 and vertex 0 (the message names the first in file order) and
       an --out that cannot be written (the message names that path) included
@@ -463,7 +464,7 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "asymmetric.json"], "0",
          "not skew-symmetrizable at (x_10,x_20)\n"),
         (["mutate", "--seed", "label-fewer-slots.json", "--at", "x_11"], "0",
-         "a minor label has 2 slots, not 3\n"),
+         "a minor in the label of x_10 has weight shape (2, (0, 0)), not (3, (0, 0))\n"),
         (["export-dot", "--seed", "float-weight.json"], "0", "0.5"),
         (["export-dot", "--seed", "string-weight.json"], "0", "'1/2'"),
         (["export-dot", "--seed", "bool-weight.json"], "0", "True"),
@@ -492,9 +493,11 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "empty-vectors.json"], "0",
          "a weight vector has no coordinates"),
         (["export-dot", "--seed", "empty-label-vectors.json"], "0",
-         "a weight vector has no coordinates"),
+         "a seed with labels must carry weights\n"),
         (["mutate", "--seed", "ragged-weights.json", "--at", "x_11"], "0",
          "weight vectors of 2 and 3 coordinates"),
+        (["export-dot", "--seed", "ragged-minor.json"], "0",
+         "weight vectors of 1 and 2 coordinates\n"),
         (["mutate", "--seed", "deep.json"], "0",
          "malformed seed data (nested too deeply)"),
         (["export-dot", "--seed", "weights-not-at-0.json"], "0",
@@ -545,7 +548,7 @@ class TestExportAndErrors:
             "late-string-weight", "late-bool-minor", "string-frozen", "float-mult",
             "float-exponent", "no-slots-mutate", "no-slots-export",
             "empty-vectors-mutate", "empty-vectors-export",
-            "empty-label-vectors", "ragged-weights", "deeply-nested-file",
+            "empty-label-vectors", "ragged-weights", "ragged-minor", "deeply-nested-file",
             "weights-not-at-vertex-0", "label-not-at-vertex-0", "no-label-table",
             "int-tag", "unknown-label-kind", "duplicate-vertex-id",
             "huge-weight", "huge-mult", "huge-exponent", "out-is-a-directory",
@@ -593,6 +596,7 @@ def _write_seed_files(tmp_path):
         ("late-float-b2", ("b2", -1, 0), 2.5),
         ("late-string-weight", ("vertices", -1, "weights", -1, -1), "7"),
         ("late-bool-minor", ("labels", last_minor, "weights", -1, -1), True),
+        ("ragged-minor", ("labels", minor, "weights", 1), [0]),
         ("string-frozen", ("vertices", 0, "frozen"), "false"),
         ("float-mult", ("vertices", 0, "d"), 1.0),
         ("float-exponent", ("labels", ex, "plus", 0, 1), 0.5),

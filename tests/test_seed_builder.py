@@ -68,7 +68,7 @@ from confseed.seed_core import (
     weight_balance,
 )
 
-from dense_reference import dense_seed, dense_weights
+from dense_reference import dense_minor, dense_seed, dense_weights
 from seed_checks import assert_face_equations, is_balanced
 
 TABLED_KINDS = [f"a{n}" for n in range(1, 13)] + ["g2", "d4"]
@@ -89,9 +89,11 @@ def _goldenset(table):
 
 
 def _with_weights(seed, weights: dict):
-    """seed with the dense weights given by vertex name."""
-    return dense_seed(seed.names, seed.frozen, seed.mult, seed.b2,
-                      [weights[nm] for nm in seed.names], seed.labels)
+    """seed with the dense weights given by vertex name, each vertex
+    labelled by the minor of its weights."""
+    dense = [weights[nm] for nm in seed.names]
+    return dense_seed(seed.names, seed.frozen, seed.mult, seed.b2, dense,
+                      tuple(map(dense_minor, dense)))
 
 
 # == 1. word quivers =========================================================

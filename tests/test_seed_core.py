@@ -6,11 +6,14 @@ Claims covered:
       nonzero pairs of the right length; replace takes only stored fields
     - check_seed refuses every value no seed file holds with the loader's
       message: names, flags, multipliers, b2 entries and weight coordinates
-      of another type, multipliers and coordinates over the cap, a vertex's
-      minor label of another weight shape, weights or labels on a seed with
-      no vertices; a vertex's minor that stores other pairs than the vertex
-      gets the vertices' tests, so a slot past the count and descending
-      pairs are refused
+      of another type, multipliers below 1 and multipliers and coordinates
+      over the cap, weights or labels on a seed with no vertices
+    - the label rule: labels need weights, every minor inside a label has
+      the seed's weight shape and the vertices' stored form, so a slot past
+      the count and descending pairs are refused, and each label has its
+      vertex's weight, so swapped labels, an exchange over another vertex's
+      label, a minor nested in an exchange with another shape and a label
+      node that is neither a Minor nor an Exchange are refused
     - mutation is an involution on the full seed, labels included
     - exchange's sides, weight and label agree with the dense reference over
       every column along random walks, mutate stores them, and exchanging
@@ -59,8 +62,9 @@ Claims covered:
     - the dual's memo: along a walk each vertex seen before under a map gets
       the very tuple the memo stored, and every dual equals the dense rule;
       a refused call after memo hits keeps the checked Seed's message and
-      stores nothing; a map that cannot be weakly referenced works; the
-      memo goes with its map
+      stores nothing; a map that cannot be weakly referenced works; a walk
+      past the memo's cap never holds more entries and gives a fresh map's
+      duals; the memo goes with its map
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
       the identity on the g2 128-gon (1,010 vertices) without recursion,
@@ -154,6 +158,7 @@ POLYGONS = (
 # check_seed's refusals of a list in a stored field and of a malformed weight shape
 _LISTS = "seed fields must be hashable: tuples, not lists"
 _SHAPE = "the weight shape must be a slot count and a zero weight tuple"
+_UNWEIGHTED = "a seed with labels must carry weights"
 
 
 def _at_x10(field: str, pairs) -> dict:
@@ -343,7 +348,7 @@ _G2_LONG = next(nm for nm, d in zip(_G2_TRI.names, _G2_TRI.mult) if d != 1)
 
 
 def _without_weights(seed):
-    return seed.replace(slot_weights=None, weight_shape=None)
+    return seed.replace(slot_weights=None, weight_shape=None, labels=None)
 
 
 def _two_vertex(weight_at_v):
@@ -370,7 +375,12 @@ def _at_01(b2, b01, b10):
 
 def _at_0(values, value):
     """values with the one of vertex 0 replaced."""
-    return (value,) + tuple(values[1:])
+    return _at(values, 0, value)
+
+
+def _at(values, k, value):
+    """values with the one of vertex k replaced."""
+    return tuple(values[:k]) + (value,) + tuple(values[k + 1:])
 
 
 def _first_weight(weights, weight):
@@ -412,6 +422,57 @@ def _no_coordinates(data):
         entry["weights"] = [[] for _ in entry["weights"]]
 
 
+def _file_of(seed, change):
+    """A seed-file fault: the file of seed in place of the a2 triangle's,
+    with change applied to it."""
+    def fault(data):
+        data.clear()
+        data.update(seed_to_json(seed))
+        change(data)
+    return fault
+
+
+def _swap_01(values):
+    """values with those of vertices 0 and 1 swapped."""
+    return (values[1], values[0]) + tuple(values[2:])
+
+
+def _swap_file_labels(data):
+    first, second = data["vertices"][:2]
+    first["label"], second["label"] = second["label"], first["label"]
+
+
+def _drop_file_weights(data):
+    for v in data["vertices"]:
+        del v["weights"]
+
+
+# the a2 triangle mutated at x_11, whose label is then an exchange over
+# x_11's minor; its twin takes its over from x_10 instead
+_A2_STEP = mutate(ZOO[0], "x_11")
+_A2_K = _A2_STEP.index("x_11")
+_A2_EX = _A2_STEP.labels[_A2_K]
+_A2_WRONG_OVER = Exchange(_A2_EX.plus, _A2_EX.minus, _A2_STEP.labels[0])
+
+
+def _over_x10(data):
+    """A seed-file fault: the exchange entry's over set to x_10's label."""
+    entry = data["labels"][data["vertices"][_A2_K]["label"]]
+    entry["over"] = data["vertices"][0]["label"]
+
+
+def _nested_short_minor(data):
+    """A seed-file fault: vertex 0 labelled by an exchange whose plus side
+    is a minor one slot short."""
+    labels = data["labels"]
+    short = dict(labels[data["vertices"][0]["label"]])
+    short["weights"] = short["weights"][:2]
+    labels.append(short)
+    labels.append({"kind": "exchange", "plus": [[len(labels) - 1, 1]], "minus": [],
+                   "over": data["vertices"][1]["label"]})
+    data["vertices"][0]["label"] = len(labels) - 1
+
+
 def _one_vertex_minor(pairs):
     """Frozen u, of weight (1, 0) at slot 0 of 3, labelled by the minor of
     the stored pairs given; no seed file holds such a minor."""
@@ -437,8 +498,8 @@ class TestRefusals:
          lambda data: data["vertices"][0].update(tag=data["vertices"][1]["tag"])),
         (_a2_fields(b2=ZOO[0].b2[:-1]), "field lengths disagree",
          lambda data: data["b2"].pop()),
-        (_a2_fields(mult=(0,) + ZOO[0].mult[1:]), "multipliers must be positive",
-         None),
+        (_a2_fields(mult=(0,) + ZOO[0].mult[1:]), "multiplier d 0 is not a positive integer",
+         _file_at_0("d", 0)),
         (_a2_fields(b2=(ZOO[0].b2[0] + (0,),) + ZOO[0].b2[1:]), "b2 must be square",
          lambda data: data["b2"][0].append(0)),
         (_a2_fields(weights=A2_WEIGHTS[:-1]),
@@ -476,6 +537,9 @@ class TestRefusals:
          lambda data: data.update(b2=_oversized(data["b2"]))),
         (_a2_fields(names=_at_0(ZOO[0].names, 1)), "vertex tag 1 is not a string",
          _file_at_0("tag", 1)),
+        # a tag no set can hold is refused for its type, not its hash
+        (_a2_fields(names=_at_0(ZOO[0].names, [1])), "vertex tag [1] is not a string",
+         _file_at_0("tag", [1])),
         (_a2_fields(frozen=_at_0(ZOO[0].frozen, 1)), "frozen flag 1 is not a boolean",
          _file_at_0("frozen", 1)),
         (_a2_fields(mult=_at_0(ZOO[0].mult, 1.0)), "multiplier d 1.0 is not a positive integer",
@@ -498,26 +562,39 @@ class TestRefusals:
          f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits",
          lambda data: data["vertices"][0]["weights"][0].__setitem__(0, 1 << MAX_ENTRY_BITS)),
         (_a2_fields(labels=_first_minor(ZOO[0].labels, _A2_MINOR[:2])),
-         "a minor label has 2 slots, not 3", _file_minor_0(list.pop)),
-        (_a2_fields(labels=_first_minor(ZOO[0].labels, ())), "a weight list has no slots",
+         "a minor in the label of x_10 has weight shape (2, (0, 0)), not (3, (0, 0))",
+         _file_minor_0(list.pop)),
+        (_a2_fields(labels=_first_minor(ZOO[0].labels, ())),
+         "a minor in the label of x_10 has weight shape (0, ()), not (3, (0, 0))",
          _file_minor_0(list.clear)),
         (_a2_fields(labels=_first_minor(ZOO[0].labels, tuple(w + (0,) for w in _A2_MINOR))),
-         "weight vectors of 2 and 3 coordinates",
+         "a minor in the label of x_10 has weight shape (3, (0, 0, 0)), not (3, (0, 0))",
          _file_minor_0(lambda ws: [w.append(0) for w in ws])),
         (_a2_fields(weights=None, labels=_first_minor(ZOO[0].labels, _A2_MINOR[:2])),
-         "a minor label has 3 slots, not 2", _file_weightless_minor_0(list.pop)),
+         _UNWEIGHTED, _file_weightless_minor_0(list.pop)),
         (_a2_fields(weights=None, labels=_first_minor(ZOO[0].labels, ((),) * 3)),
-         "weight vectors of 0 and 2 coordinates",
-         _file_weightless_minor_0(lambda ws: [w.clear() for w in ws])),
+         _UNWEIGHTED, _file_weightless_minor_0(lambda ws: [w.clear() for w in ws])),
         (_a2_fields(weights=None, labels=(dense_minor(((),) * 3),) * ZOO[0].size),
-         "a weight vector has no coordinates", _no_coordinates),
-        (lambda: _one_vertex_minor(((5, (1, 0)),)), "a minor label has 6 slots, not 3", None),
+         _UNWEIGHTED, _no_coordinates),
+        (lambda: _one_vertex_minor(((5, (1, 0)),)),
+         "a minor in the label of u stores slot 5 of 3", None),
         (lambda: _one_vertex_minor(((1, (1, 0)), (0, (0, 1)))),
          "index 0 out of order in the minor label of u", None),
         (lambda: Seed((), (), (), (), (), (1, (0,))),
          "a seed with no vertices carries no weights or labels", None),
         (lambda: Seed((), (), (), (), labels=()),
          "a seed with no vertices carries no weights or labels", None),
+        (_a2_fields(labels=_swap_01(ZOO[0].labels)),
+         "the label of x_10 does not have its vertex's weight", _swap_file_labels),
+        (_a2_fields(weights=None), _UNWEIGHTED, _drop_file_weights),
+        (lambda: _A2_STEP.replace(labels=_at(_A2_STEP.labels, _A2_K, _A2_WRONG_OVER)),
+         "the label of x_11 does not have its vertex's weight", _file_of(_A2_STEP, _over_x10)),
+        (_a2_fields(labels=_at_0(ZOO[0].labels, Exchange(
+            ((dense_minor(_A2_MINOR[:2]), 1),), (), ZOO[0].labels[1]))),
+         "a minor in the label of x_10 has weight shape (2, (0, 0)), not (3, (0, 0))",
+         _nested_short_minor),
+        (_a2_fields(labels=_at_0(ZOO[0].labels, 1)),
+         "the label of x_10 holds an object of type int, not a Minor or an Exchange", None),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
@@ -525,13 +602,15 @@ class TestRefusals:
             "comparison-without-weights",
             "weight-map-without-weights", "short-slot-permutation",
             "repeated-slot", "slot-out-of-range", "mutate-frozen",
-            "mutate-x-frozen", "exchange-frozen", "oversized-entry", "int-name",
+            "mutate-x-frozen", "exchange-frozen", "oversized-entry", "int-name", "list-name",
             "int-frozen", "float-multiplier", "bool-multiplier", "bool-multipliers",
             "oversized-multiplier",
             "bool-b2", "float-b2", "float-weight", "oversized-weight", "minor-fewer-slots",
             "minor-no-slots", "minor-more-coordinates", "weightless-minors-differ",
             "weightless-minor-coordinates-differ", "weightless-minors-no-coordinates",
-            "minor-slot-past-end", "minor-descending-pairs", "empty-with-shape", "empty-with-labels"])
+            "minor-slot-past-end", "minor-descending-pairs", "empty-with-shape", "empty-with-labels",
+            "swapped-labels", "labels-without-weights", "over-another-vertex",
+            "nested-minor-fewer-slots", "int-label"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()
@@ -820,6 +899,7 @@ def _planted_refusals():
             a2, weights=(A2_WEIGHTS[0] * 2,) + A2_WEIGHTS[1:])),
         ("missing-label", _dense_fields(a2, labels=a2.labels[:-1])),
         ("int-name", _dense_fields(a2, names=_at_0(a2.names, 1))),
+        ("list-name", _dense_fields(a2, names=_at_0(a2.names, [1]))),
         ("int-frozen", _dense_fields(a2, frozen=_at_0(a2.frozen, 1))),
         ("float-multiplier", _dense_fields(a2, mult=_at_0(a2.mult, 1.0))),
         ("oversized-multiplier", _dense_fields(a2, mult=_at_0(a2.mult, 1 << MAX_ENTRY_BITS))),
@@ -837,6 +917,13 @@ def _planted_refusals():
             a2, weights=None, labels=_first_minor(a2.labels, ((),) * 3))),
         ("weightless-minors-no-coordinates", _dense_fields(
             a2, weights=None, labels=(dense_minor(((),) * 3),) * a2.size)),
+        ("swapped-labels", _dense_fields(a2, labels=_swap_01(a2.labels))),
+        ("labels-without-weights", _dense_fields(a2, weights=None)),
+        ("over-another-vertex", _dense_fields(
+            _A2_STEP, labels=_at(_A2_STEP.labels, _A2_K, _A2_WRONG_OVER))),
+        ("nested-minor-fewer-slots", _dense_fields(a2, labels=_at_0(a2.labels, Exchange(
+            ((dense_minor(_A2_MINOR[:2]), 1),), (), a2.labels[1])))),
+        ("int-label", _dense_fields(a2, labels=_at_0(a2.labels, 1))),
         ("empty-with-weights", dict(names=(), frozen=(), mult=(), b2=(), weights=())),
         ("empty-with-labels", dict(names=(), frozen=(), mult=(), b2=(), labels=())),
     ]
@@ -1168,6 +1255,23 @@ class TestSymmetries:
         for _ in range(2):
             assert langlands_dual(seed, weight_map=swap) == langlands_dual(
                 seed, weight_map=lambda w: (w[1], w[0]))
+
+    def test_dual_memo_stays_under_its_cap(self, monkeypatch):
+        # a walk past the cap empties the memo rather than growing it, and
+        # every dual equals the one a fresh map, with a memo of its own, gives
+        monkeypatch.setattr(seed_core, "_DUAL_CAP", 24)
+        wmap = dual_weight_map(root_datum("g2"))
+        rng = random.Random(5)
+        seed, emptied, size = ZOO[4], 0, 0
+        for _ in range(40):
+            seed = mutate(seed, rng.choice(seed.unfrozen_names()))
+            dual = langlands_dual(seed, weight_map=wmap)
+            memo = seed_core._DUAL_ROWS[wmap]
+            assert len(memo) <= 24
+            emptied += len(memo) < size
+            size = len(memo)
+            assert dual == langlands_dual(seed, weight_map=lambda w: wmap(w))
+        assert emptied
 
     def test_dual_memo_goes_with_its_map(self):
         wmap = dual_weight_map(root_datum("g2"))

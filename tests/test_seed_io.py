@@ -14,9 +14,9 @@ Claims covered:
       over) as a recursive numbering does, and without recursion
     - every checked seed survives save, load and save again: loading what
       write_seed writes gives the seed back, which writes the same bytes;
-      on random small seeds, whose minor labels have the seed's weight
-      shape, and on built triangles, polygons, a labelled walk, a Langlands
-      dual and a triangle without weights or without labels
+      on random small seeds, whose weights are their labels', and on built
+      triangles, polygons, a labelled walk, a Langlands dual and a triangle
+      without weights and labels or without labels
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from confseed.seed_core import Exchange, Minor, Seed, dense, langlands_dual, mut
 from confseed.seed_io import load_seed, save_seed, seed_from_json, seed_to_json, write_seed
 from confseed.surface_glue import build_conf_m_seed
 
-from dense_reference import dense_minor, dense_seed
+from dense_reference import dense_label_weight, dense_minor, dense_seed
 
 
 def _written(seed: Seed) -> str:
@@ -122,11 +122,12 @@ def test_label_numbering_matches_the_recursive_one():
 
 
 def test_exchange_with_an_empty_side():
-    # p has one neighbour and no frozen ones, so mutating there leaves
-    # one side of its exchange label empty
+    # p has one neighbour, of zero weight, and no frozen ones, so mutating
+    # there leaves one side of its exchange label empty
     seed = Seed(
         ("p", "q"), (False, False), (1, 1), (((1, 2),), ((0, -2),)),
-        labels=(dense_minor(((1, 0),)), dense_minor(((0, 1),))),
+        (((0, (1, 0)),), ()), (1, (0, 0)),
+        labels=(dense_minor(((1, 0),)), dense_minor(((0, 0),))),
     )
     seed = mutate(seed, "p")
     label = seed.labels[0]
@@ -214,11 +215,25 @@ def _sides(labels):
     return st.lists(pair, max_size=2).map(tuple)
 
 
+def _exchange_over(shape):
+    """Exchanges over drawn labels whose minus side is the one minor of the
+    plus side's weight, so that their two sides have equal weights."""
+    def build(plus, over):
+        found = {}
+        weights = [dense_label_weight(label, shape, found) for label, _ in plus]
+        total = tuple(
+            tuple(sum(e * w[s][r] for (_, e), w in zip(plus, weights)) for r in range(shape[1]))
+            for s in range(shape[0]))
+        return Exchange(plus, ((dense_minor(total), 1),) if plus else (), over)
+    return build
+
+
 # labels by the weight shape of their minors: (slots, rank) as a seed draws it
 LABELS = {
     (slots, rank): st.recursive(
         _weight_tuples(slots, rank).map(dense_minor),
-        lambda labels: st.builds(Exchange, _sides(labels), _sides(labels), labels),
+        lambda labels, shape=(slots, rank): st.builds(
+            _exchange_over(shape), _sides(labels), labels),
         max_leaves=6,
     )
     for slots in (1, 2, 3) for rank in (1, 2)
@@ -236,16 +251,17 @@ def small_seeds(draw) -> Seed:
         # skew-symmetrizable, and even unless both ends are frozen
         c = draw(st.integers(-2, 2)) * (1 if frozen[i] and frozen[j] else 2)
         b2[i][j], b2[j][i] = c * mult[i], -c * mult[j]
-    # the minors of a seed have its weight shape, or one shape where it has
-    # no weights; a seed with no vertices has neither weights nor labels
+    # a labelled seed's weights are its labels', whose minors have its
+    # weight shape; a seed with no vertices has neither weights nor labels
     slots, rank = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    weights = None
-    if n and draw(st.booleans()):
-        each = _weight_tuples(slots, rank)
-        weights = tuple(draw(each) for _ in range(n))
-    labels = None
+    weights = labels = None
     if n and draw(st.booleans()):
         labels = tuple(draw(LABELS[slots, rank]) for _ in range(n))
+        found = {}
+        weights = tuple(dense_label_weight(label, (slots, rank), found) for label in labels)
+    elif n and draw(st.booleans()):
+        each = _weight_tuples(slots, rank)
+        weights = tuple(draw(each) for _ in range(n))
     return dense_seed(names, frozen, mult, b2, weights, labels)
 
 
@@ -259,13 +275,15 @@ def test_random_seeds(seed):
 # == 3. save, load and save again ============================================
 
 # A seed whose fields no seed file holds (a float or bool number, a name
-# that is no string, a coordinate over the cap, a minor of another shape,
-# weights or labels on a seed with no vertices) is refused when it is
+# that is no string, a coordinate over the cap, a minor of another shape, a
+# label of another weight than its vertex's, labels without weights, weights
+# or labels on a seed with no vertices) is refused when it is
 # built, with the loader's message; test_seed_core's TestRefusals lists each.
 
 def _built_zoo():
     """Seeds the program builds: triangles, polygons, a labelled walk, a
-    Langlands dual, and the a2 triangle without weights or without labels."""
+    Langlands dual, and the a2 triangle without weights and labels or
+    without labels."""
     seeds = [build_triangle_seed(root_datum(kind)) for kind in ("a1", "a2", "a3", "g2", "d4")]
     seeds += [build_conf_m_seed(root_datum(kind), m)
               for kind, m in (("g2", 4), ("g2", 7), ("a3", 6), ("d4", 4))]
@@ -274,7 +292,7 @@ def _built_zoo():
         walk = mutate(walk, ("x_01", "x_02", "x_11")[step % 3])
     a2 = seeds[1]
     return seeds + [walk, langlands_dual(seeds[3], weight_map=g2_weight_dual),
-                    a2.replace(slot_weights=None, weight_shape=None),
+                    a2.replace(slot_weights=None, weight_shape=None, labels=None),
                     a2.replace(labels=None)]
 
 
