@@ -62,12 +62,11 @@ reverses every arrow by negating b2: an odd permutation of a triangle's
 corners gives the opposite seed (Fock and Goncharov, "Moduli spaces of local
 systems and higher Teichmuller theory", 2006).  ``moved_fields`` moves every
 slot to a new one, a vertex's nonzero slots and the slots of every weight
-tuple inside its label alike, and a vertex labelled by its own minor keeps
-the moved minor's very tuple: slot permutations go through it by
-``move_slots``, which checks the result, and the embedding of a triangle
-into a polygon's slots by the glued seed's one check.  ``map_weights``
-applies one linear map to every weight, as diagram automorphisms acting on
-weight coordinates do.
+tuple inside its label alike, and each vertex keeps its moved label's very
+weight tuple: slot permutations go through it by ``move_slots``, which
+checks the result, and the embedding of a triangle into a polygon's slots
+by the glued seed's one check.  ``map_weights`` applies one linear map to
+every weight, as diagram automorphisms acting on weight coordinates do.
 
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
 unit arrow between vertices with multipliers (d_i, d_j) contributes
@@ -78,17 +77,23 @@ Each vertex optionally carries one weight per marked point ("slot") and a
 label recording which function on the configuration space it denotes: either
 an atomic wedge invariant (Minor) or an exchange tree (Exchange).  Weights are
 int tuples and weight balances are doubled like b2; only b = b2/2, arrow
-multiplicities and X-values are Fractions.  A Minor stores its weights as a
-vertex does, its nonzero (slot, weight) pairs ascending in slot, together
-with the weight shape, and is interned by both; so the one ``moved`` rule of
-``moved_fields`` and the one ``mapped`` rule of ``map_weights`` relabel
-vertices and labels alike.  The vertex's weight is its label's torus
-weight, and exchange relations are weight-homogeneous, so ``check_seed``
-takes labels only with weights and holds each to one rule: a Minor's weight
-is its pairs, of the seed's shape, and an Exchange's is sum e * w(plus) -
-w(over), its two sides of equal weight.  Where each label is its vertex's
-own minor this is three C-level passes, O(n); any other label costs
-O(label DAG * slots).
+multiplicities and X-values are Fractions.  Every label carries its torus
+weight in ``weights`` and its weight shape in ``shape``, stored as a
+vertex's weights and a seed's shape are.  A Minor's weight is its own
+nonzero (slot, weight) pairs, ascending in slot, and it is interned by
+them and its shape; so the one ``moved`` rule of ``moved_fields`` and the
+one ``mapped`` rule of ``map_weights`` relabel vertices and minors alike.
+An Exchange's weight is sum e * w(plus) - w(over): its children share its
+shape, its exponents are positive ints, and exchange relations are
+weight-homogeneous, so its two sides have equal weights.  A label checks
+all this once, when it is first interned, and refuses what no label may
+be, so only labels that passed are stored; an Exchange's exponents alone
+are checked on every request.  ``mutate``'s exchange step alone hands the
+new Exchange the weight it has just proved, straight to the intern table.
+The vertex's weight is its label's torus weight, so ``check_seed`` takes
+labels only with weights and holds them to one rule in three C-level
+passes, O(n): each label is a Minor or an Exchange of the seed's shape with
+its vertex's weight.
 
 Labels are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006).  ``Minor(weights, shape)`` and ``Exchange(plus, minus,
@@ -99,11 +104,12 @@ therefore the object defaults, identity in O(1), although mutation makes the
 trees grow exponentially in depth: the cost follows the DAG of distinct
 nodes, which grows by at most one node per mutation.  The table is a
 plain dict from each key to a weak reference that carries its key, so a
-lookup is one C-level ``dict.get`` and one reference call; a label leaves
-the table once no seed or label refers to it.  Labels are immutable, and
-``post_order`` is the one walker over them: it visits each distinct node
-once with an explicit stack, so no label code recurses however deep a walk
-nests the trees.
+lookup is one C-level ``dict.get`` and one reference call.  A hit runs no
+check, so a minor's weights equal to a stored minor's, as 7.0 equals 7,
+give the stored minor.  A label leaves the table once no seed or label
+refers to it.  Labels are immutable, and ``post_order`` is the one walker
+over them: it visits each distinct node once with an explicit stack, so no
+label code recurses however deep a walk nests the trees.
 """
 from __future__ import annotations
 
@@ -141,13 +147,20 @@ class _Label:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _intern(cls, key):
-    """The label stored under key, made from key's fields on first request."""
+def _intern(cls, key, fields):
+    """The label stored under key, made on first request from key's fields
+    and those that ``fields(*key)`` returns.
+
+    The constructors pass a ``fields`` that refuses a key no label may
+    have, so no refused label enters the table; a hit runs no check, as the
+    stored label passed its own.  ``_exchange`` alone passes the fields it
+    has proved.
+    """
     ref = _LABELS.get(key)
     label = None if ref is None else ref()
     if label is None:
         label = object.__new__(cls)
-        for name, value in zip(cls.__slots__, key):
+        for name, value in zip(cls.__slots__, key + fields(*key)):
             object.__setattr__(label, name, value)
         _LABELS[key] = KeyedRef(label, _forget, key)
     return label
@@ -158,33 +171,75 @@ class Minor(_Label):
 
     ``weights`` holds the nonzero (slot, weight) pairs, ascending in slot,
     as ``Seed.slot_weights`` holds a vertex's, and ``shape`` is the (slots,
-    zero weight) pair of ``Seed.weight_shape``.
+    zero weight) pair of ``Seed.weight_shape``.  Its torus weight is its
+    ``weights``.
     """
 
     __slots__ = ("weights", "shape")
 
     def __new__(cls, weights: tuple[tuple[int, Weight], ...], shape: tuple[int, Weight]):
-        return _intern(cls, (weights, shape))
+        return _intern(cls, (weights, shape), _minor_fields)
 
     def __repr__(self):
         return f"Minor(weights={self.weights!r}, shape={self.shape!r})"
 
 
-class Exchange(_Label):
-    """(plus + minus) / over, each side a monomial in other labels."""
+def _minor_fields(weights, shape) -> tuple:
+    """Refuse a Minor's fields unless a seed could store them as a vertex's
+    weights and weight shape; a Minor has no other fields."""
+    if not _is_shape(shape):
+        raise ValueError(f"a minor has weight shape {shape!r}; {_SHAPE}")
+    _check_pairs((("a minor", weights),), shape, "weights")
+    if weights and weights[-1][0] >= shape[0]:
+        raise ValueError(f"a minor stores slot {weights[-1][0]} of {shape[0]}")
+    return ()
 
-    __slots__ = ("plus", "minus", "over")
+
+class Exchange(_Label):
+    """(plus + minus) / over, each side a monomial in other labels.
+
+    ``weights`` is its torus weight, sum e * w(plus) - w(over), stored as a
+    vertex's, and ``shape`` the weight shape its children share.
+    """
+
+    __slots__ = ("plus", "minus", "over", "weights", "shape")
 
     def __new__(cls, plus: tuple[tuple["Label", int], ...],
                 minus: tuple[tuple["Label", int], ...], over: "Label"):
-        return _intern(cls, (plus, minus, over))
+        # exponents on every call: 1.0 and True equal 1, so a hit would take them
+        for what, side in (("plus", plus), ("minus", minus)):
+            for _, e in side:
+                if type(e) is not int or not 0 < e < _TOO_BIG:
+                    raise ValueError(f"{what} exponent over the cap of {MAX_ENTRY_BITS} bits"
+                                     if type(e) is int and e > 0
+                                     else f"{what} exponent {e!r} is not a positive integer")
+        return _intern(cls, (plus, minus, over), _exchange_fields)
 
     def __repr__(self):
         # this node alone: the whole tree can be exponentially large
         return f"Exchange(<{len(self.plus)} plus, {len(self.minus)} minus factors>)"
 
 
+def _exchange_fields(plus, minus, over) -> tuple:
+    """(weights, shape) of an Exchange whose exponents have passed, refusing
+    the first fault: a child that is not a label, children of different
+    weight shapes, or two sides of different weight."""
+    below = [l for l, _ in plus + minus] + [over]
+    odd = [type(l).__name__ for l in below if type(l) not in _LABEL_TYPES]
+    if odd:
+        raise ValueError(
+            f"an exchange holds an object of type {odd[0]}, not a Minor or an Exchange")
+    other = [l.shape for l in below if l.shape != over.shape]
+    if other:
+        raise ValueError(f"an exchange joins labels of weight shapes {other[0]} and {over.shape}")
+    terms = [(e, l.weights) for l, e in plus]
+    if weight_sum(terms + [(-e, l.weights) for l, e in minus]):
+        raise ValueError("an exchange is not weight-homogeneous")
+    return weight_sum(terms + [(-1, over.weights)]), over.shape
+
+
 Label = Minor | Exchange
+_LABEL_TYPES = {Minor, Exchange}
 
 
 def post_order(label: Label, done):
@@ -396,17 +451,14 @@ def check_seed(seed: Seed) -> None:
     stored as strictly ascending slots with nonzero weights of the zero
     weight's length, whose coordinates are int of at most MAX_ENTRY_BITS
     bits; then one label per vertex, on a seed with weights, and the label
-    rule: every minor inside a label has the seed's weight shape and is
-    stored as a vertex's weights are, and each vertex's label has the
-    vertex's weight, as ``_check_label_weights`` computes it.  Where every
-    label is the minor of its vertex's own weights, as in every built and
-    loaded seed, the rule is three C-level passes.  So a checked seed is
-    one that a seed file can hold, and a value the loader refuses is
-    refused with the loader's message.
+    rule: each label is a Minor or an Exchange of the seed's weight shape
+    whose weight is its vertex's.  A label checked its own fields, and
+    computed its weight, when it was made, so the rule is three C-level
+    passes, and a loop names the first vertex that breaks it only where
+    one fails.  So a checked seed is one that a seed file can hold, and a
+    value the loader refuses is refused with the loader's message.
     The first failure names its pair of vertices, or its vertex, where
-    there is one.  It runs in O(n + arrows + nonzero slots) where the
-    labels are their vertices' minors, and otherwise in O(label DAG *
-    slots).
+    there is one.  It runs in O(n + arrows + nonzero slots).
     """
     _require(str, seed.names, "vertex tag {!r} is not a string")
     _require(bool, seed.frozen, "frozen flag {!r} is not a boolean")
@@ -447,7 +499,7 @@ def check_seed(seed: Seed) -> None:
     if not n and (shape is not None or labels is not None):
         raise ValueError("a seed with no vertices carries no weights or labels")
     if slot_weights is not None:
-        if not (len(shape) == 2 and _is_shape(shape)):
+        if not _is_shape(shape):
             raise ValueError(_SHAPE)
         if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")
@@ -459,12 +511,19 @@ def check_seed(seed: Seed) -> None:
             raise ValueError("one label per vertex required")
         if shape is None:
             raise ValueError("a seed with labels must carry weights")
-        # built and loaded seeds label each vertex with the minor of its own
-        # weights, which these C-level passes confirm
-        if (set(map(type, labels)) != {Minor}
-                or set(map(operator.attrgetter("shape"), labels)) != {shape}
-                or tuple(map(operator.attrgetter("weights"), labels)) != slot_weights):
-            _check_label_weights(seed.names, labels, slot_weights, shape)
+        # each label checked its weight and shape when it was made
+        if not (set(map(type, labels)) <= _LABEL_TYPES
+                and set(map(operator.attrgetter("shape"), labels)) == {shape}
+                and tuple(map(operator.attrgetter("weights"), labels)) == slot_weights):
+            for name, label, own in zip(seed.names, labels, slot_weights):
+                if type(label) not in _LABEL_TYPES:
+                    raise ValueError(f"the label of {name} holds an object of type "
+                                     f"{type(label).__name__}, not a Minor or an Exchange")
+                if label.shape != shape:
+                    raise ValueError(f"a minor in the label of {name} has weight shape "
+                                     f"{label.shape}, not {shape}")
+                if label.weights != own:
+                    raise ValueError(f"the label of {name} does not have its vertex's weight")
 
 
 def _require(kind: type, values, message: str) -> None:
@@ -480,51 +539,17 @@ def _require(kind: type, values, message: str) -> None:
 
 
 def _is_shape(shape) -> bool:
-    """Whether a (slots, zero) pair is a weight shape a seed file can hold:
-    a positive int slot count and a zero weight of at least one int zero."""
-    slots, zero = shape
+    """Whether shape is a weight shape a seed file can hold: a pair of a
+    positive int slot count and a zero weight of at least one int zero."""
+    slots, zero = shape if type(shape) is tuple and len(shape) == 2 else (0, ())
     return (type(slots) is int and slots >= 1 and type(zero) is tuple and zero
             and list(map(type, zero)).count(int) == len(zero) and not any(zero))
 
 
-def _check_label_weights(names, labels, slot_weights, shape) -> None:
-    """Refuse the first vertex whose label does not have its weight.
-
-    A Minor's weight is its pairs, which must have the seed's weight shape
-    and be stored as a vertex's are, and an Exchange's is the sum of e * w
-    over ``plus`` minus the weight of ``over``, where the sums over ``plus``
-    and ``minus`` must be equal.  Each distinct node's weight is computed
-    once, in stored form, so the comparison is tuple equality.
-    """
-    weights: dict = {}
-    for name, label, own in zip(names, labels, slot_weights):
-        for top in post_order(label, weights):
-            if type(top) is Exchange:
-                plus = [(e, weights[l]) for l, e in top.plus]
-                if weight_sum(plus + [(-e, weights[l]) for l, e in top.minus]):
-                    raise ValueError(
-                        f"an exchange in the label of {name} is not weight-homogeneous")
-                weights[top] = weight_sum(plus + [(-1, weights[top.over])])
-            elif type(top) is not Minor:
-                raise ValueError(f"the label of {name} holds an object of type "
-                                 f"{type(top).__name__}, not a Minor or an Exchange")
-            elif top.shape != shape:
-                raise ValueError(
-                    f"a minor in the label of {name} has weight shape {top.shape}, not {shape}")
-            else:
-                ws = weights[top] = top.weights
-                _check_pairs(((name, ws),), shape, "minor label")
-                if ws and ws[-1][0] >= shape[0]:
-                    raise ValueError(f"a minor in the label of {name} stores slot {ws[-1][0]} "
-                                     f"of {shape[0]}")
-        if weights[label] != own:
-            raise ValueError(f"the label of {name} does not have its vertex's weight")
-
-
 def _check_pairs(named_pairs, shape, what: str) -> None:
     """Refuse the first fault among (name, pairs) items, each the stored
-    (slot, weight) pairs of vertex name's ``what``: its "slot weights", or
-    a minor in its "minor label".
+    (slot, weight) pairs of name's ``what``: a vertex's "slot weights", or
+    the "weights" of "a minor".
 
     Slots must ascend, and each weight must be nonzero, of the length of
     ``shape``'s zero weight, with int coordinates of at most MAX_ENTRY_BITS
@@ -679,9 +704,11 @@ def exchange(seed: Seed, at: str) -> tuple[tuple, tuple, tuple | None, Label | N
 def _exchange(seed: Seed, k: int, labels):
     """``exchange`` at vertex index k.
 
-    The label is built over ``labels`` and is None when they are.  Mutating
-    back collapses it: when the label at k is already the exchange with
-    these two sides swapped, A'_k is the label that one was built over.
+    The label is built over ``labels`` and is None when they are; it takes
+    the weight summed here, as each label of a checked seed has its
+    vertex's weight.  Mutating back collapses it: when the label at k is
+    already the exchange with these two sides swapped, A'_k is the label
+    that one was built over.
     """
     row_k = seed.rows[k]
     plus = tuple([(j, b // 2) for j, b in row_k if b > 0])
@@ -704,7 +731,10 @@ def _exchange(seed: Seed, k: int, labels):
         if isinstance(over, Exchange) and over.minus == lp and over.plus == lm:
             label = over.over
         else:
-            label = Exchange(lp, lm, over)
+            # the one label made unchecked: its children are a checked
+            # seed's labels, each of its vertex's weight and of its shape,
+            # and the sides were just balanced and the weight summed
+            label = _intern(Exchange, (lp, lm, over), lambda *_: (weight, seed.weight_shape))
     return plus, minus, weight, label
 
 
@@ -858,8 +888,9 @@ def map_weights(seed: Seed, fn) -> Seed:
     ``mapped``, applies it to the nonzero weights of each vertex and,
     through ``map_label_weights``, of each minor inside the labels, so
     shared label subtrees stay shared.  Nonzero weights stay nonzero, as fn
-    is invertible wherever a relabelling uses it.  The result is checked
-    once.
+    is invertible wherever a relabelling uses it.  Each new label checks
+    itself as it is made, so an image no minor may hold is refused there,
+    and the result is checked once.
     """
     def mapped(ws):
         return tuple([(s, fn(w)) for s, w in ws])
@@ -877,33 +908,21 @@ def moved_fields(seed: Seed, where, slots: int) -> tuple[tuple, tuple, tuple | N
     slot where[s] of ``slots``.
 
     Slots that no old slot moves to carry the zero weight.  One rule,
-    ``moved``, moves the nonzero slots of each vertex and of each minor
-    inside the labels.  A vertex labelled by the minor of its own weights
-    gets the moved minor and stores that minor's very tuple, so the two
-    compare by identity; any other label goes through
-    ``map_label_weights``.  Nothing is checked here.
+    ``moved``, moves the nonzero slots of each vertex, or, on a seed with
+    labels, of each minor inside them through ``map_label_weights``: each
+    label has its vertex's weight, so each vertex stores its moved label's
+    very weight tuple, and the two compare by identity.  Nothing is checked
+    here but the new labels, as each is made.
     """
     shape = (slots, seed.weight_shape[1])
 
     def moved(ws):
         return tuple(sorted([(where[s], w) for s, w in ws]))
 
-    stored = list(map(moved, seed.slot_weights))
     if seed.labels is None:
-        return tuple(stored), shape, None
-    own = [type(label) is Minor and label.weights == ws
-           for label, ws in zip(seed.labels, seed.slot_weights)]
-    others = iter(map_label_weights(
-        tuple(label for label, is_own in zip(seed.labels, own) if not is_own), moved, shape))
-    labels = []
-    for v, is_own in enumerate(own):
-        if is_own:
-            label = Minor(stored[v], shape)
-            stored[v] = label.weights
-        else:
-            label = next(others)
-        labels.append(label)
-    return tuple(stored), shape, tuple(labels)
+        return tuple(map(moved, seed.slot_weights)), shape, None
+    labels = map_label_weights(seed.labels, moved, shape)
+    return tuple(map(operator.attrgetter("weights"), labels)), shape, labels
 
 
 def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:

@@ -20,9 +20,11 @@ shares repeated subtrees; each vertex points into it by index, and an
 exchange entry only into earlier entries.  Either every vertex has
 "weights" or none has, and either every vertex has a "label" and the file
 has a "labels" table or neither is there; loading refuses any other mix,
-naming the first vertex that differs.  Labels need weights, and a vertex's
-label must have the vertex's weight: check_seed's label rule, which also
-refuses a minor of another shape.
+naming the first vertex that differs.  Each label is checked as it is
+made: a minor as a vertex's weights are, an exchange for its exponents,
+its children's shapes and its two sides' weights.  Labels need weights, and
+a vertex's label must have the vertex's weight and weight shape:
+check_seed's label rule.
 
 The file stores b2 and the weights of every vertex and every minor label
 densely, one entry per vertex pair and one weight per slot, while a Seed
@@ -33,7 +35,8 @@ entry-by-entry walk runs only where a pass fails, to name the first
 offender in file order.  It keeps only the nonzero entries and slots,
 building each minor's (slot, weight) pairs and shape through
 ``stored_weights`` as the vertices' are.  Names, flags, multipliers and
-caps are check_seed's, with the messages used here.  A minor is expanded
+caps are check_seed's, and exponents the Exchange's, with the messages used
+here.  A minor is expanded
 to its dense weight list only to be written.
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline,
@@ -51,7 +54,6 @@ import stat
 from fractions import Fraction as Q
 from itertools import chain, repeat
 
-from .root_data import MAX_ENTRY_BITS
 from .seed_core import (Exchange, Label, Minor, Seed, arrows, dense, nonzero_pairs, post_order,
                         stored_weights)
 
@@ -63,14 +65,6 @@ def _ints(values, what: str) -> tuple[int, ...]:
         if type(x) is not int:
             raise ValueError(f"{what} {x!r} is not an integer")
     return out
-
-
-def _positive(x, what: str) -> int:
-    if type(x) is not int or x < 1:
-        raise ValueError(f"{what} {x!r} is not a positive integer")
-    if x.bit_length() > MAX_ENTRY_BITS:
-        raise ValueError(f"{what} over the cap of {MAX_ENTRY_BITS} bits")
-    return x
 
 
 def _label_table(seed: Seed) -> tuple[list[dict], list[int] | None]:
@@ -126,10 +120,9 @@ def _entry(built: list, i, what: str):
 
 
 def _monomial_in(built: list, pairs, what: str):
-    """One side of an exchange entry: (label, positive exponent) pairs."""
-    return tuple(
-        (_entry(built, i, what), _positive(e, f"{what} exponent")) for i, e in pairs
-    )
+    """One side of an exchange entry: (label, exponent) pairs, whose
+    exponents the Exchange made of them checks."""
+    return tuple((_entry(built, i, what), e) for i, e in pairs)
 
 
 def _all_ints(values) -> bool:
@@ -236,8 +229,9 @@ def seed_from_json(data: dict) -> Seed:
             for entry in entries:
                 kind = entry["kind"]
                 if kind == "minor":
-                    # a minor of another shape than the vertices', or of no
-                    # slots, is check_seed's to refuse
+                    # a minor of no slots or coordinates is refused as it is
+                    # made, and one of another shape than the vertices' by
+                    # the exchange over it or by check_seed
                     if not checked and entry["weights"]:
                         _weights_walk([entry["weights"]])
                     (pairs,), own = stored_weights((entry["weights"],))

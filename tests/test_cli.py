@@ -463,8 +463,9 @@ class TestExportAndErrors:
         (["mutate", "--seed", "short-row.json", "--at", "x_11"], "0", "b2 must be square\n"),
         (["export-dot", "--seed", "asymmetric.json"], "0",
          "not skew-symmetrizable at (x_10,x_20)\n"),
+        # the short minor is a child of the exchange at x_11, which refuses it
         (["mutate", "--seed", "label-fewer-slots.json", "--at", "x_11"], "0",
-         "a minor in the label of x_10 has weight shape (2, (0, 0)), not (3, (0, 0))\n"),
+         "an exchange joins labels of weight shapes (2, (0, 0)) and (3, (0, 0))\n"),
         (["export-dot", "--seed", "float-weight.json"], "0", "0.5"),
         (["export-dot", "--seed", "string-weight.json"], "0", "'1/2'"),
         (["export-dot", "--seed", "bool-weight.json"], "0", "True"),
@@ -493,7 +494,8 @@ class TestExportAndErrors:
         (["export-dot", "--seed", "empty-vectors.json"], "0",
          "a weight vector has no coordinates"),
         (["export-dot", "--seed", "empty-label-vectors.json"], "0",
-         "a seed with labels must carry weights\n"),
+         "a minor has weight shape (3, ()); the weight shape must be a slot count and a zero "
+         "weight tuple\n"),
         (["mutate", "--seed", "ragged-weights.json", "--at", "x_11"], "0",
          "weight vectors of 2 and 3 coordinates"),
         (["export-dot", "--seed", "ragged-minor.json"], "0",

@@ -8,12 +8,17 @@ Claims covered:
       message: names, flags, multipliers, b2 entries and weight coordinates
       of another type, multipliers below 1 and multipliers and coordinates
       over the cap, weights or labels on a seed with no vertices
-    - the label rule: labels need weights, every minor inside a label has
-      the seed's weight shape and the vertices' stored form, so a slot past
-      the count and descending pairs are refused, and each label has its
-      vertex's weight, so swapped labels, an exchange over another vertex's
-      label, a minor nested in an exchange with another shape and a label
-      node that is neither a Minor nor an Exchange are refused
+    - labels check themselves where they are made: a minor its shape and
+      its pairs as a vertex's, so a slot past the count, descending pairs, a
+      float coordinate and a shape with no slots or coordinates are
+      refused; an exchange its children, their shapes, its exponents and
+      its two sides' weights, so a child that is not a label, a nested
+      minor of another shape, an exponent of 0 and an inhomogeneous
+      exchange are refused
+    - the label rule: labels need weights, and each label is a Minor or an
+      Exchange of the seed's weight shape with its vertex's weight, so
+      swapped labels, an exchange over another vertex's label, a minor of
+      another shape and a label that is neither are refused
     - mutation is an involution on the full seed, labels included
     - exchange's sides, weight and label agree with the dense reference over
       every column along random walks, mutate stores them, and exchanging
@@ -159,6 +164,7 @@ POLYGONS = (
 _LISTS = "seed fields must be hashable: tuples, not lists"
 _SHAPE = "the weight shape must be a slot count and a zero weight tuple"
 _UNWEIGHTED = "a seed with labels must carry weights"
+_SHAPELESS = "a minor has weight shape {}; " + _SHAPE
 
 
 def _at_x10(field: str, pairs) -> dict:
@@ -480,6 +486,61 @@ def _one_vertex_minor(pairs):
     return Seed(("u",), (True,), (1,), ((),), (((0, (1, 0)),),), shape, (Minor(pairs, shape),))
 
 
+def _vertex_u(minor_weight):
+    """Frozen u of weight (7, 3) at its one slot, labelled by the minor of
+    minor_weight there."""
+    shape = (1, (0, 0))
+    return Seed(("u",), (True,), (1,), ((),), (((0, (7, 3)),),), shape,
+                (Minor(((0, minor_weight),), shape),))
+
+
+def _float_minor_file(data):
+    """A seed-file fault: the file of ``_vertex_u((7, 3))`` with the minor's
+    first coordinate 7.0.  The seed is built here, when the direct call has
+    run: while an equal minor of int coordinates is alive, ``Minor`` returns
+    that one for the float request, as 7.0 == 7."""
+    _file_of(_vertex_u((7, 3)), lambda data: data["labels"][0].update(weights=[[7.0, 3]]))(data)
+
+
+# the a3 triangle mutated at its first unfrozen vertex, whose label is then
+# an exchange; its twin has one more plus factor, of exponent 0, which
+# leaves both sides' weights as they were
+_A3_STEP = mutate(ZOO[1], ZOO[1].unfrozen_names()[0])
+_A3_K = _A3_STEP.index(ZOO[1].unfrozen_names()[0])
+
+
+def _zero_exponent_labels():
+    ex = _A3_STEP.labels[_A3_K]
+    return _at(_A3_STEP.labels, _A3_K,
+               Exchange(ex.plus + ((_A3_STEP.labels[0], 0),), ex.minus, ex.over))
+
+
+def _zero_exponent_file(data):
+    """A seed-file fault: the file of _A3_STEP whose exchange entry has one
+    more plus factor, vertex 0's label to the power 0."""
+    def add(data):
+        entry = data["labels"][data["vertices"][_A3_K]["label"]]
+        entry["plus"].append([data["vertices"][0]["label"], 0])
+    _file_of(_A3_STEP, add)(data)
+
+
+def _bool_exponent_file(data):
+    """A seed-file fault: the file of _A2_STEP with its exchange entry's
+    first plus exponent true, which equals 1."""
+    def flip(data):
+        entry = data["labels"][data["vertices"][_A2_K]["label"]]
+        entry["plus"] = [[entry["plus"][0][0], True]] + entry["plus"][1:]
+    _file_of(_A2_STEP, flip)(data)
+
+
+def _drop_file_minus(data):
+    """A seed-file fault: the file of _A2_STEP with its exchange entry's
+    minus side emptied."""
+    def drop(data):
+        data["labels"][data["vertices"][_A2_K]["label"]]["minus"] = []
+    _file_of(_A2_STEP, drop)(data)
+
+
 # vertex 0's minor in the a2 triangle, dense
 _A2_MINOR = dense(ZOO[0].labels[0].weights, *ZOO[0].weight_shape)
 
@@ -564,22 +625,22 @@ class TestRefusals:
         (_a2_fields(labels=_first_minor(ZOO[0].labels, _A2_MINOR[:2])),
          "a minor in the label of x_10 has weight shape (2, (0, 0)), not (3, (0, 0))",
          _file_minor_0(list.pop)),
-        (_a2_fields(labels=_first_minor(ZOO[0].labels, ())),
-         "a minor in the label of x_10 has weight shape (0, ()), not (3, (0, 0))",
+        # a label is refused where it is made, and the loader makes it
+        (lambda: _first_minor(ZOO[0].labels, ()), _SHAPELESS.format((0, ())),
          _file_minor_0(list.clear)),
         (_a2_fields(labels=_first_minor(ZOO[0].labels, tuple(w + (0,) for w in _A2_MINOR))),
          "a minor in the label of x_10 has weight shape (3, (0, 0, 0)), not (3, (0, 0))",
          _file_minor_0(lambda ws: [w.append(0) for w in ws])),
         (_a2_fields(weights=None, labels=_first_minor(ZOO[0].labels, _A2_MINOR[:2])),
          _UNWEIGHTED, _file_weightless_minor_0(list.pop)),
-        (_a2_fields(weights=None, labels=_first_minor(ZOO[0].labels, ((),) * 3)),
-         _UNWEIGHTED, _file_weightless_minor_0(lambda ws: [w.clear() for w in ws])),
-        (_a2_fields(weights=None, labels=(dense_minor(((),) * 3),) * ZOO[0].size),
-         _UNWEIGHTED, _no_coordinates),
-        (lambda: _one_vertex_minor(((5, (1, 0)),)),
-         "a minor in the label of u stores slot 5 of 3", None),
+        (lambda: _first_minor(ZOO[0].labels, ((),) * 3), _SHAPELESS.format((3, ())),
+         _file_weightless_minor_0(lambda ws: [w.clear() for w in ws])),
+        (lambda: dense_minor(((),) * 3), _SHAPELESS.format((3, ())), _no_coordinates),
+        (lambda: _one_vertex_minor(((5, (1, 0)),)), "a minor stores slot 5 of 3", None),
         (lambda: _one_vertex_minor(((1, (1, 0)), (0, (0, 1)))),
-         "index 0 out of order in the minor label of u", None),
+         "index 0 out of order in the weights of a minor", None),
+        (lambda: _vertex_u((7.0, 3)), "weight coordinate 7.0 is not an integer",
+         _float_minor_file),
         (lambda: Seed((), (), (), (), (), (1, (0,))),
          "a seed with no vertices carries no weights or labels", None),
         (lambda: Seed((), (), (), (), labels=()),
@@ -589,12 +650,21 @@ class TestRefusals:
         (_a2_fields(weights=None), _UNWEIGHTED, _drop_file_weights),
         (lambda: _A2_STEP.replace(labels=_at(_A2_STEP.labels, _A2_K, _A2_WRONG_OVER)),
          "the label of x_11 does not have its vertex's weight", _file_of(_A2_STEP, _over_x10)),
-        (_a2_fields(labels=_at_0(ZOO[0].labels, Exchange(
-            ((dense_minor(_A2_MINOR[:2]), 1),), (), ZOO[0].labels[1]))),
-         "a minor in the label of x_10 has weight shape (2, (0, 0)), not (3, (0, 0))",
+        (lambda: Exchange(((dense_minor(_A2_MINOR[:2]), 1),), (), ZOO[0].labels[1]),
+         "an exchange joins labels of weight shapes (2, (0, 0)) and (3, (0, 0))",
          _nested_short_minor),
         (_a2_fields(labels=_at_0(ZOO[0].labels, 1)),
          "the label of x_10 holds an object of type int, not a Minor or an Exchange", None),
+        (lambda: Exchange(((1, 1),), (), ZOO[0].labels[0]),
+         "an exchange holds an object of type int, not a Minor or an Exchange", None),
+        (lambda: _A3_STEP.replace(labels=_zero_exponent_labels()),
+         "plus exponent 0 is not a positive integer", _zero_exponent_file),
+        (lambda: Exchange(_A2_EX.plus, (), _A2_EX.over),
+         "an exchange is not weight-homogeneous", _drop_file_minus),
+        # _A2_EX, alive, has these fields with the int exponent 1
+        (lambda: Exchange(((_A2_EX.plus[0][0], True),) + _A2_EX.plus[1:], _A2_EX.minus,
+                          _A2_EX.over),
+         "plus exponent True is not a positive integer", _bool_exponent_file),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
@@ -608,9 +678,10 @@ class TestRefusals:
             "bool-b2", "float-b2", "float-weight", "oversized-weight", "minor-fewer-slots",
             "minor-no-slots", "minor-more-coordinates", "weightless-minors-differ",
             "weightless-minor-coordinates-differ", "weightless-minors-no-coordinates",
-            "minor-slot-past-end", "minor-descending-pairs", "empty-with-shape", "empty-with-labels",
-            "swapped-labels", "labels-without-weights", "over-another-vertex",
-            "nested-minor-fewer-slots", "int-label"])
+            "minor-slot-past-end", "minor-descending-pairs", "float-minor", "empty-with-shape",
+            "empty-with-labels", "swapped-labels", "labels-without-weights", "over-another-vertex",
+            "nested-minor-fewer-slots", "int-label", "exchange-over-an-int",
+            "zero-exponent", "inhomogeneous-exchange", "bool-exponent-of-a-live-label"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()
@@ -867,7 +938,11 @@ def _planted_b2(seed, *entries):
 
 
 def _planted_refusals():
-    """(id, dense fields) for every check_seed refusal, one fault or two each."""
+    """(id, dense fields) for every check_seed refusal, one fault or two each.
+
+    A label that no seed may hold is refused where it is made, before a
+    seed holds it: TestRefusals has those rows.
+    """
     a2, a3, g2 = ZOO[0], ZOO[1], ZOO[2]
     facing_zero = next(
         (i, j) for i in range(a2.size) for j in range(a2.size)
@@ -908,21 +983,14 @@ def _planted_refusals():
         ("oversized-weight", _dense_fields(
             a2, weights=_first_weight(A2_WEIGHTS, (1 << MAX_ENTRY_BITS, 0)))),
         ("minor-fewer-slots", _dense_fields(a2, labels=_first_minor(a2.labels, _A2_MINOR[:2]))),
-        ("minor-no-slots", _dense_fields(a2, labels=_first_minor(a2.labels, ()))),
         ("minor-more-coordinates", _dense_fields(
             a2, labels=_first_minor(a2.labels, tuple(w + (0,) for w in _A2_MINOR)))),
         ("weightless-minors-differ", _dense_fields(
             a2, weights=None, labels=_first_minor(a2.labels, _A2_MINOR[:2]))),
-        ("weightless-minor-coordinates-differ", _dense_fields(
-            a2, weights=None, labels=_first_minor(a2.labels, ((),) * 3))),
-        ("weightless-minors-no-coordinates", _dense_fields(
-            a2, weights=None, labels=(dense_minor(((),) * 3),) * a2.size)),
         ("swapped-labels", _dense_fields(a2, labels=_swap_01(a2.labels))),
         ("labels-without-weights", _dense_fields(a2, weights=None)),
         ("over-another-vertex", _dense_fields(
             _A2_STEP, labels=_at(_A2_STEP.labels, _A2_K, _A2_WRONG_OVER))),
-        ("nested-minor-fewer-slots", _dense_fields(a2, labels=_at_0(a2.labels, Exchange(
-            ((dense_minor(_A2_MINOR[:2]), 1),), (), a2.labels[1])))),
         ("int-label", _dense_fields(a2, labels=_at_0(a2.labels, 1))),
         ("empty-with-weights", dict(names=(), frozen=(), mult=(), b2=(), weights=())),
         ("empty-with-labels", dict(names=(), frozen=(), mult=(), b2=(), labels=())),
@@ -1479,10 +1547,10 @@ class TestLabelInterning:
         # weights no other test uses, so only this test holds these labels
         pairs, shape = ((0, (7, -7, 7)),), (1, (0, 0, 0))
         minor = Minor(pairs, shape)
-        ex = Exchange(((minor, 2),), (), minor)
+        ex = Exchange(((minor, 2),), ((minor, 2),), minor)
         assert Minor(tuple([(0, (7, -7, 7))]), shape) is minor
-        assert Exchange(((minor, 2),), (), minor) is ex
-        keys = [(pairs, shape), (((minor, 2),), (), minor)]
+        assert Exchange(((minor, 2),), ((minor, 2),), minor) is ex
+        keys = [(pairs, shape), (((minor, 2),), ((minor, 2),), minor)]
         assert all(seed_core._LABELS[k]() is label for k, label in zip(keys, (minor, ex)))
         gone = weakref.ref(minor)
         del minor, ex
@@ -1510,15 +1578,17 @@ class TestLabelInterning:
 
     def test_labels_are_immutable(self):
         minor = dense_minor(((1, 0), (0, 1)))
-        ex = Exchange(((minor, 1),), (), minor)
+        ex = Exchange(((minor, 1),), ((minor, 1),), minor)
         for label, field in ((minor, "weights"), (minor, "shape"), (ex, "over"), (ex, "plus"),
-                             (minor, "other")):
+                             (ex, "weights"), (ex, "shape"), (minor, "other")):
             with pytest.raises(AttributeError):
                 setattr(label, field, ())
         with pytest.raises(AttributeError):
             del minor.weights
         assert minor.weights == ((0, (1, 0)), (1, (0, 1)))
         assert minor.shape == (2, (0, 0))
+        # 1 * w(minor) less w(minor) is the zero weight, stored as no pairs
+        assert (ex.weights, ex.shape) == ((), (2, (0, 0)))
 
     def test_minors_hold_stored_weights(self):
         # every minor of the built seeds, of slot-moved and weight-mapped

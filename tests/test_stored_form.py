@@ -8,13 +8,26 @@ second constructor ``sparse`` nor a dense ``weights`` view.  A Minor stores
 its weights as a vertex does, so the rules that relabel weights and read
 degrees off them never call ``dense``.  Only the three constructions that
 prove their result checked call ``_unchecked``, the one place that makes a
-Seed without ``check_seed``.  Each module is parsed with ``ast``, so these
-hold without importing or running anything.
+Seed without ``check_seed``; and only the two label constructors, which
+check what they make, and the exchange step, which hands over the weight
+it has proved, call ``_intern``, the one place that makes a label.  Each
+module is parsed with ``ast``, so these hold without importing or running
+anything.  The weights that step hands over are then held to the dense
+reference along seeded walks.
 """
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
+
+import pytest
+
+from confseed.root_data import root_datum
+from confseed.seed_core import Exchange, dense, mutate, post_order
+from confseed.surface_glue import build_conf_m_seed
+
+from dense_reference import dense_label_weight
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "confseed"
 
@@ -100,15 +113,25 @@ def _enclosed(tree):
 _UNCHECKED_CALLERS = {"mutate", "opposite", "langlands_dual"}
 
 
+
+def _callers(target: str) -> tuple[list, list]:
+    """The functions in src/ that call target, and those that mention it."""
+    callers, refs = [], []
+    for _, tree in _trees():
+        for fn, node in _enclosed(tree):
+            if isinstance(node, ast.Call) and _called(node) == target:
+                callers.append(fn)
+            if ((isinstance(node, ast.Name) and node.id == target)
+                    or (isinstance(node, ast.Attribute) and node.attr == target)):
+                refs.append(fn)
+    return callers, refs
+
+
 def test_only_proven_constructions_skip_the_check():
-    callers, refs, news = [], [], []
+    callers, refs = _callers("_unchecked")
+    news = []
     for name, tree in _trees():
         for fn, node in _enclosed(tree):
-            if isinstance(node, ast.Call) and _called(node) == "_unchecked":
-                callers.append(fn)
-            if ((isinstance(node, ast.Name) and node.id == "_unchecked")
-                    or (isinstance(node, ast.Attribute) and node.attr == "_unchecked")):
-                refs.append(fn)
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "__new__"
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
@@ -118,3 +141,34 @@ def test_only_proven_constructions_skip_the_check():
     # every mention of _unchecked is one of those calls: no alias escapes
     assert sorted(refs) == sorted(callers)
     assert news == ["seed_core.py:_unchecked"]
+
+
+def test_only_the_exchange_step_hands_a_label_its_weight():
+    # the intern table is filled only by Minor's and Exchange's constructors,
+    # which check what they make, and by the one construction that proves a
+    # new label's weight: the exchange step, whose children are a checked
+    # seed's labels and whose sides it has balanced
+    callers, refs = _callers("_intern")
+    assert sorted(callers) == ["__new__", "__new__", "_exchange"]
+    # every mention of _intern is one of those calls: no alias escapes
+    assert sorted(refs) == sorted(callers)
+
+
+@pytest.mark.parametrize("kind", ["g2", "a3"])
+def test_each_exchange_holds_its_dense_weight(kind):
+    # a seeded labelled walk on the 4-gon: every exchange node the walk
+    # makes stores the weight that the dense reference sums for it
+    seed = build_conf_m_seed(root_datum(kind), 4)
+    shape = (seed.slots, len(seed.weight_shape[1]))
+    rng = random.Random(18)
+    done, found, exchanges = set(), {}, 0
+    for _ in range(40):
+        seed = mutate(seed, rng.choice(seed.unfrozen_names()))
+        for label in seed.labels:
+            for top in post_order(label, done):
+                done.add(top)
+                if isinstance(top, Exchange):
+                    exchanges += 1
+                    assert top.shape == seed.weight_shape
+                    assert dense(top.weights, *top.shape) == dense_label_weight(top, shape, found)
+    assert exchanges >= 20
