@@ -440,15 +440,15 @@ def check_seed(seed: Seed) -> None:
     and multipliers that are int; unique names; equal field lengths;
     multipliers positive and of at most MAX_ENTRY_BITS bits; a square b2;
     hashable fields, so that no list a caller could change afterwards is
-    inside the seed; rows stored as strictly ascending columns with nonzero
-    int entries; a zero diagonal; then, row by row over the nonzero
+    inside the seed; rows stored as strictly ascending int columns with
+    nonzero int entries; a zero diagonal; then, row by row over the nonzero
     entries, entries of at most MAX_ENTRY_BITS bits, skew-symmetrizability
     and even entries at every pair touching an unfrozen vertex; slot
     weights and a weight shape given together, and neither weights nor
     labels on a seed with no vertices; the shape a positive slot count and
     a zero weight of at least one coordinate, as a seed file stores no
     other; one weight tuple per vertex, all with the same number of slots,
-    stored as strictly ascending slots with nonzero weights of the zero
+    stored as strictly ascending int slots with nonzero weights of the zero
     weight's length, whose coordinates are int of at most MAX_ENTRY_BITS
     bits; then one label per vertex, on a seed with weights, and the label
     rule: each label is a Minor or an Exchange of the seed's weight shape
@@ -484,6 +484,8 @@ def check_seed(seed: Seed) -> None:
     for name, row in zip(seed.names, rows):
         prev = -1
         for j, b in row:
+            if type(j) is not int:
+                raise _not_an_index(j, "b2 row", name)
             if j <= prev or not b:
                 raise _unstored(j, prev, "b2 row", name)
             if type(b) is not int:
@@ -551,16 +553,18 @@ def _check_pairs(named_pairs, shape, what: str) -> None:
     (slot, weight) pairs of name's ``what``: a vertex's "slot weights", or
     the "weights" of "a minor".
 
-    Slots must ascend, and each weight must be nonzero, of the length of
-    ``shape``'s zero weight, with int coordinates of at most MAX_ENTRY_BITS
-    bits.  Slots past the shape's count are the caller's to refuse: as the
-    pairs ascend, only the last can be.
+    Slots must be ints and ascend, and each weight must be nonzero, of the
+    length of ``shape``'s zero weight, with int coordinates of at most
+    MAX_ENTRY_BITS bits.  Slots past the shape's count are the caller's to
+    refuse: as the pairs ascend, only the last can be.
     """
     rank = len(shape[1])
     low, high = -_TOO_BIG, _TOO_BIG
     for name, pairs in named_pairs:
         prev = -1
         for s, w in pairs:
+            if type(s) is not int:
+                raise _not_an_index(s, what, name)
             if len(w) != rank:
                 raise ValueError(f"a weight of {name} does not have {rank} coordinates")
             if s <= prev or not any(w):
@@ -571,6 +575,11 @@ def _check_pairs(named_pairs, shape, what: str) -> None:
                     raise ValueError(
                         f"weight coordinate {c!r} is not an integer" if type(c) is not int
                         else f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits")
+
+
+def _not_an_index(i, what: str, name: str) -> ValueError:
+    """The refusal of a stored pair whose index is not an int, bools included."""
+    return ValueError(f"index {i!r} in the {what} of {name} is not an integer")
 
 
 def _unstored(i: int, prev: int, what: str, name: str) -> ValueError:

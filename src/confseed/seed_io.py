@@ -34,20 +34,36 @@ likewise every vertex's weights and then every minor label's; an
 entry-by-entry walk runs only where a pass fails, to name the first
 offender in file order.  It keeps only the nonzero entries and slots,
 building each minor's (slot, weight) pairs and shape through
-``stored_weights`` as the vertices' are.  Names, flags, multipliers and
-caps are check_seed's, and exponents the Exchange's, with the messages used
-here.  A minor is expanded
-to its dense weight list only to be written.
+``stored_weights`` as the vertices' are.  The table lists a seed's labels
+in vertex order, children first, so in a built seed's file label entry i
+is vertex i's own minor: a minor entry whose dense list equals (``==``)
+that of the vertex at its table position, where both passes held and that
+list has the seed's slot count, is made from the vertex's stored pairs and
+the seed's shape, with no second ``stored_weights`` call.  Equal lists of
+JSON ints have one stored form, so the seed is the same either way, and
+the slot count keeps a vertex of too many slots refused as check_seed
+refuses it.  Names, flags, multipliers and caps are check_seed's, and
+exponents the Exchange's, with the messages used here.
+
+``load_seed`` pauses the cyclic garbage collector while it parses and
+builds, and restores the state it found.  Parsed JSON and a seed hold no
+reference cycles, so the collector's passes over them free nothing, and
+reference counting frees them as before.  Unpaused, writing and loading
+the benchmark's 58 polygon and triangle files ran about 390 collections,
+380 of them inside ``load_seed``, for 46-56 ms (2-core Xeon, Python 3.11).
+
+Only ``seed_to_json`` expands a minor to its dense weight list.
 ``write_seed`` writes exactly the bytes of
 ``json.dump(seed_to_json(seed), fh, indent=1)`` followed by a newline,
-rendered from the stored forms: a run of zero entries or zero slots is one
-repeated string.  It renders that schema itself because CPython's ``json``
-turns its C encoder off whenever ``indent`` is set, and the pure-Python
-encoder it falls back to was the largest cost of writing a polygon seed
-file.
+rendered from the stored forms: a run of zero entries or zero slots, a
+vertex's or a minor's, is one repeated string.  It renders that schema
+itself because CPython's ``json`` turns its C encoder off whenever
+``indent`` is set, and the pure-Python encoder it falls back to was the
+largest cost of writing a polygon seed file.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import stat
@@ -67,31 +83,33 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
-def _label_table(seed: Seed) -> tuple[list[dict], list[int] | None]:
-    """The "labels" table, children first, and each vertex's index into it."""
-    label_index: dict[Label, int] = {}
-    table: list[dict] = []
+def _label_table(seed: Seed) -> tuple[dict[Label, int], list[int] | None]:
+    """The nodes of the "labels" table, children first, each mapped to its
+    index there in table order, and each vertex's index into it."""
+    index: dict[Label, int] = {}
     if seed.labels is None:
-        return table, None
+        return index, None
     for label in seed.labels:
-        for top in post_order(label, label_index):
-            if isinstance(top, Minor):
-                entry = {"kind": "minor", "weights": dense(top.weights, *top.shape)}
-            else:
-                entry = {
-                    "kind": "exchange",
-                    "plus": [(label_index[l], e) for l, e in top.plus],
-                    "minus": [(label_index[l], e) for l, e in top.minus],
-                    "over": label_index[top.over],
-                }
-            label_index[top] = len(table)
-            table.append(entry)
-    return table, [label_index[label] for label in seed.labels]
+        for top in post_order(label, index):
+            index[top] = len(index)
+    return index, [index[label] for label in seed.labels]
+
+
+def _json_entry(top: Label, index: dict[Label, int]) -> dict:
+    """The "labels" table entry of a label node, a minor's weights dense."""
+    if isinstance(top, Minor):
+        return {"kind": "minor", "weights": dense(top.weights, *top.shape)}
+    return {
+        "kind": "exchange",
+        "plus": [(index[l], e) for l, e in top.plus],
+        "minus": [(index[l], e) for l, e in top.minus],
+        "over": index[top.over],
+    }
 
 
 def seed_to_json(seed: Seed) -> dict:
     """The JSON form of a seed, dense: b2 and every slot's weight."""
-    table, at = _label_table(seed)
+    index, at = _label_table(seed)
     shape = seed.weight_shape
     vertices = []
     for i, name in enumerate(seed.names):
@@ -107,8 +125,8 @@ def seed_to_json(seed: Seed) -> dict:
             v["label"] = at[i]
         vertices.append(v)
     out = {"vertices": vertices, "b2": tuple(dense(row, seed.size, 0) for row in seed.rows)}
-    if table:
-        out["labels"] = table
+    if index:
+        out["labels"] = [_json_entry(top, index) for top in index]
     return out
 
 
@@ -225,10 +243,17 @@ def seed_from_json(data: dict) -> Seed:
                     [entry["weights"] for entry in entries if entry["kind"] == "minor"])
             except (KeyError, TypeError):  # the walk below names the fault
                 checked = False
+            # vertex i's dense list, where it has the seed's slot count: a
+            # minor entry of int coordinates equal to it at table position i
+            # is the vertex's own minor
+            owned = ([ws if len(ws) == shape[0] else None for ws in lists]
+                     if checked and slot_weights is not None else [])
             built: list[Label] = []
-            for entry in entries:
+            for at, entry in enumerate(entries):
                 kind = entry["kind"]
-                if kind == "minor":
+                if kind == "minor" and at < len(owned) and entry["weights"] == owned[at]:
+                    built.append(Minor(slot_weights[at], shape))
+                elif kind == "minor":
                     # a minor of no slots or coordinates is refused as it is
                     # made, and one of another shape than the vertices' by
                     # the exchange over it or by check_seed
@@ -306,35 +331,36 @@ def write_seed(seed: Seed, fh) -> None:
     The text is ``json.dumps(seed_to_json(seed), indent=1) + "\\n"``, byte
     for byte, written one vertex, b2 row or label entry at a time.  It is
     rendered from the stored forms: the zero entries of a b2 row and the
-    zero slots of a vertex's weights go out as runs.
+    zero slots of a vertex's or a minor's weights go out as runs.
     """
     # seeds hold plain ints in weights, b2 and labels, which str renders as
     # json does
     ints = _Memo(str)
     # int rows at depth 4: weights, and (label index, exponent) pairs
     rows = _Memo(lambda key: _block(map(ints.__getitem__, key), 4))
-    table, at = _label_table(seed)
+    index, at = _label_table(seed)
     names, frozen, mult, n = seed.names, seed.frozen, seed.mult, seed.size
-    if seed.weight_shape is not None:
-        slots, zero = seed.weight_shape
-        zero_text = rows[zero]
 
-    def value(x) -> str:
-        if type(x) is int:
-            return ints[x]
-        if type(x) is str:
-            return json.dumps(x)
-        return _block(map(rows.__getitem__, x), 3)
+    def weights(pairs, shape) -> str:
+        slots, zero = shape
+        return _runs(((s, rows[w]) for s, w in pairs), slots, rows[zero], 3)
 
-    def label_entry(obj: dict) -> str:
-        return _block([f'"{k}": {value(x)}' for k, x in obj.items()], 2, "{}")
+    def side(pairs) -> str:
+        return _block([rows[index[l], e] for l, e in pairs], 3)
+
+    def label_entry(top: Label) -> str:
+        if type(top) is Minor:
+            items = ('"kind": "minor"', f'"weights": {weights(top.weights, top.shape)}')
+        else:
+            items = ('"kind": "exchange"', f'"plus": {side(top.plus)}',
+                     f'"minus": {side(top.minus)}', f'"over": {ints[index[top.over]]}')
+        return _block(items, 2, "{}")
 
     def vertex(i: int) -> str:
         items = [f'"id": {ints[i]}', f'"tag": {json.dumps(names[i])}',
                  f'"frozen": {"true" if frozen[i] else "false"}', f'"d": {ints[mult[i]]}']
         if seed.slot_weights is not None:
-            slot_texts = ((s, rows[w]) for s, w in seed.slot_weights[i])
-            items.append(f'"weights": {_runs(slot_texts, slots, zero_text, 3)}')
+            items.append(f'"weights": {weights(seed.slot_weights[i], seed.weight_shape)}')
         if at is not None:
             items.append(f'"label": {ints[at[i]]}')
         return _block(items, 2, "{}")
@@ -343,8 +369,8 @@ def write_seed(seed: Seed, fh) -> None:
         return _runs(((j, ints[b]) for j, b in row), n, "0", 2)
 
     sections = [("vertices", range(n), vertex), ("b2", seed.rows, b2_row)]
-    if table:
-        sections.append(("labels", table, label_entry))
+    if index:
+        sections.append(("labels", index, label_entry))
     fh.write("{")
     for k, (key, items, render) in enumerate(sections):
         fh.write(f'{"," if k else ""}\n "{key}": [')
@@ -395,12 +421,23 @@ def save_seed(seed: Seed, path) -> None:
 
 
 def load_seed(path) -> Seed:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("malformed seed data (nested too deeply)") from None
-    return seed_from_json(data)
+    """The seed in a seed file; raises ValueError on malformed data.
+
+    The cyclic garbage collector is paused while the file is parsed and the
+    seed built, as neither holds a reference cycle, and left as it was found.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("malformed seed data (nested too deeply)") from None
+        return seed_from_json(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # == DOT ==

@@ -665,6 +665,15 @@ class TestRefusals:
         (lambda: Exchange(((_A2_EX.plus[0][0], True),) + _A2_EX.plus[1:], _A2_EX.minus,
                           _A2_EX.over),
          "plus exponent True is not a positive integer", _bool_exponent_file),
+        # a file's indices are list positions, so no file holds these
+        (lambda: Seed(("u",), (True,), (1,), ((),), (((0.5, (1, 0)),),), (3, (0, 0))),
+         "index 0.5 in the slot weights of u is not an integer", None),
+        (lambda: Minor(((0.5, (1, 0)),), (3, (0, 0))),
+         "index 0.5 in the weights of a minor is not an integer", None),
+        (lambda: Seed(("u", "v"), (True, True), (1, 1), (((1.0, 2),), ((0, -2),))),
+         "index 1.0 in the b2 row of u is not an integer", None),
+        (lambda: Seed(("u", "v"), (True, True), (1, 1), (((True, 2),), ((0, -2),))),
+         "index True in the b2 row of u is not an integer", None),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
@@ -681,7 +690,8 @@ class TestRefusals:
             "minor-slot-past-end", "minor-descending-pairs", "float-minor", "empty-with-shape",
             "empty-with-labels", "swapped-labels", "labels-without-weights", "over-another-vertex",
             "nested-minor-fewer-slots", "int-label", "exchange-over-an-int",
-            "zero-exponent", "inhomogeneous-exchange", "bool-exponent-of-a-live-label"])
+            "zero-exponent", "inhomogeneous-exchange", "bool-exponent-of-a-live-label",
+            "float-slot", "float-minor-slot", "float-column", "bool-column"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()

@@ -6,7 +6,10 @@ Claims covered:
       up to the g2 32-gon, on a labelled mutation walk, on exchange labels
       with an empty side, and on random small seeds, with and without
       weights and labels, whose vertex names need escaping
-    - save_seed writes the same text to a file, and load_seed reads it back;
+    - save_seed writes the same text to a file, and load_seed reads it back,
+      each own minor of a polygon file taking its vertex's stored weights;
+      load_seed leaves the garbage collector enabled or disabled as it found
+      it, whether the file loads or is refused;
       a save that fails mid-file leaves an earlier file byte for byte and no
       new file, and a saved file has the mode open(path, "w") gives and
       is written through a symbolic link
@@ -20,6 +23,7 @@ Claims covered:
 """
 from __future__ import annotations
 
+import gc
 import io
 import json
 from itertools import combinations
@@ -138,11 +142,43 @@ def test_exchange_with_an_empty_side():
 
 
 def test_save_and_load(tmp_path):
-    seed = build_conf_m_seed(root_datum("g2"), 5)
     path = tmp_path / "seed.json"
-    save_seed(seed, path)
-    assert path.read_text(encoding="utf-8") == _reference(seed)
-    assert load_seed(path) == seed
+    for kind in ("g2", "a3"):
+        save_seed(build_conf_m_seed(root_datum(kind), 5), path)
+        # no minor of the built seed is alive, so each vertex's own minor is
+        # made anew, from the vertex's stored weights
+        back = load_seed(path)
+        assert all(label.weights is ws for label, ws in zip(back.labels, back.slot_weights))
+        seed = build_conf_m_seed(root_datum(kind), 5)
+        assert path.read_text(encoding="utf-8") == _reference(seed)
+        assert back == seed
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, None),
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[" * 100000, "malformed seed data (nested too deeply)"),
+    ('{"vertices": [{"id": 1}], "b2": [[0]]}', "no vertex has id 0; ids must be 0 to 0"),
+], ids=["good", "malformed-json", "nested-too-deeply", "refused-seed"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_load_leaves_the_collector_as_found(text, message, enabled, tmp_path):
+    path = tmp_path / "seed.json"
+    if text is None:
+        save_seed(build_triangle_seed(root_datum("a2")), path)
+    else:
+        path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if message is None:
+            assert load_seed(path) == build_triangle_seed(root_datum("a2"))
+        else:
+            with pytest.raises(ValueError) as err:
+                load_seed(path)
+            assert str(err.value) == message
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class _FailsAfterFirstVertex:

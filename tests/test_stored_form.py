@@ -10,9 +10,10 @@ degrees off them never call ``dense``.  Only the three constructions that
 prove their result checked call ``_unchecked``, the one place that makes a
 Seed without ``check_seed``; and only the two label constructors, which
 check what they make, and the exchange step, which hands over the weight
-it has proved, call ``_intern``, the one place that makes a label.  Each
-module is parsed with ``ast``, so these hold without importing or running
-anything.  The weights that step hands over are then held to the dense
+it has proved, call ``_intern``, the one place that makes a label.  Only
+``seed_io.load_seed`` pauses the garbage collector: no other code imports
+or calls ``gc``.  Each module is parsed with ``ast``, so these hold
+without importing or running anything.  The weights that step hands over are then held to the dense
 reference along seeded walks.
 """
 from __future__ import annotations
@@ -152,6 +153,20 @@ def test_only_the_exchange_step_hands_a_label_its_weight():
     assert sorted(callers) == ["__new__", "__new__", "_exchange"]
     # every mention of _intern is one of those calls: no alias escapes
     assert sorted(refs) == sorted(callers)
+
+
+def test_only_the_loader_pauses_the_collector():
+    # seed_io imports gc, and only its load_seed names it
+    imports, uses = set(), set()
+    for name, tree in _trees():
+        for fn, node in _enclosed(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                imports.add((name, fn))
+            elif isinstance(node, ast.Name) and node.id == "gc":
+                uses.add((name, fn))
+    assert imports == {("seed_io.py", None)}
+    assert uses == {("seed_io.py", "load_seed")}
 
 
 @pytest.mark.parametrize("kind", ["g2", "a3"])
