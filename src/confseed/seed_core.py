@@ -33,13 +33,14 @@ seed is immutable and stores its sequence fields as tuples, so a checked
 seed stays checked, and each of the three proves or tests what it writes.
 Negation and the dual's transpose keep every invariant of b2: the transpose
 is skew-symmetrizable with the multipliers max(d)/d, by the input's own
-rule, so the dual tests only the weight images it computes, and hands any
-that fails to the checked constructor for its message.  Those images are
-memoized per weight map: a module-level ``WeakKeyDictionary`` maps each
-map object to a dict from (d_v, a vertex's stored weights) to the vertex's
-dual stored weights, entered only once a call's new images have passed.
-A map must be a pure function, and a dual along a mutation walk maps only
-the vertex that changed.
+rule, so the dual checks only the weights it computes, with check_seed's
+own walk over stored (slot, weight) pairs, ``_check_pairs``, which a
+Minor's weights take too.  Those rows are memoized per weight map: a
+module-level ``WeakKeyDictionary`` maps each map object to a dict from
+(d_v, a vertex's stored weights) to the vertex's dual stored weights,
+entered only once a call's new rows have passed.  A map must be a pure
+function, and a dual along a mutation walk maps only the vertex that
+changed.
 Mutation keeps skew-symmetrizability with the same multipliers (Fomin and
 Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes only row k
 and the entries between k's neighbours; ``mutate`` checks that block with
@@ -63,9 +64,9 @@ corners gives the opposite seed (Fock and Goncharov, "Moduli spaces of local
 systems and higher Teichmuller theory", 2006).  ``moved_fields`` moves every
 slot to a new one, a vertex's nonzero slots and the slots of every weight
 tuple inside its label alike, and each vertex keeps its moved label's very
-weight tuple: slot permutations go through it by ``move_slots``, which
-checks the result, and the embedding of a triangle into a polygon's slots
-by the glued seed's one check.  ``map_weights`` applies one linear map to
+weight tuple: ``permute_slots`` checks what it returns once, and the
+embedding of a triangle into a polygon's slots is checked by the glued
+seed's one check.  ``map_weights`` applies one linear map to
 every weight, as diagram automorphisms acting on weight coordinates do.
 
 Arrow convention: an arrow from vertex j to vertex i means b[i][j] > 0.  A
@@ -189,9 +190,7 @@ def _minor_fields(weights, shape) -> tuple:
     weights and weight shape; a Minor has no other fields."""
     if not _is_shape(shape):
         raise ValueError(f"a minor has weight shape {shape!r}; {_SHAPE}")
-    _check_pairs((("a minor", weights),), shape, "weights")
-    if weights and weights[-1][0] >= shape[0]:
-        raise ValueError(f"a minor stores slot {weights[-1][0]} of {shape[0]}")
+    _check_pairs((("a minor", weights),), shape, "weights", "a minor stores slot {} of {}")
     return ()
 
 
@@ -429,8 +428,11 @@ _SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2",))
 _SET_B2 = _SETTERS[-1]
 
 
-# check_seed's refusal of a weight shape a seed file cannot hold
+# check_seed's refusals of a weight shape a seed file cannot hold, of a
+# field that cannot be hashed and of a vertex's slot past the slot count
 _SHAPE = "the weight shape must be a slot count and a zero weight tuple"
+_UNHASHABLE = "seed fields must be hashable: tuples, not lists"
+_SLOTS = "all vertices must use the same number of slots"
 
 
 def check_seed(seed: Seed) -> None:
@@ -448,11 +450,11 @@ def check_seed(seed: Seed) -> None:
     labels on a seed with no vertices; the shape a positive slot count and
     a zero weight of at least one coordinate, as a seed file stores no
     other; one weight tuple per vertex, all with the same number of slots,
-    stored as strictly ascending int slots with nonzero weights of the zero
-    weight's length, whose coordinates are int of at most MAX_ENTRY_BITS
-    bits; then one label per vertex, on a seed with weights, and the label
-    rule: each label is a Minor or an Exchange of the seed's weight shape
-    whose weight is its vertex's.  A label checked its own fields, and
+    stored as strictly ascending int slots with nonzero tuple weights of the
+    zero weight's length, whose coordinates are int of at most
+    MAX_ENTRY_BITS bits, by ``_check_pairs``; then one label per vertex,
+    on a seed with weights, and the label rule: each label is a Minor or an
+    Exchange of the seed's weight shape whose weight is its vertex's.  A label checked its own fields, and
     computed its weight, when it was made, so the rule is three C-level
     passes, and a loop names the first vertex that breaks it only where
     one fails.  So a checked seed is one that a seed file can hold, and a
@@ -474,13 +476,14 @@ def check_seed(seed: Seed) -> None:
         raise ValueError(f"multiplier d {low} is not a positive integer")
     if max(seed.mult, default=0) >= _TOO_BIG:
         raise ValueError(f"multiplier d over the cap of {MAX_ENTRY_BITS} bits")
-    # rows ascend in j, so a column past the end is a row's last
-    if any(row and row[-1][0] >= n for row in rows):
+    # rows ascend in j, so a column past the end is a row's last; one that
+    # is not an int is the row walk's to refuse
+    if any(row and type(row[-1][0]) is int and row[-1][0] >= n for row in rows):
         raise ValueError("b2 must be square")
     try:
         hash(seed._key())
     except TypeError:
-        raise ValueError("seed fields must be hashable: tuples, not lists") from None
+        raise ValueError(_UNHASHABLE) from None
     for name, row in zip(seed.names, rows):
         prev = -1
         for j, b in row:
@@ -505,9 +508,7 @@ def check_seed(seed: Seed) -> None:
             raise ValueError(_SHAPE)
         if len(slot_weights) != n:
             raise ValueError("one weight tuple per vertex required")
-        if any(ws and ws[-1][0] >= shape[0] for ws in slot_weights):
-            raise ValueError("all vertices must use the same number of slots")
-        _check_pairs(zip(seed.names, slot_weights), shape, "slot weights")
+        _check_pairs(zip(seed.names, slot_weights), shape, "slot weights", _SLOTS)
     if labels is not None:
         if len(labels) != n:
             raise ValueError("one label per vertex required")
@@ -548,23 +549,29 @@ def _is_shape(shape) -> bool:
             and list(map(type, zero)).count(int) == len(zero) and not any(zero))
 
 
-def _check_pairs(named_pairs, shape, what: str) -> None:
+def _check_pairs(named_pairs, shape, what: str, past: str) -> None:
     """Refuse the first fault among (name, pairs) items, each the stored
     (slot, weight) pairs of name's ``what``: a vertex's "slot weights", or
     the "weights" of "a minor".
 
-    Slots must be ints and ascend, and each weight must be nonzero, of the
+    This is the one check of stored weights: a seed's, a minor's and those
+    the Langlands dual computes.  Slots must be ints below ``shape``'s slot
+    count, a slot past it refused with ``past`` formatted on the slot and
+    the count, and ascend; each weight must be a tuple, nonzero, of the
     length of ``shape``'s zero weight, with int coordinates of at most
-    MAX_ENTRY_BITS bits.  Slots past the shape's count are the caller's to
-    refuse: as the pairs ascend, only the last can be.
+    MAX_ENTRY_BITS bits.
     """
-    rank = len(shape[1])
+    slots, rank = shape[0], len(shape[1])
     low, high = -_TOO_BIG, _TOO_BIG
     for name, pairs in named_pairs:
         prev = -1
         for s, w in pairs:
             if type(s) is not int:
                 raise _not_an_index(s, what, name)
+            if s >= slots:
+                raise ValueError(past.format(s, slots))
+            if type(w) is not tuple:
+                raise ValueError(_UNHASHABLE)
             if len(w) != rank:
                 raise ValueError(f"a weight of {name} does not have {rank} coordinates")
             if s <= prev or not any(w):
@@ -921,7 +928,8 @@ def moved_fields(seed: Seed, where, slots: int) -> tuple[tuple, tuple, tuple | N
     labels, of each minor inside them through ``map_label_weights``: each
     label has its vertex's weight, so each vertex stores its moved label's
     very weight tuple, and the two compare by identity.  Nothing is checked
-    here but the new labels, as each is made.
+    here but the new labels, as each is made: ``permute_slots`` checks the
+    seed it makes of these fields, and a polygon build its glued seed.
     """
     shape = (slots, seed.weight_shape[1])
 
@@ -934,28 +942,20 @@ def moved_fields(seed: Seed, where, slots: int) -> tuple[tuple, tuple, tuple | N
     return tuple(map(operator.attrgetter("weights"), labels)), shape, labels
 
 
-def move_slots(seed: Seed, where, slots: int, **changes) -> Seed:
-    """The seed with old slot s moved to slot where[s] of ``slots``, by
-    ``moved_fields``.
-
-    Other fields change as ``Seed.replace`` takes them, and the result is
-    checked once.
-    """
-    stored, shape, labels = moved_fields(seed, where, slots)
-    return seed.replace(slot_weights=stored, weight_shape=shape, labels=labels, **changes)
-
-
 def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
     """Reorder marked-point slots: new slot t carries old slot perm[t].
 
-    Raises ValueError unless perm holds each slot of the seed once.
+    Raises ValueError unless perm holds each slot of the seed once.  The
+    slots move by ``moved_fields``, and the result is checked once.
     """
     if seed.weight_shape is None:
         return seed
     if sorted(perm) != list(range(seed.slots)):
         raise ValueError(f"{tuple(perm)} is not a permutation of the {seed.slots} slots")
     # old slot perm[t] moves to t
-    return move_slots(seed, dense(zip(perm, range(len(perm))), len(perm), 0), len(perm))
+    stored, shape, labels = moved_fields(
+        seed, dense(zip(perm, range(len(perm))), len(perm), 0), len(perm))
+    return seed.replace(slot_weights=stored, weight_shape=shape, labels=labels)
 
 
 # langlands_dual's memo, one per weight map: (d, a vertex's stored weights)
@@ -982,11 +982,12 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     ``weight_map`` transposes a weight to the dual weight lattice, a linear
     map, and returns an int tuple; the dual vertex weight is
     weight_map(w) / d_v, and zero weights stay zero.  Simply-laced seeds may
-    omit it (weights carry over unchanged).  The images are the one new
-    thing in the dual, so each distinct nonzero image gets check_seed's
-    weight tests in C-level passes; where one fails, the dual is built
-    through the checked ``Seed``, which refuses it with check_seed's own
-    message.  Labels do not transport; they are dropped.
+    omit it (weights carry over unchanged).  The dual weights are the one
+    new thing in the dual, so the rows it computes, one per vertex by
+    ``_dual_row``, get check_seed's own walk over stored weights,
+    ``_check_pairs``, in vertex order: a refusal is the one check_seed
+    would give the dual, message and all.  Labels do not transport; they
+    are dropped.
 
     The dual stored weights of a vertex depend only on the map, d_v and the
     vertex's stored weights, and a mutation changes one vertex, so each
@@ -998,8 +999,9 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     pass the cap, so a long walk under a map kept for the whole process,
     such as ``g2_weight_dual``, holds a bounded memo.  A map that cannot be
     weakly referenced or hashed, ``operator.itemgetter`` for one, gets a
-    memo for the one call.  A call enters its new vertices only once all of
-    their images have passed, so a refused call stores nothing.
+    memo for the one call.  Only the rows of the vertices the memo misses
+    are computed and checked, and a call enters them only once all have
+    passed, so a refused call stores nothing.
     """
     dmax = max(seed.mult, default=1)
     if any(dmax % d for d in seed.mult):
@@ -1007,8 +1009,6 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     new_mult = tuple(dmax // d for d in seed.mult)
 
     slot_weights = seed.slot_weights
-    images = []  # the new nonzero images, each distinct (weight, d) pair's once
-    new = {}  # the vertices the memo misses: (d, stored weights) -> dual
     if slot_weights is not None:
         if weight_map is None:
             if dmax != 1:
@@ -1021,63 +1021,47 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
             keys = list(zip(seed.mult, slot_weights))
             out = list(map(memo.get, keys))
             if None in out:
-                # each distinct weight is mapped once per multiplier; with
-                # d = 1 the image is the dual weight itself, and a zero
-                # image is kept as () so that it is dropped
-                dual: dict[int, dict] = {}
+                # the rows the memo misses, (d, stored weights) -> dual, each
+                # also named by the first vertex that has it, for the check
+                new, named = {}, []
                 for v, key in enumerate(keys):
-                    if out[v] is not None:
-                        continue
-                    row = new.get(key)
-                    if row is None:
-                        d, ws = key
-                        cache = dual.setdefault(d, {})
-                        row = []
-                        for s, w in ws:
-                            img = cache.get(w)
-                            if img is None:
-                                img = weight_map(w)
-                                if d != 1:
-                                    if any(c % d for c in img):
-                                        raise ValueError(
-                                            f"dual weight not integral at {seed.names[v]}")
-                                    img = tuple(c // d for c in img)
-                                if any(img):
-                                    images.append(img)
-                                else:
-                                    img = ()
-                                cache[w] = img
-                            if img:
-                                row.append((s, img))
-                        row = new[key] = tuple(row)
-                    out[v] = row
+                    if out[v] is None:
+                        row = new.get(key)
+                        if row is None:
+                            row = new[key] = _dual_row(weight_map, *key, seed.names[v])
+                            named.append((seed.names[v], row))
+                        out[v] = row
+                _check_pairs(named, seed.weight_shape, "slot weights", _SLOTS)
+                if len(new) <= _DUAL_CAP:
+                    if len(memo) + len(new) > _DUAL_CAP:
+                        memo.clear()
+                    memo.update(new)
             slot_weights = tuple(out)
     # row i lists its columns ascending, so each transposed row does too
     dual_rows = [[] for _ in seed.rows]
     for i, row in enumerate(seed.rows):
         for j, b in row:
             dual_rows[j].append((i, b))
-    rows = tuple(map(tuple, dual_rows))
-    if images and not _are_weights(images, len(seed.weight_shape[1])):
-        return Seed(seed.names, seed.frozen, new_mult, rows, slot_weights, seed.weight_shape)
-    if new and len(new) <= _DUAL_CAP:
-        if len(memo) + len(new) > _DUAL_CAP:
-            memo.clear()
-        memo.update(new)
-    return _unchecked(seed, rows, slot_weights, None, new_mult)
+    return _unchecked(seed, tuple(map(tuple, dual_rows)), slot_weights, None, new_mult)
 
 
-def _are_weights(images: list, rank: int) -> bool:
-    """Whether every image is a weight check_seed lets a seed store: a tuple
-    of ``rank`` int coordinates, not bool, of at most MAX_ENTRY_BITS bits.
+def _dual_row(weight_map, d: int, ws, name: str) -> tuple:
+    """The dual stored weights of vertex ``name``, of multiplier d and stored
+    weights ws: weight_map(w) / d at each slot of ws, refused unless
+    integral, where that is nonzero.
 
-    Each test is one C-level pass over all the images at once.
+    The images are left to the dual's ``_check_pairs``.
     """
-    if list(map(type, images)).count(tuple) != len(images) or set(map(len, images)) != {rank}:
-        return False
-    coords = list(chain.from_iterable(images))
-    return (list(map(type, coords)).count(int) == len(coords)
-            and -_TOO_BIG < min(coords) and max(coords) < _TOO_BIG)
+    row = []
+    for s, w in ws:
+        img = weight_map(w)
+        if d != 1:
+            if any(c % d for c in img):
+                raise ValueError(f"dual weight not integral at {name}")
+            img = tuple(c // d for c in img)
+        if any(img):
+            row.append((s, img))
+    return tuple(row)
 
 
 def _features(seed: Seed) -> list[tuple]:

@@ -139,8 +139,14 @@ def _entry(built: list, i, what: str):
 
 def _monomial_in(built: list, pairs, what: str):
     """One side of an exchange entry: (label, exponent) pairs, whose
-    exponents the Exchange made of them checks."""
-    return tuple((_entry(built, i, what), e) for i, e in pairs)
+    exponents the Exchange made of them checks; a factor that is not an
+    [index, exponent] pair is refused here."""
+    out = []
+    for pair in pairs:
+        if type(pair) not in (list, tuple) or len(pair) != 2:
+            raise ValueError(f"{what} factor {pair!r} is not an [index, exponent] pair")
+        out.append((_entry(built, pair[0], what), pair[1]))
+    return tuple(out)
 
 
 def _all_ints(values) -> bool:
@@ -204,8 +210,10 @@ def seed_from_json(data: dict) -> Seed:
     nonzero b2 entries and weight slots are kept.
     """
     try:
+        # the ids are checked before the vertices are sorted by them, so that
+        # sorting compares ints alone
+        ids = tuple(sorted(_ints((v["id"] for v in data["vertices"]), "vertex id")))
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
-        ids = _ints((v["id"] for v in vertices), "vertex id")
         n = len(ids)
         if ids != tuple(range(n)):
             # n ids that are not 0..n-1 miss at least one of them

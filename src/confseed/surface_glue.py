@@ -5,8 +5,8 @@ same seed, the completed triangle seed of the type, which
 ``build_triangle_seed`` builds once per process.  Each triangle's piece is
 that seed moved into the m weight slots through its corner order (slot t of
 the triangle maps to corner order[t]) by ``seed_core.moved_fields``, the
-rule of ``move_slots``, and renamed.  A piece is a record of the stored
-fields, not a Seed, so it is not checked on its own.  All the pieces are
+rule that ``permute_slots`` moves slots by, and renamed.  A piece is a
+record of the stored fields, not a Seed, so it is not checked on its own.  All the pieces are
 then amalgamated in one pass along their shared diagonals: frozen vertices
 with equal weight tuples are merged and the merged vertex unfreezes (Fock
 and Goncharov, "Cluster X-varieties, amalgamation, and Poisson-Lie groups",

@@ -514,6 +514,16 @@ class TestExportAndErrors:
          "label kind 'foo' is not 'minor' or 'exchange'"),
         (["mutate", "--seed", "duplicate-id.json", "--at", "x_11"], "0",
          "no vertex has id 0; ids must be 0 to 6"),
+        (["export-dot", "--seed", "null-id.json"], "0",
+         "vertex id None is not an integer\n"),
+        (["export-dot", "--seed", "string-id.json"], "0",
+         "vertex id '1' is not an integer\n"),
+        (["export-dot", "--seed", "three-item-factor.json"], "0",
+         "plus factor [0, 1, 2] is not an [index, exponent] pair\n"),
+        (["export-dot", "--seed", "empty-factor.json"], "0",
+         "plus factor [] is not an [index, exponent] pair\n"),
+        (["export-dot", "--seed", "string-side.json"], "0",
+         "minus factor 'x' is not an [index, exponent] pair\n"),
         (["export-dot", "--seed", "huge-weight.json"], "0",
          "weight coordinate over the cap of 4096 bits"),
         (["export-dot", "--seed", "huge-mult.json"], "0",
@@ -553,6 +563,8 @@ class TestExportAndErrors:
             "empty-label-vectors", "ragged-weights", "ragged-minor", "deeply-nested-file",
             "weights-not-at-vertex-0", "label-not-at-vertex-0", "no-label-table",
             "int-tag", "unknown-label-kind", "duplicate-vertex-id",
+            "null-vertex-id", "string-vertex-id", "three-item-factor", "empty-factor",
+            "string-exchange-side",
             "huge-weight", "huge-mult", "huge-exponent", "out-is-a-directory",
             "out-in-a-missing-directory", "non-tiling-triangles",
             "repeated-triangle", "empty-corners", "trailing-semicolon",
@@ -605,6 +617,13 @@ def _write_seed_files(tmp_path):
         ("int-tag", ("vertices", 0, "tag"), 1),
         ("unknown-kind", ("labels", ex, "kind"), "foo"),
         ("duplicate-id", ("vertices", 0, "id"), 1),
+        # ids that sorting once compared with ints, and factors that
+        # unpacking once took apart
+        ("null-id", ("vertices", 0, "id"), None),
+        ("string-id", ("vertices", 0, "id"), "1"),
+        ("three-item-factor", ("labels", ex, "plus"), [[0, 1, 2]]),
+        ("empty-factor", ("labels", ex, "plus"), [[]]),
+        ("string-side", ("labels", ex, "minus"), "x"),
         # 4,097 bits, so the file holds it and json reads it back
         ("huge-weight", weight, 1 << 4096),
         ("huge-mult", ("vertices", 0, "d"), 1 << 4096),

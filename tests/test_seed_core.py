@@ -674,6 +674,15 @@ class TestRefusals:
          "index 1.0 in the b2 row of u is not an integer", None),
         (lambda: Seed(("u", "v"), (True, True), (1, 1), (((True, 2),), ((0, -2),))),
          "index True in the b2 row of u is not an integer", None),
+        # an index that no int compares with is refused as not an integer
+        (lambda: Seed(("u", "v"), (True, True), (1, 1), ((("a", 2),), ((0, -2),))),
+         "index 'a' in the b2 row of u is not an integer", None),
+        (lambda: Seed(("u",), (True,), (1,), ((),), ((("a", (1, 0)),),), (3, (0, 0))),
+         "index 'a' in the slot weights of u is not an integer", None),
+        # a weight that is not a tuple would not load back equal
+        (lambda: Seed(("u",), (True,), (1,), ((),), (((0, range(0, 2)),),), (1, (0, 0))),
+         _LISTS, None),
+        (lambda: Minor(((0, range(0, 2)),), (1, (0, 0))), _LISTS, None),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
             "missing-weights", "extra-slot", "missing-label", "odd-increment",
             "non-dividing-multipliers", "dual-without-weight-map",
@@ -691,7 +700,8 @@ class TestRefusals:
             "empty-with-labels", "swapped-labels", "labels-without-weights", "over-another-vertex",
             "nested-minor-fewer-slots", "int-label", "exchange-over-an-int",
             "zero-exponent", "inhomogeneous-exchange", "bool-exponent-of-a-live-label",
-            "float-slot", "float-minor-slot", "float-column", "bool-column"])
+            "float-slot", "float-minor-slot", "float-column", "bool-column",
+            "str-column", "str-slot", "range-weight", "range-minor-weight"])
     def test_refusal_message(self, call, message, file_fault, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             call()

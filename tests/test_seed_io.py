@@ -10,6 +10,8 @@ Claims covered:
       each own minor of a polygon file taking its vertex's stored weights;
       load_seed leaves the garbage collector enabled or disabled as it found
       it, whether the file loads or is refused;
+      the loader names a vertex id that is not an integer and an exchange
+      factor that is not an [index, exponent] pair;
       a save that fails mid-file leaves an earlier file byte for byte and no
       new file, and a saved file has the mode open(path, "w") gives and
       is written through a symbolic link
@@ -179,6 +181,39 @@ def test_load_leaves_the_collector_as_found(text, message, enabled, tmp_path):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _fault(path, value):
+    """A change to the JSON form of the a2 triangle mutated at x_11: the
+    item at ``path`` set to ``value``, the path's "ex" the first exchange
+    entry's index."""
+    def change(data):
+        ex = next(k for k, e in enumerate(data["labels"]) if e["kind"] == "exchange")
+        node = data
+        for key in path[:-1]:
+            node = node[ex if key == "ex" else key]
+        node[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_fault(("vertices", 0, "id"), None), "vertex id None is not an integer"),
+    (_fault(("vertices", 0, "id"), "1"), "vertex id '1' is not an integer"),
+    (_fault(("labels", "ex", "plus"), [[0, 1, 2]]),
+     "plus factor [0, 1, 2] is not an [index, exponent] pair"),
+    (_fault(("labels", "ex", "plus"), [[]]), "plus factor [] is not an [index, exponent] pair"),
+    (_fault(("labels", "ex", "minus"), "x"),
+     "minus factor 'x' is not an [index, exponent] pair"),
+], ids=["null-id", "string-id", "three-item-factor", "empty-factor", "string-side"])
+def test_loader_names_the_malformed_field(change, message):
+    # each once surfaced as a Python error: sorting by the ids compared
+    # None or a str with an int, and unpacking a factor took any length
+    data = seed_to_json(mutate(build_triangle_seed(root_datum("a2")), "x_11"))
+    data = json.loads(json.dumps(data))
+    change(data)
+    with pytest.raises(ValueError) as err:
+        seed_from_json(data)
+    assert str(err.value) == message
 
 
 class _FailsAfterFirstVertex:

@@ -74,7 +74,7 @@ def test_seed_defines_no_sparse_constructor_or_weights_view():
 
 
 # the functions that move, map or read stored weights, vertices' and minors' alike
-_STORED_ONLY = {"move_slots", "map_weights", "map_label_weights", "degrees_of", "type_a_flip"}
+_STORED_ONLY = {"moved_fields", "map_weights", "map_label_weights", "degrees_of", "type_a_flip"}
 
 
 def _called(call: ast.Call) -> str | None:
