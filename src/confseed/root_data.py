@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 Weight = tuple  # tuple of ints, fundamental-weight coordinates
 
@@ -273,11 +274,14 @@ def fold_d4_word(word: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
+@cache
 def dual_weight_map(datum: RootDatum):
     """The Langlands weight map omega_i -> d_i * omega_{dual[i]}, from the
     weights of datum to those of its dual type, as a function on int tuples.
 
     Applied twice to a self-dual type it is max(d) times the identity.
+    Equal datums get one map object, so every dual under a type's map
+    shares the rows ``langlands_dual`` has cached for it.
     """
     src = sorted(range(datum.rank), key=datum.dual.__getitem__)  # dual[src[k]] == k
     scale = tuple(datum.d[i] for i in src)

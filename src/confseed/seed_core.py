@@ -35,12 +35,10 @@ Negation and the dual's transpose keep every invariant of b2: the transpose
 is skew-symmetrizable with the multipliers max(d)/d, by the input's own
 rule, so the dual checks only the weights it computes, with check_seed's
 own walk over stored (slot, weight) pairs, ``_check_pairs``, which a
-Minor's weights take too.  Those rows are memoized per weight map: a
-module-level ``WeakKeyDictionary`` maps each map object to a dict from
-(d_v, a vertex's stored weights) to the vertex's dual stored weights,
-entered only once a call's new rows have passed.  A map must be a pure
-function, and a dual along a mutation walk maps only the vertex that
-changed.
+Minor's weights take too.  One rule, ``_dual_row``, makes and checks one
+vertex's dual row, under one bounded ``functools.lru_cache`` shared by
+every weight map, so a dual along a mutation walk maps only the vertex that
+changed.  A map must be a pure, hashable function.
 Mutation keeps skew-symmetrizability with the same multipliers (Fomin and
 Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes only row k
 and the entries between k's neighbours; ``mutate`` checks that block with
@@ -116,9 +114,10 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction as Q
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import gcd
-from weakref import KeyedRef, WeakKeyDictionary
+from weakref import KeyedRef
 
 from .root_data import MAX_ENTRY_BITS, MAX_VERTICES, Weight
 
@@ -958,11 +957,38 @@ def permute_slots(seed: Seed, perm: tuple[int, ...]) -> Seed:
     return seed.replace(slot_weights=stored, weight_shape=shape, labels=labels)
 
 
-# langlands_dual's memo, one per weight map: (d, a vertex's stored weights)
-# -> that vertex's dual stored weights.  A map's memo goes when the map does,
-# and is emptied before it would pass the cap; a verify run fills about 160.
-_DUAL_ROWS: WeakKeyDictionary = WeakKeyDictionary()
-_DUAL_CAP = 1024
+# the most dual rows ``_dual_row`` keeps, across every map: nine passes of
+# every verify suite make 671 distinct rows and, at this size, hit 98.6% of
+# their calls; 1,024 rows hold them all but raise the run's peak memory
+_DUAL_CAP = 256
+
+
+@lru_cache(maxsize=_DUAL_CAP)
+def _dual_row(weight_map, d: int, ws, name: str, shape) -> tuple:
+    """The dual stored weights of vertex ``name``, of multiplier d, stored
+    weights ws and weight shape ``shape``: weight_map(w) / d at each slot of
+    ws where that is nonzero.
+
+    An image that is not integral is refused first, and the row then gets
+    check_seed's own walk, ``_check_pairs``, so a refusal is the one
+    check_seed would give the dual at this vertex.  This is the dual's one
+    memo: one LRU of at most ``_DUAL_CAP`` rows serves every map, holding
+    each map it names alive until its rows leave, and stores no call that
+    raises.  A map must therefore be a pure function and hashable, as every
+    function, lambda, ``operator.itemgetter`` and ``functools.partial`` is.
+    """
+    row = []
+    for s, w in ws:
+        img = weight_map(w)
+        if d != 1:
+            if any(c % d for c in img):
+                raise ValueError(f"dual weight not integral at {name}")
+            img = tuple(c // d for c in img)
+        if any(img):
+            row.append((s, img))
+    row = tuple(row)
+    _check_pairs(((name, row),), shape, "slot weights", _SLOTS)
+    return row
 
 
 def langlands_dual(seed: Seed, weight_map=None) -> Seed:
@@ -983,25 +1009,17 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
     map, and returns an int tuple; the dual vertex weight is
     weight_map(w) / d_v, and zero weights stay zero.  Simply-laced seeds may
     omit it (weights carry over unchanged).  The dual weights are the one
-    new thing in the dual, so the rows it computes, one per vertex by
-    ``_dual_row``, get check_seed's own walk over stored weights,
-    ``_check_pairs``, in vertex order: a refusal is the one check_seed
-    would give the dual, message and all.  Labels do not transport; they
-    are dropped.
+    new thing in the dual, so each vertex's row comes from ``_dual_row``,
+    in vertex order: each vertex in turn gets the integrality test and then
+    check_seed's pair tests, and the first vertex that fails is named.
+    Labels do not transport; they are dropped.
 
-    The dual stored weights of a vertex depend only on the map, d_v and the
-    vertex's stored weights, and a mutation changes one vertex, so each
-    map keeps a memo from (d_v, stored weights) to the dual stored weights:
-    a vertex seen before under the map costs one lookup and returns the
-    same tuple object.  A map must therefore be a pure function.  The memo
-    is held weakly by the map and goes with it, and holds at most
-    ``_DUAL_CAP`` vertices: it is emptied before a call's new vertices would
-    pass the cap, so a long walk under a map kept for the whole process,
-    such as ``g2_weight_dual``, holds a bounded memo.  A map that cannot be
-    weakly referenced or hashed, ``operator.itemgetter`` for one, gets a
-    memo for the one call.  Only the rows of the vertices the memo misses
-    are computed and checked, and a call enters them only once all have
-    passed, so a refused call stores nothing.
+    The dual stored weights of a vertex depend only on the map, d_v, its
+    stored weights, its name and the weight shape, and a mutation changes
+    one vertex, so ``_dual_row`` is cached on those five: a vertex seen
+    before costs one lookup and gets the same tuple object.  A refused row
+    is never cached, so a repeated call gives the same refusal; the rows of
+    earlier vertices, which passed, may stay cached.
     """
     dmax = max(seed.mult, default=1)
     if any(dmax % d for d in seed.mult):
@@ -1014,54 +1032,14 @@ def langlands_dual(seed: Seed, weight_map=None) -> Seed:
             if dmax != 1:
                 raise ValueError("weight_map required unless simply laced")
         else:
-            try:
-                memo = _DUAL_ROWS.setdefault(weight_map, {})
-            except TypeError:  # a map that cannot be weakly referenced or hashed
-                memo = {}
-            keys = list(zip(seed.mult, slot_weights))
-            out = list(map(memo.get, keys))
-            if None in out:
-                # the rows the memo misses, (d, stored weights) -> dual, each
-                # also named by the first vertex that has it, for the check
-                new, named = {}, []
-                for v, key in enumerate(keys):
-                    if out[v] is None:
-                        row = new.get(key)
-                        if row is None:
-                            row = new[key] = _dual_row(weight_map, *key, seed.names[v])
-                            named.append((seed.names[v], row))
-                        out[v] = row
-                _check_pairs(named, seed.weight_shape, "slot weights", _SLOTS)
-                if len(new) <= _DUAL_CAP:
-                    if len(memo) + len(new) > _DUAL_CAP:
-                        memo.clear()
-                    memo.update(new)
-            slot_weights = tuple(out)
+            slot_weights = tuple(map(_dual_row, repeat(weight_map), seed.mult, slot_weights,
+                                     seed.names, repeat(seed.weight_shape)))
     # row i lists its columns ascending, so each transposed row does too
     dual_rows = [[] for _ in seed.rows]
     for i, row in enumerate(seed.rows):
         for j, b in row:
             dual_rows[j].append((i, b))
     return _unchecked(seed, tuple(map(tuple, dual_rows)), slot_weights, None, new_mult)
-
-
-def _dual_row(weight_map, d: int, ws, name: str) -> tuple:
-    """The dual stored weights of vertex ``name``, of multiplier d and stored
-    weights ws: weight_map(w) / d at each slot of ws, refused unless
-    integral, where that is nonzero.
-
-    The images are left to the dual's ``_check_pairs``.
-    """
-    row = []
-    for s, w in ws:
-        img = weight_map(w)
-        if d != 1:
-            if any(c % d for c in img):
-                raise ValueError(f"dual weight not integral at {name}")
-            img = tuple(c // d for c in img)
-        if any(img):
-            row.append((s, img))
-    return tuple(row)
 
 
 def _features(seed: Seed) -> list[tuple]:

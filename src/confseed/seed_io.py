@@ -70,17 +70,8 @@ import stat
 from fractions import Fraction as Q
 from itertools import chain, repeat
 
-from .seed_core import (Exchange, Label, Minor, Seed, arrows, dense, nonzero_pairs, post_order,
-                        stored_weights)
-
-
-def _ints(values, what: str) -> tuple[int, ...]:
-    """values as a tuple, refusing anything but JSON integers."""
-    out = tuple(values)
-    for x in out:
-        if type(x) is not int:
-            raise ValueError(f"{what} {x!r} is not an integer")
-    return out
+from .seed_core import (Exchange, Label, Minor, Seed, _require, arrows, dense, nonzero_pairs,
+                        post_order, stored_weights)
 
 
 def _label_table(seed: Seed) -> tuple[dict[Label, int], list[int] | None]:
@@ -154,7 +145,8 @@ def _all_ints(values) -> bool:
 
     Counting the types that are int keeps booleans out, as ``type(x) is
     int`` does.  A TypeError from iterating gives False, so that the
-    entry-by-entry check of ``_ints`` names the first fault in order.
+    entry-by-entry check of ``seed_core._require`` names the first fault in
+    order.
     """
     try:
         types = list(map(type, values))
@@ -180,7 +172,7 @@ def _weights_walk(lists) -> None:
     lengths = set()
     for ws in lists:
         for w in ws:
-            _ints(w, "weight coordinate")
+            _require(int, w, "weight coordinate {!r} is not an integer")
         if not ws:
             raise ValueError("a weight list has no slots")
         lengths.update(map(len, ws))
@@ -212,7 +204,9 @@ def seed_from_json(data: dict) -> Seed:
     try:
         # the ids are checked before the vertices are sorted by them, so that
         # sorting compares ints alone
-        ids = tuple(sorted(_ints((v["id"] for v in data["vertices"]), "vertex id")))
+        ids = [v["id"] for v in data["vertices"]]
+        _require(int, ids, "vertex id {!r} is not an integer")
+        ids = tuple(sorted(ids))
         vertices = sorted(data["vertices"], key=lambda v: v["id"])
         n = len(ids)
         if ids != tuple(range(n)):
@@ -225,7 +219,7 @@ def seed_from_json(data: dict) -> Seed:
         b2 = data["b2"]
         if not _all_ints(chain.from_iterable(b2)):
             for row in b2:
-                _ints(row, "b2 entry")
+                _require(int, row, "b2 entry {!r} is not an integer")
         rows = tuple(map(nonzero_pairs, b2, repeat(n)))
 
         slot_weights = shape = None

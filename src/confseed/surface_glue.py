@@ -143,8 +143,11 @@ def amalgamate(pieces, pairs) -> Seed:
     keeps a vertex of an earlier piece and merges into it one of a later
     piece with the same multiplier and weight tuple; merged rows add and the
     kept vertex unfreezes.  The glued seed lists the pieces' vertices in order less the
-    merged ones, and carries weights and labels when every piece does.
+    merged ones, and carries weights and labels when every piece does.  No
+    pieces glue to the seed with no vertices.
     """
+    if not pieces:
+        pieces = [Seed((), (), (), ())]
     names = [nm for s in pieces for nm in s.names]
     where = {nm: g for g, nm in enumerate(names)}
     if len(where) != len(names):

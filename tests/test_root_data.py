@@ -12,7 +12,8 @@ Claims covered:
       the reference: positive-root enumeration and the reducedness test
     - kinds are canonical and the vertex cap refuses oversized ranks
     - folding d4 words along the triality orbit lands on g2 words
-    - the two-node weight dual is an involution exchanging the node roles
+    - the two-node weight dual is an involution exchanging the node roles;
+      equal datums give one dual weight map object, g2's the exported one
     - every type-table entry is consistent: iota is a diagram involution
       that the standard word realizes as -w0, and the Langlands node
       permutation transposes the Cartan matrix and inverts the symmetrizers
@@ -143,6 +144,12 @@ class TestDatum:
         for _ in range(20):
             w = _random_weight(rng, datum)
             assert wmap(wmap(w)) == scale_weight(max(d), w)
+
+    def test_each_type_has_one_dual_weight_map(self):
+        # one map object per type, so every dual under it shares its cached rows
+        assert dual_weight_map(root_datum("g2")) is g2_weight_dual
+        assert dual_weight_map(root_datum("a3")) is dual_weight_map(root_datum("A3"))
+        assert dual_weight_map(root_datum("a3")) is not dual_weight_map(root_datum("a4"))
 
     def test_g2_cartan_is_asymmetric(self):
         datum = root_datum("g2")

@@ -64,12 +64,13 @@ Claims covered:
       fields, and weight maps whose images no seed holds are refused with
       the full check's exact type and message; the seed with no vertices is
       its own dual
-    - the dual's memo: along a walk each vertex seen before under a map gets
-      the very tuple the memo stored, and every dual equals the dense rule;
-      a refused call after memo hits keeps the checked Seed's message and
-      stores nothing; a map that cannot be weakly referenced works; a walk
-      past the memo's cap never holds more entries and gives a fresh map's
-      duals; the memo goes with its map
+    - the dual's one cache, ``_dual_row``: along a walk each vertex seen
+      before under a map, with the same name, multiplier and weights, gets
+      the very tuple cached for it, counted as a hit, and every dual equals
+      the dense rule; a refused call keeps the checked Seed's message, and
+      its refused row misses again on every repeat; a map that cannot be
+      weakly referenced works; duals under more new maps than the cache
+      holds keep it at its size and equal the duals made on an emptied cache
     - quiver_isomorphic and matches_under find real isomorphisms and reject
       broken ones, an arrow added where none was included; the search finds
       the identity on the g2 128-gon (1,010 vertices) without recursion,
@@ -1235,12 +1236,11 @@ class TestSymmetries:
         (ZOO[0], _SHORT, ValueError, "a weight of x_10 does not have 2 coordinates"),
         (ZOO[0], _LONG, ValueError, "a weight of x_10 does not have 2 coordinates"),
         (ZOO[0], _HUGE, ValueError, f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits"),
-        (_two_vertex((1,)), _FLOATS, ValueError, "dual weight not integral at v"),
-        (_two_vertex((1,)), _BOOLS, ValueError, "dual weight not integral at v"),
-        (_two_vertex((1,)), _STRS, TypeError,
-         "not all arguments converted during string formatting"),
-        (_two_vertex((1,)), list, ValueError, "dual weight not integral at v"),
-        (_two_vertex((1,)), _LONG, ValueError, "dual weight not integral at v"),
+        (_two_vertex((1,)), _FLOATS, ValueError, "weight coordinate 2.0 is not an integer"),
+        (_two_vertex((1,)), _BOOLS, ValueError, "weight coordinate True is not an integer"),
+        (_two_vertex((1,)), _STRS, ValueError, "weight coordinate '2' is not an integer"),
+        (_two_vertex((1,)), list, ValueError, _LISTS),
+        (_two_vertex((1,)), _LONG, ValueError, "a weight of u does not have 1 coordinates"),
         (_two_vertex((1,)), _HUGE, ValueError,
          f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits"),
     ], ids=["a2-float", "a2-bool", "a2-str", "a2-list", "a2-short", "a2-long", "a2-huge",
@@ -1249,8 +1249,8 @@ class TestSymmetries:
     def test_dual_refuses_images_as_the_checked_seed_does(self, seed, weight_map, error,
                                                           message):
         # each refusal is check_seed's own, or the dual's integrality test,
-        # which runs first; the a2 triangle's multipliers are 1, so its
-        # images reach the coordinate tests
+        # which runs first at each vertex; the a2 triangle's multipliers are
+        # 1, and so is u's, so their images reach the coordinate tests
         with pytest.raises(Exception) as err:
             langlands_dual(seed, weight_map=weight_map)
         assert type(err.value) is error
@@ -1279,18 +1279,20 @@ class TestSymmetries:
             assert langlands_dual(empty, weight_map=weight_map) == empty
 
     def test_dual_memo_returns_the_rows_it_stored(self):
-        # a fresh map object starts with an empty memo; every vertex whose
-        # (d, weights) pair an earlier dual saw under it gets that dual's tuple
-        wmap = dual_weight_map(root_datum("g2"))
+        # a fresh map has no cached rows; every vertex whose (name, d,
+        # weights) an earlier dual saw under it gets that dual's tuple
+        wmap = lambda w: g2_weight_dual(w)
         rng = random.Random(23)
         seed, seen, hits = ZOO[4], {}, 0
+        before = seed_core._dual_row.cache_info()
         for step in range(21):
             if step:
                 seed = mutate(seed, rng.choice(seed.unfrozen_names()))
             dual = langlands_dual(seed, weight_map=wmap)
             assert dual.b2 == dense_dual_b2(seed)
             assert dense_weights(dual) == _dense_dual_weights(seed, wmap)
-            for key, row in zip(zip(seed.mult, seed.slot_weights), dual.slot_weights):
+            keys = zip(seed.names, seed.mult, seed.slot_weights)
+            for key, row in zip(keys, dual.slot_weights):
                 if key in seen:
                     assert row is seen[key]
                     hits += 1
@@ -1298,7 +1300,8 @@ class TestSymmetries:
                     seen[key] = row
         # each step mutates one vertex, so every other one was seen
         assert hits >= 20 * (seed.size - 1)
-        assert seed_core._DUAL_ROWS[wmap] == seen
+        after = seed_core._dual_row.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (hits, len(seen))
 
     def test_dual_memo_stores_nothing_from_a_refused_call(self):
         # the a3 triangle's multipliers are 1, so images reach the weight
@@ -1319,21 +1322,22 @@ class TestSymmetries:
                  walked.weight_shape)
         assert str(expected.value).startswith("weight coordinate ")
 
-        assert langlands_dual(seed, weight_map=weight_map) == langlands_dual(seed)
-        memo = seed_core._DUAL_ROWS[weight_map]
-        stored = dict(memo)
-        keys = list(zip(walked.mult, walked.slot_weights))
-        assert [key in memo for key in keys] == [v != k for v in range(walked.size)]
+        first = langlands_dual(seed, weight_map=weight_map)
+        assert first == langlands_dual(seed)
         for _ in range(2):
+            before = seed_core._dual_row.cache_info()
             with pytest.raises(Exception) as err:
                 langlands_dual(walked, weight_map=weight_map)
             assert type(err.value) is ValueError
             assert str(err.value) == str(expected.value)
-            assert memo == stored
+            after = seed_core._dual_row.cache_info()
+            # the vertices before k hit the rows the seed's dual stored, and
+            # k's row misses every time: a refused row is never stored
+            assert after.hits - before.hits == k
+            assert after.misses - before.misses == 1
+            assert after.currsize == before.currsize
         dual = langlands_dual(seed, weight_map=weight_map)
-        assert dual == langlands_dual(seed)
-        assert all(row is stored[key] for key, row in zip(zip(seed.mult, seed.slot_weights),
-                                                          dual.slot_weights))
+        assert all(map(operator.is_, dual.slot_weights, first.slot_weights))
 
     def test_dual_takes_a_map_it_cannot_weakly_reference(self):
         swap = operator.itemgetter(1, 0)
@@ -1344,33 +1348,22 @@ class TestSymmetries:
             assert langlands_dual(seed, weight_map=swap) == langlands_dual(
                 seed, weight_map=lambda w: (w[1], w[0]))
 
-    def test_dual_memo_stays_under_its_cap(self, monkeypatch):
-        # a walk past the cap empties the memo rather than growing it, and
-        # every dual equals the one a fresh map, with a memo of its own, gives
-        monkeypatch.setattr(seed_core, "_DUAL_CAP", 24)
-        wmap = dual_weight_map(root_datum("g2"))
+    def test_dual_memo_stays_under_its_cap(self):
+        # a new map for each dual along a walk asks for more rows than the
+        # cache holds, and it never holds more; every dual equals the one
+        # made again on an emptied cache
         rng = random.Random(5)
-        seed, emptied, size = ZOO[4], 0, 0
+        seed, asked, duals = ZOO[4], 0, []
         for _ in range(40):
             seed = mutate(seed, rng.choice(seed.unfrozen_names()))
-            dual = langlands_dual(seed, weight_map=wmap)
-            memo = seed_core._DUAL_ROWS[wmap]
-            assert len(memo) <= 24
-            emptied += len(memo) < size
-            size = len(memo)
-            assert dual == langlands_dual(seed, weight_map=lambda w: wmap(w))
-        assert emptied
-
-    def test_dual_memo_goes_with_its_map(self):
-        wmap = dual_weight_map(root_datum("g2"))
-        langlands_dual(ZOO[2], weight_map=wmap)
-        memo = seed_core._DUAL_ROWS[wmap]
-        assert memo
-        alive = weakref.ref(wmap)
-        del wmap
-        gc.collect()
-        assert alive() is None
-        assert all(rows is not memo for rows in seed_core._DUAL_ROWS.values())
+            wmap = lambda w: g2_weight_dual(w)
+            duals.append((seed, wmap, langlands_dual(seed, weight_map=wmap)))
+            asked += seed.size
+            assert seed_core._dual_row.cache_info().currsize <= seed_core._DUAL_CAP
+        assert asked > seed_core._DUAL_CAP
+        for seed, wmap, dual in duals:
+            seed_core._dual_row.cache_clear()
+            assert langlands_dual(seed, weight_map=wmap) == dual
 
 
 # == 5. isomorphism search ===================================================

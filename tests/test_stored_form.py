@@ -11,6 +11,10 @@ prove their result checked call ``_unchecked``, the one place that makes a
 Seed without ``check_seed``; and only the two label constructors, which
 check what they make, and the exchange step, which hands over the weight
 it has proved, call ``_intern``, the one place that makes a label.  Only
+``check_seed``, ``_minor_fields`` and the Langlands dual's row rule
+``_dual_row`` call ``_check_pairs``, the one walk over stored weights, and
+that row rule, under ``lru_cache(maxsize=_DUAL_CAP)``, is the dual's one
+memo: no module names ``WeakKeyDictionary``.  Only
 ``seed_io.load_seed`` pauses the garbage collector: no other code imports
 or calls ``gc``.  Each module is parsed with ``ast``, so these hold
 without importing or running anything.  The weights that step hands over are then held to the dense
@@ -153,6 +157,25 @@ def test_only_the_exchange_step_hands_a_label_its_weight():
     assert sorted(callers) == ["__new__", "__new__", "_exchange"]
     # every mention of _intern is one of those calls: no alias escapes
     assert sorted(refs) == sorted(callers)
+
+
+def test_the_dual_row_is_the_one_cached_pair_check():
+    # _check_pairs, the one walk over stored weights, runs for a seed, a
+    # minor and one dual row, and that row rule is the dual's one memo: a
+    # bounded lru_cache, with no weak per-map table beside it
+    callers, refs = _callers("_check_pairs")
+    assert sorted(callers) == ["_dual_row", "_minor_fields", "check_seed"]
+    assert sorted(refs) == sorted(callers)
+    named, decorators = [], []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_dual_row":
+                decorators += [f"{name}:{ast.unparse(d)}" for d in node.decorator_list]
+            if "WeakKeyDictionary" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None)):
+                named.append(f"{name}:{node.lineno}")
+    assert decorators == ["seed_core.py:lru_cache(maxsize=_DUAL_CAP)"]
+    assert named == []
 
 
 def test_only_the_loader_pauses_the_collector():

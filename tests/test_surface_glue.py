@@ -8,7 +8,8 @@ Claims covered:
       corner orders reversing all arrows
     - amalgamation merges matching frozen vertices, adds their rows, and
       unfreezes them; mismatches, and pairs that do not keep a vertex of an
-      earlier piece or keep one twice, are rejected
+      earlier piece or keep one twice, are rejected; no pieces glue to the
+      seed with no vertices
     - diagonal_pairs matches boundary vertices across a diagonal by weight
     - one amalgamate pass over all pieces glues exactly as gluing them one
       at a time with a name-by-name reference does, on the flip targets and
@@ -238,6 +239,13 @@ class TestAmalgamate:
         a, b = self._two_triangles()
         with pytest.raises(ValueError):
             amalgamate((a, b), (("t0.x_10", "t1.x_20"),))
+
+    def test_no_pieces_glue_to_the_seed_with_no_vertices(self):
+        empty = Seed((), (), (), ())
+        assert amalgamate([], []) == empty
+        assert amalgamate((empty, empty), ()) == empty
+        with pytest.raises(KeyError, match="no vertex named 'a'"):
+            amalgamate([], [("a", "b")])
 
     def test_three_pieces_in_one_pass(self):
         # the a2 pentagon fan, glued by hand: t1 meets t0 on 1-3 and t2 on 1-4
