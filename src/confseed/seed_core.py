@@ -41,18 +41,18 @@ every weight map, so a dual along a mutation walk maps only the vertex that
 changed.  A map must be a pure, hashable function.
 Mutation keeps skew-symmetrizability with the same multipliers (Fomin and
 Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes only row k
-and the entries between k's neighbours; ``mutate`` checks that block with
-``check_seed``'s own tests and messages, and every other row is the very
-row object of the checked seed it started from.  A mutation step therefore
-does O(deg^2) arithmetic, deg the number of neighbours, besides copying the
-n row references into a new tuple, where a full check would cost
-O(n + arrows).
+and the entries between k's neighbours; ``mutate`` checks that block where
+it stands with ``check_seed``'s own entry tests and messages, and every
+other row is the very row object of the checked seed it started from.  A
+mutation step reads row k once, through one sign split, and does O(deg^2)
+arithmetic, deg the number of neighbours, besides copying the n row
+references into a new tuple, where a full check would cost O(n + arrows).
 
 The exchange relation A_k * A'_k = M+ + M- is stated once, by
-``exchange``: it splits row k by sign into the two monomials, refuses a
-relation that is not weight-homogeneous, and gives A'_k's weight and label.
-``mutate`` takes the new vertex's weight and label from the same step, and
-the flag oracle reads it without building the mutated seed.
+``_exchange``: from row k's sign split it sums each monomial's weight once,
+refuses a relation that is not weight-homogeneous, and gives A'_k's weight
+and label.  ``mutate`` takes the new vertex's weight and label from it, and
+``exchange``, which the flag oracle reads, adds the two monomials.
 
 Symmetry checks relabel a seed and then compare it exactly, and the
 comparisons (``matches_under``, ``quiver_isomorphic``) take no options.
@@ -115,7 +115,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import gcd
 from weakref import KeyedRef
 
@@ -230,10 +230,11 @@ def _exchange_fields(plus, minus, over) -> tuple:
     other = [l.shape for l in below if l.shape != over.shape]
     if other:
         raise ValueError(f"an exchange joins labels of weight shapes {other[0]} and {over.shape}")
-    terms = [(e, l.weights) for l, e in plus]
-    if weight_sum(terms + [(-e, l.weights) for l, e in minus]):
+    weight = _balanced_weight([(e, l.weights) for l, e in plus],
+                              [(e, l.weights) for l, e in minus], over.weights)
+    if weight is None:
         raise ValueError("an exchange is not weight-homogeneous")
-    return weight_sum(terms + [(-1, over.weights)]), over.shape
+    return weight, over.shape
 
 
 Label = Minor | Exchange
@@ -496,7 +497,7 @@ def check_seed(seed: Seed) -> None:
     lookup = dict(enumerate(map(dict, rows)))
     if any(map(dict.__contains__, lookup.values(), range(n))):
         raise ValueError("b2 diagonal must be zero")
-    _check_entries(seed, enumerate(rows), lookup)
+    _check_entries(seed, range(n), rows, lookup)
     slot_weights, shape, labels = seed.slot_weights, seed.weight_shape, seed.labels
     if (slot_weights is None) != (shape is None):
         raise ValueError("slot weights and a weight shape must be given together")
@@ -600,11 +601,11 @@ def _unstored(i: int, prev: int, what: str, name: str) -> ValueError:
 _TOO_BIG = 1 << MAX_ENTRY_BITS
 
 
-def _check_entries(seed: Seed, rows, lookup) -> None:
+def _check_entries(seed: Seed, order, rows, lookup) -> None:
     """check_seed's three entry tests, row by row, in the order given.
 
-    ``rows`` yields (i, pairs): a row index and the (j, b2[i][j]) entries
-    of that row, ascending in j.  An entry is tested where ``lookup`` holds
+    ``rows[i]`` holds the (j, b2[i][j]) entries of row i, ascending in j,
+    for each i of ``order``.  An entry is tested where ``lookup`` holds
     row j, as a dict from i to b2[j][i] wherever that is nonzero.  Names,
     frozen flags and multipliers are read from ``seed``.  A zero facing a
     nonzero entry fails from the nonzero side, and zero is even, so the
@@ -612,9 +613,9 @@ def _check_entries(seed: Seed, rows, lookup) -> None:
     """
     names, frozen, mult = seed.names, seed.frozen, seed.mult
     low, high = -_TOO_BIG, _TOO_BIG
-    for i, pairs in rows:
+    for i in order:
         d_i, f_i = mult[i], frozen[i]
-        for j, b in pairs:
+        for j, b in rows[i]:
             col = lookup.get(j)
             if col is None:
                 continue
@@ -671,7 +672,12 @@ def weight_sum(terms) -> tuple:
     pairs of the sum whose weight is nonzero, ascending in slot: the stored
     form of a vertex's weights.
     """
-    acc: dict[int, list[int]] = {}
+    return _stored(_add(terms, {}))
+
+
+def _add(terms, acc: dict) -> dict:
+    """acc, a dict from slot to coordinate list, with c * w added in place
+    for each (c, w) of terms, w given as (slot, weight) pairs."""
     for c, ws in terms:
         for s, w in ws:
             row = acc.get(s)
@@ -681,7 +687,25 @@ def weight_sum(terms) -> tuple:
                 for r, x in enumerate(w):
                     if x:
                         row[r] += c * x
+    return acc
+
+
+def _stored(acc: dict) -> tuple:
+    """The nonzero (slot, weight) pairs of an ``_add`` sum, ascending in slot."""
     return tuple([(s, tuple(v)) for s, v in sorted(acc.items()) if any(v)])
+
+
+def _balanced_weight(plus, minus, own) -> tuple | None:
+    """Sum of e * w over the (e, w) terms of plus, less own, stored as a
+    vertex's weights; None unless the sums over plus and minus are equal.
+
+    Each side is summed once; the sum over plus then takes own away in
+    place, so no term is visited twice.
+    """
+    up, down = _add(plus, {}), _add(minus, {})
+    if up != down and _stored(up) != _stored(down):
+        return None
+    return _stored(_add(((-1, own),), up))
 
 
 def weight_balance(seed: Seed, name: str) -> tuple[Weight, ...]:
@@ -713,35 +737,42 @@ def exchange(seed: Seed, at: str) -> tuple[tuple, tuple, tuple | None, Label | N
     seed without weights and the label None on one without labels.  Raises
     ValueError unless the two monomials have equal weights.
     """
-    return _exchange(seed, _unfrozen(seed, at), seed.labels)
+    k = _unfrozen(seed, at)
+    ups, downs = _split(seed.rows[k])
+    return (tuple([(j, a >> 1) for j, a in ups]), tuple([(j, a >> 1) for j, a in downs]),
+            *_exchange(seed, k, seed.labels, ups, downs))
 
 
-def _exchange(seed: Seed, k: int, labels):
-    """``exchange`` at vertex index k.
+def _split(row) -> tuple[list, list]:
+    """Row k split by sign, once per mutation or exchange: the (j, |b2[k][j]|)
+    pairs of its positive and of its negative entries, ascending in j."""
+    return [(j, b) for j, b in row if b > 0], [(j, -b) for j, b in row if b < 0]
 
-    The label is built over ``labels`` and is None when they are; it takes
-    the weight summed here, as each label of a checked seed has its
-    vertex's weight.  Mutating back collapses it: when the label at k is
-    already the exchange with these two sides swapped, A'_k is the label
-    that one was built over.
+
+def _exchange(seed: Seed, k: int, labels, ups, downs):
+    """(weight, label) of ``exchange`` at vertex index k, from row k's
+    ``_split`` into ups and downs.
+
+    ``_balanced_weight`` sums each side once, and M+'s sum less w_k is the
+    weight.  The label is built over ``labels`` and is None when they are;
+    it takes that weight, as each label of a checked seed has its vertex's
+    weight.  Mutating back collapses it: when the label at k is already the
+    exchange with these two sides swapped, A'_k is the label that one was
+    built over.
     """
-    row_k = seed.rows[k]
-    plus = tuple([(j, b // 2) for j, b in row_k if b > 0])
-    minus = tuple([(j, -b // 2) for j, b in row_k if b < 0])
     weight = label = None
     ws = seed.slot_weights
     if ws is not None:
-        terms = [(e, ws[j]) for j, e in plus]
-        # M+ and M- have equal weights when their difference is zero
-        if weight_sum(terms + [(-e, ws[j]) for j, e in minus]):
+        weight = _balanced_weight([(a >> 1, ws[j]) for j, a in ups],
+                                  [(a >> 1, ws[j]) for j, a in downs], ws[k])
+        if weight is None:
             at = seed.names[k]
             raise ValueError(
                 f"mutation at {at} is not weight-homogeneous: {weight_balance(seed, at)}"
             )
-        weight = weight_sum(terms + [(-1, ws[k])])
     if labels is not None:
-        lp = tuple([(labels[j], e) for j, e in plus])
-        lm = tuple([(labels[j], e) for j, e in minus])
+        lp = tuple([(labels[j], a >> 1) for j, a in ups])
+        lm = tuple([(labels[j], a >> 1) for j, a in downs])
         over = labels[k]
         if isinstance(over, Exchange) and over.minus == lp and over.plus == lm:
             label = over.over
@@ -750,7 +781,7 @@ def _exchange(seed: Seed, k: int, labels):
             # seed's labels, each of its vertex's weight and of its shape,
             # and the sides were just balanced and the weight summed
             label = _intern(Exchange, (lp, lm, over), lambda *_: (weight, seed.weight_shape))
-    return plus, minus, weight, label
+    return weight, label
 
 
 _ENTRY = operator.itemgetter(1)
@@ -760,15 +791,16 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     """Mutate at an unfrozen vertex; involutive, weight-homogeneous.
 
     Only row k of ``at`` and the rows of its neighbours are written, each
-    at k and at k's neighbours, and only that block is checked, diagonal
-    first and then row by row, with check_seed's tests and messages; a
-    fault inside it is named by the same first pair the full check would
-    name.  That is enough: mutation keeps skew-symmetrizability with the
-    same multipliers, and every other row is the row object of ``seed``,
-    which passed the full check and cannot have changed since.  The new
-    weight and label at ``at`` are those of ``exchange``.  The block check
-    refuses a b2 entry of more than MAX_ENTRY_BITS bits, and the new weight
-    is refused when a coordinate is.
+    at k and at k's neighbours, from one sign split of row k, and only that
+    block is checked where it stands, diagonal first and then row by row,
+    with check_seed's tests and messages; a fault inside it is named by the
+    same first pair the full check would name.  That is enough: mutation
+    keeps skew-symmetrizability with the same multipliers, and every other
+    row is the row object of ``seed``, which passed the full check and
+    cannot have changed since.  The new weight and label at ``at`` are
+    those of ``_exchange``.  Refusals come in this order: an odd increment,
+    the block check (which refuses a b2 entry of more than MAX_ENTRY_BITS
+    bits), weight homogeneity, and a new weight coordinate over that cap.
     """
     k = _unfrozen(seed, at)
     rows = seed.rows
@@ -777,8 +809,7 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     # as b2 is doubled: that is b2[p][k] * |b2[k][q]| / 2 where the two
     # entries have one sign and 0 where they differ, so each neighbour p
     # visits only the columns q of its own sign
-    ups = [(q, b) for q, b in row_k if b > 0]
-    downs = [(q, -b) for q, b in row_k if b < 0]
+    ups, downs = _split(row_k)
     new = list(rows)
     new[k] = tuple([(j, -b) for j, b in row_k])
     # block: each written row as {column: entry}
@@ -788,26 +819,33 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
         b_pk = row.get(k, 0)
         for q, a in (ups if b_pk > 0 else downs if b_pk else ()):
             inc = b_pk * a
-            if inc % 2:
+            if inc & 1:
                 raise ValueError("mutation increment not integral")
-            row[q] = row.get(q, 0) + inc // 2
+            row[q] = row.get(q, 0) + (inc >> 1)
         row[k] = -b_pk
         block[p] = row
         new[p] = tuple(sorted(filter(_ENTRY, row.items())))
     order = sorted(block)
     if any(map(dict.get, map(block.get, order), order)):
         raise ValueError("b2 diagonal must be zero")
-    _check_entries(seed, zip(order, map(new.__getitem__, order)), block)
+    _check_entries(seed, order, new, block)
 
     ws, labels = seed.slot_weights, seed.labels if with_labels else None
-    _, _, wk, lk = _exchange(seed, k, labels)
+    wk, lk = _exchange(seed, k, labels, ups, downs)
     if wk is not None:
-        if max(map(abs, chain.from_iterable(w for _, w in wk)), default=0) >= _TOO_BIG:
-            raise ValueError(f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}")
-        ws = ws[:k] + (wk,) + ws[k + 1:]
+        for _, w in wk:
+            for c in w:
+                if not -_TOO_BIG < c < _TOO_BIG:
+                    raise ValueError(
+                        f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}")
+        ws = list(ws)
+        ws[k] = wk
     if lk is not None:
-        labels = labels[:k] + (lk,) + labels[k + 1:]
-    return _unchecked(seed, tuple(new), ws, labels)
+        labels = list(labels)
+        labels[k] = lk
+    # a list copy with one entry set costs less than slicing around it;
+    # ``and`` keeps None as None
+    return _unchecked(seed, tuple(new), ws and tuple(ws), labels and tuple(labels))
 
 
 # == X-coordinates and the p-map ==
@@ -815,12 +853,24 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
 
 def p_exponents(seed: Seed, name: str) -> dict[str, int]:
     """Integer row of exponents for X_name = prod_j A_j ** b[name][j]."""
-    out = {}
-    for j, b in seed.rows[seed.index(name)]:
+    return _p_row(seed, seed.index(name))
+
+
+def _p_row(seed: Seed, i: int) -> dict[str, int]:
+    """``p_exponents`` of vertex index i."""
+    names, out = seed.names, {}
+    for j, b in seed.rows[i]:
         if b % 2:
-            raise ValueError(f"row {name} has a half-integral entry at {seed.names[j]}")
-        out[seed.names[j]] = b // 2
+            raise ValueError(f"row {names[i]} has a half-integral entry at {names[j]}")
+        out[names[j]] = b // 2
     return out
+
+
+def _indexer(seed: Seed):
+    """``seed.index`` for a call that looks up many names: one dict per
+    call, and the index's own KeyError for a name the seed lacks."""
+    where = dict(zip(seed.names, _INDICES))
+    return lambda name: where[name] if name in where else seed.index(name)
 
 
 def monomial(factors) -> tuple[int, int]:
@@ -848,11 +898,9 @@ def x_from_a(seed: Seed, avals: dict, names=None) -> dict:
     A-values are ints or Fractions; each X-value is one Fraction, built
     from the monomial's int numerator and denominator.
     """
-    out = {}
+    index, out = _indexer(seed), {}
     for name in names if names is not None else seed.unfrozen_names():
-        out[name] = Q(*monomial(
-            (avals[j], e) for j, e in p_exponents(seed, name).items()
-        ))
+        out[name] = Q(*monomial((avals[j], e) for j, e in _p_row(seed, index(name)).items()))
     return out
 
 
@@ -867,9 +915,9 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     # check_seed's parity rule makes each b2[i][k] even
     col = {i: dict(seed.rows[i]).get(k, 0) // 2 for i, _ in seed.rows[k]}
     xk = xvals[at]
-    out = {}
+    index, out = _indexer(seed), {}
     for name, x in xvals.items():
-        i = seed.index(name)
+        i = index(name)
         if i == k:
             out[name] = 1 / xk
             continue
@@ -1054,8 +1102,9 @@ def matches_under(s1: Seed, s2: Seed, mapping: dict) -> bool:
     n = s1.size
     if s2.size != n or len(mapping) != n:
         return False
+    index = _indexer(s2)
     try:
-        perm = [s2.index(mapping[nm]) for nm in s1.names]
+        perm = [index(mapping[nm]) for nm in s1.names]
     except KeyError:
         return False
     if len(set(perm)) != n:

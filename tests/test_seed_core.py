@@ -24,9 +24,12 @@ Claims covered:
       every column along random walks, mutate stores them, and exchanging
       straight back collapses the label
     - the nonzero-only mutation and dual kernels agree with the dense
-      reference formulas along random walks
+      reference formulas along random walks; the labelled mutation walks
+      and the exchange walks also start on the d4 triangle and 4-gon and
+      the g2 24-gon, and walking back returns the start, its very labels
     - mutation refuses a step that writes a b2 entry over the entry cap
-      and takes one at the cap
+      and takes one at the cap; it refuses the block it writes before an
+      inhomogeneous relation, and that before a new weight over the cap
     - mutation preserves skew-symmetrizability and weight homogeneity;
       the full check_seed holds after every step of random walks, on the
       zoo and on the g2 16-gon and the a3 hexagon
@@ -50,7 +53,8 @@ Claims covered:
       x_from_a equals the product of one Fraction power per factor on
       signed rationals with exponents of both signs, returns Fractions, and
       raises ZeroDivisionError where a vanishing value has a negative
-      exponent
+      exponent; x_from_a, mutate_x and matches_under equal the dense rules
+      on the g2 16-gon and look names up in one dict per call
     - every refusal of a malformed seed carries its exact message, on
       construction, mutation, exchange, duality, slot permutation and
       comparison; the faults a seed file
@@ -96,6 +100,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import operator
 import random
 import sys
@@ -126,6 +131,7 @@ from confseed.seed_core import (
     permute_slots,
     post_order,
     quiver_isomorphic,
+    weight_balance,
     x_from_a,
 )
 from confseed.seed_builder import build_triangle_seed
@@ -159,6 +165,14 @@ ZOO = (
 POLYGONS = (
     build_conf_m_seed(root_datum("g2"), 16),
     build_conf_m_seed(root_datum("a3"), 6),
+)
+
+# more starts for the dense-rule walks: the d4 triangle and 4-gon, and the
+# benchmark walks' largest start, the g2 24-gon (178 vertices)
+WALK_STARTS = (
+    build_triangle_seed(root_datum("d4")),
+    build_conf_m_seed(root_datum("d4"), 4),
+    build_conf_m_seed(root_datum("g2"), 24),
 )
 
 # check_seed's refusals of a list in a stored field and of a malformed weight shape
@@ -793,21 +807,25 @@ class TestMutation:
         assert twice.labels[k] is seed.labels[k]
 
     def test_matches_dense_rule_along_random_walks(self):
+        # labelled steps; the dense rule costs O(n^2) a step, so the g2
+        # 24-gon walks 12 steps rather than 25
         rng = random.Random(808)
-        for seed in _seed_zoo() + POLYGONS[:1]:
-            cur = seed
-            for _ in range(25):
+        for seed in _seed_zoo() + POLYGONS[:1] + WALK_STARTS:
+            cur, path = seed, []
+            for _ in range(12 if seed.size > 150 else 25):
                 at = rng.choice(cur.unfrozen_names())
                 want = dense_mutate_b2(cur.b2, cur.index(at))
-                cur = mutate(cur, at, with_labels=False)
+                cur = mutate(cur, at)
                 assert cur.b2 == want
+                path.append(at)
+            _assert_walks_back(cur, path, seed)
 
     def test_exchange_matches_dense_rule_along_random_walks(self):
         # each step also checks that mutate stores exchange's weight and
         # label, and that exchanging straight back collapses the label
         rng = random.Random(909)
-        for seed in _seed_zoo() + POLYGONS:
-            cur = seed
+        for seed in _seed_zoo() + POLYGONS + WALK_STARTS:
+            cur, path = seed, []
             for _ in range(12):
                 at = rng.choice(cur.unfrozen_names())
                 k = cur.index(at)
@@ -822,6 +840,8 @@ class TestMutation:
                 assert back[3] is cur.labels[k]
                 assert _dense_weight(nxt, back) == dense_exchange(nxt, k)
                 cur = nxt
+                path.append(at)
+            _assert_walks_back(cur, path, seed)
 
     def test_matrix_rule_on_a_known_pair(self):
         seed = build_triangle_seed(root_datum("a2"))
@@ -831,6 +851,25 @@ class TestMutation:
         for j in range(seed.size):
             assert nxt.b2[k][j] == -seed.b2[k][j]
             assert nxt.b2[j][k] == -seed.b2[j][k]
+
+
+def _dense_matches(s1, s2, mapping) -> bool:
+    """matches_under by the dense rule: every entry, multiplier, flag and weight."""
+    perm = [s2.index(mapping[nm]) for nm in s1.names]
+    w1, w2 = dense_weights(s1), dense_weights(s2)
+    return all(
+        (s1.mult[i], s1.frozen[i], w1[i]) == (s2.mult[p], s2.frozen[p], w2[p])
+        and all(s1.b2[i][j] == s2.b2[p][perm[j]] for j in range(s1.size))
+        for i, p in enumerate(perm)
+    )
+
+
+def _assert_walks_back(cur, path, start):
+    """Mutating cur back along path returns start, its very label objects."""
+    for at in reversed(path):
+        cur = mutate(cur, at)
+    assert cur == start
+    assert all(map(operator.is_, cur.labels, start.labels))
 
 
 def _dense_weight(seed, ex):
@@ -844,6 +883,13 @@ def _full_check_message(seed, at):
     with pytest.raises(ValueError) as err:
         check_seed(dense)
     return str(err.value)
+
+
+def _reweighted(seed, factors):
+    """A copy of seed with vertex i's weights times factors[i], made past every check."""
+    ws = tuple(tuple((s, tuple(c * factors.get(i, 1) for c in w)) for s, w in pairs)
+               for i, pairs in enumerate(seed.slot_weights))
+    return seed_core._unchecked(seed, seed.rows, ws, seed.labels)
 
 
 def _count_full_checks(monkeypatch):
@@ -893,6 +939,46 @@ class TestLocalCheck:
         with pytest.raises(ValueError) as err:
             mutate(planted, base.names[k])
         assert str(err.value) == want
+
+    def test_refusals_come_block_then_balance_then_cap(self):
+        # each planted fault alone gives its own message, and of two
+        # faults the one mutate tests first speaks: the block it writes,
+        # then weight homogeneity, then the new weight's cap
+        base = build_triangle_seed(root_datum("a3"))
+        k, _, _ = self._neighbourhood(base)
+        at = base.names[k]
+        p = next(j for j, b in base.rows[k] if b > 0)
+        q = next(j for j, _ in base.rows[k] if j != p)
+        skew = [list(r) for r in base.b2]
+        skew[p][q] += 2
+        big = 1 << MAX_ENTRY_BITS
+        # p's weight doubled unbalances k, and every weight scaled by 2**4096
+        # keeps the balance but puts A'_k's weight over the cap
+        heavy = _reweighted(base, {p: 2})
+        huge = _reweighted(base, dict.fromkeys(range(base.size), big))
+        both = _reweighted(base, {**dict.fromkeys(range(base.size), big), p: 2 * big})
+        assert exchange(base, at)[2] and any(map(any, weight_balance(heavy, at)))
+        block = _full_check_message(plant(base, skew), at)
+        assert block.startswith("not skew-symmetrizable")
+
+        def unbalanced(seed):
+            return f"mutation at {at} is not weight-homogeneous: {weight_balance(seed, at)}"
+
+        for seed, message in [
+            (plant(heavy, skew), block),
+            (heavy, unbalanced(heavy)),
+            (huge, f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}"),
+            (both, unbalanced(both)),
+        ]:
+            with pytest.raises(ValueError) as err:
+                mutate(seed, at)
+            assert str(err.value) == message
+        # exchange refuses the unbalanced relation alike; the cap is mutate's
+        for seed in (heavy, both):
+            with pytest.raises(ValueError) as err:
+                exchange(seed, at)
+            assert str(err.value) == unbalanced(seed)
+        assert max(abs(c) for _, w in exchange(huge, at)[2] for c in w) >= big
 
     def test_caller_lists_cannot_change_a_seed(self):
         base = build_triangle_seed(root_datum("a3"))
@@ -1131,6 +1217,43 @@ class TestXCoordinates:
             assert all(type(x) is Q for x in got.values())
             rows = [p_exponents(seed, nm).values() for nm in seed.unfrozen_names()]
             assert any(min(row) < 0 < max(row) for row in rows if row)
+
+    def test_names_are_looked_up_once_per_call(self, monkeypatch):
+        # on the g2 16-gon, x_from_a, mutate_x and matches_under give what
+        # the dense rules give, and look no name up through Seed.index but
+        # the vertex mutate_x mutates at
+        seed = POLYGONS[0]
+        rng = random.Random(41)
+        avals = self._avals(rng, seed)
+        at = rng.choice(seed.unfrozen_names())
+        names, b2, k = seed.names, seed.b2, seed.index(at)
+        want_x = {
+            nm: math.prod(avals[names[j]] ** (b // 2) for j, b in enumerate(b2[seed.index(nm)]))
+            for nm in seed.unfrozen_names()
+        }
+        xk = want_x[at]
+        want_mx = {}
+        for nm, x in want_x.items():
+            e = b2[seed.index(nm)][k] // 2
+            want_mx[nm] = 1 / xk if nm == at else x * xk ** max(e, 0) * (1 + xk) ** -e
+        identity = {nm: nm for nm in names}
+        mappings = [identity, {**identity, names[0]: names[1], names[1]: names[0]},
+                    {**identity, names[0]: names[1]}]
+        want_match = [_dense_matches(seed, seed, m) for m in mappings]
+        assert want_match[0] and not want_match[2]
+        looked_up = []
+        index = Seed.index
+        monkeypatch.setattr(Seed, "index", lambda s, nm: looked_up.append(nm) or index(s, nm))
+        assert x_from_a(seed, avals) == want_x
+        assert mutate_x(seed, at, want_x) == want_mx
+        assert [matches_under(seed, seed, m) for m in mappings] == want_match
+        assert looked_up == [at]
+        # a name the seed lacks is refused as Seed.index refuses it
+        assert not matches_under(seed, seed, {**identity, names[0]: "nowhere"})
+        for call in (lambda: x_from_a(seed, avals, ["nowhere"]),
+                     lambda: mutate_x(seed, at, {**want_x, "nowhere": Q(1)})):
+            with pytest.raises(KeyError, match="no vertex named 'nowhere'"):
+                call()
 
     def test_a_vanishing_value_raises_only_under_a_negative_exponent(self):
         seed = build_conf_m_seed(root_datum("a2"), 4)
