@@ -47,6 +47,13 @@ other row is the very row object of the checked seed it started from.  A
 mutation step reads row k once, through one sign split, and does O(deg^2)
 arithmetic, deg the number of neighbours, besides copying the n row
 references into a new tuple, where a full check would cost O(n + arrows).
+Mutation is an involution, so each seed ``mutate`` makes carries an undo
+record: the vertex and the stored rows, weights and labels of the seed it
+came from, with that seed's own record.  Mutating straight back, labels
+kept as they were, returns those tuples under that record, the seed the
+full path would give, with no refusal skipped.  A chain holds at most
+``_UNDO_DEPTH`` records of O(n) references each.  The record is not a
+stored field: equality, hashing and seed files ignore it.
 
 The exchange relation A_k * A'_k = M+ + M- is stated once, by
 ``_exchange``: from row k's sign split it sums each monomial's weight once,
@@ -340,13 +347,14 @@ _STORED = ("names", "frozen", "mult", "rows", "slot_weights", "weight_shape", "l
 class Seed:
     """A checked seed; see the module docstring for the stored forms."""
 
-    __slots__ = _STORED + ("_b2",)
+    __slots__ = _STORED + ("_b2", "_undo")
 
     def __init__(self, names, frozen, mult, rows, slot_weights=None, weight_shape=None,
                  labels=None):
         # each sequence as a tuple, so a caller's lists cannot change a
-        # checked seed afterwards; the b2 view starts unbuilt
-        stored = (names, frozen, mult, rows, slot_weights, weight_shape, labels, None)
+        # checked seed afterwards; the b2 view starts unbuilt, and a seed
+        # made here has no undo record
+        stored = (names, frozen, mult, rows, slot_weights, weight_shape, labels, None, None)
         for set_field, value in zip(_SETTERS, stored):
             if value is not None and type(value) is not tuple:
                 value = tuple(value)
@@ -422,10 +430,10 @@ class Seed:
         return f"Seed({self.size} vertices, {n_mut} unfrozen)"
 
 
-# the setters of Seed's slots, in _STORED order and then the b2 view;
-# called directly, they cost less than object.__setattr__ by name
-_SETTERS = tuple(Seed.__dict__[name].__set__ for name in _STORED + ("_b2",))
-_SET_B2 = _SETTERS[-1]
+# the setters of Seed's slots, in _STORED order, then the b2 view and the
+# undo record; called directly, they cost less than object.__setattr__ by name
+_SETTERS = tuple(Seed.__dict__[name].__set__ for name in Seed.__slots__)
+_SET_B2 = Seed.__dict__["_b2"].__set__
 
 
 # check_seed's refusals of a weight shape a seed file cannot hold, of a
@@ -629,17 +637,18 @@ def _check_entries(seed: Seed, order, rows, lookup) -> None:
                 raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
 
 
-def _unchecked(seed: Seed, rows, slot_weights, labels, mult=None) -> Seed:
+def _unchecked(seed: Seed, rows, slot_weights, labels, mult=None, undo=None) -> Seed:
     """seed with rows, slot weights, labels and, unless None, multipliers
     replaced, for mutate, opposite and langlands_dual.
 
     Skips check_seed: the caller has checked every entry it wrote, or
     proved that it cannot break a check, and every other field comes from
-    seed, which passed the full check_seed.
+    seed, which passed the full check_seed.  ``undo`` is the new seed's
+    undo record, which only ``mutate`` passes; every other seed has none.
     """
     out = object.__new__(Seed)
     values = (seed.names, seed.frozen, seed.mult if mult is None else mult, rows, slot_weights,
-              seed.weight_shape, labels, None)
+              seed.weight_shape, labels, None, undo)
     for set_field, value in zip(_SETTERS, values):
         set_field(out, value)
     return out
@@ -786,23 +795,43 @@ def _exchange(seed: Seed, k: int, labels, ups, downs):
 
 _ENTRY = operator.itemgetter(1)
 
+# the most undo records a seed's chain holds: a step past it starts a new
+# chain, so a live seed keeps at most this many steps of history
+_UNDO_DEPTH = 64
+
 
 def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     """Mutate at an unfrozen vertex; involutive, weight-homogeneous.
 
-    Only row k of ``at`` and the rows of its neighbours are written, each
-    at k and at k's neighbours, from one sign split of row k, and only that
-    block is checked where it stands, diagonal first and then row by row,
-    with check_seed's tests and messages; a fault inside it is named by the
-    same first pair the full check would name.  That is enough: mutation
-    keeps skew-symmetrizability with the same multipliers, and every other
-    row is the row object of ``seed``, which passed the full check and
-    cannot have changed since.  The new weight and label at ``at`` are
-    those of ``_exchange``.  Refusals come in this order: an odd increment,
-    the block check (which refuses a b2 entry of more than MAX_ENTRY_BITS
-    bits), weight homogeneity, and a new weight coordinate over that cap.
+    Mutating back at the vertex just mutated reads the seed's undo record,
+    once ``at`` has passed ``_unfrozen``: ``(k, rows, slot_weights, labels,
+    parent, depth)``, the stored tuples of the seed it came from (never
+    that seed) and that seed's own record.  It answers when k is ``at``'s
+    index and the result keeps labels as that seed had them
+    (``with_labels``, or no labels).  The full path would give an equal
+    seed from the same checked block, increments of the same magnitudes,
+    swapped sides of the same weight and the collapsed or re-interned label
+    the record holds, so the record skips no refusal.  A chain holds at
+    most ``_UNDO_DEPTH`` records.
+
+    Otherwise only row k of ``at`` and the rows of its neighbours are
+    written, each at k and at k's neighbours, from one sign split of row k,
+    and only that block is checked where it stands, diagonal first and then
+    row by row, with check_seed's tests and messages; a fault inside it is
+    named by the same first pair the full check would name.  That is
+    enough: mutation keeps skew-symmetrizability with the same multipliers,
+    and every other row is the row object of ``seed``, which passed the
+    full check and cannot have changed since.  The new weight and label at
+    ``at`` are those of ``_exchange``.  Refusals come in this order: an odd
+    increment, the block check (which refuses a b2 entry of more than
+    MAX_ENTRY_BITS bits), weight homogeneity, and a new weight coordinate
+    over that cap.
     """
     k = _unfrozen(seed, at)
+    keep = with_labels or seed.labels is None
+    undo = seed._undo
+    if undo is not None and undo[0] == k and keep:
+        return _unchecked(seed, undo[1], undo[2], undo[3], undo=undo[4])
     rows = seed.rows
     row_k = rows[k]
     # b2[p][q] gains |b2[p][k]| * b2[k][q] + b2[p][k] * |b2[k][q]|, over 4
@@ -843,9 +872,15 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     if lk is not None:
         labels = list(labels)
         labels[k] = lk
+    record = None
+    if keep:
+        # this step's record: seed's own tuples, over seed's record unless
+        # that chain is full
+        parent = None if undo is None or undo[5] == _UNDO_DEPTH else undo
+        record = (k, rows, seed.slot_weights, seed.labels, parent, parent[5] + 1 if parent else 1)
     # a list copy with one entry set costs less than slicing around it;
     # ``and`` keeps None as None
-    return _unchecked(seed, tuple(new), ws and tuple(ws), labels and tuple(labels))
+    return _unchecked(seed, tuple(new), ws and tuple(ws), labels and tuple(labels), undo=record)
 
 
 # == X-coordinates and the p-map ==
@@ -904,17 +939,23 @@ def x_from_a(seed: Seed, avals: dict, names=None) -> dict:
     return out
 
 
+def _exact(x):
+    """x as a Fraction where it is an int, and otherwise x itself."""
+    return Q(x) if isinstance(x, int) else x
+
+
 def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     """Transform X-values under mutation at an unfrozen vertex.
 
     X'_k = 1/X_k and X'_i = X_i * X_k**[b_ik]+ * (1+X_k)**(-b_ik); values may
-    live in any exact field.
+    live in any exact field.  Ints come back as Fractions, as ``x_from_a``
+    gives them, so that no quotient of ints is a float.
     """
     k = _unfrozen(seed, at)
     # column k is nonzero at k's neighbours only; k is unfrozen, so
     # check_seed's parity rule makes each b2[i][k] even
     col = {i: dict(seed.rows[i]).get(k, 0) // 2 for i, _ in seed.rows[k]}
-    xk = xvals[at]
+    xk = _exact(xvals[at])
     index, out = _indexer(seed), {}
     for name, x in xvals.items():
         i = index(name)
@@ -922,7 +963,7 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
             out[name] = 1 / xk
             continue
         bik = col.get(i, 0)
-        val = x
+        val = _exact(x)
         if bik > 0:
             val = val * xk ** bik
         val = val * (1 + xk) ** (-bik)

@@ -6,7 +6,8 @@ Claims covered:
       a12 words given with commas or with spaces build the same seed as
       the default word; every file the
       benchmark's polygons workload writes has its recorded digest
-    - mutating twice at one vertex reproduces the input file byte for byte
+    - mutating twice at one vertex, or at a then b then b then a,
+      reproduces the input file byte for byte
     - a 400-step walk on the g2 16-gon is refused within 1 s at the first
       step that writes a value over the entry cap, naming the step and the
       vertex, and leaves no new file and an earlier file as it was
@@ -185,6 +186,14 @@ class TestMutate:
         code = main(["mutate", "--seed", str(src), "--at", "x_a2",
                      "--at", "x_a2", "--out", str(dst)])
         assert code == 0
+        assert src.read_bytes() == dst.read_bytes()
+
+    def test_nested_round_trip_restores_the_file(self, tmp_path, capsys):
+        # the two steps back read the undo records of the two steps out
+        src = self._seed_file(tmp_path, "polygon", "--type", "g2", "--m", "4")
+        dst = tmp_path / "back.json"
+        steps = [a for at in ("x_0a", "x_0b", "x_0b", "x_0a") for a in ("--at", at)]
+        assert main(["mutate", "--seed", str(src), *steps, "--out", str(dst)]) == 0
         assert src.read_bytes() == dst.read_bytes()
 
     def test_deep_labels_write_and_reload(self, tmp_path, capsys):

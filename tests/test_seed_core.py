@@ -19,7 +19,18 @@ Claims covered:
       Exchange of the seed's weight shape with its vertex's weight, so
       swapped labels, an exchange over another vertex's label, a minor of
       another shape and a label that is neither are refused
-    - mutation is an involution on the full seed, labels included
+    - mutation is an involution on the full seed, labels included, both
+      through the undo record and from a copy with no record, whose way
+      back runs the block check and collapses the label in the exchange
+      step; walks back along a path take either way to the start
+    - the undo record: along seeded labelled walks on the a3 4-gon, the d4
+      triangle and the g2 24-gon that often step back, every step equals
+      the step from the record-free copy, labels the same objects, and a
+      step back reads the record; only mutate makes one, and it is not
+      part of equality, hashing or the seed file; a step that drops labels
+      neither leaves a record nor is answered by one; a chain holds at
+      most _UNDO_DEPTH records, and a longer walk still walks back; a
+      frozen vertex and an unknown name are refused as before
     - exchange's sides, weight and label agree with the dense reference over
       every column along random walks, mutate stores them, and exchanging
       straight back collapses the label
@@ -53,7 +64,8 @@ Claims covered:
       x_from_a equals the product of one Fraction power per factor on
       signed rationals with exponents of both signs, returns Fractions, and
       raises ZeroDivisionError where a vanishing value has a negative
-      exponent; x_from_a, mutate_x and matches_under equal the dense rules
+      exponent; mutate_x returns Fractions for int and Fraction X-values;
+      x_from_a, mutate_x and matches_under equal the dense rules
       on the g2 16-gon and look names up in one dict per call
     - every refusal of a malformed seed carries its exact message, on
       construction, mutation, exchange, duality, slot permutation and
@@ -746,6 +758,15 @@ class TestMutation:
             for at in seed.unfrozen_names():
                 assert mutate(mutate(seed, at), at) == seed
 
+    def test_involution_everywhere_without_the_record(self):
+        # the replace() copy has no undo record, so the way back runs the
+        # full path: its block check and the exchange step
+        for seed in _seed_zoo():
+            for at in seed.unfrozen_names():
+                once = mutate(seed, at).replace()
+                assert once._undo is None
+                assert mutate(once, at) == seed
+
     def test_involution_along_random_walks(self):
         rng = random.Random(2024)
         for _ in range(500):
@@ -753,6 +774,14 @@ class TestMutation:
             seed, _ = _random_walk(rng, seed, rng.randint(0, 6))
             at = rng.choice(seed.unfrozen_names())
             assert mutate(mutate(seed, at), at) == seed
+
+    def test_involution_along_random_walks_without_the_record(self):
+        rng = random.Random(2025)
+        for _ in range(500):
+            seed = rng.choice(_seed_zoo())
+            seed, _ = _random_walk(rng, seed, rng.randint(0, 6))
+            at = rng.choice(seed.unfrozen_names())
+            assert mutate(mutate(seed, at).replace(), at) == seed
 
     def test_walks_stay_well_formed(self):
         # the full check after every step is the reference for the local
@@ -806,6 +835,18 @@ class TestMutation:
         assert isinstance(once.labels[k], Exchange)
         assert twice.labels[k] is seed.labels[k]
 
+    def test_exchange_label_collapses_without_the_record(self):
+        # _exchange's own collapse: the sides swapped give back the label
+        # the exchange was built over
+        seed = build_triangle_seed(root_datum("g2"))
+        once = mutate(seed, "x_a2").replace()
+        twice = mutate(once, "x_a2")
+        k = seed.index("x_a2")
+        assert isinstance(once.labels[k], Exchange) and once._undo is None
+        assert twice.labels[k] is seed.labels[k]
+        # and mutating on from there re-interns the very Exchange of once
+        assert mutate(twice.replace(), "x_a2").labels[k] is once.labels[k]
+
     def test_matches_dense_rule_along_random_walks(self):
         # labelled steps; the dense rule costs O(n^2) a step, so the g2
         # 24-gon walks 12 steps rather than 25
@@ -819,6 +860,7 @@ class TestMutation:
                 assert cur.b2 == want
                 path.append(at)
             _assert_walks_back(cur, path, seed)
+            _assert_walks_back_in_full(cur, path, seed)
 
     def test_exchange_matches_dense_rule_along_random_walks(self):
         # each step also checks that mutate stores exchange's weight and
@@ -842,6 +884,7 @@ class TestMutation:
                 cur = nxt
                 path.append(at)
             _assert_walks_back(cur, path, seed)
+            _assert_walks_back_in_full(cur, path, seed)
 
     def test_matrix_rule_on_a_known_pair(self):
         seed = build_triangle_seed(root_datum("a2"))
@@ -870,6 +913,113 @@ def _assert_walks_back(cur, path, start):
         cur = mutate(cur, at)
     assert cur == start
     assert all(map(operator.is_, cur.labels, start.labels))
+
+
+def _assert_walks_back_in_full(cur, path, start):
+    """_assert_walks_back with each step taken from a copy with no undo
+    record, so every step back runs the full path."""
+    for at in reversed(path):
+        cur = mutate(cur.replace(), at)
+    assert cur == start
+    assert all(map(operator.is_, cur.labels, start.labels))
+
+
+def _chain(seed) -> list:
+    """The undo records of seed, its own first, each then its parent."""
+    out, record = [], seed._undo
+    while record is not None:
+        out.append(record)
+        record = record[4]
+    return out
+
+
+# the labelled walks of the undo-record tests: the a3 4-gon, the d4 triangle
+# and the g2 24-gon
+UNDO_STARTS = (build_conf_m_seed(root_datum("a3"), 4), WALK_STARTS[0], WALK_STARTS[2])
+
+
+class TestUndoRecord:
+    @pytest.mark.parametrize("start", UNDO_STARTS, ids=["a3-4gon", "d4-triangle", "g2-24gon"])
+    def test_each_step_equals_the_full_path(self, start):
+        # a seeded labelled walk that often steps back: every step equals
+        # the step from the record-free copy, with the same label objects,
+        # and a step back at the record's vertex reads the record
+        rng = random.Random(4949)
+        cur, path, answered = start, [], 0
+        for _ in range(40):
+            if path and rng.random() < 0.4:
+                at = path.pop()
+            else:
+                at = rng.choice(cur.unfrozen_names())
+                path.append(at)
+            want = mutate(cur.replace(), at)
+            got = mutate(cur, at)
+            assert got == want
+            assert all(map(operator.is_, got.labels, want.labels))
+            if cur._undo is not None and cur._undo[0] == cur.index(at):
+                assert got.rows is cur._undo[1] and got._undo is cur._undo[4]
+                answered += 1
+            cur = got
+        assert answered >= 10
+        for at in reversed(path):
+            want = mutate(cur.replace(), at)
+            cur = mutate(cur, at)
+            assert cur == want
+            assert all(map(operator.is_, cur.labels, want.labels))
+        assert cur == start and _chain(cur) == []
+        assert all(map(operator.is_, cur.labels, start.labels))
+
+    def test_only_mutate_makes_a_record(self):
+        seed = UNDO_STARTS[0]
+        walked = mutate(seed, "x_01")
+        assert seed._undo is None and walked._undo is not None
+        made = [walked.replace(), opposite(walked), langlands_dual(walked),
+                seed_from_json(seed_to_json(walked)), permute_slots(walked, (1, 2, 3, 0)),
+                Seed(*walked._key())]
+        assert [s._undo for s in made] == [None] * len(made)
+        # the record is not part of equality, hashing or the seed file
+        assert walked == made[0] and hash(walked) == hash(made[0])
+        assert seed_to_json(walked) == seed_to_json(made[0])
+
+    def test_dropped_labels_are_not_restored(self):
+        seed = UNDO_STARTS[0]
+        at = seed.unfrozen_names()[0]
+        bare = mutate(seed, at, with_labels=False)
+        assert bare._undo is None
+        back = mutate(bare, at)
+        assert back.labels is None and back == seed.replace(labels=None)
+        # nor does a labelled record answer a step that drops the labels
+        back = mutate(mutate(seed, at), at, with_labels=False)
+        assert back.labels is None and back == seed.replace(labels=None)
+        # a seed without labels keeps its record whatever with_labels says
+        plain = seed.replace(labels=None)
+        once = mutate(plain, at, with_labels=False)
+        assert once._undo is not None
+        assert mutate(once, at).rows is plain.rows
+
+    def test_a_walk_past_the_depth_walks_back(self):
+        # the cyclic walk never mutates back, so its chain would grow with
+        # every step; it holds at most _UNDO_DEPTH records, and the way back
+        # runs the full path once the records run out
+        depth = seed_core._UNDO_DEPTH
+        seeds = _cyclic_walk(2 * depth + 10)
+        lengths = [len(_chain(s)) for s in seeds]
+        assert max(lengths) == depth and lengths[depth] == depth and lengths[depth + 1] == 1
+        cur, start = seeds[-1], seeds[0]
+        for d in reversed(range(len(seeds) - 1)):
+            cur = mutate(cur, CYCLE[d % 3])
+            assert cur == seeds[d]
+        assert all(map(operator.is_, cur.labels, start.labels))
+
+    def test_refusals_hold_on_a_seed_with_a_record(self):
+        seed = build_triangle_seed(root_datum("g2"))
+        once = mutate(seed, "x_a2")
+        assert once._undo is not None
+        with pytest.raises(ValueError, match=r"^cannot mutate frozen vertex 'x_a0'$"):
+            mutate(once, "x_a0")
+        with pytest.raises(KeyError, match="no vertex named 'x_zz'"):
+            mutate(once, "x_zz")
+        assert mutate(once, "x_a2") == seed
 
 
 def _dense_weight(seed, ex):
@@ -1254,6 +1404,18 @@ class TestXCoordinates:
                      lambda: mutate_x(seed, at, {**want_x, "nowhere": Q(1)})):
             with pytest.raises(KeyError, match="no vertex named 'nowhere'"):
                 call()
+
+    def test_int_x_values_come_back_as_fractions(self):
+        # on the a2 4-gon with every unfrozen X = 2, 1 / 2 and 2 * 3**-1
+        # were floats; ints and Fractions alike now come back exact
+        seed = build_conf_m_seed(root_datum("a2"), 4)
+        xvals = dict.fromkeys(seed.unfrozen_names(), 2)
+        want = {"x_01": Q(1, 2), "x_02": Q(2), "x_11": Q(6), "x_-11": Q(4, 3)}
+        for given in (xvals, {nm: Q(x) for nm, x in xvals.items()},
+                      {**xvals, "x_02": Q(2), "x_11": Q(2)}):
+            got = mutate_x(seed, "x_01", given)
+            assert got == want
+            assert all(type(x) is Q for x in got.values())
 
     def test_a_vanishing_value_raises_only_under_a_negative_exponent(self):
         seed = build_conf_m_seed(root_datum("a2"), 4)

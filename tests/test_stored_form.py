@@ -16,9 +16,13 @@ it has proved, call ``_intern``, the one place that makes a label.  Only
 that row rule, under ``lru_cache(maxsize=_DUAL_CAP)``, is the dual's one
 memo: no module names ``WeakKeyDictionary``.  Only
 ``seed_io.load_seed`` pauses the garbage collector: no other code imports
-or calls ``gc``.  Each module is parsed with ``ast``, so these hold
-without importing or running anything.  The weights that step hands over are then held to the dense
-reference along seeded walks.
+or calls ``gc``.  A seed's undo record, the ``_undo`` slot, is read only
+by ``mutate``, and set only through the slot setters that ``Seed.__init__``
+and ``_unchecked`` call, with a record that only ``mutate`` passes; no
+other code names the slot.  Each module is parsed with ``ast``, so these
+hold without importing or running anything.  Then, along seeded walks, the
+weights that the exchange step hands over are held to the dense reference,
+and no element of an undo record is a Seed.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from confseed.root_data import root_datum
-from confseed.seed_core import Exchange, dense, mutate, post_order
+from confseed.seed_core import Exchange, Seed, dense, mutate, post_order
 from confseed.surface_glue import build_conf_m_seed
 
 from dense_reference import dense_label_weight
@@ -176,6 +180,53 @@ def test_the_dual_row_is_the_one_cached_pair_check():
                 named.append(f"{name}:{node.lineno}")
     assert decorators == ["seed_core.py:lru_cache(maxsize=_DUAL_CAP)"]
     assert named == []
+
+
+def test_only_mutate_reads_or_hands_over_an_undo_record():
+    # reads of ._undo, mentions of the slot setters, calls that pass
+    # _unchecked an undo record (by keyword or as a sixth argument) and
+    # the slot's name as a string, each with the function around it
+    reads, setters, passes, named = [], [], [], []
+    for name, tree in _trees():
+        for fn, node in _enclosed(tree):
+            where = f"{name}:{fn}"
+            if isinstance(node, ast.Attribute) and node.attr == "_undo":
+                reads.append((where, type(node.ctx).__name__))
+            elif isinstance(node, ast.Name) and node.id == "_SETTERS":
+                setters.append(where)
+            elif (isinstance(node, ast.Call) and _called(node) == "_unchecked"
+                    and (len(node.args) > 5 or any(k.arg == "undo" for k in node.keywords))):
+                passes.append(where)
+            elif isinstance(node, ast.Constant) and node.value == "_undo":
+                named.append(where)
+    assert reads == [("seed_core.py:mutate", "Load")] * len(reads) and reads
+    assert set(setters) == {"seed_core.py:None", "seed_core.py:__init__", "seed_core.py:_unchecked"}
+    assert passes == ["seed_core.py:mutate"] * len(passes) and passes
+    # the slot is declared once, in Seed's __slots__, at class level
+    assert named == ["seed_core.py:None"]
+
+
+@pytest.mark.parametrize("kind", ["g2", "a3"])
+def test_no_undo_record_holds_a_seed(kind):
+    # a seeded walk on the 4-gon that steps back often: every record along
+    # every seed's chain holds stored tuples, never a Seed, so no seed and
+    # no dense view stays alive behind a record
+    seed = build_conf_m_seed(root_datum(kind), 4)
+    rng = random.Random(49)
+    path, records = [], 0
+    for _ in range(60):
+        if path and rng.random() < 0.3:
+            at = path.pop()
+        else:
+            at = rng.choice(seed.unfrozen_names())
+            path.append(at)
+        seed = mutate(seed, at)
+        record = seed._undo
+        while record is not None:
+            records += 1
+            assert not any(isinstance(part, Seed) for part in record)
+            record = record[4]
+    assert records >= 100
 
 
 def test_only_the_loader_pauses_the_collector():
