@@ -191,14 +191,13 @@ def check_exchange(seed: Seed, at: str, flags) -> Q:
     and the residual checks the relation that built it.  No mutated weight
     of the a2 or a3 triangle is atomic (0 of 1 and 0 of 3 unfrozen
     vertices), so there only the label branch runs.  Raises ValueError when
-    the seed carries no labels or no weights, and ZeroDivisionError when a
-    value it divides by vanishes.
+    the seed carries no labels (``check_seed`` gives labels only to a seed
+    with weights), and ZeroDivisionError when a value it divides by
+    vanishes.
     """
     labels = _labels_of(seed)
     a_k = evaluate_label(labels[seed.index(at)], flags)
     plus, minus, weight, label = exchange(seed, at)
-    if weight is None:
-        raise ValueError("seed carries no weights")
     if evaluatable(weight, seed.slots, len(flags[0])):
         a_new = wedge_invariant(degrees_of(weight, seed.slots), flags)
     else:
@@ -416,9 +415,8 @@ def check_shear_law(seed: Seed, rng, n: int) -> bool:
         return h, check_shear_action(seed, flags, h)
 
     h, ratios = until_defined("check_shear_law", trial)
-    stored = dict(zip(seed.names, seed.slot_weights))
     for nm, ratio in ratios.items():
-        ws = stored[nm]
+        ws = seed.slot_weights[seed.index(nm)]
         if [t for t, _ in ws] == [0, 2]:
             (j,) = degrees_of(ws[:1], 1)
             if ratio * simple_root_character(j, h) != 1:

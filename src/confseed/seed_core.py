@@ -55,6 +55,13 @@ full path would give, with no refusal skipped.  A chain holds at most
 ``_UNDO_DEPTH`` records of O(n) references each.  The record is not a
 stored field: equality, hashing and seed files ignore it.
 
+Mutation sequences and the X-coordinate rules name vertices, and
+``Seed.index`` is the one lookup from a name to its index: one read of a
+dict that ``Seed(...)`` builds once its check passes.  The three unchecked
+constructions keep the names, so every seed along a mutation walk shares
+the index of the seed the walk started from.  Like the undo record, the
+index is not a stored field.
+
 The exchange relation A_k * A'_k = M+ + M- is stated once, by
 ``_exchange``: from row k's sign split it sums each monomial's weight once,
 refuses a relation that is not weight-homogeneous, and gives A'_k's weight
@@ -347,7 +354,7 @@ _STORED = ("names", "frozen", "mult", "rows", "slot_weights", "weight_shape", "l
 class Seed:
     """A checked seed; see the module docstring for the stored forms."""
 
-    __slots__ = _STORED + ("_b2", "_undo")
+    __slots__ = _STORED + ("_b2", "_undo", "_where")
 
     def __init__(self, names, frozen, mult, rows, slot_weights=None, weight_shape=None,
                  labels=None):
@@ -360,6 +367,9 @@ class Seed:
                 value = tuple(value)
             set_field(self, value)
         check_seed(self)
+        # the names are now unique and hashable: index them once, for this
+        # seed and every seed _unchecked makes from it, as they keep them
+        _SET_WHERE(self, dict(zip(self.names, range(len(self.names)))))
 
     def replace(self, **changes) -> Seed:
         """This seed with some stored fields changed, checked again.
@@ -409,9 +419,13 @@ class Seed:
         return self.weight_shape[0]
 
     def index(self, name: str) -> int:
+        """The index of vertex ``name``: the one name lookup, one dict read.
+
+        Raises KeyError for a name the seed lacks, unhashable ones included.
+        """
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._where[name]
+        except (KeyError, TypeError):
             raise KeyError(f"no vertex named {name!r}") from None
 
     def b(self, src: str, dst: str) -> Q:
@@ -430,10 +444,12 @@ class Seed:
         return f"Seed({self.size} vertices, {n_mut} unfrozen)"
 
 
-# the setters of Seed's slots, in _STORED order, then the b2 view and the
-# undo record; called directly, they cost less than object.__setattr__ by name
+# the setters of Seed's slots, in _STORED order, then the b2 view, the undo
+# record and the name index; called directly, they cost less than
+# object.__setattr__ by name
 _SETTERS = tuple(Seed.__dict__[name].__set__ for name in Seed.__slots__)
 _SET_B2 = Seed.__dict__["_b2"].__set__
+_SET_WHERE = Seed.__dict__["_where"].__set__
 
 
 # check_seed's refusals of a weight shape a seed file cannot hold, of a
@@ -645,10 +661,11 @@ def _unchecked(seed: Seed, rows, slot_weights, labels, mult=None, undo=None) -> 
     proved that it cannot break a check, and every other field comes from
     seed, which passed the full check_seed.  ``undo`` is the new seed's
     undo record, which only ``mutate`` passes; every other seed has none.
+    The new seed keeps seed's names, so it shares seed's name index.
     """
     out = object.__new__(Seed)
     values = (seed.names, seed.frozen, seed.mult if mult is None else mult, rows, slot_weights,
-              seed.weight_shape, labels, None, undo)
+              seed.weight_shape, labels, None, undo, seed._where)
     for set_field, value in zip(_SETTERS, values):
         set_field(out, value)
     return out
@@ -888,24 +905,12 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
 
 def p_exponents(seed: Seed, name: str) -> dict[str, int]:
     """Integer row of exponents for X_name = prod_j A_j ** b[name][j]."""
-    return _p_row(seed, seed.index(name))
-
-
-def _p_row(seed: Seed, i: int) -> dict[str, int]:
-    """``p_exponents`` of vertex index i."""
     names, out = seed.names, {}
-    for j, b in seed.rows[i]:
+    for j, b in seed.rows[seed.index(name)]:
         if b % 2:
-            raise ValueError(f"row {names[i]} has a half-integral entry at {names[j]}")
+            raise ValueError(f"row {name} has a half-integral entry at {names[j]}")
         out[names[j]] = b // 2
     return out
-
-
-def _indexer(seed: Seed):
-    """``seed.index`` for a call that looks up many names: one dict per
-    call, and the index's own KeyError for a name the seed lacks."""
-    where = dict(zip(seed.names, _INDICES))
-    return lambda name: where[name] if name in where else seed.index(name)
 
 
 def monomial(factors) -> tuple[int, int]:
@@ -933,9 +938,9 @@ def x_from_a(seed: Seed, avals: dict, names=None) -> dict:
     A-values are ints or Fractions; each X-value is one Fraction, built
     from the monomial's int numerator and denominator.
     """
-    index, out = _indexer(seed), {}
+    out = {}
     for name in names if names is not None else seed.unfrozen_names():
-        out[name] = Q(*monomial((avals[j], e) for j, e in _p_row(seed, index(name)).items()))
+        out[name] = Q(*monomial((avals[j], e) for j, e in p_exponents(seed, name).items()))
     return out
 
 
@@ -956,9 +961,9 @@ def mutate_x(seed: Seed, at: str, xvals: dict) -> dict:
     # check_seed's parity rule makes each b2[i][k] even
     col = {i: dict(seed.rows[i]).get(k, 0) // 2 for i, _ in seed.rows[k]}
     xk = _exact(xvals[at])
-    index, out = _indexer(seed), {}
+    out = {}
     for name, x in xvals.items():
-        i = index(name)
+        i = seed.index(name)
         if i == k:
             out[name] = 1 / xk
             continue
@@ -1143,9 +1148,8 @@ def matches_under(s1: Seed, s2: Seed, mapping: dict) -> bool:
     n = s1.size
     if s2.size != n or len(mapping) != n:
         return False
-    index = _indexer(s2)
     try:
-        perm = [index(mapping[nm]) for nm in s1.names]
+        perm = [s2.index(mapping[nm]) for nm in s1.names]
     except KeyError:
         return False
     if len(set(perm)) != n:

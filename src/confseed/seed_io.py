@@ -297,9 +297,9 @@ def _runs(pairs, length: int, zero: str, depth: int) -> str:
     those the (index, text) pairs give, ascending in index.
 
     A run of zeros is one string product rather than a visit per item.
+    ``length`` is at least 1: a slot count or the size of a seed with a
+    row to write.
     """
-    if not length:
-        return "[]"
     sep = "," + _PAD[depth + 1]
     fill = zero + sep
     parts = ["[" + _PAD[depth + 1]]

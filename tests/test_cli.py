@@ -556,6 +556,7 @@ class TestExportAndErrors:
          "triangle '1,2,x' needs three integer corners"),
         (["polygon", "--type", "a2", "--m", "5", "--triangles", ""], "0",
          "triangle '' needs three integer corners"),
+        (["polygon", "--type", "a2", "--m", "2"], "0", "need at least a triangle\n"),
     ], ids=["unknown-type", "leading-zero-rank", "full-width-digit",
             "arabic-indic-digit", "oversized-rank", "huge-rank",
             "oversized-polygon",
@@ -577,7 +578,7 @@ class TestExportAndErrors:
             "huge-weight", "huge-mult", "huge-exponent", "out-is-a-directory",
             "out-in-a-missing-directory", "non-tiling-triangles",
             "repeated-triangle", "empty-corners", "trailing-semicolon",
-            "non-integer-corner", "empty-triangle-list"])
+            "non-integer-corner", "empty-triangle-list", "two-corner-polygon"])
     def test_domain_and_file_errors_exit_2(self, argv, env_seed, message,
                                            tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

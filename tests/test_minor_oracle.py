@@ -24,7 +24,8 @@ Claims covered:
     - det, wedge_invariant, evaluate_label, seed_values, check_exchange and
       x_from_a return Fractions on int, torus-scaled and sheared flags; a
       label over a vanishing value raises ZeroDivisionError; a seed without
-      labels is refused with ValueError
+      labels is refused with ValueError, and one planted with labels but no
+      weights with the message of Seed.slots
     - the oracle suite's draws are pinned: the next draw after a pass at
       rng seeds 0, 7 and 11 is the recorded one
 """
@@ -220,6 +221,19 @@ class TestExchangeResiduals:
             mo.check_exchange(bare, "x_01", flags)
         with pytest.raises(ValueError, match="^seed carries no labels$"):
             mo.seed_values(bare, flags)
+
+    def test_labels_planted_without_weights_are_refused_by_the_slot_count(self):
+        # check_seed gives labels only to a seed with weights; a seed planted
+        # past it with labels alone is refused by Seed.slots.  The mutated
+        # seed stays alive, so the planted seed's exchange step finds its
+        # checked label at x_01 in the intern table
+        stepped = mutate(QUAD3, "x_01")
+        bare = QUAD3.replace(slot_weights=None, weight_shape=None, labels=None)
+        planted = seed_core._unchecked(bare, bare.rows, None, QUAD3.labels)
+        flags = mo.random_flags(random.Random(15), 3, 4)
+        with pytest.raises(ValueError, match="^seed carries no weights$"):
+            mo.check_exchange(planted, "x_01", flags)
+        assert exchange(planted, "x_01")[3] is stepped.labels[QUAD3.index("x_01")]
 
     def test_a_vanishing_value_raises_zero_division(self):
         # slots 1 and 2 hold the same flag, so every minor that stacks rows

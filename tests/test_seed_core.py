@@ -66,7 +66,8 @@ Claims covered:
       raises ZeroDivisionError where a vanishing value has a negative
       exponent; mutate_x returns Fractions for int and Fraction X-values;
       x_from_a, mutate_x and matches_under equal the dense rules
-      on the g2 16-gon and look names up in one dict per call
+      on the g2 16-gon, and a seed shares its one name index with the
+      seeds that mutate, opposite and langlands_dual make from it
     - every refusal of a malformed seed carries its exact message, on
       construction, mutation, exchange, duality, slot permutation and
       comparison; the faults a seed file
@@ -1368,10 +1369,10 @@ class TestXCoordinates:
             rows = [p_exponents(seed, nm).values() for nm in seed.unfrozen_names()]
             assert any(min(row) < 0 < max(row) for row in rows if row)
 
-    def test_names_are_looked_up_once_per_call(self, monkeypatch):
+    def test_names_are_looked_up_once_per_call(self):
         # on the g2 16-gon, x_from_a, mutate_x and matches_under give what
-        # the dense rules give, and look no name up through Seed.index but
-        # the vertex mutate_x mutates at
+        # the dense rules give, and every name lookup reads the one index
+        # that the seed and the seeds made from it share
         seed = POLYGONS[0]
         rng = random.Random(41)
         avals = self._avals(rng, seed)
@@ -1391,14 +1392,18 @@ class TestXCoordinates:
                     {**identity, names[0]: names[1]}]
         want_match = [_dense_matches(seed, seed, m) for m in mappings]
         assert want_match[0] and not want_match[2]
-        looked_up = []
-        index = Seed.index
-        monkeypatch.setattr(Seed, "index", lambda s, nm: looked_up.append(nm) or index(s, nm))
         assert x_from_a(seed, avals) == want_x
         assert mutate_x(seed, at, want_x) == want_mx
         assert [matches_under(seed, seed, m) for m in mappings] == want_match
-        assert looked_up == [at]
-        # a name the seed lacks is refused as Seed.index refuses it
+        # Seed(...) indexes the names once; the unchecked constructions
+        # keep them, and with them that very dict
+        made = (mutate(seed, at), opposite(seed), langlands_dual(seed, g2_weight_dual))
+        assert all(s._where is seed._where for s in made)
+        assert seed._where == {nm: i for i, nm in enumerate(names)}
+        # a name the seed lacks is refused as Seed.index refuses it, and so
+        # is one that cannot be hashed
+        with pytest.raises(KeyError, match=r"no vertex named \['x'\]"):
+            seed.index(["x"])
         assert not matches_under(seed, seed, {**identity, names[0]: "nowhere"})
         for call in (lambda: x_from_a(seed, avals, ["nowhere"]),
                      lambda: mutate_x(seed, at, {**want_x, "nowhere": Q(1)})):

@@ -11,10 +11,14 @@ Claims covered:
       load_seed leaves the garbage collector enabled or disabled as it found
       it, whether the file loads or is refused;
       the loader names a vertex id that is not an integer and an exchange
-      factor that is not an [index, exponent] pair;
+      factor that is not an [index, exponent] pair, and reports a b2 row
+      that is not a list and a minor entry without weights as malformed
+      seed data with the Python error inside;
       a save that fails mid-file leaves an earlier file byte for byte and no
       new file, and a saved file has the mode open(path, "w") gives and
       is written through a symbolic link
+    - format_weight writes a negative unit coefficient as a sign alone and
+      signs every later term
     - seed_to_json numbers labels children first (plus, then minus, then
       over) as a recursive numbering does, and without recursion
     - every checked seed survives save, load and save again: loading what
@@ -38,7 +42,14 @@ from confseed import seed_io
 from confseed.root_data import g2_weight_dual, root_datum
 from confseed.seed_builder import build_triangle_seed
 from confseed.seed_core import Exchange, Minor, Seed, dense, langlands_dual, mutate
-from confseed.seed_io import load_seed, save_seed, seed_from_json, seed_to_json, write_seed
+from confseed.seed_io import (
+    format_weight,
+    load_seed,
+    save_seed,
+    seed_from_json,
+    seed_to_json,
+    write_seed,
+)
 from confseed.surface_glue import build_conf_m_seed
 
 from dense_reference import dense_label_weight, dense_minor, dense_seed
@@ -214,6 +225,29 @@ def test_loader_names_the_malformed_field(change, message):
     with pytest.raises(ValueError) as err:
         seed_from_json(data)
     assert str(err.value) == message
+
+
+def _minor_without_weights(data):
+    del next(e for e in data["labels"] if e["kind"] == "minor")["weights"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (_fault(("b2", 0), 3), "malformed seed data (TypeError: 'int' object is not iterable)"),
+    (_minor_without_weights, "malformed seed data (KeyError: 'weights')"),
+], ids=["int-b2-row", "minor-without-weights"])
+def test_loader_wraps_a_python_error_in_its_message(change, message):
+    # a shape the loader's type passes do not name reaches it as the
+    # Python error it raised, inside one ValueError
+    data = seed_to_json(mutate(build_triangle_seed(root_datum("a2")), "x_11"))
+    data = json.loads(json.dumps(data))
+    change(data)
+    with pytest.raises(ValueError) as err:
+        seed_from_json(data)
+    assert str(err.value) == message
+
+
+def test_format_weight_signs_each_term():
+    assert format_weight((-1, 2), ("w1", "w2")) == "-w1+2w2"
 
 
 class _FailsAfterFirstVertex:

@@ -19,8 +19,12 @@ memo: no module names ``WeakKeyDictionary``.  Only
 or calls ``gc``.  A seed's undo record, the ``_undo`` slot, is read only
 by ``mutate``, and set only through the slot setters that ``Seed.__init__``
 and ``_unchecked`` call, with a record that only ``mutate`` passes; no
-other code names the slot.  Each module is parsed with ``ast``, so these
-hold without importing or running anything.  Then, along seeded walks, the
+other code names the slot.  ``Seed.index`` is the one lookup from a name to
+its index: no code calls ``.index`` on a ``names`` attribute or pairs one
+with indices outside ``Seed.__init__``, which builds the ``_where`` slot
+through its own setter, and only ``_unchecked`` hands a seed's on.  Each
+module is parsed with ``ast``, so these hold without importing or running
+anything.  Then, along seeded walks, the
 weights that the exchange step hands over are held to the dense reference,
 and no element of an undo record is a Seed.
 """
@@ -204,6 +208,59 @@ def test_only_mutate_reads_or_hands_over_an_undo_record():
     assert passes == ["seed_core.py:mutate"] * len(passes) and passes
     # the slot is declared once, in Seed's __slots__, at class level
     assert named == ["seed_core.py:None"]
+
+
+def _pairs_names_with_indices(node) -> bool:
+    """Whether node zips a ``names`` attribute with ``range(...)`` or
+    ``_INDICES``, or is a dict comprehension over ``enumerate`` of one that
+    maps each name to its index."""
+    def is_names(arg):
+        return isinstance(arg, ast.Attribute) and arg.attr == "names"
+
+    if isinstance(node, ast.Call) and _called(node) == "zip" and len(node.args) == 2:
+        first, second = node.args
+        return is_names(first) and (
+            isinstance(second, ast.Call) and _called(second) == "range"
+            or isinstance(second, ast.Name) and second.id == "_INDICES")
+    if isinstance(node, ast.DictComp):
+        return any(
+            isinstance(gen.iter, ast.Call) and _called(gen.iter) == "enumerate"
+            and gen.iter.args and is_names(gen.iter.args[0])
+            and isinstance(gen.target, ast.Tuple)
+            and ast.unparse(node.key) == ast.unparse(gen.target.elts[1])
+            for gen in node.generators)
+    return False
+
+
+def test_seed_index_is_the_one_name_lookup():
+    # scans of a names tuple for a name, pairings of names with indices,
+    # reads of ._where, mentions of its setter and the slot's name as a
+    # string, each with the function around it
+    scans, pairings, reads, setters, named = [], [], [], [], []
+    for name, tree in _trees():
+        for fn, node in _enclosed(tree):
+            where = f"{name}:{fn}"
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "index" and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "names"):
+                scans.append(f"{name}:{node.lineno}")
+            elif _pairs_names_with_indices(node):
+                pairings.append(where)
+            elif isinstance(node, ast.Attribute) and node.attr == "_where":
+                reads.append((where, type(node.ctx).__name__))
+            elif isinstance(node, ast.Name) and node.id == "_SET_WHERE":
+                setters.append(where)
+            elif isinstance(node, ast.Constant) and node.value == "_where":
+                named.append(where)
+    assert scans == []
+    assert pairings == ["seed_core.py:__init__"]
+    # Seed.index reads the index, and _unchecked hands it to the new seed
+    assert sorted(set(reads)) == [("seed_core.py:_unchecked", "Load"),
+                                  ("seed_core.py:index", "Load")]
+    # the setter is made at module level and called in Seed.__init__ alone
+    assert sorted(setters) == ["seed_core.py:None", "seed_core.py:__init__"]
+    # the slot is named in Seed's __slots__ and where its setter is made
+    assert named == ["seed_core.py:None"] * 2
 
 
 @pytest.mark.parametrize("kind", ["g2", "a3"])

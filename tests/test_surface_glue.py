@@ -11,6 +11,11 @@ Claims covered:
       earlier piece or keep one twice, are rejected; no pieces glue to the
       seed with no vertices
     - diagonal_pairs matches boundary vertices across a diagonal by weight
+    - each refusal of a malformed input carries its message: an unsorted
+      triangle, a fan of fewer than three corners, a seed of other than
+      three slots to embed, pieces of different slot counts, a pair of
+      mismatched multipliers or weights, a side with vertices on one piece
+      only, and corner orders that do not fit the triangles
     - one amalgamate pass over all pieces glues exactly as gluing them one
       at a time with a name-by-name reference does, on the flip targets and
       on triangulations that are not fans, including one whose listed order
@@ -116,6 +121,17 @@ class TestTriangulation:
         with pytest.raises(ValueError):
             flip_diagonal(fan_triangulation(4), (1, 2))
 
+    def test_unsorted_triangle_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            Triangulation(4, ((1, 3, 2), (1, 3, 4)))
+        assert str(exc.value) == "triangle (1, 3, 2) must be listed ascending"
+
+    @pytest.mark.parametrize("m", [2, 1, 0])
+    def test_fan_needs_a_triangle(self, m):
+        with pytest.raises(ValueError) as exc:
+            fan_triangulation(m)
+        assert str(exc.value) == "need at least a triangle"
+
 
 # == 2. embedding ============================================================
 
@@ -136,6 +152,13 @@ class TestEmbedding:
         placed = embed_triangle(seed, (2, 1, 3), 3, "t.")
         want = {("t." + a, "t." + b) for a, b, _ in arrows(seed)}
         assert {(b, a) for a, b, _ in arrows(placed)} == want
+
+    def test_only_a_triangle_seed_embeds(self):
+        # a seed already spread over four slots is not a triangle's
+        placed = embed_triangle(build_triangle_seed(root_datum("a2")), (1, 2, 3), 4, "t.")
+        with pytest.raises(ValueError) as exc:
+            embed_triangle(placed, (1, 2, 3), 5, "s.")
+        assert str(exc.value) == "triangle seeds have three slots"
 
 
 # == 3. amalgamation =========================================================
@@ -239,6 +262,37 @@ class TestAmalgamate:
         a, b = self._two_triangles()
         with pytest.raises(ValueError):
             amalgamate((a, b), (("t0.x_10", "t1.x_20"),))
+
+    def test_pieces_of_different_slot_counts_rejected(self):
+        base = build_triangle_seed(root_datum("a2"))
+        a, _ = self._two_triangles()
+        with pytest.raises(ValueError) as exc:
+            amalgamate((base, a), ())
+        assert str(exc.value) == "all vertices must use the same number of slots"
+
+    @pytest.mark.parametrize("kind, pair, message", [
+        # g2's x_a0 has multiplier 1 and x_b0 multiplier 3
+        ("g2", ("t0.x_a0", "t1.x_b0"), "pair (t0.x_a0,t1.x_b0) has mismatched multipliers"),
+        # both frozen, both of multiplier 1, on the diagonal's two corners in
+        # the two opposite orders
+        ("a2", ("t0.x_10", "t1.x_10"), "pair (t0.x_10,t1.x_10) has mismatched weights"),
+    ], ids=["multipliers", "weights"])
+    def test_mismatched_pair_named(self, kind, pair, message):
+        a, b = self._two_triangles(kind)
+        with pytest.raises(ValueError) as exc:
+            amalgamate((a, b), (pair,))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("order, message", [
+        # a's side 1-2 carries t0.x_1 and t0.x_2, and no vertex of b lies on it
+        ((0, 1), "unmatched vertices ['t0.x_1', 't0.x_2'] on [1, 2]"),
+        ((1, 0), "no partner for t0.x_1 across [1, 2]"),
+    ], ids=["unmatched", "no-partner"])
+    def test_a_side_that_is_not_shared_has_no_pairs(self, order, message):
+        pieces = self._two_triangles()
+        with pytest.raises(ValueError) as exc:
+            diagonal_pairs(pieces[order[0]], pieces[order[1]], (1, 2))
+        assert str(exc.value) == message
 
     def test_no_pieces_glue_to_the_seed_with_no_vertices(self):
         empty = Seed((), (), (), ())
@@ -424,3 +478,12 @@ class TestPolygonSeeds:
     def test_triangulation_size_must_match(self):
         with pytest.raises(ValueError):
             build_conf_m_seed(root_datum("a2"), 5, fan_triangulation(4))
+
+    @pytest.mark.parametrize("orders, message", [
+        ([(1, 2, 3)], "one corner order per triangle required"),
+        ([(1, 2, 3), (1, 2, 4)], "corner order (1, 2, 4) does not match triangle (1, 3, 4)"),
+    ], ids=["one-short", "wrong-corners"])
+    def test_corner_orders_must_fit_the_triangles(self, orders, message):
+        with pytest.raises(ValueError) as exc:
+            build_conf_m_seed(root_datum("a2"), 4, None, orders)
+        assert str(exc.value) == message
