@@ -30,23 +30,27 @@ of b2, read off the rows.
 Every way to make a seed runs the full ``check_seed``, except ``mutate``,
 ``opposite`` and ``langlands_dual``, which build through ``_unchecked``.  A
 seed is immutable and stores its sequence fields as tuples, so a checked
-seed stays checked, and each of the three proves or tests what it writes.
-Negation and the dual's transpose keep every invariant of b2: the transpose
-is skew-symmetrizable with the multipliers max(d)/d, by the input's own
-rule, so the dual checks only the weights it computes, with check_seed's
-own walk over stored (slot, weight) pairs, ``_check_pairs``, which a
-Minor's weights take too.  One rule, ``_dual_row``, makes and checks one
-vertex's dual row, under one bounded ``functools.lru_cache`` shared by
-every weight map, so a dual along a mutation walk maps only the vertex that
-changed.  A map must be a pure, hashable function.
+seed stays checked, and each of the three proves what it writes and tests
+only what can fail.  Negation and the dual's transpose keep every
+invariant of b2: the transpose is skew-symmetrizable with the multipliers
+max(d)/d, by the input's own rule, so the dual checks only the weights it
+computes, with check_seed's own walk over stored (slot, weight) pairs,
+``_check_pairs``, which a Minor's weights take too.  One rule,
+``_dual_row``, makes and checks one vertex's dual row, under one bounded
+``functools.lru_cache`` shared by every weight map, so a dual along a
+mutation walk maps only the vertex that changed.  A map must be a pure,
+hashable function.
 Mutation keeps skew-symmetrizability with the same multipliers (Fomin and
-Zelevinsky, "Cluster algebras I", 2002, Section 4) and writes only row k
-and the entries between k's neighbours; ``mutate`` checks that block where
-it stands with ``check_seed``'s own entry tests and messages, and every
-other row is the very row object of the checked seed it started from.  A
-mutation step reads row k once, through one sign split, and does O(deg^2)
-arithmetic, deg the number of neighbours, besides copying the n row
-references into a new tuple, where a full check would cost O(n + arrows).
+Zelevinsky, "Cluster algebras I", 2002, Prop. 4.5) and writes only row k
+and the entries between k's neighbours.  At an unfrozen k every increment
+is even and never lands on the diagonal, so only a grown entry can break
+an invariant, by going over MAX_ENTRY_BITS: ``mutate`` tests each one
+where it writes it, with ``check_seed``'s message for the same first pair,
+and every other row is the very row object of the checked seed it started
+from.  A mutation step reads row k once, through one sign split, and does
+O(deg^2) arithmetic, deg the number of neighbours, besides copying the n
+row references into a new tuple, where a full check would cost O(n +
+arrows).
 Mutation is an involution, so each seed ``mutate`` makes carries an undo
 record: the vertex and the stored rows, weights and labels of the seed it
 came from, with that seed's own record.  Mutating straight back, labels
@@ -518,10 +522,25 @@ def check_seed(seed: Seed) -> None:
             if type(b) is not int:
                 raise ValueError(f"b2 entry {b!r} is not an integer")
             prev = j
-    lookup = dict(enumerate(map(dict, rows)))
-    if any(map(dict.__contains__, lookup.values(), range(n))):
+    # lookup[j] maps i to b2[j][i] wherever that is nonzero; a zero facing a
+    # nonzero entry fails from the nonzero side, and zero is even, so the
+    # zero entries need no visit
+    lookup = list(map(dict, rows))
+    if any(map(dict.__contains__, lookup, range(n))):
         raise ValueError("b2 diagonal must be zero")
-    _check_entries(seed, range(n), rows, lookup)
+    names, frozen, mult = seed.names, seed.frozen, seed.mult
+    low, high = -_TOO_BIG, _TOO_BIG
+    for i, row in enumerate(rows):
+        d_i, f_i = mult[i], frozen[i]
+        for j, b in row:
+            if not low < b < high:
+                raise ValueError(
+                    f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
+                )
+            if b * mult[j] != -lookup[j].get(i, 0) * d_i:
+                raise ValueError(f"not skew-symmetrizable at ({names[i]},{names[j]})")
+            if b % 2 and not (f_i and frozen[j]):
+                raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
     slot_weights, shape, labels = seed.slot_weights, seed.weight_shape, seed.labels
     if (slot_weights is None) != (shape is None):
         raise ValueError("slot weights and a weight shape must be given together")
@@ -625,40 +644,12 @@ def _unstored(i: int, prev: int, what: str, name: str) -> ValueError:
 _TOO_BIG = 1 << MAX_ENTRY_BITS
 
 
-def _check_entries(seed: Seed, order, rows, lookup) -> None:
-    """check_seed's three entry tests, row by row, in the order given.
-
-    ``rows[i]`` holds the (j, b2[i][j]) entries of row i, ascending in j,
-    for each i of ``order``.  An entry is tested where ``lookup`` holds
-    row j, as a dict from i to b2[j][i] wherever that is nonzero.  Names,
-    frozen flags and multipliers are read from ``seed``.  A zero facing a
-    nonzero entry fails from the nonzero side, and zero is even, so the
-    zero entries need no visit.
-    """
-    names, frozen, mult = seed.names, seed.frozen, seed.mult
-    low, high = -_TOO_BIG, _TOO_BIG
-    for i in order:
-        d_i, f_i = mult[i], frozen[i]
-        for j, b in rows[i]:
-            col = lookup.get(j)
-            if col is None:
-                continue
-            if not low < b < high:
-                raise ValueError(
-                    f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at ({names[i]},{names[j]})"
-                )
-            if b * mult[j] != -col.get(i, 0) * d_i:
-                raise ValueError(f"not skew-symmetrizable at ({names[i]},{names[j]})")
-            if b % 2 and not (f_i and frozen[j]):
-                raise ValueError(f"half-integral entry at unfrozen pair ({names[i]},{names[j]})")
-
-
 def _unchecked(seed: Seed, rows, slot_weights, labels, mult=None, undo=None) -> Seed:
     """seed with rows, slot weights, labels and, unless None, multipliers
     replaced, for mutate, opposite and langlands_dual.
 
-    Skips check_seed: the caller has checked every entry it wrote, or
-    proved that it cannot break a check, and every other field comes from
+    Skips check_seed: the caller has proved that what it wrote cannot
+    break a check but for what it tested, and every other field comes from
     seed, which passed the full check_seed.  ``undo`` is the new seed's
     undo record, which only ``mutate`` passes; every other seed has none.
     The new seed keeps seed's names, so it shares seed's name index.
@@ -826,23 +817,27 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     that seed) and that seed's own record.  It answers when k is ``at``'s
     index and the result keeps labels as that seed had them
     (``with_labels``, or no labels).  The full path would give an equal
-    seed from the same checked block, increments of the same magnitudes,
+    seed from the same checked rows, increments of the same magnitudes,
     swapped sides of the same weight and the collapsed or re-interned label
     the record holds, so the record skips no refusal.  A chain holds at
     most ``_UNDO_DEPTH`` records.
 
     Otherwise only row k of ``at`` and the rows of its neighbours are
-    written, each at k and at k's neighbours, from one sign split of row k,
-    and only that block is checked where it stands, diagonal first and then
-    row by row, with check_seed's tests and messages; a fault inside it is
-    named by the same first pair the full check would name.  That is
-    enough: mutation keeps skew-symmetrizability with the same multipliers,
-    and every other row is the row object of ``seed``, which passed the
-    full check and cannot have changed since.  The new weight and label at
-    ``at`` are those of ``_exchange``.  Refusals come in this order: an odd
-    increment, the block check (which refuses a b2 entry of more than
-    MAX_ENTRY_BITS bits), weight homogeneity, and a new weight coordinate
-    over that cap.
+    written, each at k and at k's neighbours, from one sign split of row k.
+    Only the size of a grown entry can fail there, as ``seed`` passed the
+    full check and k is unfrozen.  Each b2[k][j] and b2[p][k] is even, so
+    each increment b2[p][k] * |b2[k][q]| / 2 is even and every entry keeps
+    its parity.  b2[p][k] is nonzero, of the sign opposite to b2[k][p], so
+    a neighbour p never visits q = p and the diagonal stays zero.  Row and
+    column k are only negated, and mutation keeps skew-symmetrizability
+    with the same multipliers (Fomin and Zelevinsky, "Cluster algebras I",
+    2002, Prop. 4.5).  So each grown b2[p][q] is tested against
+    MAX_ENTRY_BITS where it is written, p ascending and then q ascending:
+    the first pair over the cap is the one the full check would name, with
+    its message.  Every other row is the row object of ``seed``.  The new
+    weight and label at ``at`` are those of ``_exchange``.  Refusals come
+    in this order: a b2 entry over the cap, weight homogeneity, and a new
+    weight coordinate over that cap.
     """
     k = _unfrozen(seed, at)
     keep = with_labels or seed.labels is None
@@ -858,23 +853,18 @@ def mutate(seed: Seed, at: str, *, with_labels: bool = True) -> Seed:
     ups, downs = _split(row_k)
     new = list(rows)
     new[k] = tuple([(j, -b) for j, b in row_k])
-    # block: each written row as {column: entry}
-    block = {k: dict(new[k])}
     for p, _ in row_k:
         row = dict(rows[p])
-        b_pk = row.get(k, 0)
-        for q, a in (ups if b_pk > 0 else downs if b_pk else ()):
-            inc = b_pk * a
-            if inc & 1:
-                raise ValueError("mutation increment not integral")
-            row[q] = row.get(q, 0) + (inc >> 1)
+        # nonzero, of the sign opposite to b2[k][p], and even, as k is unfrozen
+        b_pk = row[k]
+        for q, a in ups if b_pk > 0 else downs:
+            b = row[q] = row.get(q, 0) + (b_pk * a >> 1)
+            if not -_TOO_BIG < b < _TOO_BIG:
+                raise ValueError(
+                    f"b2 entry over the cap of {MAX_ENTRY_BITS} bits "
+                    f"at ({seed.names[p]},{seed.names[q]})")
         row[k] = -b_pk
-        block[p] = row
         new[p] = tuple(sorted(filter(_ENTRY, row.items())))
-    order = sorted(block)
-    if any(map(dict.get, map(block.get, order), order)):
-        raise ValueError("b2 diagonal must be zero")
-    _check_entries(seed, order, new, block)
 
     ws, labels = seed.slot_weights, seed.labels if with_labels else None
     wk, lk = _exchange(seed, k, labels, ups, downs)

@@ -3,7 +3,8 @@
 Claims covered:
     - check_seed enforces skew-symmetrizability and frozen-row parity, and
       refuses rows and slot weights not stored as strictly ascending
-      nonzero pairs of the right length; replace takes only stored fields
+      nonzero pairs of the right length; replace takes only stored fields;
+      a seed leaves comparison with another type to it, and equals no int
     - check_seed refuses every value no seed file holds with the loader's
       message: names, flags, multipliers, b2 entries and weight coordinates
       of another type, multipliers below 1 and multipliers and coordinates
@@ -21,7 +22,7 @@ Claims covered:
       another shape and a label that is neither are refused
     - mutation is an involution on the full seed, labels included, both
       through the undo record and from a copy with no record, whose way
-      back runs the block check and collapses the label in the exchange
+      back runs the full step and collapses the label in the exchange
       step; walks back along a path take either way to the start
     - the undo record: along seeded labelled walks on the a3 4-gon, the d4
       triangle and the g2 24-gon that often step back, every step equals
@@ -38,15 +39,19 @@ Claims covered:
       reference formulas along random walks; the labelled mutation walks
       and the exchange walks also start on the d4 triangle and 4-gon and
       the g2 24-gon, and walking back returns the start, its very labels
-    - mutation refuses a step that writes a b2 entry over the entry cap
-      and takes one at the cap; it refuses the block it writes before an
-      inhomogeneous relation, and that before a new weight over the cap
-    - mutation preserves skew-symmetrizability and weight homogeneity;
-      the full check_seed holds after every step of random walks, on the
-      zoo and on the g2 16-gon and the a3 hexagon
-    - mutation checks only the block it writes, names a fault planted there
-      by the same message as the full check of the dense reference, and
-      runs no full check_seed; construction and load run it once each
+    - mutation refuses a step that writes a b2 entry over the entry cap,
+      with the message the full check gives the dense reference's step,
+      and takes one at the cap; on a checked seed it refuses an entry it
+      grows over the cap before an inhomogeneous relation, and that before
+      a new weight over the cap
+    - mutation preserves skew-symmetrizability, parity, the zero diagonal
+      and weight homogeneity: the full check_seed holds after every step
+      of random walks, on the zoo and on the g2 16-gon and the a3 hexagon,
+      and along seeded walks the rows equal the dense reference's; this is
+      the reference for mutate testing only the size of the entries it
+      grows
+    - mutation runs no full check_seed; construction and load run it once
+      each
     - mutation at any unfrozen vertex of the g2 128-gon keeps every row
       outside the vertex and its neighbours as the parent's own row object
       and builds no dense view of the parent
@@ -64,7 +69,8 @@ Claims covered:
       x_from_a equals the product of one Fraction power per factor on
       signed rationals with exponents of both signs, returns Fractions, and
       raises ZeroDivisionError where a vanishing value has a negative
-      exponent; mutate_x returns Fractions for int and Fraction X-values;
+      exponent; p_exponents refuses a row with a half-integral entry;
+      mutate_x returns Fractions for int and Fraction X-values;
       x_from_a, mutate_x and matches_under equal the dense rules
       on the g2 16-gon, and a seed shares its one name index with the
       seeds that mutate, opposite and langlands_dual make from it
@@ -72,7 +78,8 @@ Claims covered:
       construction, mutation, exchange, duality, slot permutation and
       comparison; the faults a seed file
       can hold are refused by load_seed and exit the command line with 2
-    - slot permutations compose; the opposite seed negates b2, keeps every
+    - slot permutations compose, and a seed without weights is its own
+      permutation; the opposite seed negates b2, keeps every
       other field, passes check_seed and is its own inverse; the Langlands
       dual squares to the identity, and its matrix equals the dense rule on
       the zoo, the a4 and d4 triangles and the polygons, each also after a
@@ -225,6 +232,10 @@ class TestCheckSeed:
         for seed in _seed_zoo():
             check_seed(seed)
 
+    def test_a_seed_equals_no_other_type(self):
+        assert ZOO[0].__eq__(1) is NotImplemented
+        assert (ZOO[0] == 1) is False
+
     def test_broken_diagonal_rejected(self):
         # construction itself runs check_seed
         base = build_triangle_seed(root_datum("a2"))
@@ -355,25 +366,6 @@ def _a2_fields(**changes):
     """dense_seed(...) on the a2 triangle's fields, some of them replaced."""
     fields = _dense_fields(ZOO[0], **changes)
     return lambda: dense_seed(**fields)
-
-
-def _odd_path():
-    """The a3 triangle with arrows q -> k -> p at an unfrozen k made odd.
-
-    b2[p][k] = b2[k][q] = 1 makes the increment at (p, q) 2/4; the entries
-    are planted past every check, so mutate's own test must refuse it.
-    """
-    base = ZOO[1]
-    n = base.size
-    k, p, q = next(
-        (k, p, q) for k in range(n) if not base.frozen[k]
-        for p in range(n) if base.b2[p][k] > 0
-        for q in range(n) if base.b2[k][q] > 0
-    )
-    b2 = [list(r) for r in base.b2]
-    b2[p][k], b2[k][p] = 1, -1
-    b2[k][q], b2[q][k] = 1, -1
-    return plant(base, b2), base.names[k]
 
 
 A2_WEIGHTS = dense_weights(ZOO[0])
@@ -597,7 +589,6 @@ class TestRefusals:
          "all vertices must use the same number of slots", _extra_slot),
         (_a2_fields(labels=ZOO[0].labels[:-1]), "one label per vertex required",
          None),
-        (lambda: mutate(*_odd_path()), "mutation increment not integral", None),
         (lambda: langlands_dual(Seed(("u", "v"), (True, True), (2, 3), ((), ()))),
          "multipliers must divide their maximum", None),
         (lambda: langlands_dual(_G2_TRI), "weight_map required unless simply laced",
@@ -712,7 +703,7 @@ class TestRefusals:
          _LISTS, None),
         (lambda: Minor(((0, range(0, 2)),), (1, (0, 0))), _LISTS, None),
     ], ids=["duplicate-names", "missing-row", "zero-multiplier", "ragged-row",
-            "missing-weights", "extra-slot", "missing-label", "odd-increment",
+            "missing-weights", "extra-slot", "missing-label",
             "non-dividing-multipliers", "dual-without-weight-map",
             "non-integral-dual-weight", "non-integral-dual-weight-mult-2",
             "comparison-without-weights",
@@ -753,6 +744,15 @@ class TestRefusals:
 
 # == 2. mutation =============================================================
 
+def _long_path(bits, *weights):
+    """The checked path a -> b -> c of unfrozen vertices whose b2 entries
+    are 2**(bits + 1), with ``weights``, the slot weights and the weight
+    shape, if given."""
+    big = 2 << bits
+    return Seed(("a", "b", "c"), (False,) * 3, (1,) * 3,
+                (((1, -big),), ((0, big), (2, -big)), ((1, big),)), *weights)
+
+
 class TestMutation:
     def test_involution_everywhere(self):
         for seed in _seed_zoo():
@@ -761,7 +761,7 @@ class TestMutation:
 
     def test_involution_everywhere_without_the_record(self):
         # the replace() copy has no undo record, so the way back runs the
-        # full path: its block check and the exchange step
+        # full path: its grown entries' cap test and the exchange step
         for seed in _seed_zoo():
             for at in seed.unfrozen_names():
                 once = mutate(seed, at).replace()
@@ -797,16 +797,15 @@ class TestMutation:
 
     @pytest.mark.parametrize("bits, refused", [(2047, False), (2048, True)])
     def test_entry_cap(self, bits, refused):
-        # a path a -> b -> c whose b2 entries are 2**(bits + 1): mutating at
-        # b writes -2**(2 * bits + 1) at (a, c), of 2 * bits + 2 bits, so
-        # exactly the cap when bits is 2,047 and over it when bits is 2,048
-        big = 2 << bits
-        seed = Seed(("a", "b", "c"), (False,) * 3, (1,) * 3,
-                    (((1, -big),), ((0, big), (2, -big)), ((1, big),)))
+        # mutating _long_path at b writes -2**(2 * bits + 1) at (a, c), of
+        # 2 * bits + 2 bits, so exactly the cap when bits is 2,047 and over
+        # it when bits is 2,048, refused as the full check refuses it
+        seed = _long_path(bits)
         if refused:
             with pytest.raises(ValueError, match=(
-                    rf"^b2 entry over the cap of {MAX_ENTRY_BITS} bits at \(a,c\)$")):
+                    rf"^b2 entry over the cap of {MAX_ENTRY_BITS} bits at \(a,c\)$")) as err:
                 mutate(seed, "b")
+            assert str(err.value) == _full_check_message(seed, "b")
         else:
             assert mutate(seed, "b").b2[0][2].bit_length() <= MAX_ENTRY_BITS
 
@@ -1065,43 +1064,14 @@ class TestLocalCheck:
                 return k, nbrs[0], nbrs[1]
         raise AssertionError("no vertex with two neighbours")
 
-    @pytest.mark.parametrize("fault, message", [
-        ("diagonal", "b2 diagonal must be zero"),
-        ("skew", "not skew-symmetrizable"),
-        ("parity", "half-integral entry"),
-    ])
-    def test_fault_in_the_block_named_like_the_full_check(self, fault, message):
-        base = build_triangle_seed(root_datum("a3"))
-        k, p, q = self._neighbourhood(base)
-        b2 = [list(r) for r in base.b2]
-        if fault == "diagonal":
-            b2[p][p] = 2
-        elif fault == "skew":
-            b2[p][q] += 2
-        else:
-            # an odd pair at k keeps skew-symmetry (equal multipliers) and
-            # leaves every mutation increment integral
-            step = 1 if b2[k][p] > 0 else -1
-            b2[k][p] += step
-            b2[p][k] -= step
-        planted = plant(base, b2)
-        want = _full_check_message(planted, base.names[k])
-        assert want.startswith(message)
-        with pytest.raises(ValueError) as err:
-            mutate(planted, base.names[k])
-        assert str(err.value) == want
-
     def test_refusals_come_block_then_balance_then_cap(self):
-        # each planted fault alone gives its own message, and of two
-        # faults the one mutate tests first speaks: the block it writes,
+        # each fault alone gives its own message, and of two faults the
+        # one mutate tests first speaks: a b2 entry it grows over the cap,
         # then weight homogeneity, then the new weight's cap
         base = build_triangle_seed(root_datum("a3"))
         k, _, _ = self._neighbourhood(base)
         at = base.names[k]
         p = next(j for j, b in base.rows[k] if b > 0)
-        q = next(j for j, _ in base.rows[k] if j != p)
-        skew = [list(r) for r in base.b2]
-        skew[p][q] += 2
         big = 1 << MAX_ENTRY_BITS
         # p's weight doubled unbalances k, and every weight scaled by 2**4096
         # keeps the balance but puts A'_k's weight over the cap
@@ -1109,20 +1079,25 @@ class TestLocalCheck:
         huge = _reweighted(base, dict.fromkeys(range(base.size), big))
         both = _reweighted(base, {**dict.fromkeys(range(base.size), big), p: 2 * big})
         assert exchange(base, at)[2] and any(map(any, weight_balance(heavy, at)))
-        block = _full_check_message(plant(base, skew), at)
-        assert block.startswith("not skew-symmetrizable")
+        # a checked seed whose step at b grows (a,c) over the cap, with a
+        # weight on a alone, so that b is unbalanced too
+        over = _long_path(2048, (((0, (1,)),), (), ()), (1, (0,)))
+        assert any(map(any, weight_balance(over, "b")))
+        cap = _full_check_message(over, "b")
+        assert cap == f"b2 entry over the cap of {MAX_ENTRY_BITS} bits at (a,c)"
 
-        def unbalanced(seed):
+        def unbalanced(seed, at=at):
             return f"mutation at {at} is not weight-homogeneous: {weight_balance(seed, at)}"
 
-        for seed, message in [
-            (plant(heavy, skew), block),
-            (heavy, unbalanced(heavy)),
-            (huge, f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}"),
-            (both, unbalanced(both)),
+        assert unbalanced(over, "b") != cap
+        for seed, where, message in [
+            (over, "b", cap),
+            (heavy, at, unbalanced(heavy)),
+            (huge, at, f"weight coordinate over the cap of {MAX_ENTRY_BITS} bits at {at}"),
+            (both, at, unbalanced(both)),
         ]:
             with pytest.raises(ValueError) as err:
-                mutate(seed, at)
+                mutate(seed, where)
             assert str(err.value) == message
         # exchange refuses the unbalanced relation alike; the cap is mutate's
         for seed in (heavy, both):
@@ -1312,6 +1287,12 @@ class TestXCoordinates:
             for other, e in row.items():
                 assert seed.b2[i][seed.index(other)] == 2 * e
 
+    def test_p_exponents_refuse_a_half_integral_row(self):
+        # the frozen x_10 of the a2 triangle has a half arrow to x_20
+        with pytest.raises(ValueError) as err:
+            p_exponents(ZOO[0], "x_10")
+        assert str(err.value) == "row x_10 has a half-integral entry at x_20"
+
     def test_x_transport_matches_exchange(self):
         # mutate A-values by the exchange relation; the induced X-values must
         # obey the X-mutation rule
@@ -1465,6 +1446,10 @@ class TestSymmetries:
         seed = build_triangle_seed(root_datum("g2"))
         assert permute_slots(permute_slots(seed, (1, 2, 0)), (1, 2, 0)) == \
             permute_slots(seed, (2, 0, 1))
+
+    def test_permute_slots_returns_a_seed_without_weights_itself(self):
+        seed = _without_weights(ZOO[0])
+        assert permute_slots(seed, (2, 0, 1)) is seed
 
     def test_permute_identity(self):
         seed = build_conf_m_seed(root_datum("a2"), 4)

@@ -15,7 +15,8 @@ Claims covered:
       that is not a list and a minor entry without weights as malformed
       seed data with the Python error inside;
       a save that fails mid-file leaves an earlier file byte for byte and no
-      new file, and a saved file has the mode open(path, "w") gives and
+      new file, an OSError from the write itself is raised unchanged with
+      the same outcome, and a saved file has the mode open(path, "w") gives and
       is written through a symbolic link
     - format_weight writes a negative unit coefficient as a sign alone and
       signs every later term
@@ -278,6 +279,24 @@ def test_failed_save_keeps_the_earlier_file(tmp_path, monkeypatch):
         with pytest.raises(ValueError, match="planted failure after the first vertex"):
             save_seed(build_triangle_seed(root_datum("a3")), target)
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["seed.json"]
+
+
+def test_failed_write_goes_out_unchanged(tmp_path):
+    # an OSError from the write itself, as from a full disk, does not name
+    # the new file, so it is raised as it came
+    path = tmp_path / "seed.json"
+    path.write_text("earlier\n")
+    full = OSError(28, "No space left on device")
+
+    def write(fh):
+        fh.write("partial")
+        raise full
+
+    with pytest.raises(OSError) as exc:
+        seed_io.write_atomically(path, write)
+    assert exc.value is full
+    assert path.read_text() == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["seed.json"]
 
 

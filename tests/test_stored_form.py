@@ -22,7 +22,11 @@ and ``_unchecked`` call, with a record that only ``mutate`` passes; no
 other code names the slot.  ``Seed.index`` is the one lookup from a name to
 its index: no code calls ``.index`` on a ``names`` attribute or pairs one
 with indices outside ``Seed.__init__``, which builds the ``_where`` slot
-through its own setter, and only ``_unchecked`` hands a seed's on.  Each
+through its own setter, and only ``_unchecked`` hands a seed's on.
+``check_seed`` alone refuses a nonzero diagonal, an entry that is not
+skew-symmetrizable and a half-integral entry at an unfrozen pair: a
+mutation step provably keeps all three, so ``mutate`` makes no parity test
+and has no refusal of an increment that is not integral.  Each
 module is parsed with ``ast``, so these hold without importing or running
 anything.  Then, along seeded walks, the
 weights that the exchange step hands over are held to the dense reference,
@@ -284,6 +288,33 @@ def test_no_undo_record_holds_a_seed(kind):
             assert not any(isinstance(part, Seed) for part in record)
             record = record[4]
     assert records >= 100
+
+
+# the entry refusals that a mutation step cannot meet, each made once, in
+# check_seed, and the step's own refusal of an odd increment, made nowhere
+_ENTRY_RULES = ("b2 diagonal must be zero", "not skew-symmetrizable",
+                "half-integral entry at unfrozen pair")
+_UNREACHABLE = "mutation increment not integral"
+
+
+def test_check_seed_alone_tests_what_mutation_keeps():
+    said, parity = {rule: [] for rule in _ENTRY_RULES + (_UNREACHABLE,)}, []
+    for name, tree in _trees():
+        for fn, node in _enclosed(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for rule, where in said.items():
+                    if rule in node.value:
+                        where.append(f"{name}:{fn}")
+            elif (fn == "mutate" and isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.Mod, ast.BitAnd))):
+                parity.append(f"{name}:{node.lineno}")
+    assert said == {**{rule: ["seed_core.py:check_seed"] for rule in _ENTRY_RULES},
+                    _UNREACHABLE: []}
+    # nor does any comment or docstring in src/ repeat one
+    text = "".join(path.read_text(encoding="utf-8") for path in SRC.glob("*.py"))
+    assert [text.count(rule) for rule in _ENTRY_RULES + (_UNREACHABLE,)] == [1, 1, 1, 0]
+    # mutate tests no entry's parity, as ``% 2`` or ``& 1``
+    assert parity == []
 
 
 def test_only_the_loader_pauses_the_collector():

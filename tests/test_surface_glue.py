@@ -258,10 +258,14 @@ class TestAmalgamate:
         with pytest.raises(ValueError):
             amalgamate((a, b), (("t0.x_11", "t1.x_11"),))
 
-    def test_mismatched_weights_rejected(self):
+    def test_half_arrow_at_a_merged_vertex_rejected(self):
+        # t0.x_10 and t1.x_20 carry equal weights, so they merge, but the
+        # merged vertex unfreezes and keeps t0's half arrow to t0.x_20
         a, b = self._two_triangles()
-        with pytest.raises(ValueError):
+        assert a.weight("t0.x_10") == b.weight("t1.x_20")
+        with pytest.raises(ValueError) as exc:
             amalgamate((a, b), (("t0.x_10", "t1.x_20"),))
+        assert str(exc.value) == "half-integral entry at unfrozen pair (t0.x_10,t0.x_20)"
 
     def test_pieces_of_different_slot_counts_rejected(self):
         base = build_triangle_seed(root_datum("a2"))
